@@ -17,6 +17,7 @@ from marginlab import Axis, Grid, GriddedFunction, SetValuedMap, parse_spec
 INF = math.inf
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Value quantum: random data live on a dyadic lattice so exact-identity
 # checks are meaningful at zero tolerance.
@@ -31,6 +32,16 @@ def load_fixture(name):
 
 def fixture_names():
     return sorted(p.stem for p in FIXTURES.glob("*.spec"))
+
+
+def golden_mismatches(outdir, fixture, case):
+    """Report files in `outdir` whose bytes differ from golden/<fixture>/<case>."""
+    ref = GOLDEN / fixture / case
+    return [
+        f"{fixture}/{case}/{fname}"
+        for fname in ("report.json", "report.csv")
+        if (Path(outdir) / fname).read_bytes() != (ref / fname).read_bytes()
+    ]
 
 
 def dyadic_axis(rng, max_count=9, min_count=2):

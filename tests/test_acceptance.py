@@ -46,6 +46,7 @@ from helpers import (
     FIXTURES,
     dyadic_grid,
     fixture_names,
+    golden_mismatches,
     load_fixture,
     random_function,
     random_problem,
@@ -358,25 +359,22 @@ def test_11_cli_determinism_and_suite_runtime(tmp_path):
     t0 = time.perf_counter()
     codes = {}
     for name in names:
-        out = tmp_path / "first" / name
+        out = tmp_path / name
         codes[name] = main(
             ["verify-all", "--spec", str(FIXTURES / f"{name}.spec"), "--out", str(out)]
         )
     elapsed = time.perf_counter() - t0
-    identical = True
-    for name in names:
-        out2 = tmp_path / "second" / name
-        main(
-            ["verify-all", "--spec", str(FIXTURES / f"{name}.spec"), "--out", str(out2)]
-        )
-        for fname in ("report.json", "report.csv"):
-            a = (tmp_path / "first" / name / fname).read_bytes()
-            b = (out2 / fname).read_bytes()
-            identical &= a == b
+    drifted = [
+        f
+        for name in names
+        for f in golden_mismatches(tmp_path / name, name, "verify-all")
+    ]
     clean = all(rc == 0 for rc in codes.values())
     emit(
         "11",
-        clean and identical and elapsed < 60.0,
-        f"verify-all on {len(names)} fixtures: exit codes clean, reruns "
-        f"byte-identical, first pass {elapsed:.1f}s (budget 60s)",
+        clean and not drifted and elapsed < 60.0,
+        f"verify-all on {len(names)} fixtures: exit codes clean, reports "
+        f"byte-identical to the goldens"
+        + (f" except {drifted}" if drifted else "")
+        + f", first pass {elapsed:.1f}s (budget 60s)",
     )
