@@ -1,12 +1,17 @@
-"""Command-line front end: problem-spec files, dispatch, report emission.
+"""Command-line front end: dispatch, one lazy context per run, reports.
 
-A problem spec is a small line-oriented text format (documented in
-docs/formats.md): bracketed sections declare grids, the objective phi, the
-constraint map F and optional extras; `marginlab <command> --spec f --out d`
-runs one verification command and writes `report.json` plus a plot-ready
-`report.csv` into the output directory.  Reports are deterministic: fixed
-field order, no timestamps, infinities rendered as "+inf"/"-inf", so
-repeated runs are byte-identical.
+`marginlab <command> --spec f --out d` parses a problem spec (the format
+lives in marginlab.spec and docs/formats.md), runs one verification
+command and writes `report.json` plus a plot-ready `report.csv` into the
+output directory.
+
+Every command reads one per-run context, `_Run`, which builds (phi, F),
+the marginal, the dual grids and mu* on the x-duals on first use and at
+most once.  Each check's verdict rows come from one builder that takes
+its row names as arguments; verify-all concatenates the core, conjugacy,
+subdiff and duality layers, and the single-topic commands reuse the same
+builders.  Reports are deterministic: fixed field order, no timestamps,
+infinities rendered as "+inf"/"-inf", so repeated runs are byte-identical.
 
 Exit codes: 0 all binding verdicts pass, 2 a verification verdict failed,
 1 usage or IO error.
@@ -18,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -27,9 +32,9 @@ import numpy as np
 from .conjugate import (
     biconjugate,
     conjugate,
-    conjugate_at,
     conjugate_fast,
     default_dual_grid,
+    default_ydual_grid,
 )
 from .core import (
     INF,
@@ -37,12 +42,13 @@ from .core import (
     Grid,
     GriddedFunction,
     axis_names,
-    eval_on_grid,
-    product_grid,
-    product_names,
+    max_deviation,
     render_value,
 )
 from .duality import (
+    DualityReport,
+    LagrangianIdentityReport,
+    SlaterReport,
     conjugate_representation_check,
     lagrangian_dual,
     lagrangian_identity_check,
@@ -54,12 +60,11 @@ from .errors import (
     MarginlabError,
     MissingSection,
     NotANode,
-    SpecSyntaxError,
-    UnknownKey,
     UnsupportedShape,
     ZeroNotOnGrid,
 )
 from .marginal import (
+    MarginalResult,
     convexity_check,
     domain_identity_check,
     epigraph_projection_check,
@@ -74,13 +79,8 @@ from .nearconvex import (
     load_raster,
     refine_raster,
 )
-from .setmap import (
-    SetValuedMap,
-    full_map,
-    map_from_constraints,
-    map_from_inequalities,
-    map_from_points,
-)
+from .setmap import SetValuedMap
+from .spec import COMMANDS, ProblemSpec, parse_spec
 from .subdiff import (
     conj_subdiff_check,
     eps_subdifferential,
@@ -93,413 +93,9 @@ from .subdiff import (
 
 SCHEMA = "marginlab.csv.v1"
 
-COMMANDS = (
-    "marginal",
-    "conjugate",
-    "subdiff",
-    "duality",
-    "lagrangian",
-    "nearconvex",
-    "verify-all",
-)
-
-_GRID_SECTIONS = ("xgrid", "ygrid", "xduals", "yduals", "lambdas")
-_SECTIONS = _GRID_SECTIONS + (
-    "phi",
-    "F",
-    "lagrangian",
-    "raster",
-    "raster2",
-    "metadata",
-    "tasks",
-)
-_META_KEYS = ("convex", "qc1", "qc14", "slater")
-
 
 class UsageError(Exception):
     """Bad command line; rendered on stderr and mapped to exit code 1."""
-
-
-# --- problem specs ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Parsed problem description: grids, phi source, F source, extras."""
-
-    name: str
-    xgrid: Grid
-    ygrid: Grid
-    phi_kind: str  # "expr" | "table"
-    phi_expr: str | None
-    phi_where: tuple[str, ...]
-    phi_table: tuple[float, ...] | None
-    f_kind: str  # "ineq" | "constraints" | "points" | "full"
-    f_exprs: tuple[str, ...]
-    f_points: tuple[tuple[float, ...], ...]
-    xduals: Grid | None
-    yduals: Grid | None
-    lambdas: Grid | None
-    lagrangian: tuple[str, tuple[str, ...]] | None
-    rasters: tuple[str, ...]
-    metadata: Mapping[str, bool]
-    tasks: tuple[str, ...]
-    base_dir: Path
-
-    def build(self, factor: int = 1) -> tuple[GriddedFunction, SetValuedMap]:
-        """Instantiate (phi, F), optionally on factor-refined grids."""
-        if factor < 1:
-            raise ValueError("refinement factor must be >= 1")
-        xg = self.xgrid.refine(factor) if factor > 1 else self.xgrid
-        yg = self.ygrid.refine(factor) if factor > 1 else self.ygrid
-        pg = product_grid(xg, yg)
-        if self.phi_kind == "expr":
-            names, aliases = product_names(xg.dim, yg.dim)
-            phi = eval_on_grid(
-                self.phi_expr, pg, names, aliases, domain=self.phi_where
-            )
-        else:
-            if factor > 1:
-                raise UnsupportedShape("a phi value table cannot be grid-refined")
-            phi = GriddedFunction(pg, np.asarray(self.phi_table))
-        if self.f_kind == "full":
-            F = full_map(xg, yg)
-        elif self.f_kind == "ineq":
-            F = map_from_inequalities(self.f_exprs, xg, yg)
-        elif self.f_kind == "constraints":
-            F = map_from_constraints(self.f_exprs, xg, yg)
-        else:
-            F = map_from_points(self.f_points, xg, yg)
-        return phi, F
-
-
-class _SpecBuilder:
-    """Mutable accumulator the line parser fills in; validated at the end."""
-
-    def __init__(self, base_dir: Path, default_name: str):
-        self.base_dir = base_dir
-        self.name = default_name
-        self.name_line: int | None = None
-        self.axes: dict[str, list[Axis]] = {}
-        self.section_line: dict[str, int] = {}
-        self.phi_kind: str | None = None
-        self.phi_expr: str | None = None
-        self.phi_where: list[str] = []
-        self.phi_table: list[float] = []
-        self.phi_line = 0
-        self.f_kind: str | None = None
-        self.f_exprs: list[str] = []
-        self.f_points: list[tuple[float, ...]] = []
-        self.f_line = 0
-        self.lag_f: str | None = None
-        self.lag_g: list[str] = []
-        self.rasters: dict[str, str] = {}
-        self.metadata: dict[str, bool] = {k: False for k in _META_KEYS}
-        self.meta_seen: set[str] = set()
-        self.tasks: list[str] = []
-
-
-def _floats(tokens: Sequence[str], line: str, ln: int) -> list[float]:
-    out = []
-    for tok in tokens:
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise SpecSyntaxError(
-                f"expected a number, got {tok!r}", ln, line.find(tok) + 1
-            ) from None
-    return out
-
-
-def _parse_axis(rest: list[str], line: str, ln: int) -> Axis:
-    if len(rest) != 3:
-        raise SpecSyntaxError("'axis' takes exactly: lo hi count", ln, 1)
-    lo, hi = _floats(rest[:2], line, ln)
-    try:
-        count = int(rest[2])
-    except ValueError:
-        raise SpecSyntaxError(
-            f"axis count must be an integer, got {rest[2]!r}",
-            ln,
-            line.find(rest[2]) + 1,
-        ) from None
-    try:
-        return Axis(lo, hi, count)
-    except ValueError as e:
-        raise SpecSyntaxError(str(e), ln, 1) from None
-
-
-def _set_phi_kind(b: _SpecBuilder, kind: str, ln: int) -> None:
-    if b.phi_kind is not None and b.phi_kind != kind:
-        raise MissingSection(
-            f"line {ln}: phi already has a '{b.phi_kind}' source; "
-            f"'{kind}' conflicts (exactly one phi source)"
-        )
-    b.phi_kind = kind
-    if not b.phi_line:
-        b.phi_line = ln
-
-
-def _set_f_kind(b: _SpecBuilder, kind: str, ln: int) -> None:
-    if b.f_kind is not None and b.f_kind != kind:
-        raise MissingSection(
-            f"line {ln}: F already has a '{b.f_kind}' source; "
-            f"'{kind}' conflicts (exactly one F source)"
-        )
-    if b.f_kind == "full" and kind == "full":
-        raise MissingSection(f"line {ln}: duplicate 'full' in [F]")
-    b.f_kind = kind
-    if not b.f_line:
-        b.f_line = ln
-
-
-def _parse_line(b: _SpecBuilder, section: str | None, line: str, ln: int) -> None:
-    parts = line.split()
-    key, rest = parts[0], parts[1:]
-    tail = line.split(None, 1)[1].strip() if len(parts) > 1 else ""
-
-    if section is None:
-        if key == "name":
-            if b.name_line is not None:
-                raise SpecSyntaxError("duplicate 'name'", ln, 1)
-            if len(rest) != 1:
-                raise SpecSyntaxError("'name' takes one token", ln, 1)
-            b.name = rest[0]
-            b.name_line = ln
-            return
-        raise UnknownKey(f"line {ln}: key {key!r} before any [section]")
-
-    if section in _GRID_SECTIONS:
-        if key != "axis":
-            raise UnknownKey(f"line {ln}: unknown key {key!r} in [{section}]")
-        b.axes.setdefault(section, []).append(_parse_axis(rest, line, ln))
-        return
-
-    if section == "phi":
-        if key == "expr":
-            _set_phi_kind(b, "expr", ln)
-            if b.phi_expr is not None:
-                raise MissingSection(f"line {ln}: duplicate 'expr' in [phi]")
-            if not tail:
-                raise SpecSyntaxError("'expr' needs expression text", ln, 1)
-            b.phi_expr = tail
-        elif key == "table":
-            _set_phi_kind(b, "table", ln)
-            b.phi_table.extend(_floats(rest, line, ln))
-        elif key == "where":
-            if not tail:
-                raise SpecSyntaxError("'where' needs constraint text", ln, 1)
-            b.phi_where.append(tail)
-        else:
-            raise UnknownKey(f"line {ln}: unknown key {key!r} in [phi]")
-        return
-
-    if section == "F":
-        if key == "ineq":
-            _set_f_kind(b, "ineq", ln)
-            if not tail:
-                raise SpecSyntaxError("'ineq' needs expression text", ln, 1)
-            b.f_exprs.append(tail)
-        elif key == "constraints":
-            _set_f_kind(b, "constraints", ln)
-            if not tail:
-                raise SpecSyntaxError("'constraints' needs expression text", ln, 1)
-            b.f_exprs.append(tail)
-        elif key == "point":
-            _set_f_kind(b, "points", ln)
-            b.f_points.append(tuple(_floats(rest, line, ln)))
-        elif key == "full":
-            if rest:
-                raise SpecSyntaxError("'full' takes no arguments", ln, 1)
-            _set_f_kind(b, "full", ln)
-        else:
-            raise UnknownKey(f"line {ln}: unknown key {key!r} in [F]")
-        return
-
-    if section == "lagrangian":
-        if key == "f":
-            if b.lag_f is not None:
-                raise SpecSyntaxError("duplicate 'f' in [lagrangian]", ln, 1)
-            if not tail:
-                raise SpecSyntaxError("'f' needs expression text", ln, 1)
-            b.lag_f = tail
-        elif key == "g":
-            if not tail:
-                raise SpecSyntaxError("'g' needs expression text", ln, 1)
-            b.lag_g.append(tail)
-        else:
-            raise UnknownKey(f"line {ln}: unknown key {key!r} in [lagrangian]")
-        return
-
-    if section in ("raster", "raster2"):
-        if key != "file":
-            raise UnknownKey(f"line {ln}: unknown key {key!r} in [{section}]")
-        if section in b.rasters:
-            raise SpecSyntaxError(f"duplicate 'file' in [{section}]", ln, 1)
-        if not tail:
-            raise SpecSyntaxError("'file' needs a path", ln, 1)
-        b.rasters[section] = tail
-        return
-
-    if section == "metadata":
-        if key not in _META_KEYS:
-            raise UnknownKey(f"line {ln}: unknown metadata key {key!r}")
-        if key in b.meta_seen:
-            raise SpecSyntaxError(f"duplicate metadata key {key!r}", ln, 1)
-        if len(rest) != 1 or rest[0] not in ("true", "false"):
-            raise SpecSyntaxError(
-                f"metadata {key!r} must be 'true' or 'false'", ln, 1
-            )
-        b.meta_seen.add(key)
-        b.metadata[key] = rest[0] == "true"
-        return
-
-    if section == "tasks":
-        if rest:
-            raise SpecSyntaxError("one task name per line", ln, 1)
-        if key not in COMMANDS:
-            raise UnknownKey(f"line {ln}: unknown task {key!r}")
-        b.tasks.append(key)
-        return
-
-    raise UnknownKey(f"line {ln}: unknown section [{section}]")
-
-
-def _finalize(b: _SpecBuilder) -> ProblemSpec:
-    for required in ("xgrid", "ygrid"):
-        if required not in b.section_line:
-            raise MissingSection(f"required section [{required}] is missing")
-    grids: dict[str, Grid | None] = {}
-    for sec in _GRID_SECTIONS:
-        if sec in b.section_line:
-            axes = b.axes.get(sec, [])
-            if not axes:
-                raise MissingSection(f"section [{sec}] declares no axis")
-            grids[sec] = Grid(tuple(axes))
-        else:
-            grids[sec] = None
-    xgrid, ygrid = grids["xgrid"], grids["ygrid"]
-
-    if b.phi_kind is None:
-        raise MissingSection("section [phi] with an 'expr' or 'table' is missing")
-    if b.phi_kind == "table":
-        if b.phi_where:
-            raise MissingSection("'where' requires an 'expr' phi, not a table")
-        want = xgrid.size * ygrid.size
-        if len(b.phi_table) != want:
-            raise SpecSyntaxError(
-                f"phi table has {len(b.phi_table)} values for "
-                f"{want} product-grid nodes",
-                b.phi_line,
-            )
-    if b.f_kind is None:
-        raise MissingSection(
-            "section [F] with 'ineq', 'constraints', 'point' or 'full' is missing"
-        )
-    if b.f_kind == "ineq" and len(b.f_exprs) != xgrid.dim:
-        raise SpecSyntaxError(
-            f"F needs exactly {xgrid.dim} 'ineq' lines (one per x axis), "
-            f"got {len(b.f_exprs)}",
-            b.f_line,
-        )
-    if b.f_kind == "points":
-        want = xgrid.dim + ygrid.dim
-        for row in b.f_points:
-            if len(row) != want:
-                raise SpecSyntaxError(
-                    f"graph point has {len(row)} coordinates, expected {want}",
-                    b.f_line,
-                )
-
-    if grids["xduals"] is not None and grids["xduals"].dim != xgrid.dim:
-        raise MissingSection(
-            f"[xduals] is {grids['xduals'].dim}-dimensional "
-            f"but [xgrid] is {xgrid.dim}-dimensional"
-        )
-    if grids["yduals"] is not None and grids["yduals"].dim != ygrid.dim:
-        raise MissingSection(
-            f"[yduals] is {grids['yduals'].dim}-dimensional "
-            f"but [ygrid] is {ygrid.dim}-dimensional"
-        )
-
-    lagrangian = None
-    if "lagrangian" in b.section_line:
-        if b.lag_f is None or not b.lag_g:
-            raise MissingSection("[lagrangian] needs one 'f' and at least one 'g'")
-        lagrangian = (b.lag_f, tuple(b.lag_g))
-        if grids["lambdas"] is not None and grids["lambdas"].dim != len(b.lag_g):
-            raise MissingSection(
-                f"[lambdas] is {grids['lambdas'].dim}-dimensional but "
-                f"[lagrangian] has {len(b.lag_g)} constraints"
-            )
-
-    rasters = tuple(
-        b.rasters[sec] for sec in ("raster", "raster2") if sec in b.rasters
-    )
-    if "raster2" in b.rasters and "raster" not in b.rasters:
-        raise MissingSection("[raster2] requires a [raster] section")
-
-    for task in b.tasks:
-        if task == "lagrangian" and (lagrangian is None or grids["lambdas"] is None):
-            raise MissingSection(
-                "task 'lagrangian' needs [lagrangian] and [lambdas] sections"
-            )
-        if task == "nearconvex" and not rasters:
-            raise MissingSection("task 'nearconvex' needs a [raster] section")
-
-    return ProblemSpec(
-        name=b.name,
-        xgrid=xgrid,
-        ygrid=ygrid,
-        phi_kind=b.phi_kind,
-        phi_expr=b.phi_expr,
-        phi_where=tuple(b.phi_where),
-        phi_table=tuple(b.phi_table) if b.phi_kind == "table" else None,
-        f_kind=b.f_kind,
-        f_exprs=tuple(b.f_exprs),
-        f_points=tuple(b.f_points),
-        xduals=grids["xduals"],
-        yduals=grids["yduals"],
-        lambdas=grids["lambdas"],
-        lagrangian=lagrangian,
-        rasters=rasters,
-        metadata=dict(b.metadata),
-        tasks=tuple(b.tasks),
-        base_dir=b.base_dir,
-    )
-
-
-def parse_spec(
-    text: str,
-    base_dir: Path | str = ".",
-    default_name: str = "problem",
-) -> ProblemSpec:
-    """Parse problem-spec text; unknown keys and sections are hard errors."""
-    b = _SpecBuilder(Path(base_dir), default_name)
-    section: str | None = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if stripped.startswith("["):
-            if not stripped.endswith("]") or len(stripped) < 3:
-                raise SpecSyntaxError(
-                    "malformed section header", ln, raw.find("[") + 1
-                )
-            sec = stripped[1:-1].strip()
-            if sec not in _SECTIONS:
-                raise UnknownKey(f"line {ln}: unknown section [{sec}]")
-            if sec in b.section_line:
-                raise MissingSection(
-                    f"line {ln}: duplicate section [{sec}] "
-                    f"(first at line {b.section_line[sec]})"
-                )
-            b.section_line[sec] = ln
-            section = sec
-            continue
-        _parse_line(b, section, stripped, ln)
-    return _finalize(b)
 
 
 # --- report plumbing -----------------------------------------------------------
@@ -508,6 +104,10 @@ def parse_spec(
 # row that never binds the exit code.
 Verdict = tuple[str, "bool | None", str]
 
+# What a command returns: the report.json fields between the header and the
+# verdicts, the verdict rows, and the report.csv lines below its schema line.
+Outcome = tuple[dict, list[Verdict], list[str]]
+
 
 def _status(ok: "bool | None") -> str:
     if ok is None:
@@ -515,19 +115,21 @@ def _status(ok: "bool | None") -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _verdict_json(verdicts: Sequence[Verdict]) -> list[dict]:
-    return [
-        {"name": n, "status": _status(ok), "detail": d} for n, ok, d in verdicts
-    ]
-
-
 def _cell(v: float) -> str:
     r = render_value(float(v))
     return r if isinstance(r, str) else repr(r)
 
 
+def _cells(values) -> list[str]:
+    return [_cell(v) for v in values]
+
+
 def _bcell(flag: bool) -> str:
     return "true" if flag else "false"
+
+
+def _rendered(values) -> list:
+    return [render_value(float(v)) for v in values]
 
 
 def _grid_json(grid: Grid) -> list[dict]:
@@ -536,10 +138,42 @@ def _grid_json(grid: Grid) -> list[dict]:
     ]
 
 
+def _node_table(
+    grid: Grid, var: str, columns: Mapping[str, Sequence[str]]
+) -> list[str]:
+    """CSV header plus one row per grid node: index, coordinates, columns."""
+    rows = [",".join(["index", *axis_names(var, grid.dim), *columns])]
+    for i in range(grid.size):
+        cells = [str(i), *_cells(grid.coords(i))]
+        rows.append(",".join(cells + [col[i] for col in columns.values()]))
+    return rows
+
+
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _write_reports(
+    outdir: Path, command: str, problem: str, outcome: Outcome
+) -> None:
+    """report.json and report.csv, each headed by the schema and command."""
+    fields, verdicts, table = outcome
+    report = {
+        "schema": SCHEMA,
+        "command": command,
+        "problem": problem,
+        **fields,
+        "verdicts": [
+            {"name": n, "status": _status(ok), "detail": d}
+            for n, ok, d in verdicts
+        ],
+    }
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_atomic(outdir / "report.json", json.dumps(report, indent=2) + "\n")
+    lines = [f"{SCHEMA},{command}", *table]
+    _write_atomic(outdir / "report.csv", "\n".join(lines) + "\n")
 
 
 def _print_summary(
@@ -555,16 +189,7 @@ def _print_summary(
     print(f"  reports: {outdir / 'report.json'}  {outdir / 'report.csv'}")
 
 
-# --- shared pieces -------------------------------------------------------------
-
-
-def _level_probe(mu: GriddedFunction) -> np.ndarray:
-    """Deterministic level values bracketing the finite range of mu."""
-    fin = mu.values[np.isfinite(mu.values)]
-    if fin.size == 0:
-        return np.array([0.0])
-    lo, hi = float(fin.min()), float(fin.max())
-    return np.linspace(lo - 0.5, hi + 0.5, 9)
+# --- the per-run context ----------------------------------------------------------
 
 
 def _parse_dual_range(text: str, dim: int) -> Grid:
@@ -594,325 +219,378 @@ def _parse_x0(text: str | None, dim: int) -> np.ndarray:
     return vals
 
 
-def _xdual_grid(spec: ProblemSpec, mu: GriddedFunction, args) -> Grid:
-    if getattr(args, "dual_range", None):
-        return _parse_dual_range(args.dual_range, mu.grid.dim)
-    if spec.xduals is not None:
-        return spec.xduals
-    return default_dual_grid(mu)
+class _Run:
+    """One command's spec and flags plus every object its checks share.
+
+    Each object is built on first use and then kept, so no run computes
+    mu or mu* twice.  Commands that never read (phi, F) (lagrangian,
+    nearconvex) never build it, so a table phi stays usable under --refine.
+    """
+
+    def __init__(self, spec: ProblemSpec, args: argparse.Namespace):
+        self.spec = spec
+        self.args = args
+
+    @cached_property
+    def problem(self) -> tuple[GriddedFunction, SetValuedMap]:
+        """(phi, F) on the grids refined by --refine."""
+        return self.spec.build(self.args.refine)
+
+    @cached_property
+    def marginal_result(self) -> MarginalResult:
+        return marginal(*self.problem)
+
+    @property
+    def mu(self) -> GriddedFunction:
+        return self.marginal_result.mu
+
+    @cached_property
+    def xduals(self) -> Grid:
+        """--dual-range, else the spec's [xduals], else mu's default box."""
+        if self.args.dual_range:
+            return _parse_dual_range(self.args.dual_range, self.mu.grid.dim)
+        if self.spec.xduals is not None:
+            return self.spec.xduals
+        return default_dual_grid(self.mu)
+
+    @cached_property
+    def yduals(self) -> Grid:
+        """The spec's [yduals], else the y part of phi's default box."""
+        if self.spec.yduals is not None:
+            return self.spec.yduals
+        phi, F = self.problem
+        return default_ydual_grid(phi, F.xgrid.dim)
+
+    @cached_property
+    def mustar(self) -> GriddedFunction:
+        """mu* on the x-duals, by brute force."""
+        return conjugate(self.mu, self.xduals)
+
+    @cached_property
+    def mustar_fast(self) -> GriddedFunction | UnsupportedShape:
+        """mu* on the x-duals by conjugate_fast, or why that does not apply."""
+        try:
+            return conjugate_fast(self.mu, self.xduals)
+        except UnsupportedShape as e:
+            return e
+
+    @cached_property
+    def domain(self) -> tuple[bool, int | None]:
+        return domain_identity_check(*self.problem)
+
+    @cached_property
+    def convexity(self) -> tuple[bool, tuple[int, int, int] | None]:
+        return convexity_check(self.mu)
+
+    @cached_property
+    def duality(self) -> DualityReport:
+        phi, F = self.problem
+        return strong_duality_check(phi, F, self.xduals, self.yduals)
+
+    @cached_property
+    def lagrangian(self) -> tuple[LagrangianIdentityReport, SlaterReport]:
+        """Dual-function identity and Slater reports of the [lagrangian] pair."""
+        f_expr, g_exprs = self.spec.lagrangian
+        ygrid = self.spec.ygrid
+        return (
+            lagrangian_identity_check(f_expr, g_exprs, ygrid, self.spec.lambdas),
+            slater_strong_duality_check(f_expr, g_exprs, ygrid),
+        )
 
 
-def _ydual_grid(spec: ProblemSpec, phi: GriddedFunction, m: int) -> Grid:
-    if spec.yduals is not None:
-        return spec.yduals
-    return Grid(default_dual_grid(phi).axes[m:])
+# --- verdict rows: one builder per check ----------------------------------------
 
 
-def _max_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """Max |a - b| treating equal infinities as zero deviation."""
-    same = a == b
-    with np.errstate(invalid="ignore"):
-        diff = np.where(same, 0.0, np.abs(a - b))
-    diff = np.where(np.isnan(diff), INF, diff)
-    return float(diff.max()) if diff.size else 0.0
+def _level_probe(mu: GriddedFunction) -> np.ndarray:
+    """Deterministic level values bracketing the finite range of mu."""
+    fin = mu.values[np.isfinite(mu.values)]
+    if fin.size == 0:
+        return np.array([0.0])
+    lo, hi = float(fin.min()), float(fin.max())
+    return np.linspace(lo - 0.5, hi + 0.5, 9)
 
 
-def _fenchel_young_ok(
-    mu: GriddedFunction, duals: Grid, mustar: GriddedFunction
-) -> bool:
-    """f(x) + f*(s) >= <s, x> over all finite nodes, tolerance 1e-9."""
+def _core_rows(run: _Run, prefix: str) -> list[Verdict]:
+    """Domain identity, strict-epigraph projection and convexity of mu."""
+    phi, F = run.problem
+    epi = epigraph_projection_check(phi, F, _level_probe(run.mu))
+    declared = run.spec.metadata["convex"]
+    return [
+        (prefix + "domain_identity", run.domain[0], ""),
+        (prefix + "epigraph_projection", epi.ok, f"{epi.checked} level-node checks"),
+        (
+            prefix + "mu_convex",
+            bool(run.convexity[0]) if declared else None,
+            "declared convex" if declared else "informational",
+        ),
+    ]
+
+
+def _fast_row(run: _Run, name: str) -> Verdict:
+    brute, fast = run.mustar, run.mustar_fast
+    if isinstance(fast, UnsupportedShape):
+        return (name, None, str(fast))
+    dev = max_deviation(brute.values, fast.values)
+    return (name, dev <= 1e-12, f"max deviation {dev:.3g}")
+
+
+def _fenchel_young_row(run: _Run, name: str) -> Verdict:
+    """mu(x) + mu*(s) >= <s, x> over all finite nodes, tolerance 1e-9."""
+    mu, mustar = run.mu, run.mustar
     finx = np.isfinite(mu.values)
     fins = np.isfinite(mustar.values)
     if not finx.any() or not fins.any():
-        return True
-    pair = duals.nodes[fins] @ mu.grid.nodes[finx].T
+        return (name, True, "")
+    pair = run.xduals.nodes[fins] @ mu.grid.nodes[finx].T
     total = mustar.values[fins][:, None] + mu.values[finx][None, :]
-    return bool(np.all(total >= pair - 1e-9))
+    return (name, bool(np.all(total >= pair - 1e-9)), "")
 
 
-def _conjugate_membership(
-    mu: GriddedFunction, duals: Grid, xi: int, eps: float
-) -> np.ndarray:
-    """Membership of each dual node in the eps-subdifferential at node xi,
-    decided through the Fenchel-Young equality route."""
-    f0 = float(mu.values[xi])
-    if not np.isfinite(f0):
-        return np.zeros(duals.size, dtype=bool)
-    mustar = conjugate_at(mu, duals.nodes)
-    pair = duals.nodes @ mu.grid.coords(xi)
-    with np.errstate(invalid="ignore"):
-        member = mustar + f0 <= pair + eps + 1e-9
-    return np.asarray(member, dtype=bool)
+def _conjugacy_rows(run: _Run) -> list[Verdict]:
+    phi, F = run.problem
+    rows = [
+        _fast_row(run, "conjugacy.fast_matches_bruteforce"),
+        _fenchel_young_row(run, "conjugacy.fenchel_young"),
+    ]
+    rc = restricted_conjugate_check(phi, F, run.xduals)
+    qc1 = run.spec.metadata["qc1"]
+    crep = conjugate_representation_check(
+        phi, F, run.xduals, run.yduals, hypothesis=qc1
+    )
+    residual = f"max residual {render_value(crep.max_residual)}"
+    return rows + [
+        ("conjugacy.restricted_conjugate_exact", rc.ok, f"{rc.n_duals} dual nodes"),
+        ("conjugacy.representation_lower_bound", crep.lower_bound_ok, ""),
+        ("conjugacy.representation_monotone", crep.monotone_ok, "under split refinement"),
+        (
+            "conjugacy.representation_equality",
+            crep.max_residual <= 1e-9 if qc1 else None,
+            residual + ("" if qc1 else "; equality not asserted (qc1 false)"),
+        ),
+    ]
+
+
+def _subdiff_rows(run: _Run) -> list[Verdict]:
+    phi, F = run.problem
+    mu, xduals, yduals = run.mu, run.xduals, run.yduals
+    qc14 = run.spec.metadata["qc14"]
+    rows: list[Verdict] = []
+    zero = np.zeros(mu.grid.dim)
+    try:
+        finite_at_zero = np.isfinite(mu.values[mu.grid.index_of(zero)])
+    except NotANode:
+        finite_at_zero = False
+    if finite_at_zero:
+        for eps, tag in ((0.0, "0p0"), (0.5, "0p5")):
+            rep = marginal_subdiff_check(
+                phi, F, zero, eps, duals=xduals, yduals=yduals, qc14=qc14
+            )
+            rows += [
+                (
+                    f"subdiff.marginal_formula_upper_eps{tag}",
+                    rep.easy_ok and rep.eta_monotone_ok,
+                    f"{rep.n_samples} duals",
+                ),
+                (
+                    f"subdiff.marginal_formula_agreement_eps{tag}",
+                    rep.agreement == 1.0 if qc14 else None,
+                    f"agreement {rep.agreement:.4f}"
+                    + ("" if qc14 else "; equality not asserted (qc14 false)"),
+                ),
+            ]
+        sr = sum_rule_check(mu, mu, zero, 0.5, duals=xduals)
+        rows.append(
+            ("subdiff.sum_rule_easy_inclusion", sr.easy_ok, f"agreement {sr.agreement:.4f}")
+        )
+    else:
+        rows.append(
+            (
+                "subdiff.marginal_formula_upper",
+                None,
+                "mu not finite at 0 or 0 off-grid; skipped",
+            )
+        )
+    si = int(np.argmin(run.mustar.values))
+    rep2 = conj_subdiff_check(
+        phi, F, xduals, xduals.coords(si), 0.0, yduals=yduals, qc14=qc14
+    )
+    contains_lhs = not any(l and not r for l, r in zip(rep2.lhs_mask, rep2.rhs_mask))
+    return rows + [
+        (
+            "subdiff.conjugate_formula_upper",
+            rep2.easy_ok and rep2.eta_monotone_ok,
+            f"at dual node {si}",
+        ),
+        (
+            "subdiff.conjugate_formula_containment",
+            contains_lhs if qc14 else None,
+            f"agreement {rep2.agreement:.4f}; closure realized as one-cell dilation"
+            + ("" if qc14 else "; containment not asserted (qc14 false)"),
+        ),
+    ]
+
+
+def _duality_rows(run: _Run, prefix: str) -> list[Verdict]:
+    """Strong-duality rows; subdifferential emptiness is a finding about the
+    instance, not a failure, so it never binds the exit code."""
+    out: list[Verdict] = []
+    for name, ok in run.duality.verdicts:
+        if name == "subdifferential_nonempty":
+            detail = "certificate available" if ok else "no certificate"
+            out.append((prefix + name, None, detail))
+        else:
+            out.append((prefix + name, ok, ""))
+    return out
+
+
+def _lagrangian_rows(run: _Run, names: tuple[str, str, str]) -> list[Verdict]:
+    """Dual-function identity, divergence probe and Slater strong duality."""
+    idrep, srep = run.lagrangian
+    rows: list[Verdict] = []
+    for name, branch, side in ((names[0], "identity", ">="), (names[1], "divergent", "<")):
+        oks = [r[4] for r in idrep.rows if r[3] == branch]
+        rows.append((name, all(oks) if oks else None, f"{len(oks)} lambda nodes {side} 0"))
+    binding = run.spec.metadata["slater"] and run.spec.metadata["convex"]
+    return rows + [(names[2], srep.verdict if binding else None, srep.note)]
 
 
 # --- commands ------------------------------------------------------------------
 
 
-def _cmd_marginal(spec: ProblemSpec, args) -> tuple[dict, list[Verdict], list[str]]:
-    phi, F = spec.build(args.refine)
-    res = marginal(phi, F)
-    mu = res.mu
-
-    dom_ok, dom_witness = domain_identity_check(phi, F)
-    epi = epigraph_projection_check(phi, F, _level_probe(mu))
-    cvx_ok, _ = convexity_check(mu)
-
-    verdicts: list[Verdict] = [
-        ("domain_identity", dom_ok, ""),
-        ("epigraph_projection", epi.ok, f"{epi.checked} level-node checks"),
-        (
-            "mu_convex",
-            bool(cvx_ok) if spec.metadata["convex"] else None,
-            "declared convex" if spec.metadata["convex"] else "informational",
-        ),
-    ]
-
-    report = {
-        "schema": SCHEMA,
-        "command": "marginal",
-        "problem": spec.name,
-        "xgrid": _grid_json(mu.grid),
-        "mu": [render_value(float(v)) for v in mu.values],
+def _cmd_marginal(run: _Run) -> Outcome:
+    res = run.marginal_result
+    verdicts = _core_rows(run, "")
+    fields = {
+        "xgrid": _grid_json(res.mu.grid),
+        "mu": _rendered(res.mu.values),
         "status": list(res.status),
         "argmin_counts": [len(a) for a in res.argmin],
-        "mu_convex": bool(cvx_ok),
-        "domain_witness": dom_witness,
-        "verdicts": _verdict_json(verdicts),
+        "mu_convex": bool(run.convexity[0]),
+        "domain_witness": run.domain[1],
     }
-
-    names = axis_names("x", mu.grid.dim)
-    rows = [
-        f"{SCHEMA},marginal",
-        "index," + ",".join(names) + ",mu,status,argmin_count",
-    ]
-    for i in range(mu.grid.size):
-        coords = mu.grid.coords(i)
-        rows.append(
-            ",".join(
-                [str(i)]
-                + [_cell(c) for c in coords]
-                + [_cell(mu.values[i]), res.status[i], str(len(res.argmin[i]))]
-            )
-        )
-    return report, verdicts, rows
+    table = _node_table(
+        res.mu.grid,
+        "x",
+        {
+            "mu": _cells(res.mu.values),
+            "status": res.status,
+            "argmin_count": [str(len(a)) for a in res.argmin],
+        },
+    )
+    return fields, verdicts, table
 
 
-def _cmd_conjugate(spec: ProblemSpec, args) -> tuple[dict, list[Verdict], list[str]]:
-    phi, F = spec.build(args.refine)
-    mu = marginal(phi, F).mu
-    duals = _xdual_grid(spec, mu, args)
-    mustar = conjugate(mu, duals)
-
-    fast_values = None
-    fast_dev = None
-    try:
-        fast_values = conjugate_fast(mu, duals).values
-        fast_dev = _max_deviation(mustar.values, fast_values)
-        fast_verdict: Verdict = (
-            "fast_matches_bruteforce",
-            fast_dev <= 1e-12,
-            f"max deviation {fast_dev:.3g}",
-        )
-    except UnsupportedShape as e:
-        fast_verdict = ("fast_matches_bruteforce", None, str(e))
-
+def _cmd_conjugate(run: _Run) -> Outcome:
+    mu, duals = run.mu, run.xduals
+    fast_row = _fast_row(run, "fast_matches_bruteforce")
     bic = biconjugate(mu, duals)
-    minorant_ok = bool(np.all(bic.values <= mu.values + 1e-9))
-    fy_ok = _fenchel_young_ok(mu, duals, mustar)
-
-    verdicts: list[Verdict] = [
-        fast_verdict,
-        ("biconjugate_minorant", minorant_ok, ""),
-        ("fenchel_young", fy_ok, ""),
+    verdicts = [
+        fast_row,
+        ("biconjugate_minorant", bool(np.all(bic.values <= mu.values + 1e-9)), ""),
+        _fenchel_young_row(run, "fenchel_young"),
     ]
-
-    report = {
-        "schema": SCHEMA,
-        "command": "conjugate",
-        "problem": spec.name,
+    mustar, fast = run.mustar, run.mustar_fast
+    applies = not isinstance(fast, UnsupportedShape)
+    fields = {
         "duals": _grid_json(duals),
-        "mu_star": [render_value(float(v)) for v in mustar.values],
-        "biconjugate": [render_value(float(v)) for v in bic.values],
+        "mu_star": _rendered(mustar.values),
+        "biconjugate": _rendered(bic.values),
         "fast_max_deviation": (
-            render_value(fast_dev) if fast_dev is not None else None
+            render_value(max_deviation(mustar.values, fast.values))
+            if applies
+            else None
         ),
-        "verdicts": _verdict_json(verdicts),
     }
-
-    names = axis_names("s", duals.dim)
-    rows = [
-        f"{SCHEMA},conjugate",
-        "index," + ",".join(names) + ",mu_star,mu_star_fast",
-    ]
-    for i in range(duals.size):
-        coords = duals.coords(i)
-        fast_cell = _cell(fast_values[i]) if fast_values is not None else ""
-        rows.append(
-            ",".join(
-                [str(i)]
-                + [_cell(c) for c in coords]
-                + [_cell(mustar.values[i]), fast_cell]
-            )
-        )
-    return report, verdicts, rows
+    table = _node_table(
+        duals,
+        "s",
+        {
+            "mu_star": _cells(mustar.values),
+            "mu_star_fast": _cells(fast.values) if applies else [""] * duals.size,
+        },
+    )
+    return fields, verdicts, table
 
 
-def _cmd_subdiff(spec: ProblemSpec, args) -> tuple[dict, list[Verdict], list[str]]:
-    phi, F = spec.build(args.refine)
-    mu = marginal(phi, F).mu
-    x0 = _parse_x0(args.x0, mu.grid.dim)
+def _cmd_subdiff(run: _Run) -> Outcome:
+    mu, eps = run.mu, run.args.eps
+    x0 = _parse_x0(run.args.x0, mu.grid.dim)
     xi = mu.grid.index_of(x0)
-    eps = args.eps
-
     P = eps_subdifferential(mu, xi, eps)
-    duals = _xdual_grid(spec, mu, args)
+    duals = run.xduals
     member = P.contains(duals.nodes)
-    member_fy = _conjugate_membership(mu, duals, xi, eps)
-    agree = bool(np.array_equal(member, member_fy))
-
+    # The Fenchel-Young route: s is an eps-subgradient at x0 exactly when
+    # mu*(s) + mu(x0) <= <s, x0> + eps.
+    f0 = float(mu.values[xi])
+    if np.isfinite(f0):
+        pair = duals.nodes @ mu.grid.coords(xi)
+        with np.errstate(invalid="ignore"):
+            member_fy = run.mustar.values + f0 <= pair + eps + 1e-9
+    else:
+        member_fy = np.zeros(duals.size, dtype=bool)
     wider = eps_subdifferential(mu, xi, eps + 0.5).contains(duals.nodes)
-    nested = bool(np.all(wider[member]))
-
     verdicts: list[Verdict] = [
-        ("conjugate_route_agreement", agree, f"{duals.size} dual nodes"),
-        ("nesting_in_eps", nested, "eps vs eps+0.5"),
+        (
+            "conjugate_route_agreement",
+            bool(np.array_equal(member, member_fy)),
+            f"{duals.size} dual nodes",
+        ),
+        ("nesting_in_eps", bool(np.all(wider[member])), "eps vs eps+0.5"),
     ]
 
-    extras: dict = {}
-    if mu.grid.dim <= 3:
-        empty, certificate = is_empty(P)
-        point = feasible_point(P)
-        extras["empty"] = bool(empty)
-        extras["certificate_size"] = (
-            len(certificate) if certificate is not None else None
-        )
-        extras["witness"] = (
-            [float(v) for v in point] if point is not None else None
-        )
-    if mu.grid.dim == 1:
-        iv = P.interval()
-        extras["interval"] = {
-            "lo": render_value(iv.lo),
-            "hi": render_value(iv.hi),
-        }
-
-    report = {
-        "schema": SCHEMA,
-        "command": "subdiff",
-        "problem": spec.name,
+    fields: dict = {
         "x0": [float(v) for v in x0],
         "eps": float(eps),
         "halfspaces": int(P.normals.shape[0]),
-        **extras,
-        "members": int(member.sum()),
-        "verdicts": _verdict_json(verdicts),
     }
-
-    names = axis_names("s", duals.dim)
-    rows = [
-        f"{SCHEMA},subdiff",
-        "index," + ",".join(names) + ",member,member_conjugate_route",
-    ]
-    for i in range(duals.size):
-        coords = duals.coords(i)
-        rows.append(
-            ",".join(
-                [str(i)]
-                + [_cell(c) for c in coords]
-                + [_bcell(member[i]), _bcell(member_fy[i])]
-            )
+    if mu.grid.dim <= 3:
+        empty, certificate = is_empty(P)
+        point = feasible_point(P)
+        fields["empty"] = bool(empty)
+        fields["certificate_size"] = (
+            len(certificate) if certificate is not None else None
         )
-    return report, verdicts, rows
+        fields["witness"] = [float(v) for v in point] if point is not None else None
+    if mu.grid.dim == 1:
+        iv = P.interval()
+        fields["interval"] = {"lo": render_value(iv.lo), "hi": render_value(iv.hi)}
+    fields["members"] = int(member.sum())
+
+    table = _node_table(
+        duals,
+        "s",
+        {
+            "member": [_bcell(m) for m in member],
+            "member_conjugate_route": [_bcell(m) for m in member_fy],
+        },
+    )
+    return fields, verdicts, table
 
 
-def _duality_verdicts(raw: Sequence[tuple[str, bool]]) -> list[Verdict]:
-    """Strong-duality verdict rows; subdifferential emptiness is a finding
-    about the instance, not a failure, so it never binds the exit code."""
-    out: list[Verdict] = []
-    for name, ok in raw:
-        if name == "subdifferential_nonempty":
-            out.append((name, None, "certificate available" if ok else "no certificate"))
-        else:
-            out.append((name, ok, ""))
-    return out
+def _cmd_duality(run: _Run) -> Outcome:
+    rep = run.duality
+    verdicts = _duality_rows(run, "")
+    columns = {"dual_objective": [_cell(-v) for v in run.mustar.values]}
+    for key in ("vp", "vd1", "vd2", "gap"):
+        columns[key] = [_cell(getattr(rep, key))] * run.xduals.size
+    table = _node_table(run.xduals, "s", columns)
+    return {"duality": rep.json_dict()}, verdicts, table
 
 
-def _cmd_duality(spec: ProblemSpec, args) -> tuple[dict, list[Verdict], list[str]]:
-    phi, F = spec.build(args.refine)
-    mu = marginal(phi, F).mu
-    xduals = _xdual_grid(spec, mu, args)
-    yduals = _ydual_grid(spec, phi, F.xgrid.dim)
-
-    rep = strong_duality_check(phi, F, xduals, yduals)
-    verdicts = _duality_verdicts(rep.verdicts)
-
-    report = {
-        "schema": SCHEMA,
-        "command": "duality",
-        "problem": spec.name,
-        "duality": rep.json_dict(),
-        "verdicts": _verdict_json(verdicts),
-    }
-
-    mustar = conjugate(mu, xduals)
-    names = axis_names("s", xduals.dim)
-    rows = [
-        f"{SCHEMA},duality",
-        "index," + ",".join(names) + ",dual_objective,vp,vd1,vd2,gap",
-    ]
-    scalars = [_cell(rep.vp), _cell(rep.vd1), _cell(rep.vd2), _cell(rep.gap)]
-    for i in range(xduals.size):
-        coords = xduals.coords(i)
-        rows.append(
-            ",".join(
-                [str(i)]
-                + [_cell(c) for c in coords]
-                + [_cell(-mustar.values[i])]
-                + scalars
-            )
-        )
-    return report, verdicts, rows
-
-
-def _cmd_lagrangian(spec: ProblemSpec, args) -> tuple[dict, list[Verdict], list[str]]:
+def _cmd_lagrangian(run: _Run) -> Outcome:
+    spec = run.spec
     if spec.lagrangian is None:
         raise MissingSection("the lagrangian command needs a [lagrangian] section")
     if spec.lambdas is None:
         raise MissingSection("the lagrangian command needs a [lambdas] section")
     f_expr, g_exprs = spec.lagrangian
-
-    table = lagrangian_dual(f_expr, g_exprs, spec.ygrid, spec.lambdas)
-    idrep = lagrangian_identity_check(f_expr, g_exprs, spec.ygrid, spec.lambdas)
-    srep = slater_strong_duality_check(f_expr, g_exprs, spec.ygrid)
-
-    identity_rows = [r for r in idrep.rows if r[3] == "identity"]
-    divergent_rows = [r for r in idrep.rows if r[3] == "divergent"]
-    id_ok = all(r[4] for r in identity_rows) if identity_rows else None
-    div_ok = all(r[4] for r in divergent_rows) if divergent_rows else None
-
-    slater_binding = spec.metadata["slater"] and spec.metadata["convex"]
-    verdicts: list[Verdict] = [
-        (
-            "dual_equals_neg_conjugate",
-            id_ok,
-            f"{len(identity_rows)} lambda nodes >= 0",
-        ),
-        (
-            "negative_probe_divergence",
-            div_ok,
-            f"{len(divergent_rows)} lambda nodes < 0",
-        ),
-        (
-            "slater_strong_duality",
-            srep.verdict if slater_binding else None,
-            srep.note,
-        ),
-    ]
-
-    report = {
-        "schema": SCHEMA,
-        "command": "lagrangian",
-        "problem": spec.name,
+    dual = lagrangian_dual(f_expr, g_exprs, spec.ygrid, spec.lambdas)
+    verdicts = _lagrangian_rows(
+        run,
+        ("dual_equals_neg_conjugate", "negative_probe_divergence", "slater_strong_duality"),
+    )
+    idrep, srep = run.lagrangian
+    fields = {
         "adapted_xgrid": _grid_json(idrep.xgrid),
         "slater": {
             "verified": srep.verified,
@@ -933,41 +611,36 @@ def _cmd_lagrangian(spec: ProblemSpec, args) -> tuple[dict, list[Verdict], list[
             }
             for lam, lhat, mustar, branch, ok in idrep.rows
         ],
-        "verdicts": _verdict_json(verdicts),
     }
-
-    names = axis_names("l", spec.lambdas.dim)
-    rows = [
-        f"{SCHEMA},lagrangian",
-        "index,"
-        + ",".join(names)
-        + ",dual_value,conjugate_at_neg_lambda,branch,ok,expected_infinite",
-    ]
-    for i, (lam, lhat, mustar, branch, ok) in enumerate(idrep.rows):
-        rows.append(
-            ",".join(
-                [str(i)]
-                + [_cell(c) for c in lam]
-                + [
-                    _cell(lhat),
-                    _cell(mustar),
-                    branch,
-                    _bcell(ok),
-                    _bcell(table.expected_infinite[i]),
-                ]
-            )
-        )
-    return report, verdicts, rows
+    table = _node_table(
+        spec.lambdas,
+        "l",
+        {
+            "dual_value": [_cell(r[1]) for r in idrep.rows],
+            "conjugate_at_neg_lambda": [_cell(r[2]) for r in idrep.rows],
+            "branch": [r[3] for r in idrep.rows],
+            "ok": [_bcell(r[4]) for r in idrep.rows],
+            "expected_infinite": [_bcell(e) for e in dual.expected_infinite],
+        },
+    )
+    return fields, verdicts, table
 
 
-def _cmd_nearconvex(spec: ProblemSpec, args) -> tuple[dict, list[Verdict], list[str]]:
+def _near_convexity_json(rep) -> dict:
+    keys = ("verdict", "closure_convex", "interior_nonempty", "interior_inside")
+    return {k: getattr(rep, k) for k in keys}
+
+
+def _cmd_nearconvex(run: _Run) -> Outcome:
+    spec = run.spec
     if not spec.rasters:
         raise MissingSection("the nearconvex command needs a [raster] section")
-    S = load_raster((spec.base_dir / spec.rasters[0]).read_text(encoding="utf-8"))
+    S, *others = [
+        load_raster((spec.base_dir / f).read_text(encoding="utf-8"))
+        for f in spec.rasters
+    ]
     rep = is_int_nearly_convex(S)
     rep_refined = is_int_nearly_convex(refine_raster(S, 2))
-    stable = rep.verdict == rep_refined.verdict
-
     verdicts: list[Verdict] = [
         (
             "int_nearly_convex",
@@ -975,272 +648,64 @@ def _cmd_nearconvex(spec: ProblemSpec, args) -> tuple[dict, list[Verdict], list[
             f"verdict {_bcell(rep.verdict)}"
             + (f"; witness kind {rep.witness_kind}" if rep.witness_kind else ""),
         ),
-        ("refinement_stable", stable, "x2"),
+        ("refinement_stable", rep.verdict == rep_refined.verdict, "x2"),
     ]
 
     inter_json = None
-    if len(spec.rasters) > 1:
-        S2 = load_raster(
-            (spec.base_dir / spec.rasters[1]).read_text(encoding="utf-8")
-        )
+    if others:
         try:
-            irep = intersection_preservation_check(S, S2)
+            irep = intersection_preservation_check(S, others[0])
             verdicts.append(("intersection_preserved", irep.verdict, ""))
-            inter_json = {
-                "verdict": irep.verdict,
-                "closure_convex": irep.closure_convex,
-                "interior_nonempty": irep.interior_nonempty,
-                "interior_inside": irep.interior_inside,
-            }
+            inter_json = _near_convexity_json(irep)
         except HypothesisNotMet as e:
             verdicts.append(("intersection_preserved", None, str(e)))
             inter_json = {"skipped": str(e)}
 
-    report = {
-        "schema": SCHEMA,
-        "command": "nearconvex",
-        "problem": spec.name,
+    fields = {
         "grid": _grid_json(S.grid),
-        "verdict": rep.verdict,
-        "closure_convex": rep.closure_convex,
-        "interior_nonempty": rep.interior_nonempty,
-        "interior_inside": rep.interior_inside,
+        **_near_convexity_json(rep),
         "witness": list(rep.witness) if rep.witness is not None else None,
         "witness_kind": rep.witness_kind,
         "refined_verdict": rep_refined.verdict,
         "intersection": inter_json,
-        "verdicts": _verdict_json(verdicts),
     }
-
     cl = closure(S)
-    hull = hull_raster(S)
-    inner = interior(cl)
-    names = axis_names("x", S.grid.dim)
-    rows = [
-        f"{SCHEMA},nearconvex",
-        "index," + ",".join(names) + ",member,closure,hull,interior_of_closure",
-    ]
-    flat_mask = S.mask.reshape(-1)
-    flat_cl = cl.mask.reshape(-1)
-    flat_hull = hull.mask.reshape(-1)
-    flat_in = inner.mask.reshape(-1)
-    for i in range(S.grid.size):
-        coords = S.grid.coords(i)
-        rows.append(
-            ",".join(
-                [str(i)]
-                + [_cell(c) for c in coords]
-                + [
-                    _bcell(flat_mask[i]),
-                    _bcell(flat_cl[i]),
-                    _bcell(flat_hull[i]),
-                    _bcell(flat_in[i]),
-                ]
-            )
-        )
-    return report, verdicts, rows
+    sets = {
+        "member": S,
+        "closure": cl,
+        "hull": hull_raster(S),
+        "interior_of_closure": interior(cl),
+    }
+    columns = {k: [_bcell(b) for b in r.mask.reshape(-1)] for k, r in sets.items()}
+    return fields, verdicts, _node_table(S.grid, "x", columns)
 
 
-def _eps_tag(eps: float) -> str:
-    return repr(float(eps)).replace(".", "p").replace("-", "m")
-
-
-def _cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, list[Verdict], list[str]]:
-    phi, F = spec.build(args.refine)
-    res = marginal(phi, F)
-    mu = res.mu
-    qc1 = spec.metadata["qc1"]
-    qc14 = spec.metadata["qc14"]
-    verdicts: list[Verdict] = []
-
-    # Layer 1: core identities on the marginal itself.
-    dom_ok, _ = domain_identity_check(phi, F)
-    verdicts.append(("core.domain_identity", dom_ok, ""))
-    epi = epigraph_projection_check(phi, F, _level_probe(mu))
-    verdicts.append(("core.epigraph_projection", epi.ok, f"{epi.checked} level-node checks"))
-    cvx_ok, _ = convexity_check(mu)
-    verdicts.append(
-        (
-            "core.mu_convex",
-            bool(cvx_ok) if spec.metadata["convex"] else None,
-            "declared convex" if spec.metadata["convex"] else "informational",
-        )
-    )
-
-    # Layer 2: conjugacy.
-    xduals = _xdual_grid(spec, mu, args)
-    yduals = _ydual_grid(spec, phi, F.xgrid.dim)
-    mustar = conjugate(mu, xduals)
+def _cmd_verify_all(run: _Run) -> Outcome:
+    verdicts = _core_rows(run, "core.") + _conjugacy_rows(run) + _subdiff_rows(run)
     try:
-        fast = conjugate_fast(mu, xduals)
-        dev = _max_deviation(mustar.values, fast.values)
-        verdicts.append(
-            (
-                "conjugacy.fast_matches_bruteforce",
-                dev <= 1e-12,
-                f"max deviation {dev:.3g}",
-            )
-        )
-    except UnsupportedShape as e:
-        verdicts.append(("conjugacy.fast_matches_bruteforce", None, str(e)))
-    verdicts.append(
-        ("conjugacy.fenchel_young", _fenchel_young_ok(mu, xduals, mustar), "")
-    )
-    rc = restricted_conjugate_check(phi, F, xduals)
-    verdicts.append(
-        (
-            "conjugacy.restricted_conjugate_exact",
-            rc.ok,
-            f"{rc.n_duals} dual nodes",
-        )
-    )
-    crep = conjugate_representation_check(phi, F, xduals, yduals, hypothesis=qc1)
-    verdicts.append(
-        ("conjugacy.representation_lower_bound", crep.lower_bound_ok, "")
-    )
-    verdicts.append(
-        ("conjugacy.representation_monotone", crep.monotone_ok, "under split refinement")
-    )
-    res_detail = f"max residual {render_value(crep.max_residual)}"
-    if qc1:
-        verdicts.append(
-            (
-                "conjugacy.representation_equality",
-                crep.max_residual <= 1e-9,
-                res_detail,
-            )
-        )
-    else:
-        verdicts.append(
-            (
-                "conjugacy.representation_equality",
-                None,
-                res_detail + "; equality not asserted (qc1 false)",
-            )
-        )
-
-    # Layer 3: subdifferential theorems.
-    zero = np.zeros(mu.grid.dim)
-    try:
-        zi = mu.grid.index_of(zero)
-    except NotANode:
-        zi = None
-    if zi is not None and np.isfinite(mu.values[zi]):
-        for eps in (0.0, 0.5):
-            tag = _eps_tag(eps)
-            rep = marginal_subdiff_check(
-                phi, F, zero, eps, duals=xduals, yduals=yduals, qc14=qc14
-            )
-            verdicts.append(
-                (
-                    f"subdiff.marginal_formula_upper_eps{tag}",
-                    rep.easy_ok and rep.eta_monotone_ok,
-                    f"{rep.n_samples} duals",
-                )
-            )
-            agree_detail = f"agreement {rep.agreement:.4f}"
-            verdicts.append(
-                (
-                    f"subdiff.marginal_formula_agreement_eps{tag}",
-                    (rep.agreement == 1.0) if qc14 else None,
-                    agree_detail
-                    + ("" if qc14 else "; equality not asserted (qc14 false)"),
-                )
-            )
-        sr = sum_rule_check(mu, mu, zero, 0.5, duals=xduals)
-        verdicts.append(
-            (
-                "subdiff.sum_rule_easy_inclusion",
-                sr.easy_ok,
-                f"agreement {sr.agreement:.4f}",
-            )
-        )
-    else:
-        verdicts.append(
-            (
-                "subdiff.marginal_formula_upper",
-                None,
-                "mu not finite at 0 or 0 off-grid; skipped",
-            )
-        )
-    si = int(np.argmin(mustar.values))
-    rep2 = conj_subdiff_check(
-        phi, F, xduals, xduals.coords(si), 0.0, yduals=yduals, qc14=qc14
-    )
-    verdicts.append(
-        (
-            "subdiff.conjugate_formula_upper",
-            rep2.easy_ok and rep2.eta_monotone_ok,
-            f"at dual node {si}",
-        )
-    )
-    contains_lhs = not any(
-        l and not r for l, r in zip(rep2.lhs_mask, rep2.rhs_mask)
-    )
-    verdicts.append(
-        (
-            "subdiff.conjugate_formula_containment",
-            contains_lhs if qc14 else None,
-            f"agreement {rep2.agreement:.4f}; closure realized as one-cell dilation"
-            + ("" if qc14 else "; containment not asserted (qc14 false)"),
-        )
-    )
-
-    # Layer 4: duality.
-    values_json = None
-    try:
-        drep = strong_duality_check(phi, F, xduals, yduals)
-        for name, ok, detail in _duality_verdicts(drep.verdicts):
-            verdicts.append((f"duality.{name}", ok, detail))
-        values_json = drep.json_dict()
+        verdicts += _duality_rows(run, "duality.")
+        duality = run.duality.json_dict()
     except ZeroNotOnGrid:
         verdicts.append(
             ("duality.weak_duality_chain", None, "0 is not an x node; skipped")
         )
-    if spec.lagrangian is not None and spec.lambdas is not None:
-        f_expr, g_exprs = spec.lagrangian
-        idrep = lagrangian_identity_check(f_expr, g_exprs, spec.ygrid, spec.lambdas)
-        identity_rows = [r for r in idrep.rows if r[3] == "identity"]
-        divergent_rows = [r for r in idrep.rows if r[3] == "divergent"]
-        verdicts.append(
+        duality = None
+    if run.spec.lagrangian is not None and run.spec.lambdas is not None:
+        verdicts += _lagrangian_rows(
+            run,
             (
                 "duality.lagrange_dual_identity",
-                all(r[4] for r in identity_rows) if identity_rows else None,
-                f"{len(identity_rows)} lambda nodes >= 0",
-            )
-        )
-        verdicts.append(
-            (
                 "duality.lagrange_negative_probe",
-                all(r[4] for r in divergent_rows) if divergent_rows else None,
-                f"{len(divergent_rows)} lambda nodes < 0",
-            )
-        )
-        srep = slater_strong_duality_check(f_expr, g_exprs, spec.ygrid)
-        slater_binding = spec.metadata["slater"] and spec.metadata["convex"]
-        verdicts.append(
-            (
                 "duality.slater_strong_duality",
-                srep.verdict if slater_binding else None,
-                srep.note,
-            )
+            ),
         )
-
-    report = {
-        "schema": SCHEMA,
-        "command": "verify-all",
-        "problem": spec.name,
-        "refine": int(args.refine),
-        "duality": values_json,
-        "verdicts": _verdict_json(verdicts),
-    }
-    rows = [f"{SCHEMA},verify-all", "check,status,detail"]
-    for n, ok, detail in verdicts:
-        rows.append(f"{n},{_status(ok)},{detail.replace(',', ';')}")
-    return report, verdicts, rows
+    table = ["check,status,detail"] + [
+        f"{n},{_status(ok)},{detail.replace(',', ';')}" for n, ok, detail in verdicts
+    ]
+    return {"refine": int(run.args.refine), "duality": duality}, verdicts, table
 
 
-_HANDLERS: dict[str, Callable] = {
+_HANDLERS: dict[str, Callable[[_Run], Outcome]] = {
     "marginal": _cmd_marginal,
     "conjugate": _cmd_conjugate,
     "subdiff": _cmd_subdiff,
@@ -1320,7 +785,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             base_dir=spec_path.resolve().parent,
             default_name=spec_path.stem,
         )
-        report, verdicts, csv_rows = _HANDLERS[args.command](spec, args)
+        outcome = _HANDLERS[args.command](_Run(spec, args))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
@@ -1333,13 +798,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     outdir = Path(args.out)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_atomic(outdir / "report.json", json.dumps(report, indent=2) + "\n")
-        _write_atomic(outdir / "report.csv", "\n".join(csv_rows) + "\n")
+        _write_reports(outdir, args.command, spec.name, outcome)
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 1
 
+    verdicts = outcome[1]
     _print_summary(args.command, spec.name, verdicts, outdir)
     return 2 if any(ok is False for _, ok, _ in verdicts) else 0
 

@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     INF,
     Axis,
-    DualGrid,
     Grid,
     GriddedFunction,
     ext_add,
@@ -102,7 +101,7 @@ def conjugate_at(f: GriddedFunction, points: np.ndarray, return_argmax: bool = F
     return vals, arg
 
 
-def conjugate(f: GriddedFunction, duals: DualGrid) -> GriddedFunction:
+def conjugate(f: GriddedFunction, duals: Grid) -> GriddedFunction:
     """Brute-force Fenchel conjugate sampled at every dual node."""
     _validate_dual(f, duals)
     vals = conjugate_at(f, duals.nodes)
@@ -168,7 +167,7 @@ def _separable_parts(f: GriddedFunction) -> list[np.ndarray] | None:
     return parts + [np.float64(fbase)]
 
 
-def conjugate_fast(f: GriddedFunction, duals: DualGrid) -> GriddedFunction:
+def conjugate_fast(f: GriddedFunction, duals: Grid) -> GriddedFunction:
     """Linear-time Legendre transform; matches `conjugate` within 1e-12.
 
     1-D data always works.  Multi-D data must be separable (a sum of
@@ -200,14 +199,14 @@ def conjugate_fast(f: GriddedFunction, duals: DualGrid) -> GriddedFunction:
     return GriddedFunction(duals, total.reshape(-1), provenance="conjugate_fast")
 
 
-def biconjugate(f: GriddedFunction, duals: DualGrid) -> GriddedFunction:
+def biconjugate(f: GriddedFunction, duals: Grid) -> GriddedFunction:
     """Conjugate of the conjugate, sampled back on the primal grid."""
     fstar = conjugate(f, duals)
     back = conjugate(fstar, f.grid)
     return GriddedFunction(f.grid, back.values, provenance="biconjugate")
 
 
-def support_function(points: np.ndarray, duals: DualGrid) -> GriddedFunction:
+def support_function(points: np.ndarray, duals: Grid) -> GriddedFunction:
     """Support function of a finite point set at every dual node."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.size == 0:
@@ -274,7 +273,7 @@ def inf_convolution(
     return GriddedFunction(out, acc, provenance=prov)
 
 
-def default_dual_grid(f: GriddedFunction, count: int | None = None) -> DualGrid:
+def default_dual_grid(f: GriddedFunction, count: int | None = None) -> Grid:
     """Symmetric dual box covering the max finite secant slope per axis.
 
     The bound is rounded up to the next power of two (at least 1) so that
@@ -299,3 +298,10 @@ def default_dual_grid(f: GriddedFunction, count: int | None = None) -> DualGrid:
             c += 1
         axes.append(Axis(-bound, bound, max(3, c)))
     return Grid(tuple(axes))
+
+
+def default_ydual_grid(
+    phi: GriddedFunction, m: int, count: int | None = None
+) -> Grid:
+    """The y-dual part of phi's default box: its axes after the first m."""
+    return Grid(default_dual_grid(phi, count).axes[m:])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -115,6 +115,14 @@ def ext_add_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.where(pos, INF, out)
     out = np.where(neg, -INF, out)
     return out
+
+
+def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Max |a - b| over two arrays; equal infinities count as zero."""
+    with np.errstate(invalid="ignore"):
+        diff = np.where(a == b, 0.0, np.abs(a - b))
+    diff = np.where(np.isnan(diff), INF, diff)
+    return float(diff.max()) if diff.size else 0.0
 
 
 def render_value(v: float) -> "float | str":
@@ -217,6 +225,14 @@ class Grid:
             multi.append(i)
         return self.flat(multi)
 
+    def resolve(self, x) -> int:
+        """Flat index of `x`: an integer index in [0, size) or a node point."""
+        if isinstance(x, (int, np.integer)):
+            if not 0 <= x < self.size:
+                raise NotANode(f"node index {int(x)} is outside [0, {self.size})")
+            return int(x)
+        return self.index_of(x)
+
     def refine(self, factor: int) -> "Grid":
         """Same box, (count-1)*factor + 1 nodes per axis; keeps old nodes."""
         if factor < 1 or int(factor) != factor:
@@ -232,12 +248,6 @@ class Grid:
         ).reshape(self.size, self.dim)
         on_edge = (idx == 0) | (idx == np.array(self.shape) - 1)
         return on_edge.any(axis=1)
-
-
-# Dual grids share the geometry of primal grids; the axes are read as
-# slope/dual-variable boxes.  Keeping one type keeps every grid utility
-# available on both sides of a conjugacy.
-DualGrid = Grid
 
 
 def product_grid(a: Grid, b: Grid) -> Grid:
@@ -346,6 +356,16 @@ def product_names(m: int, n: int) -> tuple[tuple[str, ...], dict[str, str]]:
     return names, aliases
 
 
+def eval_columns(
+    text: str, env: Mapping[str, np.ndarray], size: int
+) -> np.ndarray:
+    """Expression text over the column arrays of `env`, as `size` floats."""
+    ast = _expr.parse_and_check(text, list(env))
+    return np.broadcast_to(
+        np.asarray(_expr.evaluate(ast, env), dtype=np.float64), (size,)
+    )
+
+
 def eval_on_grid(
     text: str,
     grid: Grid,
@@ -365,21 +385,14 @@ def eval_on_grid(
         names, defaults = default_names(grid)
         aliases = {**defaults, **(aliases or {})}
     env = name_environment(grid, names, aliases)
-    allowed = list(env)
 
     feasible = np.ones(grid.size, dtype=bool)
     for ctext in domain:
-        cast = _expr.parse_and_check(ctext, allowed)
-        cvals = np.broadcast_to(
-            np.asarray(_expr.evaluate(cast, env), dtype=np.float64), (grid.size,)
-        )
+        cvals = eval_columns(ctext, env, grid.size)
         with np.errstate(invalid="ignore"):
             feasible &= cvals <= NODE_TOL
 
-    ast = _expr.parse_and_check(text, allowed)
-    raw = np.broadcast_to(
-        np.asarray(_expr.evaluate(ast, env), dtype=np.float64), (grid.size,)
-    ).copy()
+    raw = eval_columns(text, env, grid.size).copy()
     bad = feasible & ~np.isfinite(raw)
     if bad.any():
         node = int(np.flatnonzero(bad)[0])

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .conjugate import conjugate, conjugate_at, default_dual_grid
+from .conjugate import conjugate, conjugate_at, default_ydual_grid
 from .core import (
     INF,
     Axis,
-    DualGrid,
     Grid,
     GriddedFunction,
     default_names,
@@ -37,7 +36,12 @@ from .core import (
 )
 from .errors import GridNotAdapted, NotANode, ZeroNotOnGrid
 from .marginal import marginal
-from .setmap import SetValuedMap, map_conjugate_at, map_from_inequalities
+from .setmap import (
+    SetValuedMap,
+    map_conjugate_at,
+    map_from_inequalities,
+    split_lattice,
+)
 from .subdiff import eps_subdifferential, feasible_point
 
 TOL = 1e-9
@@ -56,7 +60,7 @@ def primal_value(phi: GriddedFunction, F: SetValuedMap) -> float:
     return float(marginal(phi, F).mu.values[zi])
 
 
-def dual_value_1(mu: GriddedFunction, duals: DualGrid) -> float:
+def dual_value_1(mu: GriddedFunction, duals: Grid) -> float:
     """max over dual nodes of -mu*(x*), i.e. the biconjugate of mu at 0."""
     _zero_index(mu.grid)
     mustar = conjugate(mu, duals)
@@ -77,13 +81,9 @@ def sampled_inf_convolution(
     only decrease when the split lattice is refined (nodes are kept).
     """
     at = np.atleast_2d(np.asarray(at, dtype=np.float64))
-    X1 = x1duals.nodes
-    Y = yduals.nodes
-    k1, ky = X1.shape[0], Y.shape[0]
-    lattice = np.hstack([np.repeat(X1, ky, axis=0), np.tile(Y, (k1, 1))])
+    k1, ky = x1duals.size, yduals.size
+    lattice, _, fpoints = split_lattice(at, x1duals, yduals)
     phistar = conjugate_at(phi, lattice).reshape(k1, ky)
-    T = (at[:, None, :] - X1[None, :, :]).reshape(at.shape[0] * k1, -1)
-    fpoints = np.hstack([np.repeat(T, ky, axis=0), np.tile(-Y, (at.shape[0] * k1, 1))])
     fstar = map_conjugate_at(F, fpoints).reshape(at.shape[0], k1, ky)
     total = ext_add_arrays(phistar[None, :, :], fstar)
     return total.min(axis=(1, 2))
@@ -92,8 +92,8 @@ def sampled_inf_convolution(
 def dual_value_2(
     phi: GriddedFunction,
     F: SetValuedMap,
-    xduals: DualGrid,
-    yduals: DualGrid,
+    xduals: Grid,
+    yduals: Grid,
 ) -> float:
     """max over x* nodes of -(phi* box F*)(x*, 0), splits sampled on xduals."""
     vals = sampled_inf_convolution(phi, F, xduals.nodes, xduals, yduals)
@@ -115,8 +115,8 @@ class ConjugateRepresentationReport:
 def conjugate_representation_check(
     phi: GriddedFunction,
     F: SetValuedMap,
-    xduals: DualGrid,
-    yduals: DualGrid,
+    xduals: Grid,
+    yduals: Grid,
     tol: float = TOL,
     hypothesis: bool = False,
 ) -> ConjugateRepresentationReport:
@@ -184,25 +184,6 @@ class DualityReport:
             "verdicts": [{"name": n, "pass": bool(v)} for n, v in self.verdicts],
         }
 
-    CSV_HEADER = "vp,vd1,vd2,gap,witness,all_verdicts_pass"
-
-    def csv_row(self) -> str:
-        wit = (
-            " ".join(repr(float(w)) for w in self.witness)
-            if self.witness is not None
-            else ""
-        )
-        ok = all(v for _, v in self.verdicts)
-        cells = [
-            str(render_value(self.vp)),
-            str(render_value(self.vd1)),
-            str(render_value(self.vd2)),
-            str(render_value(self.gap)),
-            wit,
-            "1" if ok else "0",
-        ]
-        return ",".join(cells)
-
 
 def _gap(vp: float, vd1: float) -> float:
     if vp == vd1:
@@ -213,8 +194,8 @@ def _gap(vp: float, vd1: float) -> float:
 def strong_duality_check(
     phi: GriddedFunction,
     F: SetValuedMap,
-    duals: DualGrid,
-    yduals: DualGrid | None = None,
+    duals: Grid,
+    yduals: Grid | None = None,
 ) -> DualityReport:
     """Certify or refute strong duality through the subdifferential at 0.
 
@@ -229,7 +210,7 @@ def strong_duality_check(
     vp = float(mu.values[zi])
     vd1 = dual_value_1(mu, duals)
     if yduals is None:
-        yduals = Grid(default_dual_grid(phi).axes[F.xgrid.dim :])
+        yduals = default_ydual_grid(phi, F.xgrid.dim)
     vd2 = dual_value_2(phi, F, duals, yduals)
 
     sub = eps_subdifferential(mu, zi, 0.0)
@@ -354,9 +335,10 @@ def graph_adapted_xgrid(
     return Grid(tuple(axes))
 
 
-def _lagrangian_problem(
-    f_expr: str, g_exprs: tuple[str, ...], ygrid: Grid, xgrid: Grid
-) -> tuple[GriddedFunction, SetValuedMap]:
+def _conjugate_at_neg(
+    f_expr: str, g_exprs: tuple[str, ...], ygrid: Grid, xgrid: Grid, lam: np.ndarray
+) -> np.ndarray:
+    """mu*(-lambda) per lambda row, for the perturbation problem on xgrid."""
     fv, _ = _eval_objective(f_expr, g_exprs, ygrid)
     F = map_from_inequalities(list(g_exprs), xgrid, ygrid)
     phi = GriddedFunction(
@@ -364,7 +346,7 @@ def _lagrangian_problem(
         np.tile(fv, xgrid.size),
         provenance="objective independent of the perturbation",
     )
-    return phi, F
+    return conjugate_at(marginal(phi, F).mu, -lam)
 
 
 @dataclass(frozen=True)
@@ -391,21 +373,15 @@ def lagrangian_identity_check(
     g_exprs = tuple(g_exprs)
     table = lagrangian_dual(f_expr, g_exprs, ygrid, lambda_grid)
     xgrid = graph_adapted_xgrid(g_exprs, ygrid)
-    phi, F = _lagrangian_problem(f_expr, g_exprs, ygrid, xgrid)
-    mu = marginal(phi, F).mu
     lam = np.asarray([list(row) for row in table.lambdas])
-    mustar = conjugate_at(mu, -lam)
+    mustar = _conjugate_at_neg(f_expr, g_exprs, ygrid, xgrid, lam)
 
-    need_ext = any(table.expected_infinite)
     mustar_ext = None
-    if need_ext:
+    if any(table.expected_infinite):
         ext_axes = tuple(
             Axis(ax.lo, ax.hi + ax.step, ax.count + 1) for ax in xgrid.axes
         )
-        xg2 = Grid(ext_axes)
-        phi2, F2 = _lagrangian_problem(f_expr, g_exprs, ygrid, xg2)
-        mu2 = marginal(phi2, F2).mu
-        mustar_ext = conjugate_at(mu2, -lam)
+        mustar_ext = _conjugate_at_neg(f_expr, g_exprs, ygrid, Grid(ext_axes), lam)
 
     rows = []
     all_ok = True

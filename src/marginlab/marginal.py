@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import INF, Grid, GriddedFunction, product_grid
+from .core import INF, GriddedFunction, ext_add_arrays, product_grid
 from .errors import GridMismatch, NotFiniteAtPoint
 from .setmap import SetValuedMap
 
@@ -31,15 +31,6 @@ class MarginalResult:
     mu: GriddedFunction
     argmin: tuple[tuple[int, ...], ...]
     status: tuple[str, ...]
-
-
-def _resolve_x(grid: Grid, x) -> int:
-    if isinstance(x, (int, np.integer)):
-        i = int(x)
-        if i < 0 or i >= grid.size:
-            raise IndexError(f"x node index {i} out of range")
-        return i
-    return grid.index_of(x)
 
 
 def _check_product(phi: GriddedFunction, F: SetValuedMap) -> None:
@@ -82,7 +73,7 @@ def eta_solutions(
     eta > 0 because the minimum is attained on the grid.
     """
     _check_product(phi, F)
-    xi = _resolve_x(F.xgrid, x)
+    xi = F.xgrid.resolve(x)
     V = phi.values.reshape(F.xgrid.size, F.ygrid.size)
     masked = np.where(F.graph[xi], V[xi], INF)
     mu_x = masked.min()
@@ -167,13 +158,7 @@ def convexity_check(
             continue
         mids = (M[i] + M[cand]) // 2
         mid_flat = np.ravel_multi_index(mids.T, tuple(shape))
-        a, b = v[i], v[cand]
-        with np.errstate(invalid="ignore"):
-            rhs = 0.5 * a + 0.5 * b
-        pos = (a == INF) | (b == INF)
-        neg = ((a == -INF) | (b == -INF)) & ~pos
-        rhs = np.where(pos, INF, rhs)
-        rhs = np.where(neg, -INF, rhs)
+        rhs = ext_add_arrays(0.5 * v[i], 0.5 * v[cand])
         bad = ~(v[mid_flat] <= rhs + tol)
         if bad.any():
             k = int(np.flatnonzero(bad)[0])

@@ -15,20 +15,19 @@ from typing import Sequence
 
 import numpy as np
 
-from . import expr as _expr
 from .core import (
     INF,
     NODE_TOL,
-    DualGrid,
     Grid,
     GriddedFunction,
-    axis_names,
+    default_names,
+    eval_columns,
     name_environment,
     product_grid,
     product_names,
 )
 from .conjugate import max_dots_minus
-from .errors import DimensionMismatch, NotANode
+from .errors import DimensionMismatch
 
 __all__ = [
     "SetValuedMap",
@@ -113,15 +112,10 @@ def map_from_inequalities(
         raise DimensionMismatch(
             f"{len(g_exprs)} inequalities for a {xgrid.dim}-dimensional x-grid"
         )
-    names = axis_names("y", ygrid.dim)
-    aliases = {"y": "y1"} if ygrid.dim == 1 else {}
-    env = name_environment(ygrid, names, aliases)
+    env = name_environment(ygrid, *default_names(ygrid, "y"))
     gvals = np.empty((xgrid.dim, ygrid.size))
     for i, text in enumerate(g_exprs):
-        ast = _expr.parse_and_check(text, list(env))
-        gvals[i] = np.broadcast_to(
-            np.asarray(_expr.evaluate(ast, env), dtype=np.float64), (ygrid.size,)
-        )
+        gvals[i] = eval_columns(text, env, ygrid.size)
     X = xgrid.nodes
     graph = (gvals.T[None, :, :] <= X[:, None, :] + NODE_TOL).all(axis=2)
     prov = tuple(f"{g} - x{i + 1} <= 0" for i, g in enumerate(g_exprs))
@@ -137,10 +131,7 @@ def map_from_constraints(
     env = name_environment(pg, names, aliases)
     mask = np.ones(pg.size, dtype=bool)
     for text in c_exprs:
-        ast = _expr.parse_and_check(text, list(env))
-        vals = np.broadcast_to(
-            np.asarray(_expr.evaluate(ast, env), dtype=np.float64), (pg.size,)
-        )
+        vals = eval_columns(text, env, pg.size)
         with np.errstate(invalid="ignore"):
             mask &= vals <= NODE_TOL
     graph = mask.reshape(xgrid.size, ygrid.size)
@@ -178,13 +169,33 @@ def map_conjugate_at(F: SetValuedMap, points: np.ndarray) -> np.ndarray:
     return max_dots_minus(points, pts, np.zeros(pts.shape[0]))
 
 
-def map_conjugate(F: SetValuedMap, xduals: DualGrid, yduals: DualGrid) -> GriddedFunction:
+def map_conjugate(F: SetValuedMap, xduals: Grid, yduals: Grid) -> GriddedFunction:
     """F*(x*, y*) = support of the graph, on the product dual grid."""
     if xduals.dim != F.xgrid.dim or yduals.dim != F.ygrid.dim:
         raise DimensionMismatch("dual grids must match the map's x/y dimensions")
     duals = product_grid(xduals, yduals)
     vals = map_conjugate_at(F, duals.nodes)
     return GriddedFunction(duals, vals, provenance="map_conjugate")
+
+
+def split_lattice(
+    at: np.ndarray, x1duals: Grid, yduals: Grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the split lattice behind (phi* box F*)(x*, 0).
+
+    Returns the (x1*, y*) rows over x1duals x yduals, the steps x* - x1*
+    for every point x* of `at` and node x1* (points outermost), and the
+    graph-support queries (x* - x1*, -y*): each step once per y* node, in
+    the lattice's (x1*, y*) order.
+    """
+    X1, Y = x1duals.nodes, yduals.nodes
+    ky = Y.shape[0]
+    lattice = np.hstack([np.repeat(X1, ky, axis=0), np.tile(Y, (X1.shape[0], 1))])
+    steps = (at[:, None, :] - X1[None, :, :]).reshape(-1, X1.shape[1])
+    queries = np.hstack(
+        [np.repeat(steps, ky, axis=0), np.tile(-Y, (steps.shape[0], 1))]
+    )
+    return lattice, steps, queries
 
 
 def lipschitz_estimate_map(F: SetValuedMap) -> float:

@@ -18,18 +18,23 @@ exact conjugate tables via the finite-grid Fenchel-Young identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .conjugate import conjugate, conjugate_at, default_dual_grid
+from .conjugate import (
+    conjugate,
+    conjugate_at,
+    default_dual_grid,
+    default_ydual_grid,
+)
 from .core import (
     INF,
-    DualGrid,
     Grid,
     GriddedFunction,
     ext_sum,
+    max_deviation,
 )
 from .errors import (
     GridMismatch,
@@ -39,7 +44,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .marginal import marginal
-from .setmap import SetValuedMap, map_conjugate_at
+from .setmap import SetValuedMap, map_conjugate_at, split_lattice
 
 TOL = 1e-9
 
@@ -226,26 +231,7 @@ def feasible_point(P: HPolyhedron) -> np.ndarray | None:
     return res.x[: P.dim].copy()
 
 
-def polyhedron_query(P: HPolyhedron, mode: str, point=None):
-    """Uniform query front end: membership | emptiness | interval_1d."""
-    if mode == "membership":
-        if point is None:
-            raise ValueError("membership query needs a point")
-        return P.contains(np.asarray(point, dtype=np.float64))
-    if mode == "emptiness":
-        return is_empty(P)
-    if mode == "interval_1d":
-        return P.interval()
-    raise ValueError(f"unknown query mode {mode!r}")
-
-
 # --- the eps-calculus objects --------------------------------------------------
-
-
-def _resolve_node(grid: Grid, x) -> int:
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return grid.index_of(x)
 
 
 def eps_subdifferential(f: GriddedFunction, x0, eps: float) -> HPolyhedron:
@@ -256,7 +242,7 @@ def eps_subdifferential(f: GriddedFunction, x0, eps: float) -> HPolyhedron:
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    xi = _resolve_node(f.grid, x0)
+    xi = f.grid.resolve(x0)
     f0 = f.values[xi]
     if not np.isfinite(f0) or (f.values == -INF).any():
         return HPolyhedron.empty(f.grid.dim)
@@ -290,8 +276,8 @@ def eps_coderivative(F: SetValuedMap, x0y0, ystar, eps: float) -> HPolyhedron:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     x0, y0 = x0y0
-    xi = _resolve_node(F.xgrid, x0)
-    yi = _resolve_node(F.ygrid, y0)
+    xi = F.xgrid.resolve(x0)
+    yi = F.ygrid.resolve(y0)
     if not F.contains(xi, yi):
         raise NotOnGraph(f"(x node {xi}, y node {yi}) is not on the graph")
     gx, gy = F.graph_cells
@@ -343,7 +329,7 @@ def sum_rule_check(
     x0,
     eps: float,
     split_count: int = 5,
-    duals: DualGrid | None = None,
+    duals: Grid | None = None,
 ) -> SumRuleReport:
     """Exact sum rule for eps-subdifferentials, scanned at sampled duals.
 
@@ -354,7 +340,7 @@ def sum_rule_check(
     """
     if g1.grid != g2.grid:
         raise GridMismatch("sum rule needs both functions on one grid")
-    xi = _resolve_node(g1.grid, x0)
+    xi = g1.grid.resolve(x0)
     total = ext_sum(g1, g2)
     lhs = eps_subdifferential(total, xi, eps)
     if duals is None:
@@ -385,11 +371,6 @@ def sum_rule_check(
 DEFAULT_ETAS = (1.0, 0.1, 0.01)
 
 
-def _ydual_default(phi: GriddedFunction, m: int, count: int | None = None) -> Grid:
-    full = default_dual_grid(phi, count)
-    return Grid(full.axes[m:])
-
-
 @dataclass(frozen=True)
 class TheoremReport:
     """Sampled two-route comparison of a set identity.
@@ -412,6 +393,55 @@ class TheoremReport:
     note: str
 
 
+_UNASSERTED = "qualification not asserted; only the unconditional inclusion is binding"
+
+
+def _theorem_report(
+    f: GriddedFunction,
+    node: int,
+    eps: float,
+    sample: np.ndarray,
+    lhs_mask: np.ndarray,
+    levels: Sequence[tuple[float, np.ndarray, np.ndarray]],
+    sharp: Callable[[np.ndarray, np.ndarray], bool],
+    qc14: bool,
+    note: str,
+) -> TheoremReport:
+    """Fold the per-eta right sides of a two-route check into its report.
+
+    Each level is (eta, found, closed): the sampled points the right route
+    finds at that eta, and the same set after any closure.  The right side
+    is the intersection of the closed sets.  Unconditionally every found
+    point must lie in the (eps+eta)-subdifferential of f at `node`, and the
+    closed sets must shrink with eta; `sharp(lhs, rhs)` is the direction
+    asserted under the qualification, and `note` says what it asserts.
+    """
+    rhs_mask = np.ones(sample.shape[0], dtype=bool)
+    easy_ok = eta_monotone_ok = True
+    prev = None
+    for eta, found, closed in levels:
+        if found.any():
+            inflated = eps_subdifferential(f, node, eps + eta).contains(sample)
+            if bool((found & ~inflated).any()):
+                easy_ok = False
+        if prev is not None and bool((closed & ~prev).any()):
+            eta_monotone_ok = False
+        prev = closed
+        rhs_mask &= closed
+    return TheoremReport(
+        easy_ok and eta_monotone_ok and (sharp(lhs_mask, rhs_mask) or not qc14),
+        easy_ok,
+        float((lhs_mask == rhs_mask).mean()),
+        int(sample.shape[0]),
+        tuple(bool(v) for v in lhs_mask),
+        tuple(bool(v) for v in rhs_mask),
+        tuple(int(i) for i in np.flatnonzero(lhs_mask != rhs_mask)),
+        eta_monotone_ok,
+        qc14,
+        note if qc14 else _UNASSERTED,
+    )
+
+
 def marginal_subdiff_check(
     phi: GriddedFunction,
     F: SetValuedMap,
@@ -419,8 +449,8 @@ def marginal_subdiff_check(
     eps: float,
     etas: Sequence[float] = DEFAULT_ETAS,
     split_count: int = 9,
-    duals: DualGrid | None = None,
-    yduals: DualGrid | None = None,
+    duals: Grid | None = None,
+    yduals: Grid | None = None,
     qc14: bool = False,
 ) -> TheoremReport:
     """Upper estimate of the eps-subdifferential of a marginal function.
@@ -437,9 +467,8 @@ def marginal_subdiff_check(
     the nominal eps is asserted only when the instance claims the
     qualification (qc14).
     """
-    mr = marginal(phi, F)
-    mu = mr.mu
-    xi = _resolve_node(F.xgrid, x0)
+    mu = marginal(phi, F).mu
+    xi = F.xgrid.resolve(x0)
     mu0 = mu.values[xi]
     if not np.isfinite(mu0):
         raise NotFiniteAtPoint(f"mu is not finite at x node {xi}")
@@ -448,31 +477,23 @@ def marginal_subdiff_check(
     if duals is None:
         duals = default_dual_grid(mu, 41 if m == 1 else 9)
     if yduals is None:
-        yduals = _ydual_default(phi, m, 41 if n == 1 else 9)
+        yduals = default_ydual_grid(phi, m, 41 if n == 1 else 9)
     S = duals.nodes
     Ks = S.shape[0]
     lhs_mask = eps_subdifferential(mu, xi, eps).contains(S)
 
-    X1 = S
     Y1 = yduals.nodes
-    Kx, Ky = X1.shape[0], Y1.shape[0]
-    lattice = np.hstack([np.repeat(X1, Ky, axis=0), np.tile(Y1, (Kx, 1))])
+    Kx, Ky = Ks, Y1.shape[0]
+    lattice, T, fpoints = split_lattice(S, duals, yduals)
     phistar = conjugate_at(phi, lattice).reshape(Kx, Ky)
-    T = (S[:, None, :] - X1[None, :, :]).reshape(Ks * Kx, m)
-    fpoints = np.hstack(
-        [np.repeat(T, Ky, axis=0), np.tile(-Y1, (Ks * Kx, 1))]
-    )
     fsupport = map_conjugate_at(F, fpoints).reshape(Ks, Kx, Ky)
     TX0 = (T @ x0c).reshape(Ks, Kx)
 
     phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
     feas_row = F.graph[xi]
-    dots1 = X1 @ x0c
+    dots1 = S @ x0c
 
-    rhs_mask = np.ones(Ks, dtype=bool)
-    easy_ok = True
-    prev_eta_mask = None
-    eta_monotone_ok = True
+    levels = []
     for eta in etas:
         cutoff = mu0 + eta
         y_near = np.flatnonzero(feas_row & (phi_row < cutoff))
@@ -491,34 +512,17 @@ def marginal_subdiff_check(
                 cond = cod_base <= e2 + TOL
                 found |= (mask1[None, :, :] & cond).any(axis=(1, 2))
             eta_mask &= found
-        if eta_mask.any():
-            inflated = eps_subdifferential(mu, xi, eps + eta).contains(S)
-            if bool((eta_mask & ~inflated).any()):
-                easy_ok = False
-        if prev_eta_mask is not None and bool((eta_mask & ~prev_eta_mask).any()):
-            eta_monotone_ok = False
-        prev_eta_mask = eta_mask
-        rhs_mask &= eta_mask
-
-    agreement = float((lhs_mask == rhs_mask).mean())
-    disagreements = tuple(int(i) for i in np.flatnonzero(lhs_mask != rhs_mask))
-    ok = easy_ok and eta_monotone_ok and (agreement == 1.0 or not qc14)
-    note = (
-        "two-sided agreement asserted under the declared qualification"
-        if qc14
-        else "qualification not asserted; only the unconditional inclusion is binding"
-    )
-    return TheoremReport(
-        ok,
-        easy_ok,
-        agreement,
-        Ks,
-        tuple(bool(v) for v in lhs_mask),
-        tuple(bool(v) for v in rhs_mask),
-        disagreements,
-        eta_monotone_ok,
+        levels.append((eta, eta_mask, eta_mask))
+    return _theorem_report(
+        mu,
+        xi,
+        eps,
+        S,
+        lhs_mask,
+        levels,
+        lambda lhs, rhs: bool(np.array_equal(lhs, rhs)),
         qc14,
-        note,
+        "two-sided agreement asserted under the declared qualification",
     )
 
 
@@ -535,7 +539,7 @@ class RestrictedConjugateReport:
 
 
 def restricted_conjugate_check(
-    phi: GriddedFunction, F: SetValuedMap, duals: DualGrid
+    phi: GriddedFunction, F: SetValuedMap, duals: Grid
 ) -> RestrictedConjugateReport:
     """mu*(x*) equals the conjugate of phi + indicator(gph F) at (x*, 0).
 
@@ -551,11 +555,9 @@ def restricted_conjugate_check(
     )
     pts = np.hstack([duals.nodes, np.zeros((duals.size, F.ygrid.dim))])
     rhs = conjugate_at(tilde, pts)
-    diffs = np.where((lhs == rhs), 0.0, np.abs(lhs - rhs))
-    diffs = np.where(np.isnan(diffs), INF, diffs)
     return RestrictedConjugateReport(
         bool(np.array_equal(lhs, rhs)),
-        float(diffs.max()) if diffs.size else 0.0,
+        max_deviation(lhs, rhs),
         duals.size,
         tuple(float(v) for v in lhs),
         tuple(float(v) for v in rhs),
@@ -576,12 +578,12 @@ def _dilate_mask(mask: np.ndarray, grid: Grid) -> np.ndarray:
 def conj_subdiff_check(
     phi: GriddedFunction,
     F: SetValuedMap,
-    duals: DualGrid,
+    duals: Grid,
     x0star,
     eps: float,
     etas: Sequence[float] = DEFAULT_ETAS,
     split_count: int = 9,
-    yduals: DualGrid | None = None,
+    yduals: Grid | None = None,
     qc14: bool = False,
 ) -> TheoremReport:
     """Primal-space description of the eps-subdifferential of mu*.
@@ -598,10 +600,9 @@ def conj_subdiff_check(
     (eps+eta)-subdifferential of mu*; two-sided agreement at the nominal
     eps is asserted only under the declared qualification.
     """
-    mr = marginal(phi, F)
-    mu = mr.mu
+    mu = marginal(phi, F).mu
     mustar = conjugate(mu, duals)
-    si = _resolve_node(duals, x0star)
+    si = duals.resolve(x0star)
     if not np.isfinite(mustar.values[si]):
         return TheoremReport(
             True, True, 1.0, 0, (), (), (), True, qc14,
@@ -610,19 +611,16 @@ def conj_subdiff_check(
     s0 = duals.coords(si)
     m, n = F.xgrid.dim, F.ygrid.dim
     if yduals is None:
-        yduals = _ydual_default(phi, m, 41 if n == 1 else 9)
+        yduals = default_ydual_grid(phi, m, 41 if n == 1 else 9)
 
     sample = F.xgrid.nodes
     lhs_poly = eps_subdifferential(mustar, si, eps)
     lhs_mask = lhs_poly.contains(sample)
 
-    X1 = duals.nodes
     Y1 = yduals.nodes
-    Kx, Ky = X1.shape[0], Y1.shape[0]
-    lattice = np.hstack([np.repeat(X1, Ky, axis=0), np.tile(Y1, (Kx, 1))])
+    Kx, Ky = duals.size, Y1.shape[0]
+    lattice, T, fpoints = split_lattice(s0[None, :], duals, yduals)
     phistar = conjugate_at(phi, lattice)
-    T = s0[None, :] - X1
-    fpoints = np.hstack([np.repeat(T, Ky, axis=0), np.tile(-Y1, (Kx, 1))])
     fsupport = map_conjugate_at(F, fpoints)
 
     gx, gy = F.graph_cells
@@ -652,45 +650,23 @@ def conj_subdiff_check(
                 acc |= ((m1_base <= e1 + TOL) & (cod_base <= e2 + TOL)).any(axis=1)
             cell_ok[eta][sl] = acc
 
-    rhs_mask = np.ones(F.xgrid.size, dtype=bool)
-    easy_ok = True
-    prev = None
-    eta_monotone_ok = True
+    levels = []
     for eta in etas:
         raw = np.zeros(F.xgrid.size, dtype=bool)
         np.logical_or.at(raw, gx, cell_ok[eta])
-        if raw.any():
-            inflated = eps_subdifferential(mustar, si, eps + eta).contains(sample)
-            if bool((raw & ~inflated).any()):
-                easy_ok = False
-        closed = _dilate_mask(raw, F.xgrid)
-        if prev is not None and bool((closed & ~prev).any()):
-            eta_monotone_ok = False
-        prev = closed
-        rhs_mask &= closed
-
-    agreement = float((lhs_mask == rhs_mask).mean())
-    disagreements = tuple(int(i) for i in np.flatnonzero(lhs_mask != rhs_mask))
+        levels.append((eta, raw, _dilate_mask(raw, F.xgrid)))
     # The one-cell dilation realizing "cl" can only enlarge the right side,
     # so the sharp direction asserted under the qualification is containment
     # of the left side, not raw equality of the node masks.
-    contains_lhs = not bool((lhs_mask & ~rhs_mask).any())
-    ok = easy_ok and eta_monotone_ok and (contains_lhs or not qc14)
-    note = (
-        "left side contained in the closed right side as asserted; raw"
-        " agreement is resolution-dependent through the closure dilation"
-        if qc14
-        else "qualification not asserted; only the unconditional inclusion is binding"
-    )
-    return TheoremReport(
-        ok,
-        easy_ok,
-        agreement,
-        int(sample.shape[0]),
-        tuple(bool(v) for v in lhs_mask),
-        tuple(bool(v) for v in rhs_mask),
-        disagreements,
-        eta_monotone_ok,
+    return _theorem_report(
+        mustar,
+        si,
+        eps,
+        sample,
+        lhs_mask,
+        levels,
+        lambda lhs, rhs: not bool((lhs & ~rhs).any()),
         qc14,
-        note,
+        "left side contained in the closed right side as asserted; raw"
+        " agreement is resolution-dependent through the closure dilation",
     )

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,3 +334,35 @@ class TestVerifyAllOrdering:
         assert rc == 0
         rows = (out / "report.csv").read_text().splitlines()
         assert rows[0] == "marginlab.csv.v1,lagrangian"
+
+
+class TestLayering:
+    """The library stands without its command line: spec parsing lives in
+    marginlab.spec, and only `python -m marginlab.cli` loads the CLI."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def python(self, *args):
+        path = os.pathsep.join(filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env
+        )
+
+    def test_library_import_leaves_the_cli_unloaded(self):
+        done = self.python("-c", "import sys, marginlab; print('marginlab.cli' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_cli_binds_the_library_parser(self):
+        import marginlab
+        import marginlab.cli
+
+        assert marginlab.cli.parse_spec is marginlab.parse_spec
+        assert marginlab.cli.ProblemSpec is marginlab.ProblemSpec
+
+    def test_module_entry_point_has_no_runpy_warning(self):
+        done = self.python("-m", "marginlab.cli")
+        assert done.returncode == 1
+        assert "usage error" in done.stderr
+        assert "found in sys.modules" not in done.stderr

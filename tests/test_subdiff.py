@@ -13,6 +13,7 @@ from marginlab import (
     GriddedFunction,
     HPolyhedron,
     Interval,
+    NotANode,
     NotFiniteAtPoint,
     NotOnGraph,
     PointNotInSet,
@@ -24,6 +25,7 @@ from marginlab import (
     eps_coderivative,
     eps_normal_cone,
     eps_subdifferential,
+    eta_solutions,
     ext_sum,
     eval_on_grid,
     feasible_point,
@@ -31,7 +33,7 @@ from marginlab import (
     is_empty,
     marginal,
     marginal_subdiff_check,
-    polyhedron_query,
+    product_grid,
     restricted_conjugate_check,
     sum_rule_check,
 )
@@ -88,16 +90,6 @@ class TestHPolyhedron:
     def test_interval_needs_one_dimension(self):
         with pytest.raises(UnsupportedDimension):
             HPolyhedron.whole_space(2).interval()
-
-    def test_query_front_end(self):
-        P = HPolyhedron([[1.0], [-1.0]], [1.0, 1.0])
-        assert polyhedron_query(P, "membership", [0.0])
-        assert polyhedron_query(P, "emptiness") == (False, None)
-        assert polyhedron_query(P, "interval_1d") == Interval(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            polyhedron_query(P, "membership")
-        with pytest.raises(ValueError):
-            polyhedron_query(P, "volume")
 
 
 class TestEmptinessAndFeasiblePoint:
@@ -339,3 +331,33 @@ class TestRestrictedConjugate:
         rep = restricted_conjugate_check(phi, F, spec.xduals)
         assert rep.lhs == rep.rhs
         assert rep.n_duals == spec.xduals.size
+
+
+class TestNodeIndices:
+    """Integer node indices outside [0, size) are refused, never wrapped."""
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_out_of_range_index_is_not_a_node(self, bad):
+        g = Grid.from_bounds([(-1.0, 1.0, 5)])
+        f = GriddedFunction(g, g.nodes[:, 0] ** 2)
+        phi = eval_on_grid("x1^2 + x2^2", product_grid(g, g))
+        F = full_map(g, g)
+        calls = {
+            "eps_subdifferential": lambda: eps_subdifferential(f, bad, 0.0),
+            "eps_coderivative": lambda: eps_coderivative(F, (bad, 0), [0.0], 0.0),
+            "sum_rule_check": lambda: sum_rule_check(f, f, bad, 0.0),
+            "marginal_subdiff_check": lambda: marginal_subdiff_check(phi, F, bad, 0.0),
+            "conj_subdiff_check": lambda: conj_subdiff_check(phi, F, g, bad, 0.0),
+            "eta_solutions": lambda: eta_solutions(phi, F, bad, 1.0),
+        }
+        for name, call in calls.items():
+            with pytest.raises(NotANode, match=r"outside \[0, 5\)"):
+                call()
+
+    def test_in_range_index_matches_its_point(self):
+        g = Grid.from_bounds([(-1.0, 1.0, 5)])
+        f = GriddedFunction(g, g.nodes[:, 0] ** 2)
+        by_index = eps_subdifferential(f, np.int64(4), 0.5)
+        by_point = eps_subdifferential(f, [1.0], 0.5)
+        assert np.array_equal(by_index.normals, by_point.normals)
+        assert np.array_equal(by_index.offsets, by_point.offsets)
