@@ -6,7 +6,8 @@ constraint map F and optional extras (dual grids, a Lagrangian pair,
 rasters, hypothesis metadata, tasks).  `parse_spec` validates the text
 into a frozen `ProblemSpec`; `ProblemSpec.build` instantiates (phi, F),
 optionally on factor-refined grids.  Unknown keys and sections are hard
-errors that carry the line (and column) they were found on.
+errors; every rejection is a `SpecError`, and syntax errors carry their
+line and column.
 """
 
 from __future__ import annotations
