@@ -10,8 +10,6 @@ the brute-force values on sorted 1-D data and separable multi-D data.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,42 +24,23 @@ from .core import (
 from .errors import DimensionMismatch, GridMismatch, UnsupportedShape
 
 _CHUNK = 4096
-
-
-def thread_count() -> int:
-    """Worker cap from MARGINLAB_THREADS (default 1)."""
-    try:
-        n = int(os.environ.get("MARGINLAB_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
+_SCORE_CAP = 1_000_000  # score entries per chunk in max_dots_minus
 
 
 def max_dots_minus(queries: np.ndarray, points: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """max over rows p of <q, p> - v(p), per query row q.
 
     All inputs finite; empty `points` yields -inf per query.  Work is
-    chunked over queries, optionally across threads (deterministic
-    assembly by chunk index).
+    chunked over queries so the score temporary stays bounded.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if points.shape[0] == 0:
         return np.full(queries.shape[0], -INF)
     out = np.empty(queries.shape[0], dtype=np.float64)
-    chunk = max(64, min(_CHUNK, 4_000_000 // points.shape[0]))
-
-    def work(lo: int) -> None:
+    chunk = max(64, min(_CHUNK, _SCORE_CAP // points.shape[0]))
+    for lo in range(0, queries.shape[0], chunk):
         hi = min(lo + chunk, queries.shape[0])
         out[lo:hi] = (queries[lo:hi] @ points.T - vals[None, :]).max(axis=1)
-
-    starts = range(0, queries.shape[0], chunk)
-    workers = thread_count()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, starts))
-    else:
-        for lo in starts:
-            work(lo)
     return out
 
 

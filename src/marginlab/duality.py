@@ -38,7 +38,7 @@ from .errors import GridNotAdapted, NotANode, ZeroNotOnGrid
 from .marginal import marginal
 from .setmap import (
     SetValuedMap,
-    map_conjugate_at,
+    graph_support,
     map_from_inequalities,
     split_lattice,
 )
@@ -82,9 +82,9 @@ def sampled_inf_convolution(
     """
     at = np.atleast_2d(np.asarray(at, dtype=np.float64))
     k1, ky = x1duals.size, yduals.size
-    lattice, _, fpoints = split_lattice(at, x1duals, yduals)
+    lattice, steps = split_lattice(at, x1duals, yduals)
     phistar = conjugate_at(phi, lattice).reshape(k1, ky)
-    fstar = map_conjugate_at(F, fpoints).reshape(at.shape[0], k1, ky)
+    fstar = graph_support(F, steps, -yduals.nodes).reshape(at.shape[0], k1, ky)
     total = ext_add_arrays(phistar[None, :, :], fstar)
     return total.min(axis=(1, 2))
 

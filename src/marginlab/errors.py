@@ -108,3 +108,11 @@ class UnknownKey(SpecError):
 
 class MissingSection(SpecError):
     """Required spec section missing, duplicated, or in conflict."""
+
+
+class RasterError(MarginlabError, ValueError):
+    """Malformed raster text; carries the offending line (1-based)."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line

@@ -27,6 +27,7 @@ from .errors import (
     GridMismatch,
     HypothesisNotMet,
     NotNodePreserving,
+    RasterError,
     UnsupportedDimension,
 )
 
@@ -496,45 +497,69 @@ def dump_raster(S: RasterSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_raster(text: str) -> RasterSet:
-    """Inverse of dump_raster; tolerant of trailing whitespace."""
-    raw = [ln.rstrip() for ln in text.splitlines()]
-    if not raw or not raw[0].startswith("raster"):
-        raise ValueError("raster text must start with a 'raster' header")
-    head = raw[0].split()
-    d = int(head[1])
-    counts = [int(v) for v in head[2 : 2 + d]]
-    bounds = [float(v) for v in head[2 + d :]]
-    if len(bounds) != 2 * d:
-        raise ValueError("raster header needs lo/hi per axis")
-    axes = tuple(
-        Axis(bounds[2 * i], bounds[2 * i + 1], counts[i]) for i in range(d)
-    )
-    grid = Grid(axes)
-    body = [ln for ln in raw[1:]]
-    rows = [ln for ln in body if ln]
-    def parse_row(ln: str) -> list[int]:
-        vals = [int(ch) for ch in ln if ch in "01"]
-        return vals
-    if d == 1:
-        data = np.asarray(parse_row(rows[0]), dtype=bool)
-    elif d == 2:
-        data = np.asarray([parse_row(ln) for ln in rows], dtype=bool)
-    else:
-        slabs: list[list[list[int]]] = []
-        current: list[list[int]] = []
-        for ln in body:
-            if not ln:
-                if current:
-                    slabs.append(current)
-                    current = []
-                continue
-            current.append(parse_row(ln))
-        if current:
-            slabs.append(current)
-        data = np.asarray(slabs, dtype=bool)
-    if data.shape != grid.shape:
-        raise ValueError(
-            f"raster body shape {data.shape} does not match header {grid.shape}"
+def _raster_header(line: str) -> Grid:
+    head = line.split()
+    if not head or head[0] != "raster":
+        raise RasterError("raster text must start with a 'raster' header", 1)
+    try:
+        d = int(head[1])
+    except (IndexError, ValueError):
+        raise RasterError("raster header needs a dimension after 'raster'", 1) from None
+    if d not in (1, 2, 3):
+        raise RasterError(f"raster dimension must be 1, 2 or 3, got {d}", 1)
+    if len(head) != 2 + 3 * d:
+        raise RasterError(f"raster header needs {d} count(s) then lo/hi per axis", 1)
+    try:
+        counts = [int(v) for v in head[2 : 2 + d]]
+        bounds = [float(v) for v in head[2 + d :]]
+        return Grid(
+            tuple(Axis(bounds[2 * i], bounds[2 * i + 1], counts[i]) for i in range(d))
         )
+    except ValueError as e:
+        raise RasterError(f"bad raster header: {e}", 1) from None
+
+
+def load_raster(text: str) -> RasterSet:
+    """Inverse of dump_raster; tolerant of trailing whitespace.
+
+    Malformed text raises RasterError naming its 1-based line: a bad
+    header, a character other than 0/1, a row of the wrong width, or a
+    wrong number of rows or slabs.
+    """
+    raw = [ln.rstrip() for ln in text.splitlines()]
+    grid = _raster_header(raw[0] if raw else "")
+    shape = grid.shape
+    # Row blocks: the single row (1-D), all rows (2-D), or one per slab (3-D),
+    # each with the line number it starts on.
+    blocks: list[tuple[int, list[list[bool]]]] = []
+    new_block = True
+    for lineno, ln in enumerate(raw[1:], start=2):
+        if not ln:
+            new_block = new_block or len(shape) == 3
+            continue
+        bad = next((c for c, ch in enumerate(ln) if ch not in "01"), None)
+        if bad is not None:
+            raise RasterError(f"column {bad + 1}: {ln[bad]!r} is not 0 or 1", lineno)
+        if len(ln) != shape[-1]:
+            raise RasterError(f"row has {len(ln)} cells, expected {shape[-1]}", lineno)
+        if new_block:
+            blocks.append((lineno, []))
+            new_block = False
+        blocks[-1][1].append([ch == "1" for ch in ln])
+    if not blocks:
+        raise RasterError("raster body is missing", len(raw) + 1)
+    rows_per_block = 1 if len(shape) == 1 else shape[-2]
+    what = "slab" if len(shape) == 3 else "raster body"
+    for start, rows in blocks:
+        if len(rows) != rows_per_block:
+            raise RasterError(
+                f"{what} has {len(rows)} row(s), expected {rows_per_block}", start
+            )
+    n_blocks = shape[0] if len(shape) == 3 else 1
+    if len(blocks) != n_blocks:
+        raise RasterError(
+            f"raster body has {len(blocks)} slab(s), expected {n_blocks}",
+            blocks[-1][0],
+        )
+    data = np.asarray([rows for _, rows in blocks], dtype=bool).reshape(shape)
     return RasterSet(grid, data)

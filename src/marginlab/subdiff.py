@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .marginal import marginal
-from .setmap import SetValuedMap, map_conjugate_at, split_lattice
+from .setmap import SetValuedMap, graph_support, split_lattice
 
 TOL = 1e-9
 
@@ -484,9 +484,9 @@ def marginal_subdiff_check(
 
     Y1 = yduals.nodes
     Kx, Ky = Ks, Y1.shape[0]
-    lattice, T, fpoints = split_lattice(S, duals, yduals)
+    lattice, T = split_lattice(S, duals, yduals)
     phistar = conjugate_at(phi, lattice).reshape(Kx, Ky)
-    fsupport = map_conjugate_at(F, fpoints).reshape(Ks, Kx, Ky)
+    fsupport = graph_support(F, T, -Y1).reshape(Ks, Kx, Ky)
     TX0 = (T @ x0c).reshape(Ks, Kx)
 
     phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
@@ -619,9 +619,9 @@ def conj_subdiff_check(
 
     Y1 = yduals.nodes
     Kx, Ky = duals.size, Y1.shape[0]
-    lattice, T, fpoints = split_lattice(s0[None, :], duals, yduals)
+    lattice, T = split_lattice(s0[None, :], duals, yduals)
     phistar = conjugate_at(phi, lattice)
-    fsupport = map_conjugate_at(F, fpoints)
+    fsupport = graph_support(F, T, -Y1).reshape(-1)
 
     gx, gy = F.graph_cells
     Xg = F.xgrid.nodes[gx]

@@ -56,6 +56,11 @@ def dyadic_grid(rng, dim=1, max_count=9):
     return Grid(tuple(dyadic_axis(rng, max_count) for _ in range(dim)))
 
 
+def dyadic_rows(rng, k, dim, lo=-64, hi=64):
+    """k random dual rows with dyadic coordinates (multiples of 1/16)."""
+    return rng.integers(lo, hi + 1, size=(k, dim)).astype(np.float64) / 16.0
+
+
 def random_values(rng, n, p_inf=0.2, lo=-4096, hi=4096):
     """Dyadic-rational values with a sprinkling of +inf nodes."""
     vals = rng.integers(lo, hi + 1, size=n).astype(np.float64) * QUANTUM
@@ -72,10 +77,10 @@ def random_function(rng, grid=None, p_inf=0.2, proper=True):
     return GriddedFunction(grid, vals)
 
 
-def random_problem(rng, max_count=7, p_inf=0.15, p_drop=0.25):
-    """Random 1-D/1-D instance (phi, F) with some infeasible x rows."""
-    xgrid = dyadic_grid(rng, max_count=max_count)
-    ygrid = dyadic_grid(rng, max_count=max_count)
+def random_problem(rng, max_count=7, p_inf=0.15, p_drop=0.25, xdim=1, ydim=1):
+    """Random instance (phi, F), 1-D/1-D by default, with some infeasible x rows."""
+    xgrid = dyadic_grid(rng, dim=xdim, max_count=max_count)
+    ygrid = dyadic_grid(rng, dim=ydim, max_count=max_count)
     from marginlab import product_grid
 
     phi = random_function(rng, product_grid(xgrid, ygrid), p_inf)

@@ -175,6 +175,13 @@ class TestExitCodes:
         assert rc == 1
         assert "error: MissingSection" in capsys.readouterr().err
 
+    def test_malformed_raster_exits_one(self, tmp_path, capsys):
+        (tmp_path / "bad.raster").write_text("raster 1 3 0.0 1.0\n")
+        spec = write_spec(tmp_path, MINIMAL + "\n[raster]\nfile bad.raster\n")
+        rc = main(["nearconvex", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error: RasterError: line 2: raster body is missing" in capsys.readouterr().err
+
     def test_x0_off_grid_exits_one(self, tmp_path, capsys):
         spec = write_spec(tmp_path, MINIMAL)
         rc = main(

@@ -20,7 +20,6 @@ from marginlab import (
     ext_add,
     inf_convolution,
     support_function,
-    thread_count,
 )
 
 from helpers import (
@@ -192,14 +191,3 @@ class TestInfConvolution:
         assert "relaxed" in (h.provenance or "")
         assert np.isfinite(h.values[3])
 
-
-class TestThreadCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.delenv("MARGINLAB_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("MARGINLAB_THREADS", "4")
-        assert thread_count() == 4
-        monkeypatch.setenv("MARGINLAB_THREADS", "-2")
-        assert thread_count() == 1
-        monkeypatch.setenv("MARGINLAB_THREADS", "soup")
-        assert thread_count() == 1

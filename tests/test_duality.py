@@ -17,6 +17,7 @@ from marginlab import (
     dual_value_1,
     dual_value_2,
     eps_subdifferential,
+    ext_add,
     full_map,
     graph_adapted_xgrid,
     is_empty,
@@ -24,12 +25,14 @@ from marginlab import (
     lagrangian_identity_check,
     marginal,
     primal_value,
+    map_conjugate_at,
     product_grid,
+    sampled_inf_convolution,
     slater_strong_duality_check,
     strong_duality_check,
 )
 
-from helpers import load_fixture, random_function
+from helpers import dyadic_grid, dyadic_rows, load_fixture, random_function, random_problem
 
 INF = math.inf
 
@@ -67,6 +70,38 @@ class TestWeakDualityChain:
         phi = GriddedFunction(product_grid(X, Y), np.zeros(6))
         with pytest.raises(ZeroNotOnGrid):
             primal_value(phi, full_map(X, Y))
+
+
+def brute_inf_convolution(phi, F, at, x1duals, yduals):
+    """(phi* box F*)(x*, 0) over the split lattice, one brute query at a time."""
+    out = []
+    for t in at:
+        best = INF
+        for x1 in x1duals.nodes:
+            for y in yduals.nodes:
+                a = conjugate_at(phi, np.concatenate([x1, y]))[0]
+                b = map_conjugate_at(F, np.concatenate([t - x1, -y]))[0]
+                best = min(best, ext_add(a, b).value)
+        out.append(best)
+    return np.array(out)
+
+
+class TestSampledInfConvolution:
+    @pytest.mark.parametrize("xdim, ydim", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_brute_split_lattice_on_dyadic_data(self, xdim, ydim):
+        rng = np.random.default_rng(131 + 10 * xdim + ydim)
+        for trial in range(6):
+            phi, F = random_problem(
+                rng, max_count=4, p_drop=(0.25, 0.8, 1.0)[trial % 3], xdim=xdim, ydim=ydim
+            )
+            if trial % 3 == 2:
+                F = SetValuedMap(F.xgrid, F.ygrid, np.zeros_like(F.graph))
+            x1duals = dyadic_grid(rng, xdim, max_count=4)
+            yduals = dyadic_grid(rng, ydim, max_count=4)
+            at = np.vstack([x1duals.nodes, dyadic_rows(rng, 3, xdim)])
+            got = sampled_inf_convolution(phi, F, at, x1duals, yduals)
+            want = brute_inf_convolution(phi, F, at, x1duals, yduals)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestStrongDuality:

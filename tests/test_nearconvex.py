@@ -10,6 +10,7 @@ from marginlab import (
     GridMismatch,
     HypothesisNotMet,
     NotNodePreserving,
+    RasterError,
     RasterSet,
     closure,
     dump_raster,
@@ -198,3 +199,19 @@ class TestRefineAndFormat:
             load_raster("raster 2 2 2 0.0 1.0 0.0 1.0\n10\n1")
         with pytest.raises(ValueError):
             load_raster("raster 2 2 2 0.0 1.0 0.0 1.0\n10\n1x")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("raster 1 3 0.0 1.0\n1x1y1\n", 2),  # used to parse as 111
+            ("raster 1 3 0.0 1.0\n1,1,1\n", 2),
+            ("raster 2 2 3 0.0 1.0 0.0 1.0\n111\n1x1y1\n", 3),
+            ("raster 1 3 0.0 1.0\n", 2),  # header without a body
+            ("raster\n101\n", 1),  # bare header
+            ("raster 1 3 0.0 1.0\n101\n111\n", 2),
+        ],
+    )
+    def test_strict_parsing_names_the_line(self, text, line):
+        with pytest.raises(RasterError, match=f"^line {line}: ") as info:
+            load_raster(text)
+        assert info.value.line == line

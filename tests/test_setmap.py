@@ -11,6 +11,7 @@ from marginlab import (
     NotANode,
     SetValuedMap,
     full_map,
+    graph_support,
     lipschitz_estimate_map,
     map_conjugate,
     map_conjugate_at,
@@ -20,6 +21,8 @@ from marginlab import (
     product_grid,
     support_function,
 )
+
+from helpers import dyadic_rows, random_problem
 
 INF = math.inf
 
@@ -92,6 +95,58 @@ class TestGraphSupport:
         F = full_map(X, Y)
         with pytest.raises(DimensionMismatch):
             map_conjugate_at(F, np.array([[0.0]]))
+
+
+def brute_table(F, xstars, ystars):
+    """graph_support's table from map_conjugate_at on the flattened product."""
+    k, ky = xstars.shape[0], ystars.shape[0]
+    pts = np.hstack([np.repeat(xstars, ky, axis=0), np.tile(ystars, (k, 1))])
+    return map_conjugate_at(F, pts).reshape(k, ky)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestFactoredGraphSupport:
+    @pytest.mark.parametrize("xdim, ydim", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_brute_oracle_bitwise_on_dyadic_data(self, xdim, ydim):
+        rng = np.random.default_rng(97 + 10 * xdim + ydim)
+        partial = 0
+        for trial in range(25):
+            p_drop = (0.25, 0.6, 0.95, 1.0)[trial % 4]  # 1.0: empty graph
+            _, F = random_problem(
+                rng, max_count=5, p_drop=p_drop, xdim=xdim, ydim=ydim
+            )
+            if p_drop == 1.0:
+                F = SetValuedMap(F.xgrid, F.ygrid, np.zeros_like(F.graph))
+            # Repeated x* rows, as the steps x* - x1* of a split lattice repeat.
+            base = dyadic_rows(rng, int(rng.integers(1, 6)), xdim)
+            xstars = base[rng.integers(0, base.shape[0], size=int(rng.integers(1, 15)))]
+            ystars = dyadic_rows(rng, int(rng.integers(1, 8)), ydim)
+            partial += F.dom_mask.any() and not F.dom_mask.all()
+            got = graph_support(F, xstars, ystars)
+            assert_bitwise_equal(got, brute_table(F, xstars, ystars))
+        assert partial  # some maps had empty F(x) rows next to non-empty ones
+
+    def test_empty_graph_gives_minus_inf(self):
+        F = SetValuedMap(X, Y, np.zeros((X.size, Y.size), dtype=bool))
+        got = graph_support(F, np.array([[0.0], [1.0]]), np.array([[0.5], [-1.0], [2.0]]))
+        assert got.shape == (2, 3)
+        assert (got == -INF).all()
+
+    def test_empty_rows_are_skipped(self):
+        F = map_from_points([[0.0, 1.0], [0.5, 0.5], [0.5, 2.0]], X, Y)
+        got = graph_support(F, np.array([[2.0], [-2.0], [2.0]]), np.array([[1.0], [-1.0]]))
+        np.testing.assert_array_equal(got, [[3.0, 0.5], [1.0, -1.0], [3.0, 0.5]])
+
+    def test_row_arity(self):
+        F = full_map(X, Y)
+        with pytest.raises(DimensionMismatch):
+            graph_support(F, np.array([[0.0, 1.0]]), np.array([[0.0]]))
+        with pytest.raises(DimensionMismatch):
+            graph_support(F, np.array([[0.0]]), np.array([[0.0, 1.0]]))
 
 
 class TestLipschitzEstimate:
