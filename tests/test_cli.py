@@ -180,7 +180,8 @@ class TestExitCodes:
         spec = write_spec(tmp_path, MINIMAL + "\n[raster]\nfile bad.raster\n")
         rc = main(["nearconvex", "--spec", str(spec), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert "error: RasterError: line 2: raster body is missing" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: RasterError: line 2: raster body is missing" in err
 
     def test_x0_off_grid_exits_one(self, tmp_path, capsys):
         spec = write_spec(tmp_path, MINIMAL)
