@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .conjugate import conjugate, conjugate_at, default_ydual_grid
+from .conjugate import _SCORE_CAP, conjugate, conjugate_at, default_ydual_grid
 from .core import (
     INF,
     Axis,
@@ -42,7 +41,7 @@ from .setmap import (
     map_from_inequalities,
     split_lattice,
 )
-from .subdiff import eps_subdifferential, feasible_point
+from .subdiff import eps_subdifferential, feasible_point, linprog
 
 TOL = 1e-9
 
@@ -397,6 +396,24 @@ def lagrangian_identity_check(
     return LagrangianIdentityReport(all_ok, tuple(rows), xgrid)
 
 
+def _one_constraint_dual_value(fv: np.ndarray, g: np.ndarray) -> float:
+    """max over lambda >= 0 of min_j f_j + lambda g_j, exactly; g < 0 somewhere.
+
+    Its LP dual is min sum w f over w >= 0, sum w = 1, sum w g <= 0, and by
+    Caratheodory an optimum sits on at most two nodes: one node with
+    g <= 0, or the mix of g_i < 0 < g_j that makes sum w g = 0, of value
+    (f_i g_j - f_j g_i) / (g_j - g_i).  Pairs are scanned in blocks.
+    """
+    vd = float(fv[g <= 0].min())
+    fn, gn = fv[g < 0], g[g < 0]
+    fp, gp = fv[g > 0, None], g[g > 0, None]
+    block = max(1, _SCORE_CAP // fn.size)
+    for start in range(0, fp.shape[0], block):
+        f_j, g_j = fp[start : start + block], gp[start : start + block]
+        vd = min(vd, float(((fn * g_j - f_j * gn) / (g_j - gn)).min()))
+    return vd
+
+
 @dataclass(frozen=True)
 class SlaterReport:
     verified: bool
@@ -417,8 +434,10 @@ def slater_strong_duality_check(
     """Slater point on the grid, then V_p = V_d for the Lagrangian pair.
 
     V_p minimizes f over nodes with g <= 0; V_d maximizes the Lagrangian
-    dual over continuous lambda >= 0 through one LP.  Without a strictly
-    feasible node the equality is left unverified, not failed.
+    dual over continuous lambda >= 0.  With one constraint V_d is exact
+    (`_one_constraint_dual_value`, no LP); with several it comes from one
+    LP.  Without a strictly feasible node the equality is left unverified,
+    not failed.
     """
     g_exprs = tuple(g_exprs)
     fv, gv = _eval_objective(f_expr, g_exprs, ygrid)
@@ -433,22 +452,27 @@ def slater_strong_duality_check(
     vp = float(fv[feas].min()) if feas.any() else INF
 
     k = gv.shape[0]
-    A = np.hstack([np.ones((fv.size, 1)), -gv.T])
-    c = np.zeros(k + 1)
-    c[0] = -1.0
-    res = linprog(
-        c=c,
-        A_ub=A,
-        b_ub=fv,
-        bounds=[(None, None)] + [(0, None)] * k,
-        method="highs",
-    )
-    if res.status == 3:
-        vd = INF
-    elif res.status == 0:
-        vd = float(res.x[0])
+    if k == 1:
+        vd = _one_constraint_dual_value(fv, gv[0])
     else:
-        raise RuntimeError(f"LP solver failed on the Lagrangian dual: {res.message}")
+        A = np.hstack([np.ones((fv.size, 1)), -gv.T])
+        c = np.zeros(k + 1)
+        c[0] = -1.0
+        res = linprog(
+            c=c,
+            A_ub=A,
+            b_ub=fv,
+            bounds=[(None, None)] + [(0, None)] * k,
+            method="highs",
+        )
+        if res.status == 3:
+            vd = INF
+        elif res.status == 0:
+            vd = float(res.x[0])
+        else:
+            raise RuntimeError(
+                f"LP solver failed on the Lagrangian dual: {res.message}"
+            )
     gap = _gap(vp, vd)
     return SlaterReport(
         True,

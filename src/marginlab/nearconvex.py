@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import ndimage
 
 from .core import Axis, Grid
 from .errors import (
@@ -66,20 +65,48 @@ class RasterSet:
         return self.grid == other.grid and bool(np.array_equal(self.mask, other.mask))
 
 
-def _box(d: int) -> np.ndarray:
-    return np.ones((3,) * d, dtype=bool)
+def _along(ax: int, ndim: int, sl: slice) -> tuple[slice, ...]:
+    return tuple(sl if a == ax else slice(None) for a in range(ndim))
+
+
+def box_dilate(mask: np.ndarray) -> np.ndarray:
+    """Dilation by the 3^d box, clipped to the window (nothing outside it).
+
+    The box is the product of one 3-cell segment per axis, so the dilation
+    is one shift-OR pass per axis.
+    """
+    out = np.array(mask, dtype=bool)
+    for ax in range(out.ndim):
+        lo = _along(ax, out.ndim, slice(None, -1))
+        hi = _along(ax, out.ndim, slice(1, None))
+        grown = out.copy()
+        grown[lo] |= out[hi]
+        grown[hi] |= out[lo]
+        out = grown
+    return out
+
+
+def box_erode(mask: np.ndarray) -> np.ndarray:
+    """Erosion by the 3^d box; nodes on the window border are never kept.
+
+    A node survives iff its whole box lies in the mask, i.e. it is not in
+    the dilation of the complement; the window's outside counts as absent.
+    """
+    out = ~box_dilate(~np.asarray(mask, dtype=bool))
+    for ax in range(out.ndim):
+        out[_along(ax, out.ndim, slice(None, 1))] = False
+        out[_along(ax, out.ndim, slice(-1, None))] = False
+    return out
 
 
 def closure(S: RasterSet) -> RasterSet:
     """One-cell box dilation, clipped to the grid window."""
-    out = ndimage.binary_dilation(S.mask, structure=_box(S.grid.dim))
-    return RasterSet(S.grid, out)
+    return RasterSet(S.grid, box_dilate(S.mask))
 
 
 def interior(S: RasterSet) -> RasterSet:
     """One-cell box erosion; border nodes are never interior."""
-    out = ndimage.binary_erosion(S.mask, structure=_box(S.grid.dim), border_value=0)
-    return RasterSet(S.grid, out)
+    return RasterSet(S.grid, box_erode(S.mask))
 
 
 # --- exact integer hulls ---------------------------------------------------------
@@ -428,9 +455,8 @@ def image_preservation_check(S: RasterSet, T: np.ndarray) -> ImageReport:
     pushed = np.zeros(tgrid.size, dtype=bool)
     pushed[flat[interior(S).flat()]] = True
     pushed = pushed.reshape(tgrid.shape)
-    grow = _box(tgrid.dim)
-    a_in_b = not bool((int_img & ~ndimage.binary_dilation(pushed, structure=grow)).any())
-    b_in_a = not bool((pushed & ~ndimage.binary_dilation(int_img, structure=grow)).any())
+    a_in_b = not bool((int_img & ~box_dilate(pushed)).any())
+    b_in_a = not bool((pushed & ~box_dilate(int_img)).any())
     interior_match = a_in_b and b_in_a
     return ImageReport(
         img_rep.verdict and interior_match,

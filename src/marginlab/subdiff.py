@@ -6,7 +6,9 @@ x != x0 with finite f(x); +inf nodes impose nothing and any -inf node
 forces the canonical empty polyhedron.  Membership is a tolerance-1e-9
 halfspace scan; emptiness in dimension <= 3 is an LP feasibility question
 whose infeasibility certificates (<= d+1 constraints, by Helly) come from
-the Farkas dual.
+the Farkas dual.  In dimension 1 emptiness, feasible points and Minkowski
+membership are exact interval arithmetic; only d >= 2 solves LPs, and
+scipy is imported on the first LP a run solves (`linprog` below).
 
 The theorem verifiers at the bottom check the upper subdifferential
 formula for marginal functions and the formula for subgradients of the
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .conjugate import (
+    _SCORE_CAP,
     conjugate,
     conjugate_at,
     default_dual_grid,
@@ -44,9 +46,22 @@ from .errors import (
     UnsupportedDimension,
 )
 from .marginal import marginal
+from .nearconvex import box_dilate
 from .setmap import SetValuedMap, graph_support, split_lattice
 
 TOL = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call.
+
+    Importing scipy.optimize costs more than most runs compute, and only
+    d >= 2 polyhedra and multi-constraint Lagrangian duals need an LP.
+    Every LP in the package goes through this one binding.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 # --- polyhedra ---------------------------------------------------------------
@@ -352,7 +367,8 @@ def sum_rule_check(
     for e1, e2 in splits:
         P = eps_subdifferential(g1, xi, e1)
         Q = eps_subdifferential(g2, xi, e2)
-        rhs_mask |= _minkowski_contains(P, Q, S)
+        todo = ~rhs_mask
+        rhs_mask[todo] = _minkowski_contains(P, Q, S[todo])
     easy_ok = not bool((rhs_mask & ~lhs_mask).any())
     agreement = float((lhs_mask == rhs_mask).mean())
     bad = S[lhs_mask != rhs_mask]
@@ -567,14 +583,6 @@ def restricted_conjugate_check(
 # --- subgradients of the conjugate ----------------------------------------------
 
 
-def _dilate_mask(mask: np.ndarray, grid: Grid) -> np.ndarray:
-    from scipy.ndimage import binary_dilation
-
-    shaped = mask.reshape(grid.shape)
-    out = binary_dilation(shaped, structure=np.ones((3,) * grid.dim, dtype=bool))
-    return out.reshape(-1)
-
-
 def conj_subdiff_check(
     phi: GriddedFunction,
     F: SetValuedMap,
@@ -635,7 +643,7 @@ def conj_subdiff_check(
     n_cells = gx.shape[0]
     splits_by_eta = {eta: _split_pairs(eps + eta, split_count) for eta in etas}
     cell_ok = {eta: np.zeros(n_cells, dtype=bool) for eta in etas}
-    block = max(1, 4_000_000 // max(1, Kx * Ky))
+    block = max(1, _SCORE_CAP // max(1, Kx * Ky))
     for start in range(0, n_cells, block):
         sl = slice(start, min(start + block, n_cells))
         m1_base = (
@@ -654,7 +662,7 @@ def conj_subdiff_check(
     for eta in etas:
         raw = np.zeros(F.xgrid.size, dtype=bool)
         np.logical_or.at(raw, gx, cell_ok[eta])
-        levels.append((eta, raw, _dilate_mask(raw, F.xgrid)))
+        levels.append((eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1)))
     # The one-cell dilation realizing "cl" can only enlarge the right side,
     # so the sharp direction asserted under the qualification is containment
     # of the left side, not raw equality of the node masks.

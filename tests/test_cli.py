@@ -369,6 +369,40 @@ class TestLayering:
         assert marginlab.cli.parse_spec is marginlab.parse_spec
         assert marginlab.cli.ProblemSpec is marginlab.ProblemSpec
 
+    RUN_AND_REPORT_SCIPY = """\
+import sys, tempfile
+from marginlab.cli import main
+with tempfile.TemporaryDirectory() as out:
+    for command, fixture in {runs!r}:
+        rc = main([command, "--spec", fixture, "--out", out])
+        assert rc in (0, 2), (command, fixture, rc)
+print("scipy" in sys.modules)
+"""
+
+    def scipy_loaded_after(self, *runs):
+        runs = [(command, str(FIXTURES / f"{name}.spec")) for command, name in runs]
+        done = self.python("-c", self.RUN_AND_REPORT_SCIPY.format(runs=runs))
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.splitlines()[-1]  # after the commands' own output
+        assert loaded in ("True", "False")
+        return loaded == "True"
+
+    def test_one_dimensional_runs_leave_scipy_unloaded(self):
+        assert not self.scipy_loaded_after(
+            ("verify-all", "lagrangian_quadratic"),
+            ("lagrangian", "lagrangian_quadratic"),
+            ("nearconvex", "nearconvex_suite"),
+        )
+
+    def test_two_dimensional_polyhedra_load_scipy_for_their_lps(self):
+        assert self.scipy_loaded_after(("verify-all", "separable_quadratic"))
+
+    def test_duality_solves_lps_through_the_subdiff_binding(self):
+        import marginlab.duality
+        import marginlab.subdiff
+
+        assert marginlab.duality.linprog is marginlab.subdiff.linprog
+
     def test_module_entry_point_has_no_runpy_warning(self):
         done = self.python("-m", "marginlab.cli")
         assert done.returncode == 1

@@ -17,6 +17,7 @@ from marginlab import (
     dual_value_1,
     dual_value_2,
     eps_subdifferential,
+    eval_on_grid,
     ext_add,
     full_map,
     graph_adapted_xgrid,
@@ -31,8 +32,16 @@ from marginlab import (
     slater_strong_duality_check,
     strong_duality_check,
 )
+from marginlab import duality
 
-from helpers import dyadic_grid, dyadic_rows, load_fixture, random_function, random_problem
+from helpers import (
+    QUANTUM,
+    dyadic_grid,
+    dyadic_rows,
+    load_fixture,
+    random_function,
+    random_problem,
+)
 
 INF = math.inf
 
@@ -204,7 +213,59 @@ class TestLagrangian:
             graph_adapted_xgrid([expr], ygrid)
 
 
+def lp_lagrangian_dual(fv, gv):
+    """max t over t free, lambda >= 0 with t - lambda . g_j <= f_j: one LP."""
+    from scipy.optimize import linprog
+
+    k = gv.shape[0]
+    res = linprog(
+        c=[-1.0] + [0.0] * k,
+        A_ub=np.hstack([np.ones((fv.size, 1)), -gv.T]),
+        b_ub=fv,
+        bounds=[(None, None)] + [(0, None)] * k,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.x[0])
+
+
+def close_to(value, ref, rel=1e-12):
+    return abs(value - ref) <= rel * max(1.0, abs(ref))
+
+
 class TestSlater:
+    Y = Grid.from_bounds([(0.0, 2.0, 9)])
+
+    @pytest.mark.parametrize(
+        "f_expr, g_expr, optimum",
+        [
+            ("(y - 1.5)^2", "1 - y", "node"),  # lambda = 0, g < 0 there
+            ("y^2", "1 - y", "node"),  # the node with g = 0
+            ("y^2", "0.9 - y", "mix"),  # g changes sign between 0.75 and 1
+            ("y^2", "y - 5", "node"),  # every node feasible
+        ],
+    )
+    def test_one_constraint_value_matches_the_lp(self, f_expr, g_expr, optimum):
+        rep = slater_strong_duality_check(f_expr, [g_expr], self.Y)
+        fv = eval_on_grid(f_expr, self.Y, ["y"]).values
+        gv = eval_on_grid(g_expr, self.Y, ["y"]).values
+        vd = lp_lagrangian_dual(fv, gv[None, :])
+        assert close_to(rep.vd, vd)
+        assert rep.verdict == (abs(rep.vp - vd) <= 1e-9)
+        assert (rep.vd in fv[gv <= 0]) == (optimum == "node")
+
+    def test_one_constraint_value_on_random_programs(self, monkeypatch):
+        # A tiny block size makes every pair scan run over several blocks.
+        monkeypatch.setattr(duality, "_SCORE_CAP", 3)
+        rng = np.random.default_rng(113)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            fv = rng.integers(-4096, 4097, size=n) * QUANTUM
+            gv = rng.integers(-4096, 4097, size=n) * QUANTUM
+            gv[rng.integers(0, n)] = -float(rng.integers(1, 4097)) * QUANTUM
+            vd = duality._one_constraint_dual_value(fv, gv)
+            assert close_to(vd, lp_lagrangian_dual(fv, gv[None, :]))
+
     def test_verified_on_fixture(self):
         spec = load_fixture("lagrangian_quadratic")
         f_expr, g_exprs = spec.lagrangian

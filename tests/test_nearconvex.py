@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from marginlab import (
     Grid,
@@ -25,6 +29,7 @@ from marginlab import (
     projection_map,
     refine_raster,
 )
+from marginlab.nearconvex import box_dilate, box_erode
 
 from helpers import FIXTURES, oracle_hull_member
 
@@ -73,6 +78,30 @@ class TestTopology:
             assert not (S.mask & ~closure(S).mask).any()
             assert not (closure(S).mask & ~closure(T).mask).any()
             assert not (interior(S).mask & ~interior(T).mask).any()
+
+
+masks = st.integers(1, 3).flatmap(
+    lambda d: hnp.arrays(
+        bool, hnp.array_shapes(min_dims=d, max_dims=d, min_side=1, max_side=6)
+    )
+)
+
+
+class TestBoxKernels:
+    """The numpy box kernels against scipy.ndimage, the route they replaced."""
+
+    @given(masks)
+    @example(np.ones((1,), dtype=bool))
+    @example(np.ones((2, 1), dtype=bool))
+    @example(np.ones((2, 2, 2), dtype=bool))
+    @example(np.ones((3, 1, 3), dtype=bool))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_ndimage(self, mask):
+        box = np.ones((3,) * mask.ndim, dtype=bool)
+        dilated = ndimage.binary_dilation(mask, structure=box)
+        eroded = ndimage.binary_erosion(mask, structure=box, border_value=0)
+        assert np.array_equal(box_dilate(mask), dilated)
+        assert np.array_equal(box_erode(mask), eroded)
 
 
 class TestIntegerHull:

@@ -37,6 +37,7 @@ from marginlab import (
     restricted_conjugate_check,
     sum_rule_check,
 )
+from marginlab import subdiff
 
 from helpers import (
     dyadic_grid,
@@ -234,6 +235,46 @@ class TestSumRule:
         assert rep.easy_ok
         assert rep.agreement == 1.0
         assert rep.splits == ((0.0, 0.0),)
+
+    def test_splits_skip_duals_already_in_the_sum(self, monkeypatch):
+        """Each split solves LPs only for duals no earlier split covered."""
+        spec = load_fixture("separable_quadratic")
+        mu = marginal(*spec.build()).mu
+        cases = [(mu, mu, mu.grid.index_of([0.0, 0.0]), spec.xduals)]
+        rng = np.random.default_rng(67)
+        for _ in range(3):
+            grid = dyadic_grid(rng, dim=2, max_count=4)
+            g1 = random_function(rng, grid, p_inf=0.1)
+            g2 = random_function(rng, grid, p_inf=0.1)
+            xi = int(rng.integers(0, grid.size))
+            cases.append((g1, g2, xi, default_dual_grid(ext_sum(g1, g2), 4)))
+        lp_counts = []
+        for g1, g2, xi, duals in cases:
+            S = duals.nodes
+            lhs_mask = eps_subdifferential(ext_sum(g1, g2), xi, 0.5).contains(S)
+            rhs_mask = np.zeros(S.shape[0], dtype=bool)
+            expected_lps = 0
+            for e1, e2 in subdiff._split_pairs(0.5, 5):
+                P = eps_subdifferential(g1, xi, e1)
+                Q = eps_subdifferential(g2, xi, e2)
+                expected_lps += int((~rhs_mask).sum())
+                rhs_mask |= subdiff._minkowski_contains(P, Q, S)
+
+            calls = []
+            farkas = subdiff._farkas
+            monkeypatch.setattr(
+                subdiff, "_farkas", lambda A, b: calls.append(1) or farkas(A, b)
+            )
+            rep = sum_rule_check(g1, g2, xi, 0.5, duals=duals)
+            monkeypatch.undo()
+            assert len(calls) == expected_lps
+            assert rep.easy_ok == (not (rhs_mask & ~lhs_mask).any())
+            assert rep.agreement == float((lhs_mask == rhs_mask).mean())
+            bad = S[lhs_mask != rhs_mask][:16]
+            assert rep.disagreements == tuple(tuple(float(c) for c in r) for r in bad)
+            lp_counts.append(len(calls))
+        assert lp_counts[0] == 129  # of 5 splits x 81 duals on the fixture
+        assert sum(lp_counts) < 5 * sum(duals.size for *_, duals in cases)
 
     def test_grid_mismatch(self):
         a = Grid.from_bounds([(0.0, 1.0, 3)])
