@@ -31,16 +31,23 @@ def max_dots_minus(queries: np.ndarray, points: np.ndarray, vals: np.ndarray) ->
     """max over rows p of <q, p> - v(p), per query row q.
 
     All inputs finite; empty `points` yields -inf per query.  Work is
-    chunked over queries so the score temporary stays bounded.
+    chunked over queries so the score temporary stays bounded, and every
+    chunk reuses one score buffer: a new multi-megabyte temporary per
+    chunk often comes back from the allocator as fresh pages, and
+    faulting those in costs about as much as the arithmetic.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if points.shape[0] == 0:
         return np.full(queries.shape[0], -INF)
     out = np.empty(queries.shape[0], dtype=np.float64)
     chunk = max(64, min(_CHUNK, _SCORE_CAP // points.shape[0]))
+    scores = np.empty((min(chunk, queries.shape[0]), points.shape[0]))
     for lo in range(0, queries.shape[0], chunk):
         hi = min(lo + chunk, queries.shape[0])
-        out[lo:hi] = (queries[lo:hi] @ points.T - vals[None, :]).max(axis=1)
+        block = scores[: hi - lo]
+        np.matmul(queries[lo:hi], points.T, out=block)
+        block -= vals
+        block.max(axis=1, out=out[lo:hi])
     return out
 
 

@@ -1,5 +1,6 @@
 """Fenchel conjugates: fast vs brute force, conventions, infimal convolution."""
 
+import importlib
 import math
 
 import numpy as np
@@ -29,6 +30,9 @@ from helpers import (
     random_function,
     random_values,
 )
+
+# The package re-exports the function `conjugate`, which hides the module.
+conjugate_module = importlib.import_module("marginlab.conjugate")
 
 INF = math.inf
 
@@ -60,6 +64,27 @@ class TestConjugateConventions:
             got = conjugate(f, duals).values
             want = [oracle_conjugate(f, s) for s in duals.nodes]
             np.testing.assert_array_equal(got, want)
+
+
+class TestMaxDotsMinus:
+    @pytest.mark.parametrize("cap", [1, 50, 1_000_000])
+    def test_chunks_match_one_score_matrix_bitwise(self, monkeypatch, cap):
+        # cap 1 and 50 force 64-row chunks with a ragged last one.
+        monkeypatch.setattr(conjugate_module, "_SCORE_CAP", cap)
+        rng = np.random.default_rng(131)
+        for _ in range(20):
+            d = int(rng.integers(1, 4))
+            Q = rng.standard_normal((int(rng.integers(1, 300)), d))
+            P = rng.standard_normal((int(rng.integers(1, 40)), d))
+            v = rng.standard_normal(P.shape[0])
+            got = conjugate_module.max_dots_minus(Q, P, v)
+            want = (Q @ P.T - v[None, :]).max(axis=1)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_no_points_gives_minus_inf(self):
+        kernel = conjugate_module.max_dots_minus
+        got = kernel(np.ones((3, 2)), np.zeros((0, 2)), np.zeros(0))
+        assert got.tolist() == [-INF] * 3
 
 
 class TestFastAgainstBrute:
