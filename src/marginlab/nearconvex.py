@@ -488,9 +488,8 @@ def refine_raster(S: RasterSet, factor: int = 2) -> RasterSet:
 
     cells = S.mask
     for ax in range(d):
-        lo_sl = tuple(slice(None, -1) if a == ax else slice(None) for a in range(d))
-        hi_sl = tuple(slice(1, None) if a == ax else slice(None) for a in range(d))
-        cells = cells[lo_sl] & cells[hi_sl]
+        lo, hi = _along(ax, d, slice(None, -1)), _along(ax, d, slice(1, None))
+        cells = cells[lo] & cells[hi]
     if cells.size:
         up = cells
         for ax in range(d):

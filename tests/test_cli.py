@@ -346,7 +346,8 @@ class TestVerifyAllOrdering:
 
 class TestLayering:
     """The library stands without its command line: spec parsing lives in
-    marginlab.spec, and only `python -m marginlab.cli` loads the CLI."""
+    marginlab.spec, and only `python -m marginlab.cli` loads the CLI.
+    scipy loads only where a run solves an LP."""
 
     SRC = Path(__file__).resolve().parent.parent / "src"
 
