@@ -3,8 +3,18 @@
 The conjugate of a gridded f at a dual node s is the exact finite maximum
 of <s, x> - f(x) over nodes with f(x) < +inf; sup over an empty domain is
 -inf, and any node with f(x) = -inf makes the conjugate identically +inf.
-A linear-time transform (lower convex hull + monotone merge) reproduces
-the brute-force values on sorted 1-D data and separable multi-D data.
+`conjugate_at` takes that maximum by brute force, one score per dual point
+and node.  On product tables of dual rows (x*, y*), `partial_conjugate`
+factors it one axis block at a time,
+
+    f*(x*, y*) = max over x of <x*, x> + max over y of (<y*, y> - f(x, y)),
+
+conjugating every y row once and every distinct x* row once; both routes
+take the same finite maximum, so they agree bitwise whenever the dot
+products are exact (dyadic data).  Every kernel here sizes its temporaries
+by `_SCORE_CAP` entries.  A linear-time transform (lower convex hull +
+monotone merge) reproduces the brute-force values on sorted 1-D data and
+separable multi-D data.
 """
 
 from __future__ import annotations
@@ -24,31 +34,101 @@ from .core import (
 from .errors import DimensionMismatch, GridMismatch, UnsupportedShape
 
 _CHUNK = 4096
-_SCORE_CAP = 1_000_000  # score entries per chunk in max_dots_minus
+_SCORE_CAP = 1_000_000  # entries per temporary in every chunked kernel
+
+
+def _blocks(total: int, size: int):
+    """(lo, hi) blocks of at most `size` (>= 2) items covering range(total).
+
+    A one-item last block is pulled back to overlap its neighbour, so no
+    block is one item thin unless `total` is 1.
+    """
+    for lo in range(0, total, size):
+        hi = min(lo + size, total)
+        yield max(0, min(lo, hi - 2)), hi
 
 
 def max_dots_minus(queries: np.ndarray, points: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """max over rows p of <q, p> - v(p), per query row q.
 
     All inputs finite; empty `points` yields -inf per query.  Work is
-    chunked over queries so the score temporary stays bounded, and every
-    chunk reuses one score buffer: a new multi-megabyte temporary per
-    chunk often comes back from the allocator as fresh pages, and
-    faulting those in costs about as much as the arithmetic.
+    chunked over queries, and over points when two query rows exceed
+    `_SCORE_CAP`, so the score buffer holds at most max(_SCORE_CAP, 4)
+    entries.  numpy sends a one-row or one-column product to gemv, which
+    can round differently from gemm, so no block is that thin unless the
+    whole product is: the chunked maximum equals that of one score matrix
+    bitwise.  Every chunk reuses one score buffer: a new multi-megabyte
+    temporary per chunk often comes back from the allocator as fresh
+    pages, and faulting those in costs about as much as the arithmetic.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    if points.shape[0] == 0:
-        return np.full(queries.shape[0], -INF)
-    out = np.empty(queries.shape[0], dtype=np.float64)
-    chunk = max(64, min(_CHUNK, _SCORE_CAP // points.shape[0]))
-    scores = np.empty((min(chunk, queries.shape[0]), points.shape[0]))
-    for lo in range(0, queries.shape[0], chunk):
-        hi = min(lo + chunk, queries.shape[0])
-        block = scores[: hi - lo]
-        np.matmul(queries[lo:hi], points.T, out=block)
-        block -= vals
-        block.max(axis=1, out=out[lo:hi])
+    k, n = queries.shape[0], points.shape[0]
+    if n == 0:
+        return np.full(k, -INF)
+    rows = min(_CHUNK, _SCORE_CAP // n)
+    cols = n if rows >= 2 else max(2, _SCORE_CAP // 2)
+    rows = max(2, rows)
+    out = np.full(k, -INF)
+    scores = np.empty((min(rows, k), min(cols, n)))
+    best = np.empty(min(rows, k))
+    for lo, hi in _blocks(k, rows):
+        for clo, chi in _blocks(n, cols):
+            block = scores[: hi - lo, : chi - clo]
+            np.matmul(queries[lo:hi], points[clo:chi].T, out=block)
+            block -= vals[clo:chi]
+            block.max(axis=1, out=best[: hi - lo])
+            np.maximum(out[lo:hi], best[: hi - lo], out=out[lo:hi])
     return out
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows and the inverse index, by bit pattern (0.0 != -0.0)."""
+    bits, inverse = np.unique(
+        np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64),
+        axis=0,
+        return_inverse=True,
+    )
+    return bits.view(np.float64), inverse.reshape(-1)
+
+
+def partial_conjugate(
+    values: np.ndarray,
+    X: np.ndarray,
+    Y: np.ndarray,
+    xstars: np.ndarray,
+    ystars: np.ndarray,
+) -> np.ndarray:
+    """f* on the product of x* rows and y* rows; values[i, j] = f(X[i], Y[j]).
+
+    Entry [a, b] is the finite maximum `conjugate_at` takes at the stacked
+    point (xstars[a], ystars[b]), with its conventions: -inf anywhere gives
+    +inf (its inner max is +inf), no finite value gives -inf.  The inner
+    max over y runs once per x
+    node with a finite value, the outer max over x once per distinct x* row.
+    Both dot-product tables are taken whole and only the max-plus steps are
+    chunked, so the chunk size changes no bit of the result.
+    """
+    xstars = np.atleast_2d(np.asarray(xstars, dtype=np.float64))
+    ystars = np.atleast_2d(np.asarray(ystars, dtype=np.float64))
+    dom = (values < INF).any(axis=1)
+    if not dom.any():
+        return np.full((xstars.shape[0], ystars.shape[0]), -INF)
+    V, Xd = values[dom], X[dom]
+    nd, ky = Xd.shape[0], ystars.shape[0]
+
+    dots = ystars @ Y.T
+    R = np.empty((nd, ky))
+    step = max(1, _SCORE_CAP // max(1, dots.size))
+    for lo in range(0, nd, step):
+        (dots[None, :, :] - V[lo : lo + step, None, :]).max(axis=2, out=R[lo : lo + step])
+
+    T, inverse = unique_rows(xstars)
+    tx = T @ Xd.T
+    table = np.empty((T.shape[0], ky))
+    step = max(1, _SCORE_CAP // max(1, nd * ky))
+    for lo in range(0, T.shape[0], step):
+        (tx[lo : lo + step, :, None] + R).max(axis=1, out=table[lo : lo + step])
+    return table[inverse]
 
 
 def _validate_dual(f: GriddedFunction, duals: Grid) -> None:

@@ -4,9 +4,11 @@ The primal value is the marginal function at the unperturbed parameter
 x = 0.  The first dual value maximizes -mu* over dual nodes; the second
 evaluates the sampled infimal convolution of phi* and the graph support
 function at (x*, 0), so it is a lower bound whose split lattice can be
-refined.  Strong duality is certified through the subdifferential of mu
-at 0: a subgradient there forces equality of the primal and first dual
-values, and the witness doubles as the optimal dual point.
+refined.  Both tables come from `conjugate.partial_conjugate`, and the
+add-and-min over the lattice runs in blocks of evaluation points.  Strong
+duality is certified through the subdifferential of mu at 0: a subgradient
+there forces equality of the primal and first dual values, and the witness
+doubles as the optimal dual point.
 
 The Lagrangian section specializes x to inequality perturbations
 g(y) <= x: on a graph-adapted x-grid the dual function identity
@@ -21,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import _SCORE_CAP, conjugate, conjugate_at, default_ydual_grid
+from .conjugate import (
+    _SCORE_CAP,
+    conjugate,
+    conjugate_at,
+    default_ydual_grid,
+    partial_conjugate,
+    unique_rows,
+)
 from .core import (
     INF,
     Axis,
@@ -29,7 +38,6 @@ from .core import (
     GriddedFunction,
     default_names,
     eval_on_grid,
-    ext_add_arrays,
     product_grid,
     render_value,
 )
@@ -77,15 +85,30 @@ def sampled_inf_convolution(
 
     Per evaluation point x*, minimizes phi*(x1*, y*) + F*(x* - x1*, -y*)
     over the x1duals and yduals nodes with lower addition; the result can
-    only decrease when the split lattice is refined (nodes are kept).
+    only decrease when the split lattice is refined (nodes are kept).  The
+    add-and-min runs over blocks of points of about `_SCORE_CAP` entries.
     """
     at = np.atleast_2d(np.asarray(at, dtype=np.float64))
     k1, ky = x1duals.size, yduals.size
-    lattice, steps = split_lattice(at, x1duals, yduals)
-    phistar = conjugate_at(phi, lattice).reshape(k1, ky)
-    fstar = graph_support(F, steps, -yduals.nodes).reshape(at.shape[0], k1, ky)
-    total = ext_add_arrays(phistar[None, :, :], fstar)
-    return total.min(axis=(1, 2))
+    V = phi.values.reshape(F.xgrid.size, -1)
+    phistar = partial_conjugate(V, F.xgrid.nodes, F.ygrid.nodes, x1duals.nodes, yduals.nodes)
+    steps, inverse = unique_rows(split_lattice(at, x1duals))
+    fstar = graph_support(F, steps, -yduals.nodes)
+    out = np.empty(at.shape[0])
+    if np.isinf(phistar).any() or np.isinf(fstar).any():
+        # phi* is all +inf, all -inf or finite, F* all -inf or finite, and
+        # lower addition lets +inf win.
+        out.fill(INF if (phistar == INF).any() else -INF)
+        return out
+    inverse = inverse.reshape(at.shape[0], k1)
+    step = max(1, _SCORE_CAP // (k1 * ky))
+    buf = np.empty((min(step, at.shape[0]), k1, ky))
+    for lo in range(0, at.shape[0], step):
+        block = buf[: min(step, at.shape[0] - lo)]
+        np.take(fstar, inverse[lo : lo + step], axis=0, out=block, mode="clip")
+        block += phistar
+        block.min(axis=(1, 2), out=out[lo : lo + step])
+    return out
 
 
 def dual_value_2(

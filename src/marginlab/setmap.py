@@ -8,15 +8,15 @@ and the full graph.
 
 `map_conjugate_at` evaluates the graph support function by brute force,
 one dot product per query and graph point.  On product tables of queries
-(t, s), `graph_support` factors it axis by axis,
+(t, s), `graph_support` is `conjugate.partial_conjugate` of the graph
+indicator (0 on gph F, +inf off it),
 
     sigma_gph(t, s) = max over x in dom F of <t, x> + sigma_F(x)(s),
 
 building the row supports sigma_F(x)(s) = max over y in F(x) of <s, y>
-once and evaluating each distinct t row once: the t rows are deduplicated
-by exact equality of their bit patterns and the table is gathered back
-through the inverse index.  Both routes take the same finite maximum, so
-they agree bitwise whenever the dot products are exact (dyadic data).
+once and evaluating each distinct t row once.  Both routes take the same
+finite maximum, so they agree bitwise whenever the dot products are exact
+(dyadic data).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .core import (
     product_grid,
     product_names,
 )
-from .conjugate import max_dots_minus
+from .conjugate import max_dots_minus, partial_conjugate
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -191,9 +191,6 @@ def map_conjugate(F: SetValuedMap, xduals: Grid, yduals: Grid) -> GriddedFunctio
     return GriddedFunction(duals, vals, provenance="map_conjugate")
 
 
-_TABLE_CHUNK = 1_000_000  # score entries per temporary in graph_support
-
-
 def graph_support(F: SetValuedMap, xstars: np.ndarray, ystars: np.ndarray) -> np.ndarray:
     """Graph support function on the product of x* rows and y* rows.
 
@@ -205,48 +202,19 @@ def graph_support(F: SetValuedMap, xstars: np.ndarray, ystars: np.ndarray) -> np
     ystars = np.atleast_2d(np.asarray(ystars, dtype=np.float64))
     if xstars.shape[1] != F.xgrid.dim or ystars.shape[1] != F.ygrid.dim:
         raise DimensionMismatch("dual rows must match the map's x/y dimensions")
-    dom = F.dom_mask
-    if not dom.any():
-        return np.full((xstars.shape[0], ystars.shape[0]), -INF)
-    X, rows = F.xgrid.nodes[dom], F.graph[dom]
-    nd, ky = X.shape[0], ystars.shape[0]
-
-    dots = ystars @ F.ygrid.nodes.T
-    R = np.empty((nd, ky))
-    step = max(1, _TABLE_CHUNK // max(1, dots.size))
-    for lo in range(0, nd, step):
-        mask = rows[lo : lo + step, None, :]
-        R[lo : lo + step] = np.where(mask, dots[None, :, :], -INF).max(axis=2)
-
-    # Bit patterns, so that only identical rows share a result (0.0 != -0.0).
-    bits, inverse = np.unique(
-        np.ascontiguousarray(xstars).view(np.uint64), axis=0, return_inverse=True
-    )
-    T = bits.view(np.float64)
-    table = np.empty((T.shape[0], ky))
-    step = max(1, _TABLE_CHUNK // max(1, nd * ky))
-    for lo in range(0, T.shape[0], step):
-        tx = T[lo : lo + step] @ X.T
-        table[lo : lo + step] = (tx[:, :, None] + R[None, :, :]).max(axis=1)
-    return table[inverse.reshape(-1)]
+    indicator = np.where(F.graph, 0.0, INF)
+    return partial_conjugate(indicator, F.xgrid.nodes, F.ygrid.nodes, xstars, ystars)
 
 
-def split_lattice(
-    at: np.ndarray, x1duals: Grid, yduals: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the split lattice behind (phi* box F*)(x*, 0).
+def split_lattice(at: np.ndarray, x1duals: Grid) -> np.ndarray:
+    """Steps x* - x1* of the split lattice behind (phi* box F*)(x*, 0).
 
-    Returns the (x1*, y*) rows over x1duals x yduals and the steps
-    x* - x1* for every point x* of `at` and node x1* (points outermost).
-    The graph support at (x* - x1*, -y*) is then
-    `graph_support(F, steps, -yduals.nodes)`, in the lattice's (x1*, y*)
-    order along each row.
+    One row per point x* of `at` and node x1* of x1duals, points outermost.
+    On the lattice of (x1*, y*) rows over x1duals x yduals the graph support
+    at (x* - x1*, -y*) is `graph_support(F, steps, -yduals.nodes)`.
     """
-    X1, Y = x1duals.nodes, yduals.nodes
-    ky = Y.shape[0]
-    lattice = np.hstack([np.repeat(X1, ky, axis=0), np.tile(Y, (X1.shape[0], 1))])
-    steps = (at[:, None, :] - X1[None, :, :]).reshape(-1, X1.shape[1])
-    return lattice, steps
+    X1 = x1duals.nodes
+    return (at[:, None, :] - X1[None, :, :]).reshape(-1, X1.shape[1])
 
 
 def lipschitz_estimate_map(F: SetValuedMap) -> float:

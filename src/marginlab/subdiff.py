@@ -30,6 +30,7 @@ from .conjugate import (
     conjugate_at,
     default_dual_grid,
     default_ydual_grid,
+    partial_conjugate,
 )
 from .core import (
     INF,
@@ -312,6 +313,23 @@ def _split_pairs(total: float, count: int) -> list[tuple[float, float]]:
     return [(float(a), float(total - a)) for a in t]
 
 
+def _split_hits(m1_base: np.ndarray, cod_base: np.ndarray, splits) -> np.ndarray:
+    """First-axis indices of the broadcast scores with m1 <= e1 and cod <= e2.
+
+    Tests every split (e1, e2) within TOL, but only on the entries under the
+    largest e1 and e2, the only ones that can pass; indices repeat.
+    """
+    near = np.nonzero(
+        (m1_base <= max(e1 for e1, _ in splits) + TOL)
+        & (cod_base <= max(e2 for _, e2 in splits) + TOL)
+    )
+    m1, cod = (a[near] for a in np.broadcast_arrays(m1_base, cod_base))
+    hit = np.zeros(m1.shape, dtype=bool)
+    for e1, e2 in splits:
+        hit |= (m1 <= e1 + TOL) & (cod <= e2 + TOL)
+    return near[0][hit]
+
+
 def _minkowski_contains(P: HPolyhedron, Q: HPolyhedron, points: np.ndarray) -> np.ndarray:
     """Membership of each point in P + Q (LP per point above dimension 1)."""
     if P.dim == 1:
@@ -500,8 +518,10 @@ def marginal_subdiff_check(
 
     Y1 = yduals.nodes
     Kx, Ky = Ks, Y1.shape[0]
-    lattice, T = split_lattice(S, duals, yduals)
-    phistar = conjugate_at(phi, lattice).reshape(Kx, Ky)
+    T = split_lattice(S, duals)
+    phistar = partial_conjugate(
+        phi.values.reshape(F.xgrid.size, -1), F.xgrid.nodes, F.ygrid.nodes, S, Y1
+    )
     fsupport = graph_support(F, T, -Y1).reshape(Ks, Kx, Ky)
     TX0 = (T @ x0c).reshape(Ks, Kx)
 
@@ -520,13 +540,9 @@ def marginal_subdiff_check(
             dots2 = Y1 @ y0c
             m1_base = phistar + phi0 - dots1[:, None] - dots2[None, :]
             cod_base = fsupport - TX0[:, :, None] + dots2[None, None, :]
+            splits = _split_pairs(eps + eta, split_count)
             found = np.zeros(Ks, dtype=bool)
-            for e1, e2 in _split_pairs(eps + eta, split_count):
-                mask1 = m1_base <= e1 + TOL
-                if not mask1.any():
-                    continue
-                cond = cod_base <= e2 + TOL
-                found |= (mask1[None, :, :] & cond).any(axis=(1, 2))
+            found[_split_hits(m1_base, cod_base, splits)] = True
             eta_mask &= found
         levels.append((eta, eta_mask, eta_mask))
     return _theorem_report(
@@ -627,18 +643,17 @@ def conj_subdiff_check(
 
     Y1 = yduals.nodes
     Kx, Ky = duals.size, Y1.shape[0]
-    lattice, T = split_lattice(s0[None, :], duals, yduals)
-    phistar = conjugate_at(phi, lattice)
-    fsupport = graph_support(F, T, -Y1).reshape(-1)
+    X1 = duals.nodes
+    T = split_lattice(s0[None, :], duals)
+    phistar = partial_conjugate(
+        phi.values.reshape(F.xgrid.size, -1), F.xgrid.nodes, F.ygrid.nodes, X1, Y1
+    )
+    fsupport = graph_support(F, T, -Y1)
 
     gx, gy = F.graph_cells
     Xg = F.xgrid.nodes[gx]
     Yg = F.ygrid.nodes[gy]
     phig = phi.values.reshape(F.xgrid.size, F.ygrid.size)[gx, gy]
-    lat_x = lattice[:, :m]
-    lat_y = lattice[:, m:]
-    t_rep = np.repeat(T, Ky, axis=0)
-    y_tile = np.tile(Y1, (Kx, 1))
 
     n_cells = gx.shape[0]
     splits_by_eta = {eta: _split_pairs(eps + eta, split_count) for eta in etas}
@@ -646,17 +661,13 @@ def conj_subdiff_check(
     block = max(1, _SCORE_CAP // max(1, Kx * Ky))
     for start in range(0, n_cells, block):
         sl = slice(start, min(start + block, n_cells))
-        m1_base = (
-            phistar[None, :]
-            + phig[sl][:, None]
-            - (Xg[sl] @ lat_x.T + Yg[sl] @ lat_y.T)
-        )
-        cod_base = fsupport[None, :] - (Xg[sl] @ t_rep.T - Yg[sl] @ y_tile.T)
+        # Scores against the (x1*, y*) lattice as per-axis products broadcast
+        # over the (cell, x1*, y*) block.
+        ydots = (Yg[sl] @ Y1.T)[:, None, :]
+        m1_base = phistar + phig[sl, None, None] - ((Xg[sl] @ X1.T)[:, :, None] + ydots)
+        cod_base = fsupport - ((Xg[sl] @ T.T)[:, :, None] - ydots)
         for eta in etas:
-            acc = cell_ok[eta][sl]
-            for e1, e2 in splits_by_eta[eta]:
-                acc |= ((m1_base <= e1 + TOL) & (cod_base <= e2 + TOL)).any(axis=1)
-            cell_ok[eta][sl] = acc
+            cell_ok[eta][_split_hits(m1_base, cod_base, splits_by_eta[eta]) + start] = True
 
     levels = []
     for eta in etas:

@@ -17,6 +17,7 @@ from marginlab import (
     UnsupportedShape,
     parse_spec,
 )
+from marginlab import cli
 from marginlab.cli import main
 
 from helpers import FIXTURES
@@ -222,7 +223,7 @@ class TestReports:
         rc = main(["marginal", "--spec", str(spec), "--out", str(out)])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == "marginlab.csv.v1"
+        assert report["schema"] == cli.SCHEMA
         assert report["command"] == "marginal"
         assert "+inf" in report["mu"]
         assert "infeasible" in report["status"]
@@ -232,7 +233,7 @@ class TestReports:
         out = tmp_path / "out"
         main(["marginal", "--spec", str(spec), "--out", str(out)])
         first = (out / "report.csv").read_text().splitlines()[0]
-        assert first == "marginlab.csv.v1,marginal"
+        assert first == f"{cli.SCHEMA},marginal"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         spec = write_spec(tmp_path, MINIMAL)
@@ -341,7 +342,7 @@ class TestVerifyAllOrdering:
         )
         assert rc == 0
         rows = (out / "report.csv").read_text().splitlines()
-        assert rows[0] == "marginlab.csv.v1,lagrangian"
+        assert rows[0] == f"{cli.SCHEMA},lagrangian"
 
 
 class TestLayering:

@@ -20,14 +20,18 @@ from marginlab import (
     default_dual_grid,
     ext_add,
     inf_convolution,
+    partial_conjugate,
+    product_grid,
     support_function,
 )
 
 from helpers import (
     dyadic_grid,
+    dyadic_rows,
     oracle_conjugate,
     oracle_inf_convolution,
     random_function,
+    random_problem,
     random_values,
 )
 
@@ -69,7 +73,8 @@ class TestConjugateConventions:
 class TestMaxDotsMinus:
     @pytest.mark.parametrize("cap", [1, 50, 1_000_000])
     def test_chunks_match_one_score_matrix_bitwise(self, monkeypatch, cap):
-        # cap 1 and 50 force 64-row chunks with a ragged last one.
+        # cap 1 forces 2 x 2 blocks; cap 50 forces short row blocks, or
+        # column blocks when two rows exceed it, with ragged last ones.
         monkeypatch.setattr(conjugate_module, "_SCORE_CAP", cap)
         rng = np.random.default_rng(131)
         for _ in range(20):
@@ -81,10 +86,138 @@ class TestMaxDotsMinus:
             want = (Q @ P.T - v[None, :]).max(axis=1)
             assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("cap", [1, 5, 64, 301])
+    def test_score_buffer_honours_the_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(conjugate_module, "_SCORE_CAP", cap)
+        matmul, sizes = np.matmul, []
+
+        def spy(a, b, out):
+            sizes.append(out.size)
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(conjugate_module.np, "matmul", spy)
+        rng = np.random.default_rng(137)
+        for _ in range(30):
+            d = int(rng.integers(1, 4))
+            Q = rng.standard_normal((int(rng.integers(1, 80)), d))
+            P = rng.standard_normal((int(rng.integers(1, 80)), d))
+            v = rng.standard_normal(P.shape[0])
+            sizes.clear()
+            got = conjugate_module.max_dots_minus(Q, P, v)
+            want = (Q @ P.T - v[None, :]).max(axis=1)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            # 2 x 2 is the thinnest block that numpy still sends to gemm.
+            assert max(sizes) <= max(cap, 4)
+            assert len(sizes) > 1 or Q.shape[0] * P.shape[0] <= max(cap, 4)
+
     def test_no_points_gives_minus_inf(self):
         kernel = conjugate_module.max_dots_minus
         got = kernel(np.ones((3, 2)), np.zeros((0, 2)), np.zeros(0))
         assert got.tolist() == [-INF] * 3
+
+
+def lattice_brute(phi, xstars, ystars):
+    """partial_conjugate's table from conjugate_at on the stacked lattice rows."""
+    k, ky = xstars.shape[0], ystars.shape[0]
+    lattice = np.hstack([np.repeat(xstars, ky, axis=0), np.tile(ystars, (k, 1))])
+    return conjugate_at(phi, lattice).reshape(k, ky)
+
+
+def split(phi, xgrid, ygrid):
+    """partial_conjugate's (values, X, Y) for phi on xgrid x ygrid."""
+    return phi.values.reshape(xgrid.size, ygrid.size), xgrid.nodes, ygrid.nodes
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestPartialConjugate:
+    @pytest.mark.parametrize("xdim, ydim", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_brute_lattice_bitwise_on_dyadic_data(self, xdim, ydim):
+        rng = np.random.default_rng(211 + 10 * xdim + ydim)
+        empty_rows = 0
+        for trial in range(25):
+            phi, F = random_problem(
+                rng, max_count=5, p_inf=(0.15, 0.7)[trial % 2], xdim=xdim, ydim=ydim
+            )
+            V, X, Y = split(phi, F.xgrid, F.ygrid)
+            empty_rows += bool((V == INF).all(axis=1).any())
+            # Repeated x* rows, as the x1* rows of a split lattice repeat.
+            base = dyadic_rows(rng, int(rng.integers(1, 6)), xdim)
+            xstars = base[rng.integers(0, base.shape[0], size=int(rng.integers(1, 15)))]
+            ystars = dyadic_rows(rng, int(rng.integers(1, 8)), ydim)
+            got = partial_conjugate(V, X, Y, xstars, ystars)
+            assert_bitwise(got, lattice_brute(phi, xstars, ystars))
+        assert empty_rows  # some x rows had no finite value
+
+    def test_close_to_brute_on_non_dyadic_data(self):
+        rng = np.random.default_rng(223)
+        for _ in range(60):
+            xdim, ydim = (int(v) for v in rng.integers(1, 3, size=2))
+            xgrid = Grid(tuple(Axis(-1.3, 0.7, int(rng.integers(2, 6))) for _ in range(xdim)))
+            ygrid = Grid(tuple(Axis(0.1, 2.3, int(rng.integers(2, 6))) for _ in range(ydim)))
+            pg = product_grid(xgrid, ygrid)
+            vals = rng.standard_normal(pg.size) * 10.0 ** float(rng.integers(-3, 4))
+            vals[rng.random(pg.size) < 0.2] = INF
+            phi = GriddedFunction(pg, vals)
+            xstars = rng.standard_normal((int(rng.integers(1, 12)), xdim)) * 3.0
+            ystars = rng.standard_normal((int(rng.integers(1, 12)), ydim)) * 3.0
+            got = partial_conjugate(*split(phi, xgrid, ygrid), xstars, ystars)
+            want = lattice_brute(phi, xstars, ystars)
+            if not np.isfinite(want).all():
+                assert_bitwise(got, want)  # every node +inf: -inf everywhere
+                continue
+            assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+
+    X = Grid.from_bounds([(-1.0, 1.0, 3)])
+    Y = Grid.from_bounds([(0.0, 1.0, 2)])
+    XSTARS = np.array([[1.0], [-0.5], [2.0]])
+    YSTARS = np.array([[0.5], [-1.0]])
+
+    def table(self, values):
+        phi = GriddedFunction(product_grid(self.X, self.Y), np.asarray(values).reshape(-1))
+        got = partial_conjugate(*split(phi, self.X, self.Y), self.XSTARS, self.YSTARS)
+        assert_bitwise(got, lattice_brute(phi, self.XSTARS, self.YSTARS))
+        return got
+
+    def test_minus_inf_anywhere_gives_plus_inf(self):
+        got = self.table([[0.0, INF], [INF, INF], [1.0, -INF]])
+        assert (got == INF).all()
+
+    def test_no_finite_value_gives_minus_inf(self):
+        got = self.table(np.full((3, 2), INF))
+        assert (got == -INF).all()
+
+    def test_rows_without_finite_values_are_skipped(self):
+        got = self.table([[INF, INF], [0.5, INF], [INF, INF]])
+        # Only the node (0, 0) counts: f*(s, t) = -0.5.
+        assert (got == -0.5).all()
+
+    def test_repeated_rows_and_signed_zeros_are_kept_apart(self):
+        phi = GriddedFunction(
+            product_grid(self.X, self.Y), np.array([0.0, 1.0, -2.0, INF, 0.25, 3.0])
+        )
+        xstars = np.array([[0.0], [-0.0], [1.0], [0.0], [1.0], [-0.0]])
+        got = partial_conjugate(*split(phi, self.X, self.Y), xstars, self.YSTARS)
+        assert_bitwise(got, lattice_brute(phi, xstars, self.YSTARS))
+        for i, row in enumerate(xstars):
+            alone = partial_conjugate(*split(phi, self.X, self.Y), row[None, :], self.YSTARS)
+            assert_bitwise(got[i : i + 1], alone)
+        rows, inverse = conjugate_module.unique_rows(xstars)
+        assert rows.shape[0] == 3
+        assert inverse[0] == inverse[3] != inverse[1] == inverse[5]
+
+    def test_small_cap_chunks_both_maxima(self, monkeypatch):
+        rng = np.random.default_rng(229)
+        phi, F = random_problem(rng, max_count=6, xdim=2, ydim=2)
+        xstars, ystars = dyadic_rows(rng, 40, 2), dyadic_rows(rng, 9, 2)
+        want = partial_conjugate(*split(phi, F.xgrid, F.ygrid), xstars, ystars)
+        monkeypatch.setattr(conjugate_module, "_SCORE_CAP", 7)
+        got = partial_conjugate(*split(phi, F.xgrid, F.ygrid), xstars, ystars)
+        assert_bitwise(got, want)
+        assert_bitwise(got, lattice_brute(phi, xstars, ystars))
 
 
 class TestFastAgainstBrute:

@@ -1,6 +1,8 @@
 """Weak/strong duality, infimal-convolution representation, Lagrangian identity."""
 
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +113,56 @@ class TestSampledInfConvolution:
             got = sampled_inf_convolution(phi, F, at, x1duals, yduals)
             want = brute_inf_convolution(phi, F, at, x1duals, yduals)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("cap", [1, 40, 200])
+    def test_small_cap_chunks_the_evaluation_points(self, monkeypatch, cap):
+        # Lattices of 8-20 (x1*, y*) pairs: 1, 2-5 or 10-25 points per block.
+        monkeypatch.setattr(duality, "_SCORE_CAP", cap)
+        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_SCORE_CAP", cap)
+        rng = np.random.default_rng(137 + cap)
+        for _ in range(4):
+            phi, F = random_problem(rng, max_count=4, xdim=2, ydim=1)
+            x1duals = Grid.from_bounds([(-1.0, 1.0, 2), (-0.5, 0.5, 2)])
+            yduals = Grid.from_bounds([(-2.0, 2.0, int(rng.choice([2, 3, 5])))])
+            at = np.vstack([x1duals.nodes, dyadic_rows(rng, 33, 2)])
+            got = sampled_inf_convolution(phi, F, at, x1duals, yduals)
+            want = brute_inf_convolution(phi, F, at, x1duals, yduals)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["minus_inf", "all_plus_inf"])
+    @pytest.mark.parametrize("empty_graph", [False, True])
+    def test_infinite_tables(self, kind, empty_graph):
+        rng = np.random.default_rng(149)
+        phi, F = random_problem(rng, max_count=4, p_drop=0.3)
+        vals = phi.values.copy()
+        if kind == "minus_inf":
+            vals[int(rng.integers(0, vals.size))] = -INF
+        else:
+            vals[:] = INF
+        phi = GriddedFunction(phi.grid, vals)
+        if empty_graph:
+            F = SetValuedMap(F.xgrid, F.ygrid, np.zeros_like(F.graph))
+        x1duals = Grid.from_bounds([(-1.0, 1.0, 3)])
+        yduals = Grid.from_bounds([(-1.0, 1.0, 3)])
+        at = np.vstack([x1duals.nodes, dyadic_rows(rng, 3, 1)])
+        got = sampled_inf_convolution(phi, F, at, x1duals, yduals)
+        want = brute_inf_convolution(phi, F, at, x1duals, yduals)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_memory_stays_bounded_on_the_refined_lattice(self):
+        # The x2-refined split lattice of conjugate_representation_check on
+        # separable_quadratic has 81 x 289 x 289 (x*, x1*, y*) triples: one
+        # float table of them is 54 MB, and the unchunked sum took 171 MB.
+        spec = load_fixture("separable_quadratic")
+        phi, F = spec.build()
+        x1duals, yduals = spec.xduals.refine(2), spec.yduals.refine(2)
+        tracemalloc.start()
+        try:
+            sampled_inf_convolution(phi, F, spec.xduals.nodes, x1duals, yduals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestStrongDuality:

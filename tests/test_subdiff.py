@@ -356,6 +356,31 @@ class TestConjugateFormula:
         assert rep.easy_ok and rep.ok
 
 
+class TestSplitHits:
+    def test_matches_every_split_test(self):
+        # Scores on and next to the bounds e + TOL, where testing only the
+        # entries under the largest e1 and e2 could drop a hit.
+        rng = np.random.default_rng(67)
+        tol = subdiff.TOL
+        for _ in range(200):
+            total = float(rng.choice([0.0, 0.5, 1.01]))
+            splits = subdiff._split_pairs(total, int(rng.integers(1, 10)))
+            edges = np.array(splits).reshape(-1) + tol
+            pool = np.concatenate(
+                [edges, np.nextafter(edges, INF), [-1.0, 0.0, 2.0, INF, np.nan]]
+            )
+            a, b, c = (int(v) for v in rng.integers(1, 5, size=3))
+            m1 = rng.choice(pool, size=(int(rng.choice([1, a])), b, c))
+            cod = rng.choice(pool, size=(a, b, c))
+            want = {
+                i
+                for i in range(a)
+                for e1, e2 in splits
+                if ((m1[min(i, m1.shape[0] - 1)] <= e1 + tol) & (cod[i] <= e2 + tol)).any()
+            }
+            assert set(subdiff._split_hits(m1, cod, splits).tolist()) == want
+
+
 class TestRestrictedConjugate:
     def test_bitwise_equality_on_random_instances(self):
         rng = np.random.default_rng(67)
