@@ -3,16 +3,16 @@
 The conjugate of a gridded f at a dual node s is the exact finite maximum
 of <s, x> - f(x) over nodes with f(x) < +inf; sup over an empty domain is
 -inf, and any node with f(x) = -inf makes the conjugate identically +inf.
-`conjugate_at` takes that maximum by brute force, one score per dual point
-and node.  On product tables of dual rows (x*, y*), `partial_conjugate`
+`conjugate_at` takes that maximum by brute force in `max_dots_minus`, one
+score per dual point and node.  On product tables of dual rows (x*, y*), `partial_conjugate`
 factors it one axis block at a time,
 
     f*(x*, y*) = max over x of <x*, x> + max over y of (<y*, y> - f(x, y)),
 
 conjugating every y row once and every distinct x* row once; both routes
 take the same finite maximum, so they agree bitwise whenever the dot
-products are exact (dyadic data).  Every kernel here sizes its temporaries
-by `_SCORE_CAP` entries.  A linear-time transform (lower convex hull +
+products are exact (dyadic data).  Both kernels size their temporaries by
+`_SCORE_CAP` entries.  A linear-time transform (lower convex hull +
 monotone merge) reproduces the brute-force values on sorted 1-D data and
 separable multi-D data.
 """
@@ -103,10 +103,9 @@ def partial_conjugate(
     Entry [a, b] is the finite maximum `conjugate_at` takes at the stacked
     point (xstars[a], ystars[b]), with its conventions: -inf anywhere gives
     +inf (its inner max is +inf), no finite value gives -inf.  The inner
-    max over y runs once per x
-    node with a finite value, the outer max over x once per distinct x* row.
-    Both dot-product tables are taken whole and only the max-plus steps are
-    chunked, so the chunk size changes no bit of the result.
+    max over y runs once per x node with a finite value, the outer max over
+    x once per distinct x* row.  Both dot-product tables are taken whole and
+    only the max-plus steps are chunked, so the chunk size changes no bit.
     """
     xstars = np.atleast_2d(np.asarray(xstars, dtype=np.float64))
     ystars = np.atleast_2d(np.asarray(ystars, dtype=np.float64))
