@@ -69,7 +69,7 @@ def main():
 
     # 3. Semicontinuity probe: rebuild the problem on dyadically refined
     # grids and watch the neighborhood envelope tighten around mu(x0).
-    probe = semicontinuity_probe(spec, x0, levels=3)
+    probe = semicontinuity_probe(spec, x0)
     print(f"\nsemicontinuity at x = 0 (mu = {probe.mu_at_x0}):")
     for lv in probe.levels:
         print(f"  refine x{lv.factor}: cell {lv.cell:<7} "

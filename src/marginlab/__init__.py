@@ -23,19 +23,13 @@ from .conjugate import (
 )
 from .core import (
     INF,
-    NEG_INF,
-    POS_INF,
     Axis,
-    ExtReal,
     Grid,
     GriddedFunction,
-    ext_add,
     ext_add_arrays,
-    ext_scale,
     ext_sum,
     eval_on_grid,
     product_grid,
-    refine,
     render_value,
 )
 from .duality import (
@@ -98,7 +92,6 @@ from .marginal import (
 )
 from .nearconvex import (
     ImageReport,
-    IntersectionReport,
     NearConvexityReport,
     RasterSet,
     closure,

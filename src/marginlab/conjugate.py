@@ -28,7 +28,6 @@ from .core import (
     Axis,
     Grid,
     GriddedFunction,
-    ext_add,
     ext_add_arrays,
 )
 from .errors import DimensionMismatch, GridMismatch, UnsupportedShape
@@ -46,6 +45,14 @@ def _blocks(total: int, size: int):
     for lo in range(0, total, size):
         hi = min(lo + size, total)
         yield max(0, min(lo, hi - 2)), hi
+
+
+def score_slices(total: int, width: int):
+    """Consecutive slices of range(total), each holding as many items as
+    fit in `_SCORE_CAP` entries at `width` entries per item (at least one)."""
+    step = max(1, _SCORE_CAP // max(1, width))
+    for lo in range(0, total, step):
+        yield slice(lo, min(lo + step, total))
 
 
 def max_dots_minus(queries: np.ndarray, points: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -117,16 +124,14 @@ def partial_conjugate(
 
     dots = ystars @ Y.T
     R = np.empty((nd, ky))
-    step = max(1, _SCORE_CAP // max(1, dots.size))
-    for lo in range(0, nd, step):
-        (dots[None, :, :] - V[lo : lo + step, None, :]).max(axis=2, out=R[lo : lo + step])
+    for sl in score_slices(nd, dots.size):
+        (dots[None, :, :] - V[sl, None, :]).max(axis=2, out=R[sl])
 
     T, inverse = unique_rows(xstars)
     tx = T @ Xd.T
     table = np.empty((T.shape[0], ky))
-    step = max(1, _SCORE_CAP // max(1, nd * ky))
-    for lo in range(0, T.shape[0], step):
-        (tx[lo : lo + step, :, None] + R).max(axis=1, out=table[lo : lo + step])
+    for sl in score_slices(T.shape[0], nd * ky):
+        (tx[sl, :, None] + R).max(axis=1, out=table[sl])
     return table[inverse]
 
 
@@ -137,33 +142,17 @@ def _validate_dual(f: GriddedFunction, duals: Grid) -> None:
         )
 
 
-def conjugate_at(f: GriddedFunction, points: np.ndarray, return_argmax: bool = False):
-    """Exact conjugate values of f at arbitrary dual points.
-
-    With return_argmax=True also returns, per point, the flat index of the
-    first maximizing node (-1 on the degenerate all-inf branches).  Ties go
-    to the lowest node index.
-    """
+def conjugate_at(f: GriddedFunction, points: np.ndarray) -> np.ndarray:
+    """Exact conjugate values of f at arbitrary dual points."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[1] != f.grid.dim:
         raise DimensionMismatch("dual points and grid dimension disagree")
-    k = points.shape[0]
     if (f.values == -INF).any():
-        vals = np.full(k, INF)
-        return (vals, np.full(k, -1)) if return_argmax else vals
+        return np.full(points.shape[0], INF)
     dom = f.dom_mask
     if not dom.any():
-        vals = np.full(k, -INF)
-        return (vals, np.full(k, -1)) if return_argmax else vals
-    X = f.grid.nodes[dom]
-    fv = f.values[dom]
-    if not return_argmax:
-        return max_dots_minus(points, X, fv)
-    scores = points @ X.T - fv[None, :]
-    arg_local = scores.argmax(axis=1)
-    vals = scores[np.arange(k), arg_local]
-    arg = np.flatnonzero(dom)[arg_local]
-    return vals, arg
+        return np.full(points.shape[0], -INF)
+    return max_dots_minus(points, f.grid.nodes[dom], f.values[dom])
 
 
 def conjugate(f: GriddedFunction, duals: Grid) -> GriddedFunction:
@@ -330,7 +319,7 @@ def inf_convolution(
                     best = (dist, (i, int(np.ravel_multi_index(j_multi, g1.grid.shape))))
             if best[1] is not None:
                 i, j = best[1]
-                acc[m] = float(ext_add(g1.values[i], g2.values[j]))
+                acc[m] = ext_add_arrays(g1.values[i], g2.values[j])
                 relaxed += 1
     prov = "inf_convolution"
     if relaxed:

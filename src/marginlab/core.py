@@ -34,76 +34,6 @@ NODE_TOL = 1e-9
 # --- extended reals ---------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class ExtReal:
-    """An extended real number; addition follows the lower convention."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if math.isnan(v):
-            raise ValueError("NaN is not an extended real payload")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    def __add__(self, other: "ExtReal | float") -> "ExtReal":
-        return ext_add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ExtReal":
-        return ExtReal(-self.value)
-
-    def __sub__(self, other: "ExtReal | float") -> "ExtReal":
-        return ext_add(self, -_coerce(other))
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ExtReal):
-            return self.value == other.value
-        if isinstance(other, (int, float)):
-            return self.value == float(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"ExtReal({render_value(self.value)})"
-
-
-POS_INF = ExtReal(INF)
-NEG_INF = ExtReal(-INF)
-
-
-def _coerce(v: "ExtReal | float") -> ExtReal:
-    return v if isinstance(v, ExtReal) else ExtReal(float(v))
-
-
-def ext_add(a: "ExtReal | float", b: "ExtReal | float") -> ExtReal:
-    """Totalized addition: +inf dominates -inf."""
-    x, y = _coerce(a).value, _coerce(b).value
-    if x == INF or y == INF:
-        return POS_INF
-    if x == -INF or y == -INF:
-        return NEG_INF
-    return ExtReal(x + y)
-
-
-def ext_scale(c: float, v: "ExtReal | float") -> ExtReal:
-    """Scalar multiple with the test-harness convention 0 * (+-inf) := 0."""
-    x = _coerce(v).value
-    if c == 0.0:
-        return ExtReal(0.0)
-    return ExtReal(c * x)
-
-
 def ext_add_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Broadcast lower addition over float arrays that may hold +-inf."""
     a = np.asarray(a, dtype=np.float64)
@@ -210,17 +140,19 @@ class Grid:
     def flat(self, multi: Sequence[int]) -> int:
         return int(np.ravel_multi_index(tuple(int(k) for k in multi), self.shape))
 
-    def index_of(self, point: Sequence[float], tol: float = NODE_TOL) -> int:
-        """Flat index of the node matching `point` within `tol` per axis."""
+    def index_of(self, point: Sequence[float]) -> int:
+        """Flat index of the node matching `point` within NODE_TOL per axis."""
         p = np.asarray(point, dtype=np.float64).reshape(-1)
         if p.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"point has {p.shape[0]} coordinates, grid has {self.dim} axes"
             )
+        if not np.isfinite(p).all():
+            raise NotANode(f"{p.tolist()} is not a grid node (non-finite coordinate)")
         multi = []
         for k, ax in enumerate(self.axes):
             i = int(round((p[k] - ax.lo) / ax.step))
-            if i < 0 or i >= ax.count or abs(ax.coords()[i] - p[k]) > tol:
+            if i < 0 or i >= ax.count or abs(ax.coords()[i] - p[k]) > NODE_TOL:
                 raise NotANode(f"{p.tolist()} is not a grid node (axis {k})")
             multi.append(i)
         return self.flat(multi)
@@ -252,10 +184,6 @@ class Grid:
 
 def product_grid(a: Grid, b: Grid) -> Grid:
     return Grid(a.axes + b.axes)
-
-
-def refine(grid: Grid, factor: int) -> Grid:
-    return grid.refine(factor)
 
 
 # --- gridded functions -------------------------------------------------------
@@ -299,14 +227,8 @@ class GriddedFunction:
     def is_proper(self) -> bool:
         return bool(self.dom_mask.any() and not (self.values == -INF).any())
 
-    def value_at(self, flat: int) -> float:
-        return float(self.values[flat])
-
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
-
-    def with_values(self, values: np.ndarray, provenance: str | None = None) -> "GriddedFunction":
-        return GriddedFunction(self.grid, values, provenance or self.provenance)
 
 
 def ext_sum(f: GriddedFunction, g: GriddedFunction) -> GriddedFunction:

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjugate import (
-    _SCORE_CAP,
     conjugate,
     conjugate_at,
     default_ydual_grid,
     partial_conjugate,
+    score_slices,
     unique_rows,
 )
 from .core import (
@@ -52,6 +52,7 @@ from .setmap import (
 from .subdiff import eps_subdifferential, feasible_point, linprog
 
 TOL = 1e-9
+MAX_ADAPTED_COUNT = 100_000  # x-nodes per axis of a graph-adapted grid
 
 
 def _zero_index(grid: Grid) -> int:
@@ -101,13 +102,13 @@ def sampled_inf_convolution(
         out.fill(INF if (phistar == INF).any() else -INF)
         return out
     inverse = inverse.reshape(at.shape[0], k1)
-    step = max(1, _SCORE_CAP // (k1 * ky))
-    buf = np.empty((min(step, at.shape[0]), k1, ky))
-    for lo in range(0, at.shape[0], step):
-        block = buf[: min(step, at.shape[0] - lo)]
-        np.take(fstar, inverse[lo : lo + step], axis=0, out=block, mode="clip")
+    chunks = list(score_slices(at.shape[0], k1 * ky))
+    buf = np.empty((chunks[0].stop if chunks else 0, k1, ky))
+    for sl in chunks:
+        block = buf[: sl.stop - sl.start]
+        np.take(fstar, inverse[sl], axis=0, out=block, mode="clip")
         block += phistar
-        block.min(axis=(1, 2), out=out[lo : lo + step])
+        block.min(axis=(1, 2), out=out[sl])
     return out
 
 
@@ -139,7 +140,6 @@ def conjugate_representation_check(
     F: SetValuedMap,
     xduals: Grid,
     yduals: Grid,
-    tol: float = TOL,
     hypothesis: bool = False,
 ) -> ConjugateRepresentationReport:
     """mu* against the sampled infimal convolution at every dual node.
@@ -156,7 +156,7 @@ def conjugate_representation_check(
     sic1 = sampled_inf_convolution(
         phi, F, xduals.nodes, xduals.refine(2), yduals.refine(2)
     )
-    lower_ok = bool(np.all(mustar <= sic0 + tol)) and bool(np.all(mustar <= sic1 + tol))
+    lower_ok = bool(np.all(mustar <= sic0 + TOL)) and bool(np.all(mustar <= sic1 + TOL))
 
     def residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         out = np.where(lhs == rhs, 0.0, rhs - lhs)
@@ -166,7 +166,7 @@ def conjugate_representation_check(
     r1 = residual(mustar, sic1)
     monotone = bool(np.all(r1 <= r0 + 1e-12))
     max_res = float(np.max(r1)) if r1.size else 0.0
-    verdict = lower_ok and monotone and max_res <= tol
+    verdict = lower_ok and monotone and max_res <= TOL
     note = (
         "interiority hypothesis asserted by the instance"
         if hypothesis
@@ -310,19 +310,17 @@ def lagrangian_dual(
     )
 
 
-def _float_gcd(values: np.ndarray, tol: float = 1e-9) -> float:
+def _float_gcd(values: np.ndarray) -> float:
     """Approximate positive gcd of a set of positive gaps (Euclid on floats)."""
     g = 0.0
     for raw in values:
         v = abs(float(raw))
-        while v > tol:
+        while v > TOL:
             g, v = v, g % v
     return g
 
 
-def graph_adapted_xgrid(
-    g_exprs: tuple[str, ...] | list[str], ygrid: Grid, max_count: int = 100_000
-) -> Grid:
+def graph_adapted_xgrid(g_exprs: tuple[str, ...] | list[str], ygrid: Grid) -> Grid:
     """Uniform x-grid whose axes contain every constraint value g_i(y-node).
 
     The axis step is the (approximate) gcd of the value gaps, so the
@@ -344,7 +342,7 @@ def graph_adapted_xgrid(
                 f"constraint {i} produces values with no usable common step"
             )
         count = int(round((hi - lo) / step)) + 1
-        if count > max_count:
+        if count > MAX_ADAPTED_COUNT:
             raise GridNotAdapted(
                 f"constraint {i} needs {count} x-nodes to stay graph-adapted"
             )
@@ -383,7 +381,6 @@ def lagrangian_identity_check(
     g_exprs: tuple[str, ...] | list[str],
     ygrid: Grid,
     lambda_grid: Grid,
-    tol: float = TOL,
 ) -> LagrangianIdentityReport:
     """mu*(-lambda) = -Lhat(lambda) on the graph-adapted grid, per lambda node.
 
@@ -413,7 +410,7 @@ def lagrangian_identity_check(
             rows.append((lrow, table.values[i], float(mustar[i]), "divergent", grew))
             all_ok &= grew
         else:
-            match = bool(abs(mustar[i] + table.values[i]) <= tol)
+            match = bool(abs(mustar[i] + table.values[i]) <= TOL)
             rows.append((lrow, table.values[i], float(mustar[i]), "identity", match))
             all_ok &= match
     return LagrangianIdentityReport(all_ok, tuple(rows), xgrid)
@@ -430,10 +427,8 @@ def _one_constraint_dual_value(fv: np.ndarray, g: np.ndarray) -> float:
     vd = float(fv[g <= 0].min())
     fn, gn = fv[g < 0], g[g < 0]
     fp, gp = fv[g > 0, None], g[g > 0, None]
-    block = max(1, _SCORE_CAP // fn.size)
-    for start in range(0, fp.shape[0], block):
-        f_j, g_j = fp[start : start + block], gp[start : start + block]
-        vd = min(vd, float(((fn * g_j - f_j * gn) / (g_j - gn)).min()))
+    for sl in score_slices(fp.shape[0], fn.size):
+        vd = min(vd, float(((fn * gp[sl] - fp[sl] * gn) / (gp[sl] - gn)).min()))
     return vd
 
 
@@ -452,7 +447,6 @@ def slater_strong_duality_check(
     f_expr: str,
     g_exprs: tuple[str, ...] | list[str],
     ygrid: Grid,
-    tol: float = TOL,
 ) -> SlaterReport:
     """Slater point on the grid, then V_p = V_d for the Lagrangian pair.
 
@@ -503,6 +497,6 @@ def slater_strong_duality_check(
         vp,
         vd,
         gap,
-        bool(abs(gap) <= tol),
+        bool(abs(gap) <= TOL),
         "Slater node found; equality asserted",
     )

@@ -23,6 +23,10 @@ ATTAINED = "attained"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+TOL = 1e-9
+PROBE_LEVELS = 3  # dyadic refinements 1, 2, 4 scanned by semicontinuity_probe
+_GAP_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class MarginalResult:
@@ -136,13 +140,11 @@ def epigraph_projection_check(
     return EpigraphReport(not violations, checked, tuple(violations))
 
 
-def convexity_check(
-    f: GriddedFunction, tol: float = 1e-9
-) -> tuple[bool, tuple[int, int, int] | None]:
+def convexity_check(f: GriddedFunction) -> tuple[bool, tuple[int, int, int] | None]:
     """Midpoint convexity over every node pair whose midpoint is a node.
 
-    f(mid) <= (f(x) + f(u)) / 2 under the lower-addition conventions;
-    returns (ok, witness (i, j, mid) flat indices).
+    f(mid) <= (f(x) + f(u)) / 2 within TOL under the lower-addition
+    conventions; returns (ok, witness (i, j, mid) flat indices).
     """
     shape = np.array(f.grid.shape)
     n = f.grid.size
@@ -159,7 +161,7 @@ def convexity_check(
         mids = (M[i] + M[cand]) // 2
         mid_flat = np.ravel_multi_index(mids.T, tuple(shape))
         rhs = ext_add_arrays(0.5 * v[i], 0.5 * v[cand])
-        bad = ~(v[mid_flat] <= rhs + tol)
+        bad = ~(v[mid_flat] <= rhs + TOL)
         if bad.any():
             k = int(np.flatnonzero(bad)[0])
             return False, (i, int(cand[k]), int(mid_flat[k]))
@@ -188,32 +190,32 @@ class SemicontinuityReport:
     usc_consistent: bool
 
 
-def _gaps_consistent(gaps: Sequence[float], tol: float = 1e-6) -> bool:
-    monotone = all(g2 <= g1 + tol for g1, g2 in zip(gaps, gaps[1:]))
-    settled = gaps[-1] <= tol or gaps[-1] <= 0.5 * gaps[0] + tol
+def _gaps_consistent(gaps: Sequence[float]) -> bool:
+    monotone = all(g2 <= g1 + _GAP_TOL for g1, g2 in zip(gaps, gaps[1:]))
+    settled = gaps[-1] <= _GAP_TOL or gaps[-1] <= 0.5 * gaps[0] + _GAP_TOL
     return monotone and settled
 
 
 def semicontinuity_probe(
-    problem: RebuildableProblem, x0: Sequence[float], levels: int = 3
+    problem: RebuildableProblem, x0: Sequence[float]
 ) -> SemicontinuityReport:
     """Neighborhood min/max of mu around x0 across dyadic refinements.
 
-    At level k the problem is rebuilt at factor 2**k and mu is scanned over
-    the one-cell node neighborhood of x0 (which persists on refined grids).
-    With gap_min = mu(x0) - min and gap_max = max - mu(x0), a side is
-    consistent when its gaps shrink monotonically (1e-6 slack) and either
-    end below 1e-6 or at most half the initial gap.
+    At level k < PROBE_LEVELS the problem is rebuilt at factor 2**k and mu
+    is scanned over the one-cell node neighborhood of x0 (which persists on
+    refined grids).  With gap_min = mu(x0) - min and gap_max = max - mu(x0),
+    a side is consistent when its gaps shrink monotonically (1e-6 slack)
+    and either end below 1e-6 or at most half the initial gap.
     """
     stats: list[ProbeLevel] = []
     mu_x0 = None
-    for k in range(levels):
+    for k in range(PROBE_LEVELS):
         factor = 2**k
         phi, F = problem.build(factor)
         res = marginal(phi, F)
         xi = F.xgrid.index_of(x0)
         if k == 0:
-            mu_x0 = res.mu.value_at(xi)
+            mu_x0 = float(res.mu.values[xi])
             if not np.isfinite(mu_x0):
                 raise NotFiniteAtPoint(f"mu is not finite at x0 = {list(x0)}")
         multi = np.array(F.xgrid.multi(xi))

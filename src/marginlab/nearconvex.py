@@ -342,16 +342,7 @@ def is_nearly_convex_with_witness(S: RasterSet, C: RasterSet) -> bool:
     return not bool((S.mask & ~closure(C).mask).any())
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
-    verdict: bool
-    closure_convex: bool
-    interior_nonempty: bool
-    interior_inside: bool
-    witness: tuple[float, ...] | None
-
-
-def intersection_preservation_check(S1: RasterSet, S2: RasterSet) -> IntersectionReport:
+def intersection_preservation_check(S1: RasterSet, S2: RasterSet) -> NearConvexityReport:
     """Int-near-convexity of S1 & S2 when the interiors meet.
 
     Disjoint interiors (or inputs that are not themselves int-nearly
@@ -364,15 +355,7 @@ def intersection_preservation_check(S1: RasterSet, S2: RasterSet) -> Intersectio
         raise HypothesisNotMet("both inputs must be int-nearly convex")
     if not bool((interior(S1).mask & interior(S2).mask).any()):
         raise HypothesisNotMet("the interiors of the inputs do not meet")
-    both = RasterSet(S1.grid, S1.mask & S2.mask)
-    rep = is_int_nearly_convex(both)
-    return IntersectionReport(
-        rep.verdict,
-        rep.closure_convex,
-        rep.interior_nonempty,
-        rep.interior_inside,
-        rep.witness,
-    )
+    return is_int_nearly_convex(RasterSet(S1.grid, S1.mask & S2.mask))
 
 
 # --- linear images ---------------------------------------------------------------

@@ -25,12 +25,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conjugate import (
-    _SCORE_CAP,
     conjugate,
     conjugate_at,
     default_dual_grid,
     default_ydual_grid,
     partial_conjugate,
+    score_slices,
 )
 from .core import (
     INF,
@@ -51,6 +51,7 @@ from .nearconvex import box_dilate
 from .setmap import SetValuedMap, graph_support, split_lattice
 
 TOL = 1e-9
+SUM_RULE_SPLITS = 5  # eps1 + eps2 = eps splits sampled by sum_rule_check
 
 
 def linprog(*args, **kwargs):
@@ -250,14 +251,18 @@ def feasible_point(P: HPolyhedron) -> np.ndarray | None:
 # --- the eps-calculus objects --------------------------------------------------
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 <= eps < INF:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+
+
 def eps_subdifferential(f: GriddedFunction, x0, eps: float) -> HPolyhedron:
     """Polyhedral eps-subdifferential of a gridded f at the node x0.
 
     x0 outside the finite domain yields the canonical empty polyhedron, as
     does any -inf node anywhere in f.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_eps(eps)
     xi = f.grid.resolve(x0)
     f0 = f.values[xi]
     if not np.isfinite(f0) or (f.values == -INF).any():
@@ -271,8 +276,7 @@ def eps_subdifferential(f: GriddedFunction, x0, eps: float) -> HPolyhedron:
 
 def eps_normal_cone(points, x0, eps: float) -> HPolyhedron:
     """eps-normal cone to a finite point set at a member point x0."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_eps(eps)
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if P.shape[1] != x0.shape[0]:
@@ -289,8 +293,7 @@ def eps_coderivative(F: SetValuedMap, x0y0, ystar, eps: float) -> HPolyhedron:
     at (x0, y0); the halfspaces are <x - x0, x*> <= eps + <y*, y - y0> over
     all graph nodes (x, y).
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_eps(eps)
     x0, y0 = x0y0
     xi = F.xgrid.resolve(x0)
     yi = F.ygrid.resolve(y0)
@@ -361,7 +364,6 @@ def sum_rule_check(
     g2: GriddedFunction,
     x0,
     eps: float,
-    split_count: int = 5,
     duals: Grid | None = None,
 ) -> SumRuleReport:
     """Exact sum rule for eps-subdifferentials, scanned at sampled duals.
@@ -380,7 +382,7 @@ def sum_rule_check(
         duals = default_dual_grid(total, 41 if total.grid.dim == 1 else 9)
     S = duals.nodes
     lhs_mask = lhs.contains(S)
-    splits = _split_pairs(eps, split_count)
+    splits = _split_pairs(eps, SUM_RULE_SPLITS)
     rhs_mask = np.zeros(S.shape[0], dtype=bool)
     for e1, e2 in splits:
         P = eps_subdifferential(g1, xi, e1)
@@ -402,7 +404,8 @@ def sum_rule_check(
 # --- marginal subdifferential formula -------------------------------------------
 
 
-DEFAULT_ETAS = (1.0, 0.1, 0.01)
+DEFAULT_ETAS = (1.0, 0.1, 0.01)  # the eta levels both theorem checks intersect over
+THEOREM_SPLITS = 9  # eps1 + eps2 = eps + eta splits sampled per eta level
 
 
 @dataclass(frozen=True)
@@ -481,8 +484,6 @@ def marginal_subdiff_check(
     F: SetValuedMap,
     x0,
     eps: float,
-    etas: Sequence[float] = DEFAULT_ETAS,
-    split_count: int = 9,
     duals: Grid | None = None,
     yduals: Grid | None = None,
     qc14: bool = False,
@@ -530,7 +531,7 @@ def marginal_subdiff_check(
     dots1 = S @ x0c
 
     levels = []
-    for eta in etas:
+    for eta in DEFAULT_ETAS:
         cutoff = mu0 + eta
         y_near = np.flatnonzero(feas_row & (phi_row < cutoff))
         eta_mask = np.ones(Ks, dtype=bool)
@@ -540,7 +541,7 @@ def marginal_subdiff_check(
             dots2 = Y1 @ y0c
             m1_base = phistar + phi0 - dots1[:, None] - dots2[None, :]
             cod_base = fsupport - TX0[:, :, None] + dots2[None, None, :]
-            splits = _split_pairs(eps + eta, split_count)
+            splits = _split_pairs(eps + eta, THEOREM_SPLITS)
             found = np.zeros(Ks, dtype=bool)
             found[_split_hits(m1_base, cod_base, splits)] = True
             eta_mask &= found
@@ -605,8 +606,6 @@ def conj_subdiff_check(
     duals: Grid,
     x0star,
     eps: float,
-    etas: Sequence[float] = DEFAULT_ETAS,
-    split_count: int = 9,
     yduals: Grid | None = None,
     qc14: bool = False,
 ) -> TheoremReport:
@@ -656,21 +655,19 @@ def conj_subdiff_check(
     phig = phi.values.reshape(F.xgrid.size, F.ygrid.size)[gx, gy]
 
     n_cells = gx.shape[0]
-    splits_by_eta = {eta: _split_pairs(eps + eta, split_count) for eta in etas}
-    cell_ok = {eta: np.zeros(n_cells, dtype=bool) for eta in etas}
-    block = max(1, _SCORE_CAP // max(1, Kx * Ky))
-    for start in range(0, n_cells, block):
-        sl = slice(start, min(start + block, n_cells))
+    splits_by_eta = {eta: _split_pairs(eps + eta, THEOREM_SPLITS) for eta in DEFAULT_ETAS}
+    cell_ok = {eta: np.zeros(n_cells, dtype=bool) for eta in DEFAULT_ETAS}
+    for sl in score_slices(n_cells, Kx * Ky):
         # Scores against the (x1*, y*) lattice as per-axis products broadcast
         # over the (cell, x1*, y*) block.
         ydots = (Yg[sl] @ Y1.T)[:, None, :]
         m1_base = phistar + phig[sl, None, None] - ((Xg[sl] @ X1.T)[:, :, None] + ydots)
         cod_base = fsupport - ((Xg[sl] @ T.T)[:, :, None] - ydots)
-        for eta in etas:
-            cell_ok[eta][_split_hits(m1_base, cod_base, splits_by_eta[eta]) + start] = True
+        for eta in DEFAULT_ETAS:
+            cell_ok[eta][_split_hits(m1_base, cod_base, splits_by_eta[eta]) + sl.start] = True
 
     levels = []
-    for eta in etas:
+    for eta in DEFAULT_ETAS:
         raw = np.zeros(F.xgrid.size, dtype=bool)
         np.logical_or.at(raw, gx, cell_ok[eta])
         levels.append((eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1)))

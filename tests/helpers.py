@@ -24,6 +24,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 QUANTUM = 2.0**-10
 
 
+def lower_add(a, b):
+    """a + b in the extended reals under lower addition: +inf beats -inf."""
+    if a == INF or b == INF:
+        return INF
+    if a == -INF or b == -INF:
+        return -INF
+    return a + b
+
+
 def load_fixture(name):
     """Parsed problem spec for fixtures/<name>.spec."""
     path = FIXTURES / f"{name}.spec"

@@ -200,6 +200,28 @@ class TestExitCodes:
         assert rc == 1
         assert "error: NotANode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, spec_tail",
+        [
+            (["--x0", "inf"], ""),
+            (["--x0", "nan"], ""),
+            (["--eps", "nan"], ""),
+            (["--eps", "inf"], ""),
+            (["--eps", "-0.5"], ""),
+            ([], "\n[F]\npoint inf 0\n"),
+        ],
+        ids=["x0-inf", "x0-nan", "eps-nan", "eps-inf", "eps-negative", "point-inf"],
+    )
+    def test_non_finite_inputs_exit_one(self, tmp_path, capsys, flags, spec_tail):
+        text = MINIMAL.replace("\n[F]\nfull\n", spec_tail) if spec_tail else MINIMAL
+        spec = write_spec(tmp_path, text)
+        argv = ["subdiff", "--spec", str(spec), "--out", str(tmp_path / "out")]
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("usage error:" if flags else "error: NotANode:")
+        assert not (tmp_path / "out").exists()
+
     def test_info_verdicts_do_not_bind(self, tmp_path):
         rc = main(
             [

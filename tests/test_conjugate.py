@@ -18,7 +18,6 @@ from marginlab import (
     conjugate_at,
     conjugate_fast,
     default_dual_grid,
-    ext_add,
     inf_convolution,
     partial_conjugate,
     product_grid,
@@ -28,6 +27,7 @@ from marginlab import (
 from helpers import (
     dyadic_grid,
     dyadic_rows,
+    lower_add,
     oracle_conjugate,
     oracle_inf_convolution,
     random_function,
@@ -270,7 +270,7 @@ class TestFenchelYoung:
         X = f.grid.nodes
         for si, s in enumerate(duals.nodes):
             lhs = np.array(
-                [float(ext_add(f.values[i], fstar[si])) for i in range(f.grid.size)]
+                [lower_add(f.values[i], fstar[si]) for i in range(f.grid.size)]
             )
             pairing = X @ s
             finite = np.isfinite(lhs)

@@ -20,7 +20,6 @@ from marginlab import (
     dual_value_2,
     eps_subdifferential,
     eval_on_grid,
-    ext_add,
     full_map,
     graph_adapted_xgrid,
     is_empty,
@@ -41,6 +40,7 @@ from helpers import (
     dyadic_grid,
     dyadic_rows,
     load_fixture,
+    lower_add,
     random_function,
     random_problem,
 )
@@ -92,7 +92,7 @@ def brute_inf_convolution(phi, F, at, x1duals, yduals):
             for y in yduals.nodes:
                 a = conjugate_at(phi, np.concatenate([x1, y]))[0]
                 b = map_conjugate_at(F, np.concatenate([t - x1, -y]))[0]
-                best = min(best, ext_add(a, b).value)
+                best = min(best, lower_add(a, b))
         out.append(best)
     return np.array(out)
 
@@ -117,7 +117,6 @@ class TestSampledInfConvolution:
     @pytest.mark.parametrize("cap", [1, 40, 200])
     def test_small_cap_chunks_the_evaluation_points(self, monkeypatch, cap):
         # Lattices of 8-20 (x1*, y*) pairs: 1, 2-5 or 10-25 points per block.
-        monkeypatch.setattr(duality, "_SCORE_CAP", cap)
         monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_SCORE_CAP", cap)
         rng = np.random.default_rng(137 + cap)
         for _ in range(4):
@@ -308,7 +307,7 @@ class TestSlater:
 
     def test_one_constraint_value_on_random_programs(self, monkeypatch):
         # A tiny block size makes every pair scan run over several blocks.
-        monkeypatch.setattr(duality, "_SCORE_CAP", 3)
+        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_SCORE_CAP", 3)
         rng = np.random.default_rng(113)
         for _ in range(300):
             n = int(rng.integers(1, 30))

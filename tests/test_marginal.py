@@ -152,7 +152,7 @@ class TestConvexityCheck:
 class TestSemicontinuityProbe:
     def test_jump_is_lsc_but_not_usc(self):
         spec = load_fixture("f_not_lsc")
-        rep = semicontinuity_probe(spec, [0.0], levels=3)
+        rep = semicontinuity_probe(spec, [0.0])
         assert rep.mu_at_x0 == -1.0
         assert len(rep.levels) == 3
         assert rep.lsc_consistent
@@ -160,12 +160,12 @@ class TestSemicontinuityProbe:
 
     def test_continuous_instance_is_consistent_both_ways(self):
         spec = load_fixture("quadratic_halfline")
-        rep = semicontinuity_probe(spec, [0.0], levels=3)
+        rep = semicontinuity_probe(spec, [0.0])
         assert rep.lsc_consistent and rep.usc_consistent
 
     def test_refinement_shrinks_cells(self):
         spec = load_fixture("quadratic_halfline")
-        rep = semicontinuity_probe(spec, [0.0], levels=3)
+        rep = semicontinuity_probe(spec, [0.0])
         cells = [lv.cell for lv in rep.levels]
         assert cells[0] > cells[1] > cells[2]
 

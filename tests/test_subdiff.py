@@ -164,6 +164,17 @@ class TestEpsSubdifferential:
         with pytest.raises(ValueError):
             eps_subdifferential(f, 0, -0.1)
 
+    @pytest.mark.parametrize("eps", [INF, math.nan])
+    def test_non_finite_eps_rejected(self, eps):
+        g = Grid.from_bounds([(0.0, 1.0, 2)])
+        F = full_map(g, g)
+        with pytest.raises(ValueError, match="finite"):
+            eps_subdifferential(GriddedFunction(g, [0.0, 0.0]), 0, eps)
+        with pytest.raises(ValueError, match="finite"):
+            eps_normal_cone(g.nodes, [0.0], eps)
+        with pytest.raises(ValueError, match="finite"):
+            eps_coderivative(F, ([0.0], [0.0]), [0.0], eps)
+
     def test_fenchel_young_membership_equivalence(self):
         # s is an eps-subgradient at x0 exactly when
         # f*(s) + f(x0) <= <s, x0> + eps; both routes must agree everywhere.
@@ -296,8 +307,7 @@ class TestMarginalFormula:
             if not np.isfinite(mu.values[xi]):
                 continue
             rep = marginal_subdiff_check(
-                phi, F, xi, float(rng.choice([0.0, 0.5])), split_count=5,
-                duals=default_dual_grid(mu, 9),
+                phi, F, xi, float(rng.choice([0.0, 0.5])), duals=default_dual_grid(mu, 9),
             )
             assert rep.easy_ok
             assert rep.eta_monotone_ok
