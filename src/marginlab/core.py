@@ -82,6 +82,11 @@ class Axis:
             raise ValueError(f"axis needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.count < 2:
             raise ValueError("axis needs at least 2 nodes")
+        if not math.isfinite((self.hi - self.lo) * (self.count - 1)):
+            raise ValueError(
+                f"axis [{self.lo}, {self.hi}] with {self.count} nodes is too wide:"
+                " its node offsets overflow"
+            )
 
     @property
     def step(self) -> float:

@@ -12,6 +12,7 @@ line and column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -26,7 +27,13 @@ from .core import (
     product_grid,
     product_names,
 )
-from .errors import MissingSection, SpecSyntaxError, UnknownKey, UnsupportedShape
+from .errors import (
+    MissingSection,
+    NotANode,
+    SpecSyntaxError,
+    UnknownKey,
+    UnsupportedShape,
+)
 from .setmap import (
     SetValuedMap,
     full_map,
@@ -125,6 +132,7 @@ class _SpecBuilder:
         self.f_kind: str | None = None
         self.f_exprs: list[str] = []
         self.f_points: list[tuple[float, ...]] = []
+        self.f_point_lines: list[int] = []
         self.f_line = 0
         self.lag_f: str | None = None
         self.lag_g: list[str] = []
@@ -237,7 +245,16 @@ def _parse_line(b: _SpecBuilder, section: str | None, line: str, ln: int) -> Non
             b.f_exprs.append(_required(tail, f"'{key}' needs expression text", ln))
         elif key == "point":
             _set_f_kind(b, "points", ln)
-            b.f_points.append(tuple(_floats(rest, line, ln)))
+            row = _floats(rest, line, ln)
+            for tok, v in zip(rest, row):
+                if not math.isfinite(v):
+                    raise SpecSyntaxError(
+                        f"graph point coordinates must be finite, got {tok!r}",
+                        ln,
+                        line.find(tok) + 1,
+                    )
+            b.f_points.append(tuple(row))
+            b.f_point_lines.append(ln)
         elif key == "full":
             if rest:
                 raise SpecSyntaxError("'full' takes no arguments", ln, 1)
@@ -328,12 +345,23 @@ def _finalize(b: _SpecBuilder) -> ProblemSpec:
         )
     if b.f_kind == "points":
         want = xgrid.dim + ygrid.dim
-        for row in b.f_points:
+        for row, ln in zip(b.f_points, b.f_point_lines):
             if len(row) != want:
                 raise SpecSyntaxError(
-                    f"graph point has {len(row)} coordinates, expected {want}",
-                    b.f_line,
+                    f"graph point has {len(row)} coordinates, expected {want}", ln
                 )
+            for part, grid, coords in (
+                ("x", xgrid, row[: xgrid.dim]),
+                ("y", ygrid, row[xgrid.dim :]),
+            ):
+                try:
+                    grid.index_of(coords)
+                except NotANode:
+                    raise SpecSyntaxError(
+                        f"graph point {list(row)}: {part} = {list(coords)}"
+                        f" is not a node of [{part}grid]",
+                        ln,
+                    ) from None
 
     for dual, primal in (("xduals", "xgrid"), ("yduals", "ygrid")):
         if grids[dual] is not None and grids[dual].dim != grids[primal].dim:

@@ -7,8 +7,12 @@ forces the canonical empty polyhedron.  Membership is a tolerance-1e-9
 halfspace scan; emptiness in dimension <= 3 is an LP feasibility question
 whose infeasibility certificates (<= d+1 constraints, by Helly) come from
 the Farkas dual.  In dimension 1 emptiness, feasible points and Minkowski
-membership are exact interval arithmetic; only d >= 2 solves LPs, and
-scipy is imported on the first LP a run solves (`linprog` below).
+membership are exact interval arithmetic.  In dimension 2 Minkowski
+membership is exact too: each polygon is built once by half-plane
+intersection and the sum is read off support functions (`_polygon`).
+Emptiness and feasible points for d >= 2 and Minkowski membership for
+d = 3 solve LPs, and scipy is imported on the first LP a run solves
+(`linprog` below).
 
 The theorem verifiers at the bottom check the upper subdifferential
 formula for marginal functions and the formula for subgradients of the
@@ -58,7 +62,8 @@ def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on the first call.
 
     Importing scipy.optimize costs more than most runs compute, and only
-    d >= 2 polyhedra and multi-constraint Lagrangian duals need an LP.
+    emptiness and feasible points of d >= 2 polyhedra, d = 3 Minkowski
+    membership and multi-constraint Lagrangian duals need an LP.
     Every LP in the package goes through this one binding.
     """
     from scipy.optimize import linprog as solve
@@ -189,6 +194,137 @@ def _reduce_certificate(A: np.ndarray, b: np.ndarray, support: list[int]) -> lis
                 shrinking = True
                 break
     return idx
+
+
+# --- polygons ------------------------------------------------------------------
+
+_PARALLEL = 1e-12  # unit normals this close in angle (radians) are one direction
+
+
+def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """{s : A s <= b} in the plane as (points, unit rays); None when empty.
+
+    Half-plane intersection in O(n log n) through envelopes: the rows
+    bounding s_2 from above give the concave envelope g = min of lines, the
+    rows bounding it from below the convex envelope l = max of lines, and
+    the rows with no s_2 component bound s_1 to [xl, xr].  The set is the
+    part of that strip where l <= g; g - l is concave, so it is one interval
+    in s_1, found from the values at the breakpoints and the slopes of the
+    two tails.  The points are the corners on each envelope over that
+    interval (one point per envelope when it has none); the rays generate
+    the recession cone.  The support function is then +inf at a with
+    <a, r> > 0 for some ray r, and the largest <a, v> over the points
+    otherwise.  Normals within _PARALLEL of one direction count as one,
+    keeping only the tightest, so no corner is computed from two nearly
+    parallel lines.
+    """
+    zero = ~A.any(axis=1)
+    if (b[zero] < 0.0).any():
+        return None
+    norms = np.hypot(A[~zero, 0], A[~zero, 1])
+    U = A[~zero] / norms[:, None]
+    c = b[~zero] / norms
+    theta = np.arctan2(U[:, 1], U[:, 0])
+    order = np.lexsort((c, theta))
+    U, c, theta = U[order], c[order], theta[order]
+    run = np.cumsum(np.diff(theta, prepend=theta[:1]) > _PARALLEL)
+    first = np.lexsort((c, run))
+    keep = first[np.diff(run[first], prepend=-1) > 0]
+    U, c = U[keep], c[keep]
+
+    left = (np.abs(U[:, 1]) <= _PARALLEL) & (U[:, 0] < 0.0)
+    right = (np.abs(U[:, 1]) <= _PARALLEL) & (U[:, 0] > 0.0)
+    xl = float(max(c[left] / U[left, 0], default=-INF))
+    xr = float(min(c[right] / U[right, 0], default=INF))
+    if xl > xr:
+        return None
+    envelopes = []  # (sign, slopes, intercepts, breakpoints): sign * s_2 <= sign * E(s_1)
+    for sign, rows in ((1.0, U[:, 1] > _PARALLEL), (-1.0, U[:, 1] < -_PARALLEL)):
+        if rows.any():
+            slopes, intercepts = -U[rows, 0] / U[rows, 1], c[rows] / U[rows, 1]
+            p, q, bx = _min_envelope(sign * slopes, sign * intercepts)
+            envelopes.append((sign, sign * p, sign * q, bx))
+
+    lo, hi = xl, xr
+    if len(envelopes) == 2:
+        (_, pg, qg, bg), (_, pl, ql, bl) = envelopes
+        knots = np.concatenate([bg, bl, [xl, xr, min(max(0.0, xl), xr)]])
+        knots = np.unique(knots[np.isfinite(knots) & (knots >= xl) & (knots <= xr)])
+        d = _evaluate(pg, qg, bg, knots) - _evaluate(pl, ql, bl, knots)
+        s_lo, s_hi = pg[0] - pl[0], pg[-1] - pl[-1]  # slopes of g - l on the tails
+        up = np.flatnonzero(d >= 0.0)
+        if up.size:
+            i, j = up[0], up[-1]
+            if i > 0:
+                lo = _crossing(knots[i - 1], d[i - 1], knots[i], d[i])
+            elif s_lo > 0.0:
+                lo = max(xl, knots[0] - d[0] / s_lo)
+            if j < knots.size - 1:
+                hi = _crossing(knots[j], d[j], knots[j + 1], d[j + 1])
+            elif s_hi < 0.0:
+                hi = min(xr, knots[-1] - d[-1] / s_hi)
+        elif xl == -INF and s_lo < 0.0:
+            hi = knots[0] - d[0] / s_lo
+        elif xr == INF and s_hi > 0.0:
+            lo = knots[-1] - d[-1] / s_hi
+        else:
+            return None
+
+    xs = np.array([x for x in (lo, hi, min(max(0.0, lo), hi)) if np.isfinite(x)])
+    points, rays = [], []
+    for sign, p, q, bx in envelopes:
+        x = np.concatenate([xs, bx[(bx > lo) & (bx < hi)]])
+        points.append(np.stack([x, _evaluate(p, q, bx, x)], axis=1))
+        if lo == -INF:
+            rays.append([-1.0, -p[0]])
+        if hi == INF:
+            rays.append([1.0, p[-1]])
+    if not envelopes:
+        points.append(np.stack([xs, np.zeros_like(xs)], axis=1))
+        rays += [[-1.0, 0.0]] if lo == -INF else []
+        rays += [[1.0, 0.0]] if hi == INF else []
+    signs = [e[0] for e in envelopes]
+    rays += [] if 1.0 in signs else [[0.0, 1.0]]
+    rays += [] if -1.0 in signs else [[0.0, -1.0]]
+    R = np.array(rays).reshape(-1, 2)
+    return np.vstack(points), R / np.hypot(R[:, 0], R[:, 1])[:, None]
+
+
+def _min_envelope(p: np.ndarray, q: np.ndarray):
+    """Lines of x -> min_i p_i x + q_i from left to right, and their breakpoints."""
+    hull: list[int] = []
+    for i in np.lexsort((q, -p)):  # steepest first; the lowest of equal slopes
+        if hull and p[hull[-1]] == p[i]:
+            continue
+        while len(hull) >= 2:
+            a, m = hull[-2], hull[-1]
+            # m never attains the min if i overtakes a no later than m does
+            if (q[i] - q[a]) * (p[a] - p[m]) > (q[m] - q[a]) * (p[a] - p[i]):
+                break
+            hull.pop()
+        hull.append(i)
+    h = np.array(hull)
+    return p[h], q[h], (q[h[1:]] - q[h[:-1]]) / (p[h[:-1]] - p[h[1:]])
+
+
+def _evaluate(p, q, bx, x):
+    """The envelope with slopes p, intercepts q and breakpoints bx at x."""
+    k = np.searchsorted(bx, x)
+    return p[k] * x + q[k]
+
+
+def _crossing(x0, d0, x1, d1):
+    """Zero of the segment from (x0, d0) to (x1, d1), whose ends differ in sign."""
+    return x0 + (x1 - x0) * (d0 / (d0 - d1))
+
+
+def _support(V: np.ndarray, R: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Support function of conv(V) + cone(R) at each normal row."""
+    h = (normals @ V.T).max(axis=1)
+    if R.shape[0]:
+        lens = np.hypot(normals[:, 0], normals[:, 1])
+        h[(normals @ R.T > _PARALLEL * lens[:, None]).any(axis=1)] = INF
+    return h
 
 
 def is_empty(P: HPolyhedron) -> tuple[bool, tuple[int, ...] | None]:
@@ -334,7 +470,14 @@ def _split_hits(m1_base: np.ndarray, cod_base: np.ndarray, splits) -> np.ndarray
 
 
 def _minkowski_contains(P: HPolyhedron, Q: HPolyhedron, points: np.ndarray) -> np.ndarray:
-    """Membership of each point in P + Q (LP per point above dimension 1)."""
+    """Membership of each point in P_TOL + Q_TOL, the sum of the loosened sets.
+
+    P_TOL = {A s <= b + TOL} is the system the Farkas LP sees.  1-D adds the
+    two exact intervals.  2-D builds both polygons once and, since the edge
+    normals of a sum of polygons lie among those of its terms, tests every
+    point at once against <a, s> <= h_P(a) + h_Q(a) over the nonzero
+    normals a of P and Q.  Above dimension 2 it solves one LP per point.
+    """
     if P.dim == 1:
         ip, iq = P.interval(), Q.interval()
         if ip.empty or iq.empty:
@@ -342,6 +485,15 @@ def _minkowski_contains(P: HPolyhedron, Q: HPolyhedron, points: np.ndarray) -> n
         lo, hi = ip.lo + iq.lo, ip.hi + iq.hi
         s = points[:, 0]
         return (s >= lo - TOL) & (s <= hi + TOL)
+    if P.dim == 2:
+        gp = _polygon(P.normals, P.offsets + TOL)
+        gq = _polygon(Q.normals, Q.offsets + TOL)
+        if gp is None or gq is None:
+            return np.zeros(points.shape[0], dtype=bool)
+        A = np.vstack([P.normals, Q.normals])
+        A = A[A.any(axis=1)]
+        h = _support(*gp, A) + _support(*gq, A)
+        return (points @ A.T <= h).all(axis=1)
     out = np.zeros(points.shape[0], dtype=bool)
     A = np.vstack([P.normals, -Q.normals])
     for k, s in enumerate(points):

@@ -135,6 +135,37 @@ class TestParseSpec:
         with pytest.raises(UnsupportedShape):
             spec.build(2)
 
+    @pytest.mark.parametrize(
+        "point, col",
+        [("nan 0", 7), ("inf 0", 7), ("0 -inf", 9)],
+        ids=["nan", "inf", "y-inf"],
+    )
+    def test_non_finite_graph_point_names_line_and_column(self, point, col):
+        text = MINIMAL.replace("full", f"point 0 0\npoint {point}")
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_spec(text)
+        assert (exc.value.line, exc.value.col) == (14, col)
+        assert "must be finite" in str(exc.value)
+
+    def test_off_grid_graph_point_names_its_own_line(self):
+        text = MINIMAL.replace("full", "point 0 0\npoint 0.3 0\npoint 0.5 1")
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_spec(text)
+        assert exc.value.line == 14
+        assert "x = [0.3] is not a node of [xgrid]" in str(exc.value)
+        text = MINIMAL.replace("full", "point 0 0\npoint 0.5 0.25")
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_spec(text)
+        assert exc.value.line == 14
+        assert "y = [0.25] is not a node of [ygrid]" in str(exc.value)
+
+    def test_graph_point_arity_names_its_own_line(self):
+        text = MINIMAL.replace("full", "point 0 0\npoint 0 0 1")
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_spec(text)
+        assert exc.value.line == 14
+        assert "has 3 coordinates, expected 2" in str(exc.value)
+
     def test_inf_tokens_in_tables(self):
         text = MINIMAL.replace(
             "expr x^2 + y", "table " + " ".join(["+inf"] + ["0"] * 14)
@@ -175,6 +206,15 @@ class TestExitCodes:
         rc = main(["marginal", "--spec", str(spec), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "error: MissingSection" in capsys.readouterr().err
+
+    def test_overflowing_axis_span_exits_one(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, MINIMAL.replace("axis -1 1 5", "axis -1e308 1e308 3"))
+        rc = main(["marginal", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SpecSyntaxError: line 4, column 1: axis")
+        assert "overflow" in err and "Warning" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_raster_exits_one(self, tmp_path, capsys):
         (tmp_path / "bad.raster").write_text("raster 1 3 0.0 1.0\n")
@@ -219,7 +259,7 @@ class TestExitCodes:
         assert main(argv + flags) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.startswith("usage error:" if flags else "error: NotANode:")
+        assert err.startswith("usage error:" if flags else "error: SpecSyntaxError: line 13")
         assert not (tmp_path / "out").exists()
 
     def test_info_verdicts_do_not_bind(self, tmp_path):
@@ -420,6 +460,24 @@ print("scipy" in sys.modules)
 
     def test_two_dimensional_polyhedra_load_scipy_for_their_lps(self):
         assert self.scipy_loaded_after(("verify-all", "separable_quadratic"))
+
+    SUM_RULE_SCIPY = """\
+import sys
+from pathlib import Path
+from marginlab import marginal, parse_spec, sum_rule_check
+path = Path({path!r})
+spec = parse_spec(path.read_text(), base_dir=str(path.parent), default_name=path.stem)
+mu = marginal(*spec.build()).mu
+rep = sum_rule_check(mu, mu, mu.grid.index_of([0.0, 0.0]), 0.5, duals=spec.xduals)
+assert mu.grid.dim == 2 and rep.n_samples == spec.xduals.size
+print("scipy" in sys.modules)
+"""
+
+    def test_two_dimensional_sum_rule_leaves_scipy_unloaded(self):
+        path = FIXTURES / "separable_quadratic.spec"
+        done = self.python("-c", self.SUM_RULE_SCIPY.format(path=str(path)))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_duality_solves_lps_through_the_subdiff_binding(self):
         import marginlab.duality

@@ -66,6 +66,13 @@ class TestGrids:
         with pytest.raises(ValueError):
             Axis(0.0, INF, 3)
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, 1e308)])
+    def test_axis_with_overflowing_offsets_rejected(self, lo, hi):
+        # hi - lo overflows in the first case, 2 * (hi - lo) in the second
+        with pytest.raises(ValueError, match="too wide"):
+            Axis(lo, hi, 3)
+        assert np.isfinite(Axis(lo / 4, hi / 4, 3).coords()).all()
+
     def test_axis_coords_hit_endpoints(self):
         ax = Axis(-1.0, 2.0, 7)
         c = ax.coords()

@@ -45,6 +45,7 @@ from helpers import (
     oracle_subgradient_member,
     random_function,
     random_problem,
+    random_values,
 )
 
 INF = math.inf
@@ -247,45 +248,77 @@ class TestSumRule:
         assert rep.agreement == 1.0
         assert rep.splits == ((0.0, 0.0),)
 
-    def test_splits_skip_duals_already_in_the_sum(self, monkeypatch):
-        """Each split solves LPs only for duals no earlier split covered."""
-        spec = load_fixture("separable_quadratic")
-        mu = marginal(*spec.build()).mu
-        cases = [(mu, mu, mu.grid.index_of([0.0, 0.0]), spec.xduals)]
-        rng = np.random.default_rng(67)
-        for _ in range(3):
-            grid = dyadic_grid(rng, dim=2, max_count=4)
+    @staticmethod
+    def split_masks(g1, g2, xi, duals):
+        """Both sides of the sum rule at eps 0.5 split by split, and how many
+        duals each split left uncovered: the LPs a per-dual route solves."""
+        S = duals.nodes
+        lhs_mask = eps_subdifferential(ext_sum(g1, g2), xi, 0.5).contains(S)
+        rhs_mask = np.zeros(S.shape[0], dtype=bool)
+        uncovered = 0
+        for e1, e2 in subdiff._split_pairs(0.5, subdiff.SUM_RULE_SPLITS):
+            P = eps_subdifferential(g1, xi, e1)
+            Q = eps_subdifferential(g2, xi, e2)
+            uncovered += int((~rhs_mask).sum())
+            rhs_mask |= subdiff._minkowski_contains(P, Q, S)
+        return lhs_mask, rhs_mask, uncovered
+
+    @staticmethod
+    def counted_sum_rule(monkeypatch, g1, g2, xi, duals):
+        """sum_rule_check at eps 0.5 with its `_farkas` and `linprog` calls counted."""
+        farkas_calls, lp_calls = [], []
+        farkas, lp = subdiff._farkas, subdiff.linprog
+        monkeypatch.setattr(
+            subdiff, "_farkas", lambda A, b: farkas_calls.append(1) or farkas(A, b)
+        )
+        monkeypatch.setattr(
+            subdiff, "linprog", lambda *a, **k: lp_calls.append(1) or lp(*a, **k)
+        )
+        rep = sum_rule_check(g1, g2, xi, 0.5, duals=duals)
+        monkeypatch.undo()
+        return rep, len(farkas_calls), len(lp_calls)
+
+    @staticmethod
+    def assert_report_matches(rep, S, lhs_mask, rhs_mask):
+        assert rep.easy_ok == (not (rhs_mask & ~lhs_mask).any())
+        assert rep.agreement == float((lhs_mask == rhs_mask).mean())
+        bad = S[lhs_mask != rhs_mask][:16]
+        assert rep.disagreements == tuple(tuple(float(c) for c in r) for r in bad)
+
+    def random_cases(self, rng, dim, count, max_count, dual_count):
+        cases = []
+        for _ in range(count):
+            grid = dyadic_grid(rng, dim=dim, max_count=max_count)
             g1 = random_function(rng, grid, p_inf=0.1)
             g2 = random_function(rng, grid, p_inf=0.1)
             xi = int(rng.integers(0, grid.size))
-            cases.append((g1, g2, xi, default_dual_grid(ext_sum(g1, g2), 4)))
+            cases.append((g1, g2, xi, default_dual_grid(ext_sum(g1, g2), dual_count)))
+        return cases
+
+    def test_splits_skip_duals_already_in_the_sum(self, monkeypatch):
+        """Above dimension 2 each split solves one LP per dual no earlier
+        split covered."""
+        cases = self.random_cases(np.random.default_rng(67), 3, 3, 3, 2)
         lp_counts = []
         for g1, g2, xi, duals in cases:
-            S = duals.nodes
-            lhs_mask = eps_subdifferential(ext_sum(g1, g2), xi, 0.5).contains(S)
-            rhs_mask = np.zeros(S.shape[0], dtype=bool)
-            expected_lps = 0
-            for e1, e2 in subdiff._split_pairs(0.5, 5):
-                P = eps_subdifferential(g1, xi, e1)
-                Q = eps_subdifferential(g2, xi, e2)
-                expected_lps += int((~rhs_mask).sum())
-                rhs_mask |= subdiff._minkowski_contains(P, Q, S)
+            lhs_mask, rhs_mask, uncovered = self.split_masks(g1, g2, xi, duals)
+            rep, farkas_calls, _ = self.counted_sum_rule(monkeypatch, g1, g2, xi, duals)
+            assert farkas_calls == uncovered
+            self.assert_report_matches(rep, duals.nodes, lhs_mask, rhs_mask)
+            lp_counts.append(farkas_calls)
+        splits = subdiff.SUM_RULE_SPLITS
+        assert 0 < sum(lp_counts) < splits * sum(duals.size for *_, duals in cases)
 
-            calls = []
-            farkas = subdiff._farkas
-            monkeypatch.setattr(
-                subdiff, "_farkas", lambda A, b: calls.append(1) or farkas(A, b)
-            )
-            rep = sum_rule_check(g1, g2, xi, 0.5, duals=duals)
-            monkeypatch.undo()
-            assert len(calls) == expected_lps
-            assert rep.easy_ok == (not (rhs_mask & ~lhs_mask).any())
-            assert rep.agreement == float((lhs_mask == rhs_mask).mean())
-            bad = S[lhs_mask != rhs_mask][:16]
-            assert rep.disagreements == tuple(tuple(float(c) for c in r) for r in bad)
-            lp_counts.append(len(calls))
-        assert lp_counts[0] == 129  # of 5 splits x 81 duals on the fixture
-        assert sum(lp_counts) < 5 * sum(duals.size for *_, duals in cases)
+    def test_two_dimensional_sum_rule_solves_no_lp(self, monkeypatch):
+        spec = load_fixture("separable_quadratic")
+        mu = marginal(*spec.build()).mu
+        cases = [(mu, mu, mu.grid.index_of([0.0, 0.0]), spec.xduals)]
+        cases += self.random_cases(np.random.default_rng(67), 2, 3, 4, 4)
+        for g1, g2, xi, duals in cases:
+            lhs_mask, rhs_mask, _ = self.split_masks(g1, g2, xi, duals)
+            rep, farkas_calls, lp_calls = self.counted_sum_rule(monkeypatch, g1, g2, xi, duals)
+            assert (farkas_calls, lp_calls) == (0, 0)
+            self.assert_report_matches(rep, duals.nodes, lhs_mask, rhs_mask)
 
     def test_grid_mismatch(self):
         a = Grid.from_bounds([(0.0, 1.0, 3)])
@@ -294,6 +327,145 @@ class TestSumRule:
             sum_rule_check(
                 GriddedFunction(a, [0.0] * 3), GriddedFunction(b, [0.0] * 3), 0, 0.0
             )
+
+
+def farkas_minkowski(P, Q, S):
+    """Per-point reference for P_TOL + Q_TOL: one Farkas LP on the system
+    p in P_TOL, s - p in Q_TOL for each point s."""
+    A = np.vstack([P.normals, -Q.normals])
+    b = [np.concatenate([P.offsets, Q.offsets - Q.normals @ s]) + subdiff.TOL for s in S]
+    return np.array([subdiff._farkas(A, bs)[0] for bs in b], dtype=bool)
+
+
+def lp_support(A, b, a):
+    """max <a, s> over A s <= b by one LP: +inf if unbounded, None if empty."""
+    res = linprog(-a, A_ub=A, b_ub=b, bounds=[(None, None)] * 2, method="highs")
+    if res.status == 2:
+        return None
+    return INF if res.status == 3 else -res.fun
+
+
+class TestPolygon:
+    """The 2-D half-plane intersection behind the exact Minkowski route."""
+
+    def support(self, A, b, normals):
+        poly = subdiff._polygon(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
+        if poly is None:
+            return None
+        return subdiff._support(*poly, np.asarray(normals, dtype=float))
+
+    AXES = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0], [1.0, -2.0]]
+
+    @pytest.mark.parametrize(
+        "A, b, h",
+        [
+            ([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 2, 0], [1, 0, 2, 0, 3, 1]),  # box
+            ([[1, 1]], [1], [INF, INF, INF, INF, 1, INF]),  # half-plane
+            ([[1, 0], [0, 1]], [1, 2], [1, INF, 2, INF, 3, INF]),  # quadrant
+            ([[0, 1], [0, -1]], [1, 1], [INF, INF, 1, 1, INF, INF]),  # strip
+            ([[1, 0], [-1, 0]], [2, -2], [2, -2, INF, INF, INF, INF]),  # line x = 2
+            ([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, -1, 0, 0], [1, -1, 0, 0, 1, 1]),  # point
+            ([[1, 0], [-1, 0], [0, 1]], [1, 0, 0], [1, 0, 0, INF, 1, INF]),  # half-strip
+            (np.zeros((0, 2)), [], [INF] * 6),  # whole plane
+            ([[0, 0]], [0.0], [INF] * 6),  # a zero row that holds
+        ],
+        ids=["box", "half-plane", "quadrant", "strip", "line", "point", "half-strip",
+             "whole-plane", "zero-row"],
+    )
+    def test_support_of_hand_built_sets(self, A, b, h):
+        assert self.support(np.reshape(A, (-1, 2)), b, self.AXES).tolist() == h
+
+    @pytest.mark.parametrize(
+        "A, b",
+        [
+            ([[0, 0]], [-1.0]),
+            ([[1, 0], [-1, 0]], [0, -1]),
+            ([[1, 1], [-1, 0], [0, -1]], [-1, 0, 0]),
+        ],
+        ids=["zero-row", "parallel", "triangle"],
+    )
+    def test_empty_sets(self, A, b):
+        assert self.support(A, b, self.AXES) is None
+
+    def test_random_systems_agree_with_lp_support(self):
+        rng = np.random.default_rng(83)
+        for _ in range(60):
+            k = int(rng.integers(1, 8))
+            A = rng.integers(-3, 4, size=(k, 2)).astype(np.float64)
+            if rng.random() < 0.4:  # normals in a half-plane: unbounded sets
+                A[:, 0] = np.abs(A[:, 0])
+            b = rng.integers(-4, 5, size=k).astype(np.float64) / 2.0
+            normals = np.vstack([A, rng.integers(-3, 4, size=(4, 2))])
+            normals = normals[normals.any(axis=1)].astype(np.float64)
+            h = self.support(A, b, normals)
+            # Slack on either side absorbs the LP solver's own tolerance on
+            # sets that are a single point or segment.
+            if h is None:
+                assert lp_support(A, b - 1e-6, normals[0]) is None
+                continue
+            assert lp_support(A, b + 1e-6, normals[0]) is not None
+            for a, value in zip(normals, h):
+                ref = lp_support(A, b, a)
+                assert ref == value if value == INF else abs(ref - value) <= 1e-6
+
+
+class TestExactMinkowski2D:
+    """The exact 2-D route of `_minkowski_contains` against the per-point
+    Farkas LP it replaced, which stays here as the oracle."""
+
+    def cases(self):
+        rng = np.random.default_rng(97)
+        out = []
+        for k in range(9):
+            grid = dyadic_grid(rng, dim=2, max_count=4)
+            if k % 3 == 0:  # x0 on the boundary of the grid: unbounded polygons
+                xi = grid.flat([int(rng.integers(0, grid.shape[0])), 0])
+            else:
+                xi = int(rng.integers(0, grid.size))
+            v1 = random_values(rng, grid.size)
+            v2 = random_values(rng, grid.size)
+            v1[xi], v2[xi] = random_values(rng, 2, p_inf=0.0)
+            if k == 4:  # a -inf node: the canonical empty polyhedron
+                v2[(xi + 1) % grid.size] = -INF
+            if k in (5, 6):  # x0 the only finite node: the whole plane
+                v1[np.arange(grid.size) != xi] = INF
+            if k == 6:
+                v2[np.arange(grid.size) != xi] = INF
+            eps = float(rng.choice([0.0, 0.5, 1.0]))
+            out.append((f"case{k}", grid, v1, v2, xi, eps))
+        return out
+
+    def test_each_term_is_loosened_by_tol(self):
+        axes = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        box = HPolyhedron(axes, [1.0, 0.0, 1.0, 0.0])
+        origin = HPolyhedron(axes, np.zeros(4))
+        # P_TOL + Q_TOL reaches 1 + 2 TOL and -2 TOL along each axis
+        S = np.array([[1 + 1.5e-9, 0.5], [0.5, 1 + 1.5e-9], [1 + 3e-9, 0.5], [-3e-9, 0.5]])
+        exact = subdiff._minkowski_contains(box, origin, S)
+        assert exact.tolist() == [True, True, False, False]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    def test_matches_per_point_farkas(self, scale):
+        moved = []
+        kinds = set()
+        for name, grid, v1, v2, xi, eps in self.cases():
+            h1 = GriddedFunction(grid, v1 * scale)
+            h2 = GriddedFunction(grid, v2 * scale)
+            S = default_dual_grid(ext_sum(h1, h2), 4).nodes
+            for e1, e2 in subdiff._split_pairs(eps * scale, 2):
+                P = eps_subdifferential(h1, xi, e1)
+                Q = eps_subdifferential(h2, xi, e2)
+                exact = subdiff._minkowski_contains(P, Q, S)
+                ref = farkas_minkowski(P, Q, S)
+                kinds.add((bool(exact.all()), bool(exact.any())))
+                moved += [
+                    f"{name} x{scale} split ({e1}, {e2}) dual {s.tolist()}: "
+                    f"exact {bool(x)}, LP {bool(r)}"
+                    for s, x, r in zip(S, exact, ref)
+                    if x != r
+                ]
+        assert not moved, "\n".join(moved)
+        assert kinds >= {(True, True), (False, True), (False, False)}
 
 
 class TestMarginalFormula:
