@@ -211,8 +211,9 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     part of that strip where l <= g; g - l is concave, so it is one interval
     in s_1, found from the values at the breakpoints and the slopes of the
     two tails.  The points are the corners on each envelope over that
-    interval (one point per envelope when it has none); the rays generate
-    the recession cone.  The support function is then +inf at a with
+    interval plus one more point on each envelope, so that a set without
+    corners (a half-plane, a strip) still has one; the rays generate the
+    recession cone.  The support function is then +inf at a with
     <a, r> > 0 for some ray r, and the largest <a, v> over the points
     otherwise.  Normals within _PARALLEL of one direction count as one,
     keeping only the tightest, so no corner is computed from two nearly
@@ -475,8 +476,8 @@ def _minkowski_contains(P: HPolyhedron, Q: HPolyhedron, points: np.ndarray) -> n
     P_TOL = {A s <= b + TOL} is the system the Farkas LP sees.  1-D adds the
     two exact intervals.  2-D builds both polygons once and, since the edge
     normals of a sum of polygons lie among those of its terms, tests every
-    point at once against <a, s> <= h_P(a) + h_Q(a) over the nonzero
-    normals a of P and Q.  Above dimension 2 it solves one LP per point.
+    point at once against <a, s> <= h_P(a) + h_Q(a) over the normals a of
+    P and Q.  Above dimension 2 it solves one LP per point.
     """
     if P.dim == 1:
         ip, iq = P.interval(), Q.interval()
@@ -491,7 +492,6 @@ def _minkowski_contains(P: HPolyhedron, Q: HPolyhedron, points: np.ndarray) -> n
         if gp is None or gq is None:
             return np.zeros(points.shape[0], dtype=bool)
         A = np.vstack([P.normals, Q.normals])
-        A = A[A.any(axis=1)]
         h = _support(*gp, A) + _support(*gq, A)
         return (points @ A.T <= h).all(axis=1)
     out = np.zeros(points.shape[0], dtype=bool)

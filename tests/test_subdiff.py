@@ -449,9 +449,10 @@ class TestExactMinkowski2D:
         moved = []
         kinds = set()
         for name, grid, v1, v2, xi, eps in self.cases():
+            total = ext_sum(GriddedFunction(grid, v1), GriddedFunction(grid, v2))
+            S = default_dual_grid(total, 4).nodes * scale
             h1 = GriddedFunction(grid, v1 * scale)
             h2 = GriddedFunction(grid, v2 * scale)
-            S = default_dual_grid(ext_sum(h1, h2), 4).nodes
             for e1, e2 in subdiff._split_pairs(eps * scale, 2):
                 P = eps_subdifferential(h1, xi, e1)
                 Q = eps_subdifferential(h2, xi, e2)
