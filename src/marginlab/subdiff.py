@@ -233,8 +233,8 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     keep = first[np.diff(run[first], prepend=-1) > 0]
     U, c = U[keep], c[keep]
 
-    left = (np.abs(U[:, 1]) <= _PARALLEL) & (U[:, 0] < 0.0)
-    right = (np.abs(U[:, 1]) <= _PARALLEL) & (U[:, 0] > 0.0)
+    flat = np.abs(U[:, 1]) <= _PARALLEL  # rows that bound s_1 alone
+    left, right = flat & (U[:, 0] < 0.0), flat & (U[:, 0] > 0.0)
     xl = float(max(c[left] / U[left, 0], default=-INF))
     xr = float(min(c[right] / U[right, 0], default=INF))
     if xl > xr:
@@ -284,9 +284,8 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
         points.append(np.stack([xs, np.zeros_like(xs)], axis=1))
         rays += [[-1.0, 0.0]] if lo == -INF else []
         rays += [[1.0, 0.0]] if hi == INF else []
-    signs = [e[0] for e in envelopes]
-    rays += [] if 1.0 in signs else [[0.0, 1.0]]
-    rays += [] if -1.0 in signs else [[0.0, -1.0]]
+    signs = {e[0] for e in envelopes}
+    rays += [[0.0, sign] for sign in (1.0, -1.0) if sign not in signs]  # unbounded in s_2
     R = np.array(rays).reshape(-1, 2)
     return np.vstack(points), R / np.hypot(R[:, 0], R[:, 1])[:, None]
 
