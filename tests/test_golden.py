@@ -3,7 +3,9 @@
 golden/<fixture>/<case>/ holds the report.json and report.csv written by
 `marginlab <command> --spec fixtures/<fixture>.spec` for every fixture and
 command that writes reports at --refine 1 (<case> is the command), and by
-verify-all at --refine 2 on the 1-D fixtures (<case> is "verify-all-r2").
+verify-all at --refine 2 on every fixture (<case> is "verify-all-r2");
+separable_quadratic's is the one refined 2-D run, where the theorem checks
+prune the most scores.
 Reports must reproduce byte for byte: key order, row order, numbers and
 detail strings.  A change that moves a byte bumps the schema string and
 replaces the goldens on purpose.
