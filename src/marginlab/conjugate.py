@@ -89,13 +89,19 @@ def max_dots_minus(queries: np.ndarray, points: np.ndarray, vals: np.ndarray) ->
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows and the inverse index, by bit pattern (0.0 != -0.0)."""
-    bits, inverse = np.unique(
-        np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64),
-        axis=0,
-        return_inverse=True,
-    )
-    return bits.view(np.float64), inverse.reshape(-1)
+    """Distinct rows and the inverse index, by bit pattern (0.0 != -0.0).
+
+    Rows come out in the order of `np.unique(bits, axis=0)`, lexicographic
+    in the uint64 bit columns, from one lexsort of those columns.
+    """
+    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
+    order = np.lexsort(bits.T[::-1])
+    ranked = bits[order]
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first].view(np.float64), inverse
 
 
 def partial_conjugate(

@@ -310,12 +310,13 @@ def lagrangian_dual(
     )
 
 
-def _float_gcd(values: np.ndarray) -> float:
-    """Approximate positive gcd of a set of positive gaps (Euclid on floats)."""
+def _float_gcd(values: np.ndarray, tol: float) -> float:
+    """Approximate positive gcd of a set of positive gaps (Euclid on floats);
+    remainders up to `tol` count as zero."""
     g = 0.0
     for raw in values:
         v = abs(float(raw))
-        while v > TOL:
+        while v > tol:
             g, v = v, g % v
     return g
 
@@ -324,8 +325,11 @@ def graph_adapted_xgrid(g_exprs: tuple[str, ...] | list[str], ygrid: Grid) -> Gr
     """Uniform x-grid whose axes contain every constraint value g_i(y-node).
 
     The axis step is the (approximate) gcd of the value gaps, so the
-    supremum defining mu*(-lambda) is attained on-grid.  Values that do
-    not embed in a reasonable uniform axis raise GridNotAdapted.
+    supremum defining mu*(-lambda) is attained on-grid.  Its tolerances are
+    TOL times max(1, largest |value|) of the constraint: float gaps carry
+    rounding error relative to the values' size, so an absolute cutoff
+    would read that error as a tiny common step.  Values that do not embed
+    in a reasonable uniform axis raise GridNotAdapted.
     """
     _, gv = _eval_objective("0", tuple(g_exprs), ygrid)
     axes = []
@@ -335,9 +339,9 @@ def graph_adapted_xgrid(g_exprs: tuple[str, ...] | list[str], ygrid: Grid) -> Gr
         if vals.size == 1:
             axes.append(Axis(lo, lo + 1.0, 2))
             continue
-        gaps = np.diff(vals)
-        step = _float_gcd(gaps)
-        if step <= 1e-9:
+        tol = TOL * max(1.0, abs(lo), abs(hi))
+        step = _float_gcd(np.diff(vals), tol)
+        if step <= tol:
             raise GridNotAdapted(
                 f"constraint {i} produces values with no usable common step"
             )
@@ -349,7 +353,7 @@ def graph_adapted_xgrid(g_exprs: tuple[str, ...] | list[str], ygrid: Grid) -> Gr
         axis = Axis(lo, hi, count)
         coords = axis.coords()
         j = np.clip(np.round((vals - lo) / axis.step).astype(int), 0, count - 1)
-        if np.abs(coords[j] - vals).max() > 1e-9:
+        if np.abs(coords[j] - vals).max() > tol:
             raise GridNotAdapted(f"constraint {i} values miss the adapted lattice")
         axes.append(axis)
     return Grid(tuple(axes))

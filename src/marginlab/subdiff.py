@@ -18,7 +18,11 @@ The theorem verifiers at the bottom check the upper subdifferential
 formula for marginal functions and the formula for subgradients of the
 conjugate.  Both keep two independent routes: the left side is a halfspace
 polyhedron of the gridded mu (or mu*), the right side is scanned through
-exact conjugate tables via the finite-grid Fenchel-Young identity.
+exact conjugate tables via the finite-grid Fenchel-Young identity.  Each
+near-optimal y0 (or graph cell) is scored once for all eta levels, and a
+coderivative score is built only where the phi score passes the loosest
+split; `_split_bound` then tests all of a level's splits with one
+comparison per score.  The unpruned route stays in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -452,21 +456,19 @@ def _split_pairs(total: float, count: int) -> list[tuple[float, float]]:
     return [(float(a), float(total - a)) for a in t]
 
 
-def _split_hits(m1_base: np.ndarray, cod_base: np.ndarray, splits) -> np.ndarray:
-    """First-axis indices of the broadcast scores with m1 <= e1 and cod <= e2.
+def _split_bound(m1: np.ndarray, splits) -> np.ndarray:
+    """Per score m1, the largest e2 + TOL over the splits with m1 <= e1 + TOL.
 
-    Tests every split (e1, e2) within TOL, but only on the entries under the
-    largest e1 and e2, the only ones that can pass; indices repeat.
+    NaN where no split admits m1 (NaN and +inf scores among them), so that
+    `cod <= _split_bound(m1, splits)` holds exactly when some split (e1, e2)
+    passes both m1 <= e1 + TOL and cod <= e2 + TOL: the same comparisons on
+    the same floats, one split per score instead of all of them.
     """
-    near = np.nonzero(
-        (m1_base <= max(e1 for e1, _ in splits) + TOL)
-        & (cod_base <= max(e2 for _, e2 in splits) + TOL)
-    )
-    m1, cod = (a[near] for a in np.broadcast_arrays(m1_base, cod_base))
-    hit = np.zeros(m1.shape, dtype=bool)
-    for e1, e2 in splits:
-        hit |= (m1 <= e1 + TOL) & (cod <= e2 + TOL)
-    return near[0][hit]
+    e1 = np.array([a + TOL for a, _ in splits])
+    order = np.argsort(e1, kind="stable")
+    e2 = np.array([b + TOL for _, b in splits])[order]
+    best = np.append(np.maximum.accumulate(e2[::-1])[::-1], np.nan)
+    return best[np.searchsorted(e1[order], m1, side="left")]
 
 
 def _minkowski_contains(P: HPolyhedron, Q: HPolyhedron, points: np.ndarray) -> np.ndarray:
@@ -646,7 +648,8 @@ def marginal_subdiff_check(
     over sampled splits eps1 + eps2 = eps + eta of
     x1* + D*_eps2 F(x0,y0)(y1*) over lattice points (x1*, y1*) in the
     eps1-subdifferential of phi at (x0, y0); memberships are evaluated
-    through exact conjugate tables (finite-grid Fenchel-Young).
+    through exact conjugate tables (finite-grid Fenchel-Young), one pass
+    over the y0 near-optimal at the largest eta.
 
     Unconditional direction: every sampled dual in the eta-level right set
     lies in the (eps+eta)-subdifferential of mu.  Two-sided agreement at
@@ -674,29 +677,29 @@ def marginal_subdiff_check(
     phistar = partial_conjugate(
         phi.values.reshape(F.xgrid.size, -1), F.xgrid.nodes, F.ygrid.nodes, S, Y1
     )
-    fsupport = graph_support(F, T, -Y1).reshape(Ks, Kx, Ky)
+    fsupport = graph_support(F, T, -Y1).reshape(Ks, Kx * Ky)
     TX0 = (T @ x0c).reshape(Ks, Kx)
 
     phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
     feas_row = F.graph[xi]
     dots1 = S @ x0c
 
-    levels = []
-    for eta in DEFAULT_ETAS:
-        cutoff = mu0 + eta
-        y_near = np.flatnonzero(feas_row & (phi_row < cutoff))
-        eta_mask = np.ones(Ks, dtype=bool)
-        for yi in y_near:
-            y0c = F.ygrid.coords(int(yi))
-            phi0 = phi_row[yi]
-            dots2 = Y1 @ y0c
-            m1_base = phistar + phi0 - dots1[:, None] - dots2[None, :]
-            cod_base = fsupport - TX0[:, :, None] + dots2[None, None, :]
-            splits = _split_pairs(eps + eta, THEOREM_SPLITS)
-            found = np.zeros(Ks, dtype=bool)
-            found[_split_hits(m1_base, cod_base, splits)] = True
-            eta_mask &= found
-        levels.append((eta, eta_mask, eta_mask))
+    # Each near-optimal y0 is scored once for every eta level admitting it,
+    # and the coderivative scores only on the (x1*, y*) columns whose
+    # phi score passes the loosest split of any level.
+    splits = [_split_pairs(eps + eta, THEOREM_SPLITS) for eta in DEFAULT_ETAS]
+    e1_top = max(e1 for level in splits for e1, _ in level) + TOL
+    near = np.array([feas_row & (phi_row < mu0 + eta) for eta in DEFAULT_ETAS])
+    masks = np.ones((len(DEFAULT_ETAS), Ks), dtype=bool)
+    for yi in np.flatnonzero(near.any(axis=0)):
+        dots2 = Y1 @ F.ygrid.coords(int(yi))
+        m1_base = (phistar + phi_row[yi] - dots1[:, None] - dots2[None, :]).reshape(-1)
+        cols = np.flatnonzero(m1_base <= e1_top)
+        j, k = np.divmod(cols, Ky)
+        cod = fsupport[:, cols] - TX0[:, j] + dots2[k]
+        for level in np.flatnonzero(near[:, yi]):
+            masks[level] &= (cod <= _split_bound(m1_base[cols], splits[level])).any(axis=1)
+    levels = [(eta, mask, mask) for eta, mask in zip(DEFAULT_ETAS, masks)]
     return _theorem_report(
         mu,
         xi,
@@ -767,8 +770,9 @@ def conj_subdiff_check(
     each eta, the x nodes admitting y in F(x), a sampled split
     eps1 + eps2 = eps + eta, and a lattice pair (x1*, y1*) in the
     eps1-subdifferential of phi at (x, y) with
-    x0star - x1* in D*_eps2 F(x,y)(y1*); the closure is realized as one
-    raster-cell dilation before intersecting over eta.
+    x0star - x1* in D*_eps2 F(x,y)(y1*), scored once per graph cell for
+    all eta levels; the closure is realized as one raster-cell dilation
+    before intersecting over eta.
 
     Unconditionally, every pre-dilation eta-level member must lie in the
     (eps+eta)-subdifferential of mu*; two-sided agreement at the nominal
@@ -806,21 +810,38 @@ def conj_subdiff_check(
     phig = phi.values.reshape(F.xgrid.size, F.ygrid.size)[gx, gy]
 
     n_cells = gx.shape[0]
-    splits_by_eta = {eta: _split_pairs(eps + eta, THEOREM_SPLITS) for eta in DEFAULT_ETAS}
-    cell_ok = {eta: np.zeros(n_cells, dtype=bool) for eta in DEFAULT_ETAS}
-    for sl in score_slices(n_cells, Kx * Ky):
-        # Scores against the (x1*, y*) lattice as per-axis products broadcast
-        # over the (cell, x1*, y*) block.
-        ydots = (Yg[sl] @ Y1.T)[:, None, :]
-        m1_base = phistar + phig[sl, None, None] - ((Xg[sl] @ X1.T)[:, :, None] + ydots)
-        cod_base = fsupport - ((Xg[sl] @ T.T)[:, :, None] - ydots)
-        for eta in DEFAULT_ETAS:
-            cell_ok[eta][_split_hits(m1_base, cod_base, splits_by_eta[eta]) + sl.start] = True
+    splits = [_split_pairs(eps + eta, THEOREM_SPLITS) for eta in DEFAULT_ETAS]
+    e1_top = max(e1 for level in splits for e1, _ in level) + TOL
+    e2_top = max(e2 for level in splits for _, e2 in level) + TOL
+    cell_ok = np.zeros((len(DEFAULT_ETAS), n_cells), dtype=bool)
+    blocks = list(score_slices(n_cells, Kx * Ky))
+    # One pair of score buffers for every block: fresh multi-megabyte
+    # temporaries per block cost about as much in page faults as the sums.
+    m1_base = np.empty((blocks[0].stop, Kx, Ky))
+    sums = np.empty_like(m1_base)
+    for sl in blocks:
+        # phi scores against the (x1*, y*) lattice as per-axis products
+        # broadcast over the (cell, x1*, y*) block; the coderivative scores
+        # only at the entries whose phi score passes the loosest split.
+        block, xy = m1_base[: sl.stop - sl.start], sums[: sl.stop - sl.start]
+        ydots = Yg[sl] @ Y1.T
+        xdots = Xg[sl] @ T.T
+        np.add(phistar, phig[sl, None, None], out=block)
+        np.add((Xg[sl] @ X1.T)[:, :, None], ydots[:, None, :], out=xy)
+        np.subtract(block, xy, out=block)
+        at = np.flatnonzero(block <= e1_top)
+        cj, k = np.divmod(at, Ky)
+        c, j = np.divmod(cj, Kx)
+        cod = fsupport[j, k] - (xdots.reshape(-1)[cj] - ydots[c, k])
+        keep = cod <= e2_top
+        c, m1, cod = c[keep], block.reshape(-1)[at[keep]], cod[keep]
+        for ok, level in zip(cell_ok, splits):
+            ok[c[cod <= _split_bound(m1, level)] + sl.start] = True
 
     levels = []
-    for eta in DEFAULT_ETAS:
+    for eta, ok in zip(DEFAULT_ETAS, cell_ok):
         raw = np.zeros(F.xgrid.size, dtype=bool)
-        np.logical_or.at(raw, gx, cell_ok[eta])
+        np.logical_or.at(raw, gx, ok)
         levels.append((eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1)))
     # The one-cell dilation realizing "cl" can only enlarge the right side,
     # so the sharp direction asserted under the qualification is containment

@@ -12,7 +12,22 @@ from pathlib import Path
 
 import numpy as np
 
-from marginlab import Axis, Grid, GriddedFunction, SetValuedMap, parse_spec
+from marginlab import (
+    Axis,
+    Grid,
+    GriddedFunction,
+    SetValuedMap,
+    conjugate,
+    default_dual_grid,
+    graph_support,
+    marginal,
+    parse_spec,
+    partial_conjugate,
+    subdiff,
+)
+from marginlab.conjugate import default_ydual_grid, score_slices
+from marginlab.nearconvex import box_dilate
+from marginlab.setmap import split_lattice
 
 INF = math.inf
 
@@ -188,3 +203,122 @@ def oracle_inf_convolution(g1, g2, target, tol=1e-9):
             v = INF if (a == INF or b == INF) else a + b
             best = min(best, v)
     return best
+
+
+# --- reference scoring of the theorem checks -------------------------------------
+#
+# The scoring route both theorem checks used before it was pruned: every eta
+# level rescores every near-optimal y0 (or graph cell) on the whole (x1*, y*)
+# lattice, and every split (e1, e2) is tested on the scores under the
+# largest e1 and e2.  The conjugate tables and the report fold are the
+# package's own, so a report that differs in any field convicts the pruned
+# scoring.
+
+
+def split_hits(m1_base, cod_base, splits):
+    """First-axis indices of the broadcast scores with m1 <= e1 and cod <= e2."""
+    tol = subdiff.TOL
+    near = np.nonzero(
+        (m1_base <= max(e1 for e1, _ in splits) + tol)
+        & (cod_base <= max(e2 for _, e2 in splits) + tol)
+    )
+    m1, cod = (a[near] for a in np.broadcast_arrays(m1_base, cod_base))
+    hit = np.zeros(m1.shape, dtype=bool)
+    for e1, e2 in splits:
+        hit |= (m1 <= e1 + tol) & (cod <= e2 + tol)
+    return near[0][hit]
+
+
+def reference_marginal_subdiff_check(phi, F, x0, eps, duals=None, yduals=None, qc14=False):
+    mu = marginal(phi, F).mu
+    xi = F.xgrid.resolve(x0)
+    mu0 = mu.values[xi]
+    x0c = F.xgrid.coords(xi)
+    m, n = F.xgrid.dim, F.ygrid.dim
+    if duals is None:
+        duals = default_dual_grid(mu, 41 if m == 1 else 9)
+    if yduals is None:
+        yduals = default_ydual_grid(phi, m, 41 if n == 1 else 9)
+    S = duals.nodes
+    Ks = S.shape[0]
+    lhs_mask = subdiff.eps_subdifferential(mu, xi, eps).contains(S)
+    Y1 = yduals.nodes
+    Kx, Ky = Ks, Y1.shape[0]
+    T = split_lattice(S, duals)
+    phistar = partial_conjugate(
+        phi.values.reshape(F.xgrid.size, -1), F.xgrid.nodes, F.ygrid.nodes, S, Y1
+    )
+    fsupport = graph_support(F, T, -Y1).reshape(Ks, Kx, Ky)
+    TX0 = (T @ x0c).reshape(Ks, Kx)
+    phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
+    feas_row = F.graph[xi]
+    dots1 = S @ x0c
+    levels = []
+    for eta in subdiff.DEFAULT_ETAS:
+        y_near = np.flatnonzero(feas_row & (phi_row < mu0 + eta))
+        eta_mask = np.ones(Ks, dtype=bool)
+        for yi in y_near:
+            dots2 = Y1 @ F.ygrid.coords(int(yi))
+            m1_base = phistar + phi_row[yi] - dots1[:, None] - dots2[None, :]
+            cod_base = fsupport - TX0[:, :, None] + dots2[None, None, :]
+            splits = subdiff._split_pairs(eps + eta, subdiff.THEOREM_SPLITS)
+            found = np.zeros(Ks, dtype=bool)
+            found[split_hits(m1_base, cod_base, splits)] = True
+            eta_mask &= found
+        levels.append((eta, eta_mask, eta_mask))
+    return subdiff._theorem_report(
+        mu, xi, eps, S, lhs_mask, levels,
+        lambda lhs, rhs: bool(np.array_equal(lhs, rhs)),
+        qc14,
+        "two-sided agreement asserted under the declared qualification",
+    )
+
+
+def reference_conj_subdiff_check(phi, F, duals, x0star, eps, yduals=None, qc14=False):
+    mu = marginal(phi, F).mu
+    mustar = conjugate(mu, duals)
+    si = duals.resolve(x0star)
+    if not np.isfinite(mustar.values[si]):
+        return subdiff.TheoremReport(
+            True, True, 1.0, 0, (), (), (), True, qc14,
+            "x0star is outside the finite domain of mu*; both sides empty",
+        )
+    s0 = duals.coords(si)
+    m, n = F.xgrid.dim, F.ygrid.dim
+    if yduals is None:
+        yduals = default_ydual_grid(phi, m, 41 if n == 1 else 9)
+    sample = F.xgrid.nodes
+    lhs_mask = subdiff.eps_subdifferential(mustar, si, eps).contains(sample)
+    Y1 = yduals.nodes
+    Kx, Ky = duals.size, Y1.shape[0]
+    X1 = duals.nodes
+    T = split_lattice(s0[None, :], duals)
+    phistar = partial_conjugate(
+        phi.values.reshape(F.xgrid.size, -1), F.xgrid.nodes, F.ygrid.nodes, X1, Y1
+    )
+    fsupport = graph_support(F, T, -Y1)
+    gx, gy = F.graph_cells
+    Xg, Yg = F.xgrid.nodes[gx], F.ygrid.nodes[gy]
+    phig = phi.values.reshape(F.xgrid.size, F.ygrid.size)[gx, gy]
+    n_cells = gx.shape[0]
+    etas = subdiff.DEFAULT_ETAS
+    splits = {eta: subdiff._split_pairs(eps + eta, subdiff.THEOREM_SPLITS) for eta in etas}
+    cell_ok = {eta: np.zeros(n_cells, dtype=bool) for eta in etas}
+    for sl in score_slices(n_cells, Kx * Ky):
+        ydots = (Yg[sl] @ Y1.T)[:, None, :]
+        m1_base = phistar + phig[sl, None, None] - ((Xg[sl] @ X1.T)[:, :, None] + ydots)
+        cod_base = fsupport - ((Xg[sl] @ T.T)[:, :, None] - ydots)
+        for eta in etas:
+            cell_ok[eta][split_hits(m1_base, cod_base, splits[eta]) + sl.start] = True
+    levels = []
+    for eta in etas:
+        raw = np.zeros(F.xgrid.size, dtype=bool)
+        np.logical_or.at(raw, gx, cell_ok[eta])
+        levels.append((eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1)))
+    return subdiff._theorem_report(
+        mustar, si, eps, sample, lhs_mask, levels,
+        lambda lhs, rhs: not bool((lhs & ~rhs).any()),
+        qc14,
+        "left side contained in the closed right side as asserted; raw"
+        " agreement is resolution-dependent through the closure dilation",
+    )

@@ -209,6 +209,23 @@ class TestPartialConjugate:
         assert rows.shape[0] == 3
         assert inverse[0] == inverse[3] != inverse[1] == inverse[5]
 
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    def test_unique_rows_matches_numpy_unique_bitwise(self, cols):
+        rng = np.random.default_rng(233 + cols)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-40, INF, -INF])
+        cases = [
+            rng.choice(pool, size=(int(rng.integers(1, 30)), cols)) for _ in range(50)
+        ]
+        cases += [np.full((1, cols), -0.0), np.full((7, cols), 0.5)]
+        for rows in cases:
+            want, want_inverse = np.unique(
+                rows.view(np.uint64), axis=0, return_inverse=True
+            )
+            got, inverse = conjugate_module.unique_rows(rows)
+            np.testing.assert_array_equal(got.view(np.uint64), want)
+            np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+            np.testing.assert_array_equal(got[inverse].view(np.uint64), rows.view(np.uint64))
+
     def test_small_cap_chunks_both_maxima(self, monkeypatch):
         rng = np.random.default_rng(229)
         phi, F = random_problem(rng, max_count=6, xdim=2, ydim=2)

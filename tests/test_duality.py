@@ -257,6 +257,21 @@ class TestLagrangian:
         for y in ygrid.nodes[:, 0]:
             xg.index_of([1.0 - y])
 
+    @pytest.mark.parametrize("power", range(-6, 13))
+    def test_adapted_grid_scales_with_the_values(self, power):
+        # The gaps of c * (1 - y) carry rounding error relative to c; an
+        # absolute cutoff read it as a tiny common step from c = 1e7 on.
+        c = 10.0**power
+        ygrid = Grid.from_bounds([(0.0, 2.0, 7)])
+        expr = f"{c!r} * (1 - y)"
+        xg = graph_adapted_xgrid([expr], ygrid)
+        assert xg.shape == (7,)
+        values = c * (1.0 - ygrid.nodes[:, 0])
+        miss = np.abs(xg.nodes[:, 0][:, None] - values[None, :]).min(axis=0)
+        assert miss.max() <= 1e-9 * max(1.0, c)
+        lambdas = Grid.from_bounds([(-1.0, 4.0, 6)])
+        assert lagrangian_identity_check("y^2", [expr], ygrid, lambdas).verdict
+
     def test_incommensurable_values_are_refused(self):
         ygrid = Grid.from_bounds([(0.0, 1.0, 3)])
         expr = "max(y - 0.5, 0) * 1.4142135623730951 + min(y, 0.5)"

@@ -38,6 +38,7 @@ from marginlab import (
     sum_rule_check,
 )
 from marginlab import subdiff
+from marginlab.conjugate import default_ydual_grid
 
 from helpers import (
     dyadic_grid,
@@ -46,6 +47,8 @@ from helpers import (
     random_function,
     random_problem,
     random_values,
+    reference_conj_subdiff_check,
+    reference_marginal_subdiff_check,
 )
 
 INF = math.inf
@@ -539,10 +542,72 @@ class TestConjugateFormula:
         assert rep.easy_ok and rep.ok
 
 
+class TestPrunedScoring:
+    """Both theorem checks against the unpruned scoring in helpers: every
+    report field and every eta level's found and closed sets equal, on 1-D
+    and 2-D problems with partial and empty graph rows, at eps 0 and 0.5 and
+    with qc14 on and off."""
+
+    @pytest.fixture
+    def agree(self, monkeypatch):
+        fold, levels = subdiff._theorem_report, []
+
+        def spy(*args):
+            levels.append([(eta, found.tolist(), closed.tolist()) for eta, found, closed in args[5]])
+            return fold(*args)
+
+        monkeypatch.setattr(subdiff, "_theorem_report", spy)
+
+        def check(route, reference, *args):
+            levels.clear()
+            got = route(*args)
+            assert got == reference(*args)
+            assert levels[:1] == levels[1:]
+            return got
+
+        return check
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reports_equal_the_reference(self, dim, agree):
+        rng = np.random.default_rng(241 + dim)
+        count = 41 if dim == 1 else 5
+        split = 0  # reports whose right side holds some samples but not all
+        for trial in range(60):
+            phi, F = random_problem(
+                rng, max_count=7 if dim == 1 else 4, p_drop=(0.25, 0.6)[trial % 2],
+                xdim=dim, ydim=dim,
+            )
+            graph = F.graph.copy()
+            graph[int(rng.integers(0, F.xgrid.size))] = False  # one empty row
+            if not graph.any():
+                continue
+            F = SetValuedMap(F.xgrid, F.ygrid, graph)
+            mu = marginal(phi, F).mu
+            duals = default_dual_grid(mu, count)
+            yduals = default_ydual_grid(phi, dim, count)
+            eps, qc14 = (0.0, 0.5)[trial % 2], trial % 4 >= 2
+            finite = np.flatnonzero(np.isfinite(mu.values))
+            if finite.size:
+                x0 = int(rng.choice(finite))
+                got = agree(
+                    marginal_subdiff_check, reference_marginal_subdiff_check,
+                    phi, F, x0, eps, duals, yduals, qc14,
+                )
+                split += 0 < sum(got.rhs_mask) < got.n_samples
+            mustar = conjugate_at(mu, duals.nodes)
+            si = int(np.argmin(mustar)) if trial % 3 else int(rng.integers(0, duals.size))
+            got = agree(
+                conj_subdiff_check, reference_conj_subdiff_check,
+                phi, F, duals, duals.coords(si), eps, yduals, qc14,
+            )
+            split += 0 < sum(got.rhs_mask) < got.n_samples
+        assert split >= 30
+
+
 class TestSplitHits:
     def test_matches_every_split_test(self):
-        # Scores on and next to the bounds e + TOL, where testing only the
-        # entries under the largest e1 and e2 could drop a hit.
+        # Scores on and next to the bounds e + TOL, where taking one split
+        # per score in place of all of them could drop or add a hit.
         rng = np.random.default_rng(67)
         tol = subdiff.TOL
         for _ in range(200):
@@ -550,18 +615,14 @@ class TestSplitHits:
             splits = subdiff._split_pairs(total, int(rng.integers(1, 10)))
             edges = np.array(splits).reshape(-1) + tol
             pool = np.concatenate(
-                [edges, np.nextafter(edges, INF), [-1.0, 0.0, 2.0, INF, np.nan]]
+                [edges, np.nextafter(edges, INF), [-1.0, 0.0, 2.0, -INF, INF, np.nan]]
             )
-            a, b, c = (int(v) for v in rng.integers(1, 5, size=3))
-            m1 = rng.choice(pool, size=(int(rng.choice([1, a])), b, c))
-            cod = rng.choice(pool, size=(a, b, c))
-            want = {
-                i
-                for i in range(a)
-                for e1, e2 in splits
-                if ((m1[min(i, m1.shape[0] - 1)] <= e1 + tol) & (cod[i] <= e2 + tol)).any()
-            }
-            assert set(subdiff._split_hits(m1, cod, splits).tolist()) == want
+            m1, cod = rng.choice(pool, size=(2, int(rng.integers(1, 40))))
+            want = [
+                any(a <= e1 + tol and b <= e2 + tol for e1, e2 in splits)
+                for a, b in zip(m1, cod)
+            ]
+            assert (cod <= subdiff._split_bound(m1, splits)).tolist() == want
 
 
 class TestRestrictedConjugate:
