@@ -465,7 +465,7 @@ def _split_bound(m1: np.ndarray, splits) -> np.ndarray:
     the same floats, one split per score instead of all of them.
     """
     e1 = np.array([a + TOL for a, _ in splits])
-    order = np.argsort(e1, kind="stable")
+    order = np.argsort(e1)
     e2 = np.array([b + TOL for _, b in splits])[order]
     best = np.append(np.maximum.accumulate(e2[::-1])[::-1], np.nan)
     return best[np.searchsorted(e1[order], m1, side="left")]

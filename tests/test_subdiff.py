@@ -553,7 +553,7 @@ class TestPrunedScoring:
         fold, levels = subdiff._theorem_report, []
 
         def spy(*args):
-            levels.append([(eta, found.tolist(), closed.tolist()) for eta, found, closed in args[5]])
+            levels.append([(eta, a.tolist(), b.tolist()) for eta, a, b in args[5]])
             return fold(*args)
 
         monkeypatch.setattr(subdiff, "_theorem_report", spy)
@@ -562,7 +562,9 @@ class TestPrunedScoring:
             levels.clear()
             got = route(*args)
             assert got == reference(*args)
-            assert levels[:1] == levels[1:]
+            if levels:  # both folded their levels; none did for an empty x0star
+                ours, theirs = levels
+                assert ours == theirs
             return got
 
         return check
