@@ -796,6 +796,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
     outdir = Path(args.out)
     try:

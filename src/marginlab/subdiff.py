@@ -18,11 +18,19 @@ The theorem verifiers at the bottom check the upper subdifferential
 formula for marginal functions and the formula for subgradients of the
 conjugate.  Both keep two independent routes: the left side is a halfspace
 polyhedron of the gridded mu (or mu*), the right side is scanned through
-exact conjugate tables via the finite-grid Fenchel-Young identity.  Each
-near-optimal y0 (or graph cell) is scored once for all eta levels, and a
-coderivative score is built only where the phi score passes the loosest
-split; `_split_bound` then tests all of a level's splits with one
-comparison per score.  The unpruned route stays in the tests as the oracle.
+exact conjugate tables via the finite-grid Fenchel-Young identity.  The
+marginal check scores each near-optimal y0 once for all eta levels and
+builds a coderivative score only where the phi score passes the loosest
+split.  The conjugate check enumerates candidates from the summed score:
+at a graph cell (x, y) and lattice pair (x1*, y*) the phi score m1 and the
+coderivative score cod add up to (phi* + sigma_gph)(x1*, y*) +
+phi(x, y) - <x, x0*>, a table entry plus a per-cell offset, and both are
+nonnegative.  Every split has e1 + e2 = eps + eta, so only the pairs whose
+table entry lies under the largest eps + eta + 2 TOL (plus a rounding
+margin) minus the cell's offset can pass; one sorted table and one binary
+search per cell list them.  `_split_bound` then tests all of a level's
+splits with one comparison per score.  The unpruned route stays in the
+tests as the oracle.
 """
 
 from __future__ import annotations
@@ -471,6 +479,12 @@ def _split_bound(m1: np.ndarray, splits) -> np.ndarray:
     return best[np.searchsorted(e1[order], m1, side="left")]
 
 
+def _finite_max(a) -> float:
+    """Largest finite |a|, 0.0 when there is none."""
+    a = np.abs(np.asarray(a, dtype=np.float64))
+    return float(a[np.isfinite(a)].max(initial=0.0))
+
+
 def _minkowski_contains(P: HPolyhedron, Q: HPolyhedron, points: np.ndarray) -> np.ndarray:
     """Membership of each point in P_TOL + Q_TOL, the sum of the loosened sets.
 
@@ -774,6 +788,25 @@ def conj_subdiff_check(
     all eta levels; the closure is realized as one raster-cell dilation
     before intersecting over eta.
 
+    With t = x0star - x1*, the two scores of a graph cell (x, y) are
+
+        m1  = phi*(x1*, y1*) + phi(x, y) - <x, x1*> - <y, y1*>
+        cod = sigma_gph(t, -y1*) - <x, t> + <y, y1*>,
+
+    and their sum G[x1*, y1*] + h[x, y], with G = phi* + sigma_gph on the
+    lattice and h = phi(x, y) - <x, x0star>, no longer couples cell and
+    pair.  m1 >= 0 because phi* takes its max over every grid node, (x, y)
+    among them; cod >= 0 because a support function is at least its value
+    at the graph point (x, y).  A split passes only if m1 <= e1 + TOL and
+    cod <= e2 + TOL with e1 + e2 = eps + eta, so a cell's candidates are
+    the pairs with G under the largest eps + eta + 2 TOL minus h: a prefix
+    of G sorted once.  The floats meet the identity only up to a few
+    roundings, so the cutoff carries a margin of a few ulps of the largest
+    finite terms; a looser margin only admits more candidates.  Both scores
+    are then built at the candidates alone, with the same expressions and
+    per-slice dot tables as on the whole lattice, so every comparison sees
+    the same floats.
+
     Unconditionally, every pre-dilation eta-level member must lie in the
     (eps+eta)-subdifferential of mu*; two-sided agreement at the nominal
     eps is asserted only under the declared qualification.
@@ -809,32 +842,42 @@ def conj_subdiff_check(
     Yg = F.ygrid.nodes[gy]
     phig = phi.values.reshape(F.xgrid.size, F.ygrid.size)[gx, gy]
 
-    n_cells = gx.shape[0]
     splits = [_split_pairs(eps + eta, THEOREM_SPLITS) for eta in DEFAULT_ETAS]
-    e1_top = max(e1 for level in splits for e1, _ in level) + TOL
-    e2_top = max(e2 for level in splits for _, e2 in level) + TOL
-    cell_ok = np.zeros((len(DEFAULT_ETAS), n_cells), dtype=bool)
-    blocks = list(score_slices(n_cells, Kx * Ky))
-    # One pair of score buffers for every block: fresh multi-megabyte
-    # temporaries per block cost about as much in page faults as the sums.
-    m1_base = np.empty((blocks[0].stop, Kx, Ky))
-    sums = np.empty_like(m1_base)
-    for sl in blocks:
-        # phi scores against the (x1*, y*) lattice as per-axis products
-        # broadcast over the (cell, x1*, y*) block; the coderivative scores
-        # only at the entries whose phi score passes the loosest split.
-        block, xy = m1_base[: sl.stop - sl.start], sums[: sl.stop - sl.start]
-        ydots = Yg[sl] @ Y1.T
-        xdots = Xg[sl] @ T.T
-        np.add(phistar, phig[sl, None, None], out=block)
-        np.add((Xg[sl] @ X1.T)[:, :, None], ydots[:, None, :], out=xy)
-        np.subtract(block, xy, out=block)
-        at = np.flatnonzero(block <= e1_top)
-        cj, k = np.divmod(at, Ky)
-        c, j = np.divmod(cj, Kx)
-        cod = fsupport[j, k] - (xdots.reshape(-1)[cj] - ydots[c, k])
-        keep = cod <= e2_top
-        c, m1, cod = c[keep], block.reshape(-1)[at[keep]], cod[keep]
+    cutoff = max(eps + eta for eta in DEFAULT_ETAS) + 2 * TOL
+    # The floats fall short of the identity by a few roundings: T = fl(s0 -
+    # x1*) is inexact, the dot products round, and so do the sums building
+    # m1, cod, G, h, the split bounds e + TOL and the search key.  With u
+    # the unit roundoff and M the sum of the largest finite magnitudes of
+    # the terms, a passing triple has fl(G) <= cutoff - fl(h) +
+    # (13 + m) u M, and the margin below is more than twice that.  Infinite
+    # values stay out of M: +inf phi only removes a cell (h = +inf) and
+    # +inf phi* only a pair.  A looser margin admits more candidates and
+    # changes no verdict.
+    xnorm = _finite_max(np.abs(Xg).sum(axis=1))
+    scale = (
+        _finite_max(phistar) + _finite_max(fsupport) + _finite_max(phig) + cutoff
+        + xnorm * (_finite_max(X1) + _finite_max(T) + _finite_max(s0))
+        + 2.0 * _finite_max(np.abs(Yg).sum(axis=1)) * _finite_max(Y1)
+    )
+    key = cutoff + (m + 16) * np.finfo(np.float64).eps * scale - (phig - Xg @ s0)
+    G = (phistar + fsupport).reshape(-1)
+    order = np.argsort(G)
+    G = G[order]
+    pair_j, pair_k = np.divmod(order, Ky)
+
+    cell_ok = np.zeros((len(DEFAULT_ETAS), gx.shape[0]), dtype=bool)
+    for sl in score_slices(gx.shape[0], Kx * Ky):
+        counts = np.searchsorted(G, key[sl], side="right")
+        if not counts.any():
+            continue
+        # Candidate (cell, pair) triples: cell c takes the first counts[c]
+        # pairs in G order.
+        c = np.repeat(np.arange(counts.size), counts)
+        at = np.arange(c.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        j, k = pair_j[at], pair_k[at]
+        ydots = (Yg[sl] @ Y1.T)[c, k]
+        m1 = (phistar[j, k] + phig[sl][c]) - ((Xg[sl] @ X1.T)[c, j] + ydots)
+        cod = fsupport[j, k] - ((Xg[sl] @ T.T)[c, j] - ydots)
         for ok, level in zip(cell_ok, splits):
             ok[c[cod <= _split_bound(m1, level)] + sl.start] = True
 

@@ -216,6 +216,19 @@ class TestExitCodes:
         assert "overflow" in err and "Warning" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command", ["marginal", "subdiff", "duality", "conjugate", "verify-all"]
+    )
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, command):
+        # 4.8M nodes per axis: the phi table would take 168 TiB, more than a
+        # 47-bit address space holds, so the allocation fails on any host.
+        spec, out = FIXTURES / "abs_full.spec", tmp_path / "out"
+        argv = [command, "--spec", str(spec), "--out", str(out), "--refine", "600000"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate") and "TiB" in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_raster_exits_one(self, tmp_path, capsys):
         (tmp_path / "bad.raster").write_text("raster 1 3 0.0 1.0\n")
         spec = write_spec(tmp_path, MINIMAL + "\n[raster]\nfile bad.raster\n")

@@ -2,10 +2,12 @@
 
 golden/<fixture>/<case>/ holds the report.json and report.csv written by
 `marginlab <command> --spec fixtures/<fixture>.spec` for every fixture and
-command that writes reports at --refine 1 (<case> is the command), and by
-verify-all at --refine 2 on every fixture (<case> is "verify-all-r2");
-separable_quadratic's is the one refined 2-D run, where the theorem checks
-prune the most scores.
+command that writes reports at --refine 1 (<case> is the command), by
+verify-all at --refine 2 on every fixture (<case> is "verify-all-r2"), and
+by verify-all at --refine 4 on separable_quadratic ("verify-all-r4").
+separable_quadratic's are the refined 2-D runs, where the theorem checks
+prune the most scores; --refine 4 is where the conjugate check's candidate
+cutoff skips the most.
 Reports must reproduce byte for byte: key order, row order, numbers and
 detail strings.  A change that moves a byte bumps the schema string and
 replaces the goldens on purpose.

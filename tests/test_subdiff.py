@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 
 from marginlab import (
     DEFAULT_ETAS,
+    Axis,
     Grid,
     GridMismatch,
     GriddedFunction,
@@ -30,15 +31,18 @@ from marginlab import (
     eval_on_grid,
     feasible_point,
     full_map,
+    graph_support,
     is_empty,
     marginal,
     marginal_subdiff_check,
+    partial_conjugate,
     product_grid,
     restricted_conjugate_check,
     sum_rule_check,
 )
 from marginlab import subdiff
 from marginlab.conjugate import default_ydual_grid
+from marginlab.setmap import split_lattice
 
 from helpers import (
     dyadic_grid,
@@ -546,7 +550,9 @@ class TestPrunedScoring:
     """Both theorem checks against the unpruned scoring in helpers: every
     report field and every eta level's found and closed sets equal, on 1-D
     and 2-D problems with partial and empty graph rows, at eps 0 and 0.5 and
-    with qc14 on and off."""
+    with qc14 on and off.  The conjugate check also on non-dyadic values
+    from 1e-6 to 1e12, on graph cells where phi is +inf, and on summed
+    scores at its candidate cutoff."""
 
     @pytest.fixture
     def agree(self, monkeypatch):
@@ -567,6 +573,7 @@ class TestPrunedScoring:
                 assert ours == theirs
             return got
 
+        check.levels = levels  # (eta, found, closed) lists: ours, then the reference's
         return check
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -604,6 +611,115 @@ class TestPrunedScoring:
             )
             split += 0 < sum(got.rhs_mask) < got.n_samples
         assert split >= 30
+
+    @pytest.mark.parametrize("k", [-6, 0, 6, 12])
+    def test_non_dyadic_values_at_every_scale(self, k, agree):
+        # Inexact dot products and sums: the conjugate check's candidate
+        # cutoff must keep every triple the unpruned scoring passes.
+        rng = np.random.default_rng(503 + k)
+        split = 0
+        for trial in range(40):
+            dim = 1 if trial % 4 else 2
+            phi, F = _non_dyadic_problem(rng, dim, 10.0**k)
+            mu = marginal(phi, F).mu
+            count = 41 if dim == 1 else 5
+            duals = default_dual_grid(mu, count)
+            yduals = default_ydual_grid(phi, dim, count)
+            mustar = conjugate_at(mu, duals.nodes)
+            si = int(np.argmin(mustar)) if trial % 2 else int(rng.integers(0, duals.size))
+            eps = (0.0, 0.5, 0.3 * 10.0**k)[trial % 3]
+            got = agree(
+                conj_subdiff_check, reference_conj_subdiff_check,
+                phi, F, duals, duals.coords(si), eps, yduals, trial % 4 >= 2,
+            )
+            split += 0 < sum(got.rhs_mask) < got.n_samples
+        assert split >= 10
+
+    def test_infinite_phi_on_graph_cells(self, agree):
+        rng = np.random.default_rng(409)
+        inf_cells = 0
+        for trial in range(40):
+            phi, F = random_problem(rng, p_inf=0.5, p_drop=0.1, xdim=1 + trial % 2,
+                                    ydim=1 + trial % 2, max_count=7 - 3 * (trial % 2))
+            mu = marginal(phi, F).mu
+            if not np.isfinite(mu.values).any():
+                continue
+            gx, gy = F.graph_cells
+            inf_cells += int(np.isinf(phi.values.reshape(F.graph.shape)[gx, gy]).sum())
+            duals = default_dual_grid(mu, 9)
+            mustar = conjugate_at(mu, duals.nodes)
+            agree(
+                conj_subdiff_check, reference_conj_subdiff_check,
+                phi, F, duals, duals.coords(int(np.argmin(mustar))), (0.0, 0.5)[trial % 2],
+            )
+        assert inf_cells >= 500
+
+    @pytest.mark.parametrize("past", [False, True])
+    def test_summed_score_at_the_cutoff(self, past, agree):
+        # On x nodes {0, 1} with y = 0 the only graph row and phi = 0 there,
+        # the cell (0, 0) has m1 = x1* and cod = x0* - x1* (for x1* in
+        # [0, x0*]).  With x0* the largest eps + eta + 2 TOL and x1* half of
+        # it, both scores sit exactly on the bound e + TOL of the split
+        # (0.5, 0.5) at eta = 1, so the summed score is exactly the cutoff,
+        # and the cell is found.  One step up, x0* = nextafter(cutoff), both
+        # scores sit one step past that bound, and no split admits the cell.
+        cutoff = max(DEFAULT_ETAS) + 2 * subdiff.TOL
+        top = np.nextafter(cutoff, INF) if past else cutoff
+        assert top / 2 + top / 2 == top and (top / 2 == 0.5 + subdiff.TOL) != past
+        xgrid, ygrid = Grid((Axis(0.0, 1.0, 2),)), Grid((Axis(0.0, 1.0, 2),))
+        phi = GriddedFunction(product_grid(xgrid, ygrid), [0.0, INF, 0.0, INF])
+        F = SetValuedMap(xgrid, ygrid, np.array([[True, False], [True, False]]))
+        duals = Grid((Axis(0.0, top, 3),))
+        yduals = Grid((Axis(-1.0, 1.0, 3),))
+        agree(conj_subdiff_check, reference_conj_subdiff_check, phi, F, duals, top, 0.0, yduals)
+        eta, found, _ = agree.levels[0][0]
+        assert eta == max(DEFAULT_ETAS) and found[0] == (not past)
+
+    def test_rounded_scores_at_the_cutoff(self, agree):
+        # The same map shifted to x nodes {d, d + 1}, phi = p on both graph
+        # cells: at x1* = x0*/2 both scores of the cell (d, 0) equal x0*/2 up
+        # to rounding, so they sit on the split bound while the rounded
+        # table entry G and cell offset h can add up to a few ulps over the
+        # cutoff.  Only the rounding margin keeps those triples.
+        rng = np.random.default_rng(5)
+        cutoff = max(DEFAULT_ETAS) + 2 * subdiff.TOL
+        duals, yduals = Grid((Axis(0.0, cutoff, 3),)), Grid((Axis(-1.0, 1.0, 3),))
+        steps = split_lattice(np.array([[cutoff]]), duals)
+        over = 0
+        for _ in range(300):
+            d, p = (float(v) for v in rng.uniform(-3.0, 3.0, size=2))
+            xgrid, ygrid = Grid((Axis(d, d + 1.0, 2),)), Grid((Axis(0.0, 1.0, 2),))
+            phi = GriddedFunction(product_grid(xgrid, ygrid), [p, INF, p, INF])
+            F = SetValuedMap(xgrid, ygrid, np.array([[True, False], [True, False]]))
+            agree(conj_subdiff_check, reference_conj_subdiff_check,
+                  phi, F, duals, cutoff, 0.0, yduals)
+            G = partial_conjugate(
+                phi.values.reshape(2, 2), xgrid.nodes, ygrid.nodes, duals.nodes, yduals.nodes
+            ) + graph_support(F, steps, -yduals.nodes)
+            over += agree.levels[0][0][1][0] and G[1, 1] > cutoff - (p - d * cutoff)
+        assert over >= 1  # some triple needed the margin
+
+
+def _non_dyadic_problem(rng, dim, scale):
+    """Random (phi, F) on axes with non-dyadic ends, phi ~ scale * N(0, 1),
+    about a third of the nodes +inf and some graph cells dropped; the first
+    node is finite and on the graph, so mu is finite somewhere."""
+
+    def grid():
+        axes = []
+        for _ in range(dim):
+            lo = float(rng.uniform(-2.0, 1.0))
+            axes.append(Axis(lo, lo + float(rng.uniform(0.3, 3.0)),
+                             int(rng.integers(2, 8 if dim == 1 else 4))))
+        return Grid(tuple(axes))
+
+    xgrid, ygrid = grid(), grid()
+    vals = scale * rng.normal(size=xgrid.size * ygrid.size)
+    vals[rng.random(vals.size) < 0.3] = INF
+    graph = rng.random((xgrid.size, ygrid.size)) >= 0.4
+    graph[0, 0] = True
+    vals[0] = min(vals[0], scale)
+    return GriddedFunction(product_grid(xgrid, ygrid), vals), SetValuedMap(xgrid, ygrid, graph)
 
 
 class TestSplitHits:
