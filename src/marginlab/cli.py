@@ -5,9 +5,12 @@ lives in marginlab.spec and docs/formats.md), runs one verification
 command and writes `report.json` plus a plot-ready `report.csv` into the
 output directory.
 
-Every command reads one per-run context, `_Run`, which builds (phi, F),
-the marginal, the dual grids and mu* on the x-duals on first use and at
-most once.  Each check's verdict rows come from one builder that takes
+Every command reads one per-run context, `_Run`: the spec and flags, the
+dual grids, and one `tables.Tables` store for (phi, F).  The store builds
+mu, mu*, phi* and the graph supports the checks share once each, and the
+handlers call the checks' store-taking forms (`subdiff._conj_subdiff`,
+`duality._strong_duality`, ...) on it, so one verify-all computes the
+marginal of (phi, F) once.  Each check's verdict rows come from one builder that takes
 its row names as arguments; verify-all concatenates the core, conjugacy,
 subdiff and duality layers, and the single-topic commands reuse the same
 builders.  Reports are deterministic: fixed field order, no timestamps,
@@ -30,7 +33,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .conjugate import (
-    biconjugate,
     conjugate,
     conjugate_fast,
     default_dual_grid,
@@ -49,10 +51,10 @@ from .duality import (
     DualityReport,
     LagrangianIdentityReport,
     SlaterReport,
-    conjugate_representation_check,
+    _conjugate_representation,
+    _strong_duality,
     lagrangian_identity_check,
     slater_strong_duality_check,
-    strong_duality_check,
 )
 from .errors import (
     HypothesisNotMet,
@@ -62,13 +64,7 @@ from .errors import (
     UnsupportedShape,
     ZeroNotOnGrid,
 )
-from .marginal import (
-    MarginalResult,
-    convexity_check,
-    domain_identity_check,
-    epigraph_projection_check,
-    marginal,
-)
+from .marginal import _domain_identity, convexity_check, epigraph_projection_check
 from .nearconvex import (
     closure,
     hull_raster,
@@ -81,14 +77,15 @@ from .nearconvex import (
 from .setmap import SetValuedMap
 from .spec import COMMANDS, ProblemSpec, parse_spec
 from .subdiff import (
-    conj_subdiff_check,
+    _conj_subdiff,
+    _marginal_subdiff,
+    _restricted_conjugate,
     eps_subdifferential,
     feasible_point,
     is_empty,
-    marginal_subdiff_check,
-    restricted_conjugate_check,
     sum_rule_check,
 )
+from .tables import Tables
 
 SCHEMA = "marginlab.csv.v1"
 
@@ -221,10 +218,14 @@ def _parse_x0(text: str | None, dim: int) -> np.ndarray:
 
 
 class _Run:
-    """One command's spec and flags plus every object its checks share.
+    """One command's spec and flags, the store of its problem's tables, and
+    the reports that more than one of its rows read.
 
-    Each object is built on first use and then kept, so no run computes
-    mu or mu* twice.  Commands that never read (phi, F) (lagrangian,
+    `tables` holds (phi, F) on the grids refined by --refine and builds
+    each shared table on first use: mu, mu* on the x-duals, phi* and the
+    graph support on the dual lattice.  Every handler reads them there,
+    directly or through the checks' store-taking forms, so no run builds
+    one of them twice.  Commands that never read (phi, F) (lagrangian,
     nearconvex) never build it, so a table phi stays usable under --refine.
     """
 
@@ -233,17 +234,16 @@ class _Run:
         self.args = args
 
     @cached_property
-    def problem(self) -> tuple[GriddedFunction, SetValuedMap]:
-        """(phi, F) on the grids refined by --refine."""
-        return self.spec.build(self.args.refine)
+    def tables(self) -> Tables:
+        return Tables(*self.spec.build(self.args.refine))
 
-    @cached_property
-    def marginal_result(self) -> MarginalResult:
-        return marginal(*self.problem)
+    @property
+    def problem(self) -> tuple[GriddedFunction, SetValuedMap]:
+        return self.tables.phi, self.tables.F
 
     @property
     def mu(self) -> GriddedFunction:
-        return self.marginal_result.mu
+        return self.tables.mu
 
     @cached_property
     def xduals(self) -> Grid:
@@ -262,10 +262,10 @@ class _Run:
         phi, F = self.problem
         return default_ydual_grid(phi, F.xgrid.dim)
 
-    @cached_property
+    @property
     def mustar(self) -> GriddedFunction:
         """mu* on the x-duals, by brute force."""
-        return conjugate(self.mu, self.xduals)
+        return self.tables.mustar(self.xduals)
 
     @cached_property
     def mustar_fast(self) -> GriddedFunction | UnsupportedShape:
@@ -277,7 +277,7 @@ class _Run:
 
     @cached_property
     def domain(self) -> tuple[bool, int | None]:
-        return domain_identity_check(*self.problem)
+        return _domain_identity(*self.problem, self.mu)
 
     @cached_property
     def convexity(self) -> tuple[bool, tuple[int, int, int] | None]:
@@ -285,8 +285,7 @@ class _Run:
 
     @cached_property
     def duality(self) -> DualityReport:
-        phi, F = self.problem
-        return strong_duality_check(phi, F, self.xduals, self.yduals)
+        return _strong_duality(self.tables, self.xduals, self.yduals)
 
     @cached_property
     def lagrangian(self) -> tuple[LagrangianIdentityReport, SlaterReport]:
@@ -348,16 +347,13 @@ def _fenchel_young_row(run: _Run, name: str) -> Verdict:
 
 
 def _conjugacy_rows(run: _Run) -> list[Verdict]:
-    phi, F = run.problem
     rows = [
         _fast_row(run, "conjugacy.fast_matches_bruteforce"),
         _fenchel_young_row(run, "conjugacy.fenchel_young"),
     ]
-    rc = restricted_conjugate_check(phi, F, run.xduals)
+    rc = _restricted_conjugate(run.tables, run.xduals)
     qc1 = run.spec.metadata["qc1"]
-    crep = conjugate_representation_check(
-        phi, F, run.xduals, run.yduals, hypothesis=qc1
-    )
+    crep = _conjugate_representation(run.tables, run.xduals, run.yduals, qc1)
     residual = f"max residual {render_value(crep.max_residual)}"
     return rows + [
         ("conjugacy.restricted_conjugate_exact", rc.ok, f"{rc.n_duals} dual nodes"),
@@ -372,7 +368,6 @@ def _conjugacy_rows(run: _Run) -> list[Verdict]:
 
 
 def _subdiff_rows(run: _Run) -> list[Verdict]:
-    phi, F = run.problem
     mu, xduals, yduals = run.mu, run.xduals, run.yduals
     qc14 = run.spec.metadata["qc14"]
     rows: list[Verdict] = []
@@ -383,9 +378,7 @@ def _subdiff_rows(run: _Run) -> list[Verdict]:
         finite_at_zero = False
     if finite_at_zero:
         for eps, tag in ((0.0, "0p0"), (0.5, "0p5")):
-            rep = marginal_subdiff_check(
-                phi, F, zero, eps, duals=xduals, yduals=yduals, qc14=qc14
-            )
+            rep = _marginal_subdiff(run.tables, zero, eps, xduals, yduals, qc14)
             rows += [
                 (
                     f"subdiff.marginal_formula_upper_eps{tag}",
@@ -412,9 +405,7 @@ def _subdiff_rows(run: _Run) -> list[Verdict]:
             )
         )
     si = int(np.argmin(run.mustar.values))
-    rep2 = conj_subdiff_check(
-        phi, F, xduals, xduals.coords(si), 0.0, yduals=yduals, qc14=qc14
-    )
+    rep2 = _conj_subdiff(run.tables, xduals, xduals.coords(si), 0.0, yduals, qc14)
     contains_lhs = not any(l and not r for l, r in zip(rep2.lhs_mask, rep2.rhs_mask))
     return rows + [
         (
@@ -459,7 +450,7 @@ def _lagrangian_rows(run: _Run, names: tuple[str, str, str]) -> list[Verdict]:
 
 
 def _cmd_marginal(run: _Run) -> Outcome:
-    res = run.marginal_result
+    res = run.tables.marginal
     verdicts = _core_rows(run, "")
     fields = {
         "xgrid": _grid_json(res.mu.grid),
@@ -483,14 +474,14 @@ def _cmd_marginal(run: _Run) -> Outcome:
 
 def _cmd_conjugate(run: _Run) -> Outcome:
     mu, duals = run.mu, run.xduals
+    mustar, fast = run.mustar, run.mustar_fast
     fast_row = _fast_row(run, "fast_matches_bruteforce")
-    bic = biconjugate(mu, duals)
+    bic = conjugate(mustar, mu.grid)  # biconjugate(mu, duals), from the kept mu*
     verdicts = [
         fast_row,
         ("biconjugate_minorant", bool(np.all(bic.values <= mu.values + 1e-9)), ""),
         _fenchel_young_row(run, "fenchel_young"),
     ]
-    mustar, fast = run.mustar, run.mustar_fast
     applies = not isinstance(fast, UnsupportedShape)
     fields = {
         "duals": _grid_json(duals),

@@ -55,6 +55,18 @@ def score_slices(total: int, width: int):
         yield slice(lo, min(lo + step, total))
 
 
+def count_slices(entries: np.ndarray):
+    """Consecutive slices of range(len(entries)) whose entries add up to at
+    most `_SCORE_CAP`; an item over the cap is a slice of its own."""
+    ends = np.cumsum(entries)
+    lo = 0
+    while lo < ends.size:
+        before = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, before + _SCORE_CAP, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
 def max_dots_minus(queries: np.ndarray, points: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """max over rows p of <q, p> - v(p), per query row q.
 

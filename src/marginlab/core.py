@@ -122,7 +122,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(a.count for a in self.axes)
 
     @cached_property
     def axis_coords(self) -> tuple[np.ndarray, ...]:
@@ -155,9 +155,9 @@ class Grid:
         if not np.isfinite(p).all():
             raise NotANode(f"{p.tolist()} is not a grid node (non-finite coordinate)")
         multi = []
-        for k, ax in enumerate(self.axes):
+        for k, (ax, coords) in enumerate(zip(self.axes, self.axis_coords)):
             i = int(round((p[k] - ax.lo) / ax.step))
-            if i < 0 or i >= ax.count or abs(ax.coords()[i] - p[k]) > NODE_TOL:
+            if i < 0 or i >= ax.count or abs(coords[i] - p[k]) > NODE_TOL:
                 raise NotANode(f"{p.tolist()} is not a grid node (axis {k})")
             multi.append(i)
         return self.flat(multi)

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import (
-    conjugate,
-    conjugate_at,
-    default_ydual_grid,
-    partial_conjugate,
-    score_slices,
-    unique_rows,
-)
+from .conjugate import conjugate, conjugate_at, default_ydual_grid, score_slices
 from .core import (
     INF,
     Axis,
@@ -43,13 +36,9 @@ from .core import (
 )
 from .errors import GridNotAdapted, NotANode, ZeroNotOnGrid
 from .marginal import marginal
-from .setmap import (
-    SetValuedMap,
-    graph_support,
-    map_from_inequalities,
-    split_lattice,
-)
+from .setmap import SetValuedMap, map_from_inequalities
 from .subdiff import eps_subdifferential, feasible_point, linprog
+from .tables import Tables, inf_convolution_min, lattice_support, phi_conjugate
 
 TOL = 1e-9
 MAX_ADAPTED_COUNT = 100_000  # x-nodes per axis of a graph-adapted grid
@@ -71,7 +60,10 @@ def primal_value(phi: GriddedFunction, F: SetValuedMap) -> float:
 def dual_value_1(mu: GriddedFunction, duals: Grid) -> float:
     """max over dual nodes of -mu*(x*), i.e. the biconjugate of mu at 0."""
     _zero_index(mu.grid)
-    mustar = conjugate(mu, duals)
+    return _dual_value_1(conjugate(mu, duals))
+
+
+def _dual_value_1(mustar: GriddedFunction) -> float:
     return float(np.max(-mustar.values))
 
 
@@ -90,26 +82,9 @@ def sampled_inf_convolution(
     add-and-min runs over blocks of points of about `_SCORE_CAP` entries.
     """
     at = np.atleast_2d(np.asarray(at, dtype=np.float64))
-    k1, ky = x1duals.size, yduals.size
-    V = phi.values.reshape(F.xgrid.size, -1)
-    phistar = partial_conjugate(V, F.xgrid.nodes, F.ygrid.nodes, x1duals.nodes, yduals.nodes)
-    steps, inverse = unique_rows(split_lattice(at, x1duals))
-    fstar = graph_support(F, steps, -yduals.nodes)
-    out = np.empty(at.shape[0])
-    if np.isinf(phistar).any() or np.isinf(fstar).any():
-        # phi* is all +inf, all -inf or finite, F* all -inf or finite, and
-        # lower addition lets +inf win.
-        out.fill(INF if (phistar == INF).any() else -INF)
-        return out
-    inverse = inverse.reshape(at.shape[0], k1)
-    chunks = list(score_slices(at.shape[0], k1 * ky))
-    buf = np.empty((chunks[0].stop if chunks else 0, k1, ky))
-    for sl in chunks:
-        block = buf[: sl.stop - sl.start]
-        np.take(fstar, inverse[sl], axis=0, out=block, mode="clip")
-        block += phistar
-        block.min(axis=(1, 2), out=out[sl])
-    return out
+    return inf_convolution_min(
+        phi_conjugate(phi, F, x1duals, yduals), *lattice_support(F, at, x1duals, yduals)
+    )
 
 
 def dual_value_2(
@@ -119,8 +94,11 @@ def dual_value_2(
     yduals: Grid,
 ) -> float:
     """max over x* nodes of -(phi* box F*)(x*, 0), splits sampled on xduals."""
-    vals = sampled_inf_convolution(phi, F, xduals.nodes, xduals, yduals)
-    return float(np.max(-vals))
+    return _dual_value_2(Tables(phi, F), xduals, yduals)
+
+
+def _dual_value_2(tables: Tables, xduals: Grid, yduals: Grid) -> float:
+    return float(np.max(-tables.inf_convolution(xduals, yduals)))
 
 
 @dataclass(frozen=True)
@@ -150,11 +128,19 @@ def conjugate_representation_check(
     increase.  The equality verdict is only meaningful when the instance
     asserts the interiority hypothesis.
     """
-    mu = marginal(phi, F).mu
-    mustar = conjugate(mu, xduals).values
-    sic0 = sampled_inf_convolution(phi, F, xduals.nodes, xduals, yduals)
+    return _conjugate_representation(Tables(phi, F), xduals, yduals, hypothesis)
+
+
+def _conjugate_representation(
+    tables: Tables, xduals: Grid, yduals: Grid, hypothesis: bool
+) -> ConjugateRepresentationReport:
+    """`conjugate_representation_check` with mu* and the sampled value on
+    the xduals lattice from a store; the refined lattice is read here
+    alone, so `sampled_inf_convolution` builds it and lets it go."""
+    mustar = tables.mustar(xduals).values
+    sic0 = tables.inf_convolution(xduals, yduals)
     sic1 = sampled_inf_convolution(
-        phi, F, xduals.nodes, xduals.refine(2), yduals.refine(2)
+        tables.phi, tables.F, xduals.nodes, xduals.refine(2), yduals.refine(2)
     )
     lower_ok = bool(np.all(mustar <= sic0 + TOL)) and bool(np.all(mustar <= sic1 + TOL))
 
@@ -227,13 +213,19 @@ def strong_duality_check(
     when no dual node lands inside the subdifferential.  An empty
     subdifferential yields a nonnegative reported gap instead.
     """
+    return _strong_duality(Tables(phi, F), duals, yduals)
+
+
+def _strong_duality(tables: Tables, duals: Grid, yduals: Grid | None) -> DualityReport:
+    """`strong_duality_check` with mu, mu* and the sampled value from a store."""
+    phi, F = tables.phi, tables.F
     zi = _zero_index(F.xgrid)
-    mu = marginal(phi, F).mu
+    mu = tables.mu
     vp = float(mu.values[zi])
-    vd1 = dual_value_1(mu, duals)
+    vd1 = _dual_value_1(tables.mustar(duals))
     if yduals is None:
         yduals = default_ydual_grid(phi, F.xgrid.dim)
-    vd2 = dual_value_2(phi, F, duals, yduals)
+    vd2 = _dual_value_2(tables, duals, yduals)
 
     sub = eps_subdifferential(mu, zi, 0.0)
     point = feasible_point(sub)

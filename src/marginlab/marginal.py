@@ -93,8 +93,13 @@ def domain_identity_check(
 
     Returns (ok, witness flat x index of the first discrepancy).
     """
-    _check_product(phi, F)
-    mu = marginal(phi, F).mu
+    return _domain_identity(phi, F, marginal(phi, F).mu)
+
+
+def _domain_identity(
+    phi: GriddedFunction, F: SetValuedMap, mu: GriddedFunction
+) -> tuple[bool, int | None]:
+    """`domain_identity_check` against a mu already built from (phi, F)."""
     lhs = mu.dom_mask
     finite_phi = (phi.values < INF).reshape(F.xgrid.size, F.ygrid.size)
     rhs = (finite_phi & F.graph).any(axis=1)

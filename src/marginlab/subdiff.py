@@ -28,9 +28,13 @@ phi(x, y) - <x, x0*>, a table entry plus a per-cell offset, and both are
 nonnegative.  Every split has e1 + e2 = eps + eta, so only the pairs whose
 table entry lies under the largest eps + eta + 2 TOL (plus a rounding
 margin) minus the cell's offset can pass; one sorted table and one binary
-search per cell list them.  `_split_bound` then tests all of a level's
-splits with one comparison per score.  The unpruned route stays in the
-tests as the oracle.
+search over all cells list them, and only cells with a candidate are
+scored, in slices sized by their candidate counts.  `_split_bound` then
+tests all of a level's splits with one comparison per score.  The unpruned
+route stays in the tests as the oracle.  The conjugate tables both checks
+read (mu*, phi*, the graph support on the dual lattice) come from a
+`tables.Tables` store: the public checks build a fresh one, and the
+command line shares one per run through the store-taking forms.
 """
 
 from __future__ import annotations
@@ -41,12 +45,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conjugate import (
-    conjugate,
     conjugate_at,
+    count_slices,
     default_dual_grid,
     default_ydual_grid,
-    partial_conjugate,
-    score_slices,
 )
 from .core import (
     INF,
@@ -62,9 +64,9 @@ from .errors import (
     PointNotInSet,
     UnsupportedDimension,
 )
-from .marginal import marginal
 from .nearconvex import box_dilate
 from .setmap import SetValuedMap, graph_support, split_lattice
+from .tables import Tables
 
 TOL = 1e-9
 SUM_RULE_SPLITS = 5  # eps1 + eps2 = eps splits sampled by sum_rule_check
@@ -670,7 +672,24 @@ def marginal_subdiff_check(
     the nominal eps is asserted only when the instance claims the
     qualification (qc14).
     """
-    mu = marginal(phi, F).mu
+    return _marginal_subdiff(Tables(phi, F), x0, eps, duals, yduals, qc14)
+
+
+def _marginal_subdiff(
+    tables: Tables,
+    x0,
+    eps: float,
+    duals: Grid | None,
+    yduals: Grid | None,
+    qc14: bool,
+) -> TheoremReport:
+    """`marginal_subdiff_check` on the tables of a store.
+
+    phi* comes from the store, and so does the graph support on the split
+    lattice of duals, kept on its distinct steps; the coderivative scores
+    gather it through the inverse index.
+    """
+    phi, F, mu = tables.phi, tables.F, tables.mu
     xi = F.xgrid.resolve(x0)
     mu0 = mu.values[xi]
     if not np.isfinite(mu0):
@@ -688,10 +707,9 @@ def marginal_subdiff_check(
     Y1 = yduals.nodes
     Kx, Ky = Ks, Y1.shape[0]
     T = split_lattice(S, duals)
-    phistar = partial_conjugate(
-        phi.values.reshape(F.xgrid.size, -1), F.xgrid.nodes, F.ygrid.nodes, S, Y1
-    )
-    fsupport = graph_support(F, T, -Y1).reshape(Ks, Kx * Ky)
+    phistar = tables.phistar(duals, yduals)
+    support, inverse = tables.lattice_support(duals, yduals)
+    steps = inverse.reshape(Ks, Kx)  # the support row of each (x*, x1*) step
     TX0 = (T @ x0c).reshape(Ks, Kx)
 
     phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
@@ -710,7 +728,7 @@ def marginal_subdiff_check(
         m1_base = (phistar + phi_row[yi] - dots1[:, None] - dots2[None, :]).reshape(-1)
         cols = np.flatnonzero(m1_base <= e1_top)
         j, k = np.divmod(cols, Ky)
-        cod = fsupport[:, cols] - TX0[:, j] + dots2[k]
+        cod = support[steps[:, j], k] - TX0[:, j] + dots2[k]
         for level in np.flatnonzero(near[:, yi]):
             masks[level] &= (cod <= _split_bound(m1_base[cols], splits[level])).any(axis=1)
     levels = [(eta, mask, mask) for eta, mask in zip(DEFAULT_ETAS, masks)]
@@ -747,8 +765,13 @@ def restricted_conjugate_check(
     Both sides are finite maxima over the same point set, so equality is
     exact (bitwise), not merely within tolerance.
     """
-    mu = marginal(phi, F).mu
-    lhs = conjugate_at(mu, duals.nodes)
+    return _restricted_conjugate(Tables(phi, F), duals)
+
+
+def _restricted_conjugate(tables: Tables, duals: Grid) -> RestrictedConjugateReport:
+    """`restricted_conjugate_check` with mu* on duals from a store."""
+    phi, F = tables.phi, tables.F
+    lhs = tables.mustar(duals).values
     tilde = GriddedFunction(
         phi.grid,
         np.where(F.graph.reshape(-1), phi.values, INF),
@@ -803,16 +826,37 @@ def conj_subdiff_check(
     of G sorted once.  The floats meet the identity only up to a few
     roundings, so the cutoff carries a margin of a few ulps of the largest
     finite terms; a looser margin only admits more candidates.  Both scores
-    are then built at the candidates alone, with the same expressions and
-    per-slice dot tables as on the whole lattice, so every comparison sees
-    the same floats.
+    are then built at the candidates alone, with the same expressions as on
+    the whole lattice.  Their dot-product tables cover the rows of the cells
+    with a candidate, in slices sized by their candidate counts, and never
+    one row alone, which numpy would send to gemv.  On dyadic data every
+    dot product is exact, so each comparison sees the floats of the
+    unpruned route.  Otherwise a dot product over two or more coordinates
+    can round differently where BLAS blocks the rows differently, as it
+    does in the unpruned route under another `_SCORE_CAP`.
 
     Unconditionally, every pre-dilation eta-level member must lie in the
     (eps+eta)-subdifferential of mu*; two-sided agreement at the nominal
     eps is asserted only under the declared qualification.
     """
-    mu = marginal(phi, F).mu
-    mustar = conjugate(mu, duals)
+    return _conj_subdiff(Tables(phi, F), duals, x0star, eps, yduals, qc14)
+
+
+def _conj_subdiff(
+    tables: Tables,
+    duals: Grid,
+    x0star,
+    eps: float,
+    yduals: Grid | None,
+    qc14: bool,
+) -> TheoremReport:
+    """`conj_subdiff_check` with mu* and phi* from a store.
+
+    The graph support on the split lattice at the one node x0star is read
+    here alone, so it is built here and not kept.
+    """
+    phi, F = tables.phi, tables.F
+    mustar = tables.mustar(duals)
     si = duals.resolve(x0star)
     if not np.isfinite(mustar.values[si]):
         return TheoremReport(
@@ -832,14 +876,11 @@ def conj_subdiff_check(
     Kx, Ky = duals.size, Y1.shape[0]
     X1 = duals.nodes
     T = split_lattice(s0[None, :], duals)
-    phistar = partial_conjugate(
-        phi.values.reshape(F.xgrid.size, -1), F.xgrid.nodes, F.ygrid.nodes, X1, Y1
-    )
+    phistar = tables.phistar(duals, yduals)
     fsupport = graph_support(F, T, -Y1)
 
     gx, gy = F.graph_cells
-    Xg = F.xgrid.nodes[gx]
-    Yg = F.ygrid.nodes[gy]
+    X, Y = F.xgrid.nodes, F.ygrid.nodes
     phig = phi.values.reshape(F.xgrid.size, F.ygrid.size)[gx, gy]
 
     splits = [_split_pairs(eps + eta, THEOREM_SPLITS) for eta in DEFAULT_ETAS]
@@ -852,40 +893,48 @@ def conj_subdiff_check(
     # (13 + m) u M, and the margin below is more than twice that.  Infinite
     # values stay out of M: +inf phi only removes a cell (h = +inf) and
     # +inf phi* only a pair.  A looser margin admits more candidates and
-    # changes no verdict.
-    xnorm = _finite_max(np.abs(Xg).sum(axis=1))
+    # changes no verdict.  The norms run over the x and y nodes of graph
+    # cells.
+    xnorm = _finite_max(np.abs(X[F.dom_mask]).sum(axis=1))
     scale = (
         _finite_max(phistar) + _finite_max(fsupport) + _finite_max(phig) + cutoff
         + xnorm * (_finite_max(X1) + _finite_max(T) + _finite_max(s0))
-        + 2.0 * _finite_max(np.abs(Yg).sum(axis=1)) * _finite_max(Y1)
+        + 2.0 * _finite_max(np.abs(Y[F.graph.any(axis=0)]).sum(axis=1)) * _finite_max(Y1)
     )
-    key = cutoff + (m + 16) * np.finfo(np.float64).eps * scale - (phig - Xg @ s0)
+    key = cutoff + (m + 16) * np.finfo(np.float64).eps * scale - (phig - (X @ s0)[gx])
     G = (phistar + fsupport).reshape(-1)
     order = np.argsort(G)
     G = G[order]
     pair_j, pair_k = np.divmod(order, Ky)
 
-    cell_ok = np.zeros((len(DEFAULT_ETAS), gx.shape[0]), dtype=bool)
-    for sl in score_slices(gx.shape[0], Kx * Ky):
-        counts = np.searchsorted(G, key[sl], side="right")
-        if not counts.any():
-            continue
-        # Candidate (cell, pair) triples: cell c takes the first counts[c]
-        # pairs in G order.
-        c = np.repeat(np.arange(counts.size), counts)
-        at = np.arange(c.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # Candidate (cell, pair) triples: a cell takes the first counts[cell]
+    # pairs in G order.  Only cells with a candidate are scored, in slices
+    # whose temporaries stay within _SCORE_CAP entries: about ten arrays of
+    # one entry per triple, and one dot table at a time with a row per cell.
+    counts = np.searchsorted(G, key, side="right")
+    del key
+    cells = np.flatnonzero(counts)
+    counts = counts[cells]
+    found = np.zeros((len(DEFAULT_ETAS), F.xgrid.size), dtype=bool)
+    for sl in count_slices(10 * counts + max(Kx, Ky)):
+        n, cs = counts[sl], cells[sl]
+        r = np.repeat(np.arange(n.size), n)  # dot-table row of each triple
+        at = np.arange(r.size) - np.repeat(np.cumsum(n) - n, n)
         j, k = pair_j[at], pair_k[at]
-        ydots = (Yg[sl] @ Y1.T)[c, k]
-        m1 = (phistar[j, k] + phig[sl][c]) - ((Xg[sl] @ X1.T)[c, j] + ydots)
-        cod = fsupport[j, k] - ((Xg[sl] @ T.T)[c, j] - ydots)
-        for ok, level in zip(cell_ok, splits):
-            ok[c[cod <= _split_bound(m1, level)] + sl.start] = True
+        # numpy sends a one-row product to gemv, which may round
+        # differently, so a lone cell is scored on two copies of its row.
+        rows = cs if cs.size > 1 else np.repeat(cs, 2)
+        Xs, Ys = X[gx[rows]], Y[gy[rows]]
+        ydots = (Ys @ Y1.T)[r, k]
+        m1 = (phistar[j, k] + phig[cs][r]) - ((Xs @ X1.T)[r, j] + ydots)
+        cod = fsupport[j, k] - ((Xs @ T.T)[r, j] - ydots)
+        for level_found, level in zip(found, splits):
+            level_found[gx[cs[r[cod <= _split_bound(m1, level)]]]] = True
 
-    levels = []
-    for eta, ok in zip(DEFAULT_ETAS, cell_ok):
-        raw = np.zeros(F.xgrid.size, dtype=bool)
-        np.logical_or.at(raw, gx, ok)
-        levels.append((eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1)))
+    levels = [
+        (eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1))
+        for eta, raw in zip(DEFAULT_ETAS, found)
+    ]
     # The one-cell dilation realizing "cl" can only enlarge the right side,
     # so the sharp direction asserted under the qualification is containment
     # of the left side, not raw equality of the node masks.

@@ -23,6 +23,7 @@ from marginlab import (
     marginal,
     parse_spec,
     partial_conjugate,
+    product_grid,
     subdiff,
 )
 from marginlab.conjugate import default_ydual_grid, score_slices
@@ -105,13 +106,33 @@ def random_problem(rng, max_count=7, p_inf=0.15, p_drop=0.25, xdim=1, ydim=1):
     """Random instance (phi, F), 1-D/1-D by default, with some infeasible x rows."""
     xgrid = dyadic_grid(rng, dim=xdim, max_count=max_count)
     ygrid = dyadic_grid(rng, dim=ydim, max_count=max_count)
-    from marginlab import product_grid
-
     phi = random_function(rng, product_grid(xgrid, ygrid), p_inf)
     graph = rng.random((xgrid.size, ygrid.size)) >= p_drop
     if not graph.any():
         graph[0, 0] = True
     return phi, SetValuedMap(xgrid, ygrid, graph)
+
+
+def non_dyadic_problem(rng, dim, scale):
+    """Random (phi, F) on axes with non-dyadic ends, phi ~ scale * N(0, 1),
+    about a third of the nodes +inf and some graph cells dropped; the first
+    node is finite and on the graph, so mu is finite somewhere."""
+
+    def grid():
+        axes = []
+        for _ in range(dim):
+            lo = float(rng.uniform(-2.0, 1.0))
+            axes.append(Axis(lo, lo + float(rng.uniform(0.3, 3.0)),
+                             int(rng.integers(2, 8 if dim == 1 else 4))))
+        return Grid(tuple(axes))
+
+    xgrid, ygrid = grid(), grid()
+    vals = scale * rng.normal(size=xgrid.size * ygrid.size)
+    vals[rng.random(vals.size) < 0.3] = INF
+    graph = rng.random((xgrid.size, ygrid.size)) >= 0.4
+    graph[0, 0] = True
+    vals[0] = min(vals[0], scale)
+    return GriddedFunction(product_grid(xgrid, ygrid), vals), SetValuedMap(xgrid, ygrid, graph)
 
 
 # --- oracles -------------------------------------------------------------------

@@ -47,6 +47,7 @@ from marginlab.setmap import split_lattice
 from helpers import (
     dyadic_grid,
     load_fixture,
+    non_dyadic_problem,
     oracle_subgradient_member,
     random_function,
     random_problem,
@@ -620,7 +621,7 @@ class TestPrunedScoring:
         split = 0
         for trial in range(40):
             dim = 1 if trial % 4 else 2
-            phi, F = _non_dyadic_problem(rng, dim, 10.0**k)
+            phi, F = non_dyadic_problem(rng, dim, 10.0**k)
             mu = marginal(phi, F).mu
             count = 41 if dim == 1 else 5
             duals = default_dual_grid(mu, count)
@@ -698,28 +699,6 @@ class TestPrunedScoring:
             ) + graph_support(F, steps, -yduals.nodes)
             over += agree.levels[0][0][1][0] and G[1, 1] > cutoff - (p - d * cutoff)
         assert over >= 1  # some triple needed the margin
-
-
-def _non_dyadic_problem(rng, dim, scale):
-    """Random (phi, F) on axes with non-dyadic ends, phi ~ scale * N(0, 1),
-    about a third of the nodes +inf and some graph cells dropped; the first
-    node is finite and on the graph, so mu is finite somewhere."""
-
-    def grid():
-        axes = []
-        for _ in range(dim):
-            lo = float(rng.uniform(-2.0, 1.0))
-            axes.append(Axis(lo, lo + float(rng.uniform(0.3, 3.0)),
-                             int(rng.integers(2, 8 if dim == 1 else 4))))
-        return Grid(tuple(axes))
-
-    xgrid, ygrid = grid(), grid()
-    vals = scale * rng.normal(size=xgrid.size * ygrid.size)
-    vals[rng.random(vals.size) < 0.3] = INF
-    graph = rng.random((xgrid.size, ygrid.size)) >= 0.4
-    graph[0, 0] = True
-    vals[0] = min(vals[0], scale)
-    return GriddedFunction(product_grid(xgrid, ygrid), vals), SetValuedMap(xgrid, ygrid, graph)
 
 
 class TestSplitHits:

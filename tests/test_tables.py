@@ -1,0 +1,286 @@
+"""The run-scoped table store: built once, shared bitwise, sliced by counts.
+
+A `Tables` store keeps the tables that several checks of one problem read.
+These tests show that one verify-all builds each of them once, that every
+public check equals its store-taking form on a shared store in either
+order, that the graph support kept on the distinct lattice steps is the
+support on all of them, and that the conjugate check's count-sized slices
+change no report.
+"""
+
+import contextlib
+import importlib
+import io
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from marginlab import (
+    GriddedFunction,
+    MarginlabError,
+    SetValuedMap,
+    conj_subdiff_check,
+    conjugate_at,
+    conjugate_representation_check,
+    default_dual_grid,
+    domain_identity_check,
+    dual_value_1,
+    dual_value_2,
+    graph_support,
+    marginal,
+    marginal_subdiff_check,
+    restricted_conjugate_check,
+    sampled_inf_convolution,
+    strong_duality_check,
+)
+from marginlab.cli import main
+from marginlab.conjugate import count_slices, default_ydual_grid
+from marginlab.duality import (
+    _conjugate_representation,
+    _dual_value_1,
+    _dual_value_2,
+    _strong_duality,
+    _zero_index,
+)
+from marginlab.marginal import _domain_identity
+from marginlab.setmap import split_lattice
+from marginlab.subdiff import _conj_subdiff, _marginal_subdiff, _restricted_conjugate
+from marginlab.tables import Tables
+
+from helpers import (
+    FIXTURES,
+    dyadic_grid,
+    non_dyadic_problem,
+    random_problem,
+    reference_conj_subdiff_check,
+)
+
+
+def _key(value):
+    """A hashable stand-in for an argument, by content."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, GriddedFunction):
+        return (value.grid, _key(value.values))
+    if isinstance(value, SetValuedMap):
+        return (value.xgrid, value.ygrid, _key(value.graph))
+    return value
+
+
+def _count_calls(monkeypatch, module: str, name: str) -> Counter:
+    """Count calls of marginlab.<module>.<name> by the content of their
+    arguments, through every marginlab module that binds the function."""
+    orig = getattr(importlib.import_module(f"marginlab.{module}"), name)
+    calls: Counter = Counter()
+
+    def spy(*args, **kwargs):
+        calls[tuple(_key(a) for a in args) + tuple(sorted(kwargs))] += 1
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "marginlab" or mod_name.startswith("marginlab."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, spy)
+    return calls
+
+
+class TestBuildOnce:
+    @pytest.mark.parametrize(
+        "fixture", ["separable_quadratic", "abs_full", "quadratic_halfline"]
+    )
+    def test_verify_all_builds_each_table_once(self, fixture, monkeypatch, tmp_path):
+        counted = {
+            name: _count_calls(monkeypatch, module, name)
+            for module, name in (
+                ("marginal", "marginal"),
+                ("conjugate", "partial_conjugate"),
+                ("conjugate", "conjugate_at"),
+            )
+        }
+        argv = ["verify-all", "--spec", str(FIXTURES / f"{fixture}.spec"),
+                "--out", str(tmp_path), "--refine", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert sum(counted["marginal"].values()) == 1
+        for name, calls in counted.items():
+            assert calls and max(calls.values()) == 1, name
+        # phi* and the graph support on the dual lattice, phi* and the
+        # graph support on the refined lattice, the support at one node.
+        assert len(counted["partial_conjugate"]) == 5
+
+
+def _bits(value):
+    return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+
+def _outcome(fn):
+    """The result's bits, or the error a check raised."""
+    try:
+        return "returned", _bits(fn())
+    except MarginlabError as e:
+        return "raised", f"{type(e).__name__}: {e}"
+
+
+def _store_dual_value_1(tables, duals):
+    """dual_value_1 as `_strong_duality` takes it from a store."""
+    _zero_index(tables.mu.grid)
+    return _dual_value_1(tables.mustar(duals))
+
+
+def _check_pairs(phi, F, duals, yduals, x0, s0, eps, flag):
+    """(standalone public call, the same check on a store) per check."""
+    return {
+        "domain": (
+            lambda: domain_identity_check(phi, F),
+            lambda t: _domain_identity(t.phi, t.F, t.mu),
+        ),
+        "restricted": (
+            lambda: restricted_conjugate_check(phi, F, duals),
+            lambda t: _restricted_conjugate(t, duals),
+        ),
+        "representation": (
+            lambda: conjugate_representation_check(phi, F, duals, yduals, flag),
+            lambda t: _conjugate_representation(t, duals, yduals, flag),
+        ),
+        "strong_duality": (
+            lambda: strong_duality_check(phi, F, duals, yduals),
+            lambda t: _strong_duality(t, duals, yduals),
+        ),
+        "dual_value_1": (
+            lambda: dual_value_1(marginal(phi, F).mu, duals),
+            lambda t: _store_dual_value_1(t, duals),
+        ),
+        "dual_value_2": (
+            lambda: dual_value_2(phi, F, duals, yduals),
+            lambda t: _dual_value_2(t, duals, yduals),
+        ),
+        "inf_convolution": (
+            lambda: sampled_inf_convolution(phi, F, duals.nodes, duals, yduals),
+            lambda t: t.inf_convolution(duals, yduals),
+        ),
+        "marginal_subdiff": (
+            lambda: marginal_subdiff_check(phi, F, x0, eps, duals, yduals, flag),
+            lambda t: _marginal_subdiff(t, x0, eps, duals, yduals, flag),
+        ),
+        "marginal_subdiff_defaults": (
+            lambda: marginal_subdiff_check(phi, F, x0, eps),
+            lambda t: _marginal_subdiff(t, x0, eps, None, None, False),
+        ),
+        "conj_subdiff": (
+            lambda: conj_subdiff_check(phi, F, duals, s0, eps, yduals, flag),
+            lambda t: _conj_subdiff(t, duals, s0, eps, yduals, flag),
+        ),
+        "conj_subdiff_default_yduals": (  # same x-duals, other y-duals
+            lambda: conj_subdiff_check(phi, F, duals, s0, eps),
+            lambda t: _conj_subdiff(t, duals, s0, eps, None, False),
+        ),
+    }
+
+
+class TestWrappers:
+    """Each public check equals its store-taking form on one shared store,
+    whichever check fills the store first."""
+
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_standalone_equals_shared_store_in_both_orders(self, dims):
+        xdim, ydim = dims
+        rng = np.random.default_rng(11 + 10 * xdim + ydim)
+        count = 9 if xdim == 1 else 3
+        errors = 0
+        for trial in range(12):
+            phi, F = random_problem(
+                rng, max_count=6 if xdim + ydim <= 3 else 4, xdim=xdim, ydim=ydim,
+                p_drop=(0.25, 0.6)[trial % 2],
+            )
+            mu = marginal(phi, F).mu
+            duals = default_dual_grid(mu, count)
+            yduals = default_ydual_grid(phi, xdim, count)
+            finite = np.flatnonzero(np.isfinite(mu.values))
+            x0 = int(rng.choice(finite)) if finite.size and trial % 4 else 0
+            s0 = duals.coords(int(rng.integers(0, duals.size)))
+            eps, flag = (0.0, 0.5)[trial % 2], trial % 3 == 0
+            pairs = _check_pairs(phi, F, duals, yduals, x0, s0, eps, flag)
+            want = {name: _outcome(alone) for name, (alone, _) in pairs.items()}
+            errors += sum(how == "raised" for how, _ in want.values())
+            for names in (list(pairs), list(pairs)[::-1]):
+                tables = Tables(phi, F)
+                got = {name: _outcome(lambda: pairs[name][1](tables)) for name in names}
+                assert got == want
+        assert errors  # some instances refuse a check, and both forms agree on that
+
+    def test_store_keeps_only_shared_tables(self):
+        rng = np.random.default_rng(5)
+        phi, F = random_problem(rng, max_count=6, p_inf=0.0)
+        tables = Tables(phi, F)
+        duals = default_dual_grid(tables.mu, 9)
+        yduals = default_ydual_grid(phi, 1, 9)
+        _conjugate_representation(tables, duals, yduals, False)
+        _conj_subdiff(tables, duals, duals.coords(4), 0.0, yduals, False)
+        # Neither the refined lattice nor the lattice at one node is kept.
+        assert set(tables._kept) == {
+            ("mustar", duals),
+            ("phistar", duals, yduals),
+            ("support", duals, yduals),
+            ("inf_convolution", duals, yduals),
+        }
+        assert not tables.phistar(duals, yduals).flags.writeable
+
+
+class TestSupportIdentity:
+    """The graph support on all split-lattice rows is the support on the
+    distinct rows taken at the inverse index, bit for bit."""
+
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_all_rows_equal_distinct_rows_at_the_inverse(self, dims):
+        xdim, ydim = dims
+        rng = np.random.default_rng(23 + 10 * xdim + ydim)
+        for trial in range(16):
+            if trial % 2 and xdim == ydim:  # inexact steps and dot products
+                phi, F = non_dyadic_problem(rng, xdim, 1.0)
+                duals = default_dual_grid(marginal(phi, F).mu, 5)
+            else:
+                phi, F = random_problem(rng, max_count=5, xdim=xdim, ydim=ydim)
+                duals = dyadic_grid(rng, xdim, max_count=5)
+            yduals = default_ydual_grid(phi, xdim, 5)
+            full = graph_support(F, split_lattice(duals.nodes, duals), -yduals.nodes)
+            table, inverse = Tables(phi, F).lattice_support(duals, yduals)
+            assert table.shape[0] < full.shape[0]
+            np.testing.assert_array_equal(full.view(np.uint64), table[inverse].view(np.uint64))
+
+
+class TestCountSlices:
+    @pytest.mark.parametrize("cap", [1, 3, 7, 50])
+    def test_slices_cover_the_items_within_the_cap(self, cap, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_SCORE_CAP", cap)
+        rng = np.random.default_rng(cap)
+        for _ in range(50):
+            entries = rng.integers(1, 2 * cap + 2, size=int(rng.integers(0, 40)))
+            slices = list(count_slices(entries))
+            covered = [i for sl in slices for i in range(sl.start, sl.stop)]
+            assert covered == list(range(entries.size))
+            for sl in slices:
+                assert entries[sl].sum() <= cap or sl.stop - sl.start == 1
+
+    @pytest.mark.parametrize("cap", [1, 3, 7, 50])
+    def test_conjugate_check_equals_the_reference(self, cap, monkeypatch):
+        # The reference scores in slices of whole cells sized by the dense
+        # width; the check scores candidate cells in slices sized by their
+        # counts.  Both read _SCORE_CAP at call time.
+        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_SCORE_CAP", cap)
+        rng = np.random.default_rng(100 + cap)
+        for trial in range(16):
+            dim = 1 + trial % 2
+            if trial % 4 >= 2:
+                phi, F = non_dyadic_problem(rng, dim, 10.0 ** int(rng.integers(-3, 4)))
+            else:
+                phi, F = random_problem(rng, max_count=7 if dim == 1 else 4, xdim=dim, ydim=dim)
+            mu = marginal(phi, F).mu
+            duals = default_dual_grid(mu, 9 if dim == 1 else 3)
+            yduals = default_ydual_grid(phi, dim, 9 if dim == 1 else 3)
+            mustar = conjugate_at(mu, duals.nodes)
+            si = int(np.argmin(mustar)) if trial % 3 else int(rng.integers(0, duals.size))
+            args = (phi, F, duals, duals.coords(si), (0.0, 0.5)[trial % 2], yduals, trial % 2 == 0)
+            assert conj_subdiff_check(*args) == reference_conj_subdiff_check(*args)
