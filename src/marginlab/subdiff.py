@@ -686,8 +686,8 @@ def _marginal_subdiff(
     """`marginal_subdiff_check` on the tables of a store.
 
     phi* comes from the store, and so does the graph support on the split
-    lattice of duals, kept on its distinct steps; the coderivative scores
-    gather it through the inverse index.
+    lattice of duals, kept on its distinct steps and spread here to every
+    step through the inverse index.
     """
     phi, F, mu = tables.phi, tables.F, tables.mu
     xi = F.xgrid.resolve(x0)
@@ -709,7 +709,7 @@ def _marginal_subdiff(
     T = split_lattice(S, duals)
     phistar = tables.phistar(duals, yduals)
     support, inverse = tables.lattice_support(duals, yduals)
-    steps = inverse.reshape(Ks, Kx)  # the support row of each (x*, x1*) step
+    fsupport = support[inverse].reshape(Ks, Kx * Ky)
     TX0 = (T @ x0c).reshape(Ks, Kx)
 
     phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
@@ -728,7 +728,7 @@ def _marginal_subdiff(
         m1_base = (phistar + phi_row[yi] - dots1[:, None] - dots2[None, :]).reshape(-1)
         cols = np.flatnonzero(m1_base <= e1_top)
         j, k = np.divmod(cols, Ky)
-        cod = support[steps[:, j], k] - TX0[:, j] + dots2[k]
+        cod = fsupport[:, cols] - TX0[:, j] + dots2[k]
         for level in np.flatnonzero(near[:, yi]):
             masks[level] &= (cod <= _split_bound(m1_base[cols], splits[level])).any(axis=1)
     levels = [(eta, mask, mask) for eta, mask in zip(DEFAULT_ETAS, masks)]
