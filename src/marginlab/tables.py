@@ -27,7 +27,7 @@ store never holds more than the small shared tables.
 
 Each public check builds a fresh store from its (phi, F).  The command
 line builds one per run and passes it to the checks' store-taking forms,
-so one `verify-all` computes the marginal once.  Kept arrays are
+so one `verify-all` computes the marginal of (phi, F) once.  Kept arrays are
 read-only.
 """
 
