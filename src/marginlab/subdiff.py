@@ -31,7 +31,7 @@ margin) minus the cell's offset can pass; one sorted table and one binary
 search over all cells list them, and only cells with a candidate are
 scored, in slices sized by their candidate counts.  `_split_bound` then
 tests all of a level's splits with one comparison per score.  The unpruned
-route stays in the tests as the oracle.  The conjugate tables both checks
+route stays in the tests as the oracle.  The conjugate tables the checks
 read (mu*, phi*, the graph support on the dual lattice) come from a
 `tables.Tables` store: the public checks build a fresh one, and the
 command line shares one per run through the store-taking forms.
