@@ -17,6 +17,7 @@ import numpy as np
 
 from marginlab import (
     Grid,
+    Tables,
     conjugate_at,
     eps_normal_cone,
     eps_subdifferential,
@@ -94,9 +95,9 @@ def main():
     # and under the qualification hypothesis the sampled formula matches
     # the polyhedron at every dual node, including the witness s = -2.
     spec = load("lagrangian_quadratic")
-    phi, F = spec.build()
+    tables = Tables(*spec.build())
     for eps in (0.0, 0.5):
-        rep = marginal_subdiff_check(phi, F, [0.0], eps, duals=spec.xduals,
+        rep = marginal_subdiff_check(tables, [0.0], eps, duals=spec.xduals,
                                      yduals=spec.yduals, qc14=True)
         print(f"\nmarginal formula on the Lagrangian fixture, eps = {eps}:")
         print(f"  easy inclusion: {rep.easy_ok}, two-route agreement "

@@ -11,16 +11,13 @@ shows a genuine gap and an empty subdifferential.
 from pathlib import Path
 
 from marginlab import (
+    Tables,
     conjugate_representation_check,
-    dual_value_1,
-    dual_value_2,
     eps_subdifferential,
     is_empty,
     lagrangian_dual,
     lagrangian_identity_check,
-    marginal,
     parse_spec,
-    primal_value,
     render_value,
     slater_strong_duality_check,
     strong_duality_check,
@@ -39,8 +36,8 @@ def main():
     # 1 - y <= x.  Slater's condition holds, the gap closes, and the
     # dual witness s = -2 is a subgradient of mu at 0.
     spec = load("lagrangian_quadratic")
-    phi, F = spec.build()
-    rep = strong_duality_check(phi, F, spec.xduals, spec.yduals)
+    tables = Tables(*spec.build())
+    rep = strong_duality_check(tables, spec.xduals, spec.yduals)
     print("Lagrangian quadratic fixture:")
     print(f"  V_p = {rep.vp}, V_d1 = {rep.vd1}, V_d2 = {rep.vd2}")
     print(f"  gap = {rep.gap}, dual witness = {rep.witness}")
@@ -51,10 +48,10 @@ def main():
     # 2. A nonconvex diagonal instance: mu(x) = -x^2 has V_p = 0 but
     # V_d1 = -1, a unit gap, and no subgradient at the origin.
     diag = load("diagonal_nonconvex")
-    phi_d, F_d = diag.build()
-    mu_d = marginal(phi_d, F_d).mu
-    weak = strong_duality_check(phi_d, F_d, diag.xduals)
-    empty, _ = is_empty(eps_subdifferential(mu_d, F_d.xgrid.index_of([0.0]), 0.0))
+    diag_tables = Tables(*diag.build())
+    mu_d = diag_tables.mu
+    weak = strong_duality_check(diag_tables, diag.xduals)
+    empty, _ = is_empty(eps_subdifferential(mu_d, mu_d.grid.index_of([0.0]), 0.0))
     print(f"\nnonconvex diagonal fixture: gap = {weak.gap}, "
           f"witness = {weak.witness}, subdifferential empty = {empty}")
     assert abs(weak.gap - 1.0) <= 1e-9 and empty
@@ -84,7 +81,7 @@ def main():
     # 5. The representation mu*(x*) = min over splits of
     # phi*(x1*, y*) + sigma_gphF(x* - x1*, -y*) is exact on this convex
     # fixture: the sampled inf-convolution residual is zero everywhere.
-    cr = conjugate_representation_check(phi, F, spec.xduals, spec.yduals,
+    cr = conjugate_representation_check(tables, spec.xduals, spec.yduals,
                                         hypothesis=True)
     print(f"\nconjugate representation: lower bound {cr.lower_bound_ok}, "
           f"max residual {cr.max_residual}, verdict {cr.verdict}")

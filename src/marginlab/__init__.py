@@ -136,6 +136,7 @@ from .subdiff import (
     sum_rule_check,
 )
 from .spec import ProblemSpec, parse_spec
+from .tables import Tables
 
 __version__ = "0.1.0"
 

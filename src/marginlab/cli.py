@@ -8,13 +8,13 @@ output directory.
 Every command reads one per-run context, `_Run`: the spec and flags, the
 dual grids, and one `tables.Tables` store for (phi, F).  The store builds
 mu, mu*, phi* and the graph supports the checks share once each, and the
-handlers call the checks' store-taking forms (`subdiff._conj_subdiff`,
-`duality._strong_duality`, ...) on it, so one verify-all computes the
-marginal of (phi, F) once.  Each check's verdict rows come from one builder that takes
-its row names as arguments; verify-all concatenates the core, conjugacy,
-subdiff and duality layers, and the single-topic commands reuse the same
-builders.  Reports are deterministic: fixed field order, no timestamps,
-infinities rendered as "+inf"/"-inf", so repeated runs are byte-identical.
+handlers pass it to every check that reads them, so one verify-all
+computes the marginal of (phi, F) once.  Each check's verdict rows come
+from one builder that takes its row names as arguments; verify-all
+concatenates the core, conjugacy, subdiff and duality layers, and the
+single-topic commands reuse the same builders.  Reports are
+deterministic: fixed field order, no timestamps, infinities rendered as
+"+inf"/"-inf", so repeated runs are byte-identical.
 
 Exit codes: 0 all binding verdicts pass, 2 a verification verdict failed,
 1 usage or IO error.
@@ -51,10 +51,10 @@ from .duality import (
     DualityReport,
     LagrangianIdentityReport,
     SlaterReport,
-    _conjugate_representation,
-    _strong_duality,
+    conjugate_representation_check,
     lagrangian_identity_check,
     slater_strong_duality_check,
+    strong_duality_check,
 )
 from .errors import (
     HypothesisNotMet,
@@ -64,7 +64,7 @@ from .errors import (
     UnsupportedShape,
     ZeroNotOnGrid,
 )
-from .marginal import _domain_identity, convexity_check, epigraph_projection_check
+from .marginal import convexity_check, domain_identity_check, epigraph_projection_check
 from .nearconvex import (
     closure,
     hull_raster,
@@ -77,12 +77,12 @@ from .nearconvex import (
 from .setmap import SetValuedMap
 from .spec import COMMANDS, ProblemSpec, parse_spec
 from .subdiff import (
-    _conj_subdiff,
-    _marginal_subdiff,
-    _restricted_conjugate,
+    conj_subdiff_check,
     eps_subdifferential,
     feasible_point,
     is_empty,
+    marginal_subdiff_check,
+    restricted_conjugate_check,
     sum_rule_check,
 )
 from .tables import Tables
@@ -224,9 +224,10 @@ class _Run:
     `tables` holds (phi, F) on the grids refined by --refine and builds
     each shared table on first use: mu, mu* on the x-duals, phi* and the
     graph support on the dual lattice.  Every handler reads them there,
-    directly or through the checks' store-taking forms, so no run builds
-    one of them twice.  Commands that never read (phi, F) (lagrangian,
-    nearconvex) never build it, so a table phi stays usable under --refine.
+    directly or through the checks it passes the store to, so no run
+    builds one of them twice.  Commands that never read (phi, F)
+    (lagrangian, nearconvex) never build it, so a table phi stays usable
+    under --refine.
     """
 
     def __init__(self, spec: ProblemSpec, args: argparse.Namespace):
@@ -277,7 +278,7 @@ class _Run:
 
     @cached_property
     def domain(self) -> tuple[bool, int | None]:
-        return _domain_identity(*self.problem, self.mu)
+        return domain_identity_check(self.tables)
 
     @cached_property
     def convexity(self) -> tuple[bool, tuple[int, int, int] | None]:
@@ -285,7 +286,7 @@ class _Run:
 
     @cached_property
     def duality(self) -> DualityReport:
-        return _strong_duality(self.tables, self.xduals, self.yduals)
+        return strong_duality_check(self.tables, self.xduals, self.yduals)
 
     @cached_property
     def lagrangian(self) -> tuple[LagrangianIdentityReport, SlaterReport]:
@@ -351,9 +352,9 @@ def _conjugacy_rows(run: _Run) -> list[Verdict]:
         _fast_row(run, "conjugacy.fast_matches_bruteforce"),
         _fenchel_young_row(run, "conjugacy.fenchel_young"),
     ]
-    rc = _restricted_conjugate(run.tables, run.xduals)
+    rc = restricted_conjugate_check(run.tables, run.xduals)
     qc1 = run.spec.metadata["qc1"]
-    crep = _conjugate_representation(run.tables, run.xduals, run.yduals, qc1)
+    crep = conjugate_representation_check(run.tables, run.xduals, run.yduals, qc1)
     residual = f"max residual {render_value(crep.max_residual)}"
     return rows + [
         ("conjugacy.restricted_conjugate_exact", rc.ok, f"{rc.n_duals} dual nodes"),
@@ -378,7 +379,7 @@ def _subdiff_rows(run: _Run) -> list[Verdict]:
         finite_at_zero = False
     if finite_at_zero:
         for eps, tag in ((0.0, "0p0"), (0.5, "0p5")):
-            rep = _marginal_subdiff(run.tables, zero, eps, xduals, yduals, qc14)
+            rep = marginal_subdiff_check(run.tables, zero, eps, xduals, yduals, qc14)
             rows += [
                 (
                     f"subdiff.marginal_formula_upper_eps{tag}",
@@ -405,7 +406,7 @@ def _subdiff_rows(run: _Run) -> list[Verdict]:
             )
         )
     si = int(np.argmin(run.mustar.values))
-    rep2 = _conj_subdiff(run.tables, xduals, xduals.coords(si), 0.0, yduals, qc14)
+    rep2 = conj_subdiff_check(run.tables, xduals, xduals.coords(si), 0.0, yduals, qc14)
     contains_lhs = not any(l and not r for l, r in zip(rep2.lhs_mask, rep2.rhs_mask))
     return rows + [
         (

@@ -29,6 +29,7 @@ from .errors import (
 
 INF = math.inf
 NODE_TOL = 1e-9
+TOL = 1e-9  # slack of every verdict comparison in the checks
 
 
 # --- extended reals ---------------------------------------------------------

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import conjugate, conjugate_at, default_ydual_grid, score_slices
+from .conjugate import conjugate_at, default_ydual_grid, score_slices
 from .core import (
     INF,
+    TOL,
     Axis,
     Grid,
     GriddedFunction,
@@ -35,12 +36,11 @@ from .core import (
     render_value,
 )
 from .errors import GridNotAdapted, NotANode, ZeroNotOnGrid
-from .marginal import marginal
+from .marginal import masked_minima
 from .setmap import SetValuedMap, map_from_inequalities
 from .subdiff import eps_subdifferential, feasible_point, linprog
 from .tables import Tables, inf_convolution_min, lattice_support, phi_conjugate
 
-TOL = 1e-9
 MAX_ADAPTED_COUNT = 100_000  # x-nodes per axis of a graph-adapted grid
 
 
@@ -51,20 +51,16 @@ def _zero_index(grid: Grid) -> int:
         raise ZeroNotOnGrid("the parameter origin is not a grid node") from exc
 
 
-def primal_value(phi: GriddedFunction, F: SetValuedMap) -> float:
+def primal_value(tables: Tables) -> float:
     """mu(0): the unperturbed optimal value (may be +-inf)."""
-    zi = _zero_index(F.xgrid)
-    return float(marginal(phi, F).mu.values[zi])
+    zi = _zero_index(tables.F.xgrid)
+    return float(tables.mu.values[zi])
 
 
-def dual_value_1(mu: GriddedFunction, duals: Grid) -> float:
+def dual_value_1(tables: Tables, duals: Grid) -> float:
     """max over dual nodes of -mu*(x*), i.e. the biconjugate of mu at 0."""
-    _zero_index(mu.grid)
-    return _dual_value_1(conjugate(mu, duals))
-
-
-def _dual_value_1(mustar: GriddedFunction) -> float:
-    return float(np.max(-mustar.values))
+    _zero_index(tables.F.xgrid)
+    return float(np.max(-tables.mustar(duals).values))
 
 
 def sampled_inf_convolution(
@@ -87,17 +83,8 @@ def sampled_inf_convolution(
     )
 
 
-def dual_value_2(
-    phi: GriddedFunction,
-    F: SetValuedMap,
-    xduals: Grid,
-    yduals: Grid,
-) -> float:
+def dual_value_2(tables: Tables, xduals: Grid, yduals: Grid) -> float:
     """max over x* nodes of -(phi* box F*)(x*, 0), splits sampled on xduals."""
-    return _dual_value_2(Tables(phi, F), xduals, yduals)
-
-
-def _dual_value_2(tables: Tables, xduals: Grid, yduals: Grid) -> float:
     return float(np.max(-tables.inf_convolution(xduals, yduals)))
 
 
@@ -114,8 +101,7 @@ class ConjugateRepresentationReport:
 
 
 def conjugate_representation_check(
-    phi: GriddedFunction,
-    F: SetValuedMap,
+    tables: Tables,
     xduals: Grid,
     yduals: Grid,
     hypothesis: bool = False,
@@ -126,17 +112,10 @@ def conjugate_representation_check(
     upper-bounds the true infimum, which upper-bounds mu*); residuals are
     recomputed once with both split lattices refined by 2 and must not
     increase.  The equality verdict is only meaningful when the instance
-    asserts the interiority hypothesis.
+    asserts the interiority hypothesis.  mu* and the sampled value on the
+    xduals lattice come from the store; the refined lattice is read here
+    alone, so `sampled_inf_convolution` builds it and lets it go.
     """
-    return _conjugate_representation(Tables(phi, F), xduals, yduals, hypothesis)
-
-
-def _conjugate_representation(
-    tables: Tables, xduals: Grid, yduals: Grid, hypothesis: bool
-) -> ConjugateRepresentationReport:
-    """`conjugate_representation_check` with mu* and the sampled value on
-    the xduals lattice from a store; the refined lattice is read here
-    alone, so `sampled_inf_convolution` builds it and lets it go."""
     mustar = tables.mustar(xduals).values
     sic0 = tables.inf_convolution(xduals, yduals)
     sic1 = sampled_inf_convolution(
@@ -200,8 +179,7 @@ def _gap(vp: float, vd1: float) -> float:
 
 
 def strong_duality_check(
-    phi: GriddedFunction,
-    F: SetValuedMap,
+    tables: Tables,
     duals: Grid,
     yduals: Grid | None = None,
 ) -> DualityReport:
@@ -211,21 +189,16 @@ def strong_duality_check(
     first dual value meets the primal value exactly; the dual sample is
     augmented with the witness point to make that certificate visible even
     when no dual node lands inside the subdifferential.  An empty
-    subdifferential yields a nonnegative reported gap instead.
+    subdifferential yields a nonnegative reported gap instead.  mu, mu*
+    and the sampled value come from the store.
     """
-    return _strong_duality(Tables(phi, F), duals, yduals)
-
-
-def _strong_duality(tables: Tables, duals: Grid, yduals: Grid | None) -> DualityReport:
-    """`strong_duality_check` with mu, mu* and the sampled value from a store."""
-    phi, F = tables.phi, tables.F
-    zi = _zero_index(F.xgrid)
+    zi = _zero_index(tables.F.xgrid)
     mu = tables.mu
     vp = float(mu.values[zi])
-    vd1 = _dual_value_1(tables.mustar(duals))
+    vd1 = dual_value_1(tables, duals)
     if yduals is None:
-        yduals = default_ydual_grid(phi, F.xgrid.dim)
-    vd2 = _dual_value_2(tables, duals, yduals)
+        yduals = default_ydual_grid(tables.phi, tables.F.xgrid.dim)
+    vd2 = dual_value_2(tables, duals, yduals)
 
     sub = eps_subdifferential(mu, zi, 0.0)
     point = feasible_point(sub)
@@ -362,7 +335,8 @@ def _conjugate_at_neg(
         np.tile(fv, xgrid.size),
         provenance="objective independent of the perturbation",
     )
-    return conjugate_at(marginal(phi, F).mu, -lam)
+    _, mu = masked_minima(phi, F)
+    return conjugate_at(GriddedFunction(xgrid, mu, provenance="marginal"), -lam)
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,21 @@ probes under refinement, and the global Lipschitz bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
-from .core import INF, GriddedFunction, ext_add_arrays, product_grid
+from .core import INF, TOL, GriddedFunction, ext_add_arrays, product_grid
 from .errors import GridMismatch, NotFiniteAtPoint
 from .setmap import SetValuedMap
+
+if TYPE_CHECKING:
+    from .tables import Tables
 
 ATTAINED = "attained"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-TOL = 1e-9
 PROBE_LEVELS = 3  # dyadic refinements 1, 2, 4 scanned by semicontinuity_probe
 _GAP_TOL = 1e-6
 
@@ -42,29 +44,32 @@ def _check_product(phi: GriddedFunction, F: SetValuedMap) -> None:
         raise GridMismatch("phi must live on the product of F's x and y grids")
 
 
-def marginal(phi: GriddedFunction, F: SetValuedMap) -> MarginalResult:
-    """Minimize phi(x, .) over F(x) at every x node."""
+def masked_minima(
+    phi: GriddedFunction, F: SetValuedMap
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi with +inf off gph F, one row per x node, and each row's minimum.
+
+    The minima are mu's values: +inf on rows that meet no finite feasible
+    phi value, -inf where some feasible phi value is -inf.
+    """
     _check_product(phi, F)
     V = phi.values.reshape(F.xgrid.size, F.ygrid.size)
     masked = np.where(F.graph, V, INF)
-    mu = masked.min(axis=1)
-    argmin = []
-    status = []
-    for i in range(F.xgrid.size):
-        v = mu[i]
-        if v == INF:
-            argmin.append(())
-            status.append(INFEASIBLE)
-        elif v == -INF:
-            argmin.append(())
-            status.append(UNBOUNDED)
-        else:
-            argmin.append(tuple(int(j) for j in np.flatnonzero(masked[i] == v)))
-            status.append(ATTAINED)
+    return masked, masked.min(axis=1)
+
+
+def marginal(phi: GriddedFunction, F: SetValuedMap) -> MarginalResult:
+    """Minimize phi(x, .) over F(x) at every x node."""
+    masked, mu = masked_minima(phi, F)
+    rows, cols = np.nonzero((masked == mu[:, None]) & np.isfinite(mu)[:, None])
+    ends = np.searchsorted(rows, np.arange(1, F.xgrid.size + 1)).tolist()
+    cols = cols.tolist()
+    argmin = tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
+    status = np.where(mu == INF, INFEASIBLE, np.where(mu == -INF, UNBOUNDED, ATTAINED))
     return MarginalResult(
         GriddedFunction(F.xgrid, mu, provenance="marginal"),
-        tuple(argmin),
-        tuple(status),
+        argmin,
+        tuple(status.tolist()),
     )
 
 
@@ -86,21 +91,13 @@ def eta_solutions(
     return np.flatnonzero(masked < mu_x + eta)
 
 
-def domain_identity_check(
-    phi: GriddedFunction, F: SetValuedMap
-) -> tuple[bool, int | None]:
+def domain_identity_check(tables: Tables) -> tuple[bool, int | None]:
     """dom mu == projection of (dom phi intersect gph F) onto x, exactly.
 
     Returns (ok, witness flat x index of the first discrepancy).
     """
-    return _domain_identity(phi, F, marginal(phi, F).mu)
-
-
-def _domain_identity(
-    phi: GriddedFunction, F: SetValuedMap, mu: GriddedFunction
-) -> tuple[bool, int | None]:
-    """`domain_identity_check` against a mu already built from (phi, F)."""
-    lhs = mu.dom_mask
+    phi, F = tables.phi, tables.F
+    lhs = tables.mu.dom_mask
     finite_phi = (phi.values < INF).reshape(F.xgrid.size, F.ygrid.size)
     rhs = (finite_phi & F.graph).any(axis=1)
     if bool((lhs == rhs).all()):
@@ -125,9 +122,8 @@ def epigraph_projection_check(
     (exists y in F(x): phi <= lam)  implies  mu(x) <= lam, while
     mu(x) < lam implies the former.
     """
-    _check_product(phi, F)
+    _, mu = masked_minima(phi, F)
     V = phi.values.reshape(F.xgrid.size, F.ygrid.size)
-    mu = np.where(F.graph, V, INF).min(axis=1)
     violations: list[tuple[float, int, str]] = []
     checked = 0
     for lam in lambdas:

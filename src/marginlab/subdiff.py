@@ -32,9 +32,9 @@ search over all cells list them, and only cells with a candidate are
 scored, in slices sized by their candidate counts.  `_split_bound` then
 tests all of a level's splits with one comparison per score.  The unpruned
 route stays in the tests as the oracle.  The conjugate tables the checks
-read (mu*, phi*, the graph support on the dual lattice) come from a
-`tables.Tables` store: the public checks build a fresh one, and the
-command line shares one per run through the store-taking forms.
+read (mu*, phi*, the graph support on the dual lattice) come from the
+`tables.Tables` store that each check takes first, so the command line
+shares one store per run across all of them.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .conjugate import (
 )
 from .core import (
     INF,
+    TOL,
     Grid,
     GriddedFunction,
     ext_sum,
@@ -68,7 +69,6 @@ from .nearconvex import box_dilate
 from .setmap import SetValuedMap, graph_support, split_lattice
 from .tables import Tables
 
-TOL = 1e-9
 SUM_RULE_SPLITS = 5  # eps1 + eps2 = eps splits sampled by sum_rule_check
 
 
@@ -649,8 +649,7 @@ def _theorem_report(
 
 
 def marginal_subdiff_check(
-    phi: GriddedFunction,
-    F: SetValuedMap,
+    tables: Tables,
     x0,
     eps: float,
     duals: Grid | None = None,
@@ -671,23 +670,10 @@ def marginal_subdiff_check(
     lies in the (eps+eta)-subdifferential of mu.  Two-sided agreement at
     the nominal eps is asserted only when the instance claims the
     qualification (qc14).
-    """
-    return _marginal_subdiff(Tables(phi, F), x0, eps, duals, yduals, qc14)
 
-
-def _marginal_subdiff(
-    tables: Tables,
-    x0,
-    eps: float,
-    duals: Grid | None,
-    yduals: Grid | None,
-    qc14: bool,
-) -> TheoremReport:
-    """`marginal_subdiff_check` on the tables of a store.
-
-    phi* comes from the store, and so does the graph support on the split
-    lattice of duals, kept on its distinct steps and spread here to every
-    step through the inverse index.
+    mu and phi* come from the store, and so does the graph support on the
+    split lattice of duals, kept on its distinct steps and spread here to
+    every step through the inverse index.
     """
     phi, F, mu = tables.phi, tables.F, tables.mu
     xi = F.xgrid.resolve(x0)
@@ -757,19 +743,13 @@ class RestrictedConjugateReport:
     rhs: tuple[float, ...]
 
 
-def restricted_conjugate_check(
-    phi: GriddedFunction, F: SetValuedMap, duals: Grid
-) -> RestrictedConjugateReport:
+def restricted_conjugate_check(tables: Tables, duals: Grid) -> RestrictedConjugateReport:
     """mu*(x*) equals the conjugate of phi + indicator(gph F) at (x*, 0).
 
     Both sides are finite maxima over the same point set, so equality is
-    exact (bitwise), not merely within tolerance.
+    exact (bitwise), not merely within tolerance.  mu* on duals comes from
+    the store.
     """
-    return _restricted_conjugate(Tables(phi, F), duals)
-
-
-def _restricted_conjugate(tables: Tables, duals: Grid) -> RestrictedConjugateReport:
-    """`restricted_conjugate_check` with mu* on duals from a store."""
     phi, F = tables.phi, tables.F
     lhs = tables.mustar(duals).values
     tilde = GriddedFunction(
@@ -792,8 +772,7 @@ def _restricted_conjugate(tables: Tables, duals: Grid) -> RestrictedConjugateRep
 
 
 def conj_subdiff_check(
-    phi: GriddedFunction,
-    F: SetValuedMap,
+    tables: Tables,
     duals: Grid,
     x0star,
     eps: float,
@@ -838,22 +817,10 @@ def conj_subdiff_check(
     Unconditionally, every pre-dilation eta-level member must lie in the
     (eps+eta)-subdifferential of mu*; two-sided agreement at the nominal
     eps is asserted only under the declared qualification.
-    """
-    return _conj_subdiff(Tables(phi, F), duals, x0star, eps, yduals, qc14)
 
-
-def _conj_subdiff(
-    tables: Tables,
-    duals: Grid,
-    x0star,
-    eps: float,
-    yduals: Grid | None,
-    qc14: bool,
-) -> TheoremReport:
-    """`conj_subdiff_check` with mu* and phi* from a store.
-
-    The graph support on the split lattice at the one node x0star is read
-    here alone, so it is built here and not kept.
+    mu* and phi* come from the store.  The graph support on the split
+    lattice at the one node x0star is read here alone, so it is built here
+    and not kept.
     """
     phi, F = tables.phi, tables.F
     mustar = tables.mustar(duals)

@@ -25,10 +25,10 @@ alone reads, such as the twice-refined lattice of
 `conj_subdiff_check`, is built where it is read and freed with it, so a
 store never holds more than the small shared tables.
 
-Each public check builds a fresh store from its (phi, F).  The command
-line builds one per run and passes it to the checks' store-taking forms,
-so one `verify-all` computes the marginal of (phi, F) once.  Kept arrays are
-read-only.
+Every check that reads these tables takes the store as its first
+argument.  The command line builds one per run and passes it to every
+check, so one `verify-all` computes the marginal of (phi, F) once.  Kept
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -100,7 +100,18 @@ def inf_convolution_min(
 
 
 class Tables:
-    """The shared tables of one problem (phi, F), each built once on demand."""
+    """The shared tables of one problem (phi, F), each built once on demand.
+
+    Build one with `Tables(phi, F)` and pass it to every check of that
+    problem: `domain_identity_check`, `restricted_conjugate_check`,
+    `conjugate_representation_check`, `marginal_subdiff_check`,
+    `conj_subdiff_check`, `strong_duality_check`, `primal_value`,
+    `dual_value_1` and `dual_value_2`.  Whichever check asks first builds a
+    table, and the later ones read the same read-only array, so a check
+    returns the same bits on a fresh store and on one that other checks
+    have filled.  `marginal` is the `MarginalResult` of (phi, F) and `mu`
+    its gridded mu; nothing is computed before it is read.
+    """
 
     def __init__(self, phi: GriddedFunction, F: SetValuedMap):
         self.phi = phi

@@ -13,6 +13,7 @@ import numpy as np
 from marginlab import (
     Grid,
     GriddedFunction,
+    Tables,
     conjugate,
     conjugate_at,
     conjugate_fast,
@@ -125,14 +126,15 @@ def test_02_fenchel_young_and_nesting_invariants():
 
 def _exact_identity_bundle(phi, F, duals, yduals, x0):
     """(description, ok) pairs for the zero-tolerance identity block."""
-    mu = marginal(phi, F).mu
+    tables = Tables(phi, F)
+    mu = tables.mu
     out = []
-    out.append(("domain identity", domain_identity_check(phi, F)[0]))
+    out.append(("domain identity", domain_identity_check(tables)[0]))
     levels = [float(v) for v in np.quantile(mu.values[mu.finite_mask], [0.25, 0.75])]
     out.append(
         ("strict epigraph projection", epigraph_projection_check(phi, F, levels).ok)
     )
-    rc = restricted_conjugate_check(phi, F, duals)
+    rc = restricted_conjugate_check(tables, duals)
     out.append(("restricted conjugate, bitwise", rc.ok and rc.max_abs_diff == 0.0))
     if x0 is not None:
         eps = 0.5
@@ -140,10 +142,10 @@ def _exact_identity_bundle(phi, F, duals, yduals, x0):
         pair = duals.nodes @ mu.grid.coords(x0)
         young = conjugate_at(mu, duals.nodes) + mu.values[x0] <= pair + eps + 1e-9
         out.append(("subgradient conjugate route", bool(np.all(member == young))))
-        rep = marginal_subdiff_check(phi, F, x0, eps, duals=duals, yduals=yduals)
+        rep = marginal_subdiff_check(tables, x0, eps, duals=duals, yduals=yduals)
         out.append(("marginal formula, easy direction", rep.easy_ok))
     rep2 = conjugate_representation_check(
-        phi, F, duals, yduals if yduals is not None else duals
+        tables, duals, yduals if yduals is not None else duals
     )
     out.append(("representation lower bound", rep2.lower_bound_ok))
     return out
@@ -185,9 +187,8 @@ def test_03_exact_finite_identities_zero_tolerance():
 def test_04_representation_equality_and_monotonicity():
     t0 = time.perf_counter()
     spec = load_fixture("lagrangian_quadratic")
-    phi, F = spec.build()
     rep = conjugate_representation_check(
-        phi, F, spec.xduals, spec.yduals, hypothesis=True
+        Tables(*spec.build()), spec.xduals, spec.yduals, hypothesis=True
     )
     exact = rep.verdict and rep.max_residual == 0.0 and all(
         r == 0.0 for r in rep.residuals
@@ -195,9 +196,8 @@ def test_04_representation_equality_and_monotonicity():
     monotone = True
     for name in ("abs_full", "quadratic_halfline", "abs_diff_window"):
         other = load_fixture(name)
-        phi2, F2 = other.build()
         yd = other.yduals if other.yduals is not None else other.xduals
-        r2 = conjugate_representation_check(phi2, F2, other.xduals, yd)
+        r2 = conjugate_representation_check(Tables(*other.build()), other.xduals, yd)
         monotone &= r2.monotone_ok and r2.lower_bound_ok
     elapsed = time.perf_counter() - t0
     emit(
@@ -212,13 +212,13 @@ def test_04_representation_equality_and_monotonicity():
 def test_05_marginal_subdifferential_two_sided():
     t0 = time.perf_counter()
     spec = load_fixture("lagrangian_quadratic")
-    phi, F = spec.build()
+    tables = Tables(*spec.build())
     witness_idx = spec.xduals.index_of([-2.0])
     ok = True
     details = []
     for eps in (0.0, 0.5):
         rep = marginal_subdiff_check(
-            phi, F, [0.0], eps, duals=spec.xduals, yduals=spec.yduals, qc14=True
+            tables, [0.0], eps, duals=spec.xduals, yduals=spec.yduals, qc14=True
         )
         ok &= rep.ok and rep.agreement == 1.0 and rep.n_samples == 41
         ok &= bool(rep.lhs_mask[witness_idx]) and bool(rep.rhs_mask[witness_idx])
@@ -257,22 +257,21 @@ def test_07_duality_chain_and_gaps():
     chain_bad = 0
     duals = Grid.from_bounds([(-4.0, 4.0, 9)])
     for _ in range(100):
-        phi, F = zero_centered_problem(rng)
-        vp = primal_value(phi, F)
-        vd1 = dual_value_1(marginal(phi, F).mu, duals)
-        vd2 = dual_value_2(phi, F, duals, duals)
+        tables = Tables(*zero_centered_problem(rng))
+        vp = primal_value(tables)
+        vd1 = dual_value_1(tables, duals)
+        vd2 = dual_value_2(tables, duals, duals)
         if not (vd2 <= vd1 <= vp):
             chain_bad += 1
     spec = load_fixture("lagrangian_quadratic")
-    phi, F = spec.build()
-    strong = strong_duality_check(phi, F, spec.xduals, spec.yduals)
+    strong = strong_duality_check(Tables(*spec.build()), spec.xduals, spec.yduals)
     slater_ok = strong.witness == (-2.0,) and abs(strong.gap) <= 1e-9
     diag = load_fixture("diagonal_nonconvex")
-    phi_d, F_d = diag.build()
-    weak = strong_duality_check(phi_d, F_d, diag.xduals)
-    mu_d = marginal(phi_d, F_d).mu
+    diag_tables = Tables(*diag.build())
+    weak = strong_duality_check(diag_tables, diag.xduals)
+    mu_d = diag_tables.mu
     sub_empty = is_empty(
-        eps_subdifferential(mu_d, F_d.xgrid.index_of([0.0]), 0.0)
+        eps_subdifferential(mu_d, mu_d.grid.index_of([0.0]), 0.0)
     )[0]
     diag_ok = abs(weak.gap - 1.0) <= 1e-9 and weak.witness is None and sub_empty
     emit(

@@ -1,5 +1,6 @@
 """Spec parsing and the command-line pipeline: exit codes, reports, determinism."""
 
+import ast
 import json
 import math
 import os
@@ -438,6 +439,24 @@ class TestLayering:
         done = self.python("-c", "import sys, marginlab; print('marginlab.cli' in sys.modules)")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+    def test_cli_imports_only_public_library_names(self):
+        tree = ast.parse((self.SRC / "marginlab" / "cli.py").read_text(encoding="utf-8"))
+        imported, private = [], []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "marginlab"
+            ):
+                module = "." * node.level + (node.module or "")
+                for alias in node.names:
+                    imported.append(f"{module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                imported += [a.name for a in node.names if a.name.split(".")[0] == "marginlab"]
+        for name in imported:
+            if any(part.startswith("_") for part in name.lstrip(".").split(".")):
+                private.append(name)
+        assert len(imported) > 20  # the scan sees the library imports
+        assert not private, private
 
     def test_cli_binds_the_library_parser(self):
         import marginlab

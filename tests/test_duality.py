@@ -13,6 +13,7 @@ from marginlab import (
     GriddedFunction,
     GridNotAdapted,
     SetValuedMap,
+    Tables,
     ZeroNotOnGrid,
     conjugate_at,
     conjugate_representation_check,
@@ -25,7 +26,6 @@ from marginlab import (
     is_empty,
     lagrangian_dual,
     lagrangian_identity_check,
-    marginal,
     primal_value,
     map_conjugate_at,
     product_grid,
@@ -69,9 +69,10 @@ class TestWeakDualityChain:
             phi, F = zero_centered_problem(rng)
             duals = Grid.from_bounds([(-4.0, 4.0, 9)])
             yduals = Grid.from_bounds([(-4.0, 4.0, 9)])
-            vp = primal_value(phi, F)
-            vd1 = dual_value_1(marginal(phi, F).mu, duals)
-            vd2 = dual_value_2(phi, F, duals, yduals)
+            tables = Tables(phi, F)
+            vp = primal_value(tables)
+            vd1 = dual_value_1(tables, duals)
+            vd2 = dual_value_2(tables, duals, yduals)
             assert vd2 <= vd1 + 1e-12
             assert vd1 <= vp + 1e-12
 
@@ -80,7 +81,7 @@ class TestWeakDualityChain:
         Y = Grid.from_bounds([(0.0, 1.0, 2)])
         phi = GriddedFunction(product_grid(X, Y), np.zeros(6))
         with pytest.raises(ZeroNotOnGrid):
-            primal_value(phi, full_map(X, Y))
+            primal_value(Tables(phi, full_map(X, Y)))
 
 
 def brute_inf_convolution(phi, F, at, x1duals, yduals):
@@ -167,8 +168,7 @@ class TestSampledInfConvolution:
 class TestStrongDuality:
     def test_certified_with_midpoint_witness(self):
         spec = load_fixture("lagrangian_quadratic")
-        phi, F = spec.build()
-        rep = strong_duality_check(phi, F, spec.xduals, spec.yduals)
+        rep = strong_duality_check(Tables(*spec.build()), spec.xduals, spec.yduals)
         assert rep.vp == 1.0
         assert rep.witness == (-2.0,)
         assert abs(rep.gap) <= 1e-9
@@ -177,12 +177,13 @@ class TestStrongDuality:
 
     def test_nonconvex_gap_of_one_with_empty_subdifferential(self):
         spec = load_fixture("diagonal_nonconvex")
-        phi, F = spec.build()
-        rep = strong_duality_check(phi, F, spec.xduals)
+        tables = Tables(*spec.build())
+        rep = strong_duality_check(tables, spec.xduals)
         assert abs(rep.gap - 1.0) <= 1e-9
         assert rep.witness is None
-        mu = marginal(phi, F).mu
-        empty, cert = is_empty(eps_subdifferential(mu, F.xgrid.index_of([0.0]), 0.0))
+        empty, cert = is_empty(
+            eps_subdifferential(tables.mu, tables.F.xgrid.index_of([0.0]), 0.0)
+        )
         assert empty and cert is not None
         assert not dict(rep.verdicts)["subdifferential_nonempty"]
         assert dict(rep.verdicts)["weak_duality_chain"]
@@ -190,8 +191,7 @@ class TestStrongDuality:
 
     def test_json_and_csv_render_infinities(self):
         spec = load_fixture("diagonal_nonconvex")
-        phi, F = spec.build()
-        rep = strong_duality_check(phi, F, spec.xduals)
+        rep = strong_duality_check(Tables(*spec.build()), spec.xduals)
         d = rep.json_dict()
         assert set(d) == {"vp", "vd1", "vd2", "gap", "witness", "verdicts"}
 
@@ -199,9 +199,8 @@ class TestStrongDuality:
 class TestConjugateRepresentation:
     def test_exact_on_lagrangian_fixture(self):
         spec = load_fixture("lagrangian_quadratic")
-        phi, F = spec.build()
         rep = conjugate_representation_check(
-            phi, F, spec.xduals, spec.yduals, hypothesis=spec.metadata["qc1"]
+            Tables(*spec.build()), spec.xduals, spec.yduals, hypothesis=spec.metadata["qc1"]
         )
         assert rep.verdict
         assert rep.lower_bound_ok
@@ -213,10 +212,9 @@ class TestConjugateRepresentation:
     )
     def test_residual_monotone_under_split_refinement(self, name):
         spec = load_fixture(name)
-        phi, F = spec.build()
         xd = spec.xduals
         yd = spec.yduals if spec.yduals is not None else xd
-        rep = conjugate_representation_check(phi, F, xd, yd)
+        rep = conjugate_representation_check(Tables(*spec.build()), xd, yd)
         assert rep.lower_bound_ok
         assert rep.monotone_ok
         for r0, r1 in zip(rep.residuals, rep.refined_residuals):

@@ -14,18 +14,25 @@ from marginlab import (
     GriddedFunction,
     NotFiniteAtPoint,
     SetValuedMap,
+    Tables,
+    conjugate_at,
     convexity_check,
     domain_identity_check,
     epigraph_projection_check,
     eta_solutions,
     eval_on_grid,
     full_map,
+    graph_adapted_xgrid,
     lipschitz_estimate_map,
     lipschitz_probe,
     map_from_constraints,
+    map_from_inequalities,
     marginal,
+    product_grid,
     semicontinuity_probe,
 )
+from marginlab import duality
+from marginlab.marginal import masked_minima
 
 from helpers import load_fixture, oracle_marginal, random_problem
 
@@ -91,12 +98,72 @@ class TestMarginalOracle:
             marginal(phi, full_map(X, Y))
 
 
+class TestMaskedMinima:
+    """`marginal`, the row minima it shares with the epigraph check and the
+    Lagrangian conjugate, bit for bit against the per-node loop oracle."""
+
+    @staticmethod
+    def problems(rng, count):
+        # Each instance gets an empty graph row, a feasible row where phi is
+        # all +inf, and a row with a feasible -inf, where rows allow.
+        for _ in range(count):
+            phi, F = random_problem(rng, xdim=int(rng.integers(1, 3)))
+            vals, graph = phi.values.copy(), F.graph.copy()
+            rows = rng.permutation(F.xgrid.size)[:3]
+            ny = F.ygrid.size
+            if rows.size > 0:
+                graph[rows[0]] = False
+            if rows.size > 1:
+                graph[rows[1], 0] = True
+                vals[rows[1] * ny : (rows[1] + 1) * ny] = INF
+            if rows.size > 2:
+                cell = int(rng.integers(0, ny))
+                graph[rows[2], cell] = True
+                vals[rows[2] * ny + cell] = -INF
+            yield GriddedFunction(phi.grid, vals), SetValuedMap(F.xgrid, F.ygrid, graph)
+
+    def test_marginal_and_row_minima_equal_the_loop_oracle(self):
+        rng = np.random.default_rng(41)
+        labels = set()
+        for phi, F in self.problems(rng, 150):
+            values, argmins, statuses = oracle_marginal(phi, F)
+            want = np.array(values, dtype=np.float64).view(np.uint64)
+            res = marginal(phi, F)
+            np.testing.assert_array_equal(res.mu.values.view(np.uint64), want)
+            np.testing.assert_array_equal(masked_minima(phi, F)[1].view(np.uint64), want)
+            assert res.argmin == tuple(argmins)
+            assert res.status == tuple(statuses)
+            assert all(type(j) is int for row in res.argmin for j in row)
+            assert all(type(s) is str for s in res.status)
+            assert epigraph_projection_check(phi, F, [-1.0, 0.0, 1.0]).ok
+            labels.update(res.status)
+        assert labels == {ATTAINED, INFEASIBLE, UNBOUNDED}
+
+    def test_lagrangian_conjugate_reads_the_oracle_mu(self):
+        # mu*(-lambda) on x-grids reaching below every constraint value, so
+        # some rows are empty, and on the graph-adapted grid.
+        ygrid = Grid.from_bounds([(-2.0, 2.0, 9)])
+        lam = Grid.from_bounds([(-1.0, 3.0, 9)]).nodes
+        for f_expr, g_expr in (("y^2", "1 - y"), ("abs(y) - y", "y^2 - 1")):
+            for xgrid in (
+                Grid.from_bounds([(-3.0, 3.0, 13)]),
+                graph_adapted_xgrid([g_expr], ygrid),
+            ):
+                F = map_from_inequalities([g_expr], xgrid, ygrid)
+                fv, _ = duality._eval_objective(f_expr, (g_expr,), ygrid)
+                phi = GriddedFunction(product_grid(xgrid, ygrid), np.tile(fv, xgrid.size))
+                mu = GriddedFunction(xgrid, np.array(oracle_marginal(phi, F)[0]))
+                got = duality._conjugate_at_neg(f_expr, (g_expr,), ygrid, xgrid, lam)
+                want = conjugate_at(mu, -lam)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestExactIdentities:
     def test_domain_identity_on_random_instances(self):
         rng = np.random.default_rng(31)
         for _ in range(60):
             phi, F = random_problem(rng)
-            ok, witness = domain_identity_check(phi, F)
+            ok, witness = domain_identity_check(Tables(phi, F))
             assert ok and witness is None
 
     def test_epigraph_projection_on_random_instances(self):

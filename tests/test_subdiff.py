@@ -19,6 +19,7 @@ from marginlab import (
     NotOnGraph,
     PointNotInSet,
     SetValuedMap,
+    Tables,
     UnsupportedDimension,
     conj_subdiff_check,
     conjugate_at,
@@ -488,7 +489,7 @@ class TestMarginalFormula:
             if not np.isfinite(mu.values[xi]):
                 continue
             rep = marginal_subdiff_check(
-                phi, F, xi, float(rng.choice([0.0, 0.5])), duals=default_dual_grid(mu, 9),
+                Tables(phi, F), xi, float(rng.choice([0.0, 0.5])), duals=default_dual_grid(mu, 9),
             )
             assert rep.easy_ok
             assert rep.eta_monotone_ok
@@ -496,10 +497,10 @@ class TestMarginalFormula:
 
     def test_two_sided_on_qualified_fixture(self):
         spec = load_fixture("lagrangian_quadratic")
-        phi, F = spec.build()
+        tables = Tables(*spec.build())
         for eps in (0.0, 0.5):
             rep = marginal_subdiff_check(
-                phi, F, [0.0], eps, duals=spec.xduals, yduals=spec.yduals, qc14=True
+                tables, [0.0], eps, duals=spec.xduals, yduals=spec.yduals, qc14=True
             )
             assert rep.ok
             assert rep.agreement == 1.0
@@ -512,13 +513,12 @@ class TestMarginalFormula:
             Grid.from_bounds([(0.0, 1.0, 2), (0.0, 1.0, 2)]), [INF, INF, 0.0, 0.0]
         )
         with pytest.raises(NotFiniteAtPoint):
-            marginal_subdiff_check(phi, full_map(X, Y), 0, 0.0)
+            marginal_subdiff_check(Tables(phi, full_map(X, Y)), 0, 0.0)
 
     def test_unqualified_instance_reports_without_binding(self):
         spec = load_fixture("diagonal_nonconvex")
-        phi, F = spec.build()
         rep = marginal_subdiff_check(
-            phi, F, [0.0], 0.0, duals=spec.xduals, qc14=False
+            Tables(*spec.build()), [0.0], 0.0, duals=spec.xduals, qc14=False
         )
         assert rep.easy_ok
         assert not rep.conditional
@@ -528,9 +528,8 @@ class TestMarginalFormula:
 class TestConjugateFormula:
     def test_containment_on_qualified_fixture(self):
         spec = load_fixture("lagrangian_quadratic")
-        phi, F = spec.build()
         rep = conj_subdiff_check(
-            phi, F, spec.xduals, [-2.25], 0.0, yduals=spec.yduals, qc14=True
+            Tables(*spec.build()), spec.xduals, [-2.25], 0.0, yduals=spec.yduals, qc14=True
         )
         assert rep.ok
         assert rep.easy_ok
@@ -540,9 +539,8 @@ class TestConjugateFormula:
 
     def test_easy_direction_on_full_map_fixture(self):
         spec = load_fixture("abs_full")
-        phi, F = spec.build()
         rep = conj_subdiff_check(
-            phi, F, spec.xduals, [0.5], 0.25, yduals=spec.yduals, qc14=True
+            Tables(*spec.build()), spec.xduals, [0.5], 0.25, yduals=spec.yduals, qc14=True
         )
         assert rep.easy_ok and rep.ok
 
@@ -565,10 +563,10 @@ class TestPrunedScoring:
 
         monkeypatch.setattr(subdiff, "_theorem_report", spy)
 
-        def check(route, reference, *args):
+        def check(route, reference, phi, F, *args):
             levels.clear()
-            got = route(*args)
-            assert got == reference(*args)
+            got = route(Tables(phi, F), *args)
+            assert got == reference(phi, F, *args)
             if levels:  # both folded their levels; none did for an empty x0star
                 ours, theirs = levels
                 assert ours == theirs
@@ -728,14 +726,13 @@ class TestRestrictedConjugate:
         for _ in range(100):
             phi, F = random_problem(rng, max_count=5)
             duals = dyadic_grid(rng, dim=F.xgrid.dim, max_count=5)
-            rep = restricted_conjugate_check(phi, F, duals)
+            rep = restricted_conjugate_check(Tables(phi, F), duals)
             assert rep.ok
             assert rep.max_abs_diff == 0.0
 
     def test_reported_tables_match(self):
         spec = load_fixture("quadratic_halfline")
-        phi, F = spec.build()
-        rep = restricted_conjugate_check(phi, F, spec.xduals)
+        rep = restricted_conjugate_check(Tables(*spec.build()), spec.xduals)
         assert rep.lhs == rep.rhs
         assert rep.n_duals == spec.xduals.size
 
@@ -764,8 +761,8 @@ class TestNodeIndices:
             "eps_subdifferential": lambda: eps_subdifferential(f, bad, 0.0),
             "eps_coderivative": lambda: eps_coderivative(F, (bad, 0), [0.0], 0.0),
             "sum_rule_check": lambda: sum_rule_check(f, f, bad, 0.0),
-            "marginal_subdiff_check": lambda: marginal_subdiff_check(phi, F, bad, 0.0),
-            "conj_subdiff_check": lambda: conj_subdiff_check(phi, F, g, bad, 0.0),
+            "marginal_subdiff_check": lambda: marginal_subdiff_check(Tables(phi, F), bad, 0.0),
+            "conj_subdiff_check": lambda: conj_subdiff_check(Tables(phi, F), g, bad, 0.0),
             "eta_solutions": lambda: eta_solutions(phi, F, bad, 1.0),
         }
         with pytest.raises(NotANode, match=r"outside \[0, 5\)"):

@@ -2,10 +2,10 @@
 
 A `Tables` store keeps the tables that several checks of one problem read.
 These tests show that one verify-all builds each of them once, that every
-public check equals its store-taking form on a shared store in either
-order, that the graph support kept on the distinct lattice steps is the
-support on all of them, and that the conjugate check's count-sized slices
-change no report.
+check returns the same on a fresh store as on one store shared with the
+other checks in either order, that the graph support kept on the distinct
+lattice steps is the support on all of them, and that the conjugate
+check's count-sized slices change no report.
 """
 
 import contextlib
@@ -21,6 +21,7 @@ from marginlab import (
     GriddedFunction,
     MarginlabError,
     SetValuedMap,
+    Tables,
     conj_subdiff_check,
     conjugate_at,
     conjugate_representation_check,
@@ -32,22 +33,13 @@ from marginlab import (
     marginal,
     marginal_subdiff_check,
     restricted_conjugate_check,
+    primal_value,
     sampled_inf_convolution,
     strong_duality_check,
 )
 from marginlab.cli import main
 from marginlab.conjugate import count_slices, default_ydual_grid
-from marginlab.duality import (
-    _conjugate_representation,
-    _dual_value_1,
-    _dual_value_2,
-    _strong_duality,
-    _zero_index,
-)
-from marginlab.marginal import _domain_identity
 from marginlab.setmap import split_lattice
-from marginlab.subdiff import _conj_subdiff, _marginal_subdiff, _restricted_conjugate
-from marginlab.tables import Tables
 
 from helpers import (
     FIXTURES,
@@ -124,65 +116,28 @@ def _outcome(fn):
         return "raised", f"{type(e).__name__}: {e}"
 
 
-def _store_dual_value_1(tables, duals):
-    """dual_value_1 as `_strong_duality` takes it from a store."""
-    _zero_index(tables.mu.grid)
-    return _dual_value_1(tables.mustar(duals))
-
-
-def _check_pairs(phi, F, duals, yduals, x0, s0, eps, flag):
-    """(standalone public call, the same check on a store) per check."""
+def _store_checks(phi, F, duals, yduals, x0, s0, eps, flag):
+    """Every check that reads a store, as a function of the store."""
     return {
-        "domain": (
-            lambda: domain_identity_check(phi, F),
-            lambda t: _domain_identity(t.phi, t.F, t.mu),
-        ),
-        "restricted": (
-            lambda: restricted_conjugate_check(phi, F, duals),
-            lambda t: _restricted_conjugate(t, duals),
-        ),
-        "representation": (
-            lambda: conjugate_representation_check(phi, F, duals, yduals, flag),
-            lambda t: _conjugate_representation(t, duals, yduals, flag),
-        ),
-        "strong_duality": (
-            lambda: strong_duality_check(phi, F, duals, yduals),
-            lambda t: _strong_duality(t, duals, yduals),
-        ),
-        "dual_value_1": (
-            lambda: dual_value_1(marginal(phi, F).mu, duals),
-            lambda t: _store_dual_value_1(t, duals),
-        ),
-        "dual_value_2": (
-            lambda: dual_value_2(phi, F, duals, yduals),
-            lambda t: _dual_value_2(t, duals, yduals),
-        ),
-        "inf_convolution": (
-            lambda: sampled_inf_convolution(phi, F, duals.nodes, duals, yduals),
-            lambda t: t.inf_convolution(duals, yduals),
-        ),
-        "marginal_subdiff": (
-            lambda: marginal_subdiff_check(phi, F, x0, eps, duals, yduals, flag),
-            lambda t: _marginal_subdiff(t, x0, eps, duals, yduals, flag),
-        ),
-        "marginal_subdiff_defaults": (
-            lambda: marginal_subdiff_check(phi, F, x0, eps),
-            lambda t: _marginal_subdiff(t, x0, eps, None, None, False),
-        ),
-        "conj_subdiff": (
-            lambda: conj_subdiff_check(phi, F, duals, s0, eps, yduals, flag),
-            lambda t: _conj_subdiff(t, duals, s0, eps, yduals, flag),
-        ),
-        "conj_subdiff_default_yduals": (  # same x-duals, other y-duals
-            lambda: conj_subdiff_check(phi, F, duals, s0, eps),
-            lambda t: _conj_subdiff(t, duals, s0, eps, None, False),
-        ),
+        "domain": lambda t: domain_identity_check(t),
+        "restricted": lambda t: restricted_conjugate_check(t, duals),
+        "representation": lambda t: conjugate_representation_check(t, duals, yduals, flag),
+        "strong_duality": lambda t: strong_duality_check(t, duals, yduals),
+        "primal_value": lambda t: primal_value(t),
+        "dual_value_1": lambda t: dual_value_1(t, duals),
+        "dual_value_2": lambda t: dual_value_2(t, duals, yduals),
+        "inf_convolution": lambda t: t.inf_convolution(duals, yduals),
+        "marginal_subdiff": lambda t: marginal_subdiff_check(t, x0, eps, duals, yduals, flag),
+        "marginal_subdiff_defaults": lambda t: marginal_subdiff_check(t, x0, eps),
+        "conj_subdiff": lambda t: conj_subdiff_check(t, duals, s0, eps, yduals, flag),
+        # the same x-duals, other y-duals
+        "conj_subdiff_default_yduals": lambda t: conj_subdiff_check(t, duals, s0, eps),
     }
 
 
 class TestWrappers:
-    """Each public check equals its store-taking form on one shared store,
-    whichever check fills the store first."""
+    """Each check returns the same on a fresh store as on one store shared
+    with every other check, whichever check fills the shared store first."""
 
     @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_standalone_equals_shared_store_in_both_orders(self, dims):
@@ -202,12 +157,15 @@ class TestWrappers:
             x0 = int(rng.choice(finite)) if finite.size and trial % 4 else 0
             s0 = duals.coords(int(rng.integers(0, duals.size)))
             eps, flag = (0.0, 0.5)[trial % 2], trial % 3 == 0
-            pairs = _check_pairs(phi, F, duals, yduals, x0, s0, eps, flag)
-            want = {name: _outcome(alone) for name, (alone, _) in pairs.items()}
+            checks = _store_checks(phi, F, duals, yduals, x0, s0, eps, flag)
+            want = {name: _outcome(lambda: check(Tables(phi, F))) for name, check in checks.items()}
+            assert want["inf_convolution"] == _outcome(
+                lambda: sampled_inf_convolution(phi, F, duals.nodes, duals, yduals)
+            )
             errors += sum(how == "raised" for how, _ in want.values())
-            for names in (list(pairs), list(pairs)[::-1]):
+            for names in (list(checks), list(checks)[::-1]):
                 tables = Tables(phi, F)
-                got = {name: _outcome(lambda: pairs[name][1](tables)) for name in names}
+                got = {name: _outcome(lambda: checks[name](tables)) for name in names}
                 assert got == want
         assert errors  # some instances refuse a check, and both forms agree on that
 
@@ -217,8 +175,8 @@ class TestWrappers:
         tables = Tables(phi, F)
         duals = default_dual_grid(tables.mu, 9)
         yduals = default_ydual_grid(phi, 1, 9)
-        _conjugate_representation(tables, duals, yduals, False)
-        _conj_subdiff(tables, duals, duals.coords(4), 0.0, yduals, False)
+        conjugate_representation_check(tables, duals, yduals, False)
+        conj_subdiff_check(tables, duals, duals.coords(4), 0.0, yduals, False)
         # Neither the refined lattice nor the lattice at one node is kept.
         assert set(tables._kept) == {
             ("mustar", duals),
@@ -282,5 +240,7 @@ class TestCountSlices:
             yduals = default_ydual_grid(phi, dim, 9 if dim == 1 else 3)
             mustar = conjugate_at(mu, duals.nodes)
             si = int(np.argmin(mustar)) if trial % 3 else int(rng.integers(0, duals.size))
-            args = (phi, F, duals, duals.coords(si), (0.0, 0.5)[trial % 2], yduals, trial % 2 == 0)
-            assert conj_subdiff_check(*args) == reference_conj_subdiff_check(*args)
+            args = (duals, duals.coords(si), (0.0, 0.5)[trial % 2], yduals, trial % 2 == 0)
+            assert conj_subdiff_check(Tables(phi, F), *args) == reference_conj_subdiff_check(
+                phi, F, *args
+            )
