@@ -105,7 +105,7 @@ def main():
         wit = spec.xduals.index_of([-2.0])
         print(f"  witness s = -2 in both routes: "
               f"{bool(rep.lhs_mask[wit] and rep.rhs_mask[wit])}")
-        assert rep.ok and rep.agreement == 1.0
+        assert all(ok for _, ok, _ in rep.verdicts) and rep.agreement == 1.0
 
 
 if __name__ == "__main__":

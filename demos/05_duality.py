@@ -41,8 +41,9 @@ def main():
     print("Lagrangian quadratic fixture:")
     print(f"  V_p = {rep.vp}, V_d1 = {rep.vd1}, V_d2 = {rep.vd2}")
     print(f"  gap = {rep.gap}, dual witness = {rep.witness}")
-    for name, ok in rep.verdicts:
-        print(f"  {'PASS' if ok else 'INFO' if ok is None else 'FAIL'}  {name}")
+    for name, ok, detail in rep.verdicts:
+        status = "INFO" if ok is None else "PASS" if ok else "FAIL"
+        print(f"  {status}  {name}  {detail}".rstrip())
     assert abs(rep.gap) <= 1e-9 and rep.witness == (-2.0,)
 
     # 2. A nonconvex diagonal instance: mu(x) = -x^2 has V_p = 0 but
@@ -63,7 +64,7 @@ def main():
     table = lagrangian_dual(f_expr, g_exprs, spec.ygrid, spec.lambdas)
     idrep = lagrangian_identity_check(f_expr, g_exprs, spec.ygrid, spec.lambdas)
     print(f"\nLagrangian dual of f = {f_expr}, g = {g_exprs[0]} "
-          f"(identity verdict {idrep.verdict}):")
+          f"(identity verdict {all(ok for _, ok, _ in idrep.verdicts)}):")
     print("  lambda   L(lambda)   mu*(-lambda)   kind")
     for (lam, lhat, mustar, kind, _), exp_inf in zip(
         idrep.rows, table.expected_infinite
@@ -73,10 +74,10 @@ def main():
 
     # 4. Slater's condition, checked constructively: some node satisfies
     # g(y) < 0 strictly, and then the gap must vanish.
-    sl = slater_strong_duality_check(f_expr, g_exprs, spec.ygrid)
+    sl = slater_strong_duality_check(f_expr, g_exprs, spec.ygrid, hypothesis=True)
     print(f"\nSlater check: strictly feasible node {sl.slater_node}, "
-          f"gap {sl.gap}, verdict {sl.verdict}")
-    assert sl.verified and sl.verdict
+          f"gap {sl.gap}, verdict {sl.verdicts[0].ok}")
+    assert sl.verified and sl.verdicts[0].ok
 
     # 5. The representation mu*(x*) = min over splits of
     # phi*(x1*, y*) + sigma_gphF(x* - x1*, -y*) is exact on this convex
@@ -84,8 +85,9 @@ def main():
     cr = conjugate_representation_check(tables, spec.xduals, spec.yduals,
                                         hypothesis=True)
     print(f"\nconjugate representation: lower bound {cr.lower_bound_ok}, "
-          f"max residual {cr.max_residual}, verdict {cr.verdict}")
-    assert cr.verdict and cr.max_residual == 0.0
+          f"max residual {cr.max_residual}, "
+          f"verdict {all(ok for _, ok, _ in cr.verdicts)}")
+    assert all(ok for _, ok, _ in cr.verdicts) and cr.max_residual == 0.0
 
 
 if __name__ == "__main__":

@@ -11,11 +11,15 @@ route and reports where the two agree.
 import types
 
 from .conjugate import (
+    FastConjugateReport,
     biconjugate,
+    biconjugate_minorant_check,
     conjugate,
     conjugate_at,
     conjugate_fast,
     default_dual_grid,
+    fast_conjugate_check,
+    fenchel_young_check,
     inf_convolution,
     max_dots_minus,
     partial_conjugate,
@@ -26,6 +30,7 @@ from .core import (
     Axis,
     Grid,
     GriddedFunction,
+    Verdict,
     ext_add_arrays,
     ext_sum,
     eval_on_grid,
@@ -82,17 +87,20 @@ from .marginal import (
     LipschitzReport,
     MarginalResult,
     SemicontinuityReport,
+    StructureReport,
     convexity_check,
     domain_identity_check,
     epigraph_projection_check,
     eta_solutions,
     lipschitz_probe,
     marginal,
+    marginal_structure_check,
     semicontinuity_probe,
 )
 from .nearconvex import (
     ImageReport,
     NearConvexityReport,
+    RasterCheckReport,
     RasterSet,
     closure,
     dump_raster,
@@ -105,6 +113,7 @@ from .nearconvex import (
     is_nearly_convex_with_witness,
     load_raster,
     projection_map,
+    raster_check,
     refine_raster,
 )
 from .setmap import (
@@ -120,6 +129,7 @@ from .setmap import (
 )
 from .subdiff import (
     DEFAULT_ETAS,
+    EpsSubdifferentialReport,
     HPolyhedron,
     RestrictedConjugateReport,
     Interval,
@@ -129,6 +139,7 @@ from .subdiff import (
     eps_coderivative,
     eps_normal_cone,
     eps_subdifferential,
+    eps_subdifferential_check,
     feasible_point,
     is_empty,
     marginal_subdiff_check,

@@ -20,15 +20,19 @@ separable multi-D data.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     INF,
+    TOL,
     Axis,
     Grid,
     GriddedFunction,
+    Verdict,
     ext_add_arrays,
+    max_deviation,
 )
 from .errors import DimensionMismatch, GridMismatch, UnsupportedShape
 
@@ -276,6 +280,48 @@ def biconjugate(f: GriddedFunction, duals: Grid) -> GriddedFunction:
     fstar = conjugate(f, duals)
     back = conjugate(fstar, f.grid)
     return GriddedFunction(f.grid, back.values, provenance="biconjugate")
+
+
+# --- checks of a conjugate table ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class FastConjugateReport:
+    """`conjugate_fast` against a brute-force conjugate table: the fast
+    table and its largest deviation, both None where it does not apply."""
+
+    fast: GriddedFunction | None
+    max_deviation: float | None
+    verdicts: tuple[Verdict, ...]
+
+
+def fast_conjugate_check(f: GriddedFunction, fstar: GriddedFunction) -> FastConjugateReport:
+    """`conjugate_fast` of f on the grid of fstar, the brute-force conjugate:
+    they agree within 1e-12, the rounding by which the two routes differ.
+    The row is INFO, with the reason, where the fast route does not apply."""
+    name = "fast_matches_bruteforce"
+    try:
+        fast = conjugate_fast(f, fstar.grid)
+    except UnsupportedShape as e:
+        return FastConjugateReport(None, None, (Verdict(name, None, str(e)),))
+    dev = max_deviation(fstar.values, fast.values)
+    row = Verdict(name, dev <= 1e-12, f"max deviation {dev:.3g}")
+    return FastConjugateReport(fast, dev, (row,))
+
+
+def fenchel_young_check(f: GriddedFunction, fstar: GriddedFunction) -> Verdict:
+    """f(x) + f*(s) >= <s, x> over every pair of finite nodes, within TOL."""
+    finx, fins = f.finite_mask, fstar.finite_mask
+    if not finx.any() or not fins.any():
+        return Verdict("fenchel_young", True)
+    pair = fstar.grid.nodes[fins] @ f.grid.nodes[finx].T
+    total = fstar.values[fins][:, None] + f.values[finx][None, :]
+    return Verdict("fenchel_young", bool(np.all(total >= pair - TOL)))
+
+
+def biconjugate_minorant_check(f: GriddedFunction, fstarstar: GriddedFunction) -> Verdict:
+    """The biconjugate table lies below f at every node, within TOL."""
+    return Verdict("biconjugate_minorant", bool(np.all(fstarstar.values <= f.values + TOL)))
 
 
 def support_function(points: np.ndarray, duals: Grid) -> GriddedFunction:

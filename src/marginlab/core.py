@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,37 @@ from .errors import (
 INF = math.inf
 NODE_TOL = 1e-9
 TOL = 1e-9  # slack of every verdict comparison in the checks
+
+
+# --- verdicts ----------------------------------------------------------------
+
+
+class Verdict(NamedTuple):
+    """One verdict row of a check.  `ok` is True (PASS) or False (FAIL) on a
+    row that binds the exit code, None (INFO) on a finding that does not."""
+
+    name: str
+    ok: bool | None
+    detail: str = ""
+
+    @property
+    def status(self) -> str:
+        return "INFO" if self.ok is None else "PASS" if self.ok else "FAIL"
+
+    @classmethod
+    def skipped(cls, name: str, reason: str) -> Verdict:
+        """The INFO row of a check that cannot run on the instance."""
+        return cls(name, None, f"{reason}; skipped")
+
+
+def hypothesis_verdict(
+    name: str, holds: bool, declared: bool, flag: str, claim: str, detail: str
+) -> Verdict:
+    """The row of a claim that binds only when the instance declares `flag`;
+    undeclared it is INFO, and its detail says the claim was not asserted."""
+    if declared:
+        return Verdict(name, bool(holds), detail)
+    return Verdict(name, None, f"{detail}; {claim} not asserted ({flag} false)")
 
 
 # --- extended reals ---------------------------------------------------------

@@ -30,8 +30,10 @@ from .core import (
     Axis,
     Grid,
     GriddedFunction,
+    Verdict,
     default_names,
     eval_on_grid,
+    hypothesis_verdict,
     product_grid,
     render_value,
 )
@@ -90,14 +92,12 @@ def dual_value_2(tables: Tables, xduals: Grid, yduals: Grid) -> float:
 
 @dataclass(frozen=True)
 class ConjugateRepresentationReport:
-    verdict: bool
     lower_bound_ok: bool
     monotone_ok: bool
     max_residual: float
     residuals: tuple[float, ...]
     refined_residuals: tuple[float, ...]
-    hypothesis: bool
-    note: str
+    verdicts: tuple[Verdict, ...]
 
 
 def conjugate_representation_check(
@@ -111,8 +111,9 @@ def conjugate_representation_check(
     mu*(x*) <= sampled value holds unconditionally (any feasible split
     upper-bounds the true infimum, which upper-bounds mu*); residuals are
     recomputed once with both split lattices refined by 2 and must not
-    increase.  The equality verdict is only meaningful when the instance
-    asserts the interiority hypothesis.  mu* and the sampled value on the
+    increase.  Its rows are the lower bound, the monotonicity and the
+    equality (max residual <= TOL), which binds only when the instance
+    asserts the interiority hypothesis (qc1).  mu* and the sampled value on the
     xduals lattice come from the store; the refined lattice is read here
     alone, so `sampled_inf_convolution` builds it and lets it go.
     """
@@ -131,21 +132,18 @@ def conjugate_representation_check(
     r1 = residual(mustar, sic1)
     monotone = bool(np.all(r1 <= r0 + 1e-12))
     max_res = float(np.max(r1)) if r1.size else 0.0
-    verdict = lower_ok and monotone and max_res <= TOL
-    note = (
-        "interiority hypothesis asserted by the instance"
-        if hypothesis
-        else "hypothesis metadata absent; only the inequality direction is binding"
-    )
     return ConjugateRepresentationReport(
-        verdict,
         lower_ok,
         monotone,
         max_res,
         tuple(float(v) for v in r0),
         tuple(float(v) for v in r1),
-        hypothesis,
-        note,
+        (
+            Verdict("representation_lower_bound", lower_ok),
+            Verdict("representation_monotone", monotone, "under split refinement"),
+            hypothesis_verdict("representation_equality", max_res <= TOL, hypothesis, "qc1",
+                               "equality", f"max residual {render_value(max_res)}"),
+        ),
     )
 
 
@@ -159,16 +157,21 @@ class DualityReport:
     vd2: float
     gap: float
     witness: tuple[float, ...] | None
-    verdicts: tuple[tuple[str, bool], ...]
+    verdicts: tuple[Verdict, ...]
 
     def json_dict(self) -> dict:
+        """The values and one pass flag per row; the INFO row
+        subdifferential_nonempty passes when there is a witness."""
         return {
             "vp": render_value(self.vp),
             "vd1": render_value(self.vd1),
             "vd2": render_value(self.vd2),
             "gap": render_value(self.gap),
             "witness": list(self.witness) if self.witness is not None else None,
-            "verdicts": [{"name": n, "pass": bool(v)} for n, v in self.verdicts],
+            "verdicts": [
+                {"name": n, "pass": self.witness is not None if ok is None else ok}
+                for n, ok, _ in self.verdicts
+            ],
         }
 
 
@@ -189,8 +192,9 @@ def strong_duality_check(
     first dual value meets the primal value exactly; the dual sample is
     augmented with the witness point to make that certificate visible even
     when no dual node lands inside the subdifferential.  An empty
-    subdifferential yields a nonnegative reported gap instead.  mu, mu*
-    and the sampled value come from the store.
+    subdifferential yields a nonnegative reported gap instead; that
+    emptiness is a finding about the instance, not a failure, so its row
+    is INFO.  mu, mu* and the sampled value come from the store.
     """
     zi = _zero_index(tables.F.xgrid)
     mu = tables.mu
@@ -218,11 +222,12 @@ def strong_duality_check(
         lhs = mu.grid.nodes[fin] @ s
         witness_sound = bool(np.all(lhs <= mu.values[fin] - vp + TOL))
     verdicts = (
-        ("weak_duality_chain", bool(chain_ok)),
-        ("gap_nonnegative", bool(gap_ok)),
-        ("subdifferential_nonempty", point is not None),
-        ("strong_duality_certified", bool(strong_ok)),
-        ("witness_sound", bool(witness_sound)),
+        Verdict("weak_duality_chain", bool(chain_ok)),
+        Verdict("gap_nonnegative", bool(gap_ok)),
+        Verdict("subdifferential_nonempty", None,
+                "certificate available" if point is not None else "no certificate"),
+        Verdict("strong_duality_certified", bool(strong_ok)),
+        Verdict("witness_sound", bool(witness_sound)),
     )
     return DualityReport(vp, vd1, vd2, gap, witness, verdicts)
 
@@ -341,9 +346,9 @@ def _conjugate_at_neg(
 
 @dataclass(frozen=True)
 class LagrangianIdentityReport:
-    verdict: bool
     rows: tuple[tuple[tuple[float, ...], float, float, str, bool], ...]
     xgrid: Grid
+    verdicts: tuple[Verdict, ...]
 
 
 def lagrangian_identity_check(
@@ -357,7 +362,8 @@ def lagrangian_identity_check(
     Nonnegative lambda rows must match within tolerance.  Rows with a
     negative component follow the '+inf' convention branch: the check
     extends every x-axis by one upper node and flags the row when
-    mu*(-lambda) strictly grows, the finite signature of divergence.
+    mu*(-lambda) strictly grows, the finite signature of divergence.  One
+    verdict row per branch, INFO when no lambda node falls in it.
     """
     g_exprs = tuple(g_exprs)
     table = lagrangian_dual(f_expr, g_exprs, ygrid, lambda_grid)
@@ -373,17 +379,20 @@ def lagrangian_identity_check(
         mustar_ext = _conjugate_at_neg(f_expr, g_exprs, ygrid, Grid(ext_axes), lam)
 
     rows = []
-    all_ok = True
     for i, lrow in enumerate(table.lambdas):
         if table.expected_infinite[i]:
             grew = bool(mustar_ext[i] > mustar[i] + 1e-12)
             rows.append((lrow, table.values[i], float(mustar[i]), "divergent", grew))
-            all_ok &= grew
         else:
             match = bool(abs(mustar[i] + table.values[i]) <= TOL)
             rows.append((lrow, table.values[i], float(mustar[i]), "identity", match))
-            all_ok &= match
-    return LagrangianIdentityReport(all_ok, tuple(rows), xgrid)
+    verdicts = []
+    for name, branch, side in (("lagrange_dual_identity", "identity", ">="),
+                               ("lagrange_negative_probe", "divergent", "<")):
+        oks = [r[4] for r in rows if r[3] == branch]
+        detail = f"{len(oks)} lambda nodes {side} 0"
+        verdicts.append(Verdict(name, all(oks) if oks else None, detail))
+    return LagrangianIdentityReport(tuple(rows), xgrid, tuple(verdicts))
 
 
 def _one_constraint_dual_value(fv: np.ndarray, g: np.ndarray) -> float:
@@ -409,14 +418,14 @@ class SlaterReport:
     vp: float
     vd: float
     gap: float
-    verdict: bool | None
-    note: str
+    verdicts: tuple[Verdict, ...]
 
 
 def slater_strong_duality_check(
     f_expr: str,
     g_exprs: tuple[str, ...] | list[str],
     ygrid: Grid,
+    hypothesis: bool = False,
 ) -> SlaterReport:
     """Slater point on the grid, then V_p = V_d for the Lagrangian pair.
 
@@ -424,16 +433,16 @@ def slater_strong_duality_check(
     dual over continuous lambda >= 0.  With one constraint V_d is exact
     (`_one_constraint_dual_value`, no LP); with several it comes from one
     LP.  Without a strictly feasible node the equality is left unverified,
-    not failed.
+    not failed.  The row binds only when the instance declares the
+    hypothesis (Slater and convex).
     """
     g_exprs = tuple(g_exprs)
     fv, gv = _eval_objective(f_expr, g_exprs, ygrid)
     strict = (gv < -TOL).all(axis=0)
     if not strict.any():
-        return SlaterReport(
-            False, None, float("nan"), float("nan"), float("nan"), None,
-            "no strictly feasible node; Slater unverified",
-        )
+        why = "no strictly feasible node; Slater unverified"
+        row = Verdict("slater_strong_duality", None, why)
+        return SlaterReport(False, None, float("nan"), float("nan"), float("nan"), (row,))
     node = int(np.flatnonzero(strict)[0])
     feas = (gv <= TOL).all(axis=0)
     vp = float(fv[feas].min()) if feas.any() else INF
@@ -461,12 +470,6 @@ def slater_strong_duality_check(
                 f"LP solver failed on the Lagrangian dual: {res.message}"
             )
     gap = _gap(vp, vd)
-    return SlaterReport(
-        True,
-        tuple(float(v) for v in ygrid.coords(node)),
-        vp,
-        vd,
-        gap,
-        bool(abs(gap) <= TOL),
-        "Slater node found; equality asserted",
-    )
+    row = Verdict("slater_strong_duality", bool(abs(gap) <= TOL) if hypothesis else None,
+                  "Slater node found; equality asserted")
+    return SlaterReport(True, tuple(float(v) for v in ygrid.coords(node)), vp, vd, gap, (row,))

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
-from .core import INF, TOL, GriddedFunction, ext_add_arrays, product_grid
+from .core import INF, TOL, GriddedFunction, Verdict, ext_add_arrays, product_grid
 from .errors import GridMismatch, NotFiniteAtPoint
 from .setmap import SetValuedMap
 
@@ -167,6 +167,37 @@ def convexity_check(f: GriddedFunction) -> tuple[bool, tuple[int, int, int] | No
             k = int(np.flatnonzero(bad)[0])
             return False, (i, int(cand[k]), int(mid_flat[k]))
     return True, None
+
+
+def _level_probe(mu: GriddedFunction) -> np.ndarray:
+    """Nine levels from 0.5 below to 0.5 above the finite range of mu."""
+    fin = mu.values[np.isfinite(mu.values)]
+    return np.linspace(fin.min() - 0.5, fin.max() + 0.5, 9) if fin.size else np.zeros(1)
+
+
+@dataclass(frozen=True)
+class StructureReport:
+    domain_witness: int | None
+    epigraph: EpigraphReport
+    mu_convex: bool
+    convexity_witness: tuple[int, int, int] | None
+    verdicts: tuple[Verdict, ...]
+
+
+def marginal_structure_check(tables: Tables, convex: bool = False) -> StructureReport:
+    """Domain identity, strict-epigraph projection at nine levels bracketing
+    mu's finite range, and midpoint convexity of mu, whose row binds only
+    when the instance declares mu convex."""
+    domain_ok, domain_witness = domain_identity_check(tables)
+    epi = epigraph_projection_check(tables.phi, tables.F, _level_probe(tables.mu))
+    mu_convex, convexity_witness = convexity_check(tables.mu)
+    verdicts = (
+        Verdict("domain_identity", domain_ok),
+        Verdict("epigraph_projection", epi.ok, f"{epi.checked} level-node checks"),
+        Verdict("mu_convex", bool(mu_convex) if convex else None,
+                "declared convex" if convex else "informational"),
+    )
+    return StructureReport(domain_witness, epi, bool(mu_convex), convexity_witness, verdicts)
 
 
 class RebuildableProblem(Protocol):

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Axis, Grid
+from .core import Axis, Grid, Verdict
 from .errors import (
     GridMismatch,
     HypothesisNotMet,
@@ -356,6 +356,40 @@ def intersection_preservation_check(S1: RasterSet, S2: RasterSet) -> NearConvexi
     if not bool((interior(S1).mask & interior(S2).mask).any()):
         raise HypothesisNotMet("the interiors of the inputs do not meet")
     return is_int_nearly_convex(RasterSet(S1.grid, S1.mask & S2.mask))
+
+
+@dataclass(frozen=True)
+class RasterCheckReport:
+    """Int-near-convexity of a raster, of its refinement by 2 and of its
+    intersection with a second raster, or why that was `skipped`."""
+
+    nearly_convex: NearConvexityReport
+    refined: NearConvexityReport
+    intersection: NearConvexityReport | None
+    skipped: str | None
+    verdicts: tuple[Verdict, ...]
+
+
+def raster_check(S: RasterSet, other: RasterSet | None = None) -> RasterCheckReport:
+    """Near convexity of S (INFO: a finding about S), the same verdict after
+    refinement by 2, and near convexity of S & other when the intersection
+    check's hypothesis holds (INFO when it does not)."""
+    rep = is_int_nearly_convex(S)
+    refined = is_int_nearly_convex(refine_raster(S, 2))
+    kind = f"; witness kind {rep.witness_kind}" if rep.witness_kind else ""
+    verdicts = [
+        Verdict("int_nearly_convex", None, f"verdict {str(rep.verdict).lower()}{kind}"),
+        Verdict("refinement_stable", rep.verdict == refined.verdict, "x2"),
+    ]
+    inter = skipped = None
+    if other is not None:
+        try:
+            inter = intersection_preservation_check(S, other)
+        except HypothesisNotMet as e:
+            skipped = str(e)
+        ok = None if inter is None else inter.verdict
+        verdicts.append(Verdict("intersection_preserved", ok, skipped or ""))
+    return RasterCheckReport(rep, refined, inter, skipped, tuple(verdicts))
 
 
 # --- linear images ---------------------------------------------------------------

@@ -7,12 +7,14 @@ rasters, hypothesis metadata, tasks).  `parse_spec` validates the text
 into a frozen `ProblemSpec`; `ProblemSpec.build` instantiates (phi, F),
 optionally on factor-refined grids.  Unknown keys and sections are hard
 errors; every rejection is a `SpecError`, and syntax errors carry their
-line and column.
+line and column on the raw line.  An `ExpressionError`, from parsing or
+from a non-finite phi in `build`, names the line of its expression.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -23,17 +25,21 @@ from .core import (
     Axis,
     Grid,
     GriddedFunction,
+    default_names,
     eval_on_grid,
     product_grid,
     product_names,
 )
 from .errors import (
+    ExpressionError,
     MissingSection,
+    NonFiniteExpression,
     NotANode,
     SpecSyntaxError,
     UnknownKey,
     UnsupportedShape,
 )
+from .expr import parse_and_check
 from .setmap import (
     SetValuedMap,
     full_map,
@@ -87,6 +93,7 @@ class ProblemSpec:
     metadata: Mapping[str, bool]
     tasks: tuple[str, ...]
     base_dir: Path
+    phi_line: int = 0
 
     def build(self, factor: int = 1) -> tuple[GriddedFunction, SetValuedMap]:
         """Instantiate (phi, F), optionally on factor-refined grids."""
@@ -97,9 +104,10 @@ class ProblemSpec:
         pg = product_grid(xg, yg)
         if self.phi_kind == "expr":
             names, aliases = product_names(xg.dim, yg.dim)
-            phi = eval_on_grid(
-                self.phi_expr, pg, names, aliases, domain=self.phi_where
-            )
+            try:
+                phi = eval_on_grid(self.phi_expr, pg, names, aliases, domain=self.phi_where)
+            except NonFiniteExpression as e:
+                raise _at_line(e, self.phi_line) from None
         else:
             if factor > 1:
                 raise UnsupportedShape("a phi value table cannot be grid-refined")
@@ -140,31 +148,35 @@ class _SpecBuilder:
         self.metadata: dict[str, bool] = {k: False for k in _META_KEYS}
         self.meta_seen: set[str] = set()
         self.tasks: list[str] = []
+        # (names the text may use: "xy" or "y", text, line) per expression
+        self.exprs: list[tuple[str, str, int]] = []
 
 
-def _floats(tokens: Sequence[str], line: str, ln: int) -> list[float]:
+def _at_line(err: ExpressionError, ln: int) -> ExpressionError:
+    """`err` with its message prefixed by the spec line it comes from."""
+    err.args = (f"line {ln}: {err}",)
+    return err
+
+
+def _floats(tokens: Sequence[str], cols: Sequence[int], ln: int) -> list[float]:
     out = []
-    for tok in tokens:
+    for tok, col in zip(tokens, cols):
         try:
             out.append(float(tok))
         except ValueError:
-            raise SpecSyntaxError(
-                f"expected a number, got {tok!r}", ln, line.find(tok) + 1
-            ) from None
+            raise SpecSyntaxError(f"expected a number, got {tok!r}", ln, col) from None
     return out
 
 
-def _parse_axis(rest: list[str], line: str, ln: int) -> Axis:
+def _parse_axis(rest: list[str], cols: list[int], ln: int) -> Axis:
     if len(rest) != 3:
         raise SpecSyntaxError("'axis' takes exactly: lo hi count", ln, 1)
-    lo, hi = _floats(rest[:2], line, ln)
+    lo, hi = _floats(rest[:2], cols, ln)
     try:
         count = int(rest[2])
     except ValueError:
         raise SpecSyntaxError(
-            f"axis count must be an integer, got {rest[2]!r}",
-            ln,
-            line.find(rest[2]) + 1,
+            f"axis count must be an integer, got {rest[2]!r}", ln, cols[2]
         ) from None
     try:
         return Axis(lo, hi, count)
@@ -203,9 +215,11 @@ def _set_f_kind(b: _SpecBuilder, kind: str, ln: int) -> None:
 
 
 def _parse_line(b: _SpecBuilder, section: str | None, line: str, ln: int) -> None:
-    parts = line.split()
-    key, rest = parts[0], parts[1:]
-    tail = line.split(None, 1)[1].strip() if len(parts) > 1 else ""
+    """One line, comment cut off; columns count from 1 on the raw line."""
+    tokens = list(re.finditer(r"\S+", line))
+    key, rest = tokens[0].group(), [t.group() for t in tokens[1:]]
+    cols = [t.start() + 1 for t in tokens[1:]]  # column of each of rest
+    tail = line.split(None, 1)[1].strip() if rest else ""
 
     if section is None:
         if key == "name":
@@ -221,7 +235,7 @@ def _parse_line(b: _SpecBuilder, section: str | None, line: str, ln: int) -> Non
     if section in _GRID_SECTIONS:
         if key != "axis":
             raise UnknownKey(f"line {ln}: unknown key {key!r} in [{section}]")
-        b.axes.setdefault(section, []).append(_parse_axis(rest, line, ln))
+        b.axes.setdefault(section, []).append(_parse_axis(rest, cols, ln))
         return
 
     if section == "phi":
@@ -230,11 +244,13 @@ def _parse_line(b: _SpecBuilder, section: str | None, line: str, ln: int) -> Non
             if b.phi_expr is not None:
                 raise MissingSection(f"line {ln}: duplicate 'expr' in [phi]")
             b.phi_expr = _required(tail, "'expr' needs expression text", ln)
+            b.exprs.append(("xy", b.phi_expr, ln))
         elif key == "table":
             _set_phi_kind(b, "table", ln)
-            b.phi_table.extend(_floats(rest, line, ln))
+            b.phi_table.extend(_floats(rest, cols, ln))
         elif key == "where":
             b.phi_where.append(_required(tail, "'where' needs constraint text", ln))
+            b.exprs.append(("xy", tail, ln))
         else:
             raise UnknownKey(f"line {ln}: unknown key {key!r} in [phi]")
         return
@@ -243,15 +259,14 @@ def _parse_line(b: _SpecBuilder, section: str | None, line: str, ln: int) -> Non
         if key in ("ineq", "constraints"):
             _set_f_kind(b, key, ln)
             b.f_exprs.append(_required(tail, f"'{key}' needs expression text", ln))
+            b.exprs.append(("y" if key == "ineq" else "xy", tail, ln))
         elif key == "point":
             _set_f_kind(b, "points", ln)
-            row = _floats(rest, line, ln)
-            for tok, v in zip(rest, row):
+            row = _floats(rest, cols, ln)
+            for tok, v, col in zip(rest, row, cols):
                 if not math.isfinite(v):
                     raise SpecSyntaxError(
-                        f"graph point coordinates must be finite, got {tok!r}",
-                        ln,
-                        line.find(tok) + 1,
+                        f"graph point coordinates must be finite, got {tok!r}", ln, col
                     )
             b.f_points.append(tuple(row))
             b.f_point_lines.append(ln)
@@ -268,8 +283,10 @@ def _parse_line(b: _SpecBuilder, section: str | None, line: str, ln: int) -> Non
             if b.lag_f is not None:
                 raise SpecSyntaxError("duplicate 'f' in [lagrangian]", ln, 1)
             b.lag_f = _required(tail, "'f' needs expression text", ln)
+            b.exprs.append(("y", tail, ln))
         elif key == "g":
             b.lag_g.append(_required(tail, "'g' needs expression text", ln))
+            b.exprs.append(("y", tail, ln))
         else:
             raise UnknownKey(f"line {ln}: unknown key {key!r} in [lagrangian]")
         return
@@ -395,6 +412,15 @@ def _finalize(b: _SpecBuilder) -> ProblemSpec:
         if task == "nearconvex" and not rasters:
             raise MissingSection("task 'nearconvex' needs a [raster] section")
 
+    xy, xy_aliases = product_names(xgrid.dim, ygrid.dim)
+    y, y_aliases = default_names(ygrid, "y")
+    allowed = {"xy": [*xy, *xy_aliases], "y": [*y, *y_aliases]}
+    for scope, text, ln in b.exprs:
+        try:
+            parse_and_check(text, allowed[scope])
+        except ExpressionError as e:
+            raise _at_line(e, ln) from None
+
     return ProblemSpec(
         name=b.name,
         xgrid=xgrid,
@@ -414,6 +440,7 @@ def _finalize(b: _SpecBuilder) -> ProblemSpec:
         metadata=dict(b.metadata),
         tasks=tuple(b.tasks),
         base_dir=b.base_dir,
+        phi_line=b.phi_line,
     )
 
 
@@ -446,5 +473,5 @@ def parse_spec(
             b.section_line[sec] = ln
             section = sec
             continue
-        _parse_line(b, section, stripped, ln)
+        _parse_line(b, section, line, ln)
     return _finalize(b)

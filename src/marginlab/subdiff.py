@@ -55,7 +55,9 @@ from .core import (
     TOL,
     Grid,
     GriddedFunction,
+    Verdict,
     ext_sum,
+    hypothesis_verdict,
     max_deviation,
 )
 from .errors import (
@@ -456,6 +458,41 @@ def eps_coderivative(F: SetValuedMap, x0y0, ystar, eps: float) -> HPolyhedron:
     return HPolyhedron(A, b)
 
 
+@dataclass(frozen=True)
+class EpsSubdifferentialReport:
+    """An eps-subdifferential and its members by both routes."""
+
+    polyhedron: HPolyhedron
+    member: np.ndarray
+    member_conjugate_route: np.ndarray
+    verdicts: tuple[Verdict, ...]
+
+
+def eps_subdifferential_check(
+    f: GriddedFunction, fstar: GriddedFunction, x0, eps: float
+) -> EpsSubdifferentialReport:
+    """Members of the eps-subdifferential of f at x0 among the nodes of the
+    conjugate table fstar, by the polyhedron and by Fenchel-Young: s is one
+    exactly when f*(s) + f(x0) <= <s, x0> + eps (within TOL).  The rows: the
+    routes agree at every node, and members stay members at eps + 0.5."""
+    xi = f.grid.resolve(x0)
+    nodes = fstar.grid.nodes
+    P = eps_subdifferential(f, xi, eps)
+    member = P.contains(nodes)
+    f0 = float(f.values[xi])
+    if np.isfinite(f0):
+        with np.errstate(invalid="ignore"):
+            member_fy = fstar.values + f0 <= nodes @ f.grid.coords(xi) + eps + TOL
+    else:
+        member_fy = np.zeros(nodes.shape[0], dtype=bool)
+    wider = eps_subdifferential(f, xi, eps + 0.5).contains(nodes)
+    agree = bool(np.array_equal(member, member_fy))
+    return EpsSubdifferentialReport(P, member, member_fy, (
+        Verdict("conjugate_route_agreement", agree, f"{nodes.shape[0]} dual nodes"),
+        Verdict("nesting_in_eps", bool(np.all(wider[member])), "eps vs eps+0.5"),
+    ))
+
+
 # --- sum rule -------------------------------------------------------------------
 
 
@@ -526,6 +563,7 @@ class SumRuleReport:
     n_samples: int
     disagreements: tuple[tuple[float, ...], ...]
     splits: tuple[tuple[float, float], ...]
+    verdicts: tuple[Verdict, ...]
 
 
 def sum_rule_check(
@@ -540,7 +578,8 @@ def sum_rule_check(
     The union of Minkowski sums over the sampled eps-splits must sit inside
     the subdifferential of the sum (checked unconditionally); the reverse
     inclusion is reported as an agreement rate, exact for convex data when
-    the relevant split is on the lattice.
+    the relevant split is on the lattice.  The row is the unconditional
+    inclusion.
     """
     if g1.grid != g2.grid:
         raise GridMismatch("sum rule needs both functions on one grid")
@@ -567,6 +606,7 @@ def sum_rule_check(
         S.shape[0],
         tuple(tuple(float(c) for c in row) for row in bad[:16]),
         tuple(splits),
+        (Verdict("sum_rule_easy_inclusion", easy_ok, f"agreement {agreement:.4f}"),),
     )
 
 
@@ -583,11 +623,10 @@ class TheoremReport:
 
     `easy_ok` is the unconditional inclusion (right side inside the
     eta-inflated left side); `agreement` compares both routes at the
-    sampled points against the nominal eps; `conditional` records whether
-    the instance asserted the qualification the equality needs.
+    sampled points against the nominal eps.  `verdicts` holds the rows of
+    the unconditional direction and of the sharp one, binding under qc14.
     """
 
-    ok: bool
     easy_ok: bool
     agreement: float
     n_samples: int
@@ -595,11 +634,7 @@ class TheoremReport:
     rhs_mask: tuple[bool, ...]
     disagreements: tuple[int, ...]
     eta_monotone_ok: bool
-    conditional: bool
-    note: str
-
-
-_UNASSERTED = "qualification not asserted; only the unconditional inclusion is binding"
+    verdicts: tuple[Verdict, ...]
 
 
 def _theorem_report(
@@ -611,7 +646,8 @@ def _theorem_report(
     levels: Sequence[tuple[float, np.ndarray, np.ndarray]],
     sharp: Callable[[np.ndarray, np.ndarray], bool],
     qc14: bool,
-    note: str,
+    upper: tuple[str, str],
+    claim: tuple[str, str, str],
 ) -> TheoremReport:
     """Fold the per-eta right sides of a two-route check into its report.
 
@@ -619,8 +655,10 @@ def _theorem_report(
     finds at that eta, and the same set after any closure.  The right side
     is the intersection of the closed sets.  Unconditionally every found
     point must lie in the (eps+eta)-subdifferential of f at `node`, and the
-    closed sets must shrink with eta; `sharp(lhs, rhs)` is the direction
-    asserted under the qualification, and `note` says what it asserts.
+    closed sets must shrink with eta, as the row `upper` = (name, detail)
+    asserts.  `sharp(lhs, rhs)` is the direction asserted under the
+    qualification; `claim` = (name, what it asserts, note to the agreement)
+    makes its row.
     """
     rhs_mask = np.ones(sample.shape[0], dtype=bool)
     easy_ok = eta_monotone_ok = True
@@ -634,17 +672,21 @@ def _theorem_report(
             eta_monotone_ok = False
         prev = closed
         rhs_mask &= closed
+    agreement = float((lhs_mask == rhs_mask).mean()) if sample.shape[0] else 1.0
+    name, what, note = claim
     return TheoremReport(
-        easy_ok and eta_monotone_ok and (sharp(lhs_mask, rhs_mask) or not qc14),
         easy_ok,
-        float((lhs_mask == rhs_mask).mean()),
+        agreement,
         int(sample.shape[0]),
         tuple(bool(v) for v in lhs_mask),
         tuple(bool(v) for v in rhs_mask),
         tuple(int(i) for i in np.flatnonzero(lhs_mask != rhs_mask)),
         eta_monotone_ok,
-        qc14,
-        note if qc14 else _UNASSERTED,
+        (
+            Verdict(upper[0], easy_ok and eta_monotone_ok, upper[1]),
+            hypothesis_verdict(name, sharp(lhs_mask, rhs_mask), qc14, "qc14", what,
+                               f"agreement {agreement:.4f}{note}"),
+        ),
     )
 
 
@@ -727,7 +769,8 @@ def marginal_subdiff_check(
         levels,
         lambda lhs, rhs: bool(np.array_equal(lhs, rhs)),
         qc14,
-        "two-sided agreement asserted under the declared qualification",
+        ("marginal_formula_upper", f"{Ks} duals"),
+        ("marginal_formula_agreement", "equality", ""),
     )
 
 
@@ -741,6 +784,7 @@ class RestrictedConjugateReport:
     n_duals: int
     lhs: tuple[float, ...]
     rhs: tuple[float, ...]
+    verdicts: tuple[Verdict, ...]
 
 
 def restricted_conjugate_check(tables: Tables, duals: Grid) -> RestrictedConjugateReport:
@@ -759,12 +803,14 @@ def restricted_conjugate_check(tables: Tables, duals: Grid) -> RestrictedConjuga
     )
     pts = np.hstack([duals.nodes, np.zeros((duals.size, F.ygrid.dim))])
     rhs = conjugate_at(tilde, pts)
+    ok = bool(np.array_equal(lhs, rhs))
     return RestrictedConjugateReport(
-        bool(np.array_equal(lhs, rhs)),
+        ok,
         max_deviation(lhs, rhs),
         duals.size,
         tuple(float(v) for v in lhs),
         tuple(float(v) for v in rhs),
+        (Verdict("restricted_conjugate_exact", ok, f"{duals.size} dual nodes"),),
     )
 
 
@@ -825,13 +871,19 @@ def conj_subdiff_check(
     phi, F = tables.phi, tables.F
     mustar = tables.mustar(duals)
     si = duals.resolve(x0star)
+    m, n = F.xgrid.dim, F.ygrid.dim
+    named = (
+        ("conjugate_formula_upper", f"at dual node {si}"),
+        ("conjugate_formula_containment", "containment",
+         "; closure realized as one-cell dilation"),
+    )
     if not np.isfinite(mustar.values[si]):
-        return TheoremReport(
-            True, True, 1.0, 0, (), (), (), True, qc14,
-            "x0star is outside the finite domain of mu*; both sides empty",
+        # x0star is outside the finite domain of mu*: both sides are empty.
+        empty = np.zeros((0, m))
+        return _theorem_report(
+            mustar, si, eps, empty, empty.any(axis=1), [], _contains, qc14, *named
         )
     s0 = duals.coords(si)
-    m, n = F.xgrid.dim, F.ygrid.dim
     if yduals is None:
         yduals = default_ydual_grid(phi, m, 41 if n == 1 else 9)
 
@@ -902,18 +954,11 @@ def conj_subdiff_check(
         (eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1))
         for eta, raw in zip(DEFAULT_ETAS, found)
     ]
-    # The one-cell dilation realizing "cl" can only enlarge the right side,
-    # so the sharp direction asserted under the qualification is containment
-    # of the left side, not raw equality of the node masks.
-    return _theorem_report(
-        mustar,
-        si,
-        eps,
-        sample,
-        lhs_mask,
-        levels,
-        lambda lhs, rhs: not bool((lhs & ~rhs).any()),
-        qc14,
-        "left side contained in the closed right side as asserted; raw"
-        " agreement is resolution-dependent through the closure dilation",
-    )
+    return _theorem_report(mustar, si, eps, sample, lhs_mask, levels, _contains, qc14, *named)
+
+
+def _contains(lhs: np.ndarray, rhs: np.ndarray) -> bool:
+    """The sharp direction of the conjugate check: the one-cell dilation
+    realizing "cl" can only enlarge the right side, so it is containment of
+    the left side, not raw equality of the node masks."""
+    return not bool((lhs & ~rhs).any())

@@ -103,13 +103,13 @@ class Tables:
     """The shared tables of one problem (phi, F), each built once on demand.
 
     Build one with `Tables(phi, F)` and pass it to every check of that
-    problem: `domain_identity_check`, `restricted_conjugate_check`,
-    `conjugate_representation_check`, `marginal_subdiff_check`,
-    `conj_subdiff_check`, `strong_duality_check`, `primal_value`,
-    `dual_value_1` and `dual_value_2`.  Whichever check asks first builds a
-    table, and the later ones read the same read-only array, so a check
-    returns the same bits on a fresh store and on one that other checks
-    have filled.  `marginal` is the `MarginalResult` of (phi, F) and `mu`
+    problem: `domain_identity_check`, `marginal_structure_check`,
+    `restricted_conjugate_check`, `conjugate_representation_check`,
+    `marginal_subdiff_check`, `conj_subdiff_check`, `strong_duality_check`,
+    `primal_value`, `dual_value_1` and `dual_value_2`.  Whichever check asks
+    first builds a table, and the later ones read the same read-only array,
+    so a check returns the same bits on a fresh store and on one that other
+    checks have filled.  `marginal` is the `MarginalResult` of (phi, F) and `mu`
     its gridded mu; nothing is computed before it is read.
     """
 

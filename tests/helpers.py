@@ -291,7 +291,8 @@ def reference_marginal_subdiff_check(phi, F, x0, eps, duals=None, yduals=None, q
         mu, xi, eps, S, lhs_mask, levels,
         lambda lhs, rhs: bool(np.array_equal(lhs, rhs)),
         qc14,
-        "two-sided agreement asserted under the declared qualification",
+        ("marginal_formula_upper", f"{Ks} duals"),
+        ("marginal_formula_agreement", "equality", ""),
     )
 
 
@@ -299,13 +300,19 @@ def reference_conj_subdiff_check(phi, F, duals, x0star, eps, yduals=None, qc14=F
     mu = marginal(phi, F).mu
     mustar = conjugate(mu, duals)
     si = duals.resolve(x0star)
+    m, n = F.xgrid.dim, F.ygrid.dim
+    named = (
+        ("conjugate_formula_upper", f"at dual node {si}"),
+        ("conjugate_formula_containment", "containment",
+         "; closure realized as one-cell dilation"),
+    )
+    contains = lambda lhs, rhs: not bool((lhs & ~rhs).any())  # noqa: E731
     if not np.isfinite(mustar.values[si]):
-        return subdiff.TheoremReport(
-            True, True, 1.0, 0, (), (), (), True, qc14,
-            "x0star is outside the finite domain of mu*; both sides empty",
+        empty = np.zeros((0, m))
+        return subdiff._theorem_report(
+            mustar, si, eps, empty, np.zeros(0, dtype=bool), [], contains, qc14, *named
         )
     s0 = duals.coords(si)
-    m, n = F.xgrid.dim, F.ygrid.dim
     if yduals is None:
         yduals = default_ydual_grid(phi, m, 41 if n == 1 else 9)
     sample = F.xgrid.nodes
@@ -337,9 +344,5 @@ def reference_conj_subdiff_check(phi, F, duals, x0star, eps, yduals=None, qc14=F
         np.logical_or.at(raw, gx, cell_ok[eta])
         levels.append((eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1)))
     return subdiff._theorem_report(
-        mustar, si, eps, sample, lhs_mask, levels,
-        lambda lhs, rhs: not bool((lhs & ~rhs).any()),
-        qc14,
-        "left side contained in the closed right side as asserted; raw"
-        " agreement is resolution-dependent through the closure dilation",
+        mustar, si, eps, sample, lhs_mask, levels, contains, qc14, *named
     )

@@ -190,7 +190,8 @@ def test_04_representation_equality_and_monotonicity():
     rep = conjugate_representation_check(
         Tables(*spec.build()), spec.xduals, spec.yduals, hypothesis=True
     )
-    exact = rep.verdict and rep.max_residual == 0.0 and all(
+    binding_rows_pass = [ok for _, ok, _ in rep.verdicts] == [True, True, True]
+    exact = binding_rows_pass and rep.max_residual == 0.0 and all(
         r == 0.0 for r in rep.residuals
     )
     monotone = True
@@ -220,7 +221,8 @@ def test_05_marginal_subdifferential_two_sided():
         rep = marginal_subdiff_check(
             tables, [0.0], eps, duals=spec.xduals, yduals=spec.yduals, qc14=True
         )
-        ok &= rep.ok and rep.agreement == 1.0 and rep.n_samples == 41
+        ok &= [v.ok for v in rep.verdicts] == [True, True]
+        ok &= rep.agreement == 1.0 and rep.n_samples == 41
         ok &= bool(rep.lhs_mask[witness_idx]) and bool(rep.rhs_mask[witness_idx])
         details.append(f"eps={eps}: agreement {rep.agreement:.4f}")
     elapsed = time.perf_counter() - t0
@@ -245,7 +247,7 @@ def test_06_lagrangian_dual_identity():
     divergent_ok = bool(divergent_rows) and all(row[4] for row in divergent_rows)
     emit(
         "06",
-        rep.verdict and identity_ok and divergent_ok,
+        [v.ok for v in rep.verdicts] == [True, True] and identity_ok and divergent_ok,
         f"mu*(-lambda) = -Lhat(lambda) within 1e-9 on "
         f"{len(rep.rows) - len(divergent_rows)} nodes; "
         f"{len(divergent_rows)} negative probe(s) divergent",

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 from marginlab import (
+    ExprSyntaxError,
     MissingSection,
+    NonFiniteExpression,
     SpecSyntaxError,
     UnknownKey,
+    UnknownVariable,
     UnsupportedShape,
     parse_spec,
 )
@@ -96,6 +99,37 @@ class TestParseSpec:
             parse_spec(bad)
         assert exc.value.line == 4
         assert "line 4" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "line, col",
+        [("    axis 0 1 x", 14), ("axis 0 s 3", 8), ("  axis 0  1 s", 13)],
+        ids=["indented-count", "bound", "two-spaces"],
+    )
+    def test_error_column_is_the_offending_token_on_the_raw_line(self, line, col):
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_spec(MINIMAL.replace("axis -1 1 5", line))
+        assert (exc.value.line, exc.value.col) == (4, col)
+
+    @pytest.mark.parametrize(
+        "old, new, error, line",
+        [
+            ("expr x^2 + y", "expr x^", ExprSyntaxError, 10),
+            ("expr x^2 + y", "expr zz + 1", UnknownVariable, 10),
+            ("expr x^2 + y", "expr x\nwhere q - 1", UnknownVariable, 11),
+            ("full", "ineq x - y", UnknownVariable, 13),
+            ("full", "constraints (x", ExprSyntaxError, 13),
+            ("full", "full\n\n[lagrangian]\nf y^2\ng x", UnknownVariable, 17),
+        ],
+        ids=["syntax", "phi-name", "where", "ineq-x", "constraints", "lagrangian"],
+    )
+    def test_expression_errors_name_their_line(self, old, new, error, line):
+        with pytest.raises(error, match=rf"^line {line}: "):
+            parse_spec(MINIMAL.replace(old, new))
+
+    def test_non_finite_phi_names_its_line(self):
+        spec = parse_spec(MINIMAL.replace("expr x^2 + y", "expr 1 / x"))
+        with pytest.raises(NonFiniteExpression, match=r"^line 10: '1 / x' is not finite"):
+            spec.build()
 
     def test_unknown_section_rejected(self):
         with pytest.raises(UnknownKey):
@@ -188,6 +222,23 @@ class TestExitCodes:
         rc = main(["verify-all", "--spec", str(spec), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "axis, where, skipped",
+        [
+            ("axis 0.5 2 4", "", {"subdiff.marginal_formula_upper", "duality.weak_duality_chain"}),
+            ("axis -1 1 5", "where 0.25 - x^2\n", {"subdiff.marginal_formula_upper"}),
+        ],
+        ids=["zero-off-grid", "mu-infinite-at-zero"],
+    )
+    def test_layers_that_need_zero_report_skipped(self, tmp_path, capsys, axis, where, skipped):
+        text = MINIMAL.replace("axis -1 1 5", axis).replace("[F]", where + "\n[F]")
+        spec, out = write_spec(tmp_path, text), tmp_path / "out"
+        assert main(["verify-all", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["verdicts"]
+        info = {r["name"] for r in rows if r["detail"].endswith("; skipped")}
+        assert info == skipped
+        assert all(r["status"] == "INFO" for r in rows if r["name"] in skipped)
 
     def test_usage_error_exits_one(self, tmp_path, capsys):
         assert main([]) == 1
@@ -457,6 +508,19 @@ class TestLayering:
                 private.append(name)
         assert len(imported) > 20  # the scan sees the library imports
         assert not private, private
+
+    def test_cli_holds_no_tolerance(self):
+        # Verdict tolerances live with the checks (core.TOL): a numeric
+        # literal this small in the command line would be a check of its own.
+        tree = ast.parse((self.SRC / "marginlab" / "cli.py").read_text(encoding="utf-8"))
+        small = [
+            (node.lineno, node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) in (int, float)
+            and 0 < abs(node.value) < 1e-6
+        ]
+        assert not small, small
 
     def test_cli_binds_the_library_parser(self):
         import marginlab

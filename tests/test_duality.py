@@ -172,8 +172,9 @@ class TestStrongDuality:
         assert rep.vp == 1.0
         assert rep.witness == (-2.0,)
         assert abs(rep.gap) <= 1e-9
-        assert dict(rep.verdicts)["strong_duality_certified"]
-        assert dict(rep.verdicts)["witness_sound"]
+        rows = {name: ok for name, ok, _ in rep.verdicts}
+        assert rows["strong_duality_certified"] is True
+        assert rows["witness_sound"] is True
 
     def test_nonconvex_gap_of_one_with_empty_subdifferential(self):
         spec = load_fixture("diagonal_nonconvex")
@@ -185,9 +186,13 @@ class TestStrongDuality:
             eps_subdifferential(tables.mu, tables.F.xgrid.index_of([0.0]), 0.0)
         )
         assert empty and cert is not None
-        assert not dict(rep.verdicts)["subdifferential_nonempty"]
-        assert dict(rep.verdicts)["weak_duality_chain"]
-        assert dict(rep.verdicts)["gap_nonnegative"]
+        rows = {name: (ok, detail) for name, ok, detail in rep.verdicts}
+        # emptiness is a finding, not a failure: an INFO row, and no pass
+        assert rows["subdifferential_nonempty"] == (None, "no certificate")
+        passes = {v["name"]: v["pass"] for v in rep.json_dict()["verdicts"]}
+        assert passes["subdifferential_nonempty"] is False
+        assert rows["weak_duality_chain"] == (True, "")
+        assert rows["gap_nonnegative"] == (True, "")
 
     def test_json_and_csv_render_infinities(self):
         spec = load_fixture("diagonal_nonconvex")
@@ -202,10 +207,10 @@ class TestConjugateRepresentation:
         rep = conjugate_representation_check(
             Tables(*spec.build()), spec.xduals, spec.yduals, hypothesis=spec.metadata["qc1"]
         )
-        assert rep.verdict
+        # all three rows bind under the hypothesis, and all pass
+        assert [ok for _, ok, _ in rep.verdicts] == [True, True, True]
         assert rep.lower_bound_ok
         assert rep.max_residual == 0.0
-        assert rep.hypothesis
 
     @pytest.mark.parametrize(
         "name", ["abs_full", "quadratic_halfline", "abs_diff_window"]
@@ -239,7 +244,10 @@ class TestLagrangian:
         ygrid = Grid.from_bounds([(0.0, 2.0, 9)])
         lambdas = Grid.from_bounds([(-1.0, 4.0, 6)])
         rep = lagrangian_identity_check("y^2", ["1 - y"], ygrid, lambdas)
-        assert rep.verdict
+        assert list(rep.verdicts) == [
+            ("lagrange_dual_identity", True, "5 lambda nodes >= 0"),
+            ("lagrange_negative_probe", True, "1 lambda nodes < 0"),
+        ]
         kinds = {}
         for lam, lhat, mustar, kind, ok in rep.rows:
             assert ok
@@ -268,7 +276,8 @@ class TestLagrangian:
         miss = np.abs(xg.nodes[:, 0][:, None] - values[None, :]).min(axis=0)
         assert miss.max() <= 1e-9 * max(1.0, c)
         lambdas = Grid.from_bounds([(-1.0, 4.0, 6)])
-        assert lagrangian_identity_check("y^2", [expr], ygrid, lambdas).verdict
+        rep = lagrangian_identity_check("y^2", [expr], ygrid, lambdas)
+        assert [ok for _, ok, _ in rep.verdicts] == [True, True]
 
     def test_incommensurable_values_are_refused(self):
         ygrid = Grid.from_bounds([(0.0, 1.0, 3)])
@@ -310,12 +319,12 @@ class TestSlater:
         ],
     )
     def test_one_constraint_value_matches_the_lp(self, f_expr, g_expr, optimum):
-        rep = slater_strong_duality_check(f_expr, [g_expr], self.Y)
+        rep = slater_strong_duality_check(f_expr, [g_expr], self.Y, hypothesis=True)
         fv = eval_on_grid(f_expr, self.Y, ["y"]).values
         gv = eval_on_grid(g_expr, self.Y, ["y"]).values
         vd = lp_lagrangian_dual(fv, gv[None, :])
         assert close_to(rep.vd, vd)
-        assert rep.verdict == (abs(rep.vp - vd) <= 1e-9)
+        assert rep.verdicts[0].ok == (abs(rep.vp - vd) <= 1e-9)
         assert (rep.vd in fv[gv <= 0]) == (optimum == "node")
 
     def test_one_constraint_value_on_random_programs(self, monkeypatch):
@@ -333,16 +342,20 @@ class TestSlater:
     def test_verified_on_fixture(self):
         spec = load_fixture("lagrangian_quadratic")
         f_expr, g_exprs = spec.lagrangian
-        rep = slater_strong_duality_check(f_expr, g_exprs, spec.ygrid)
+        declared = spec.metadata["slater"] and spec.metadata["convex"]
+        rep = slater_strong_duality_check(f_expr, g_exprs, spec.ygrid, declared)
         assert rep.verified
         assert rep.slater_node is not None
-        assert rep.verdict is True
+        assert rep.verdicts[0].ok is True
         assert abs(rep.gap) <= 1e-9
+        # undeclared, the same equality is reported without binding
+        rep = slater_strong_duality_check(f_expr, g_exprs, spec.ygrid)
+        assert rep.verdicts[0].ok is None
 
     def test_no_strict_node_leaves_verdict_open(self):
         ygrid = Grid.from_bounds([(0.0, 2.0, 5)])
-        rep = slater_strong_duality_check("y^2", ["abs(y)"], ygrid)
+        rep = slater_strong_duality_check("y^2", ["abs(y)"], ygrid, hypothesis=True)
         assert not rep.verified
         assert rep.slater_node is None
-        assert rep.verdict is None
-        assert "unverified" in rep.note
+        assert rep.verdicts[0].ok is None
+        assert "unverified" in rep.verdicts[0].detail

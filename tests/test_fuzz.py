@@ -3,7 +3,8 @@
 `parse_spec` (then `build(1)`), `expr.parse` and `load_raster` get arbitrary
 text and text assembled from their own keywords, so that both the first
 line of defence and the later checks see input.  A failure other than a
-`MarginlabError` is a parser bug.  A location an error names must fall
+`MarginlabError` is a parser bug, and so is an expression error from a
+spec that names no spec line.  A location an error names must fall
 inside its input: a 1-based line of the text, or the line just past its
 end where an error reports missing input, and a column of that line, or
 one past its end.  Expression columns are 0-based offsets into the text,
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from marginlab import MarginlabError, load_raster, parse_spec
-from marginlab.errors import ExprSyntaxError
+from marginlab.errors import ExpressionError, ExprSyntaxError
 from marginlab.expr import parse
 
 FUZZ = settings(
@@ -142,6 +143,8 @@ def test_spec_parser_ends_in_a_problem_or_a_located_error(text):
         parse_spec(text).build(1)
     except MarginlabError as e:
         assert_located(e, text)
+        if isinstance(e, ExpressionError):
+            assert _LOCATION.match(str(e)), (e, text)
 
 
 # --- rasters ----------------------------------------------------------------------

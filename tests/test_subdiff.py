@@ -502,9 +502,9 @@ class TestMarginalFormula:
             rep = marginal_subdiff_check(
                 tables, [0.0], eps, duals=spec.xduals, yduals=spec.yduals, qc14=True
             )
-            assert rep.ok
+            # both rows bind under qc14, and both pass
+            assert [ok for _, ok, _ in rep.verdicts] == [True, True]
             assert rep.agreement == 1.0
-            assert rep.conditional
 
     def test_infeasible_x0_raises(self):
         X = Grid.from_bounds([(0.0, 1.0, 2)])
@@ -521,8 +521,10 @@ class TestMarginalFormula:
             Tables(*spec.build()), [0.0], 0.0, duals=spec.xduals, qc14=False
         )
         assert rep.easy_ok
-        assert not rep.conditional
-        assert rep.ok  # only the unconditional direction binds
+        upper, agreement = rep.verdicts  # only the unconditional direction binds
+        assert upper.ok is True
+        assert agreement.ok is None
+        assert agreement.detail.endswith("; equality not asserted (qc14 false)")
 
 
 class TestConjugateFormula:
@@ -531,7 +533,7 @@ class TestConjugateFormula:
         rep = conj_subdiff_check(
             Tables(*spec.build()), spec.xduals, [-2.25], 0.0, yduals=spec.yduals, qc14=True
         )
-        assert rep.ok
+        assert [ok for _, ok, _ in rep.verdicts] == [True, True]
         assert rep.easy_ok
         lhs = np.array(rep.lhs_mask)
         rhs = np.array(rep.rhs_mask)
@@ -542,7 +544,8 @@ class TestConjugateFormula:
         rep = conj_subdiff_check(
             Tables(*spec.build()), spec.xduals, [0.5], 0.25, yduals=spec.yduals, qc14=True
         )
-        assert rep.easy_ok and rep.ok
+        assert rep.easy_ok
+        assert [ok for _, ok, _ in rep.verdicts] == [True, True]
 
 
 class TestPrunedScoring:
