@@ -370,7 +370,7 @@ class RasterCheckReport:
     verdicts: tuple[Verdict, ...]
 
 
-def raster_check(S: RasterSet, other: RasterSet | None = None) -> RasterCheckReport:
+def raster_check(S: RasterSet, other: RasterSet | None) -> RasterCheckReport:
     """Near convexity of S (INFO: a finding about S), the same verdict after
     refinement by 2, and near convexity of S & other when the intersection
     check's hypothesis holds (INFO when it does not)."""
