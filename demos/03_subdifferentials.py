@@ -95,10 +95,9 @@ def main():
     # and under the qualification hypothesis the sampled formula matches
     # the polyhedron at every dual node, including the witness s = -2.
     spec = load("lagrangian_quadratic")
-    tables = Tables(*spec.build())
+    tables = Tables(*spec.build(), spec.xduals, spec.yduals)
     for eps in (0.0, 0.5):
-        rep = marginal_subdiff_check(tables, [0.0], eps, duals=spec.xduals,
-                                     yduals=spec.yduals, qc14=True)
+        rep = marginal_subdiff_check(tables, [0.0], eps, qc14=True)
         print(f"\nmarginal formula on the Lagrangian fixture, eps = {eps}:")
         print(f"  easy inclusion: {rep.easy_ok}, two-route agreement "
               f"{rep.agreement:.4f} over {rep.n_samples} duals")

@@ -36,8 +36,8 @@ def main():
     # 1 - y <= x.  Slater's condition holds, the gap closes, and the
     # dual witness s = -2 is a subgradient of mu at 0.
     spec = load("lagrangian_quadratic")
-    tables = Tables(*spec.build())
-    rep = strong_duality_check(tables, spec.xduals, spec.yduals)
+    tables = Tables(*spec.build(), spec.xduals, spec.yduals)
+    rep = strong_duality_check(tables)
     print("Lagrangian quadratic fixture:")
     print(f"  V_p = {rep.vp}, V_d1 = {rep.vd1}, V_d2 = {rep.vd2}")
     print(f"  gap = {rep.gap}, dual witness = {rep.witness}")
@@ -49,9 +49,9 @@ def main():
     # 2. A nonconvex diagonal instance: mu(x) = -x^2 has V_p = 0 but
     # V_d1 = -1, a unit gap, and no subgradient at the origin.
     diag = load("diagonal_nonconvex")
-    diag_tables = Tables(*diag.build())
+    diag_tables = Tables(*diag.build(), diag.xduals)
     mu_d = diag_tables.mu
-    weak = strong_duality_check(diag_tables, diag.xduals)
+    weak = strong_duality_check(diag_tables)
     empty, _ = is_empty(eps_subdifferential(mu_d, mu_d.grid.index_of([0.0]), 0.0))
     print(f"\nnonconvex diagonal fixture: gap = {weak.gap}, "
           f"witness = {weak.witness}, subdifferential empty = {empty}")
@@ -82,8 +82,7 @@ def main():
     # 5. The representation mu*(x*) = min over splits of
     # phi*(x1*, y*) + sigma_gphF(x* - x1*, -y*) is exact on this convex
     # fixture: the sampled inf-convolution residual is zero everywhere.
-    cr = conjugate_representation_check(tables, spec.xduals, spec.yduals,
-                                        hypothesis=True)
+    cr = conjugate_representation_check(tables, hypothesis=True)
     print(f"\nconjugate representation: lower bound {cr.lower_bound_ok}, "
           f"max residual {cr.max_residual}, "
           f"verdict {all(ok for _, ok, _ in cr.verdicts)}")

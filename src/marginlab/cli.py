@@ -5,11 +5,11 @@ lives in marginlab.spec and docs/formats.md), runs one verification
 command and writes `report.json` plus a plot-ready `report.csv` into the
 output directory.
 
-Every command reads one per-run context, `_Run`: the spec and flags, the
-dual grids, and one `tables.Tables` store for (phi, F).  The store builds
-mu, mu*, phi* and the graph supports the checks share once each, and the
-handlers pass it to every check that reads them, so one verify-all
-computes the marginal of (phi, F) once.  Every verdict row is a
+Every command reads one per-run context, `_Run`: the spec and the parsed
+flags, and one `tables.Tables` store for (phi, F) and its dual grids.  The
+store builds mu, mu*, phi* and the graph supports the checks share once
+each, and the handlers pass it to every check that reads them, so one
+verify-all computes the marginal of (phi, F) once.  Every verdict row is a
 `core.Verdict` that the library check computing its facts returns, status
 and detail included; the handlers build report fields and CSV tables, and
 verify-all joins the core, conjugacy, subdiff and duality layers' rows
@@ -36,8 +36,6 @@ import numpy as np
 from .conjugate import (
     biconjugate_minorant_check,
     conjugate,
-    default_dual_grid,
-    default_ydual_grid,
     fast_conjugate_check,
     fenchel_young_check,
 )
@@ -186,41 +184,31 @@ def _parse_x0(text: str | None, dim: int) -> np.ndarray:
 
 
 class _Run:
-    """One command's spec and flags, the store of its problem's tables, its
-    dual grids, and the Lagrangian reports that two commands read.
+    """One command's spec and flags, the store of its problem's tables, and
+    the Lagrangian reports that two commands read.
 
-    `tables` holds (phi, F) on the grids refined by --refine and builds
-    each shared table on first use: mu, mu* on the x-duals, phi* and the
-    graph support on the dual lattice.  Every handler reads them there,
-    directly or through the checks it passes the store to, so no run
-    builds one of them twice.  Commands that never read (phi, F)
-    (lagrangian, nearconvex) never build it, so a table phi stays usable
-    under --refine.
+    --dual-range and --x0 are parsed here, before any command runs, so every
+    command refuses a malformed one.  `tables` holds (phi, F) on the grids
+    refined by --refine and the dual grids --dual-range (else [xduals]) and
+    [yduals], or the store's default for a grid left out.  Every handler
+    reads the tables there, directly or through the checks it passes the
+    store to, so no run builds one of them twice.  Commands that never read
+    (phi, F) (lagrangian, nearconvex) never build it, so a table phi stays
+    usable under --refine.
     """
 
     def __init__(self, spec: ProblemSpec, args: argparse.Namespace):
         self.spec = spec
         self.args = args
+        dim = spec.xgrid.dim
+        self.x0 = _parse_x0(args.x0, dim)
+        self.xduals = spec.xduals
+        if args.dual_range is not None:
+            self.xduals = _parse_dual_range(args.dual_range, dim)
 
     @cached_property
     def tables(self) -> Tables:
-        return Tables(*self.spec.build(self.args.refine))
-
-    @cached_property
-    def xduals(self) -> Grid:
-        """--dual-range, else the spec's [xduals], else mu's default box."""
-        if self.args.dual_range:
-            return _parse_dual_range(self.args.dual_range, self.tables.mu.grid.dim)
-        if self.spec.xduals is not None:
-            return self.spec.xduals
-        return default_dual_grid(self.tables.mu)
-
-    @cached_property
-    def yduals(self) -> Grid:
-        """The spec's [yduals], else the y part of phi's default box."""
-        if self.spec.yduals is not None:
-            return self.spec.yduals
-        return default_ydual_grid(self.tables.phi, self.tables.F.xgrid.dim)
+        return Tables(*self.spec.build(self.args.refine), self.xduals, self.spec.yduals)
 
     @cached_property
     def lagrangian(self) -> tuple[LagrangianIdentityReport, SlaterReport]:
@@ -261,8 +249,7 @@ def _cmd_marginal(run: _Run) -> Outcome:
 
 
 def _cmd_conjugate(run: _Run) -> Outcome:
-    mu, duals = run.tables.mu, run.xduals
-    mustar = run.tables.mustar(duals)
+    mu, duals, mustar = run.tables.mu, run.tables.xduals, run.tables.mustar
     fast = fast_conjugate_check(mu, mustar)
     bic = conjugate(mustar, mu.grid)  # biconjugate(mu, duals), from the kept mu*
     verdicts = [
@@ -280,11 +267,10 @@ def _cmd_conjugate(run: _Run) -> Outcome:
 
 
 def _cmd_subdiff(run: _Run) -> Outcome:
-    mu, eps = run.tables.mu, run.args.eps
-    x0 = _parse_x0(run.args.x0, mu.grid.dim)
+    mu, eps, x0 = run.tables.mu, run.args.eps, run.x0
     xi = mu.grid.index_of(x0)
-    duals = run.xduals
-    rep = eps_subdifferential_check(mu, run.tables.mustar(duals), xi, eps)
+    duals = run.tables.xduals
+    rep = eps_subdifferential_check(mu, run.tables.mustar, xi, eps)
     P = rep.polyhedron
     fields: dict = {
         "x0": [float(v) for v in x0],
@@ -314,11 +300,12 @@ def _cmd_subdiff(run: _Run) -> Outcome:
 
 
 def _cmd_duality(run: _Run) -> Outcome:
-    rep = strong_duality_check(run.tables, run.xduals, run.yduals)
-    columns = {"dual_objective": [_cell(-v) for v in run.tables.mustar(run.xduals).values]}
+    tables = run.tables
+    rep = strong_duality_check(tables)
+    columns = {"dual_objective": [_cell(-v) for v in tables.mustar.values]}
     for key in ("vp", "vd1", "vd2", "gap"):
-        columns[key] = [_cell(getattr(rep, key))] * run.xduals.size
-    table = _node_table(run.xduals, "s", columns)
+        columns[key] = [_cell(getattr(rep, key))] * tables.xduals.size
+    table = _node_table(tables.xduals, "s", columns)
     return {"duality": rep.json_dict()}, rep.verdicts, table
 
 
@@ -413,30 +400,29 @@ def _cmd_verify_all(run: _Run) -> Outcome:
     """The core, conjugacy, subdiff and duality layers' rows, each under its
     layer's prefix; a layer that needs x = 0 as a finite node of mu, or as
     an x node, reports one INFO row when it is not."""
-    tables, xduals, yduals = run.tables, run.xduals, run.yduals
-    meta = run.spec.metadata
-    mu, mustar = tables.mu, tables.mustar(xduals)
+    tables, meta = run.tables, run.spec.metadata
+    mu, mustar, xduals = tables.mu, tables.mustar, tables.xduals
     verdicts = _prefixed("core.", marginal_structure_check(tables, meta["convex"]).verdicts)
     conjugacy = [
         *fast_conjugate_check(mu, mustar).verdicts,
         fenchel_young_check(mu, mustar),
-        *restricted_conjugate_check(tables, xduals).verdicts,
-        *conjugate_representation_check(tables, xduals, yduals, meta["qc1"]).verdicts,
+        *restricted_conjugate_check(tables).verdicts,
+        *conjugate_representation_check(tables, meta["qc1"]).verdicts,
     ]
     subdiff: list[Verdict] = []
     zero = np.zeros(mu.grid.dim)
     try:
         for eps, tag in ((0.0, "0p0"), (0.5, "0p5")):
-            rep = marginal_subdiff_check(tables, zero, eps, xduals, yduals, meta["qc14"])
+            rep = marginal_subdiff_check(tables, zero, eps, meta["qc14"])
             subdiff += [v._replace(name=f"{v.name}_eps{tag}") for v in rep.verdicts]
         subdiff += sum_rule_check(mu, mu, zero, 0.5, duals=xduals).verdicts
     except (NotANode, NotFiniteAtPoint):
         subdiff = [Verdict.skipped("marginal_formula_upper", "mu not finite at 0 or 0 off-grid")]
     x0star = xduals.coords(int(np.argmin(mustar.values)))
-    subdiff += conj_subdiff_check(tables, xduals, x0star, 0.0, yduals, meta["qc14"]).verdicts
+    subdiff += conj_subdiff_check(tables, x0star, 0.0, meta["qc14"]).verdicts
     verdicts += _prefixed("conjugacy.", conjugacy) + _prefixed("subdiff.", subdiff)
     try:
-        rep = strong_duality_check(tables, xduals, yduals)
+        rep = strong_duality_check(tables)
         verdicts += _prefixed("duality.", rep.verdicts)
         duality = rep.json_dict()
     except ZeroNotOnGrid:

@@ -26,6 +26,8 @@ import numpy as np
 
 from .core import (
     INF,
+    NODE_TOL,
+    ROUNDING_TOL,
     TOL,
     Axis,
     Grid,
@@ -297,7 +299,7 @@ class FastConjugateReport:
 
 def fast_conjugate_check(f: GriddedFunction, fstar: GriddedFunction) -> FastConjugateReport:
     """`conjugate_fast` of f on the grid of fstar, the brute-force conjugate:
-    they agree within 1e-12, the rounding by which the two routes differ.
+    they agree within ROUNDING_TOL, the rounding by which the two routes differ.
     The row is INFO, with the reason, where the fast route does not apply."""
     name = "fast_matches_bruteforce"
     try:
@@ -305,7 +307,7 @@ def fast_conjugate_check(f: GriddedFunction, fstar: GriddedFunction) -> FastConj
     except UnsupportedShape as e:
         return FastConjugateReport(None, None, (Verdict(name, None, str(e)),))
     dev = max_deviation(fstar.values, fast.values)
-    row = Verdict(name, dev <= 1e-12, f"max deviation {dev:.3g}")
+    row = Verdict(name, dev <= ROUNDING_TOL, f"max deviation {dev:.3g}")
     return FastConjugateReport(fast, dev, (row,))
 
 
@@ -341,7 +343,7 @@ def inf_convolution(
     """Exact infimal convolution onto `out` grid nodes.
 
     A split (x1, x2) is admissible for an out node x when x1 + x2 matches x
-    within 1e-9 per coordinate; nodes with no admissible split fall back to
+    within NODE_TOL per coordinate; nodes with no admissible split fall back to
     the nearest pairwise sum (reported in provenance) when one exists
     within the out box, else stay +inf.
     """
@@ -360,7 +362,7 @@ def inf_convolution(
         if not inside.any():
             continue
         recon = lo + idx[inside] * step
-        ok = np.abs(recon - sums[inside]).max(axis=1) <= 1e-9
+        ok = np.abs(recon - sums[inside]).max(axis=1) <= NODE_TOL
         if not ok.any():
             continue
         flat = np.ravel_multi_index(idx[inside][ok].T, out.shape)
@@ -379,7 +381,7 @@ def inf_convolution(
                 r = t - X[i]
                 j_multi = np.clip(np.rint((r - lo1) / step1).astype(np.int64), 0, counts1 - 1)
                 dist = float(np.abs(lo1 + j_multi * step1 - r).max())
-                if dist < best[0] - 1e-12:
+                if dist < best[0] - ROUNDING_TOL:
                     best = (dist, (i, int(np.ravel_multi_index(j_multi, g1.grid.shape))))
             if best[1] is not None:
                 i, j = best[1]

@@ -30,6 +30,7 @@ from .errors import (
 INF = math.inf
 NODE_TOL = 1e-9
 TOL = 1e-9  # slack of every verdict comparison in the checks
+ROUNDING_TOL = 1e-12  # slack where two float routes to one value may round apart
 
 
 # --- verdicts ----------------------------------------------------------------

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import conjugate_at, default_ydual_grid, score_slices
+from .conjugate import conjugate_at, score_slices
 from .core import (
     INF,
+    ROUNDING_TOL,
     TOL,
     Axis,
     Grid,
@@ -59,10 +60,10 @@ def primal_value(tables: Tables) -> float:
     return float(tables.mu.values[zi])
 
 
-def dual_value_1(tables: Tables, duals: Grid) -> float:
-    """max over dual nodes of -mu*(x*), i.e. the biconjugate of mu at 0."""
+def dual_value_1(tables: Tables) -> float:
+    """max over the x* nodes of -mu*(x*), i.e. the biconjugate of mu at 0."""
     _zero_index(tables.F.xgrid)
-    return float(np.max(-tables.mustar(duals).values))
+    return float(np.max(-tables.mustar.values))
 
 
 def sampled_inf_convolution(
@@ -85,9 +86,9 @@ def sampled_inf_convolution(
     )
 
 
-def dual_value_2(tables: Tables, xduals: Grid, yduals: Grid) -> float:
-    """max over x* nodes of -(phi* box F*)(x*, 0), splits sampled on xduals."""
-    return float(np.max(-tables.inf_convolution(xduals, yduals)))
+def dual_value_2(tables: Tables) -> float:
+    """max over the x* nodes of -(phi* box F*)(x*, 0), splits sampled there."""
+    return float(np.max(-tables.inf_convolution))
 
 
 @dataclass(frozen=True)
@@ -101,24 +102,23 @@ class ConjugateRepresentationReport:
 
 
 def conjugate_representation_check(
-    tables: Tables,
-    xduals: Grid,
-    yduals: Grid,
-    hypothesis: bool = False,
+    tables: Tables, hypothesis: bool = False
 ) -> ConjugateRepresentationReport:
-    """mu* against the sampled infimal convolution at every dual node.
+    """mu* against the sampled infimal convolution at every x* node.
 
     mu*(x*) <= sampled value holds unconditionally (any feasible split
     upper-bounds the true infimum, which upper-bounds mu*); residuals are
     recomputed once with both split lattices refined by 2 and must not
     increase.  Its rows are the lower bound, the monotonicity and the
     equality (max residual <= TOL), which binds only when the instance
-    asserts the interiority hypothesis (qc1).  mu* and the sampled value on the
-    xduals lattice come from the store; the refined lattice is read here
-    alone, so `sampled_inf_convolution` builds it and lets it go.
+    asserts the interiority hypothesis (qc1).  The dual grids, mu* and the
+    sampled value on their lattice come from the store; the refined lattice
+    is read here alone, so `sampled_inf_convolution` builds it and lets it
+    go.
     """
-    mustar = tables.mustar(xduals).values
-    sic0 = tables.inf_convolution(xduals, yduals)
+    xduals, yduals = tables.xduals, tables.yduals
+    mustar = tables.mustar.values
+    sic0 = tables.inf_convolution
     sic1 = sampled_inf_convolution(
         tables.phi, tables.F, xduals.nodes, xduals.refine(2), yduals.refine(2)
     )
@@ -130,7 +130,7 @@ def conjugate_representation_check(
 
     r0 = residual(mustar, sic0)
     r1 = residual(mustar, sic1)
-    monotone = bool(np.all(r1 <= r0 + 1e-12))
+    monotone = bool(np.all(r1 <= r0 + ROUNDING_TOL))
     max_res = float(np.max(r1)) if r1.size else 0.0
     return ConjugateRepresentationReport(
         lower_ok,
@@ -181,11 +181,7 @@ def _gap(vp: float, vd1: float) -> float:
     return vp - vd1
 
 
-def strong_duality_check(
-    tables: Tables,
-    duals: Grid,
-    yduals: Grid | None = None,
-) -> DualityReport:
+def strong_duality_check(tables: Tables) -> DualityReport:
     """Certify or refute strong duality through the subdifferential at 0.
 
     Any s in the subdifferential of mu at 0 pins mu*(s) = -mu(0), so the
@@ -199,10 +195,8 @@ def strong_duality_check(
     zi = _zero_index(tables.F.xgrid)
     mu = tables.mu
     vp = float(mu.values[zi])
-    vd1 = dual_value_1(tables, duals)
-    if yduals is None:
-        yduals = default_ydual_grid(tables.phi, tables.F.xgrid.dim)
-    vd2 = dual_value_2(tables, duals, yduals)
+    vd1 = dual_value_1(tables)
+    vd2 = dual_value_2(tables)
 
     sub = eps_subdifferential(mu, zi, 0.0)
     point = feasible_point(sub)
@@ -212,9 +206,9 @@ def strong_duality_check(
         witness = tuple(float(v) for v in point)
 
     gap = _gap(vp, vd1)
-    chain_ok = vd2 <= vd1 + 1e-12 and vd1 <= vp + 1e-12
+    chain_ok = vd2 <= vd1 + ROUNDING_TOL and vd1 <= vp + ROUNDING_TOL
     strong_ok = point is None or abs(gap) <= TOL
-    gap_ok = gap >= -1e-12
+    gap_ok = gap >= -ROUNDING_TOL
     witness_sound = True
     if witness is not None and np.isfinite(vp):
         s = np.asarray(witness)
@@ -381,7 +375,7 @@ def lagrangian_identity_check(
     rows = []
     for i, lrow in enumerate(table.lambdas):
         if table.expected_infinite[i]:
-            grew = bool(mustar_ext[i] > mustar[i] + 1e-12)
+            grew = bool(mustar_ext[i] > mustar[i] + ROUNDING_TOL)
             rows.append((lrow, table.values[i], float(mustar[i]), "divergent", grew))
         else:
             match = bool(abs(mustar[i] + table.values[i]) <= TOL)

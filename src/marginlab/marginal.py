@@ -112,17 +112,15 @@ class EpigraphReport:
     violations: tuple[tuple[float, int, str], ...]  # (lambda, x index, kind)
 
 
-def epigraph_projection_check(
-    phi: GriddedFunction, F: SetValuedMap, lambdas: Sequence[float]
-) -> EpigraphReport:
+def epigraph_projection_check(tables: Tables, lambdas: Sequence[float]) -> EpigraphReport:
     """Strict-epigraph identity and epigraph chain at sampled levels.
 
     For each level lam and x node: mu(x) < lam iff some y in F(x) has
     phi(x,y) < lam (exact); and the non-strict chain
     (exists y in F(x): phi <= lam)  implies  mu(x) <= lam, while
-    mu(x) < lam implies the former.
+    mu(x) < lam implies the former.  mu comes from the store.
     """
-    _, mu = masked_minima(phi, F)
+    phi, F, mu = tables.phi, tables.F, tables.mu.values
     V = phi.values.reshape(F.xgrid.size, F.ygrid.size)
     violations: list[tuple[float, int, str]] = []
     checked = 0
@@ -189,7 +187,7 @@ def marginal_structure_check(tables: Tables, convex: bool = False) -> StructureR
     mu's finite range, and midpoint convexity of mu, whose row binds only
     when the instance declares mu convex."""
     domain_ok, domain_witness = domain_identity_check(tables)
-    epi = epigraph_projection_check(tables.phi, tables.F, _level_probe(tables.mu))
+    epi = epigraph_projection_check(tables, _level_probe(tables.mu))
     mu_convex, convexity_witness = convexity_check(tables.mu)
     verdicts = (
         Verdict("domain_identity", domain_ok),
@@ -293,7 +291,7 @@ def lipschitz_probe(
 
     L_hat is the max sum-norm difference quotient of mu over finite node
     pairs; the bound is the product/sum of the supplied moduli of phi and
-    F.  Tolerance 1e-9.
+    F.  Tolerance TOL.
     """
     finite = np.flatnonzero(mu.finite_mask)
     X = mu.grid.nodes
@@ -312,4 +310,4 @@ def lipschitz_probe(
             l_hat = float(q[k])
             witness = (int(i), int(js[k]))
     bound = ell_F * ell_phi + ell_phi
-    return LipschitzReport(l_hat, bound, l_hat <= bound + 1e-9, witness)
+    return LipschitzReport(l_hat, bound, l_hat <= bound + TOL, witness)

@@ -198,7 +198,7 @@ def _facets3(pts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     membership test is exact.  If every candidate fails verification, all
     triples of hull vertices are scanned instead.
     """
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
 
     def try_facet(ia: int, ib: int, ic: int):
         a, b, c = pts[ia], pts[ib], pts[ic]
@@ -218,7 +218,7 @@ def _facets3(pts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         qh = ConvexHull(pts.astype(np.float64))
         candidates = [tuple(int(v) for v in s) for s in qh.simplices]
         vertices = qh.vertices
-    except Exception:
+    except QhullError:  # a degenerate input for Qhull: scan every triple
         pass
     facets = [f for f in (try_facet(*tri) for tri in candidates) if f is not None]
     if not facets:

@@ -44,12 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .conjugate import (
-    conjugate_at,
-    count_slices,
-    default_dual_grid,
-    default_ydual_grid,
-)
+from .conjugate import conjugate_at, count_slices, default_dual_grid
 from .core import (
     INF,
     TOL,
@@ -690,14 +685,7 @@ def _theorem_report(
     )
 
 
-def marginal_subdiff_check(
-    tables: Tables,
-    x0,
-    eps: float,
-    duals: Grid | None = None,
-    yduals: Grid | None = None,
-    qc14: bool = False,
-) -> TheoremReport:
+def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -> TheoremReport:
     """Upper estimate of the eps-subdifferential of a marginal function.
 
     Left route: the halfspace polyhedron of the gridded mu at x0.  Right
@@ -713,9 +701,9 @@ def marginal_subdiff_check(
     the nominal eps is asserted only when the instance claims the
     qualification (qc14).
 
-    mu and phi* come from the store, and so does the graph support on the
-    split lattice of duals, kept on its distinct steps and spread here to
-    every step through the inverse index.
+    The dual grids, mu and phi* come from the store, and so does the graph
+    support on the split lattice of the x* grid, kept on its distinct steps
+    and spread here to every step through the inverse index.
     """
     phi, F, mu = tables.phi, tables.F, tables.mu
     xi = F.xgrid.resolve(x0)
@@ -723,20 +711,16 @@ def marginal_subdiff_check(
     if not np.isfinite(mu0):
         raise NotFiniteAtPoint(f"mu is not finite at x node {xi}")
     x0c = F.xgrid.coords(xi)
-    m, n = F.xgrid.dim, F.ygrid.dim
-    if duals is None:
-        duals = default_dual_grid(mu, 41 if m == 1 else 9)
-    if yduals is None:
-        yduals = default_ydual_grid(phi, m, 41 if n == 1 else 9)
+    duals = tables.xduals
     S = duals.nodes
     Ks = S.shape[0]
     lhs_mask = eps_subdifferential(mu, xi, eps).contains(S)
 
-    Y1 = yduals.nodes
+    Y1 = tables.yduals.nodes
     Kx, Ky = Ks, Y1.shape[0]
     T = split_lattice(S, duals)
-    phistar = tables.phistar(duals, yduals)
-    support, inverse = tables.lattice_support(duals, yduals)
+    phistar = tables.phistar
+    support, inverse = tables.lattice_support
     fsupport = support[inverse].reshape(Ks, Kx * Ky)
     TX0 = (T @ x0c).reshape(Ks, Kx)
 
@@ -787,15 +771,15 @@ class RestrictedConjugateReport:
     verdicts: tuple[Verdict, ...]
 
 
-def restricted_conjugate_check(tables: Tables, duals: Grid) -> RestrictedConjugateReport:
+def restricted_conjugate_check(tables: Tables) -> RestrictedConjugateReport:
     """mu*(x*) equals the conjugate of phi + indicator(gph F) at (x*, 0).
 
     Both sides are finite maxima over the same point set, so equality is
-    exact (bitwise), not merely within tolerance.  mu* on duals comes from
-    the store.
+    exact (bitwise), not merely within tolerance.  The x* grid and mu* on it
+    come from the store.
     """
-    phi, F = tables.phi, tables.F
-    lhs = tables.mustar(duals).values
+    phi, F, duals = tables.phi, tables.F, tables.xduals
+    lhs = tables.mustar.values
     tilde = GriddedFunction(
         phi.grid,
         np.where(F.graph.reshape(-1), phi.values, INF),
@@ -817,17 +801,10 @@ def restricted_conjugate_check(tables: Tables, duals: Grid) -> RestrictedConjuga
 # --- subgradients of the conjugate ----------------------------------------------
 
 
-def conj_subdiff_check(
-    tables: Tables,
-    duals: Grid,
-    x0star,
-    eps: float,
-    yduals: Grid | None = None,
-    qc14: bool = False,
-) -> TheoremReport:
+def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -> TheoremReport:
     """Primal-space description of the eps-subdifferential of mu*.
 
-    Left route: halfspace polyhedron of the gridded mu* at the dual node
+    Left route: halfspace polyhedron of the gridded mu* at the x* node
     x0star, membership scanned over the primal x nodes.  Right route: for
     each eta, the x nodes admitting y in F(x), a sampled split
     eps1 + eps2 = eps + eta, and a lattice pair (x1*, y1*) in the
@@ -864,14 +841,14 @@ def conj_subdiff_check(
     (eps+eta)-subdifferential of mu*; two-sided agreement at the nominal
     eps is asserted only under the declared qualification.
 
-    mu* and phi* come from the store.  The graph support on the split
-    lattice at the one node x0star is read here alone, so it is built here
-    and not kept.
+    The dual grids, mu* and phi* come from the store.  The graph support on
+    the split lattice at the one node x0star is read here alone, so it is
+    built here and not kept.
     """
-    phi, F = tables.phi, tables.F
-    mustar = tables.mustar(duals)
+    phi, F, duals = tables.phi, tables.F, tables.xduals
+    mustar = tables.mustar
     si = duals.resolve(x0star)
-    m, n = F.xgrid.dim, F.ygrid.dim
+    m = F.xgrid.dim
     named = (
         ("conjugate_formula_upper", f"at dual node {si}"),
         ("conjugate_formula_containment", "containment",
@@ -884,18 +861,15 @@ def conj_subdiff_check(
             mustar, si, eps, empty, empty.any(axis=1), [], _contains, qc14, *named
         )
     s0 = duals.coords(si)
-    if yduals is None:
-        yduals = default_ydual_grid(phi, m, 41 if n == 1 else 9)
-
     sample = F.xgrid.nodes
     lhs_poly = eps_subdifferential(mustar, si, eps)
     lhs_mask = lhs_poly.contains(sample)
 
-    Y1 = yduals.nodes
+    Y1 = tables.yduals.nodes
     Kx, Ky = duals.size, Y1.shape[0]
     X1 = duals.nodes
     T = split_lattice(s0[None, :], duals)
-    phistar = tables.phistar(duals, yduals)
+    phistar = tables.phistar
     fsupport = graph_support(F, T, -Y1)
 
     gx, gy = F.graph_cells

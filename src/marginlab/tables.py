@@ -1,49 +1,52 @@
 """One lazily filled store of the tables that the checks of a problem share.
 
-A `Tables` belongs to one problem (phi, F) and builds each of these on
+A `Tables` belongs to one problem (phi, F) and one pair of dual grids, the
+x* grid `xduals` and the y* grid `yduals`, and builds each of these on
 first use, then keeps it:
 
 - the marginal: mu with its minimizer lists and status labels;
-- mu* on a dual grid, by brute force (`conjugate`);
-- phi* on the product of an x1* grid and a y* grid (`partial_conjugate`);
-- the graph support on the split lattice of a dual grid, at -y*: the
+- mu* on the x* grid, by brute force (`conjugate`);
+- phi* on the product of the x* grid and the y* grid (`partial_conjugate`);
+- the graph support on the split lattice of the x* grid, at -y*: the
   steps x* - x1* over every pair of its nodes, kept on the distinct steps
   only, with the inverse index back to every pair;
-- the sampled infimal convolution (phi* box F*)(x*, 0) at the nodes of a
-  dual grid, split on that same grid.
+- the sampled infimal convolution (phi* box F*)(x*, 0) at the x* nodes,
+  split on that same grid.
 
-Grids are frozen and hashable values, so they are the keys.
+A grid left out takes the default box: `default_dual_grid(mu)` for x*
+and `default_ydual_grid(phi, m)` for y*, both at the primal counts.
 
-Sharing rule: a table is kept only where two checks of one run build it
-from identical arguments, so every check reads the bits it would have
-built alone and every report stays the same.  The graph support on all
-lattice rows equals the support on the distinct rows taken at the inverse
-index, because `partial_conjugate` conjugates only the distinct x* rows
-of its input and spreads them back the same way.  A table that one check
-alone reads, such as the twice-refined lattice of
+The graph support on all lattice rows equals the support on the distinct
+rows taken at the inverse index, because `partial_conjugate` conjugates
+only the distinct x* rows of its input and spreads them back the same way.
+A table that one check alone reads, such as the twice-refined lattice of
 `conjugate_representation_check` or the lattice at one dual node in
 `conj_subdiff_check`, is built where it is read and freed with it, so a
 store never holds more than the small shared tables.
 
-Every check that reads these tables takes the store as its first
-argument.  The command line builds one per run and passes it to every
-check, so one `verify-all` computes the marginal of (phi, F) once.  Kept
-arrays are read-only.
+Every check that reads these tables takes the store as its first argument
+and reads its grids there.  The command line builds one per run and
+passes it to every check, so one `verify-all` computes the marginal of
+(phi, F) once.  Kept arrays are read-only.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, TypeVar
 
 import numpy as np
 
-from .conjugate import conjugate, partial_conjugate, score_slices, unique_rows
+from .conjugate import (
+    conjugate,
+    default_dual_grid,
+    default_ydual_grid,
+    partial_conjugate,
+    score_slices,
+    unique_rows,
+)
 from .core import INF, Grid, GriddedFunction
 from .marginal import MarginalResult, marginal
 from .setmap import SetValuedMap, graph_support, split_lattice
-
-_T = TypeVar("_T")
 
 
 def phi_conjugate(
@@ -99,33 +102,41 @@ def inf_convolution_min(
     return out
 
 
-class Tables:
-    """The shared tables of one problem (phi, F), each built once on demand.
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
 
-    Build one with `Tables(phi, F)` and pass it to every check of that
-    problem: `domain_identity_check`, `marginal_structure_check`,
+
+class Tables:
+    """The shared tables of one problem (phi, F) on one pair of dual grids,
+    each built once on demand.
+
+    Build one with `Tables(phi, F, xduals, yduals)` and pass it to every
+    check of that problem: `domain_identity_check`,
+    `epigraph_projection_check`, `marginal_structure_check`,
     `restricted_conjugate_check`, `conjugate_representation_check`,
     `marginal_subdiff_check`, `conj_subdiff_check`, `strong_duality_check`,
     `primal_value`, `dual_value_1` and `dual_value_2`.  Whichever check asks
     first builds a table, and the later ones read the same read-only array,
     so a check returns the same bits on a fresh store and on one that other
-    checks have filled.  `marginal` is the `MarginalResult` of (phi, F) and `mu`
-    its gridded mu; nothing is computed before it is read.
+    checks have filled.  `marginal` is the `MarginalResult` of (phi, F) and
+    `mu` its gridded mu; nothing is computed before it is read.
     """
 
-    def __init__(self, phi: GriddedFunction, F: SetValuedMap):
+    def __init__(
+        self,
+        phi: GriddedFunction,
+        F: SetValuedMap,
+        xduals: Grid | None = None,
+        yduals: Grid | None = None,
+    ):
         self.phi = phi
         self.F = F
-        self._kept: dict[tuple, object] = {}
-
-    def _keep(self, key: tuple, build: Callable[[], _T]) -> _T:
-        if key not in self._kept:
-            table = build()
-            for a in table if isinstance(table, tuple) else (table,):
-                if isinstance(a, np.ndarray):
-                    a.setflags(write=False)
-            self._kept[key] = table
-        return self._kept[key]
+        # A given grid shadows the default that its cached property builds.
+        if xduals is not None:
+            self.xduals = xduals
+        if yduals is not None:
+            self.yduals = yduals
 
     @cached_property
     def marginal(self) -> MarginalResult:
@@ -135,29 +146,39 @@ class Tables:
     def mu(self) -> GriddedFunction:
         return self.marginal.mu
 
-    def mustar(self, duals: Grid) -> GriddedFunction:
-        """mu* on the duals nodes, by brute force."""
-        return self._keep(("mustar", duals), lambda: conjugate(self.mu, duals))
+    @cached_property
+    def xduals(self) -> Grid:
+        """The x* grid; by default the box covering mu's slopes."""
+        return default_dual_grid(self.mu)
 
-    def phistar(self, x1duals: Grid, yduals: Grid) -> np.ndarray:
-        """phi* on the x1duals x yduals lattice, shape (x1duals.size, yduals.size)."""
-        return self._keep(
-            ("phistar", x1duals, yduals),
-            lambda: phi_conjugate(self.phi, self.F, x1duals, yduals),
-        )
+    @cached_property
+    def yduals(self) -> Grid:
+        """The y* grid; by default the y part of phi's box."""
+        return default_ydual_grid(self.phi, self.F.xgrid.dim)
 
-    def lattice_support(self, duals: Grid, yduals: Grid) -> tuple[np.ndarray, np.ndarray]:
-        """`lattice_support` on the split lattice of duals at its own nodes."""
-        return self._keep(
-            ("support", duals, yduals),
-            lambda: lattice_support(self.F, duals.nodes, duals, yduals),
-        )
+    @cached_property
+    def mustar(self) -> GriddedFunction:
+        """mu* on the x* nodes, by brute force."""
+        return conjugate(self.mu, self.xduals)
 
-    def inf_convolution(self, duals: Grid, yduals: Grid) -> np.ndarray:
-        """(phi* box F*)(x*, 0) at every duals node, splits x1* on duals."""
-        return self._keep(
-            ("inf_convolution", duals, yduals),
-            lambda: inf_convolution_min(
-                self.phistar(duals, yduals), *self.lattice_support(duals, yduals)
-            ),
-        )
+    @cached_property
+    def phistar(self) -> np.ndarray:
+        """phi* on the x* x y* lattice, shape (xduals.size, yduals.size)."""
+        table = phi_conjugate(self.phi, self.F, self.xduals, self.yduals)
+        _read_only(table)
+        return table
+
+    @cached_property
+    def lattice_support(self) -> tuple[np.ndarray, np.ndarray]:
+        """`lattice_support` on the split lattice of the x* grid at its nodes."""
+        duals = self.xduals
+        table = lattice_support(self.F, duals.nodes, duals, self.yduals)
+        _read_only(*table)
+        return table
+
+    @cached_property
+    def inf_convolution(self) -> np.ndarray:
+        """(phi* box F*)(x*, 0) at every x* node, splits x1* on the x* grid."""
+        table = inf_convolution_min(self.phistar, *self.lattice_support)
+        _read_only(table)
+        return table

@@ -18,7 +18,6 @@ from marginlab import (
     GriddedFunction,
     SetValuedMap,
     conjugate,
-    default_dual_grid,
     graph_support,
     marginal,
     parse_spec,
@@ -26,7 +25,7 @@ from marginlab import (
     product_grid,
     subdiff,
 )
-from marginlab.conjugate import default_ydual_grid, score_slices
+from marginlab.conjugate import score_slices
 from marginlab.nearconvex import box_dilate
 from marginlab.setmap import split_lattice
 
@@ -250,16 +249,11 @@ def split_hits(m1_base, cod_base, splits):
     return near[0][hit]
 
 
-def reference_marginal_subdiff_check(phi, F, x0, eps, duals=None, yduals=None, qc14=False):
+def reference_marginal_subdiff_check(phi, F, duals, yduals, x0, eps, qc14=False):
     mu = marginal(phi, F).mu
     xi = F.xgrid.resolve(x0)
     mu0 = mu.values[xi]
     x0c = F.xgrid.coords(xi)
-    m, n = F.xgrid.dim, F.ygrid.dim
-    if duals is None:
-        duals = default_dual_grid(mu, 41 if m == 1 else 9)
-    if yduals is None:
-        yduals = default_ydual_grid(phi, m, 41 if n == 1 else 9)
     S = duals.nodes
     Ks = S.shape[0]
     lhs_mask = subdiff.eps_subdifferential(mu, xi, eps).contains(S)
@@ -296,11 +290,11 @@ def reference_marginal_subdiff_check(phi, F, x0, eps, duals=None, yduals=None, q
     )
 
 
-def reference_conj_subdiff_check(phi, F, duals, x0star, eps, yduals=None, qc14=False):
+def reference_conj_subdiff_check(phi, F, duals, yduals, x0star, eps, qc14=False):
     mu = marginal(phi, F).mu
     mustar = conjugate(mu, duals)
     si = duals.resolve(x0star)
-    m, n = F.xgrid.dim, F.ygrid.dim
+    m = F.xgrid.dim
     named = (
         ("conjugate_formula_upper", f"at dual node {si}"),
         ("conjugate_formula_containment", "containment",
@@ -313,8 +307,6 @@ def reference_conj_subdiff_check(phi, F, duals, x0star, eps, yduals=None, qc14=F
             mustar, si, eps, empty, np.zeros(0, dtype=bool), [], contains, qc14, *named
         )
     s0 = duals.coords(si)
-    if yduals is None:
-        yduals = default_ydual_grid(phi, m, 41 if n == 1 else 9)
     sample = F.xgrid.nodes
     lhs_mask = subdiff.eps_subdifferential(mustar, si, eps).contains(sample)
     Y1 = yduals.nodes

@@ -42,6 +42,7 @@ from marginlab import (
     strong_duality_check,
 )
 from marginlab.cli import main
+from marginlab.conjugate import default_ydual_grid
 
 from helpers import (
     FIXTURES,
@@ -125,16 +126,18 @@ def test_02_fenchel_young_and_nesting_invariants():
 
 
 def _exact_identity_bundle(phi, F, duals, yduals, x0):
-    """(description, ok) pairs for the zero-tolerance identity block."""
-    tables = Tables(phi, F)
+    """(description, ok) pairs for the zero-tolerance identity block.  With
+    no y-dual grid, the marginal formula samples y* on 41 nodes in 1-D and 9
+    per axis above, and the representation on the x-dual grid."""
+    tables = Tables(phi, F, duals, yduals if yduals is not None else duals)
     mu = tables.mu
     out = []
     out.append(("domain identity", domain_identity_check(tables)[0]))
     levels = [float(v) for v in np.quantile(mu.values[mu.finite_mask], [0.25, 0.75])]
     out.append(
-        ("strict epigraph projection", epigraph_projection_check(phi, F, levels).ok)
+        ("strict epigraph projection", epigraph_projection_check(tables, levels).ok)
     )
-    rc = restricted_conjugate_check(tables, duals)
+    rc = restricted_conjugate_check(tables)
     out.append(("restricted conjugate, bitwise", rc.ok and rc.max_abs_diff == 0.0))
     if x0 is not None:
         eps = 0.5
@@ -142,11 +145,14 @@ def _exact_identity_bundle(phi, F, duals, yduals, x0):
         pair = duals.nodes @ mu.grid.coords(x0)
         young = conjugate_at(mu, duals.nodes) + mu.values[x0] <= pair + eps + 1e-9
         out.append(("subgradient conjugate route", bool(np.all(member == young))))
-        rep = marginal_subdiff_check(tables, x0, eps, duals=duals, yduals=yduals)
+        if yduals is None:
+            count = 41 if F.ygrid.dim == 1 else 9
+            theorem = Tables(phi, F, duals, default_ydual_grid(phi, F.xgrid.dim, count))
+        else:
+            theorem = tables
+        rep = marginal_subdiff_check(theorem, x0, eps)
         out.append(("marginal formula, easy direction", rep.easy_ok))
-    rep2 = conjugate_representation_check(
-        tables, duals, yduals if yduals is not None else duals
-    )
+    rep2 = conjugate_representation_check(tables)
     out.append(("representation lower bound", rep2.lower_bound_ok))
     return out
 
@@ -188,7 +194,7 @@ def test_04_representation_equality_and_monotonicity():
     t0 = time.perf_counter()
     spec = load_fixture("lagrangian_quadratic")
     rep = conjugate_representation_check(
-        Tables(*spec.build()), spec.xduals, spec.yduals, hypothesis=True
+        Tables(*spec.build(), spec.xduals, spec.yduals), hypothesis=True
     )
     binding_rows_pass = [ok for _, ok, _ in rep.verdicts] == [True, True, True]
     exact = binding_rows_pass and rep.max_residual == 0.0 and all(
@@ -198,7 +204,7 @@ def test_04_representation_equality_and_monotonicity():
     for name in ("abs_full", "quadratic_halfline", "abs_diff_window"):
         other = load_fixture(name)
         yd = other.yduals if other.yduals is not None else other.xduals
-        r2 = conjugate_representation_check(Tables(*other.build()), other.xduals, yd)
+        r2 = conjugate_representation_check(Tables(*other.build(), other.xduals, yd))
         monotone &= r2.monotone_ok and r2.lower_bound_ok
     elapsed = time.perf_counter() - t0
     emit(
@@ -213,14 +219,12 @@ def test_04_representation_equality_and_monotonicity():
 def test_05_marginal_subdifferential_two_sided():
     t0 = time.perf_counter()
     spec = load_fixture("lagrangian_quadratic")
-    tables = Tables(*spec.build())
+    tables = Tables(*spec.build(), spec.xduals, spec.yduals)
     witness_idx = spec.xduals.index_of([-2.0])
     ok = True
     details = []
     for eps in (0.0, 0.5):
-        rep = marginal_subdiff_check(
-            tables, [0.0], eps, duals=spec.xduals, yduals=spec.yduals, qc14=True
-        )
+        rep = marginal_subdiff_check(tables, [0.0], eps, qc14=True)
         ok &= [v.ok for v in rep.verdicts] == [True, True]
         ok &= rep.agreement == 1.0 and rep.n_samples == 41
         ok &= bool(rep.lhs_mask[witness_idx]) and bool(rep.rhs_mask[witness_idx])
@@ -259,18 +263,18 @@ def test_07_duality_chain_and_gaps():
     chain_bad = 0
     duals = Grid.from_bounds([(-4.0, 4.0, 9)])
     for _ in range(100):
-        tables = Tables(*zero_centered_problem(rng))
+        tables = Tables(*zero_centered_problem(rng), duals, duals)
         vp = primal_value(tables)
-        vd1 = dual_value_1(tables, duals)
-        vd2 = dual_value_2(tables, duals, duals)
+        vd1 = dual_value_1(tables)
+        vd2 = dual_value_2(tables)
         if not (vd2 <= vd1 <= vp):
             chain_bad += 1
     spec = load_fixture("lagrangian_quadratic")
-    strong = strong_duality_check(Tables(*spec.build()), spec.xduals, spec.yduals)
+    strong = strong_duality_check(Tables(*spec.build(), spec.xduals, spec.yduals))
     slater_ok = strong.witness == (-2.0,) and abs(strong.gap) <= 1e-9
     diag = load_fixture("diagonal_nonconvex")
-    diag_tables = Tables(*diag.build())
-    weak = strong_duality_check(diag_tables, diag.xduals)
+    diag_tables = Tables(*diag.build(), diag.xduals)
+    weak = strong_duality_check(diag_tables)
     mu_d = diag_tables.mu
     sub_empty = is_empty(
         eps_subdifferential(mu_d, mu_d.grid.index_of([0.0]), 0.0)

@@ -327,6 +327,34 @@ class TestExitCodes:
         assert err.startswith("usage error:" if flags else "error: SpecSyntaxError: line 13")
         assert not (tmp_path / "out").exists()
 
+    # A fixture each command runs on, so only the flag can fail the run.
+    RUNS_ON = {"lagrangian": "lagrangian_quadratic", "nearconvex": "nearconvex_suite"}
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dual-range", "garbage"], ["--dual-range", "-1:1:x"], ["--x0", "zz"], ["--x0", "0,0"]],
+        ids=["dual-range-shape", "dual-range-count", "x0-text", "x0-dimension"],
+    )
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_malformed_flag_exits_one_for_every_command(self, tmp_path, capsys, command, flags):
+        spec = FIXTURES / f"{self.RUNS_ON.get(command, 'abs_full')}.spec"
+        argv = [command, "--spec", str(spec), "--out"]
+        assert main(argv + [str(tmp_path / "sound")]) in (0, 2)
+        capsys.readouterr()
+        assert main(argv + [str(tmp_path / "flagged"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flags[0] in err
+        assert not (tmp_path / "flagged").exists()
+
+    def test_flag_is_reported_before_a_build_error(self, tmp_path, capsys):
+        # A table phi cannot be refined: the spec parses, but building fails.
+        spec = write_spec(tmp_path, MINIMAL.replace("expr x^2 + y", "table" + " 0" * 15))
+        argv = ["marginal", "--spec", str(spec), "--out", str(tmp_path / "out"), "--refine", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: UnsupportedShape")
+        assert main(argv + ["--dual-range", "garbage"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --dual-range")
+
     def test_info_verdicts_do_not_bind(self, tmp_path):
         rc = main(
             [
@@ -509,17 +537,36 @@ class TestLayering:
         assert len(imported) > 20  # the scan sees the library imports
         assert not private, private
 
+    @staticmethod
+    def is_small(node):
+        return (
+            isinstance(node, ast.Constant)
+            and type(node.value) in (int, float)
+            and 0 < abs(node.value) < 1e-6
+        )
+
     def test_cli_holds_no_tolerance(self):
         # Verdict tolerances live with the checks (core.TOL): a numeric
         # literal this small in the command line would be a check of its own.
         tree = ast.parse((self.SRC / "marginlab" / "cli.py").read_text(encoding="utf-8"))
-        small = [
-            (node.lineno, node.value)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant)
-            and type(node.value) in (int, float)
-            and 0 < abs(node.value) < 1e-6
-        ]
+        small = [(node.lineno, node.value) for node in ast.walk(tree) if self.is_small(node)]
+        assert not small, small
+
+    def test_checks_name_their_tolerances(self):
+        # The slacks live in core: TOL for verdicts, NODE_TOL for coordinates,
+        # ROUNDING_TOL where two float routes meet.  A check module may name a
+        # distinct slack as a module constant (subdiff's _PARALLEL angle);
+        # only conjugate's separability test, relative to |f|, keeps a literal.
+        small = []
+        for module in ("conjugate", "duality", "marginal", "nearconvex", "setmap", "subdiff",
+                       "tables"):
+            tree = ast.parse((self.SRC / "marginlab" / f"{module}.py").read_text(encoding="utf-8"))
+            for top in tree.body:
+                if isinstance(top, ast.Assign) and isinstance(top.value, ast.Constant):
+                    continue
+                if (module, getattr(top, "name", None)) == ("conjugate", "_separable_parts"):
+                    continue
+                small += [(module, n.lineno, n.value) for n in ast.walk(top) if self.is_small(n)]
         assert not small, small
 
     def test_cli_binds_the_library_parser(self):

@@ -69,10 +69,10 @@ class TestWeakDualityChain:
             phi, F = zero_centered_problem(rng)
             duals = Grid.from_bounds([(-4.0, 4.0, 9)])
             yduals = Grid.from_bounds([(-4.0, 4.0, 9)])
-            tables = Tables(phi, F)
+            tables = Tables(phi, F, duals, yduals)
             vp = primal_value(tables)
-            vd1 = dual_value_1(tables, duals)
-            vd2 = dual_value_2(tables, duals, yduals)
+            vd1 = dual_value_1(tables)
+            vd2 = dual_value_2(tables)
             assert vd2 <= vd1 + 1e-12
             assert vd1 <= vp + 1e-12
 
@@ -168,7 +168,7 @@ class TestSampledInfConvolution:
 class TestStrongDuality:
     def test_certified_with_midpoint_witness(self):
         spec = load_fixture("lagrangian_quadratic")
-        rep = strong_duality_check(Tables(*spec.build()), spec.xduals, spec.yduals)
+        rep = strong_duality_check(Tables(*spec.build(), spec.xduals, spec.yduals))
         assert rep.vp == 1.0
         assert rep.witness == (-2.0,)
         assert abs(rep.gap) <= 1e-9
@@ -178,8 +178,8 @@ class TestStrongDuality:
 
     def test_nonconvex_gap_of_one_with_empty_subdifferential(self):
         spec = load_fixture("diagonal_nonconvex")
-        tables = Tables(*spec.build())
-        rep = strong_duality_check(tables, spec.xduals)
+        tables = Tables(*spec.build(), spec.xduals)
+        rep = strong_duality_check(tables)
         assert abs(rep.gap - 1.0) <= 1e-9
         assert rep.witness is None
         empty, cert = is_empty(
@@ -196,7 +196,7 @@ class TestStrongDuality:
 
     def test_json_and_csv_render_infinities(self):
         spec = load_fixture("diagonal_nonconvex")
-        rep = strong_duality_check(Tables(*spec.build()), spec.xduals)
+        rep = strong_duality_check(Tables(*spec.build(), spec.xduals))
         d = rep.json_dict()
         assert set(d) == {"vp", "vd1", "vd2", "gap", "witness", "verdicts"}
 
@@ -205,7 +205,7 @@ class TestConjugateRepresentation:
     def test_exact_on_lagrangian_fixture(self):
         spec = load_fixture("lagrangian_quadratic")
         rep = conjugate_representation_check(
-            Tables(*spec.build()), spec.xduals, spec.yduals, hypothesis=spec.metadata["qc1"]
+            Tables(*spec.build(), spec.xduals, spec.yduals), hypothesis=spec.metadata["qc1"]
         )
         # all three rows bind under the hypothesis, and all pass
         assert [ok for _, ok, _ in rep.verdicts] == [True, True, True]
@@ -219,7 +219,7 @@ class TestConjugateRepresentation:
         spec = load_fixture(name)
         xd = spec.xduals
         yd = spec.yduals if spec.yduals is not None else xd
-        rep = conjugate_representation_check(Tables(*spec.build()), xd, yd)
+        rep = conjugate_representation_check(Tables(*spec.build(), xd, yd))
         assert rep.lower_bound_ok
         assert rep.monotone_ok
         for r0, r1 in zip(rep.residuals, rep.refined_residuals):

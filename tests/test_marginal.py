@@ -135,7 +135,7 @@ class TestMaskedMinima:
             assert res.status == tuple(statuses)
             assert all(type(j) is int for row in res.argmin for j in row)
             assert all(type(s) is str for s in res.status)
-            assert epigraph_projection_check(phi, F, [-1.0, 0.0, 1.0]).ok
+            assert epigraph_projection_check(Tables(phi, F), [-1.0, 0.0, 1.0]).ok
             labels.update(res.status)
         assert labels == {ATTAINED, INFEASIBLE, UNBOUNDED}
 
@@ -171,7 +171,7 @@ class TestExactIdentities:
         levels = [-2.0, -0.5, 0.0, 0.5, 2.0, 100.0]
         for _ in range(60):
             phi, F = random_problem(rng)
-            rep = epigraph_projection_check(phi, F, levels)
+            rep = epigraph_projection_check(Tables(phi, F), levels)
             assert rep.ok, rep.violations
             assert rep.checked == len(levels) * F.xgrid.size
 

@@ -120,6 +120,34 @@ class TestIntegerHull:
             want = np.array([oracle_hull_member(pts, q) for q in queries])
             np.testing.assert_array_equal(hull.flat(), want)
 
+    @staticmethod
+    def _failing_hull(monkeypatch, error):
+        import scipy.spatial
+
+        def hull(points):
+            raise error
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", hull)
+
+    def test_qhull_error_falls_back_to_the_triple_scan(self, monkeypatch):
+        from scipy.spatial import QhullError
+
+        rng = np.random.default_rng(83)
+        rasters = [random_raster(rng, dim=3, count=4, p=0.35) for _ in range(5)]
+        for S in rasters:  # full rank, so the hull goes through _facets3
+            pts = S.true_indices()
+            assert np.linalg.matrix_rank(pts - pts[0]) == 3
+        want = [hull_raster(S).flat() for S in rasters]
+        self._failing_hull(monkeypatch, QhullError("QH6154 initial simplex is flat"))
+        for S, hull in zip(rasters, want):
+            np.testing.assert_array_equal(hull_raster(S).flat(), hull)
+
+    def test_memory_error_in_qhull_propagates(self, monkeypatch):
+        S = random_raster(np.random.default_rng(83), dim=3, count=4, p=0.35)
+        self._failing_hull(monkeypatch, MemoryError("qhull"))
+        with pytest.raises(MemoryError):
+            hull_raster(S)
+
     def test_convex_flag_matches_hull_fixed_point(self):
         rng = np.random.default_rng(79)
         for _ in range(20):

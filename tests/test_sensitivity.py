@@ -4,7 +4,7 @@ The golden reports pin the bytes of passing runs only, so they cannot show
 that a row still reports FAIL when the fact it checks is false.  Here each
 binding row of `verify-all` on the 1-D fixtures at --refine 1, and of the
 `conjugate`, `subdiff` and `nearconvex` commands, gets one plausible defect
-planted through a public name: a check, a `Tables` method or a kernel.
+planted through a public name: a check, a `Tables` member or a kernel.
 The row must read FAIL on the named fixture with the defect and PASS
 without it.  Defects are planted in every marginlab module that binds the
 name, so they reach a call however the caller imported it.
@@ -35,41 +35,44 @@ def plant(monkeypatch, owner, name, make):
             monkeypatch.setattr(mod, name, replacement)
 
 
+def moved(table, by):
+    """A gridded function's values or an array, moved by `by`."""
+    if hasattr(table, "values"):
+        return dataclasses.replace(table, values=table.values + by)
+    return table + by
+
+
 def shifted(by):
     """A function-valued defect: the original's values moved by `by`."""
 
     def make(original):
-        def wrong(*args, **kwargs):
-            out = original(*args, **kwargs)
-            if hasattr(out, "values"):
-                return dataclasses.replace(out, values=out.values + by)
-            return out + by
-
-        return wrong
+        return lambda *args, **kwargs: moved(original(*args, **kwargs), by)
 
     return make
 
 
-def method_shifted(by):
-    """A `Tables` method or property whose table is moved by `by`."""
+def member(change):
+    """A `Tables` member (property or cached property) whose table goes
+    through `change`; the defective member recomputes it on every read."""
 
     def make(original):
-        if isinstance(original, property):
-            return property(lambda self: shifted(by)(original.fget)(self))
-        return shifted(by)(original)
+        read = original.fget if isinstance(original, property) else original.func
+        return property(lambda self: change(read(self)))
 
     return make
 
 
-def one_ulp_up(original):
-    def wrong(self, duals):
-        out = original(self, duals)
-        values = out.values.copy()
-        k = int(np.flatnonzero(np.isfinite(values))[0])
-        values[k] = np.nextafter(values[k], np.inf)
-        return dataclasses.replace(out, values=values)
+def member_shifted(by):
+    """A `Tables` member whose table is moved by `by`."""
+    return member(lambda table: moved(table, by))
 
-    return wrong
+
+def one_ulp_up(table):
+    """The first finite value of a gridded function one ulp higher."""
+    values = table.values.copy()
+    k = int(np.flatnonzero(np.isfinite(values))[0])
+    values[k] = np.nextafter(values[k], np.inf)
+    return dataclasses.replace(table, values=values)
 
 
 def sign_flipped_eps(original):
@@ -162,7 +165,7 @@ def symmetric_difference(original):
 # (command, fixture, row, (owner module or class, name, defect))
 CASES = [
     ("verify-all", "abs_full", "core.domain_identity",
-     ("Tables", "mu", method_shifted(np.array([np.inf] + [0.0] * 8)))),
+     ("Tables", "mu", member_shifted(np.array([np.inf] + [0.0] * 8)))),
     ("verify-all", "abs_full", "core.epigraph_projection",
      ("marginlab.marginal", "masked_minima", raised_minima)),
     ("verify-all", "abs_full", "core.mu_convex",
@@ -170,33 +173,33 @@ CASES = [
     ("verify-all", "abs_full", "conjugacy.fast_matches_bruteforce",
      ("marginlab.conjugate", "conjugate_fast", shifted(1e-6))),
     ("verify-all", "abs_full", "conjugacy.fenchel_young",
-     ("Tables", "mustar", method_shifted(-1.0))),
+     ("Tables", "mustar", member_shifted(-1.0))),
     ("verify-all", "abs_full", "conjugacy.restricted_conjugate_exact",
-     ("Tables", "mustar", one_ulp_up)),
+     ("Tables", "mustar", member(one_ulp_up))),
     ("verify-all", "abs_full", "conjugacy.representation_lower_bound",
-     ("Tables", "inf_convolution", method_shifted(-1.0))),
+     ("Tables", "inf_convolution", member_shifted(-1.0))),
     ("verify-all", "abs_full", "conjugacy.representation_monotone",
      ("marginlab.duality", "sampled_inf_convolution", shifted(1.0))),
     ("verify-all", "abs_full", "conjugacy.representation_equality",
      ("marginlab.duality", "sampled_inf_convolution", shifted(1.0))),
     ("verify-all", "abs_full", "subdiff.marginal_formula_upper_eps0p0",
-     ("Tables", "phistar", method_shifted(-5.0))),
+     ("Tables", "phistar", member_shifted(-5.0))),
     ("verify-all", "abs_full", "subdiff.marginal_formula_upper_eps0p5",
-     ("Tables", "phistar", method_shifted(-5.0))),
+     ("Tables", "phistar", member_shifted(-5.0))),
     ("verify-all", "abs_full", "subdiff.marginal_formula_agreement_eps0p0",
-     ("Tables", "phistar", method_shifted(5.0))),
+     ("Tables", "phistar", member_shifted(5.0))),
     ("verify-all", "abs_full", "subdiff.marginal_formula_agreement_eps0p5",
-     ("Tables", "phistar", method_shifted(5.0))),
+     ("Tables", "phistar", member_shifted(5.0))),
     ("verify-all", "abs_full", "subdiff.sum_rule_easy_inclusion",
      ("marginlab.core", "ext_sum", dropped_second_term)),
     ("verify-all", "abs_full", "subdiff.conjugate_formula_upper",
-     ("Tables", "phistar", method_shifted(-5.0))),
+     ("Tables", "phistar", member_shifted(-5.0))),
     ("verify-all", "abs_full", "subdiff.conjugate_formula_containment",
-     ("Tables", "phistar", method_shifted(5.0))),
+     ("Tables", "phistar", member_shifted(5.0))),
     ("verify-all", "abs_full", "duality.weak_duality_chain",
-     ("Tables", "inf_convolution", method_shifted(-10.0))),
+     ("Tables", "inf_convolution", member_shifted(-10.0))),
     ("verify-all", "abs_full", "duality.gap_nonnegative",
-     ("Tables", "mustar", method_shifted(-10.0))),
+     ("Tables", "mustar", member_shifted(-10.0))),
     ("verify-all", "abs_full", "duality.strong_duality_certified",
      ("marginlab.conjugate", "conjugate_at", shifted(1.0))),
     ("verify-all", "abs_full", "duality.witness_sound",
@@ -210,11 +213,11 @@ CASES = [
     ("conjugate", "abs_full", "fast_matches_bruteforce",
      ("marginlab.conjugate", "conjugate_fast", shifted(1e-6))),
     ("conjugate", "abs_full", "biconjugate_minorant",
-     ("Tables", "mustar", method_shifted(-1.0))),
+     ("Tables", "mustar", member_shifted(-1.0))),
     ("conjugate", "abs_full", "fenchel_young",
-     ("Tables", "mustar", method_shifted(-1.0))),
+     ("Tables", "mustar", member_shifted(-1.0))),
     ("subdiff", "abs_full", "conjugate_route_agreement",
-     ("Tables", "mustar", method_shifted(-1.0))),
+     ("Tables", "mustar", member_shifted(-1.0))),
     ("subdiff", "abs_full", "nesting_in_eps",
      ("marginlab.subdiff", "eps_subdifferential", sign_flipped_eps)),
     ("nearconvex", "nearconvex_suite", "refinement_stable",

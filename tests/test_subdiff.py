@@ -488,20 +488,17 @@ class TestMarginalFormula:
             xi = int(rng.integers(0, F.xgrid.size))
             if not np.isfinite(mu.values[xi]):
                 continue
-            rep = marginal_subdiff_check(
-                Tables(phi, F), xi, float(rng.choice([0.0, 0.5])), duals=default_dual_grid(mu, 9),
-            )
+            tables = Tables(phi, F, default_dual_grid(mu, 9), default_ydual_grid(phi, 1, 41))
+            rep = marginal_subdiff_check(tables, xi, float(rng.choice([0.0, 0.5])))
             assert rep.easy_ok
             assert rep.eta_monotone_ok
             done += 1
 
     def test_two_sided_on_qualified_fixture(self):
         spec = load_fixture("lagrangian_quadratic")
-        tables = Tables(*spec.build())
+        tables = Tables(*spec.build(), spec.xduals, spec.yduals)
         for eps in (0.0, 0.5):
-            rep = marginal_subdiff_check(
-                tables, [0.0], eps, duals=spec.xduals, yduals=spec.yduals, qc14=True
-            )
+            rep = marginal_subdiff_check(tables, [0.0], eps, qc14=True)
             # both rows bind under qc14, and both pass
             assert [ok for _, ok, _ in rep.verdicts] == [True, True]
             assert rep.agreement == 1.0
@@ -517,9 +514,9 @@ class TestMarginalFormula:
 
     def test_unqualified_instance_reports_without_binding(self):
         spec = load_fixture("diagonal_nonconvex")
-        rep = marginal_subdiff_check(
-            Tables(*spec.build()), [0.0], 0.0, duals=spec.xduals, qc14=False
-        )
+        phi, F = spec.build()
+        tables = Tables(phi, F, spec.xduals, default_ydual_grid(phi, 1, 41))
+        rep = marginal_subdiff_check(tables, [0.0], 0.0, qc14=False)
         assert rep.easy_ok
         upper, agreement = rep.verdicts  # only the unconditional direction binds
         assert upper.ok is True
@@ -530,9 +527,8 @@ class TestMarginalFormula:
 class TestConjugateFormula:
     def test_containment_on_qualified_fixture(self):
         spec = load_fixture("lagrangian_quadratic")
-        rep = conj_subdiff_check(
-            Tables(*spec.build()), spec.xduals, [-2.25], 0.0, yduals=spec.yduals, qc14=True
-        )
+        tables = Tables(*spec.build(), spec.xduals, spec.yduals)
+        rep = conj_subdiff_check(tables, [-2.25], 0.0, qc14=True)
         assert [ok for _, ok, _ in rep.verdicts] == [True, True]
         assert rep.easy_ok
         lhs = np.array(rep.lhs_mask)
@@ -541,9 +537,8 @@ class TestConjugateFormula:
 
     def test_easy_direction_on_full_map_fixture(self):
         spec = load_fixture("abs_full")
-        rep = conj_subdiff_check(
-            Tables(*spec.build()), spec.xduals, [0.5], 0.25, yduals=spec.yduals, qc14=True
-        )
+        tables = Tables(*spec.build(), spec.xduals, spec.yduals)
+        rep = conj_subdiff_check(tables, [0.5], 0.25, qc14=True)
         assert rep.easy_ok
         assert [ok for _, ok, _ in rep.verdicts] == [True, True]
 
@@ -566,10 +561,10 @@ class TestPrunedScoring:
 
         monkeypatch.setattr(subdiff, "_theorem_report", spy)
 
-        def check(route, reference, phi, F, *args):
+        def check(route, reference, phi, F, duals, yduals, *args):
             levels.clear()
-            got = route(Tables(phi, F), *args)
-            assert got == reference(phi, F, *args)
+            got = route(Tables(phi, F, duals, yduals), *args)
+            assert got == reference(phi, F, duals, yduals, *args)
             if levels:  # both folded their levels; none did for an empty x0star
                 ours, theirs = levels
                 assert ours == theirs
@@ -602,14 +597,14 @@ class TestPrunedScoring:
                 x0 = int(rng.choice(finite))
                 got = agree(
                     marginal_subdiff_check, reference_marginal_subdiff_check,
-                    phi, F, x0, eps, duals, yduals, qc14,
+                    phi, F, duals, yduals, x0, eps, qc14,
                 )
                 split += 0 < sum(got.rhs_mask) < got.n_samples
             mustar = conjugate_at(mu, duals.nodes)
             si = int(np.argmin(mustar)) if trial % 3 else int(rng.integers(0, duals.size))
             got = agree(
                 conj_subdiff_check, reference_conj_subdiff_check,
-                phi, F, duals, duals.coords(si), eps, yduals, qc14,
+                phi, F, duals, yduals, duals.coords(si), eps, qc14,
             )
             split += 0 < sum(got.rhs_mask) < got.n_samples
         assert split >= 30
@@ -632,7 +627,7 @@ class TestPrunedScoring:
             eps = (0.0, 0.5, 0.3 * 10.0**k)[trial % 3]
             got = agree(
                 conj_subdiff_check, reference_conj_subdiff_check,
-                phi, F, duals, duals.coords(si), eps, yduals, trial % 4 >= 2,
+                phi, F, duals, yduals, duals.coords(si), eps, trial % 4 >= 2,
             )
             split += 0 < sum(got.rhs_mask) < got.n_samples
         assert split >= 10
@@ -648,11 +643,13 @@ class TestPrunedScoring:
                 continue
             gx, gy = F.graph_cells
             inf_cells += int(np.isinf(phi.values.reshape(F.graph.shape)[gx, gy]).sum())
+            dim = F.xgrid.dim
             duals = default_dual_grid(mu, 9)
+            yduals = default_ydual_grid(phi, dim, 41 if dim == 1 else 9)
             mustar = conjugate_at(mu, duals.nodes)
             agree(
-                conj_subdiff_check, reference_conj_subdiff_check,
-                phi, F, duals, duals.coords(int(np.argmin(mustar))), (0.0, 0.5)[trial % 2],
+                conj_subdiff_check, reference_conj_subdiff_check, phi, F, duals, yduals,
+                duals.coords(int(np.argmin(mustar))), (0.0, 0.5)[trial % 2],
             )
         assert inf_cells >= 500
 
@@ -673,7 +670,7 @@ class TestPrunedScoring:
         F = SetValuedMap(xgrid, ygrid, np.array([[True, False], [True, False]]))
         duals = Grid((Axis(0.0, top, 3),))
         yduals = Grid((Axis(-1.0, 1.0, 3),))
-        agree(conj_subdiff_check, reference_conj_subdiff_check, phi, F, duals, top, 0.0, yduals)
+        agree(conj_subdiff_check, reference_conj_subdiff_check, phi, F, duals, yduals, top, 0.0)
         eta, found, _ = agree.levels[0][0]
         assert eta == max(DEFAULT_ETAS) and found[0] == (not past)
 
@@ -694,7 +691,7 @@ class TestPrunedScoring:
             phi = GriddedFunction(product_grid(xgrid, ygrid), [p, INF, p, INF])
             F = SetValuedMap(xgrid, ygrid, np.array([[True, False], [True, False]]))
             agree(conj_subdiff_check, reference_conj_subdiff_check,
-                  phi, F, duals, cutoff, 0.0, yduals)
+                  phi, F, duals, yduals, cutoff, 0.0)
             G = partial_conjugate(
                 phi.values.reshape(2, 2), xgrid.nodes, ygrid.nodes, duals.nodes, yduals.nodes
             ) + graph_support(F, steps, -yduals.nodes)
@@ -729,13 +726,13 @@ class TestRestrictedConjugate:
         for _ in range(100):
             phi, F = random_problem(rng, max_count=5)
             duals = dyadic_grid(rng, dim=F.xgrid.dim, max_count=5)
-            rep = restricted_conjugate_check(Tables(phi, F), duals)
+            rep = restricted_conjugate_check(Tables(phi, F, duals))
             assert rep.ok
             assert rep.max_abs_diff == 0.0
 
     def test_reported_tables_match(self):
         spec = load_fixture("quadratic_halfline")
-        rep = restricted_conjugate_check(Tables(*spec.build()), spec.xduals)
+        rep = restricted_conjugate_check(Tables(*spec.build(), spec.xduals))
         assert rep.lhs == rep.rhs
         assert rep.n_duals == spec.xduals.size
 
@@ -765,7 +762,7 @@ class TestNodeIndices:
             "eps_coderivative": lambda: eps_coderivative(F, (bad, 0), [0.0], 0.0),
             "sum_rule_check": lambda: sum_rule_check(f, f, bad, 0.0),
             "marginal_subdiff_check": lambda: marginal_subdiff_check(Tables(phi, F), bad, 0.0),
-            "conj_subdiff_check": lambda: conj_subdiff_check(Tables(phi, F), g, bad, 0.0),
+            "conj_subdiff_check": lambda: conj_subdiff_check(Tables(phi, F, g), bad, 0.0),
             "eta_solutions": lambda: eta_solutions(phi, F, bad, 1.0),
         }
         with pytest.raises(NotANode, match=r"outside \[0, 5\)"):

@@ -1,11 +1,12 @@
 """The run-scoped table store: built once, shared bitwise, sliced by counts.
 
-A `Tables` store keeps the tables that several checks of one problem read.
-These tests show that one verify-all builds each of them once, that every
-check returns the same on a fresh store as on one store shared with the
-other checks in either order, that the graph support kept on the distinct
-lattice steps is the support on all of them, and that the conjugate
-check's count-sized slices change no report.
+A `Tables` store keeps the dual grids of one problem and the tables that
+several of its checks read.  These tests show that one verify-all builds
+each of them once, that every check returns the same on a fresh store as
+on one store shared with the other checks in either order, with given or
+default grids, that the graph support kept on the distinct lattice steps
+is the support on all of them, and that the conjugate check's count-sized
+slices change no report.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ from marginlab import (
     domain_identity_check,
     dual_value_1,
     dual_value_2,
+    epigraph_projection_check,
     graph_support,
     marginal,
     marginal_subdiff_check,
@@ -88,6 +90,7 @@ class TestBuildOnce:
             name: _count_calls(monkeypatch, module, name)
             for module, name in (
                 ("marginal", "marginal"),
+                ("marginal", "masked_minima"),
                 ("conjugate", "partial_conjugate"),
                 ("conjugate", "conjugate_at"),
             )
@@ -97,6 +100,7 @@ class TestBuildOnce:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
         assert sum(counted["marginal"].values()) == 1
+        assert sum(counted["masked_minima"].values()) == 1  # the epigraph check reads mu
         for name, calls in counted.items():
             assert calls and max(calls.values()) == 1, name
         # phi* and the graph support on the dual lattice, phi* and the
@@ -116,28 +120,27 @@ def _outcome(fn):
         return "raised", f"{type(e).__name__}: {e}"
 
 
-def _store_checks(phi, F, duals, yduals, x0, s0, eps, flag):
+def _store_checks(x0, s0, eps, flag):
     """Every check that reads a store, as a function of the store."""
     return {
         "domain": lambda t: domain_identity_check(t),
-        "restricted": lambda t: restricted_conjugate_check(t, duals),
-        "representation": lambda t: conjugate_representation_check(t, duals, yduals, flag),
-        "strong_duality": lambda t: strong_duality_check(t, duals, yduals),
+        "epigraph": lambda t: epigraph_projection_check(t, [-1.0, 0.0, 1.0]),
+        "restricted": lambda t: restricted_conjugate_check(t),
+        "representation": lambda t: conjugate_representation_check(t, flag),
+        "strong_duality": lambda t: strong_duality_check(t),
         "primal_value": lambda t: primal_value(t),
-        "dual_value_1": lambda t: dual_value_1(t, duals),
-        "dual_value_2": lambda t: dual_value_2(t, duals, yduals),
-        "inf_convolution": lambda t: t.inf_convolution(duals, yduals),
-        "marginal_subdiff": lambda t: marginal_subdiff_check(t, x0, eps, duals, yduals, flag),
-        "marginal_subdiff_defaults": lambda t: marginal_subdiff_check(t, x0, eps),
-        "conj_subdiff": lambda t: conj_subdiff_check(t, duals, s0, eps, yduals, flag),
-        # the same x-duals, other y-duals
-        "conj_subdiff_default_yduals": lambda t: conj_subdiff_check(t, duals, s0, eps),
+        "dual_value_1": lambda t: dual_value_1(t),
+        "dual_value_2": lambda t: dual_value_2(t),
+        "inf_convolution": lambda t: t.inf_convolution,
+        "marginal_subdiff": lambda t: marginal_subdiff_check(t, x0, eps, flag),
+        "conj_subdiff": lambda t: conj_subdiff_check(t, s0, eps, flag),
     }
 
 
 class TestWrappers:
     """Each check returns the same on a fresh store as on one store shared
-    with every other check, whichever check fills the shared store first."""
+    with every other check, whichever check fills the shared store first,
+    both on given dual grids and on the store's default ones."""
 
     @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_standalone_equals_shared_store_in_both_orders(self, dims):
@@ -151,40 +154,44 @@ class TestWrappers:
                 p_drop=(0.25, 0.6)[trial % 2],
             )
             mu = marginal(phi, F).mu
-            duals = default_dual_grid(mu, count)
-            yduals = default_ydual_grid(phi, xdim, count)
+            given = (default_dual_grid(mu, count), default_ydual_grid(phi, xdim, count))
+            default = (default_dual_grid(mu), default_ydual_grid(phi, xdim))
+            assert (Tables(phi, F).xduals, Tables(phi, F).yduals) == default
             finite = np.flatnonzero(np.isfinite(mu.values))
             x0 = int(rng.choice(finite)) if finite.size and trial % 4 else 0
-            s0 = duals.coords(int(rng.integers(0, duals.size)))
             eps, flag = (0.0, 0.5)[trial % 2], trial % 3 == 0
-            checks = _store_checks(phi, F, duals, yduals, x0, s0, eps, flag)
-            want = {name: _outcome(lambda: check(Tables(phi, F))) for name, check in checks.items()}
-            assert want["inf_convolution"] == _outcome(
-                lambda: sampled_inf_convolution(phi, F, duals.nodes, duals, yduals)
-            )
-            errors += sum(how == "raised" for how, _ in want.values())
-            for names in (list(checks), list(checks)[::-1]):
-                tables = Tables(phi, F)
-                got = {name: _outcome(lambda: checks[name](tables)) for name in names}
-                assert got == want
+            for grids, store in ((given, lambda: Tables(phi, F, *given)),
+                                 (default, lambda: Tables(phi, F))):
+                duals, yduals = grids
+                s0 = duals.coords(int(rng.integers(0, duals.size)))
+                checks = _store_checks(x0, s0, eps, flag)
+                want = {name: _outcome(lambda: check(store())) for name, check in checks.items()}
+                assert want["inf_convolution"] == _outcome(
+                    lambda: sampled_inf_convolution(phi, F, duals.nodes, duals, yduals)
+                )
+                errors += sum(how == "raised" for how, _ in want.values())
+                for names in (list(checks), list(checks)[::-1]):
+                    tables = store()
+                    got = {name: _outcome(lambda: checks[name](tables)) for name in names}
+                    assert got == want
         assert errors  # some instances refuse a check, and both forms agree on that
 
     def test_store_keeps_only_shared_tables(self):
         rng = np.random.default_rng(5)
         phi, F = random_problem(rng, max_count=6, p_inf=0.0)
-        tables = Tables(phi, F)
-        duals = default_dual_grid(tables.mu, 9)
-        yduals = default_ydual_grid(phi, 1, 9)
-        conjugate_representation_check(tables, duals, yduals, False)
-        conj_subdiff_check(tables, duals, duals.coords(4), 0.0, yduals, False)
+        mu = marginal(phi, F).mu
+        duals, yduals = default_dual_grid(mu, 9), default_ydual_grid(phi, 1, 9)
+        tables = Tables(phi, F, duals, yduals)
+        conjugate_representation_check(tables, False)
+        conj_subdiff_check(tables, duals.coords(4), 0.0, False)
         # Neither the refined lattice nor the lattice at one node is kept.
-        assert set(tables._kept) == {
-            ("mustar", duals),
-            ("phistar", duals, yduals),
-            ("support", duals, yduals),
-            ("inf_convolution", duals, yduals),
+        assert set(vars(tables)) == {
+            "phi", "F", "xduals", "yduals", "marginal",
+            "mustar", "phistar", "lattice_support", "inf_convolution",
         }
-        assert not tables.phistar(duals, yduals).flags.writeable
+        assert (tables.xduals, tables.yduals) == (duals, yduals)
+        kept = (tables.phistar, *tables.lattice_support, tables.inf_convolution)
+        assert not any(a.flags.writeable for a in kept)
 
 
 class TestSupportIdentity:
@@ -204,7 +211,7 @@ class TestSupportIdentity:
                 duals = dyadic_grid(rng, xdim, max_count=5)
             yduals = default_ydual_grid(phi, xdim, 5)
             full = graph_support(F, split_lattice(duals.nodes, duals), -yduals.nodes)
-            table, inverse = Tables(phi, F).lattice_support(duals, yduals)
+            table, inverse = Tables(phi, F, duals, yduals).lattice_support
             assert table.shape[0] < full.shape[0]
             np.testing.assert_array_equal(full.view(np.uint64), table[inverse].view(np.uint64))
 
@@ -240,7 +247,7 @@ class TestCountSlices:
             yduals = default_ydual_grid(phi, dim, 9 if dim == 1 else 3)
             mustar = conjugate_at(mu, duals.nodes)
             si = int(np.argmin(mustar)) if trial % 3 else int(rng.integers(0, duals.size))
-            args = (duals, duals.coords(si), (0.0, 0.5)[trial % 2], yduals, trial % 2 == 0)
-            assert conj_subdiff_check(Tables(phi, F), *args) == reference_conj_subdiff_check(
-                phi, F, *args
+            args = (duals.coords(si), (0.0, 0.5)[trial % 2], trial % 2 == 0)
+            assert conj_subdiff_check(Tables(phi, F, duals, yduals), *args) == (
+                reference_conj_subdiff_check(phi, F, duals, yduals, *args)
             )
