@@ -63,7 +63,8 @@ from .subdiff import (
 )
 from .tables import Tables
 
-SCHEMA = "marginlab.csv.v1"
+SCHEMA = "marginlab.csv.v1"  # report.csv
+JSON_SCHEMA = "marginlab.json.v2"  # report.json
 
 
 class UsageError(Exception):
@@ -124,10 +125,10 @@ def _write_atomic(path: Path, text: str) -> None:
 def _write_reports(
     outdir: Path, command: str, problem: str, outcome: Outcome
 ) -> None:
-    """report.json and report.csv, each headed by the schema and command."""
+    """report.json and report.csv, each headed by its schema and the command."""
     fields, verdicts, table = outcome
     report = {
-        "schema": SCHEMA,
+        "schema": JSON_SCHEMA,
         "command": command,
         "problem": problem,
         **fields,

@@ -4,14 +4,16 @@ On a finite grid the eps-subdifferential of f at a node x0 is the
 H-polyhedron with one halfspace <x - x0, s> <= f(x) - f(x0) + eps per node
 x != x0 with finite f(x); +inf nodes impose nothing and any -inf node
 forces the canonical empty polyhedron.  Membership is a tolerance-1e-9
-halfspace scan; emptiness in dimension <= 3 is an LP feasibility question
-whose infeasibility certificates (<= d+1 constraints, by Helly) come from
-the Farkas dual.  In dimension 1 emptiness, feasible points and Minkowski
-membership are exact interval arithmetic.  In dimension 2 Minkowski
-membership is exact too: each polygon is built once by half-plane
-intersection and the sum is read off support functions (`_polygon`).
-Emptiness and feasible points for d >= 2 and Minkowski membership for
-d = 3 solve LPs, and scipy is imported on the first LP a run solves
+halfspace scan.  Emptiness is decided on the loosened system
+{A s <= b + TOL} and certified by an infeasible subset of <= d+1
+constraints (Helly).  In dimension 1 emptiness, feasible points and
+Minkowski membership are exact interval arithmetic.  In dimension 2 they
+are exact polygon arithmetic: each polygon is built once by half-plane
+intersection (`_polygon`), a feasible point is the mean of its points
+moved along its rays, a certificate is found with `_polygon` as the
+emptiness oracle, and a Minkowski sum is read off support functions.
+Dimension 3 solves LPs (the Farkas dual for emptiness and its
+certificates), and scipy is imported on the first LP a run solves
 (`linprog` below).
 
 The theorem verifiers at the bottom check the upper subdifferential
@@ -73,9 +75,9 @@ def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on the first call.
 
     Importing scipy.optimize costs more than most runs compute, and only
-    emptiness and feasible points of d >= 2 polyhedra, d = 3 Minkowski
-    membership and multi-constraint Lagrangian duals need an LP.
-    Every LP in the package goes through this one binding.
+    emptiness, feasible points and Minkowski membership of d = 3 polyhedra
+    and multi-constraint Lagrangian duals need an LP; dimensions 1 and 2
+    solve none.  Every LP in the package goes through this one binding.
     """
     from scipy.optimize import linprog as solve
 
@@ -228,7 +230,8 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     <a, r> > 0 for some ray r, and the largest <a, v> over the points
     otherwise.  Normals within _PARALLEL of one direction count as one,
     keeping only the tightest, so no corner is computed from two nearly
-    parallel lines.
+    parallel lines; tails of g and l within _PARALLEL in angle count as
+    parallel, so two opposite rows whose slopes round apart never meet.
     """
     zero = ~A.any(axis=1)
     if (b[zero] < 0.0).any():
@@ -263,7 +266,9 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
         knots = np.concatenate([bg, bl, [xl, xr, min(max(0.0, xl), xr)]])
         knots = np.unique(knots[np.isfinite(knots) & (knots >= xl) & (knots <= xr)])
         d = _evaluate(pg, qg, bg, knots) - _evaluate(pl, ql, bl, knots)
-        s_lo, s_hi = pg[0] - pl[0], pg[-1] - pl[-1]  # slopes of g - l on the tails
+        # slopes of g - l on the tails, 0 where the two lines are parallel
+        s_lo, s_hi = (0.0 if abs(np.arctan(pu) - np.arctan(pd)) <= _PARALLEL else pu - pd
+                      for pu, pd in ((pg[0], pl[0]), (pg[-1], pl[-1])))
         up = np.flatnonzero(d >= 0.0)
         if up.size:
             i, j = up[0], up[-1]
@@ -338,8 +343,51 @@ def _support(V: np.ndarray, R: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return h
 
 
+def _plane_witness(V: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """A point in the relative interior of conv(V) + cone(R) in the plane.
+
+    The mean of the distinct points plus the sum of the unit rays: every
+    generator gets a positive weight, so the point is relatively interior,
+    and a set symmetric about the origin gets the origin back exactly.
+    """
+    return np.unique(V, axis=0).mean(axis=0) + R.sum(axis=0)
+
+
+def _plane_certificate(A: np.ndarray, b: np.ndarray) -> list[int]:
+    """An irreducible infeasible subset of the empty planar system A s <= b.
+
+    Additive search with `_polygon` as the emptiness oracle.  The shortest
+    prefix of the candidate rows that is empty together with the rows kept
+    so far ends in a row that no infeasible subset of that prefix can do
+    without; it is kept, and the search repeats on the rows before it until
+    the kept rows alone are empty.  Every kept row is needed, so the subset
+    is irreducible, and by Helly's theorem it has at most 3 rows; each round
+    is a binary search of O(log n) polygons.
+    """
+    kept: list[int] = []
+    rows = list(range(A.shape[0]))
+    while not kept or _polygon(A[kept], b[kept]) is not None:
+        lo, hi = 1, len(rows)  # kept + rows[:hi] is empty
+        while lo < hi:
+            mid = (lo + hi) // 2
+            trial = kept + rows[:mid]
+            if _polygon(A[trial], b[trial]) is None:
+                hi = mid
+            else:
+                lo = mid + 1
+        kept.append(rows[hi - 1])
+        rows = rows[: hi - 1]
+    return kept
+
+
 def is_empty(P: HPolyhedron) -> tuple[bool, tuple[int, ...] | None]:
-    """Emptiness with a certificate of <= d+1 constraints; d <= 3 only."""
+    """Emptiness with a certificate of <= d+1 constraints; d <= 3 only.
+
+    1-D reads the exact interval.  2-D builds the polygon of the loosened
+    system {A s <= b + TOL}, the system the Farkas alternative decides, and
+    searches the certificate with the same oracle.  3-D solves the Farkas
+    LP and reduces its support.
+    """
     if P.dim > 3:
         raise UnsupportedDimension("emptiness queries are limited to d <= 3")
     if P.dim == 1:
@@ -354,6 +402,11 @@ def is_empty(P: HPolyhedron) -> tuple[bool, tuple[int, ...] | None]:
         i_lo = int(np.flatnonzero(a < 0)[np.argmax(b[a < 0] / a[a < 0])])
         i_hi = int(np.flatnonzero(a > 0)[np.argmin(b[a > 0] / a[a > 0])])
         return True, (i_lo, i_hi)
+    if P.dim == 2:
+        A, b = P.normals, P.offsets + TOL
+        if _polygon(A, b) is not None:
+            return False, None
+        return True, tuple(sorted(_plane_certificate(A, b)))
     feasible, support = _farkas(P.normals, P.offsets)
     if feasible:
         return False, None
@@ -365,8 +418,13 @@ def feasible_point(P: HPolyhedron) -> np.ndarray | None:
     """A deterministic point of P, or None when P is empty.
 
     1-D uses the exact interval (midpoint; finite endpoint of a half-line;
-    origin for the whole line).  Higher dimensions take the Chebyshev-like
-    center of the box-clipped polyhedron from one LP solve.
+    origin for the whole line).  2-D takes `_plane_witness` of the polygon
+    of P, a relative-interior point, so strictly inside P whenever P has an
+    interior; when rounding leaves that polygon empty it takes the polygon
+    of the loosened system {A s <= b + TOL} instead, so the point lies
+    within TOL of P, and it returns None exactly when `is_empty` says so.
+    Higher dimensions take the Chebyshev-like center of the box-clipped
+    polyhedron from one LP solve.
     """
     if P.dim == 1:
         iv = P.interval()
@@ -379,6 +437,12 @@ def feasible_point(P: HPolyhedron) -> np.ndarray | None:
         if np.isfinite(iv.hi):
             return np.array([iv.hi])
         return np.array([0.0])
+    if P.dim == 2:
+        for slack in (0.0, TOL):
+            polygon = _polygon(P.normals, P.offsets + slack)
+            if polygon is not None:
+                return _plane_witness(*polygon)
+        return None
     norms = np.linalg.norm(P.normals, axis=1)
     A = np.hstack([P.normals, norms[:, None]])
     c = np.zeros(P.dim + 1)

@@ -225,6 +225,66 @@ def oracle_inf_convolution(g1, g2, target, tol=1e-9):
     return best
 
 
+# --- LP oracles for polyhedra -----------------------------------------------------
+#
+# The HiGHS route that `subdiff.is_empty` and `subdiff.feasible_point` took in
+# the plane before the polygon route replaced it.  It calls scipy directly,
+# so a defect in the package's own `linprog` binding cannot reach it.
+
+
+def lp_farkas(A, b, tol=1e-9):
+    """Feasibility of A s <= b + tol through the normalized Farkas alternative.
+
+    One LP: min lam^T b over lam >= 0 with lam^T A = 0 and sum lam = 1.  The
+    system is infeasible exactly when that minimum lies below -tol, and then
+    the support of the basic solution lam (at most d+1 rows) certifies it.
+    Returns (feasible, support or None).
+    """
+    from scipy.optimize import linprog
+
+    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    if A.shape[0] == 0:
+        return True, None
+    res = linprog(
+        c=b,
+        A_eq=np.vstack([A.T, np.ones((1, A.shape[0]))]),
+        b_eq=np.concatenate([np.zeros(A.shape[1]), [1.0]]),
+        bounds=[(0, None)] * A.shape[0],
+        method="highs-ds",
+    )
+    if res.status == 2:
+        return True, None
+    assert res.status == 0, res.message
+    if res.fun < -tol:
+        return False, [int(i) for i in np.flatnonzero(res.x > tol)]
+    return True, None
+
+
+def lp_chebyshev_point(P):
+    """The Chebyshev-like centre of P clipped to the box [-1e6, 1e6]^d.
+
+    One LP: the largest radius r in [0, 1] with A s + |a_i| r <= b, so a
+    point strictly inside P when P has an interior.  Returns (point, r), or
+    (None, None) when the LP finds no point.
+    """
+    from scipy.optimize import linprog
+
+    norms = np.linalg.norm(P.normals, axis=1)
+    c = np.zeros(P.dim + 1)
+    c[-1] = -1.0
+    res = linprog(
+        c=c,
+        A_ub=np.hstack([P.normals, norms[:, None]]),
+        b_ub=P.offsets,
+        bounds=[(-1e6, 1e6)] * P.dim + [(0, 1)],
+        method="highs-ds",
+    )
+    if res.status != 0:
+        return None, None
+    return res.x[: P.dim].copy(), float(res.x[-1])
+
+
 # --- reference scoring of the theorem checks -------------------------------------
 #
 # The scoring route both theorem checks used before it was pruned: every eta

@@ -378,7 +378,7 @@ class TestReports:
         rc = main(["marginal", "--spec", str(spec), "--out", str(out)])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == cli.SCHEMA
+        assert report["schema"] == cli.JSON_SCHEMA == "marginlab.json.v2"
         assert report["command"] == "marginal"
         assert "+inf" in report["mu"]
         assert "infeasible" in report["status"]
@@ -388,7 +388,7 @@ class TestReports:
         out = tmp_path / "out"
         main(["marginal", "--spec", str(spec), "--out", str(out)])
         first = (out / "report.csv").read_text().splitlines()[0]
-        assert first == f"{cli.SCHEMA},marginal"
+        assert first == f"{cli.SCHEMA},marginal" == "marginlab.csv.v1,marginal"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         spec = write_spec(tmp_path, MINIMAL)
@@ -503,7 +503,8 @@ class TestVerifyAllOrdering:
 class TestLayering:
     """The library stands without its command line: spec parsing lives in
     marginlab.spec, and only `python -m marginlab.cli` loads the CLI.
-    scipy loads only where a run solves an LP."""
+    scipy loads only where a run solves an LP, which no 1-D or 2-D fixture
+    command does."""
 
     SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -601,8 +602,27 @@ print("scipy" in sys.modules)
             ("nearconvex", "nearconvex_suite"),
         )
 
-    def test_two_dimensional_polyhedra_load_scipy_for_their_lps(self):
-        assert self.scipy_loaded_after(("verify-all", "separable_quadratic"))
+    def test_two_dimensional_runs_leave_scipy_unloaded(self):
+        assert not self.scipy_loaded_after(
+            ("verify-all", "separable_quadratic"),
+            ("duality", "separable_quadratic"),
+            ("subdiff", "separable_quadratic"),
+        )
+
+    POLYHEDRON_SCIPY = """\
+import sys
+import numpy as np
+from marginlab import HPolyhedron, feasible_point, is_empty
+P = HPolyhedron(np.vstack([np.eye({dim}), -np.eye({dim})]), np.ones(2 * {dim}))
+assert not is_empty(P)[0] and P.contains(feasible_point(P))
+print("scipy" in sys.modules)
+"""
+
+    @pytest.mark.parametrize("dim,loaded", [(2, "False"), (3, "True")])
+    def test_only_three_dimensional_polyhedra_load_scipy(self, dim, loaded):
+        done = self.python("-c", self.POLYHEDRON_SCIPY.format(dim=dim))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == loaded
 
     SUM_RULE_SCIPY = """\
 import sys

@@ -6,7 +6,9 @@ binding row of `verify-all` on the 1-D fixtures at --refine 1, and of the
 `conjugate`, `subdiff` and `nearconvex` commands, gets one plausible defect
 planted through a public name: a check, a `Tables` member or a kernel.
 The row must read FAIL on the named fixture with the defect and PASS
-without it.  Defects are planted in every marginlab module that binds the
+without it.  `duality.witness_sound` is planted on separable_quadratic as
+well, since a 2-D witness comes from the polygon route and a 1-D one from
+the interval.  Defects are planted in every marginlab module that binds the
 name, so they reach a call however the caller imported it.
 """
 
@@ -204,6 +206,8 @@ CASES = [
      ("marginlab.conjugate", "conjugate_at", shifted(1.0))),
     ("verify-all", "abs_full", "duality.witness_sound",
      ("marginlab.subdiff", "feasible_point", moved_witness)),
+    ("verify-all", "separable_quadratic", "duality.witness_sound",
+     ("marginlab.subdiff", "feasible_point", moved_witness)),
     ("verify-all", "lagrangian_quadratic", "duality.lagrange_dual_identity",
      ("marginlab.duality", "lagrangian_dual", dual_values_shifted)),
     ("verify-all", "lagrangian_quadratic", "duality.lagrange_negative_probe",
@@ -234,9 +238,12 @@ def statuses(command, fixture, out, code):
     return {v["name"]: v["status"] for v in report["verdicts"]}
 
 
-@pytest.mark.parametrize(
-    "command,fixture,row,defect", CASES, ids=[f"{c[0]}-{c[2]}" for c in CASES]
-)
+IDS: list[str] = []
+for command, fixture, row, _ in CASES:  # a row planted twice also names its fixture
+    IDS.append(f"{command}-{row}" + (f"-{fixture}" if f"{command}-{row}" in IDS else ""))
+
+
+@pytest.mark.parametrize("command,fixture,row,defect", CASES, ids=IDS)
 def test_planted_defect_fails_its_row(command, fixture, row, defect, monkeypatch, tmp_path, capsys):
     assert statuses(command, fixture, tmp_path / "sound", 0)[row] == "PASS"
     owner, name, make = defect

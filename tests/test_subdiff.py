@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from marginlab import (
@@ -48,6 +50,8 @@ from marginlab.setmap import split_lattice
 from helpers import (
     dyadic_grid,
     load_fixture,
+    lp_chebyshev_point,
+    lp_farkas,
     non_dyadic_problem,
     oracle_subgradient_member,
     random_function,
@@ -133,6 +137,118 @@ class TestEmptinessAndFeasiblePoint:
         half = HPolyhedron([[-1.0]], [-3.0])  # [3, inf)
         assert feasible_point(half)[0] == pytest.approx(3.0)
         assert feasible_point(HPolyhedron.whole_space(1))[0] == 0.0
+
+
+@st.composite
+def planar_systems(draw):
+    """A k x 2 system with small integer normals and half-integer offsets,
+    some with a row repeated at a multiple (parallel or opposite, so strips
+    and empty strips); half of them rescaled row by row and moved by a
+    shift, so that their data are not dyadic and degenerate sets meet
+    rounding."""
+    k = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=k,
+                         max_size=k))
+    A = np.array(rows, dtype=np.float64)
+    b = np.array(draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))) / 2.0
+    if draw(st.booleans()):
+        i = draw(st.integers(0, k - 1))
+        f = draw(st.sampled_from([-3.0, -1.0, -0.390625, 0.5, 2.0]))
+        A = np.vstack([A, f * A[i]])
+        b = np.append(b, abs(f) * draw(st.integers(-4, 4)) / 2.0)
+        k += 1
+    if draw(st.booleans()):
+        scale = np.array(draw(st.lists(st.floats(0.3, 3.0), min_size=k, max_size=k)))
+        shift = np.array(draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))))
+        A, b = A * scale[:, None], (b + A @ shift) * scale
+    return A, b
+
+
+def assert_planar_route_agrees(P):
+    """is_empty and feasible_point of a 2-D P against the LP route: the same
+    emptiness, a witness in P (strictly inside it when the Chebyshev radius
+    says P has an interior), and a certificate of at most 3 rows that the
+    Farkas LP finds infeasible and that loses that with any row dropped."""
+    A, b = P.normals, P.offsets
+    empty, cert = is_empty(P)
+    point = feasible_point(P)
+    lp_point, radius = lp_chebyshev_point(P)
+    assert empty == (not lp_farkas(A, b)[0]) == (lp_point is None)
+    assert (point is None) == empty
+    if empty:
+        assert 1 <= len(cert) <= 3
+        assert not lp_farkas(A[list(cert)], b[list(cert)])[0]
+        for i in cert:
+            rest = [j for j in cert if j != i]
+            assert lp_farkas(A[rest], b[rest])[0]
+        return
+    assert cert is None
+    assert P.contains(point)
+    if radius > 1e-6:
+        bounding = A.any(axis=1)
+        assert (A[bounding] @ point < b[bounding]).all()
+
+
+class TestPlanarRoute:
+    """Emptiness, certificates and feasible points in the plane come from
+    `_polygon` on the loosened system; the HiGHS route stays as the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(planar_systems())
+    def test_random_systems_agree_with_the_lp_route(self, system):
+        assert_planar_route_agrees(HPolyhedron(*system))
+
+    TILT = 1e-13  # an angle within subdiff._PARALLEL
+
+    @pytest.mark.parametrize(
+        "A, b, witness",
+        [
+            ([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, -1, 2, -2], [1.0, 2.0]),  # point
+            ([[0, 1], [0, -1], [1, 0], [-1, 0]], [0, 0, 2, 0], [1.0, 0.0]),  # segment
+            ([[1, 1]], [1], [0.0, 0.0]),  # half-plane
+            ([[0, 1], [0, -1]], [1, 0], [0.0, 0.5]),  # strip
+            (np.zeros((0, 2)), [], [0.0, 0.0]),  # whole plane
+            ([[1, 0], [-1, 0], [0, 1], [0, -1]], [0.125] * 4, [0.0, 0.0]),  # box
+            ([[1, 0], [math.cos(TILT), math.sin(TILT)], [-1, 0]], [1, 1, 0],
+             [0.5, 0.0]),  # two normals within _PARALLEL
+            ([[0, 0]], [-1.0], None),  # HPolyhedron.empty(2)
+            ([[1, 0], [-1, 0], [-1, TILT]], [0, -1, -0.5], None),  # within _PARALLEL
+            ([[1, 1], [-1, 0], [0, -1]], [-1, 0, 0], None),  # triangle
+        ],
+        ids=["point", "segment", "half-plane", "strip", "whole-plane", "box",
+             "parallel", "canonical-empty", "parallel-empty", "triangle-empty"],
+    )
+    def test_hand_built_sets(self, A, b, witness):
+        P = HPolyhedron(np.reshape(A, (-1, 2)), b)
+        assert_planar_route_agrees(P)
+        point = feasible_point(P)
+        assert (point is None) if witness is None else (point.tolist() == witness)
+
+    def test_certificates_of_hand_built_empty_sets(self):
+        assert is_empty(HPolyhedron.empty(2)) == (True, (0,))
+        tilted = HPolyhedron([[1, 0], [-1, 0], [-1, self.TILT]], [0, -1, -0.5])
+        assert is_empty(tilted) == (True, (0, 1))  # the tighter of the parallel rows
+        zero_last = HPolyhedron([[1, 0], [0, 1], [0, 0]], [0, 0, -1])
+        assert is_empty(zero_last) == (True, (2,))
+
+    def test_a_point_lost_to_rounding_is_found_in_the_loosened_system(self):
+        # Three lines through (0.1, 0.1) whose offsets rounded apart: the
+        # polygon of P itself is empty, that of {A s <= b + TOL} is not.
+        A = np.array([[3.0, 1.0], [-1.0, -2.0], [-2.0, 1.0]])
+        P = HPolyhedron(A, A @ [0.1, 0.1])
+        assert subdiff._polygon(P.normals, P.offsets) is None
+        assert_planar_route_agrees(P)
+        assert np.abs(feasible_point(P) - 0.1).max() <= 1e-9
+
+    def test_sets_beyond_the_lp_box_get_a_point(self):
+        # The LP route clipped P to [-1e6, 1e6]^2 and found no point of these
+        # nonempty sets; the polygon route has no box.
+        far = HPolyhedron([[-1.0, 0.0]], [-2e6])  # s1 >= 2e6
+        thin = HPolyhedron([[1.0, 0.0], [-1.0, 1e-10]], [0.0, -0.5])  # s2 <= -5e9
+        for P in (far, thin):
+            assert not is_empty(P)[0]
+            assert lp_chebyshev_point(P) == (None, None)
+            assert P.contains(feasible_point(P))
 
 
 class TestEpsSubdifferential:
@@ -390,8 +506,10 @@ class TestPolygon:
             ([[0, 0]], [-1.0]),
             ([[1, 0], [-1, 0]], [0, -1]),
             ([[1, 1], [-1, 0], [0, -1]], [-1, 0, 0]),
+            # s2 <= -3 s1 and s2 >= 0.5 - 3 s1, whose slopes round apart
+            ([[3, 1], [-1.171875, -0.390625]], [0, -0.1953125]),
         ],
-        ids=["zero-row", "parallel", "triangle"],
+        ids=["zero-row", "parallel", "triangle", "opposite-rounded"],
     )
     def test_empty_sets(self, A, b):
         assert self.support(A, b, self.AXES) is None
