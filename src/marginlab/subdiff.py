@@ -348,7 +348,7 @@ def _plane_witness(V: np.ndarray, R: np.ndarray) -> np.ndarray:
 
     The mean of the distinct points plus the sum of the unit rays: every
     generator gets a positive weight, so the point is relatively interior,
-    and a set symmetric about the origin gets the origin back exactly.
+    and a box centred at the origin gets the origin back exactly.
     """
     return np.unique(V, axis=0).mean(axis=0) + R.sum(axis=0)
 
