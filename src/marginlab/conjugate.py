@@ -11,10 +11,21 @@ factors it one axis block at a time,
 
 conjugating every y row once and every distinct x* row once; both routes
 take the same finite maximum, so they agree bitwise whenever the dot
-products are exact (dyadic data).  Both kernels size their temporaries by
-`_SCORE_CAP` entries.  A linear-time transform (lower convex hull +
-monotone merge) reproduces the brute-force values on sorted 1-D data and
-separable multi-D data.
+products are exact (dyadic data).  A linear-time transform (lower convex
+hull + monotone merge) reproduces the brute-force values on sorted 1-D
+data and separable multi-D data.
+
+The kernels here and their callers block their temporaries under one of
+two caps.  A max-plus block only adds, subtracts, takes max or min and
+gathers, so its size moves no bit; `score_slices` cuts those blocks to
+`_MAXPLUS_CAP` entries, about a cache's worth (`partial_conjugate`, the
+inf-convolution in `tables`, the pair scan of the one-constraint dual
+value, the coderivative scores of `subdiff.marginal_subdiff_check`).  A
+block whose rows reach a matrix product can move the last bit of a dot
+product over two or more coordinates, because BLAS rounds a row
+differently depending on how the rows are sliced; `max_dots_minus` and
+`count_slices` (the scored slices of `subdiff.conj_subdiff_check`) keep
+`_BLAS_CAP` entries, so their blocking, and their bits, stay as they are.
 """
 
 from __future__ import annotations
@@ -39,7 +50,8 @@ from .core import (
 from .errors import DimensionMismatch, GridMismatch, UnsupportedShape
 
 _CHUNK = 4096
-_SCORE_CAP = 1_000_000  # entries per temporary in every chunked kernel
+_MAXPLUS_CAP = 65_536  # entries per max-plus temporary (512 KB)
+_BLAS_CAP = 1_000_000  # entries per block whose rows reach a matrix product
 
 
 def _blocks(total: int, size: int):
@@ -55,20 +67,25 @@ def _blocks(total: int, size: int):
 
 def score_slices(total: int, width: int):
     """Consecutive slices of range(total), each holding as many items as
-    fit in `_SCORE_CAP` entries at `width` entries per item (at least one)."""
-    step = max(1, _SCORE_CAP // max(1, width))
+    fit in `_MAXPLUS_CAP` entries at `width` entries per item (at least one).
+
+    For max-plus loops only, whose block size moves no bit; a block whose
+    rows reach a matrix product is cut by `_BLAS_CAP` instead.
+    """
+    step = max(1, _MAXPLUS_CAP // max(1, width))
     for lo in range(0, total, step):
         yield slice(lo, min(lo + step, total))
 
 
 def count_slices(entries: np.ndarray):
     """Consecutive slices of range(len(entries)) whose entries add up to at
-    most `_SCORE_CAP`; an item over the cap is a slice of its own."""
+    most `_BLAS_CAP`; an item over the cap is a slice of its own.  The
+    slices cut dot-product tables, so the cap is the BLAS one."""
     ends = np.cumsum(entries)
     lo = 0
     while lo < ends.size:
         before = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, before + _SCORE_CAP, side="right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, before + _BLAS_CAP, side="right")))
         yield slice(lo, hi)
         lo = hi
 
@@ -78,20 +95,23 @@ def max_dots_minus(queries: np.ndarray, points: np.ndarray, vals: np.ndarray) ->
 
     All inputs finite; empty `points` yields -inf per query.  Work is
     chunked over queries, and over points when two query rows exceed
-    `_SCORE_CAP`, so the score buffer holds at most max(_SCORE_CAP, 4)
-    entries.  numpy sends a one-row or one-column product to gemv, which
-    can round differently from gemm, so no block is that thin unless the
-    whole product is: the chunked maximum equals that of one score matrix
-    bitwise.  Every chunk reuses one score buffer: a new multi-megabyte
-    temporary per chunk often comes back from the allocator as fresh
-    pages, and faulting those in costs about as much as the arithmetic.
+    `_BLAS_CAP`, so the score buffer holds at most max(_BLAS_CAP, 4)
+    entries.  The blocks are gemm blocks, so the cap is the BLAS one.
+    numpy sends a one-row or one-column product to gemv, which can round
+    differently from gemm, so no block is that thin unless the whole
+    product is.  On dyadic data the chunked maximum equals that of one
+    score matrix bitwise; with two or more coordinates BLAS can round a
+    row differently under another blocking.  Every chunk reuses one score
+    buffer: a new multi-megabyte temporary per chunk often comes back from
+    the allocator as fresh pages, and faulting those in costs about as much
+    as the arithmetic.
     """
     queries = np.asarray(queries, dtype=np.float64)
     k, n = queries.shape[0], points.shape[0]
     if n == 0:
         return np.full(k, -INF)
-    rows = min(_CHUNK, _SCORE_CAP // n)
-    cols = n if rows >= 2 else max(2, _SCORE_CAP // 2)
+    rows = min(_CHUNK, _BLAS_CAP // n)
+    cols = n if rows >= 2 else max(2, _BLAS_CAP // 2)
     rows = max(2, rows)
     out = np.full(k, -INF)
     scores = np.empty((min(rows, k), min(cols, n)))
@@ -136,7 +156,8 @@ def partial_conjugate(
     +inf (its inner max is +inf), no finite value gives -inf.  The inner
     max over y runs once per x node with a finite value, the outer max over
     x once per distinct x* row.  Both dot-product tables are taken whole and
-    only the max-plus steps are chunked, so the chunk size changes no bit.
+    only the max-plus steps are chunked, in `score_slices` blocks of
+    `_MAXPLUS_CAP` entries, so the chunk size changes no bit.
     """
     xstars = np.atleast_2d(np.asarray(xstars, dtype=np.float64))
     ystars = np.atleast_2d(np.asarray(ystars, dtype=np.float64))

@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .conjugate import conjugate_at, count_slices, default_dual_grid
+from .conjugate import conjugate_at, count_slices, default_dual_grid, score_slices
 from .core import (
     INF,
     TOL,
@@ -562,19 +562,23 @@ def _split_pairs(total: float, count: int) -> list[tuple[float, float]]:
     return [(float(a), float(total - a)) for a in t]
 
 
-def _split_bound(m1: np.ndarray, splits) -> np.ndarray:
-    """Per score m1, the largest e2 + TOL over the splits with m1 <= e1 + TOL.
+def _split_bound(splits) -> Callable[[np.ndarray], np.ndarray]:
+    """The split test of one level: per score m1, the largest e2 + TOL over
+    the splits with m1 <= e1 + TOL.
 
-    NaN where no split admits m1 (NaN and +inf scores among them), so that
-    `cod <= _split_bound(m1, splits)` holds exactly when some split (e1, e2)
-    passes both m1 <= e1 + TOL and cod <= e2 + TOL: the same comparisons on
-    the same floats, one split per score instead of all of them.
+    The returned function gives NaN where no split admits m1 (NaN and +inf
+    scores among them), so that `cod <= _split_bound(splits)(m1)` holds
+    exactly when some split (e1, e2) passes both m1 <= e1 + TOL and
+    cod <= e2 + TOL: the same comparisons on the same floats, one split per
+    score instead of all of them.  Its tables, the sorted e1 + TOL and the
+    suffix maxima of e2 + TOL, are built here once per level.
     """
     e1 = np.array([a + TOL for a, _ in splits])
     order = np.argsort(e1)
+    keys = e1[order]
     e2 = np.array([b + TOL for _, b in splits])[order]
     best = np.append(np.maximum.accumulate(e2[::-1])[::-1], np.nan)
-    return best[np.searchsorted(e1[order], m1, side="left")]
+    return lambda m1: best[np.searchsorted(keys, m1, side="left")]
 
 
 def _finite_max(a) -> float:
@@ -766,8 +770,11 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     qualification (qc14).
 
     The dual grids, mu and phi* come from the store, and so does the graph
-    support on the split lattice of the x* grid, kept on its distinct steps
-    and spread here to every step through the inverse index.
+    support on the split lattice of the x* grid, kept on its distinct steps.
+    The coderivative scores gather it through the inverse index one
+    `score_slices` block of (x1*, y*) columns at a time, so no table of all
+    the steps is built; a block only gathers, adds and compares, so its
+    size moves no bit.
     """
     phi, F, mu = tables.phi, tables.F, tables.mu
     xi = F.xgrid.resolve(x0)
@@ -785,7 +792,8 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     T = split_lattice(S, duals)
     phistar = tables.phistar
     support, inverse = tables.lattice_support
-    fsupport = support[inverse].reshape(Ks, Kx * Ky)
+    flat = support.reshape(-1)
+    starts = inverse.reshape(Ks, Kx) * Ky  # where the row of step x* - x1* starts in flat
     TX0 = (T @ x0c).reshape(Ks, Kx)
 
     phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
@@ -794,8 +802,10 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
 
     # Each near-optimal y0 is scored once for every eta level admitting it,
     # and the coderivative scores only on the (x1*, y*) columns whose
-    # phi score passes the loosest split of any level.
+    # phi score passes the loosest split of any level.  A y0's hits at a
+    # level are the OR of its column blocks' hits.
     splits = [_split_pairs(eps + eta, THEOREM_SPLITS) for eta in DEFAULT_ETAS]
+    bounds = [_split_bound(level) for level in splits]
     e1_top = max(e1 for level in splits for e1, _ in level) + TOL
     near = np.array([feas_row & (phi_row < mu0 + eta) for eta in DEFAULT_ETAS])
     masks = np.ones((len(DEFAULT_ETAS), Ks), dtype=bool)
@@ -804,9 +814,19 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
         m1_base = (phistar + phi_row[yi] - dots1[:, None] - dots2[None, :]).reshape(-1)
         cols = np.flatnonzero(m1_base <= e1_top)
         j, k = np.divmod(cols, Ky)
-        cod = fsupport[:, cols] - TX0[:, j] + dots2[k]
-        for level in np.flatnonzero(near[:, yi]):
-            masks[level] &= (cod <= _split_bound(m1_base[cols], splits[level])).any(axis=1)
+        admits = np.flatnonzero(near[:, yi])
+        col_bounds = [bounds[level](m1_base[cols]) for level in admits]
+        hits = np.zeros((admits.size, Ks), dtype=bool)
+        for sl in score_slices(cols.size, Ks):
+            jb, kb = j[sl], k[sl]
+            at = starts[:, jb]
+            at += kb
+            cod = flat.take(at)
+            cod -= TX0[:, jb]
+            cod += dots2[kb]
+            for hit, bound in zip(hits, col_bounds):
+                hit |= (cod <= bound[sl]).any(axis=1)
+        masks[admits] &= hits
     levels = [(eta, mask, mask) for eta, mask in zip(DEFAULT_ETAS, masks)]
     return _theorem_report(
         mu,
@@ -899,7 +919,7 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     dot product is exact, so each comparison sees the floats of the
     unpruned route.  Otherwise a dot product over two or more coordinates
     can round differently where BLAS blocks the rows differently, as it
-    does in the unpruned route under another `_SCORE_CAP`.
+    does in the unpruned route under another `_BLAS_CAP`.
 
     Unconditionally, every pre-dilation eta-level member must lie in the
     (eps+eta)-subdifferential of mu*; two-sided agreement at the nominal
@@ -940,7 +960,7 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     X, Y = F.xgrid.nodes, F.ygrid.nodes
     phig = phi.values.reshape(F.xgrid.size, F.ygrid.size)[gx, gy]
 
-    splits = [_split_pairs(eps + eta, THEOREM_SPLITS) for eta in DEFAULT_ETAS]
+    bounds = [_split_bound(_split_pairs(eps + eta, THEOREM_SPLITS)) for eta in DEFAULT_ETAS]
     cutoff = max(eps + eta for eta in DEFAULT_ETAS) + 2 * TOL
     # The floats fall short of the identity by a few roundings: T = fl(s0 -
     # x1*) is inexact, the dot products round, and so do the sums building
@@ -966,7 +986,7 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
 
     # Candidate (cell, pair) triples: a cell takes the first counts[cell]
     # pairs in G order.  Only cells with a candidate are scored, in slices
-    # whose temporaries stay within _SCORE_CAP entries: about ten arrays of
+    # whose temporaries stay within _BLAS_CAP entries: about ten arrays of
     # one entry per triple, and one dot table at a time with a row per cell.
     counts = np.searchsorted(G, key, side="right")
     del key
@@ -985,8 +1005,8 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
         ydots = (Ys @ Y1.T)[r, k]
         m1 = (phistar[j, k] + phig[cs][r]) - ((Xs @ X1.T)[r, j] + ydots)
         cod = fsupport[j, k] - ((Xs @ T.T)[r, j] - ydots)
-        for level_found, level in zip(found, splits):
-            level_found[gx[cs[r[cod <= _split_bound(m1, level)]]]] = True
+        for level_found, bound in zip(found, bounds):
+            level_found[gx[cs[r[cod <= bound(m1)]]]] = True
 
     levels = [
         (eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1))

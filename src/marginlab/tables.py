@@ -83,8 +83,9 @@ def inf_convolution_min(
     `fstar` and `inverse` come from `lattice_support`, one point per
     phistar.shape[0] consecutive inverse entries.  Lower addition: phi* is
     all +inf, all -inf or finite, F* all -inf or finite, and +inf wins.
-    The add-and-min runs over blocks of points of about `_SCORE_CAP`
-    entries.
+    The add-and-min runs over `score_slices` blocks of points, about
+    `conjugate._MAXPLUS_CAP` entries each; it only gathers, adds and takes
+    minima, so the block size moves no bit.
     """
     k1, ky = phistar.shape
     out = np.empty(inverse.shape[0] // k1)

@@ -25,7 +25,7 @@ from marginlab import (
     product_grid,
     subdiff,
 )
-from marginlab.conjugate import score_slices
+from marginlab.conjugate import count_slices
 from marginlab.nearconvex import box_dilate
 from marginlab.setmap import split_lattice
 
@@ -384,7 +384,8 @@ def reference_conj_subdiff_check(phi, F, duals, yduals, x0star, eps, qc14=False)
     etas = subdiff.DEFAULT_ETAS
     splits = {eta: subdiff._split_pairs(eps + eta, subdiff.THEOREM_SPLITS) for eta in etas}
     cell_ok = {eta: np.zeros(n_cells, dtype=bool) for eta in etas}
-    for sl in score_slices(n_cells, Kx * Ky):
+    # Whole cells per slice, sized as the check sizes its BLAS-fed slices.
+    for sl in count_slices(np.full(n_cells, Kx * Ky)):
         ydots = (Yg[sl] @ Y1.T)[:, None, :]
         m1_base = phistar + phig[sl, None, None] - ((Xg[sl] @ X1.T)[:, :, None] + ydots)
         cod_base = fsupport - ((Xg[sl] @ T.T)[:, :, None] - ydots)

@@ -75,7 +75,7 @@ class TestMaxDotsMinus:
     def test_chunks_match_one_score_matrix_bitwise(self, monkeypatch, cap):
         # cap 1 forces 2 x 2 blocks; cap 50 forces short row blocks, or
         # column blocks when two rows exceed it, with ragged last ones.
-        monkeypatch.setattr(conjugate_module, "_SCORE_CAP", cap)
+        monkeypatch.setattr(conjugate_module, "_BLAS_CAP", cap)
         rng = np.random.default_rng(131)
         for _ in range(20):
             d = int(rng.integers(1, 4))
@@ -88,7 +88,7 @@ class TestMaxDotsMinus:
 
     @pytest.mark.parametrize("cap", [1, 5, 64, 301])
     def test_score_buffer_honours_the_cap(self, monkeypatch, cap):
-        monkeypatch.setattr(conjugate_module, "_SCORE_CAP", cap)
+        monkeypatch.setattr(conjugate_module, "_BLAS_CAP", cap)
         matmul, sizes = np.matmul, []
 
         def spy(a, b, out):
@@ -231,7 +231,7 @@ class TestPartialConjugate:
         phi, F = random_problem(rng, max_count=6, xdim=2, ydim=2)
         xstars, ystars = dyadic_rows(rng, 40, 2), dyadic_rows(rng, 9, 2)
         want = partial_conjugate(*split(phi, F.xgrid, F.ygrid), xstars, ystars)
-        monkeypatch.setattr(conjugate_module, "_SCORE_CAP", 7)
+        monkeypatch.setattr(conjugate_module, "_MAXPLUS_CAP", 7)
         got = partial_conjugate(*split(phi, F.xgrid, F.ygrid), xstars, ystars)
         assert_bitwise(got, want)
         assert_bitwise(got, lattice_brute(phi, xstars, ystars))

@@ -1,5 +1,6 @@
 """Epsilon-subdifferential calculus: polyhedra, LP queries, set formulas."""
 
+import importlib
 import math
 
 import numpy as np
@@ -750,6 +751,43 @@ class TestPrunedScoring:
             split += 0 < sum(got.rhs_mask) < got.n_samples
         assert split >= 10
 
+    @pytest.mark.parametrize("cap", [1, 3, 7, 50, None])
+    def test_marginal_check_at_any_block_size(self, cap, agree, monkeypatch):
+        # The marginal check gathers the lattice support one block of
+        # (x1*, y*) columns at a time; every block size, the default (None)
+        # among them, must give the reference's report bitwise.
+        conjugate_module = importlib.import_module("marginlab.conjugate")
+        if cap is not None:
+            monkeypatch.setattr(conjugate_module, "_MAXPLUS_CAP", cap)
+        blocks = []
+
+        def spy(total, width):
+            slices = list(conjugate_module.score_slices(total, width))
+            blocks.append(len(slices))
+            return slices
+
+        monkeypatch.setattr(subdiff, "score_slices", spy)
+        rng = np.random.default_rng(331 + (cap or 0))
+        for trial in range(24):
+            dim = 1 + trial % 2
+            if trial % 4 >= 2:
+                phi, F = non_dyadic_problem(rng, dim, 10.0 ** int(rng.integers(-3, 4)))
+            else:
+                phi, F = random_problem(rng, max_count=7 if dim == 1 else 4, xdim=dim, ydim=dim)
+            mu = marginal(phi, F).mu
+            finite = np.flatnonzero(np.isfinite(mu.values))
+            if not finite.size:
+                continue
+            count = 9 if dim == 1 else 3
+            duals = default_dual_grid(mu, count)
+            yduals = default_ydual_grid(phi, dim, count)
+            agree(
+                marginal_subdiff_check, reference_marginal_subdiff_check, phi, F, duals,
+                yduals, int(rng.choice(finite)), (0.0, 0.5)[trial % 2], trial % 4 == 1,
+            )
+        # A small cap splits some y0's columns over several blocks.
+        assert (max(blocks) > 1) == (cap is not None)
+
     def test_infinite_phi_on_graph_cells(self, agree):
         rng = np.random.default_rng(409)
         inf_cells = 0
@@ -835,7 +873,7 @@ class TestSplitHits:
                 any(a <= e1 + tol and b <= e2 + tol for e1, e2 in splits)
                 for a, b in zip(m1, cod)
             ]
-            assert (cod <= subdiff._split_bound(m1, splits)).tolist() == want
+            assert (cod <= subdiff._split_bound(splits)(m1)).tolist() == want
 
 
 class TestRestrictedConjugate:

@@ -219,7 +219,7 @@ class TestSupportIdentity:
 class TestCountSlices:
     @pytest.mark.parametrize("cap", [1, 3, 7, 50])
     def test_slices_cover_the_items_within_the_cap(self, cap, monkeypatch):
-        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_SCORE_CAP", cap)
+        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_BLAS_CAP", cap)
         rng = np.random.default_rng(cap)
         for _ in range(50):
             entries = rng.integers(1, 2 * cap + 2, size=int(rng.integers(0, 40)))
@@ -233,8 +233,8 @@ class TestCountSlices:
     def test_conjugate_check_equals_the_reference(self, cap, monkeypatch):
         # The reference scores in slices of whole cells sized by the dense
         # width; the check scores candidate cells in slices sized by their
-        # counts.  Both read _SCORE_CAP at call time.
-        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_SCORE_CAP", cap)
+        # counts.  Both read _BLAS_CAP at call time.
+        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_BLAS_CAP", cap)
         rng = np.random.default_rng(100 + cap)
         for trial in range(16):
             dim = 1 + trial % 2
