@@ -15,17 +15,14 @@ products are exact (dyadic data).  A linear-time transform (lower convex
 hull + monotone merge) reproduces the brute-force values on sorted 1-D
 data and separable multi-D data.
 
-The kernels here and their callers block their temporaries under one of
-two caps.  A max-plus block only adds, subtracts, takes max or min and
-gathers, so its size moves no bit; `score_slices` cuts those blocks to
-`_MAXPLUS_CAP` entries, about a cache's worth (`partial_conjugate`, the
-inf-convolution in `tables`, the pair scan of the one-constraint dual
-value, the coderivative scores of `subdiff.marginal_subdiff_check`).  A
-block whose rows reach a matrix product can move the last bit of a dot
-product over two or more coordinates, because BLAS rounds a row
-differently depending on how the rows are sliced; `max_dots_minus` and
-`count_slices` (the scored slices of `subdiff.conj_subdiff_check`) keep
-`_BLAS_CAP` entries, so their blocking, and their bits, stay as they are.
+Every dot product here, and in the checks built on these kernels, comes
+from `dots`: a sum from +0.0 over the per-coordinate products in
+coordinate order, so an entry's bits depend on its two rows alone and not
+on the table or block it is computed in.  The kernels and their callers
+cut their temporaries into blocks of at most `_BLOCK_CAP` entries, about
+a cache's worth (`score_slices`, `count_slices`); a block only takes dot
+products, adds, subtracts, takes max or min and gathers, so its size
+moves no bit.
 """
 
 from __future__ import annotations
@@ -49,43 +46,48 @@ from .core import (
 )
 from .errors import DimensionMismatch, GridMismatch, UnsupportedShape
 
-_CHUNK = 4096
-_MAXPLUS_CAP = 65_536  # entries per max-plus temporary (512 KB)
-_BLAS_CAP = 1_000_000  # entries per block whose rows reach a matrix product
-
-
-def _blocks(total: int, size: int):
-    """(lo, hi) blocks of at most `size` (>= 2) items covering range(total).
-
-    A one-item last block is pulled back to overlap its neighbour, so no
-    block is one item thin unless `total` is 1.
-    """
-    for lo in range(0, total, size):
-        hi = min(lo + size, total)
-        yield max(0, min(lo, hi - 2)), hi
+_BLOCK_CAP = 65_536  # entries per blocked temporary (512 KB)
 
 
 def score_slices(total: int, width: int):
     """Consecutive slices of range(total), each holding as many items as
-    fit in `_MAXPLUS_CAP` entries at `width` entries per item (at least one).
-
-    For max-plus loops only, whose block size moves no bit; a block whose
-    rows reach a matrix product is cut by `_BLAS_CAP` instead.
-    """
-    step = max(1, _MAXPLUS_CAP // max(1, width))
+    fit in `_BLOCK_CAP` entries at `width` entries per item (at least one)."""
+    step = max(1, _BLOCK_CAP // max(1, width))
     for lo in range(0, total, step):
         yield slice(lo, min(lo + step, total))
 
 
+def dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<a, b> over the last axis of A and B, their other axes broadcast:
+    `dots(A[:, None], B)` is the table of every row of A against every row
+    of B, `dots(A, b)` one value per row of A, and `dots(A, B)` on equal
+    row counts one value per pair of rows in order.
+
+    Each value starts from +0.0 and adds the per-coordinate products in
+    coordinate order, so it depends only on its two rows: the same bits in
+    any table, block or pairing that holds them.  Where every product and
+    partial sum is exact (dyadic data) the table equals `A @ B.T` bit for
+    bit, signed zeros included, because the +0.0 start turns a -0.0
+    product into 0.0.  The result is built in `score_slices` blocks along
+    its first axis, so a product temporary stays within the cap.
+    """
+    A, B = np.broadcast_arrays(np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64))
+    out = np.zeros(A.shape[:-1])
+    for sl in score_slices(out.shape[0], out[:1].size):
+        block = out[sl]
+        for k in range(A.shape[-1]):
+            block += A[sl, ..., k] * B[sl, ..., k]
+    return out
+
+
 def count_slices(entries: np.ndarray):
     """Consecutive slices of range(len(entries)) whose entries add up to at
-    most `_BLAS_CAP`; an item over the cap is a slice of its own.  The
-    slices cut dot-product tables, so the cap is the BLAS one."""
+    most `_BLOCK_CAP`; an item over the cap is a slice of its own."""
     ends = np.cumsum(entries)
     lo = 0
     while lo < ends.size:
         before = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, before + _BLAS_CAP, side="right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, before + _BLOCK_CAP, side="right")))
         yield slice(lo, hi)
         lo = hi
 
@@ -93,36 +95,19 @@ def count_slices(entries: np.ndarray):
 def max_dots_minus(queries: np.ndarray, points: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """max over rows p of <q, p> - v(p), per query row q.
 
-    All inputs finite; empty `points` yields -inf per query.  Work is
-    chunked over queries, and over points when two query rows exceed
-    `_BLAS_CAP`, so the score buffer holds at most max(_BLAS_CAP, 4)
-    entries.  The blocks are gemm blocks, so the cap is the BLAS one.
-    numpy sends a one-row or one-column product to gemv, which can round
-    differently from gemm, so no block is that thin unless the whole
-    product is.  On dyadic data the chunked maximum equals that of one
-    score matrix bitwise; with two or more coordinates BLAS can round a
-    row differently under another blocking.  Every chunk reuses one score
-    buffer: a new multi-megabyte temporary per chunk often comes back from
-    the allocator as fresh pages, and faulting those in costs about as much
-    as the arithmetic.
+    All inputs finite; empty `points` yields -inf per query.  The scores
+    are taken in blocks of at most `_BLOCK_CAP` entries, over points as
+    well when one query row exceeds the cap; each score is `dots` of its
+    two rows, so the blocked maximum equals that of one score matrix
+    bitwise.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    k, n = queries.shape[0], points.shape[0]
-    if n == 0:
-        return np.full(k, -INF)
-    rows = min(_CHUNK, _BLAS_CAP // n)
-    cols = n if rows >= 2 else max(2, _BLAS_CAP // 2)
-    rows = max(2, rows)
-    out = np.full(k, -INF)
-    scores = np.empty((min(rows, k), min(cols, n)))
-    best = np.empty(min(rows, k))
-    for lo, hi in _blocks(k, rows):
-        for clo, chi in _blocks(n, cols):
-            block = scores[: hi - lo, : chi - clo]
-            np.matmul(queries[lo:hi], points[clo:chi].T, out=block)
-            block -= vals[clo:chi]
-            block.max(axis=1, out=best[: hi - lo])
-            np.maximum(out[lo:hi], best[: hi - lo], out=out[lo:hi])
+    n = points.shape[0]
+    out = np.full(queries.shape[0], -INF)
+    for lo in range(0, n, _BLOCK_CAP):
+        P, v = points[lo : lo + _BLOCK_CAP], vals[lo : lo + _BLOCK_CAP]
+        for sl in score_slices(queries.shape[0], P.shape[0]):
+            np.maximum(out[sl], (dots(queries[sl, None], P) - v).max(axis=1), out=out[sl])
     return out
 
 
@@ -155,9 +140,9 @@ def partial_conjugate(
     point (xstars[a], ystars[b]), with its conventions: -inf anywhere gives
     +inf (its inner max is +inf), no finite value gives -inf.  The inner
     max over y runs once per x node with a finite value, the outer max over
-    x once per distinct x* row.  Both dot-product tables are taken whole and
-    only the max-plus steps are chunked, in `score_slices` blocks of
-    `_MAXPLUS_CAP` entries, so the chunk size changes no bit.
+    x once per distinct x* row.  Both dot-product tables come from `dots`,
+    and both maxima run in `score_slices` blocks, so the block size
+    changes no bit.
     """
     xstars = np.atleast_2d(np.asarray(xstars, dtype=np.float64))
     ystars = np.atleast_2d(np.asarray(ystars, dtype=np.float64))
@@ -167,13 +152,13 @@ def partial_conjugate(
     V, Xd = values[dom], X[dom]
     nd, ky = Xd.shape[0], ystars.shape[0]
 
-    dots = ystars @ Y.T
+    ydots = dots(ystars[:, None], Y)
     R = np.empty((nd, ky))
-    for sl in score_slices(nd, dots.size):
-        (dots[None, :, :] - V[sl, None, :]).max(axis=2, out=R[sl])
+    for sl in score_slices(nd, ydots.size):
+        (ydots[None, :, :] - V[sl, None, :]).max(axis=2, out=R[sl])
 
     T, inverse = unique_rows(xstars)
-    tx = T @ Xd.T
+    tx = dots(T[:, None], Xd)
     table = np.empty((T.shape[0], ky))
     for sl in score_slices(T.shape[0], nd * ky):
         (tx[sl, :, None] + R).max(axis=1, out=table[sl])
@@ -337,7 +322,7 @@ def fenchel_young_check(f: GriddedFunction, fstar: GriddedFunction) -> Verdict:
     finx, fins = f.finite_mask, fstar.finite_mask
     if not finx.any() or not fins.any():
         return Verdict("fenchel_young", True)
-    pair = fstar.grid.nodes[fins] @ f.grid.nodes[finx].T
+    pair = dots(fstar.grid.nodes[fins][:, None], f.grid.nodes[finx])
     total = fstar.values[fins][:, None] + f.values[finx][None, :]
     return Verdict("fenchel_young", bool(np.all(total >= pair - TOL)))
 

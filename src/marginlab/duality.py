@@ -79,7 +79,7 @@ def sampled_inf_convolution(
     over the x1duals and yduals nodes with lower addition; the result can
     only decrease when the split lattice is refined (nodes are kept).  The
     add-and-min runs in `tables.inf_convolution_min`, over blocks of points
-    of about `conjugate._MAXPLUS_CAP` entries.
+    of about `conjugate._BLOCK_CAP` entries.
     """
     at = np.atleast_2d(np.asarray(at, dtype=np.float64))
     return inf_convolution_min(
@@ -397,7 +397,7 @@ def _one_constraint_dual_value(fv: np.ndarray, g: np.ndarray) -> float:
     Caratheodory an optimum sits on at most two nodes: one node with
     g <= 0, or the mix of g_i < 0 < g_j that makes sum w g = 0, of value
     (f_i g_j - f_j g_i) / (g_j - g_i).  Pairs are scanned in `score_slices`
-    blocks of about `conjugate._MAXPLUS_CAP` entries; each pair's value is
+    blocks of about `conjugate._BLOCK_CAP` entries; each pair's value is
     computed alone, so the block size moves no bit.
     """
     vd = float(fv[g <= 0].min())

@@ -33,10 +33,14 @@ margin) minus the cell's offset can pass; one sorted table and one binary
 search over all cells list them, and only cells with a candidate are
 scored, in slices sized by their candidate counts.  `_split_bound` then
 tests all of a level's splits with one comparison per score.  The unpruned
-route stays in the tests as the oracle.  The conjugate tables the checks
-read (mu*, phi*, the graph support on the dual lattice) come from the
-`tables.Tables` store that each check takes first, so the command line
-shares one store per run across all of them.
+route stays in the tests as the oracle.  Every dot product these checks
+and the restricted conjugate identity take is `conjugate.dots` of its two
+rows, the same bits in any slice, so the pruned checks agree with the
+unpruned route and the identity holds bitwise on any data, dyadic or
+not.  The conjugate tables the checks read (mu*, phi*, the graph support
+on the dual lattice) come from the `tables.Tables` store that each check
+takes first, so the command line shares one store per run across all of
+them.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .conjugate import conjugate_at, count_slices, default_dual_grid, score_slices
+from .conjugate import count_slices, default_dual_grid, dots, score_slices
 from .core import (
     INF,
     TOL,
@@ -794,11 +798,11 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     support, inverse = tables.lattice_support
     flat = support.reshape(-1)
     starts = inverse.reshape(Ks, Kx) * Ky  # where the row of step x* - x1* starts in flat
-    TX0 = (T @ x0c).reshape(Ks, Kx)
+    TX0 = dots(T, x0c).reshape(Ks, Kx)
 
     phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
     feas_row = F.graph[xi]
-    dots1 = S @ x0c
+    dots1 = dots(S, x0c)
 
     # Each near-optimal y0 is scored once for every eta level admitting it,
     # and the coderivative scores only on the (x1*, y*) columns whose
@@ -810,7 +814,7 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     near = np.array([feas_row & (phi_row < mu0 + eta) for eta in DEFAULT_ETAS])
     masks = np.ones((len(DEFAULT_ETAS), Ks), dtype=bool)
     for yi in np.flatnonzero(near.any(axis=0)):
-        dots2 = Y1 @ F.ygrid.coords(int(yi))
+        dots2 = dots(Y1, F.ygrid.coords(int(yi)))
         m1_base = (phistar + phi_row[yi] - dots1[:, None] - dots2[None, :]).reshape(-1)
         cols = np.flatnonzero(m1_base <= e1_top)
         j, k = np.divmod(cols, Ky)
@@ -858,19 +862,23 @@ class RestrictedConjugateReport:
 def restricted_conjugate_check(tables: Tables) -> RestrictedConjugateReport:
     """mu*(x*) equals the conjugate of phi + indicator(gph F) at (x*, 0).
 
-    Both sides are finite maxima over the same point set, so equality is
-    exact (bitwise), not merely within tolerance.  The x* grid and mu* on it
-    come from the store.
+    The right side is the maximum over graph cells (x, y) of
+    D[x*, x] - phi(x, y), with D the table of <x*, x>, taken in
+    `score_slices` blocks of cells.  It keeps `conjugate_at`'s conventions
+    by extended arithmetic: a -inf cell scores +inf, a +inf cell -inf, and
+    no cell leaves -inf.  The entries of D are bitwise the dot products
+    inside mu*, and rounding a difference is monotone, so the max over y
+    of fl(D - phi(x, y)) is fl(D - mu(x)): equality is exact (bitwise) on
+    any data.  The x* grid and mu* on it come from the store.
     """
     phi, F, duals = tables.phi, tables.F, tables.xduals
     lhs = tables.mustar.values
-    tilde = GriddedFunction(
-        phi.grid,
-        np.where(F.graph.reshape(-1), phi.values, INF),
-        provenance="phi + indicator(gph F)",
-    )
-    pts = np.hstack([duals.nodes, np.zeros((duals.size, F.ygrid.dim))])
-    rhs = conjugate_at(tilde, pts)
+    gx, gy = F.graph_cells
+    phig = phi.values.reshape(F.xgrid.size, F.ygrid.size)[gx, gy]
+    D = dots(duals.nodes[:, None], F.xgrid.nodes)
+    rhs = np.full(duals.size, -INF)
+    for sl in score_slices(gx.size, duals.size):
+        np.maximum(rhs, (D[:, gx[sl]] - phig[sl]).max(axis=1), out=rhs)
     ok = bool(np.array_equal(lhs, rhs))
     return RestrictedConjugateReport(
         ok,
@@ -913,13 +921,10 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     roundings, so the cutoff carries a margin of a few ulps of the largest
     finite terms; a looser margin only admits more candidates.  Both scores
     are then built at the candidates alone, with the same expressions as on
-    the whole lattice.  Their dot-product tables cover the rows of the cells
-    with a candidate, in slices sized by their candidate counts, and never
-    one row alone, which numpy would send to gemv.  On dyadic data every
-    dot product is exact, so each comparison sees the floats of the
-    unpruned route.  Otherwise a dot product over two or more coordinates
-    can round differently where BLAS blocks the rows differently, as it
-    does in the unpruned route under another `_BLAS_CAP`.
+    the whole lattice, in slices sized by the candidate counts.  Every dot
+    product is `dots` of its two rows, taken per candidate, with the bits of
+    the unpruned route's table entry, so each comparison sees the floats of
+    the unpruned route on any data.
 
     Unconditionally, every pre-dilation eta-level member must lie in the
     (eps+eta)-subdifferential of mu*; two-sided agreement at the nominal
@@ -950,7 +955,7 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     lhs_mask = lhs_poly.contains(sample)
 
     Y1 = tables.yduals.nodes
-    Kx, Ky = duals.size, Y1.shape[0]
+    Ky = Y1.shape[0]
     X1 = duals.nodes
     T = split_lattice(s0[None, :], duals)
     phistar = tables.phistar
@@ -978,7 +983,7 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
         + xnorm * (_finite_max(X1) + _finite_max(T) + _finite_max(s0))
         + 2.0 * _finite_max(np.abs(Y[F.graph.any(axis=0)]).sum(axis=1)) * _finite_max(Y1)
     )
-    key = cutoff + (m + 16) * np.finfo(np.float64).eps * scale - (phig - (X @ s0)[gx])
+    key = cutoff + (m + 16) * np.finfo(np.float64).eps * scale - (phig - dots(X, s0)[gx])
     G = (phistar + fsupport).reshape(-1)
     order = np.argsort(G)
     G = G[order]
@@ -986,27 +991,24 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
 
     # Candidate (cell, pair) triples: a cell takes the first counts[cell]
     # pairs in G order.  Only cells with a candidate are scored, in slices
-    # whose temporaries stay within _BLAS_CAP entries: about ten arrays of
-    # one entry per triple, and one dot table at a time with a row per cell.
+    # whose temporaries stay within `count_slices`' cap: about ten arrays of
+    # one entry per triple, plus the x and y rows of its dot products.
     counts = np.searchsorted(G, key, side="right")
     del key
     cells = np.flatnonzero(counts)
     counts = counts[cells]
     found = np.zeros((len(DEFAULT_ETAS), F.xgrid.size), dtype=bool)
-    for sl in count_slices(10 * counts + max(Kx, Ky)):
-        n, cs = counts[sl], cells[sl]
-        r = np.repeat(np.arange(n.size), n)  # dot-table row of each triple
-        at = np.arange(r.size) - np.repeat(np.cumsum(n) - n, n)
+    for sl in count_slices((10 + 3 * m + 2 * Y.shape[1]) * counts):
+        n = counts[sl]
+        c = np.repeat(cells[sl], n)  # graph cell of each triple
+        at = np.arange(c.size) - np.repeat(np.cumsum(n) - n, n)
         j, k = pair_j[at], pair_k[at]
-        # numpy sends a one-row product to gemv, which may round
-        # differently, so a lone cell is scored on two copies of its row.
-        rows = cs if cs.size > 1 else np.repeat(cs, 2)
-        Xs, Ys = X[gx[rows]], Y[gy[rows]]
-        ydots = (Ys @ Y1.T)[r, k]
-        m1 = (phistar[j, k] + phig[cs][r]) - ((Xs @ X1.T)[r, j] + ydots)
-        cod = fsupport[j, k] - ((Xs @ T.T)[r, j] - ydots)
+        Xs, Ys = X[gx[c]], Y[gy[c]]
+        ydots = dots(Ys, Y1[k])
+        m1 = (phistar[j, k] + phig[c]) - (dots(Xs, X1[j]) + ydots)
+        cod = fsupport[j, k] - (dots(Xs, T[j]) - ydots)
         for level_found, bound in zip(found, bounds):
-            level_found[gx[cs[r[cod <= bound(m1)]]]] = True
+            level_found[gx[c[cod <= bound(m1)]]] = True
 
     levels = [
         (eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1))

@@ -84,7 +84,7 @@ def inf_convolution_min(
     phistar.shape[0] consecutive inverse entries.  Lower addition: phi* is
     all +inf, all -inf or finite, F* all -inf or finite, and +inf wins.
     The add-and-min runs over `score_slices` blocks of points, about
-    `conjugate._MAXPLUS_CAP` entries each; it only gathers, adds and takes
+    `conjugate._BLOCK_CAP` entries each; it only gathers, adds and takes
     minima, so the block size moves no bit.
     """
     k1, ky = phistar.shape

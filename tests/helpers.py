@@ -25,7 +25,7 @@ from marginlab import (
     product_grid,
     subdiff,
 )
-from marginlab.conjugate import count_slices
+from marginlab.conjugate import dots
 from marginlab.nearconvex import box_dilate
 from marginlab.setmap import split_lattice
 
@@ -324,16 +324,16 @@ def reference_marginal_subdiff_check(phi, F, duals, yduals, x0, eps, qc14=False)
         phi.values.reshape(F.xgrid.size, -1), F.xgrid.nodes, F.ygrid.nodes, S, Y1
     )
     fsupport = graph_support(F, T, -Y1).reshape(Ks, Kx, Ky)
-    TX0 = (T @ x0c).reshape(Ks, Kx)
+    TX0 = dots(T, x0c).reshape(Ks, Kx)
     phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
     feas_row = F.graph[xi]
-    dots1 = S @ x0c
+    dots1 = dots(S, x0c)
     levels = []
     for eta in subdiff.DEFAULT_ETAS:
         y_near = np.flatnonzero(feas_row & (phi_row < mu0 + eta))
         eta_mask = np.ones(Ks, dtype=bool)
         for yi in y_near:
-            dots2 = Y1 @ F.ygrid.coords(int(yi))
+            dots2 = dots(Y1, F.ygrid.coords(int(yi)))
             m1_base = phistar + phi_row[yi] - dots1[:, None] - dots2[None, :]
             cod_base = fsupport - TX0[:, :, None] + dots2[None, None, :]
             splits = subdiff._split_pairs(eps + eta, subdiff.THEOREM_SPLITS)
@@ -370,7 +370,6 @@ def reference_conj_subdiff_check(phi, F, duals, yduals, x0star, eps, qc14=False)
     sample = F.xgrid.nodes
     lhs_mask = subdiff.eps_subdifferential(mustar, si, eps).contains(sample)
     Y1 = yduals.nodes
-    Kx, Ky = duals.size, Y1.shape[0]
     X1 = duals.nodes
     T = split_lattice(s0[None, :], duals)
     phistar = partial_conjugate(
@@ -380,21 +379,14 @@ def reference_conj_subdiff_check(phi, F, duals, yduals, x0star, eps, qc14=False)
     gx, gy = F.graph_cells
     Xg, Yg = F.xgrid.nodes[gx], F.ygrid.nodes[gy]
     phig = phi.values.reshape(F.xgrid.size, F.ygrid.size)[gx, gy]
-    n_cells = gx.shape[0]
-    etas = subdiff.DEFAULT_ETAS
-    splits = {eta: subdiff._split_pairs(eps + eta, subdiff.THEOREM_SPLITS) for eta in etas}
-    cell_ok = {eta: np.zeros(n_cells, dtype=bool) for eta in etas}
-    # Whole cells per slice, sized as the check sizes its BLAS-fed slices.
-    for sl in count_slices(np.full(n_cells, Kx * Ky)):
-        ydots = (Yg[sl] @ Y1.T)[:, None, :]
-        m1_base = phistar + phig[sl, None, None] - ((Xg[sl] @ X1.T)[:, :, None] + ydots)
-        cod_base = fsupport - ((Xg[sl] @ T.T)[:, :, None] - ydots)
-        for eta in etas:
-            cell_ok[eta][split_hits(m1_base, cod_base, splits[eta]) + sl.start] = True
+    ydots = dots(Yg[:, None], Y1)[:, None, :]
+    m1_base = phistar + phig[:, None, None] - (dots(Xg[:, None], X1)[:, :, None] + ydots)
+    cod_base = fsupport - (dots(Xg[:, None], T)[:, :, None] - ydots)
     levels = []
-    for eta in etas:
+    for eta in subdiff.DEFAULT_ETAS:
+        splits = subdiff._split_pairs(eps + eta, subdiff.THEOREM_SPLITS)
         raw = np.zeros(F.xgrid.size, dtype=bool)
-        np.logical_or.at(raw, gx, cell_ok[eta])
+        raw[gx[split_hits(m1_base, cod_base, splits)]] = True
         levels.append((eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1)))
     return subdiff._theorem_report(
         mustar, si, eps, sample, lhs_mask, levels, contains, qc14, *named

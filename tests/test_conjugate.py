@@ -1,6 +1,8 @@
 """Fenchel conjugates: fast vs brute force, conventions, infimal convolution."""
 
+import ast
 import importlib
+import inspect
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ from marginlab import (
     inf_convolution,
     partial_conjugate,
     product_grid,
+    subdiff,
     support_function,
 )
 
@@ -70,32 +73,122 @@ class TestConjugateConventions:
             np.testing.assert_array_equal(got, want)
 
 
+def python_dots(A, B):
+    """<a, b> per row pair by plain Python floats: +0.0 plus each
+    coordinate's product in coordinate order."""
+    out = np.empty((A.shape[0], B.shape[0]))
+    for i, a in enumerate(A.tolist()):
+        for j, b in enumerate(B.tolist()):
+            total = 0.0
+            for x, y in zip(a, b):
+                total += x * y
+            out[i, j] = total
+    return out
+
+
+class TestDots:
+    def test_equals_the_python_sum_on_non_dyadic_data(self):
+        rng = np.random.default_rng(127)
+        for _ in range(40):
+            d = int(rng.integers(1, 5))
+            A = rng.standard_normal((int(rng.integers(1, 12)), d)) * 10.0 ** int(rng.integers(-3, 4))
+            B = rng.standard_normal((int(rng.integers(1, 12)), d))
+            table = python_dots(A, B)
+            assert_bitwise(conjugate_module.dots(A[:, None], B), table)
+            assert_bitwise(conjugate_module.dots(A, B[0]), table[:, 0])
+            # Paired rows take the bits of their table entries.
+            i, j = rng.integers(0, A.shape[0], 30), rng.integers(0, B.shape[0], 30)
+            assert_bitwise(conjugate_module.dots(A[i], B[j]), table[i, j])
+
+    def test_equals_matmul_on_dyadic_data_with_signed_zeros(self):
+        # Every product and partial sum is exact here, so only the start of
+        # the sum can tell the two apart: from +0.0 a -0.0 product gives 0.0,
+        # as BLAS does.
+        rng = np.random.default_rng(129)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 3.0, -0.75, 2.0**-10])
+        zeros = 0
+        for _ in range(3000):
+            d = int(rng.integers(1, 5))
+            A = rng.choice(pool, size=(int(rng.integers(1, 40)), d))
+            B = rng.choice(pool, size=(int(rng.integers(1, 40)), d))
+            want = A @ B.T
+            zeros += bool((want == 0.0).any())
+            assert_bitwise(conjugate_module.dots(A[:, None], B), want)
+        assert zeros > 1000
+
+
+def matrix_products(source):
+    """Line numbers of `@` and of matmul/dot/einsum/inner calls in source."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"matmul", "dot", "einsum", "inner"}
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestOneBlockRule:
+    """Every dot product of the conjugate kernels and of the checks that
+    claim bitwise agreement goes through `conjugate.dots`; a BLAS product
+    could round a row differently in another block."""
+
+    def test_guard_sees_every_form(self):
+        source = (
+            "a @ b\na @= b\nnp.matmul(a, b)\nnp.dot(a, b)\na.dot(b)\n"
+            "np.einsum('ij,kj', a, b)\nnumpy.inner(a, b)\nnp.multiply.outer(a, b)\n"
+        )
+        assert matrix_products(source) == [1, 2, 3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            conjugate_module,
+            subdiff.marginal_subdiff_check,
+            subdiff.conj_subdiff_check,
+            subdiff.restricted_conjugate_check,
+        ],
+    )
+    def test_no_matrix_product(self, target):
+        assert matrix_products(inspect.getsource(target)) == []
+
+
+def definition_max_dots_minus(Q, P, v):
+    """max over p of <q, p> - v(p) on one whole score matrix."""
+    return (python_dots(Q, P) - v[None, :]).max(axis=1)
+
+
 class TestMaxDotsMinus:
-    @pytest.mark.parametrize("cap", [1, 50, 1_000_000])
+    @pytest.mark.parametrize("cap", [1, 3, 50, None])
     def test_chunks_match_one_score_matrix_bitwise(self, monkeypatch, cap):
-        # cap 1 forces 2 x 2 blocks; cap 50 forces short row blocks, or
-        # column blocks when two rows exceed it, with ragged last ones.
-        monkeypatch.setattr(conjugate_module, "_BLAS_CAP", cap)
+        # cap 1 scores one entry per block; cap 3 and 50 cut short row
+        # blocks, or column blocks when one row exceeds the cap, with
+        # ragged last ones; None keeps the default.
+        if cap is not None:
+            monkeypatch.setattr(conjugate_module, "_BLOCK_CAP", cap)
         rng = np.random.default_rng(131)
-        for _ in range(20):
-            d = int(rng.integers(1, 4))
-            Q = rng.standard_normal((int(rng.integers(1, 300)), d))
+        for trial in range(24):
+            d = 1 + trial % 4
+            Q = rng.standard_normal((int(rng.integers(1, 60)), d)) * 3.0
             P = rng.standard_normal((int(rng.integers(1, 40)), d))
             v = rng.standard_normal(P.shape[0])
             got = conjugate_module.max_dots_minus(Q, P, v)
-            want = (Q @ P.T - v[None, :]).max(axis=1)
-            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            assert_bitwise(got, definition_max_dots_minus(Q, P, v))
 
     @pytest.mark.parametrize("cap", [1, 5, 64, 301])
     def test_score_buffer_honours_the_cap(self, monkeypatch, cap):
-        monkeypatch.setattr(conjugate_module, "_BLAS_CAP", cap)
-        matmul, sizes = np.matmul, []
+        monkeypatch.setattr(conjugate_module, "_BLOCK_CAP", cap)
+        dots, sizes = conjugate_module.dots, []
 
-        def spy(a, b, out):
-            sizes.append(out.size)
-            return matmul(a, b, out=out)
+        def spy(A, B):
+            sizes.append(A.shape[0] * B.shape[0])
+            return dots(A, B)
 
-        monkeypatch.setattr(conjugate_module.np, "matmul", spy)
+        monkeypatch.setattr(conjugate_module, "dots", spy)
         rng = np.random.default_rng(137)
         for _ in range(30):
             d = int(rng.integers(1, 4))
@@ -104,11 +197,9 @@ class TestMaxDotsMinus:
             v = rng.standard_normal(P.shape[0])
             sizes.clear()
             got = conjugate_module.max_dots_minus(Q, P, v)
-            want = (Q @ P.T - v[None, :]).max(axis=1)
-            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-            # 2 x 2 is the thinnest block that numpy still sends to gemm.
-            assert max(sizes) <= max(cap, 4)
-            assert len(sizes) > 1 or Q.shape[0] * P.shape[0] <= max(cap, 4)
+            assert_bitwise(got, definition_max_dots_minus(Q, P, v))
+            assert max(sizes) <= cap
+            assert sum(sizes) == Q.shape[0] * P.shape[0]
 
     def test_no_points_gives_minus_inf(self):
         kernel = conjugate_module.max_dots_minus
@@ -231,7 +322,7 @@ class TestPartialConjugate:
         phi, F = random_problem(rng, max_count=6, xdim=2, ydim=2)
         xstars, ystars = dyadic_rows(rng, 40, 2), dyadic_rows(rng, 9, 2)
         want = partial_conjugate(*split(phi, F.xgrid, F.ygrid), xstars, ystars)
-        monkeypatch.setattr(conjugate_module, "_MAXPLUS_CAP", 7)
+        monkeypatch.setattr(conjugate_module, "_BLOCK_CAP", 7)
         got = partial_conjugate(*split(phi, F.xgrid, F.ygrid), xstars, ystars)
         assert_bitwise(got, want)
         assert_bitwise(got, lattice_brute(phi, xstars, ystars))

@@ -118,7 +118,7 @@ class TestSampledInfConvolution:
     @pytest.mark.parametrize("cap", [1, 40, 200])
     def test_small_cap_chunks_the_evaluation_points(self, monkeypatch, cap):
         # Lattices of 8-20 (x1*, y*) pairs: 1, 2-5 or 10-25 points per block.
-        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_MAXPLUS_CAP", cap)
+        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_BLOCK_CAP", cap)
         rng = np.random.default_rng(137 + cap)
         for _ in range(4):
             phi, F = random_problem(rng, max_count=4, xdim=2, ydim=1)
@@ -329,7 +329,7 @@ class TestSlater:
 
     def test_one_constraint_value_on_random_programs(self, monkeypatch):
         # A tiny block size makes every pair scan run over several blocks.
-        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_MAXPLUS_CAP", 3)
+        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_BLOCK_CAP", 3)
         rng = np.random.default_rng(113)
         for _ in range(300):
             n = int(rng.integers(1, 30))

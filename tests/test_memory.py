@@ -11,19 +11,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from marginlab import Tables, conjugate_representation_check, marginal_subdiff_check
+from marginlab import (
+    Tables,
+    conjugate_representation_check,
+    marginal_subdiff_check,
+    restricted_conjugate_check,
+)
 
 from helpers import load_fixture
 
 MB = 2**20
 
 
-@pytest.fixture(scope="module")
-def filled():
+def filled_store(refine):
     spec = load_fixture("separable_quadratic")
-    tables = Tables(*spec.build(1), spec.xduals, spec.yduals)
+    tables = Tables(*spec.build(refine), spec.xduals, spec.yduals)
     tables.mustar, tables.phistar, tables.lattice_support, tables.inf_convolution
     return tables
+
+
+@pytest.fixture(scope="module")
+def filled():
+    return filled_store(1)
 
 
 def traced_peak(call) -> int:
@@ -46,3 +55,11 @@ def test_marginal_check_holds_no_table_of_every_step(filled):
 def test_representation_check_blocks_its_refined_lattice(filled):
     peak = traced_peak(lambda: conjugate_representation_check(filled))
     assert peak <= 7 * MB
+
+
+def test_restricted_check_scores_graph_cells_in_blocks():
+    # 83,521 (x, y) nodes at --refine 4: a copy of their coordinates is
+    # 2.5 MB, the graph cells and their phi values 2 MB.
+    tables = filled_store(4)
+    peak = traced_peak(lambda: restricted_conjugate_check(tables))
+    assert peak <= 5 * MB

@@ -755,10 +755,11 @@ class TestPrunedScoring:
     def test_marginal_check_at_any_block_size(self, cap, agree, monkeypatch):
         # The marginal check gathers the lattice support one block of
         # (x1*, y*) columns at a time; every block size, the default (None)
-        # among them, must give the reference's report bitwise.
+        # among them, must give the reference's report bitwise, also on
+        # inexact dot products over two and three coordinates.
         conjugate_module = importlib.import_module("marginlab.conjugate")
         if cap is not None:
-            monkeypatch.setattr(conjugate_module, "_MAXPLUS_CAP", cap)
+            monkeypatch.setattr(conjugate_module, "_BLOCK_CAP", cap)
         blocks = []
 
         def spy(total, width):
@@ -768,9 +769,9 @@ class TestPrunedScoring:
 
         monkeypatch.setattr(subdiff, "score_slices", spy)
         rng = np.random.default_rng(331 + (cap or 0))
-        for trial in range(24):
-            dim = 1 + trial % 2
-            if trial % 4 >= 2:
+        for trial in range(30):
+            dim = 1 + trial % 3
+            if trial % 4 >= 2 or dim == 3:
                 phi, F = non_dyadic_problem(rng, dim, 10.0 ** int(rng.integers(-3, 4)))
             else:
                 phi, F = random_problem(rng, max_count=7 if dim == 1 else 4, xdim=dim, ydim=dim)
@@ -884,6 +885,18 @@ class TestRestrictedConjugate:
             duals = dyadic_grid(rng, dim=F.xgrid.dim, max_count=5)
             rep = restricted_conjugate_check(Tables(phi, F, duals))
             assert rep.ok
+            assert rep.max_abs_diff == 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bitwise_equality_on_non_dyadic_data(self, dim):
+        # A 7-node non-dyadic x* box per axis.  While dot products went
+        # through BLAS, 3-D seeds such as 1076 and 1122 broke the identity
+        # by a last bit.
+        for seed in range(1000, 1600):
+            phi, F = non_dyadic_problem(np.random.default_rng(seed), dim, 1.0)
+            duals = default_dual_grid(marginal(phi, F).mu, 7)
+            rep = restricted_conjugate_check(Tables(phi, F, duals))
+            assert rep.ok, seed
             assert rep.max_abs_diff == 0.0
 
     def test_reported_tables_match(self):

@@ -219,7 +219,7 @@ class TestSupportIdentity:
 class TestCountSlices:
     @pytest.mark.parametrize("cap", [1, 3, 7, 50])
     def test_slices_cover_the_items_within_the_cap(self, cap, monkeypatch):
-        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_BLAS_CAP", cap)
+        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_BLOCK_CAP", cap)
         rng = np.random.default_rng(cap)
         for _ in range(50):
             entries = rng.integers(1, 2 * cap + 2, size=int(rng.integers(0, 40)))
@@ -229,16 +229,18 @@ class TestCountSlices:
             for sl in slices:
                 assert entries[sl].sum() <= cap or sl.stop - sl.start == 1
 
-    @pytest.mark.parametrize("cap", [1, 3, 7, 50])
+    @pytest.mark.parametrize("cap", [1, 3, 7, 50, None])
     def test_conjugate_check_equals_the_reference(self, cap, monkeypatch):
-        # The reference scores in slices of whole cells sized by the dense
-        # width; the check scores candidate cells in slices sized by their
-        # counts.  Both read _BLAS_CAP at call time.
-        monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_BLAS_CAP", cap)
-        rng = np.random.default_rng(100 + cap)
-        for trial in range(16):
-            dim = 1 + trial % 2
-            if trial % 4 >= 2:
+        # The reference scores every cell at once; the check scores
+        # candidate cells in slices sized by their counts under the cap
+        # (None keeps the default), also on inexact dot products over two
+        # and three coordinates.
+        if cap is not None:
+            monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_BLOCK_CAP", cap)
+        rng = np.random.default_rng(100 + (cap or 0))
+        for trial in range(18):
+            dim = 1 + trial % 3
+            if trial % 4 >= 2 or dim == 3:
                 phi, F = non_dyadic_problem(rng, dim, 10.0 ** int(rng.integers(-3, 4)))
             else:
                 phi, F = random_problem(rng, max_count=7 if dim == 1 else 4, xdim=dim, ydim=dim)
