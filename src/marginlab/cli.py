@@ -31,6 +31,14 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+# numpy's bundled OpenBLAS starts one worker thread per core when it loads,
+# and each worker spins for about 0.1 s of CPU waiting for work.  A command
+# gives it none worth splitting (the kernels take their dot products through
+# conjugate.dots, not BLAS), so a CLI process loads numpy with one thread.
+# The lazy package namespace leaves numpy unloaded until this module imports
+# it; a value the caller set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .conjugate import (
@@ -110,8 +118,9 @@ def _node_table(
 ) -> list[str]:
     """CSV header plus one row per grid node: index, coordinates, columns."""
     rows = [",".join(["index", *axis_names(var, grid.dim), *columns])]
+    nodes = grid.nodes
     for i in range(grid.size):
-        cells = [str(i), *_cells(grid.coords(i))]
+        cells = [str(i), *_cells(nodes[i])]
         rows.append(",".join(cells + [col[i] for col in columns.values()]))
     return rows
 

@@ -149,7 +149,7 @@ def partial_conjugate(
     dom = (values < INF).any(axis=1)
     if not dom.any():
         return np.full((xstars.shape[0], ystars.shape[0]), -INF)
-    V, Xd = values[dom], X[dom]
+    V, Xd = (values, X) if dom.all() else (values[dom], X[dom])
     nd, ky = Xd.shape[0], ystars.shape[0]
 
     ydots = dots(ystars[:, None], Y)

@@ -161,16 +161,22 @@ class Grid:
     def axis_coords(self) -> tuple[np.ndarray, ...]:
         return tuple(a.coords() for a in self.axes)
 
+    def mesh(self) -> np.ndarray:
+        """All node coordinates, shape (size, dim), row-major order; a new
+        array on each call, which the grid does not keep."""
+        mesh = np.meshgrid(*self.axis_coords, indexing="ij")
+        return np.stack(mesh, axis=-1).reshape(self.size, self.dim)
+
     @cached_property
     def nodes(self) -> np.ndarray:
-        """All node coordinates, shape (size, dim), row-major order."""
-        mesh = np.meshgrid(*self.axis_coords, indexing="ij")
-        out = np.stack(mesh, axis=-1).reshape(self.size, self.dim)
+        """`mesh()`, read-only and kept for the grid's lifetime."""
+        out = self.mesh()
         out.setflags(write=False)
         return out
 
     def coords(self, flat: int) -> np.ndarray:
-        return self.nodes[flat]
+        """Coordinates of one node, without building the node table."""
+        return np.array([c[k] for c, k in zip(self.axis_coords, self.multi(flat))])
 
     def multi(self, flat: int) -> tuple[int, ...]:
         return tuple(int(k) for k in np.unravel_index(flat, self.shape))
@@ -292,7 +298,7 @@ def name_environment(
         raise DimensionMismatch(
             f"{len(names)} variable names for a {grid.dim}-dimensional grid"
         )
-    cols = grid.nodes
+    cols = grid.mesh()  # the grid keeps no table of every node
     env = {name: cols[:, k] for k, name in enumerate(names)}
     for alias, target in (aliases or {}).items():
         env[alias] = env[target]

@@ -508,17 +508,110 @@ class TestLayering:
 
     SRC = Path(__file__).resolve().parent.parent / "src"
 
-    def python(self, *args):
+    def python(self, *args, **env):
+        """A child interpreter on this checkout's src; `env` overrides the
+        environment, and a None value removes the variable."""
         path = os.pathsep.join(filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
+        env = {**os.environ, "PYTHONPATH": path, **env}
         return subprocess.run(
-            [sys.executable, *args], capture_output=True, text=True, env=env
+            [sys.executable, *args], capture_output=True, text=True,
+            env={k: v for k, v in env.items() if v is not None},
         )
 
     def test_library_import_leaves_the_cli_unloaded(self):
         done = self.python("-c", "import sys, marginlab; print('marginlab.cli' in sys.modules)")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+    def test_library_import_leaves_numpy_unloaded(self):
+        done = self.python("-c", "import sys, marginlab; print('numpy' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    PUBLIC_NAMES = """
+        ATTAINED Axis ConjugateRepresentationReport DEFAULT_ETAS DimensionMismatch
+        DualityReport EpigraphReport EpsSubdifferentialReport ExprSyntaxError
+        ExpressionError FastConjugateReport Grid GridMismatch GridNotAdapted
+        GriddedFunction HPolyhedron HypothesisNotMet INF INFEASIBLE ImageReport
+        Interval LagrangianIdentityReport LagrangianTable LipschitzReport
+        MarginalResult MarginlabError MissingSection NearConvexityReport
+        NonFiniteExpression NotANode NotFiniteAtPoint NotNodePreserving NotOnGraph
+        PointNotInSet ProbeLevel ProblemSpec RasterCheckReport RasterError RasterSet
+        RestrictedConjugateReport SemicontinuityReport SetValuedMap SlaterReport
+        SpecError SpecSyntaxError StructureReport SumRuleReport Tables TheoremReport
+        UNBOUNDED UnknownKey UnknownVariable UnsupportedDimension UnsupportedShape
+        Verdict ZeroNotOnGrid biconjugate biconjugate_minorant_check closure
+        conj_subdiff_check conjugate conjugate_at conjugate_fast
+        conjugate_representation_check convexity_check default_dual_grid
+        domain_identity_check dual_value_1 dual_value_2 dump_raster
+        epigraph_projection_check eps_coderivative eps_normal_cone eps_subdifferential
+        eps_subdifferential_check eta_solutions eval_on_grid ext_add_arrays ext_sum
+        fast_conjugate_check feasible_point fenchel_young_check full_map
+        graph_adapted_xgrid graph_support hull_raster image_preservation_check
+        inf_convolution interior intersection_preservation_check is_convex_raster
+        is_empty is_int_nearly_convex is_nearly_convex_with_witness lagrangian_dual
+        lagrangian_identity_check lipschitz_estimate_map lipschitz_probe load_raster
+        map_conjugate map_conjugate_at map_from_constraints map_from_inequalities
+        map_from_points marginal marginal_structure_check marginal_subdiff_check
+        max_dots_minus parse_spec partial_conjugate primal_value product_grid
+        projection_map raster_check refine_raster render_value
+        restricted_conjugate_check sampled_inf_convolution semicontinuity_probe
+        slater_strong_duality_check strong_duality_check sum_rule_check
+        support_function
+    """.split()
+
+    def test_public_names_resolve_to_their_submodules(self):
+        import importlib
+
+        import marginlab
+
+        assert sorted(marginlab.__all__) == self.PUBLIC_NAMES
+        assert dir(marginlab) == marginlab.__all__
+        for name in marginlab.__all__:
+            module = importlib.import_module(f"marginlab.{marginlab._ORIGIN[name]}")
+            assert getattr(marginlab, name) is getattr(module, name), name
+
+    FUNCTIONS_AFTER_CLI = """\
+import types
+import marginlab.cli
+import marginlab
+from marginlab import conjugate, marginal
+for f in (marginlab.marginal, marginlab.conjugate, marginal, conjugate):
+    assert isinstance(f, types.FunctionType), f
+print(marginlab.conjugate.__module__, marginlab.marginal.__module__)
+"""
+
+    def test_marginal_and_conjugate_stay_functions_after_cli_import(self):
+        done = self.python("-c", self.FUNCTIONS_AFTER_CLI)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["marginlab.conjugate", "marginlab.marginal"]
+
+    BLAS_THREADS = """\
+import os
+import marginlab.cli
+status = open("/proc/self/status").read()
+threads = next(l.split()[1] for l in status.splitlines() if l.startswith("Threads:"))
+print(os.environ["OPENBLAS_NUM_THREADS"], threads)
+"""
+
+    def blas_threads(self, value):
+        """OPENBLAS_NUM_THREADS and the thread count of a child that imports
+        the CLI, started with the variable at `value` (None: unset)."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if not Path("/proc/self/status").exists() or (os.cpu_count() or 1) == 1:
+            pytest.skip("needs /proc and more than one core to count BLAS threads")
+        if "openblas" not in blas.lower():
+            pytest.skip(f"numpy is built against {blas}, not OpenBLAS")
+        done = self.python("-c", self.BLAS_THREADS, OPENBLAS_NUM_THREADS=value)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_cli_process_starts_one_blas_thread(self):
+        assert self.blas_threads(None) == ["1", "1"]
+
+    def test_explicit_blas_thread_count_wins(self):
+        value, threads = self.blas_threads("2")
+        assert value == "2" and int(threads) > 1
 
     def test_cli_imports_only_public_library_names(self):
         tree = ast.parse((self.SRC / "marginlab" / "cli.py").read_text(encoding="utf-8"))

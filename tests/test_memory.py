@@ -1,4 +1,5 @@
-"""Allocation peaks of the checks whose temporaries are blocked.
+"""Allocation peaks of the checks whose temporaries are blocked, and the
+tables a run keeps.
 
 numpy reports its buffers to tracemalloc, so the traced peak of a call is
 what its temporaries and results take on top of what the process already
@@ -12,13 +13,16 @@ import numpy as np
 import pytest
 
 from marginlab import (
+    ProblemSpec,
     Tables,
     conjugate_representation_check,
     marginal_subdiff_check,
+    partial_conjugate,
     restricted_conjugate_check,
 )
+from marginlab.cli import main
 
-from helpers import load_fixture
+from helpers import FIXTURES, load_fixture
 
 MB = 2**20
 
@@ -63,3 +67,38 @@ def test_restricted_check_scores_graph_cells_in_blocks():
     tables = filled_store(4)
     peak = traced_peak(lambda: restricted_conjugate_check(tables))
     assert peak <= 5 * MB
+
+
+def test_partial_conjugate_copies_no_full_domain():
+    # 20,000 x 50 finite values are 7.6 MB; with every row in the domain the
+    # kernel reads them in place.  An all-+inf row leaves the domain without
+    # moving a value, and forces the masked copies.
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((20_000, 50))
+    X, Y = rng.standard_normal((20_000, 2)), rng.standard_normal((50, 1))
+    xstars, ystars = rng.standard_normal((3, 2)), rng.standard_normal((4, 1))
+    peak = traced_peak(lambda: partial_conjugate(values, X, Y, xstars, ystars))
+    assert peak <= values.nbytes / 4
+    masked = partial_conjugate(
+        np.vstack([values, np.full((1, 50), np.inf)]), np.vstack([X, [[9.0, 9.0]]]),
+        Y, xstars, ystars,
+    )
+    np.testing.assert_array_equal(partial_conjugate(values, X, Y, xstars, ystars), masked)
+
+
+def test_verify_all_keeps_no_table_of_phi_nodes(monkeypatch, tmp_path):
+    # phi's product grid at --refine 8 has 1,185,921 nodes: 36.2 MB of
+    # coordinates if evaluating phi or a check kept its node table.
+    built = []
+    build = ProblemSpec.build
+
+    def spy(self, factor=1):
+        built.append(build(self, factor))
+        return built[-1]
+
+    monkeypatch.setattr(ProblemSpec, "build", spy)
+    spec = FIXTURES / "separable_quadratic.spec"
+    assert main(["verify-all", "--spec", str(spec), "--refine", "8", "--out", str(tmp_path)]) == 0
+    [(phi, F)] = built
+    assert phi.grid.size == 1_185_921
+    assert "nodes" not in phi.grid.__dict__
