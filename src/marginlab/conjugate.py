@@ -9,11 +9,11 @@ factors it one axis block at a time,
 
     f*(x*, y*) = max over x of <x*, x> + max over y of (<y*, y> - f(x, y)),
 
-conjugating every y row once and every distinct x* row once; both routes
-take the same finite maximum, so they agree bitwise whenever the dot
-products are exact (dyadic data).  A linear-time transform (lower convex
-hull + monotone merge) reproduces the brute-force values on sorted 1-D
-data and separable multi-D data.
+conjugating every y row once and every x* row once; both routes take the
+same finite maximum, so they agree bitwise whenever the dot products are
+exact (dyadic data).  A linear-time transform (lower convex hull +
+monotone merge) reproduces the brute-force values on sorted 1-D data and
+separable multi-D data.
 
 Every dot product here, and in the checks built on these kernels, comes
 from `dots`: a sum from +0.0 over the per-coordinate products in
@@ -42,6 +42,7 @@ from .core import (
     GriddedFunction,
     Verdict,
     ext_add_arrays,
+    lower_chain,
     max_deviation,
 )
 from .errors import DimensionMismatch, GridMismatch, UnsupportedShape
@@ -140,9 +141,9 @@ def partial_conjugate(
     point (xstars[a], ystars[b]), with its conventions: -inf anywhere gives
     +inf (its inner max is +inf), no finite value gives -inf.  The inner
     max over y runs once per x node with a finite value, the outer max over
-    x once per distinct x* row.  Both dot-product tables come from `dots`,
-    and both maxima run in `score_slices` blocks, so the block size
-    changes no bit.
+    x once per x* row (callers pass distinct ones).  Both dot-product
+    tables come from `dots`, and both maxima run in `score_slices` blocks,
+    so the block size changes no bit.
     """
     xstars = np.atleast_2d(np.asarray(xstars, dtype=np.float64))
     ystars = np.atleast_2d(np.asarray(ystars, dtype=np.float64))
@@ -157,12 +158,11 @@ def partial_conjugate(
     for sl in score_slices(nd, ydots.size):
         (ydots[None, :, :] - V[sl, None, :]).max(axis=2, out=R[sl])
 
-    T, inverse = unique_rows(xstars)
-    tx = dots(T[:, None], Xd)
-    table = np.empty((T.shape[0], ky))
-    for sl in score_slices(T.shape[0], nd * ky):
+    tx = dots(xstars[:, None], Xd)
+    table = np.empty((xstars.shape[0], ky))
+    for sl in score_slices(xstars.shape[0], nd * ky):
         (tx[sl, :, None] + R).max(axis=1, out=table[sl])
-    return table[inverse]
+    return table
 
 
 def _validate_dual(f: GriddedFunction, duals: Grid) -> None:
@@ -192,25 +192,11 @@ def conjugate(f: GriddedFunction, duals: Grid) -> GriddedFunction:
     return GriddedFunction(duals, vals, provenance="conjugate")
 
 
-def _lower_hull(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices of the lower convex hull of the graph points (x ascending)."""
-    hx: list[float] = []
-    hv: list[float] = []
-    for xi, vi in zip(x, v):
-        # pop while the incoming slope does not increase (multiplied-out form)
-        while len(hx) >= 2 and (hv[-1] - hv[-2]) * (xi - hx[-1]) >= (vi - hv[-1]) * (
-            hx[-1] - hx[-2]
-        ):
-            hx.pop()
-            hv.pop()
-        hx.append(float(xi))
-        hv.append(float(vi))
-    return np.asarray(hx), np.asarray(hv)
-
-
 def _fast_1d(x: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:
     finite = v < INF
-    hx, hv = _lower_hull(x[finite], v[finite])
+    x, v = x[finite], v[finite]
+    hull = lower_chain(x, v)
+    hx, hv = x[hull], v[hull]
     if hx.shape[0] == 1:
         return s * hx[0] - hv[0]
     slopes = (hv[1:] - hv[:-1]) / (hx[1:] - hx[:-1])
@@ -221,15 +207,13 @@ def _fast_1d(x: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _separable_parts(f: GriddedFunction) -> list[np.ndarray] | None:
     """Per-axis line samples g_k if f(x) = sum_k g_k(x_k) - (d-1) f(base).
 
-    The base node is the first finite node; returns None if the
-    decomposition does not reproduce f (relative tolerance 1e-12,
-    infinities must match exactly).
+    The base node is the first finite node, which `conjugate_fast` ensures
+    exists; returns None if the decomposition does not reproduce f
+    (relative tolerance 1e-12, infinities must match exactly).
     """
     shape = f.grid.shape
     V = f.reshaped()
     finite = np.isfinite(V)
-    if not finite.any():
-        return None
     base = np.unravel_index(int(np.argmax(finite.reshape(-1))), shape)
     fbase = V[base]
     parts = []

@@ -97,6 +97,27 @@ def render_value(v: float) -> "float | str":
     return float(v)
 
 
+# --- convex hulls -------------------------------------------------------------
+
+
+def lower_chain(x, y) -> list[int]:
+    """Indices of the lower convex chain (Andrew's monotone chain) of the
+    points (x[i], y[i]), sorted by x and ties by y; reversed points give the
+    upper chain.  The turn test is multiplied out, so exact on integers, and
+    a point on the segment between its neighbours is dropped."""
+    x, y = np.asarray(x).tolist(), np.asarray(y).tolist()
+    chain: list[int] = []
+    for i, (xi, yi) in enumerate(zip(x, y)):
+        while len(chain) >= 2:
+            a, m = chain[-2], chain[-1]
+            # m stays only if the slope increases from a -> m to m -> i
+            if (y[m] - y[a]) * (xi - x[m]) < (yi - y[m]) * (x[m] - x[a]):
+                break
+            chain.pop()
+        chain.append(i)
+    return chain
+
+
 # --- grids ------------------------------------------------------------------
 
 

@@ -458,14 +458,10 @@ def slater_strong_duality_check(
             bounds=[(None, None)] + [(0, None)] * k,
             method="highs",
         )
-        if res.status == 3:
-            vd = INF
-        elif res.status == 0:
-            vd = float(res.x[0])
-        else:
-            raise RuntimeError(
-                f"LP solver failed on the Lagrangian dual: {res.message}"
-            )
+        # never unbounded: the strictly feasible node bounds the objective
+        if res.status != 0:
+            raise RuntimeError(f"LP solver failed on the Lagrangian dual: {res.message}")
+        vd = float(res.x[0])
     gap = _gap(vp, vd)
     row = Verdict("slater_strong_duality", bool(abs(gap) <= TOL) if hypothesis else None,
                   "Slater node found; equality asserted")

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Axis, Grid, Verdict
+from .core import Axis, Grid, Verdict, lower_chain
 from .errors import (
     GridMismatch,
     HypothesisNotMet,
@@ -155,26 +155,15 @@ def _hull1(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return (q >= lo) & (q <= hi)
 
 
-def _cross2(o, a, b) -> int:
-    return int((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
-
-
 def _hull2_vertices(pts: np.ndarray) -> list[tuple[int, int]]:
     """Monotone chain over integer pairs; counterclockwise, no collinear."""
     P = sorted({(int(a), int(b)) for a, b in pts})
     if len(P) <= 2:
         return P
-    lower: list[tuple[int, int]] = []
-    for p in P:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[int, int]] = []
-    for p in reversed(P):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    x, y = zip(*P)
+    lower = lower_chain(x, y)
+    upper = lower_chain(x[::-1], y[::-1])
+    return [P[i] for i in lower[:-1]] + [P[-1 - i] for i in upper[:-1]]
 
 
 def _hull2(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -403,11 +392,11 @@ def projection_map(dim: int, axes: tuple[int, ...]) -> np.ndarray:
     return T
 
 
-def _image_axis(values: np.ndarray) -> Axis:
+def _image_axis(values: np.ndarray, row: int) -> Axis:
     vals = np.unique(values)
     lo, hi = float(vals[0]), float(vals[-1])
     if vals.size == 1:
-        return Axis(lo, lo, 1)
+        raise NotNodePreserving(f"map row {row} sends every node to one value")
     step = float(np.diff(vals).min())
     ratio = (vals - lo) / step
     if np.abs(ratio - np.round(ratio)).max() > 1e-6:
@@ -432,13 +421,12 @@ def _map_raster(S: RasterSet, T: np.ndarray) -> tuple[Grid, np.ndarray, np.ndarr
     if T.shape[1] != S.grid.dim:
         raise NotNodePreserving("map width does not match the grid dimension")
     img_all = S.grid.nodes @ T.T.astype(np.float64)
-    axes = tuple(_image_axis(img_all[:, j]) for j in range(T.shape[0]))
+    axes = tuple(_image_axis(img_all[:, j], j) for j in range(T.shape[0]))
     tgrid = Grid(axes)
     idx = np.empty((S.grid.size, T.shape[0]), dtype=np.int64)
     for j, axis in enumerate(axes):
-        step = axis.step if axis.count > 1 else 1.0
-        k = np.round((img_all[:, j] - axis.lo) / step).astype(np.int64)
-        if np.abs(axis.lo + k * step - img_all[:, j]).max() > 1e-6 * max(1.0, abs(step)):
+        k = np.round((img_all[:, j] - axis.lo) / axis.step).astype(np.int64)
+        if np.abs(axis.lo + k * axis.step - img_all[:, j]).max() > 1e-6 * max(1.0, axis.step):
             raise NotNodePreserving("a node image misses the target lattice")
         idx[:, j] = k
     flat = np.ravel_multi_index(idx.T, tgrid.shape)

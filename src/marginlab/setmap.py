@@ -14,7 +14,7 @@ indicator (0 on gph F, +inf off it),
     sigma_gph(t, s) = max over x in dom F of <t, x> + sigma_F(x)(s),
 
 building the row supports sigma_F(x)(s) = max over y in F(x) of <s, y>
-once and evaluating each distinct t row once.  Both routes take the same
+once and evaluating each t row once.  Both routes take the same
 finite maximum, so they agree bitwise whenever the dot products are exact
 (dyadic data).
 """
@@ -229,8 +229,6 @@ def lipschitz_estimate_map(F: SetValuedMap) -> float:
     if not dom.all():
         return INF
     nx = F.xgrid.size
-    if nx == 1:
-        return 0.0
     Y = F.ygrid.nodes
     D = np.abs(Y[:, None, :] - Y[None, :, :]).sum(axis=2)
     X = F.xgrid.nodes

@@ -59,6 +59,7 @@ from .core import (
     Verdict,
     ext_sum,
     hypothesis_verdict,
+    lower_chain,
     max_deviation,
 )
 from .errors import (
@@ -171,7 +172,8 @@ def _farkas(A: np.ndarray, b: np.ndarray) -> tuple[bool, list[int] | None]:
 
     Returns (feasible, support): when infeasible, `support` indexes a
     nonnegative combination lam with lam^T A = 0 and lam^T b < 0, taken
-    from a basic LP solution so it has at most d+1 entries.
+    from the basic solution of the dual simplex: at most d+1 rows, whose
+    columns (a_i, 1) are independent, so no proper subset is infeasible.
     """
     if A.shape[0] == 0:
         return True, None
@@ -191,26 +193,6 @@ def _farkas(A: np.ndarray, b: np.ndarray) -> tuple[bool, list[int] | None]:
     if res.fun < -TOL:
         return False, [int(i) for i in np.flatnonzero(res.x > TOL)]
     return True, None
-
-
-def _reduce_certificate(A: np.ndarray, b: np.ndarray, support: list[int]) -> list[int]:
-    """Greedy irreducibility: drop constraints while staying infeasible.
-
-    Helly's theorem makes every irreducible infeasible halfspace system in
-    R^d have at most d+1 members, so this terminates at the contract size.
-    """
-    idx = list(support)
-    shrinking = True
-    while shrinking and len(idx) > A.shape[1] + 1:
-        shrinking = False
-        for i in list(idx):
-            trial = [j for j in idx if j != i]
-            feasible, sub = _farkas(A[trial], b[trial])
-            if not feasible:
-                idx = [trial[k] for k in sub] if sub and len(sub) < len(trial) else trial
-                shrinking = True
-                break
-    return idx
 
 
 # --- polygons ------------------------------------------------------------------
@@ -311,19 +293,11 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
 
 
 def _min_envelope(p: np.ndarray, q: np.ndarray):
-    """Lines of x -> min_i p_i x + q_i from left to right, and their breakpoints."""
-    hull: list[int] = []
-    for i in np.lexsort((q, -p)):  # steepest first; the lowest of equal slopes
-        if hull and p[hull[-1]] == p[i]:
-            continue
-        while len(hull) >= 2:
-            a, m = hull[-2], hull[-1]
-            # m never attains the min if i overtakes a no later than m does
-            if (q[i] - q[a]) * (p[a] - p[m]) > (q[m] - q[a]) * (p[a] - p[i]):
-                break
-            hull.pop()
-        hull.append(i)
-    h = np.array(hull)
+    """Lines of x -> min_i p_i x + q_i from left to right, and their breakpoints:
+    the lowest line of each slope whose point (-p_i, q_i) is on the lower chain."""
+    order = np.lexsort((q, -p))  # steepest first; the lowest of equal slopes first
+    lines = order[np.diff(p[order], prepend=np.nan) != 0.0]
+    h = lines[lower_chain(-p[lines], q[lines])]
     return p[h], q[h], (q[h[1:]] - q[h[:-1]]) / (p[h[:-1]] - p[h[1:]])
 
 
@@ -390,7 +364,7 @@ def is_empty(P: HPolyhedron) -> tuple[bool, tuple[int, ...] | None]:
     1-D reads the exact interval.  2-D builds the polygon of the loosened
     system {A s <= b + TOL}, the system the Farkas alternative decides, and
     searches the certificate with the same oracle.  3-D solves the Farkas
-    LP and reduces its support.
+    LP and takes the support of the basic Farkas solution.
     """
     if P.dim > 3:
         raise UnsupportedDimension("emptiness queries are limited to d <= 3")
@@ -414,8 +388,7 @@ def is_empty(P: HPolyhedron) -> tuple[bool, tuple[int, ...] | None]:
     feasible, support = _farkas(P.normals, P.offsets)
     if feasible:
         return False, None
-    cert = _reduce_certificate(P.normals, P.offsets, support or [])
-    return True, tuple(sorted(cert))
+    return True, tuple(sorted(support))
 
 
 def feasible_point(P: HPolyhedron) -> np.ndarray | None:

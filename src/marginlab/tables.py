@@ -17,8 +17,8 @@ A grid left out takes the default box: `default_dual_grid(mu)` for x*
 and `default_ydual_grid(phi, m)` for y*, both at the primal counts.
 
 The graph support on all lattice rows equals the support on the distinct
-rows taken at the inverse index, because `partial_conjugate` conjugates
-only the distinct x* rows of its input and spreads them back the same way.
+rows taken at the inverse index, because each row's maximum in
+`partial_conjugate` depends on that row alone.
 A table that one check alone reads, such as the twice-refined lattice of
 `conjugate_representation_check` or the lattice at one dual node in
 `conj_subdiff_check`, is built where it is read and freed with it, so a

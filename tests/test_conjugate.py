@@ -20,6 +20,7 @@ from marginlab import (
     conjugate_at,
     conjugate_fast,
     default_dual_grid,
+    fast_conjugate_check,
     inf_convolution,
     partial_conjugate,
     product_grid,
@@ -355,8 +356,14 @@ class TestFastAgainstBrute:
         g = Grid.from_bounds([(-1.0, 1.0, 5), (-1.0, 1.0, 5)])
         f = GriddedFunction(g, np.abs(g.nodes[:, 0] - g.nodes[:, 1]))
         duals = default_dual_grid(f, 5)
-        with pytest.raises(UnsupportedShape):
+        with pytest.raises(UnsupportedShape) as refused:
             conjugate_fast(f, duals)
+        # the check reports the refusal as an INFO row with its reason
+        rep = fast_conjugate_check(f, conjugate(f, duals))
+        assert (rep.fast, rep.max_deviation) == (None, None)
+        assert [(v.name, v.status, v.detail) for v in rep.verdicts] == [
+            ("fast_matches_bruteforce", "INFO", str(refused.value))
+        ]
 
     def test_improper_inputs_agree(self):
         g = Grid.from_bounds([(0.0, 1.0, 4)])

@@ -302,6 +302,25 @@ def lp_lagrangian_dual(fv, gv):
     return float(res.x[0])
 
 
+def lp_mixing_value(fv, gv):
+    """min sum w f over w >= 0, sum w = 1, sum w g_i <= 0: the convexified
+    primal over the nodes, the LP dual of the Lagrangian dual, solved as its
+    own LP."""
+    from scipy.optimize import linprog
+
+    res = linprog(
+        c=fv,
+        A_ub=gv,
+        b_ub=np.zeros(gv.shape[0]),
+        A_eq=np.ones((1, fv.size)),
+        b_eq=[1.0],
+        bounds=[(0, None)] * fv.size,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 def close_to(value, ref, rel=1e-12):
     return abs(value - ref) <= rel * max(1.0, abs(ref))
 
@@ -338,6 +357,26 @@ class TestSlater:
             gv[rng.integers(0, n)] = -float(rng.integers(1, 4097)) * QUANTUM
             vd = duality._one_constraint_dual_value(fv, gv)
             assert close_to(vd, lp_lagrangian_dual(fv, gv[None, :]))
+
+    @pytest.mark.parametrize(
+        "f_expr, g_exprs, bounds",
+        [
+            ("y^2", ["0.9 - y", "y - 1.7"], [(0.0, 2.0, 9)]),  # the mix of 0.75 and 1 beats vp
+            ("y1^2 + y2^2", ["1 - y1 - y2", "y1 - y2 - 0.5"], [(-1.0, 2.0, 7)] * 2),
+            ("abs(y1 - 1) + y2", ["y2 - y1", "-y2 - 0.25", "y1 - 1.5"], [(0.0, 2.0, 5)] * 2),
+        ],
+    )
+    def test_several_constraints_match_the_primal_mixing_lp(self, f_expr, g_exprs, bounds):
+        ygrid = Grid.from_bounds(bounds)
+        names = ["y"] if ygrid.dim == 1 else ["y1", "y2"]
+        fv = eval_on_grid(f_expr, ygrid, names).values
+        gv = np.stack([eval_on_grid(g, ygrid, names).values for g in g_exprs])
+        rep = slater_strong_duality_check(f_expr, g_exprs, ygrid, hypothesis=True)
+        vd = lp_mixing_value(fv, gv)
+        assert rep.verified
+        assert close_to(rep.vd, vd, rel=1e-9)
+        assert rep.vp == fv[(gv <= 1e-9).all(axis=0)].min()
+        assert rep.verdicts[0].ok == (abs(rep.vp - vd) <= 1e-9)
 
     def test_verified_on_fixture(self):
         spec = load_fixture("lagrangian_quadratic")

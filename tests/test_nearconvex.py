@@ -225,6 +225,11 @@ class TestPreservation:
         with pytest.raises(NotNodePreserving):
             image_preservation_check(load("box_left"), np.array([[0.5, 0.0]]))
 
+    @pytest.mark.parametrize("T, row", [([[0, 0]], 0), ([[1, 0], [0, 0]], 1)])
+    def test_map_row_to_one_value_rejected(self, T, row):
+        with pytest.raises(NotNodePreserving, match=f"map row {row} sends every node to one value"):
+            image_preservation_check(load("box_left"), np.array(T))
+
     def test_input_must_be_int_nearly_convex(self):
         with pytest.raises(HypothesisNotMet):
             image_preservation_check(load("punctured_box"), projection_map(2, (0,)))

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,6 +125,9 @@ class TestEmptinessAndFeasiblePoint:
                 assert p is None
                 assert cert is not None and len(cert) <= d + 1
                 assert not lp_is_feasible(A[list(cert)], b[list(cert)])
+                for i in cert:  # irreducible
+                    rest = [j for j in cert if j != i]
+                    assert lp_is_feasible(A[rest], b[rest])
             else:
                 assert p is not None
                 assert P.contains(p)
@@ -469,6 +473,62 @@ def lp_support(A, b, a):
     if res.status == 2:
         return None
     return INF if res.status == 3 else -res.fun
+
+
+@st.composite
+def line_sets(draw, dyadic):
+    """Slopes p and intercepts q of 1 to 12 lines, repeated slopes likely.
+
+    Dyadic lines have slopes in quarters of [-2, 2] and intercepts in
+    quarters of [-4, 4], so at multiples of 1/512 in [-33, 33], which hold
+    every breakpoint, each p x + q is exact.  Other lines have tenths or
+    six-decimal values in [-3, 3]."""
+    k = draw(st.integers(1, 12))
+    if dyadic:
+        p = draw(st.lists(st.integers(-8, 8), min_size=k, max_size=k))
+        q = draw(st.lists(st.integers(-16, 16), min_size=k, max_size=k))
+        return np.array(p) / 4.0, np.array(q) / 4.0
+    value = st.one_of(st.integers(-30, 30).map(lambda n: n / 10.0),
+                      st.floats(-3.0, 3.0).map(lambda v: round(v, 6)))
+    p = draw(st.lists(value, min_size=k, max_size=k))
+    q = draw(st.lists(value, min_size=k, max_size=k))
+    return np.array(p), np.array(q)
+
+
+def brute_envelope(p, q, x):
+    """min over every line of p x + q, at each x."""
+    return (p * x[:, None] + q).min(axis=1)
+
+
+class TestMinEnvelope:
+    """The lower envelope behind `_polygon`, against the minimum over all lines."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(line_sets(dyadic=True))
+    def test_dyadic_lines_agree_exactly(self, lines):
+        p, q = lines
+        P, Q, bx = subdiff._min_envelope(p, q)
+        assert (np.diff(P) < 0.0).all()
+        x = np.arange(-33 * 512, 33 * 512 + 1) / 512.0  # breakpoints are 1/256 apart at least
+        np.testing.assert_array_equal(subdiff._evaluate(P, Q, bx, x), brute_envelope(p, q, x))
+        exact = [(Fraction(a), Fraction(b)) for a, b in zip(p, q)]
+        for j, b in enumerate(bx):
+            t = (Fraction(Q[j + 1]) - Fraction(Q[j])) / (Fraction(P[j]) - Fraction(P[j + 1]))
+            assert b == float(t)
+            low = min(a * t + c for a, c in exact)
+            assert Fraction(P[j]) * t + Fraction(Q[j]) == low
+            assert Fraction(P[j + 1]) * t + Fraction(Q[j + 1]) == low
+
+    @settings(max_examples=200, deadline=None)
+    @given(line_sets(dyadic=False))
+    def test_lines_agree_at_and_between_breakpoints(self, lines):
+        p, q = lines
+        P, Q, bx = subdiff._min_envelope(p, q)
+        ends = np.concatenate([bx[:1] - 1.0, bx, bx[-1:] + 1.0]) if bx.size else np.zeros(1)
+        x = np.concatenate([ends, (ends[:-1] + ends[1:]) / 2.0, np.linspace(-50.0, 50.0, 1001)])
+        scale = 1.0 + np.abs(x) * np.abs(p).max() + np.abs(q).max()
+        got = subdiff._evaluate(P, Q, bx, x)
+        assert (np.abs(got - brute_envelope(p, q, x)) <= 1e-12 * scale).all()
 
 
 class TestPolygon:
