@@ -24,6 +24,7 @@ Exit codes: 0 all binding verdicts pass, 2 a verification verdict failed,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -555,5 +556,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 2 if any(ok is False for _, ok, _ in verdicts) else 0
 
 
+def process_main() -> int:
+    """`main()` as the whole work of a process, for `python -m marginlab.cli`
+    and the `marginlab` script, on a frozen heap.
+
+    `gc.freeze()` takes the tens of thousands of objects that importing
+    numpy and marginlab leaves out of the collector's reach, so no
+    collection of the process, the one at exit included, walks them.  It
+    runs before the command, not after, so the command's garbage cycles
+    are still freed at exit for the interpreter's teardown to reuse.
+    `main` leaves the collector alone: one process may call it many times.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

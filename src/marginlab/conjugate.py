@@ -28,7 +28,7 @@ moves no bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,8 +277,7 @@ def biconjugate(f: GriddedFunction, duals: Grid) -> GriddedFunction:
 # --- checks of a conjugate table ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FastConjugateReport:
+class FastConjugateReport(NamedTuple):
     """`conjugate_fast` against a brute-force conjugate table: the fast
     table and its largest deviation, both None where it does not apply."""
 

@@ -19,7 +19,7 @@ one-step grid extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .core import (
     hypothesis_verdict,
     product_grid,
     render_value,
+    sorted_distinct,
 )
 from .errors import GridNotAdapted, NotANode, ZeroNotOnGrid
 from .marginal import masked_minima
@@ -92,8 +93,7 @@ def dual_value_2(tables: Tables) -> float:
     return float(np.max(-tables.inf_convolution))
 
 
-@dataclass(frozen=True)
-class ConjugateRepresentationReport:
+class ConjugateRepresentationReport(NamedTuple):
     lower_bound_ok: bool
     monotone_ok: bool
     max_residual: float
@@ -151,8 +151,7 @@ def conjugate_representation_check(
 # --- strong duality -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     vp: float
     vd1: float
     vd2: float
@@ -230,8 +229,7 @@ def strong_duality_check(tables: Tables) -> DualityReport:
 # --- Lagrangian specialization ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LagrangianTable:
+class LagrangianTable(NamedTuple):
     lambdas: tuple[tuple[float, ...], ...]
     values: tuple[float, ...]
     minimizers: tuple[int, ...]
@@ -299,7 +297,7 @@ def graph_adapted_xgrid(g_exprs: tuple[str, ...] | list[str], ygrid: Grid) -> Gr
     _, gv = _eval_objective("0", tuple(g_exprs), ygrid)
     axes = []
     for i in range(gv.shape[0]):
-        vals = np.unique(gv[i])
+        vals = sorted_distinct(gv[i])
         lo, hi = float(vals[0]), float(vals[-1])
         if vals.size == 1:
             axes.append(Axis(lo, lo + 1.0, 2))
@@ -339,8 +337,7 @@ def _conjugate_at_neg(
     return conjugate_at(GriddedFunction(xgrid, mu, provenance="marginal"), -lam)
 
 
-@dataclass(frozen=True)
-class LagrangianIdentityReport:
+class LagrangianIdentityReport(NamedTuple):
     rows: tuple[tuple[tuple[float, ...], float, float, str, bool], ...]
     xgrid: Grid
     verdicts: tuple[Verdict, ...]
@@ -408,8 +405,7 @@ def _one_constraint_dual_value(fv: np.ndarray, g: np.ndarray) -> float:
     return vd
 
 
-@dataclass(frozen=True)
-class SlaterReport:
+class SlaterReport(NamedTuple):
     verified: bool
     slater_node: tuple[float, ...] | None
     vp: float

@@ -42,6 +42,12 @@ class GridMismatch(MarginlabError):
     """Two objects that must share grid geometry do not."""
 
 
+class InvalidArgument(MarginlabError, ValueError):
+    """A library argument is malformed: NaN or a negative eps where a number
+    is needed, or lengths that must agree and do not.  It is also a
+    ValueError, so callers that catch ValueError still catch it."""
+
+
 class DimensionMismatch(MarginlabError):
     """Dimension counts disagree (constraints vs. axes, duals vs. primal)."""
 

@@ -10,8 +10,7 @@ probes under refinement, and the global Lipschitz bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -30,8 +29,7 @@ PROBE_LEVELS = 3  # dyadic refinements 1, 2, 4 scanned by semicontinuity_probe
 _GAP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class MarginalResult:
+class MarginalResult(NamedTuple):
     """mu on the x-grid plus per-node minimizer lists and status labels."""
 
     mu: GriddedFunction
@@ -105,8 +103,7 @@ def domain_identity_check(tables: Tables) -> tuple[bool, int | None]:
     return False, int(np.flatnonzero(lhs != rhs)[0])
 
 
-@dataclass(frozen=True)
-class EpigraphReport:
+class EpigraphReport(NamedTuple):
     ok: bool
     checked: int
     violations: tuple[tuple[float, int, str], ...]  # (lambda, x index, kind)
@@ -173,8 +170,7 @@ def _level_probe(mu: GriddedFunction) -> np.ndarray:
     return np.linspace(fin.min() - 0.5, fin.max() + 0.5, 9) if fin.size else np.zeros(1)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     domain_witness: int | None
     epigraph: EpigraphReport
     mu_convex: bool
@@ -204,16 +200,14 @@ class RebuildableProblem(Protocol):
     def build(self, factor: int) -> tuple[GriddedFunction, SetValuedMap]: ...
 
 
-@dataclass(frozen=True)
-class ProbeLevel:
+class ProbeLevel(NamedTuple):
     factor: int
     cell: float
     nbhd_min: float
     nbhd_max: float
 
 
-@dataclass(frozen=True)
-class SemicontinuityReport:
+class SemicontinuityReport(NamedTuple):
     mu_at_x0: float
     levels: tuple[ProbeLevel, ...]
     lsc_consistent: bool
@@ -276,8 +270,7 @@ def semicontinuity_probe(
     )
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
+class LipschitzReport(NamedTuple):
     l_hat: float
     bound: float
     ok: bool

@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Axis, Grid, Verdict, lower_chain
+from .core import Axis, Grid, Verdict, lower_chain, sorted_distinct
 from .errors import (
+    DimensionMismatch,
     GridMismatch,
     HypothesisNotMet,
     NotNodePreserving,
@@ -275,8 +277,7 @@ def is_convex_raster(S: RasterSet) -> bool:
 # --- near convexity ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NearConvexityReport:
+class NearConvexityReport(NamedTuple):
     verdict: bool
     closure_convex: bool
     interior_nonempty: bool
@@ -347,8 +348,7 @@ def intersection_preservation_check(S1: RasterSet, S2: RasterSet) -> NearConvexi
     return is_int_nearly_convex(RasterSet(S1.grid, S1.mask & S2.mask))
 
 
-@dataclass(frozen=True)
-class RasterCheckReport:
+class RasterCheckReport(NamedTuple):
     """Int-near-convexity of a raster, of its refinement by 2 and of its
     intersection with a second raster, or why that was `skipped`."""
 
@@ -393,7 +393,7 @@ def projection_map(dim: int, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def _image_axis(values: np.ndarray, row: int) -> Axis:
-    vals = np.unique(values)
+    vals = sorted_distinct(values)
     lo, hi = float(vals[0]), float(vals[-1])
     if vals.size == 1:
         raise NotNodePreserving(f"map row {row} sends every node to one value")
@@ -415,11 +415,14 @@ def _image_axis(values: np.ndarray, row: int) -> Axis:
 def _map_raster(S: RasterSet, T: np.ndarray) -> tuple[Grid, np.ndarray, np.ndarray]:
     """Image grid, image mask of S, and the node index map under T."""
     T = np.asarray(T)
+    if T.ndim != 2 or T.shape[0] == 0 or T.shape[1] != S.grid.dim:
+        raise DimensionMismatch(
+            f"the linear map must be a matrix of at least one row and {S.grid.dim}"
+            f" columns, got shape {T.shape}"
+        )
     if not np.array_equal(T, np.round(T)):
         raise NotNodePreserving("the linear map must have integer coefficients")
     T = T.astype(np.int64)
-    if T.shape[1] != S.grid.dim:
-        raise NotNodePreserving("map width does not match the grid dimension")
     img_all = S.grid.nodes @ T.T.astype(np.float64)
     axes = tuple(_image_axis(img_all[:, j], j) for j in range(T.shape[0]))
     tgrid = Grid(axes)
@@ -435,8 +438,7 @@ def _map_raster(S: RasterSet, T: np.ndarray) -> tuple[Grid, np.ndarray, np.ndarr
     return tgrid, mask.reshape(tgrid.shape), flat
 
 
-@dataclass(frozen=True)
-class ImageReport:
+class ImageReport(NamedTuple):
     verdict: bool
     image_nearly_convex: bool
     interior_match: bool

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,8 +70,7 @@ _SECTIONS = _GRID_SECTIONS + (
 _META_KEYS = ("convex", "qc1", "qc14", "slater")
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     """Parsed problem description: grids, phi source, F source, extras."""
 
     name: str

@@ -46,7 +46,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,9 +61,11 @@ from .core import (
     hypothesis_verdict,
     lower_chain,
     max_deviation,
+    sorted_distinct,
 )
 from .errors import (
     GridMismatch,
+    InvalidArgument,
     NotFiniteAtPoint,
     NotOnGraph,
     PointNotInSet,
@@ -92,8 +94,7 @@ def linprog(*args, **kwargs):
 # --- polyhedra ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """A 1-D solution interval; empty when lo exceeds hi beyond tolerance."""
 
     lo: float
@@ -118,7 +119,9 @@ class HPolyhedron:
         A = np.atleast_2d(np.asarray(self.normals, dtype=np.float64))
         b = np.asarray(self.offsets, dtype=np.float64).reshape(-1)
         if A.shape[0] != b.shape[0]:
-            raise ValueError("normals and offsets disagree in length")
+            raise InvalidArgument("normals and offsets disagree in length")
+        if np.isnan(A).any() or np.isnan(b).any():
+            raise InvalidArgument("a halfspace has a NaN normal or offset")
         A = A.copy()
         b = b.copy()
         A.setflags(write=False)
@@ -250,7 +253,7 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     if len(envelopes) == 2:
         (_, pg, qg, bg), (_, pl, ql, bl) = envelopes
         knots = np.concatenate([bg, bl, [xl, xr, min(max(0.0, xl), xr)]])
-        knots = np.unique(knots[np.isfinite(knots) & (knots >= xl) & (knots <= xr)])
+        knots = sorted_distinct(knots[np.isfinite(knots) & (knots >= xl) & (knots <= xr)])
         d = _evaluate(pg, qg, bg, knots) - _evaluate(pl, ql, bl, knots)
         # slopes of g - l on the tails, 0 where the two lines are parallel
         s_lo, s_hi = (0.0 if abs(np.arctan(pu) - np.arctan(pd)) <= _PARALLEL else pu - pd
@@ -328,7 +331,7 @@ def _plane_witness(V: np.ndarray, R: np.ndarray) -> np.ndarray:
     generator gets a positive weight, so the point is relatively interior,
     and a box centred at the origin gets the origin back exactly.
     """
-    return np.unique(V, axis=0).mean(axis=0) + R.sum(axis=0)
+    return sorted_distinct(V).mean(axis=0) + R.sum(axis=0)
 
 
 def _plane_certificate(A: np.ndarray, b: np.ndarray) -> list[int]:
@@ -441,7 +444,7 @@ def feasible_point(P: HPolyhedron) -> np.ndarray | None:
 
 def _check_eps(eps: float) -> None:
     if not 0 <= eps < INF:
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+        raise InvalidArgument(f"eps must be finite and nonnegative, got {eps}")
 
 
 def eps_subdifferential(f: GriddedFunction, x0, eps: float) -> HPolyhedron:
@@ -494,8 +497,7 @@ def eps_coderivative(F: SetValuedMap, x0y0, ystar, eps: float) -> HPolyhedron:
     return HPolyhedron(A, b)
 
 
-@dataclass(frozen=True)
-class EpsSubdifferentialReport:
+class EpsSubdifferentialReport(NamedTuple):
     """An eps-subdifferential and its members by both routes."""
 
     polyhedron: HPolyhedron
@@ -596,8 +598,7 @@ def _minkowski_contains(P: HPolyhedron, Q: HPolyhedron, points: np.ndarray) -> n
     return out
 
 
-@dataclass(frozen=True)
-class SumRuleReport:
+class SumRuleReport(NamedTuple):
     easy_ok: bool
     agreement: float
     n_samples: int
@@ -657,8 +658,7 @@ DEFAULT_ETAS = (1.0, 0.1, 0.01)  # the eta levels both theorem checks intersect 
 THEOREM_SPLITS = 9  # eps1 + eps2 = eps + eta splits sampled per eta level
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Sampled two-route comparison of a set identity.
 
     `easy_ok` is the unconditional inclusion (right side inside the
@@ -822,8 +822,7 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
 # --- restricted conjugate identity ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictedConjugateReport:
+class RestrictedConjugateReport(NamedTuple):
     ok: bool
     max_abs_diff: float
     n_duals: int

@@ -1,6 +1,7 @@
 """Spec parsing and the command-line pipeline: exit codes, reports, determinism."""
 
 import ast
+import gc
 import json
 import math
 import os
@@ -670,37 +671,45 @@ print(os.environ["OPENBLAS_NUM_THREADS"], threads)
         assert marginlab.cli.parse_spec is marginlab.parse_spec
         assert marginlab.cli.ProblemSpec is marginlab.ProblemSpec
 
-    RUN_AND_REPORT_SCIPY = """\
+    RUN_AND_REPORT_LOADED = """\
 import sys, tempfile
 from marginlab.cli import main
 with tempfile.TemporaryDirectory() as out:
     for command, fixture in {runs!r}:
         rc = main([command, "--spec", fixture, "--out", out])
         assert rc in (0, 2), (command, fixture, rc)
-print("scipy" in sys.modules)
+print({module!r} in sys.modules)
 """
 
-    def scipy_loaded_after(self, *runs):
+    def loaded_after(self, module, *runs):
         runs = [(command, str(FIXTURES / f"{name}.spec")) for command, name in runs]
-        done = self.python("-c", self.RUN_AND_REPORT_SCIPY.format(runs=runs))
+        done = self.python("-c", self.RUN_AND_REPORT_LOADED.format(runs=runs, module=module))
         assert done.returncode == 0, done.stderr
         loaded = done.stdout.splitlines()[-1]  # after the commands' own output
         assert loaded in ("True", "False")
         return loaded == "True"
 
     def test_one_dimensional_runs_leave_scipy_unloaded(self):
-        assert not self.scipy_loaded_after(
+        assert not self.loaded_after(
+            "scipy",
             ("verify-all", "lagrangian_quadratic"),
             ("lagrangian", "lagrangian_quadratic"),
             ("nearconvex", "nearconvex_suite"),
         )
 
     def test_two_dimensional_runs_leave_scipy_unloaded(self):
-        assert not self.scipy_loaded_after(
+        assert not self.loaded_after(
+            "scipy",
             ("verify-all", "separable_quadratic"),
             ("duality", "separable_quadratic"),
             ("subdiff", "separable_quadratic"),
         )
+
+    @pytest.mark.parametrize("fixture", ["separable_quadratic", "lagrangian_quadratic"])
+    def test_verify_all_leaves_numpy_ma_unloaded(self, fixture):
+        # numpy 2's np.unique imports numpy.ma on its first call;
+        # the checks take distinct values from core.sorted_distinct instead
+        assert not self.loaded_after("numpy.ma", ("verify-all", fixture))
 
     POLYHEDRON_SCIPY = """\
 import sys
@@ -740,6 +749,48 @@ print("scipy" in sys.modules)
         import marginlab.subdiff
 
         assert marginlab.duality.linprog is marginlab.subdiff.linprog
+
+    @pytest.mark.parametrize(
+        "text, command, code",
+        [
+            (MINIMAL, "marginal", 0),
+            (NONCONVEX_BUT_DECLARED, "verify-all", 2),
+            ("name broken\n[phi]\nexpr x\n", "marginal", 1),
+        ],
+    )
+    def test_module_entry_point_reports_through_a_pipe(self, tmp_path, text, command, code):
+        spec, out = write_spec(tmp_path, text), tmp_path / "out"
+        done = self.python("-m", "marginlab.cli", command, "--spec", str(spec), "--out", str(out))
+        assert done.returncode == code, done.stderr
+        wrote = (out / "report.json").exists() and (out / "report.csv").exists()
+        if code == 1:
+            assert "error: MissingSection" in done.stderr and not done.stdout and not wrote
+        else:
+            assert done.stdout.splitlines()[-1].startswith("  reports: ") and wrote
+
+    FREEZE_COUNT = """\
+import gc, sys
+from marginlab import cli
+main, frozen = cli.main, []
+cli.main = lambda: frozen.append(gc.get_freeze_count()) or main()
+sys.argv = ["marginlab", "marginal", "--spec", {spec!r}, "--out", {out!r}]
+code = cli.process_main()
+print(code, gc.isenabled(), frozen[0] > 10000)
+"""
+
+    def test_process_main_runs_the_command_on_a_frozen_heap(self, tmp_path):
+        spec = write_spec(tmp_path, MINIMAL)
+        done = self.python("-c", self.FREEZE_COUNT.format(spec=str(spec), out=str(tmp_path / "out")))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-3:] == ["0", "True", "True"]
+
+    def test_main_leaves_the_collector_alone(self, tmp_path, capsys):
+        # a process may call main many times (a batch, the tests): only
+        # process_main, the whole work of a process, freezes the heap
+        spec = write_spec(tmp_path, MINIMAL)
+        for _ in range(2):
+            assert main(["marginal", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+            assert gc.isenabled() and gc.get_freeze_count() == 0
 
     def test_module_entry_point_has_no_runpy_warning(self):
         done = self.python("-m", "marginlab.cli")

@@ -1,6 +1,8 @@
 """Lower addition, grids, gridded functions, expression evaluation."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +25,13 @@ from marginlab import (
     product_grid,
     render_value,
 )
+import marginlab
+from marginlab.core import sorted_distinct
 
 from helpers import lower_add
 
 INF = math.inf
+SRC = Path(__file__).resolve().parent.parent / "src" / "marginlab"
 
 ext_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32),
@@ -55,6 +60,84 @@ class TestExtendedReals:
         assert render_value(INF) == "+inf"
         assert render_value(-INF) == "-inf"
         assert render_value(1.5) == 1.5
+
+
+class TestSortedDistinct:
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-40, INF, -INF]),
+        st.floats(allow_nan=False),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(values, max_size=80), st.integers(0, 3))
+    def test_matches_numpy_unique_bitwise(self, items, cols):
+        # cols 0 is a 1-D array, else rows of `cols` columns; in both,
+        # 0.0 and -0.0 compare equal and only one of them is kept
+        a = np.array(items, dtype=np.float64)
+        if cols:
+            a = a[: a.size // cols * cols].reshape(-1, cols)
+        want = np.unique(a, axis=0 if cols else None)
+        got = sorted_distinct(a)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def dataclasses_without_post_init(source):
+    """Names of the classes decorated with `dataclass` in any form that
+    define no `__post_init__`."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(ast.unparse(d).split(".")[-1] == "dataclass" for d in decorators):
+            methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            if "__post_init__" not in methods:
+                names.append(node.name)
+    return names
+
+
+class TestRecordClasses:
+    """A class that only holds fields is a NamedTuple, as `Verdict` is: a
+    frozen dataclass takes several times as long to create at import,
+    since the dataclass machinery compiles source for each of its methods.
+    Only a class that validates or normalises its fields stays a dataclass."""
+
+    RECORDS = """
+        ConjugateRepresentationReport DualityReport EpigraphReport
+        EpsSubdifferentialReport FastConjugateReport ImageReport Interval
+        LagrangianIdentityReport LagrangianTable LipschitzReport MarginalResult
+        NearConvexityReport ProbeLevel ProblemSpec RasterCheckReport RestrictedConjugateReport
+        SemicontinuityReport SlaterReport StructureReport SumRuleReport TheoremReport
+    """.split()
+
+    def test_guard_sees_every_form(self):
+        source = (
+            "@dataclass\nclass A:\n    x: int\n"
+            "@dataclass(frozen=True)\nclass B:\n    x: int\n"
+            "@dataclasses.dataclass(eq=False)\nclass C:\n    x: int\n"
+            "@dataclass(frozen=True)\nclass D:\n    def __post_init__(self):\n        pass\n"
+        )
+        assert dataclasses_without_post_init(source) == ["A", "B", "C"]
+
+    def test_dataclass_only_where_post_init_checks(self):
+        plain = [
+            (path.stem, name)
+            for path in sorted(SRC.glob("*.py"))
+            for name in dataclasses_without_post_init(path.read_text(encoding="utf-8"))
+        ]
+        assert len(list(SRC.glob("*.py"))) > 10  # the scan sees the package
+        assert plain == []
+
+    def test_records_are_named_tuples(self):
+        classes = {name: getattr(marginlab, name) for name in self.RECORDS}
+        assert [n for n, c in classes.items() if not (issubclass(c, tuple) and c._fields)] == []
+
+    def test_record_fields_stay_read_only(self):
+        iv = marginlab.Interval(0.0, 1.0)
+        with pytest.raises(AttributeError):
+            iv.lo = 2.0
+        assert iv._replace(hi=2.0) == (0.0, 2.0) and iv == (0.0, 1.0)
 
 
 class TestGrids:

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from marginlab import (
+    DimensionMismatch,
     Grid,
     GridMismatch,
     HypothesisNotMet,
@@ -229,6 +230,15 @@ class TestPreservation:
     def test_map_row_to_one_value_rejected(self, T, row):
         with pytest.raises(NotNodePreserving, match=f"map row {row} sends every node to one value"):
             image_preservation_check(load("box_left"), np.array(T))
+
+    @pytest.mark.parametrize(
+        "T",
+        [np.array([0, 1]), np.zeros((0, 2)), np.zeros((1, 3)), np.zeros((1, 1, 2))],
+        ids=["one-dimensional", "no-rows", "too-wide", "three-dimensional"],
+    )
+    def test_malformed_map_rejected(self, T):
+        with pytest.raises(DimensionMismatch, match="matrix of at least one row and 2 columns"):
+            image_preservation_check(load("box_left"), T)
 
     def test_input_must_be_int_nearly_convex(self):
         with pytest.raises(HypothesisNotMet):

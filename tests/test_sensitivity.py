@@ -99,7 +99,7 @@ def bad_lower_addition(original):
 def dual_values_shifted(original):
     def wrong(*args, **kwargs):
         table = original(*args, **kwargs)
-        return dataclasses.replace(table, values=tuple(v + 1.0 for v in table.values))
+        return table._replace(values=tuple(v + 1.0 for v in table.values))
 
     return wrong
 

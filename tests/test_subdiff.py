@@ -47,6 +47,7 @@ from marginlab import (
 )
 from marginlab import subdiff
 from marginlab.conjugate import default_ydual_grid
+from marginlab.errors import InvalidArgument, MarginlabError
 from marginlab.setmap import split_lattice
 
 from helpers import (
@@ -107,6 +108,21 @@ class TestHPolyhedron:
     def test_interval_needs_one_dimension(self):
         with pytest.raises(UnsupportedDimension):
             HPolyhedron.whole_space(2).interval()
+
+    @pytest.mark.parametrize(
+        "normals, offsets, message",
+        [
+            ([[1.0, 0.0]], [math.nan], "NaN"),
+            ([[math.nan, 0.0]], [1.0], "NaN"),
+            ([[1.0, 0.0], [0.0, 1.0]], [1.0], "disagree in length"),
+        ],
+    )
+    def test_malformed_halfspaces_rejected(self, normals, offsets, message):
+        # a NaN offset used to read as no constraint: [[1, 0]] s <= nan was
+        # called nonempty, with the feasible point (-1, 0)
+        with pytest.raises(InvalidArgument, match=message) as raised:
+            HPolyhedron(normals, offsets)
+        assert isinstance(raised.value, MarginlabError) and isinstance(raised.value, ValueError)
 
 
 class TestEmptinessAndFeasiblePoint:
@@ -292,18 +308,18 @@ class TestEpsSubdifferential:
     def test_negative_eps_rejected(self):
         g = Grid.from_bounds([(0.0, 1.0, 2)])
         f = GriddedFunction(g, [0.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             eps_subdifferential(f, 0, -0.1)
 
     @pytest.mark.parametrize("eps", [INF, math.nan])
     def test_non_finite_eps_rejected(self, eps):
         g = Grid.from_bounds([(0.0, 1.0, 2)])
         F = full_map(g, g)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(InvalidArgument, match="finite"):
             eps_subdifferential(GriddedFunction(g, [0.0, 0.0]), 0, eps)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(InvalidArgument, match="finite"):
             eps_normal_cone(g.nodes, [0.0], eps)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(InvalidArgument, match="finite"):
             eps_coderivative(F, ([0.0], [0.0]), [0.0], eps)
 
     def test_fenchel_young_membership_equivalence(self):
