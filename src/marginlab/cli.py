@@ -48,7 +48,7 @@ from .conjugate import (
     fast_conjugate_check,
     fenchel_young_check,
 )
-from .core import INF, Axis, Grid, Verdict, axis_names, render_value
+from .core import INF, Axis, Grid, Verdict, as_point, axis_names, render_value
 from .duality import (
     LagrangianIdentityReport,
     SlaterReport,
@@ -180,18 +180,9 @@ def _parse_x0(text: str | None, dim: int) -> np.ndarray:
     if text is None:
         return np.zeros(dim)
     try:
-        vals = np.array([float(t) for t in text.split(",")], dtype=np.float64)
-    except ValueError:
-        raise UsageError(
-            f"--x0 expects comma-separated numbers, got {text!r}"
-        ) from None
-    if vals.shape[0] != dim:
-        raise UsageError(
-            f"--x0 has {vals.shape[0]} coordinates for a {dim}-dimensional grid"
-        )
-    if not np.isfinite(vals).all():
-        raise UsageError(f"--x0 needs finite coordinates, got {text!r}")
-    return vals
+        return as_point(text.split(","), dim, "--x0")
+    except MarginlabError as e:
+        raise UsageError(str(e)) from None
 
 
 class _Run:

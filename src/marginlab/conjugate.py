@@ -41,6 +41,8 @@ from .core import (
     Grid,
     GriddedFunction,
     Verdict,
+    as_point,
+    as_rows,
     ext_add_arrays,
     lower_chain,
     max_deviation,
@@ -96,13 +98,15 @@ def count_slices(entries: np.ndarray):
 def max_dots_minus(queries: np.ndarray, points: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """max over rows p of <q, p> - v(p), per query row q.
 
-    All inputs finite; empty `points` yields -inf per query.  The scores
+    Every entry must be finite; empty `points` yields -inf per query.  The scores
     are taken in blocks of at most `_BLOCK_CAP` entries, over points as
     well when one query row exceeds the cap; each score is `dots` of its
     two rows, so the blocked maximum equals that of one score matrix
     bitwise.
     """
-    queries = np.asarray(queries, dtype=np.float64)
+    points = as_rows(points, None, "points")
+    queries = as_rows(queries, points.shape[1], "queries")
+    vals = as_point(vals, points.shape[0], "point values")
     n = points.shape[0]
     out = np.full(queries.shape[0], -INF)
     for lo in range(0, n, _BLOCK_CAP):
@@ -145,8 +149,8 @@ def partial_conjugate(
     tables come from `dots`, and both maxima run in `score_slices` blocks,
     so the block size changes no bit.
     """
-    xstars = np.atleast_2d(np.asarray(xstars, dtype=np.float64))
-    ystars = np.atleast_2d(np.asarray(ystars, dtype=np.float64))
+    xstars = as_rows(xstars, X.shape[1], "x* rows")
+    ystars = as_rows(ystars, Y.shape[1], "y* rows")
     dom = (values < INF).any(axis=1)
     if not dom.any():
         return np.full((xstars.shape[0], ystars.shape[0]), -INF)
@@ -165,18 +169,9 @@ def partial_conjugate(
     return table
 
 
-def _validate_dual(f: GriddedFunction, duals: Grid) -> None:
-    if duals.dim != f.grid.dim:
-        raise DimensionMismatch(
-            f"dual grid is {duals.dim}-dimensional, primal is {f.grid.dim}-dimensional"
-        )
-
-
 def conjugate_at(f: GriddedFunction, points: np.ndarray) -> np.ndarray:
     """Exact conjugate values of f at arbitrary dual points."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != f.grid.dim:
-        raise DimensionMismatch("dual points and grid dimension disagree")
+    points = as_rows(points, f.grid.dim, "dual points")
     if (f.values == -INF).any():
         return np.full(points.shape[0], INF)
     dom = f.dom_mask
@@ -187,7 +182,6 @@ def conjugate_at(f: GriddedFunction, points: np.ndarray) -> np.ndarray:
 
 def conjugate(f: GriddedFunction, duals: Grid) -> GriddedFunction:
     """Brute-force Fenchel conjugate sampled at every dual node."""
-    _validate_dual(f, duals)
     vals = conjugate_at(f, duals.nodes)
     return GriddedFunction(duals, vals, provenance="conjugate")
 
@@ -242,7 +236,8 @@ def conjugate_fast(f: GriddedFunction, duals: Grid) -> GriddedFunction:
     per-axis terms, detected against the data itself); otherwise
     UnsupportedShape is raised.
     """
-    _validate_dual(f, duals)
+    if duals.dim != f.grid.dim:
+        raise DimensionMismatch(f"dual nodes: {duals.dim} coordinates, expected {f.grid.dim}")
     if (f.values == -INF).any():
         return GriddedFunction(duals, np.full(duals.size, INF), provenance="conjugate_fast")
     if not f.dom_mask.any():
@@ -317,11 +312,7 @@ def biconjugate_minorant_check(f: GriddedFunction, fstarstar: GriddedFunction) -
 
 def support_function(points: np.ndarray, duals: Grid) -> GriddedFunction:
     """Support function of a finite point set at every dual node."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.size == 0:
-        return GriddedFunction(duals, np.full(duals.size, -INF), provenance="support")
-    if points.shape[1] != duals.dim:
-        raise DimensionMismatch("points and dual grid dimension disagree")
+    points = as_rows(points, duals.dim, "points")
     vals = max_dots_minus(duals.nodes, points, np.zeros(points.shape[0]))
     return GriddedFunction(duals, vals, provenance="support")
 

@@ -23,6 +23,7 @@ from . import expr as _expr
 from .errors import (
     DimensionMismatch,
     GridMismatch,
+    InvalidArgument,
     NonFiniteExpression,
     NotANode,
 )
@@ -97,6 +98,35 @@ def render_value(v: float) -> "float | str":
     return float(v)
 
 
+def as_rows(a, width: int | None, what: str, finite: bool = True) -> np.ndarray:
+    """`a` as float64 rows, the one check of every public point or row
+    argument: a 1-D input is one row, zero rows are allowed, float64 is not
+    copied.  A width other than `width` (None takes any) raises
+    DimensionMismatch; over two axes, entries that are no numbers and, if
+    `finite`, NaN or an infinity raise InvalidArgument."""
+    try:
+        rows = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidArgument(f"{what}: entries are not numbers ({e})") from None
+    if rows.ndim > 2:
+        raise InvalidArgument(f"{what}: {rows.ndim} axes, expected a stack of rows")
+    rows = np.atleast_2d(rows)
+    if width is not None and rows.shape[1] != width:
+        raise DimensionMismatch(f"{what}: {rows.shape[1]} coordinates per row, expected {width}")
+    if finite and not np.isfinite(rows).all():
+        bad = "NaN" if np.isnan(rows).any() else "an infinity"
+        raise InvalidArgument(f"{what}: a non-finite entry ({bad})")
+    return rows
+
+
+def as_point(a, width: int | None, what: str, finite: bool = True) -> np.ndarray:
+    """One point: `as_rows` of exactly one row, returned 1-D."""
+    rows = as_rows(a, width, what, finite)
+    if rows.shape[0] != 1:
+        raise InvalidArgument(f"{what}: {rows.shape[0]} rows, expected one point")
+    return rows[0]
+
+
 def sorted_distinct(a: np.ndarray) -> np.ndarray:
     """The bits of `np.unique(a)` for a NaN-free 1-D array, and of
     `np.unique(a, axis=0)` for a 2-D one, without numpy 2's masked-array
@@ -152,13 +182,13 @@ class Axis:
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("axis endpoints must be finite")
+            raise InvalidArgument("axis endpoints must be finite")
         if self.hi <= self.lo:
-            raise ValueError(f"axis needs lo < hi, got [{self.lo}, {self.hi}]")
+            raise InvalidArgument(f"axis needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.count < 2:
-            raise ValueError("axis needs at least 2 nodes")
+            raise InvalidArgument("axis needs at least 2 nodes")
         if not math.isfinite((self.hi - self.lo) * (self.count - 1)):
-            raise ValueError(
+            raise InvalidArgument(
                 f"axis [{self.lo}, {self.hi}] with {self.count} nodes is too wide:"
                 " its node offsets overflow"
             )
@@ -180,7 +210,7 @@ class Grid:
 
     def __post_init__(self):
         if not self.axes:
-            raise ValueError("grid needs at least one axis")
+            raise InvalidArgument("grid needs at least one axis")
         object.__setattr__(self, "axes", tuple(self.axes))
 
     @classmethod
@@ -228,11 +258,7 @@ class Grid:
 
     def index_of(self, point: Sequence[float]) -> int:
         """Flat index of the node matching `point` within NODE_TOL per axis."""
-        p = np.asarray(point, dtype=np.float64).reshape(-1)
-        if p.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"point has {p.shape[0]} coordinates, grid has {self.dim} axes"
-            )
+        p = as_point(point, self.dim, "point", finite=False)
         if not np.isfinite(p).all():
             raise NotANode(f"{p.tolist()} is not a grid node (non-finite coordinate)")
         multi = []
@@ -254,7 +280,7 @@ class Grid:
     def refine(self, factor: int) -> "Grid":
         """Same box, (count-1)*factor + 1 nodes per axis; keeps old nodes."""
         if factor < 1 or int(factor) != factor:
-            raise ValueError("refinement factor must be a positive integer")
+            raise InvalidArgument("refinement factor must be a positive integer")
         return Grid(
             tuple(Axis(a.lo, a.hi, (a.count - 1) * int(factor) + 1) for a in self.axes)
         )
@@ -295,7 +321,7 @@ class GriddedFunction:
                 f"{v.shape[0]} values for a grid of {self.grid.size} nodes"
             )
         if np.isnan(v).any():
-            raise ValueError("NaN is not a legal gridded value")
+            raise InvalidArgument("NaN is not a legal gridded value")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

@@ -32,6 +32,7 @@ from .core import (
     Grid,
     GriddedFunction,
     Verdict,
+    as_rows,
     default_names,
     eval_on_grid,
     hypothesis_verdict,
@@ -39,7 +40,7 @@ from .core import (
     render_value,
     sorted_distinct,
 )
-from .errors import GridNotAdapted, NotANode, ZeroNotOnGrid
+from .errors import GridNotAdapted, InvalidArgument, MarginlabError, NotANode, ZeroNotOnGrid
 from .marginal import masked_minima
 from .setmap import SetValuedMap, map_from_inequalities
 from .subdiff import eps_subdifferential, feasible_point, linprog
@@ -82,7 +83,7 @@ def sampled_inf_convolution(
     add-and-min runs in `tables.inf_convolution_min`, over blocks of points
     of about `conjugate._BLOCK_CAP` entries.
     """
-    at = np.atleast_2d(np.asarray(at, dtype=np.float64))
+    at = as_rows(at, F.xgrid.dim, "evaluation points")
     return inf_convolution_min(
         phi_conjugate(phi, F, x1duals, yduals), *lattice_support(F, at, x1duals, yduals)
     )
@@ -259,7 +260,7 @@ def lagrangian_dual(
     """
     fv, gv = _eval_objective(f_expr, tuple(g_exprs), ygrid)
     if lambda_grid.dim != gv.shape[0]:
-        raise ValueError("lambda grid dimension must match the number of constraints")
+        raise InvalidArgument("lambda grid dimension must match the number of constraints")
     lam = lambda_grid.nodes
     L = fv[None, :] + lam @ gv
     mins = L.argmin(axis=1)
@@ -456,7 +457,7 @@ def slater_strong_duality_check(
         )
         # never unbounded: the strictly feasible node bounds the objective
         if res.status != 0:
-            raise RuntimeError(f"LP solver failed on the Lagrangian dual: {res.message}")
+            raise MarginlabError(f"LP solver failed on the Lagrangian dual: {res.message}")
         vd = float(res.x[0])
     gap = _gap(vp, vd)
     row = Verdict("slater_strong_duality", bool(abs(gap) <= TOL) if hypothesis else None,

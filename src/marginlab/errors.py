@@ -43,9 +43,10 @@ class GridMismatch(MarginlabError):
 
 
 class InvalidArgument(MarginlabError, ValueError):
-    """A library argument is malformed: NaN or a negative eps where a number
-    is needed, or lengths that must agree and do not.  It is also a
-    ValueError, so callers that catch ValueError still catch it."""
+    """A malformed library argument: point rows with over two axes, entries
+    that are no numbers or not finite, a bad eps, axis, grid or refinement
+    factor, or lengths that disagree (a wrong row width is a DimensionMismatch).
+    It is also a ValueError, so callers that catch ValueError still catch it."""
 
 
 class DimensionMismatch(MarginlabError):

@@ -27,6 +27,8 @@ from .errors import (
     DimensionMismatch,
     GridMismatch,
     HypothesisNotMet,
+    InvalidArgument,
+    MarginlabError,
     NotNodePreserving,
     RasterError,
     UnsupportedDimension,
@@ -218,7 +220,7 @@ def _facets3(pts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
             if f is not None:
                 facets.append(f)
     if not facets:
-        raise RuntimeError("failed to enumerate hull facets of a rank-3 point set")
+        raise MarginlabError("failed to enumerate hull facets of a rank-3 point set")
     return facets
 
 
@@ -485,7 +487,7 @@ def refine_raster(S: RasterSet, factor: int = 2) -> RasterSet:
     regions stay filled and gaps stay open.
     """
     if factor < 1:
-        raise ValueError("factor must be >= 1")
+        raise InvalidArgument("factor must be >= 1")
     if factor == 1:
         return S
     fine_grid = S.grid.refine(factor)

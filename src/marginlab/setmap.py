@@ -32,6 +32,7 @@ from .core import (
     NODE_TOL,
     Grid,
     GriddedFunction,
+    as_rows,
     default_names,
     eval_columns,
     name_environment,
@@ -159,12 +160,7 @@ def map_from_points(
     """Graph from explicit (x..., y...) coordinate rows (must hit nodes)."""
     graph = np.zeros((xgrid.size, ygrid.size), dtype=bool)
     m = xgrid.dim
-    for row in points:
-        row = np.asarray(row, dtype=np.float64).reshape(-1)
-        if row.shape[0] != m + ygrid.dim:
-            raise DimensionMismatch(
-                f"graph point has {row.shape[0]} coordinates, expected {m + ygrid.dim}"
-            )
+    for row in as_rows(points, m + ygrid.dim, "graph points"):
         xi = xgrid.index_of(row[:m])
         yi = ygrid.index_of(row[m:])
         graph[xi, yi] = True
@@ -173,19 +169,11 @@ def map_from_points(
 
 def map_conjugate_at(F: SetValuedMap, points: np.ndarray) -> np.ndarray:
     """Support function of the graph at arbitrary stacked (x*, y*) points."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != F.xgrid.dim + F.ygrid.dim:
-        raise DimensionMismatch("dual points must stack x* and y* coordinates")
-    pts = F.graph_points
-    if pts.shape[0] == 0:
-        return np.full(points.shape[0], -INF)
-    return max_dots_minus(points, pts, np.zeros(pts.shape[0]))
+    return max_dots_minus(points, F.graph_points, np.zeros(F.graph_points.shape[0]))
 
 
 def map_conjugate(F: SetValuedMap, xduals: Grid, yduals: Grid) -> GriddedFunction:
     """F*(x*, y*) = support of the graph, on the product dual grid."""
-    if xduals.dim != F.xgrid.dim or yduals.dim != F.ygrid.dim:
-        raise DimensionMismatch("dual grids must match the map's x/y dimensions")
     duals = product_grid(xduals, yduals)
     vals = graph_support(F, xduals.nodes, yduals.nodes).reshape(-1)
     return GriddedFunction(duals, vals, provenance="map_conjugate")
@@ -198,10 +186,6 @@ def graph_support(F: SetValuedMap, xstars: np.ndarray, ystars: np.ndarray) -> np
     maximum `map_conjugate_at` takes at the stacked point; an empty graph
     gives -inf everywhere.
     """
-    xstars = np.atleast_2d(np.asarray(xstars, dtype=np.float64))
-    ystars = np.atleast_2d(np.asarray(ystars, dtype=np.float64))
-    if xstars.shape[1] != F.xgrid.dim or ystars.shape[1] != F.ygrid.dim:
-        raise DimensionMismatch("dual rows must match the map's x/y dimensions")
     indicator = np.where(F.graph, 0.0, INF)
     return partial_conjugate(indicator, F.xgrid.nodes, F.ygrid.nodes, xstars, ystars)
 

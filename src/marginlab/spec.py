@@ -31,6 +31,7 @@ from .core import (
 )
 from .errors import (
     ExpressionError,
+    InvalidArgument,
     MissingSection,
     NonFiniteExpression,
     NotANode,
@@ -96,7 +97,7 @@ class ProblemSpec(NamedTuple):
     def build(self, factor: int = 1) -> tuple[GriddedFunction, SetValuedMap]:
         """Instantiate (phi, F), optionally on factor-refined grids."""
         if factor < 1:
-            raise ValueError("refinement factor must be >= 1")
+            raise InvalidArgument("refinement factor must be >= 1")
         xg = self.xgrid.refine(factor) if factor > 1 else self.xgrid
         yg = self.ygrid.refine(factor) if factor > 1 else self.ygrid
         pg = product_grid(xg, yg)

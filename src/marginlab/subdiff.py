@@ -57,6 +57,8 @@ from .core import (
     Grid,
     GriddedFunction,
     Verdict,
+    as_point,
+    as_rows,
     ext_sum,
     hypothesis_verdict,
     lower_chain,
@@ -66,6 +68,7 @@ from .core import (
 from .errors import (
     GridMismatch,
     InvalidArgument,
+    MarginlabError,
     NotFiniteAtPoint,
     NotOnGraph,
     PointNotInSet,
@@ -116,12 +119,10 @@ class HPolyhedron:
     offsets: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.normals, dtype=np.float64))
-        b = np.asarray(self.offsets, dtype=np.float64).reshape(-1)
+        A = as_rows(self.normals, None, "normals")
+        b = as_rows(self.offsets, None, "offsets").reshape(-1)
         if A.shape[0] != b.shape[0]:
             raise InvalidArgument("normals and offsets disagree in length")
-        if np.isnan(A).any() or np.isnan(b).any():
-            raise InvalidArgument("a halfspace has a NaN normal or offset")
         A = A.copy()
         b = b.copy()
         A.setflags(write=False)
@@ -148,11 +149,9 @@ class HPolyhedron:
 
     def contains(self, points) -> np.ndarray | bool:
         """Membership within tolerance 1e-9, vectorized over point rows."""
-        pts = np.asarray(points, dtype=np.float64)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
+        pts = as_rows(points, self.dim, "points")
         ok = (pts @ self.normals.T <= self.offsets + TOL).all(axis=1)
-        return bool(ok[0]) if single else ok
+        return bool(ok[0]) if np.ndim(points) == 1 else ok
 
     def interval(self) -> Interval:
         """Exact solution interval; dimension 1 only."""
@@ -192,7 +191,7 @@ def _farkas(A: np.ndarray, b: np.ndarray) -> tuple[bool, list[int] | None]:
     if res.status == 2:
         return True, None
     if res.status != 0:
-        raise RuntimeError(f"LP solver failed on the Farkas system: {res.message}")
+        raise MarginlabError(f"LP solver failed on the Farkas system: {res.message}")
     if res.fun < -TOL:
         return False, [int(i) for i in np.flatnonzero(res.x > TOL)]
     return True, None
@@ -468,11 +467,9 @@ def eps_subdifferential(f: GriddedFunction, x0, eps: float) -> HPolyhedron:
 def eps_normal_cone(points, x0, eps: float) -> HPolyhedron:
     """eps-normal cone to a finite point set at a member point x0."""
     _check_eps(eps)
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if P.shape[1] != x0.shape[0]:
-        raise PointNotInSet("x0 and the point set disagree in dimension")
-    if not (np.abs(P - x0).max(axis=1) <= TOL).any():
+    P = as_rows(points, None, "points")
+    x0 = as_point(x0, P.shape[1], "x0")
+    if not (np.abs(P - x0).max(axis=1, initial=0.0) <= TOL).any():
         raise PointNotInSet(f"{x0.tolist()} is not a member of the point set")
     return HPolyhedron(P - x0, np.full(P.shape[0], float(eps)))
 
@@ -491,7 +488,7 @@ def eps_coderivative(F: SetValuedMap, x0y0, ystar, eps: float) -> HPolyhedron:
     if not F.contains(xi, yi):
         raise NotOnGraph(f"(x node {xi}, y node {yi}) is not on the graph")
     gx, gy = F.graph_cells
-    ystar = np.asarray(ystar, dtype=np.float64).reshape(-1)
+    ystar = as_point(ystar, F.ygrid.dim, "y*")
     A = F.xgrid.nodes[gx] - F.xgrid.coords(xi)
     b = eps + (F.ygrid.nodes[gy] - F.ygrid.coords(yi)) @ ystar
     return HPolyhedron(A, b)

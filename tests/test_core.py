@@ -26,7 +26,9 @@ from marginlab import (
     render_value,
 )
 import marginlab
-from marginlab.core import sorted_distinct
+import marginlab.errors
+from marginlab.core import as_point, as_rows, sorted_distinct
+from marginlab.errors import InvalidArgument
 
 from helpers import lower_add
 
@@ -138,6 +140,112 @@ class TestRecordClasses:
         with pytest.raises(AttributeError):
             iv.lo = 2.0
         assert iv._replace(hi=2.0) == (0.0, 2.0) and iv == (0.0, 1.0)
+
+
+def raised_names(source):
+    """The name each `raise` statement raises (the class or function it
+    calls, without a module prefix), None for a bare re-raise."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append(None if exc is None else ast.unparse(exc).split(".")[-1])
+    return names
+
+
+def referring_functions(source, name):
+    """For each reference to `name` (bare or as an attribute), the innermost
+    function that holds it, '<module>' outside any function."""
+    owners = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if getattr(node, "attr", None) == name or getattr(node, "id", None) == name:
+            owners.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return owners
+
+
+class TestInputValidator:
+    """`core.as_rows` is the one check of the public point and row arguments:
+    every other exception the package raises is a `marginlab.errors` class,
+    and no module coerces point stacks by hand."""
+
+    # Named exceptions to the raise rule, each one Python or the package needs.
+    NOT_ERRORS_CLASSES = {
+        ("__init__", "AttributeError"),  # a PEP 562 module __getattr__ must raise it
+        ("spec", "_at_line"),  # returns the ExpressionError it is given, located
+    }
+
+    def test_raise_guard_sees_every_form(self):
+        source = (
+            "raise A\nraise B('x')\nraise m.C('x') from None\n"
+            "try:\n    pass\nexcept E:\n    raise\n"
+        )
+        assert raised_names(source) == ["A", "B", "C", None]
+
+    def test_every_raise_names_an_errors_class(self):
+        errors = {
+            name for name, value in vars(marginlab.errors).items()
+            if isinstance(value, type) and issubclass(value, marginlab.MarginlabError)
+        }
+        stray = [
+            (path.stem, name)
+            for path in sorted(SRC.glob("*.py"))
+            for name in raised_names(path.read_text(encoding="utf-8"))
+            if name not in errors | {"UsageError", None}
+            and (path.stem, name) not in self.NOT_ERRORS_CLASSES
+        ]
+        assert len(list(SRC.glob("*.py"))) > 10  # the scan sees the package
+        assert stray == []
+
+    def test_reference_guard_sees_every_form(self):
+        source = (
+            "import numpy as np\nx = np.atleast_2d(1)\n"
+            "def f():\n    def g():\n        return atleast_2d\n    return np.atleast_2d(2)\n"
+        )
+        assert referring_functions(source, "atleast_2d") == ["<module>", "g", "f"]
+
+    def test_atleast_2d_only_in_the_validator(self):
+        sites = [
+            (path.stem, owner)
+            for path in sorted(SRC.glob("*.py"))
+            for owner in referring_functions(path.read_text(encoding="utf-8"), "atleast_2d")
+        ]
+        assert sites == [("core", "as_rows")]
+
+    def test_float_rows_are_not_copied(self):
+        a = np.arange(6.0).reshape(3, 2)
+        assert as_rows(a, 2, "rows") is a
+        assert np.shares_memory(as_rows(a[0], 2, "row"), a)
+        assert as_rows([[1, 2]], None, "rows").dtype == np.float64
+
+    def test_one_row_and_zero_rows(self):
+        assert as_rows([1.0, 2.0], 2, "row").shape == (1, 2)
+        assert as_rows(np.zeros((0, 3)), 3, "rows").shape == (0, 3)
+        np.testing.assert_array_equal(as_point([[1.0, 2.0]], 2, "x0"), [1.0, 2.0])
+        with pytest.raises(InvalidArgument, match="x0: 0 rows, expected one point"):
+            as_point(np.zeros((0, 2)), 2, "x0")
+
+    @pytest.mark.parametrize(
+        "a, error, message",
+        [
+            ([[1.0, 2.0, 3.0]], DimensionMismatch, "rows: 3 coordinates per row, expected 2"),
+            (np.zeros((1, 1, 2)), InvalidArgument, "rows: 3 axes"),
+            ([[1.0, math.nan]], InvalidArgument, r"rows: a non-finite entry \(NaN\)"),
+            ([[1.0, -INF]], InvalidArgument, r"rows: a non-finite entry \(an infinity\)"),
+            ("abc", InvalidArgument, "rows: entries are not numbers"),
+            (np.array([[None, 1.0]], dtype=object), InvalidArgument, "NaN"),
+            ([[1.0], [2.0, 3.0]], InvalidArgument, "rows: entries are not numbers"),
+        ],
+    )
+    def test_malformed_rows_rejected(self, a, error, message):
+        with pytest.raises(error, match=message):
+            as_rows(a, 2, "rows")
 
 
 class TestGrids:

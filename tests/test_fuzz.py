@@ -1,4 +1,5 @@
-"""Fuzzed parser input: every text ends in a result or a located MarginlabError.
+"""Fuzzed input: every text ends in a result or a located MarginlabError,
+and every point or row array in a result or a MarginlabError.
 
 `parse_spec` (then `build(1)`), `expr.parse` and `load_raster` get arbitrary
 text and text assembled from their own keywords, so that both the first
@@ -9,15 +10,44 @@ inside its input: a 1-based line of the text, or the line just past its
 end where an error reports missing input, and a column of that line, or
 one past its end.  Expression columns are 0-based offsets into the text,
 with its length meaning the end of the input.
+
+The library's point and row arguments get arrays of the right shape and
+of a wrong one: another width, more axes, no rows, NaN or an infinity,
+object entries and strings.  Each public name that takes them must return
+a result or raise a `MarginlabError`; any other exception, or a numpy
+RuntimeWarning, which the suite turns into an error, is a bug.
 """
 
+import math
 import re
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from marginlab import MarginlabError, load_raster, parse_spec
-from marginlab.errors import ExpressionError, ExprSyntaxError
+from marginlab import (
+    DimensionMismatch,
+    Grid,
+    HPolyhedron,
+    MarginlabError,
+    conjugate_at,
+    eps_coderivative,
+    eps_normal_cone,
+    eps_subdifferential,
+    eval_on_grid,
+    full_map,
+    graph_support,
+    load_raster,
+    map_conjugate_at,
+    map_from_points,
+    max_dots_minus,
+    parse_spec,
+    partial_conjugate,
+    sampled_inf_convolution,
+    support_function,
+)
+from marginlab.errors import ExpressionError, ExprSyntaxError, InvalidArgument
 from marginlab.expr import parse
 
 FUZZ = settings(
@@ -178,3 +208,116 @@ def test_raster_loader_ends_in_a_set_or_a_located_error(text):
         load_raster(text)
     except MarginlabError as e:
         assert_located(e, text)
+
+
+# --- point and row arrays -------------------------------------------------------
+
+LINE = Grid.from_bounds([(-1.0, 1.0, 3)])
+PLANE = Grid.from_bounds([(-1.0, 1.0, 3), (-1.0, 1.0, 3)])  # LINE x LINE
+FULL = full_map(LINE, LINE)
+SQUARES = eval_on_grid("x1^2 + x2^2", PLANE)
+QUADRANT = HPolyhedron([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+NODES, TABLE = LINE.nodes, np.zeros((3, 3))  # LINE's nodes, a table on LINE x LINE
+
+# (width, call) per public point or row argument: the call puts the array
+# in that argument and fills the others with well-formed values.
+ARGUMENTS = {
+    "conjugate_at points": (2, lambda a: conjugate_at(SQUARES, a)),
+    "max_dots_minus queries": (1, lambda a: max_dots_minus(a, NODES, np.zeros(3))),
+    "max_dots_minus points": (1, lambda a: max_dots_minus([[1.0]], a, [0.0])),
+    "max_dots_minus values": (3, lambda a: max_dots_minus([[1.0]], NODES, a)),
+    "partial_conjugate x*": (1, lambda a: partial_conjugate(TABLE, NODES, NODES, a, [[0.5]])),
+    "partial_conjugate y*": (1, lambda a: partial_conjugate(TABLE, NODES, NODES, [[0.5]], a)),
+    "support_function points": (2, lambda a: support_function(a, PLANE)),
+    "map_from_points points": (2, lambda a: map_from_points(a, LINE, LINE)),
+    "map_conjugate_at points": (2, lambda a: map_conjugate_at(FULL, a)),
+    "graph_support x*": (1, lambda a: graph_support(FULL, a, [[0.5]])),
+    "graph_support y*": (1, lambda a: graph_support(FULL, [[0.5]], a)),
+    "HPolyhedron normals": (2, lambda a: HPolyhedron(a, [1.0])),
+    "HPolyhedron offsets": (1, lambda a: HPolyhedron([[1.0, 0.0]], a)),
+    "HPolyhedron.contains points": (2, lambda a: QUADRANT.contains(a)),
+    "eps_normal_cone points": (2, lambda a: eps_normal_cone(a, [0.0, 0.0], 0.5)),
+    "eps_normal_cone x0": (2, lambda a: eps_normal_cone(PLANE.nodes, a, 0.5)),
+    "eps_coderivative x0": (1, lambda a: eps_coderivative(FULL, (a, [0.0]), [1.0], 0.5)),
+    "eps_coderivative y*": (1, lambda a: eps_coderivative(FULL, ([0.0], [0.0]), a, 0.5)),
+    "eps_subdifferential x0": (2, lambda a: eps_subdifferential(SQUARES, a, 0.5)),
+    "sampled_inf_convolution at": (
+        1, lambda a: sampled_inf_convolution(SQUARES, FULL, a, LINE, LINE)
+    ),
+    "Grid.index_of point": (2, lambda a: PLANE.index_of(a)),
+}
+
+ARRAYS = settings(FUZZ, max_examples=100)
+ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.0, 2.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def point_arrays(draw, width):
+    """A stack of rows, mostly `width` wide, in one of the forms a caller
+    may pass: an array, one row, more axes, a list, objects, text."""
+    rows = draw(st.integers(0, 3))
+    cols = draw(st.sampled_from([width, width, width, width - 1, width + 1, 0]))
+    entries = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    a = np.array(entries, dtype=np.float64).reshape(rows, cols)
+    form = draw(st.sampled_from(
+        ["rows", "row", "deeper", "list", "objects", "none", "text", "word", "scalar", "ragged"]
+    ))
+    if form == "row":
+        return a[0] if rows else a.reshape(-1)
+    if form == "deeper":
+        return a[None]
+    if form == "list":
+        return a.tolist()
+    if form == "objects":
+        return a.astype(object)
+    if form == "none":
+        return np.array([[None] * cols] * rows, dtype=object)
+    if form == "text":
+        return a.astype(str)
+    if form == "word":
+        return draw(st.sampled_from(["abc", "1, 2", ""]))
+    if form == "scalar":
+        return draw(ENTRIES)
+    if form == "ragged":
+        return [[0.0] * width, [0.0] * (width + 1)]
+    return a
+
+
+@ARRAYS
+@given(st.data())
+@pytest.mark.parametrize("name", sorted(ARGUMENTS))
+def test_point_arguments_end_in_a_result_or_a_marginlab_error(name, data):
+    width, call = ARGUMENTS[name]
+    a = data.draw(point_arrays(width))
+    try:
+        call(a)
+    except MarginlabError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        # each of these once returned a number
+        (lambda: conjugate_at(SQUARES, [[math.nan, 0.0]]), InvalidArgument),
+        (lambda: map_conjugate_at(FULL, [[math.inf, 0.0]]), InvalidArgument),
+        (lambda: max_dots_minus([[0.0, 1.0]], NODES, np.zeros(3)), DimensionMismatch),
+        (lambda: partial_conjugate(TABLE, NODES, NODES, [[0.0, 0.0, 0.0]], [[0.0]]),
+         DimensionMismatch),
+        (lambda: sampled_inf_convolution(SQUARES, FULL, [[0.0, 5.0, 7.0]], LINE, LINE),
+         DimensionMismatch),
+        (lambda: QUADRANT.contains([[math.nan, 0.0]]), InvalidArgument),
+        (lambda: HPolyhedron([[[1.0, 0.0]]], [1.0]), InvalidArgument),
+        # each of these once ended in a bare ValueError
+        (lambda: conjugate_at(SQUARES, "abc"), InvalidArgument),
+        (lambda: eps_coderivative(FULL, ([0.0], [0.0]), [1.0, 2.0], 0.0), DimensionMismatch),
+    ],
+    ids=[
+        "conjugate_at-nan", "map_conjugate_at-inf", "max_dots_minus-width",
+        "partial_conjugate-width", "sampled_inf_convolution-width", "contains-nan",
+        "HPolyhedron-3d-normals", "conjugate_at-string", "eps_coderivative-ystar-width",
+    ],
+)
+def test_malformed_arrays_once_answered_now_raise(call, error):
+    with pytest.raises(error):
+        call()
