@@ -34,8 +34,8 @@ from typing import Callable, Mapping, Sequence
 
 # numpy's bundled OpenBLAS starts one worker thread per core when it loads,
 # and each worker spins for about 0.1 s of CPU waiting for work.  A command
-# gives it none worth splitting (the kernels take their dot products through
-# conjugate.dots, not BLAS), so a CLI process loads numpy with one thread.
+# gives it none (every float dot product goes through conjugate.dots, not
+# BLAS), so a CLI process loads numpy with one thread.
 # The lazy package namespace leaves numpy unloaded until this module imports
 # it; a value the caller set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

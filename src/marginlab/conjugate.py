@@ -15,7 +15,7 @@ exact (dyadic data).  A linear-time transform (lower convex hull +
 monotone merge) reproduces the brute-force values on sorted 1-D data and
 separable multi-D data.
 
-Every dot product here, and in the checks built on these kernels, comes
+Every float dot product here, and everywhere else in the package, comes
 from `dots`: a sum from +0.0 over the per-coordinate products in
 coordinate order, so an entry's bits depend on its two rows alone and not
 on the table or block it is computed in.  The kernels and their callers
@@ -149,6 +149,10 @@ def partial_conjugate(
     tables come from `dots`, and both maxima run in `score_slices` blocks,
     so the block size changes no bit.
     """
+    X, Y = as_rows(X, None, "x nodes"), as_rows(Y, None, "y nodes")
+    values = as_rows(values, Y.shape[0], "values (one column per y node)", finite=False)
+    if values.shape[0] != X.shape[0]:
+        raise DimensionMismatch(f"values: {values.shape[0]} rows, expected one per x node")
     xstars = as_rows(xstars, X.shape[1], "x* rows")
     ystars = as_rows(ystars, Y.shape[1], "y* rows")
     dom = (values < INF).any(axis=1)

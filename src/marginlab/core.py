@@ -13,6 +13,7 @@ factor keeps the original nodes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -181,6 +182,12 @@ class Axis:
     count: int
 
     def __post_init__(self):
+        if not (isinstance(self.lo, numbers.Real) and isinstance(self.hi, numbers.Real)):
+            raise InvalidArgument(
+                f"axis endpoints must be real numbers, got {self.lo!r} and {self.hi!r}"
+            )
+        if not isinstance(self.count, numbers.Integral):
+            raise InvalidArgument(f"axis node count must be an integer, got {self.count!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise InvalidArgument("axis endpoints must be finite")
         if self.hi <= self.lo:

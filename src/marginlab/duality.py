@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conjugate import conjugate_at, score_slices
+from .conjugate import conjugate_at, dots, score_slices
 from .core import (
     INF,
     ROUNDING_TOL,
@@ -214,7 +214,7 @@ def strong_duality_check(tables: Tables) -> DualityReport:
     if witness is not None and np.isfinite(vp):
         s = np.asarray(witness)
         fin = np.isfinite(mu.values)
-        lhs = mu.grid.nodes[fin] @ s
+        lhs = dots(mu.grid.nodes[fin], s)
         witness_sound = bool(np.all(lhs <= mu.values[fin] - vp + TOL))
     verdicts = (
         Verdict("weak_duality_chain", bool(chain_ok)),
@@ -262,7 +262,7 @@ def lagrangian_dual(
     if lambda_grid.dim != gv.shape[0]:
         raise InvalidArgument("lambda grid dimension must match the number of constraints")
     lam = lambda_grid.nodes
-    L = fv[None, :] + lam @ gv
+    L = fv[None, :] + dots(lam[:, None], gv.T)
     mins = L.argmin(axis=1)
     vals = L[np.arange(lam.shape[0]), mins]
     neg = (lam < 0).any(axis=1)

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .conjugate import dots
 from .core import Axis, Grid, Verdict, lower_chain, sorted_distinct
 from .errors import (
     DimensionMismatch,
@@ -425,7 +426,7 @@ def _map_raster(S: RasterSet, T: np.ndarray) -> tuple[Grid, np.ndarray, np.ndarr
     if not np.array_equal(T, np.round(T)):
         raise NotNodePreserving("the linear map must have integer coefficients")
     T = T.astype(np.int64)
-    img_all = S.grid.nodes @ T.T.astype(np.float64)
+    img_all = dots(S.grid.nodes[:, None], T)
     axes = tuple(_image_axis(img_all[:, j], j) for j in range(T.shape[0]))
     tgrid = Grid(axes)
     idx = np.empty((S.grid.size, T.shape[0]), dtype=np.int64)

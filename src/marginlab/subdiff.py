@@ -150,7 +150,7 @@ class HPolyhedron:
     def contains(self, points) -> np.ndarray | bool:
         """Membership within tolerance 1e-9, vectorized over point rows."""
         pts = as_rows(points, self.dim, "points")
-        ok = (pts @ self.normals.T <= self.offsets + TOL).all(axis=1)
+        ok = (dots(pts[:, None], self.normals) <= self.offsets + TOL).all(axis=1)
         return bool(ok[0]) if np.ndim(points) == 1 else ok
 
     def interval(self) -> Interval:
@@ -316,10 +316,10 @@ def _crossing(x0, d0, x1, d1):
 
 def _support(V: np.ndarray, R: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Support function of conv(V) + cone(R) at each normal row."""
-    h = (normals @ V.T).max(axis=1)
+    h = dots(normals[:, None], V).max(axis=1)
     if R.shape[0]:
         lens = np.hypot(normals[:, 0], normals[:, 1])
-        h[(normals @ R.T > _PARALLEL * lens[:, None]).any(axis=1)] = INF
+        h[(dots(normals[:, None], R) > _PARALLEL * lens[:, None]).any(axis=1)] = INF
     return h
 
 
@@ -482,7 +482,10 @@ def eps_coderivative(F: SetValuedMap, x0y0, ystar, eps: float) -> HPolyhedron:
     all graph nodes (x, y).
     """
     _check_eps(eps)
-    x0, y0 = x0y0
+    try:
+        x0, y0 = x0y0
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"x0y0 must be a pair (x0, y0), got {x0y0!r}") from None
     xi = F.xgrid.resolve(x0)
     yi = F.ygrid.resolve(y0)
     if not F.contains(xi, yi):
@@ -490,7 +493,7 @@ def eps_coderivative(F: SetValuedMap, x0y0, ystar, eps: float) -> HPolyhedron:
     gx, gy = F.graph_cells
     ystar = as_point(ystar, F.ygrid.dim, "y*")
     A = F.xgrid.nodes[gx] - F.xgrid.coords(xi)
-    b = eps + (F.ygrid.nodes[gy] - F.ygrid.coords(yi)) @ ystar
+    b = eps + dots(F.ygrid.nodes[gy] - F.ygrid.coords(yi), ystar)
     return HPolyhedron(A, b)
 
 
@@ -517,7 +520,7 @@ def eps_subdifferential_check(
     f0 = float(f.values[xi])
     if np.isfinite(f0):
         with np.errstate(invalid="ignore"):
-            member_fy = fstar.values + f0 <= nodes @ f.grid.coords(xi) + eps + TOL
+            member_fy = fstar.values + f0 <= dots(nodes, f.grid.coords(xi)) + eps + TOL
     else:
         member_fy = np.zeros(nodes.shape[0], dtype=bool)
     wider = eps_subdifferential(f, xi, eps + 0.5).contains(nodes)
@@ -586,11 +589,11 @@ def _minkowski_contains(P: HPolyhedron, Q: HPolyhedron, points: np.ndarray) -> n
             return np.zeros(points.shape[0], dtype=bool)
         A = np.vstack([P.normals, Q.normals])
         h = _support(*gp, A) + _support(*gq, A)
-        return (points @ A.T <= h).all(axis=1)
+        return (dots(points[:, None], A) <= h).all(axis=1)
     out = np.zeros(points.shape[0], dtype=bool)
     A = np.vstack([P.normals, -Q.normals])
     for k, s in enumerate(points):
-        b = np.concatenate([P.offsets, Q.offsets - Q.normals @ s])
+        b = np.concatenate([P.offsets, Q.offsets - dots(Q.normals, s)])
         out[k] = _farkas(A, b + TOL)[0]
     return out
 

@@ -2,8 +2,8 @@
 
 import ast
 import importlib
-import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from marginlab import (
     inf_convolution,
     partial_conjugate,
     product_grid,
-    subdiff,
     support_function,
 )
 
@@ -119,43 +118,65 @@ class TestDots:
 
 
 def matrix_products(source):
-    """Line numbers of `@` and of matmul/dot/einsum/inner calls in source."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
+    """(enclosing function, line) of each `@` and each matmul/dot/einsum/
+    inner/vdot/tensordot call in source; the function is None at module level."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            lines.append(node.lineno)
+            found.append((func, node.lineno))
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in {"matmul", "dot", "einsum", "inner"}
+            and node.func.attr in {"matmul", "dot", "einsum", "inner", "vdot", "tensordot"}
         ):
-            lines.append(node.lineno)
-    return sorted(lines)
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda hit: hit[1])
+
+
+PACKAGE = {
+    "marginlab" if path.stem == "__init__" else f"marginlab.{path.stem}": path
+    for path in sorted(Path(conjugate_module.__file__).parent.glob("*.py"))
+}
+
+# Integer products: the facet tests of the 3-D raster hull, exact on int64.
+INTEGER_PRODUCTS = {"marginlab.nearconvex": {"try_facet", "_hull3"}}
 
 
 class TestOneBlockRule:
-    """Every dot product of the conjugate kernels and of the checks that
-    claim bitwise agreement goes through `conjugate.dots`; a BLAS product
-    could round a row differently in another block."""
+    """Every float dot product of the package goes through `conjugate.dots`:
+    a BLAS product could round a row differently in another block, or
+    under another BLAS build or CPU kernel.  The integer products of the
+    3-D raster hull are the only others."""
 
     def test_guard_sees_every_form(self):
         source = (
             "a @ b\na @= b\nnp.matmul(a, b)\nnp.dot(a, b)\na.dot(b)\n"
-            "np.einsum('ij,kj', a, b)\nnumpy.inner(a, b)\nnp.multiply.outer(a, b)\n"
+            "np.einsum('ij,kj', a, b)\nnumpy.inner(a, b)\nnp.vdot(a, b)\n"
+            "np.tensordot(a, b, 1)\nnp.multiply.outer(a, b)\n"
+            "def f():\n    def g():\n        return a @ b\n    return a @ b\n"
         )
-        assert matrix_products(source) == [1, 2, 3, 4, 5, 6, 7]
+        assert matrix_products(source) == [
+            *((None, line) for line in range(1, 10)), ("g", 13), ("f", 14)
+        ]
 
-    @pytest.mark.parametrize(
-        "target",
-        [
-            conjugate_module,
-            subdiff.marginal_subdiff_check,
-            subdiff.conj_subdiff_check,
-            subdiff.restricted_conjugate_check,
-        ],
-    )
-    def test_no_matrix_product(self, target):
-        assert matrix_products(inspect.getsource(target)) == []
+    @pytest.mark.parametrize("module", sorted(PACKAGE))
+    def test_no_matrix_product(self, module):
+        allowed = INTEGER_PRODUCTS.get(module, set())
+        source = PACKAGE[module].read_text(encoding="utf-8")
+        assert [hit for hit in matrix_products(source) if hit[0] not in allowed] == []
+
+    def test_only_the_integer_hull_products_are_exempt(self):
+        assert len(PACKAGE) > 10  # the scan sees the package
+        for module, names in INTEGER_PRODUCTS.items():
+            source = PACKAGE[module].read_text(encoding="utf-8")
+            assert {func for func, _ in matrix_products(source)} == names
 
 
 def definition_max_dots_minus(Q, P, v):
@@ -317,6 +338,13 @@ class TestPartialConjugate:
             np.testing.assert_array_equal(got.view(np.uint64), want)
             np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
             np.testing.assert_array_equal(got[inverse].view(np.uint64), rows.view(np.uint64))
+
+    def test_node_rows_may_be_lists(self):
+        # X given as a list once ended in a bare AttributeError (X.shape)
+        phi = GriddedFunction(product_grid(self.X, self.Y), np.arange(6.0) / 4)
+        values, X, Y = split(phi, self.X, self.Y)
+        got = partial_conjugate(values.tolist(), X.tolist(), Y.tolist(), self.XSTARS, self.YSTARS)
+        assert_bitwise(got, partial_conjugate(values, X, Y, self.XSTARS, self.YSTARS))
 
     def test_small_cap_chunks_both_maxima(self, monkeypatch):
         rng = np.random.default_rng(229)

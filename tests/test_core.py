@@ -264,6 +264,23 @@ class TestGrids:
             Axis(lo, hi, 3)
         assert np.isfinite(Axis(lo / 4, hi / 4, 3).coords()).all()
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", None, np.float64(3.0)])
+    def test_axis_count_must_be_an_integer(self, count):
+        # a count of 2.5 used to pass and put coords() past hi
+        with pytest.raises(InvalidArgument, match="count must be an integer"):
+            Axis(0.0, 1.0, count)
+
+    @pytest.mark.parametrize("lo, hi", [("a", 1.0), (0.0, None), (0.0, [1.0]), (0j, 1.0)])
+    def test_axis_endpoints_must_be_real_numbers(self, lo, hi):
+        # ("a", 1.0) used to end in a bare TypeError
+        with pytest.raises(InvalidArgument, match="endpoints must be real numbers"):
+            Axis(lo, hi, 3)
+
+    def test_axis_keeps_numeric_fields_as_given(self):
+        ax = Axis(np.float64(-1.0), 2, np.int64(4))
+        assert (type(ax.lo), type(ax.hi), type(ax.count)) == (np.float64, int, np.int64)
+        np.testing.assert_array_equal(ax.coords(), [-1.0, 0.0, 1.0, 2.0])
+
     def test_axis_coords_hit_endpoints(self):
         ax = Axis(-1.0, 2.0, 7)
         c = ax.coords()

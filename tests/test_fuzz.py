@@ -228,6 +228,11 @@ ARGUMENTS = {
     "max_dots_minus values": (3, lambda a: max_dots_minus([[1.0]], NODES, a)),
     "partial_conjugate x*": (1, lambda a: partial_conjugate(TABLE, NODES, NODES, a, [[0.5]])),
     "partial_conjugate y*": (1, lambda a: partial_conjugate(TABLE, NODES, NODES, [[0.5]], a)),
+    "partial_conjugate X": (1, lambda a: partial_conjugate(TABLE, a, NODES, [[0.5]], [[0.5]])),
+    "partial_conjugate Y": (1, lambda a: partial_conjugate(TABLE, NODES, a, [[0.5]], [[0.5]])),
+    "partial_conjugate values": (
+        3, lambda a: partial_conjugate(a, NODES, NODES, [[0.5]], [[0.5]])
+    ),
     "support_function points": (2, lambda a: support_function(a, PLANE)),
     "map_from_points points": (2, lambda a: map_from_points(a, LINE, LINE)),
     "map_conjugate_at points": (2, lambda a: map_conjugate_at(FULL, a)),
@@ -311,11 +316,16 @@ def test_point_arguments_end_in_a_result_or_a_marginlab_error(name, data):
         # each of these once ended in a bare ValueError
         (lambda: conjugate_at(SQUARES, "abc"), InvalidArgument),
         (lambda: eps_coderivative(FULL, ([0.0], [0.0]), [1.0, 2.0], 0.0), DimensionMismatch),
+        (lambda: partial_conjugate(np.zeros((2, 3)), NODES, NODES, [[0.0]], [[0.0]]),
+         DimensionMismatch),
+        (lambda: eps_coderivative(FULL, ([0.0], [0.0], [0.0]), [1.0], 0.0), InvalidArgument),
+        (lambda: eps_coderivative(FULL, "abc", [1.0], 0.0), InvalidArgument),
     ],
     ids=[
         "conjugate_at-nan", "map_conjugate_at-inf", "max_dots_minus-width",
         "partial_conjugate-width", "sampled_inf_convolution-width", "contains-nan",
         "HPolyhedron-3d-normals", "conjugate_at-string", "eps_coderivative-ystar-width",
+        "partial_conjugate-values-shape", "eps_coderivative-triple", "eps_coderivative-string",
     ],
 )
 def test_malformed_arrays_once_answered_now_raise(call, error):

@@ -13,13 +13,23 @@ detail strings.  A change that moves a byte bumps the schema string and
 replaces the goldens on purpose.
 
 The verify-all reports at --refine 1 are compared by test_acceptance's
-test_11, which runs verify-all on every fixture anyway.
+test_11, which runs verify-all on every fixture anyway.  One more test
+runs every golden case, those included, in a process whose numpy may
+dispatch to no SIMD kernel beyond its x86-64-v2 baseline and whose
+OpenBLAS runs its oldest (Prescott) kernels: no report byte may depend on
+the CPU a run lands on.
 """
 
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import marginlab
 from marginlab.cli import COMMANDS, main
 
 from helpers import FIXTURES, GOLDEN, fixture_names, golden_mismatches
@@ -53,13 +63,50 @@ CASES = [
 ]
 
 
+def _golden_rc(fixture, case):
+    """The exit code of the golden run: 2 if a row FAILs, else 0."""
+    golden = json.loads((GOLDEN / fixture / case / "report.json").read_text())
+    return 2 if any(v["status"] == "FAIL" for v in golden["verdicts"]) else 0
+
+
 @pytest.mark.parametrize("fixture,case", CASES, ids=[f"{f}-{c}" for f, c in CASES])
 def test_report_bytes_match_golden(fixture, case, tmp_path, capsys):
-    golden = json.loads((GOLDEN / fixture / case / "report.json").read_text())
-    failed = any(v["status"] == "FAIL" for v in golden["verdicts"])
     rc = main(_argv(fixture, case, tmp_path))
-    assert rc == (2 if failed else 0), capsys.readouterr().err
+    assert rc == _golden_rc(fixture, case), capsys.readouterr().err
     assert golden_mismatches(tmp_path, fixture, case) == []
+
+
+# Dispatch to none of numpy's kernels above x86-64-v2, and OpenBLAS's
+# Prescott kernels.
+OLDEST_KERNELS = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Prescott",
+}
+
+RUN_CASES = """
+import json, sys
+from marginlab.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="CPU features and OpenBLAS core types named here are x86-64 ones",
+)
+def test_report_bytes_do_not_depend_on_cpu_kernels(tmp_path):
+    cases = [(d.parent.name, d.name) for d in sorted(GOLDEN.glob("*/*"))]
+    argvs = [_argv(f, c, tmp_path / f / c) for f, c in cases]
+    env = dict(os.environ, **OLDEST_KERNELS)
+    src = str(Path(marginlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_CASES, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [_golden_rc(f, c) for f, c in cases]
+    assert [m for f, c in cases for m in golden_mismatches(tmp_path / f / c, f, c)] == []
 
 
 def test_every_other_fixture_command_is_refused(tmp_path, capsys):
