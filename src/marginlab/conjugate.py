@@ -18,7 +18,9 @@ separable multi-D data.
 Every float dot product here, and everywhere else in the package, comes
 from `dots`: a sum from +0.0 over the per-coordinate products in
 coordinate order, so an entry's bits depend on its two rows alone and not
-on the table or block it is computed in.  The kernels and their callers
+on the table or block it is computed in.  It pads its operands with
+leading axes of length 1 instead of broadcasting copies of them, and
+refuses rows of different lengths.  The kernels and their callers
 cut their temporaries into blocks of at most `_BLOCK_CAP` entries, about
 a cache's worth (`score_slices`, `count_slices`); a block only takes dot
 products, adds, subtracts, takes max or min and gathers, so its size
@@ -63,24 +65,32 @@ def score_slices(total: int, width: int):
 def dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """<a, b> over the last axis of A and B, their other axes broadcast:
     `dots(A[:, None], B)` is the table of every row of A against every row
-    of B, `dots(A, b)` one value per row of A, and `dots(A, B)` on equal
-    row counts one value per pair of rows in order.
+    of B, `dots(A, b)` one value per row of A, `dots(A, B)` on equal row
+    counts one value per pair of rows in order, and `dots(a, b)` of two
+    rows a 0-d value.  Rows of different lengths raise DimensionMismatch;
+    a row of one coordinate is never stretched.
 
     Each value starts from +0.0 and adds the per-coordinate products in
     coordinate order, so it depends only on its two rows: the same bits in
     any table, block or pairing that holds them.  Where every product and
     partial sum is exact (dyadic data) the table equals `A @ B.T` bit for
     bit, signed zeros included, because the +0.0 start turns a -0.0
-    product into 0.0.  The result is built in `score_slices` blocks along
-    its first axis, so a product temporary stays within the cap.
+    product into 0.0.  The operands get leading axes of length 1, not
+    broadcast copies, and the result is built in `score_slices` blocks
+    along its first axis, so a product temporary stays within the cap.
     """
-    A, B = np.broadcast_arrays(np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64))
-    out = np.zeros(A.shape[:-1])
+    A, B = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
+    if min(A.ndim, B.ndim) == 0 or A.shape[-1] != B.shape[-1]:
+        raise DimensionMismatch(f"dot product of rows of shapes {A.shape[-1:]} and {B.shape[-1:]}")
+    lead = np.broadcast_shapes(A.shape[:-1], B.shape[:-1])
+    out = np.zeros(lead or (1,))
+    A, B = (M.reshape((1,) * (out.ndim + 1 - M.ndim) + M.shape) for M in (A, B))
     for sl in score_slices(out.shape[0], out[:1].size):
+        a, b = (M[sl] if M.shape[0] > 1 else M for M in (A, B))
         block = out[sl]
         for k in range(A.shape[-1]):
-            block += A[sl, ..., k] * B[sl, ..., k]
-    return out
+            block += a[..., k] * b[..., k]
+    return out.reshape(lead)
 
 
 def count_slices(entries: np.ndarray):

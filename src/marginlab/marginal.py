@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
+from .conjugate import score_slices
 from .core import INF, TOL, GriddedFunction, Verdict, ext_add_arrays, product_grid
 from .errors import GridMismatch, NotFiniteAtPoint
 from .setmap import SetValuedMap
@@ -140,27 +141,25 @@ def convexity_check(f: GriddedFunction) -> tuple[bool, tuple[int, int, int] | No
     """Midpoint convexity over every node pair whose midpoint is a node.
 
     f(mid) <= (f(x) + f(u)) / 2 within TOL under the lower-addition
-    conventions; returns (ok, witness (i, j, mid) flat indices).
+    conventions; returns (ok, witness (i, j, mid) flat indices) with the
+    first failing pair i < j in (i, j) order.  The midpoint of nodes i and
+    j is a node exactly when their multi-indices agree in parity on every
+    axis, and then its flat index is (i + j) / 2, since the flat index is
+    linear in the multi-index.  The pairs are scored in `score_slices`
+    blocks of i rows.
     """
-    shape = np.array(f.grid.shape)
     n = f.grid.size
-    M = np.stack(
-        np.meshgrid(*(np.arange(c) for c in shape), indexing="ij"), axis=-1
-    ).reshape(n, f.grid.dim)
+    flat = np.arange(n)
+    parity = sum((k % 2) << a for a, k in enumerate(np.unravel_index(flat, f.grid.shape)))
     v = f.values
-    for i in range(n):
-        both = (M[i] + M) % 2 == 0
-        cand = np.flatnonzero(both.all(axis=1))
-        cand = cand[cand > i]
-        if cand.size == 0:
-            continue
-        mids = (M[i] + M[cand]) // 2
-        mid_flat = np.ravel_multi_index(mids.T, tuple(shape))
-        rhs = ext_add_arrays(0.5 * v[i], 0.5 * v[cand])
-        bad = ~(v[mid_flat] <= rhs + TOL)
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            return False, (i, int(cand[k]), int(mid_flat[k]))
+    for sl in score_slices(n, n):
+        i, j = np.nonzero((parity[sl, None] == parity) & (flat[sl, None] < flat))
+        i += sl.start
+        mid = (i + j) // 2
+        bad = np.flatnonzero(~(v[mid] <= ext_add_arrays(0.5 * v[i], 0.5 * v[j]) + TOL))
+        if bad.size:
+            k = bad[0]
+            return False, (int(i[k]), int(j[k]), int(mid[k]))
     return True, None
 
 

@@ -157,16 +157,19 @@ class HPolyhedron:
         """Exact solution interval; dimension 1 only."""
         if self.dim != 1:
             raise UnsupportedDimension("interval form needs a 1-D polyhedron")
-        a = self.normals[:, 0]
-        b = self.offsets
-        zero = a == 0.0
-        if (b[zero] < -TOL).any():
-            return Interval(INF, -INF)
-        pos = a > 0.0
-        neg = a < 0.0
-        hi = float((b[pos] / a[pos]).min()) if pos.any() else INF
-        lo = float((b[neg] / a[neg]).max()) if neg.any() else -INF
-        return Interval(lo, hi)
+        return _interval(self.normals[:, 0], self.offsets)
+
+
+def _interval(a: np.ndarray, b: np.ndarray) -> Interval:
+    """{s : a_i s <= b_i for all i} in one dimension, exactly."""
+    zero = a == 0.0
+    if (b[zero] < -TOL).any():
+        return Interval(INF, -INF)
+    pos = a > 0.0
+    neg = a < 0.0
+    hi = float((b[pos] / a[pos]).min()) if pos.any() else INF
+    lo = float((b[neg] / a[neg]).max()) if neg.any() else -INF
+    return Interval(lo, hi)
 
 
 def _farkas(A: np.ndarray, b: np.ndarray) -> tuple[bool, list[int] | None]:
@@ -453,15 +456,42 @@ def eps_subdifferential(f: GriddedFunction, x0, eps: float) -> HPolyhedron:
     does any -inf node anywhere in f.
     """
     _check_eps(eps)
-    xi = f.grid.resolve(x0)
+    h = _halfspaces(f, f.grid.resolve(x0))
+    return HPolyhedron.empty(f.grid.dim) if h is None else HPolyhedron(h[0], h[1] + eps)
+
+
+def _halfspaces(f: GriddedFunction, xi: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """What `eps_subdifferential(f, xi, eps)` shares at every eps: the
+    normals x - x0 and the offsets f(x) - f(x0), to which eps is added,
+    over the domain nodes x != x0; None when it is the canonical empty
+    polyhedron at every eps."""
     f0 = f.values[xi]
     if not np.isfinite(f0) or (f.values == -INF).any():
-        return HPolyhedron.empty(f.grid.dim)
+        return None
     sel = f.dom_mask.copy()
     sel[xi] = False
-    A = f.grid.nodes[sel] - f.grid.coords(xi)
-    b = f.values[sel] - f0 + eps
-    return HPolyhedron(A.reshape(-1, f.grid.dim), b)
+    return f.grid.nodes[sel] - f.grid.coords(xi), f.values[sel] - f0
+
+
+def _eps_members(f: GriddedFunction, xi: int, sample: np.ndarray, epsilons) -> np.ndarray:
+    """`eps_subdifferential(f, xi, eps).contains(sample)` for each eps, one
+    row each: the same floats and comparisons, from one table of
+    <s, x - x0> and one row of offsets for every eps."""
+    sample = as_rows(sample, f.grid.dim, "points")
+    h = _halfspaces(f, xi)
+    if h is None:  # 0 . s <= -1 holds for no s
+        return np.zeros((len(epsilons), sample.shape[0]), dtype=bool)
+    D = dots(sample[:, None], h[0])
+    return np.array([(D <= (h[1] + eps) + TOL).all(axis=1) for eps in epsilons])
+
+
+def _intervals(f: GriddedFunction, xi: int, epsilons) -> list[Interval]:
+    """`eps_subdifferential(f, xi, eps).interval()` for each eps, from one
+    table of normals; dimension 1 only."""
+    h = _halfspaces(f, xi)
+    if h is None:
+        return [Interval(INF, -INF)] * len(epsilons)
+    return [_interval(h[0][:, 0], h[1] + eps) for eps in epsilons]
 
 
 def eps_normal_cone(points, x0, eps: float) -> HPolyhedron:
@@ -516,14 +546,13 @@ def eps_subdifferential_check(
     xi = f.grid.resolve(x0)
     nodes = fstar.grid.nodes
     P = eps_subdifferential(f, xi, eps)
-    member = P.contains(nodes)
+    member, wider = _eps_members(f, xi, nodes, [eps, eps + 0.5])
     f0 = float(f.values[xi])
     if np.isfinite(f0):
         with np.errstate(invalid="ignore"):
             member_fy = fstar.values + f0 <= dots(nodes, f.grid.coords(xi)) + eps + TOL
     else:
         member_fy = np.zeros(nodes.shape[0], dtype=bool)
-    wider = eps_subdifferential(f, xi, eps + 0.5).contains(nodes)
     agree = bool(np.array_equal(member, member_fy))
     return EpsSubdifferentialReport(P, member, member_fy, (
         Verdict("conjugate_route_agreement", agree, f"{nodes.shape[0]} dual nodes"),
@@ -567,21 +596,16 @@ def _finite_max(a) -> float:
 
 
 def _minkowski_contains(P: HPolyhedron, Q: HPolyhedron, points: np.ndarray) -> np.ndarray:
-    """Membership of each point in P_TOL + Q_TOL, the sum of the loosened sets.
+    """Membership of each point in P_TOL + Q_TOL, the sum of the loosened
+    sets, for P and Q of dimension 2 or more.
 
-    P_TOL = {A s <= b + TOL} is the system the Farkas LP sees.  1-D adds the
-    two exact intervals.  2-D builds both polygons once and, since the edge
-    normals of a sum of polygons lie among those of its terms, tests every
-    point at once against <a, s> <= h_P(a) + h_Q(a) over the normals a of
-    P and Q.  Above dimension 2 it solves one LP per point.
+    P_TOL = {A s <= b + TOL} is the system the Farkas LP sees.  2-D builds
+    both polygons once and, since the edge normals of a sum of polygons lie
+    among those of its terms, tests every point at once against
+    <a, s> <= h_P(a) + h_Q(a) over the normals a of P and Q.  Above
+    dimension 2 it solves one LP per point.  In dimension 1
+    `sum_rule_check` adds the two exact intervals itself.
     """
-    if P.dim == 1:
-        ip, iq = P.interval(), Q.interval()
-        if ip.empty or iq.empty:
-            return np.zeros(points.shape[0], dtype=bool)
-        lo, hi = ip.lo + iq.lo, ip.hi + iq.hi
-        s = points[:, 0]
-        return (s >= lo - TOL) & (s <= hi + TOL)
     if P.dim == 2:
         gp = _polygon(P.normals, P.offsets + TOL)
         gq = _polygon(Q.normals, Q.offsets + TOL)
@@ -626,18 +650,25 @@ def sum_rule_check(
         raise GridMismatch("sum rule needs both functions on one grid")
     xi = g1.grid.resolve(x0)
     total = ext_sum(g1, g2)
-    lhs = eps_subdifferential(total, xi, eps)
+    _check_eps(eps)
     if duals is None:
         duals = default_dual_grid(total, 41 if total.grid.dim == 1 else 9)
     S = duals.nodes
-    lhs_mask = lhs.contains(S)
+    (lhs_mask,) = _eps_members(total, xi, S, [eps])
     splits = _split_pairs(eps, SUM_RULE_SPLITS)
     rhs_mask = np.zeros(S.shape[0], dtype=bool)
-    for e1, e2 in splits:
-        P = eps_subdifferential(g1, xi, e1)
-        Q = eps_subdifferential(g2, xi, e2)
-        todo = ~rhs_mask
-        rhs_mask[todo] = _minkowski_contains(P, Q, S[todo])
+    if total.grid.dim == 1:  # sums of exact intervals, one table per function
+        left = _intervals(g1, xi, [e1 for e1, _ in splits])
+        right = _intervals(g2, xi, [e2 for _, e2 in splits])
+        for ip, iq in zip(left, right):
+            if not (ip.empty or iq.empty):
+                rhs_mask |= (S[:, 0] >= ip.lo + iq.lo - TOL) & (S[:, 0] <= ip.hi + iq.hi + TOL)
+    else:
+        for e1, e2 in splits:
+            P = eps_subdifferential(g1, xi, e1)
+            Q = eps_subdifferential(g2, xi, e2)
+            todo = ~rhs_mask
+            rhs_mask[todo] = _minkowski_contains(P, Q, S[todo])
     easy_ok = not bool((rhs_mask & ~lhs_mask).any())
     agreement = float((lhs_mask == rhs_mask).mean())
     bad = S[lhs_mask != rhs_mask]
@@ -682,7 +713,6 @@ def _theorem_report(
     node: int,
     eps: float,
     sample: np.ndarray,
-    lhs_mask: np.ndarray,
     levels: Sequence[tuple[float, np.ndarray, np.ndarray]],
     sharp: Callable[[np.ndarray, np.ndarray], bool],
     qc14: bool,
@@ -691,23 +721,25 @@ def _theorem_report(
 ) -> TheoremReport:
     """Fold the per-eta right sides of a two-route check into its report.
 
-    Each level is (eta, found, closed): the sampled points the right route
-    finds at that eta, and the same set after any closure.  The right side
-    is the intersection of the closed sets.  Unconditionally every found
-    point must lie in the (eps+eta)-subdifferential of f at `node`, and the
-    closed sets must shrink with eta, as the row `upper` = (name, detail)
-    asserts.  `sharp(lhs, rhs)` is the direction asserted under the
-    qualification; `claim` = (name, what it asserts, note to the agreement)
-    makes its row.
+    The left side is the sample's members of the eps-subdifferential of f
+    at `node`.  Each level is (eta, found, closed): the sampled points the
+    right route finds at that eta, and the same set after any closure.  The
+    right side is the intersection of the closed sets.  Unconditionally
+    every found point must lie in the (eps+eta)-subdifferential of f at
+    `node`, and the closed sets must shrink with eta, as the row `upper` =
+    (name, detail) asserts.  The left side and every (eps+eta) level come
+    from one `_eps_members` table.  `sharp(lhs, rhs)` is the direction
+    asserted under the qualification; `claim` = (name, what it asserts,
+    note to the agreement) makes its row.
     """
+    epsilons = [eps] + [eps + eta for eta, _, _ in levels]
+    lhs_mask, *inflated = _eps_members(f, node, sample, epsilons)
     rhs_mask = np.ones(sample.shape[0], dtype=bool)
     easy_ok = eta_monotone_ok = True
     prev = None
-    for eta, found, closed in levels:
-        if found.any():
-            inflated = eps_subdifferential(f, node, eps + eta).contains(sample)
-            if bool((found & ~inflated).any()):
-                easy_ok = False
+    for (_, found, closed), wider in zip(levels, inflated):
+        if bool((found & ~wider).any()):
+            easy_ok = False
         if prev is not None and bool((closed & ~prev).any()):
             eta_monotone_ok = False
         prev = closed
@@ -749,8 +781,8 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     The dual grids, mu and phi* come from the store, and so does the graph
     support on the split lattice of the x* grid, kept on its distinct steps.
     The coderivative scores gather it through the inverse index one
-    `score_slices` block of (x1*, y*) columns at a time, so no table of all
-    the steps is built; a block only gathers, adds and compares, so its
+    `score_slices` block of (y0, x1*, y*) columns at a time, so no table of
+    all the steps is built; a block only gathers, adds and compares, so its
     size moves no bit.
     """
     phi, F, mu = tables.phi, tables.F, tables.mu
@@ -762,7 +794,7 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     duals = tables.xduals
     S = duals.nodes
     Ks = S.shape[0]
-    lhs_mask = eps_subdifferential(mu, xi, eps).contains(S)
+    _check_eps(eps)
 
     Y1 = tables.yduals.nodes
     Kx, Ky = Ks, Y1.shape[0]
@@ -777,40 +809,46 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     feas_row = F.graph[xi]
     dots1 = dots(S, x0c)
 
-    # Each near-optimal y0 is scored once for every eta level admitting it,
-    # and the coderivative scores only on the (x1*, y*) columns whose
-    # phi score passes the loosest split of any level.  A y0's hits at a
-    # level are the OR of its column blocks' hits.
+    # Each near-optimal y0 is scored once for every eta level, in
+    # `score_slices` blocks of whole (x1*, y*) tables, and the coderivative
+    # scores only on the (y0, x1*, y*) columns whose phi score passes the
+    # loosest split of any level.  A y0's hits at a level are the OR over
+    # its columns; a level intersects the hits of the y0 it admits.  Blocks
+    # of y0 take an eighth of the cap: that holds the traced peak of a 1-D
+    # verify-all at 2.0 MB (2.6 MB at the full cap, 1.0 MB one y0 at a time)
+    # and runs as fast as the full cap.
     splits = [_split_pairs(eps + eta, THEOREM_SPLITS) for eta in DEFAULT_ETAS]
     bounds = [_split_bound(level) for level in splits]
     e1_top = max(e1 for level in splits for e1, _ in level) + TOL
     near = np.array([feas_row & (phi_row < mu0 + eta) for eta in DEFAULT_ETAS])
     masks = np.ones((len(DEFAULT_ETAS), Ks), dtype=bool)
-    for yi in np.flatnonzero(near.any(axis=0)):
-        dots2 = dots(Y1, F.ygrid.coords(int(yi)))
-        m1_base = (phistar + phi_row[yi] - dots1[:, None] - dots2[None, :]).reshape(-1)
+    ys = np.flatnonzero(near.any(axis=0))
+    for block in score_slices(ys.size, 8 * Kx * Ky):
+        yb = ys[block]
+        dots2 = dots(F.ygrid.nodes[yb][:, None], Y1)
+        m1_base = phistar + phi_row[yb, None, None] - dots1[:, None] - dots2[:, None, :]
         cols = np.flatnonzero(m1_base <= e1_top)
-        j, k = np.divmod(cols, Ky)
-        admits = np.flatnonzero(near[:, yi])
-        col_bounds = [bounds[level](m1_base[cols]) for level in admits]
-        hits = np.zeros((admits.size, Ks), dtype=bool)
+        y, j, k = np.unravel_index(cols, m1_base.shape)
+        hits = np.zeros((len(DEFAULT_ETAS), Ks, yb.size), dtype=bool)
+        col_bounds = [(hit, bound(m1_base.take(cols)))
+                      for hit, bound, admits in zip(hits, bounds, near[:, yb]) if admits.any()]
         for sl in score_slices(cols.size, Ks):
-            jb, kb = j[sl], k[sl]
+            ys_sl, jb, kb = y[sl], j[sl], k[sl]
+            first = np.flatnonzero(np.diff(ys_sl, prepend=-1))  # where each y0's columns start
             at = starts[:, jb]
             at += kb
             cod = flat.take(at)
             cod -= TX0[:, jb]
-            cod += dots2[kb]
-            for hit, bound in zip(hits, col_bounds):
-                hit |= (cod <= bound[sl]).any(axis=1)
-        masks[admits] &= hits
+            cod += dots2[ys_sl, kb]
+            for hit, bound in col_bounds:
+                hit[:, ys_sl[first]] |= np.logical_or.reduceat(cod <= bound[sl], first, axis=1)
+        masks &= (hits | ~near[:, None, yb]).all(axis=2)
     levels = [(eta, mask, mask) for eta, mask in zip(DEFAULT_ETAS, masks)]
     return _theorem_report(
         mu,
         xi,
         eps,
         S,
-        lhs_mask,
         levels,
         lambda lhs, rhs: bool(np.array_equal(lhs, rhs)),
         qc14,
@@ -918,13 +956,10 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     if not np.isfinite(mustar.values[si]):
         # x0star is outside the finite domain of mu*: both sides are empty.
         empty = np.zeros((0, m))
-        return _theorem_report(
-            mustar, si, eps, empty, empty.any(axis=1), [], _contains, qc14, *named
-        )
+        return _theorem_report(mustar, si, eps, empty, [], _contains, qc14, *named)
     s0 = duals.coords(si)
     sample = F.xgrid.nodes
-    lhs_poly = eps_subdifferential(mustar, si, eps)
-    lhs_mask = lhs_poly.contains(sample)
+    _check_eps(eps)
 
     Y1 = tables.yduals.nodes
     Ky = Y1.shape[0]
@@ -986,7 +1021,7 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
         (eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1))
         for eta, raw in zip(DEFAULT_ETAS, found)
     ]
-    return _theorem_report(mustar, si, eps, sample, lhs_mask, levels, _contains, qc14, *named)
+    return _theorem_report(mustar, si, eps, sample, levels, _contains, qc14, *named)
 
 
 def _contains(lhs: np.ndarray, rhs: np.ndarray) -> bool:

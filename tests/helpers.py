@@ -25,7 +25,8 @@ from marginlab import (
     product_grid,
     subdiff,
 )
-from marginlab.conjugate import dots
+from marginlab.conjugate import dots, score_slices
+from marginlab.core import TOL, Verdict, ext_add_arrays, hypothesis_verdict
 from marginlab.nearconvex import box_dilate
 from marginlab.setmap import split_lattice
 
@@ -285,14 +286,113 @@ def lp_chebyshev_point(P):
     return res.x[: P.dim].copy(), float(res.x[-1])
 
 
+# --- the routes the fast paths replaced --------------------------------------------
+#
+# Each fast path of the package stays only beside the route it replaced,
+# kept here verbatim as its oracle: the properties compare the two bitwise.
+
+
+def broadcast_dots(A, B):
+    """`conjugate.dots` as it was: the operands broadcast to full views
+    first, then the same +0.0-started coordinate-order sums in
+    `score_slices` blocks.  Two bare rows raise IndexError here."""
+    A, B = np.broadcast_arrays(np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64))
+    out = np.zeros(A.shape[:-1])
+    for sl in score_slices(out.shape[0], out[:1].size):
+        block = out[sl]
+        for k in range(A.shape[-1]):
+            block += A[sl, ..., k] * B[sl, ..., k]
+    return out
+
+
+def per_node_convexity_check(f):
+    """`marginal.convexity_check` as it was: one pass per node i over the
+    nodes j > i whose midpoint with i is a node."""
+    shape = np.array(f.grid.shape)
+    n = f.grid.size
+    M = np.stack(
+        np.meshgrid(*(np.arange(c) for c in shape), indexing="ij"), axis=-1
+    ).reshape(n, f.grid.dim)
+    v = f.values
+    for i in range(n):
+        both = (M[i] + M) % 2 == 0
+        cand = np.flatnonzero(both.all(axis=1))
+        cand = cand[cand > i]
+        if cand.size == 0:
+            continue
+        mids = (M[i] + M[cand]) // 2
+        mid_flat = np.ravel_multi_index(mids.T, tuple(shape))
+        rhs = ext_add_arrays(0.5 * v[i], 0.5 * v[cand])
+        bad = ~(v[mid_flat] <= rhs + TOL)
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            return False, (i, int(cand[k]), int(mid_flat[k]))
+    return True, None
+
+
+def per_eps_members(f, xi, sample, epsilons):
+    """One eps-subdifferential polyhedron per eps, and its membership scan."""
+    return np.array([subdiff.eps_subdifferential(f, xi, e).contains(sample) for e in epsilons])
+
+
+def per_eps_intervals(f, xi, epsilons):
+    """One eps-subdifferential polyhedron per eps, and its exact interval."""
+    return [subdiff.eps_subdifferential(f, xi, e).interval() for e in epsilons]
+
+
+def interval_sum_contains(P, Q, points):
+    """`subdiff._minkowski_contains` in dimension 1 as it was: the sum of
+    the two exact intervals of P and Q, loosened by TOL."""
+    ip, iq = P.interval(), Q.interval()
+    if ip.empty or iq.empty:
+        return np.zeros(points.shape[0], dtype=bool)
+    lo, hi = ip.lo + iq.lo, ip.hi + iq.hi
+    s = points[:, 0]
+    return (s >= lo - TOL) & (s <= hi + TOL)
+
+
+def theorem_report_oracle(f, node, eps, sample, lhs_mask, levels, sharp, qc14, upper, claim):
+    """`subdiff._theorem_report` as it was: the left side is given, and each
+    eta level that finds a point builds its own (eps+eta)-subdifferential."""
+    rhs_mask = np.ones(sample.shape[0], dtype=bool)
+    easy_ok = eta_monotone_ok = True
+    prev = None
+    for eta, found, closed in levels:
+        if found.any():
+            inflated = subdiff.eps_subdifferential(f, node, eps + eta).contains(sample)
+            if bool((found & ~inflated).any()):
+                easy_ok = False
+        if prev is not None and bool((closed & ~prev).any()):
+            eta_monotone_ok = False
+        prev = closed
+        rhs_mask &= closed
+    agreement = float((lhs_mask == rhs_mask).mean()) if sample.shape[0] else 1.0
+    name, what, note = claim
+    return subdiff.TheoremReport(
+        easy_ok,
+        agreement,
+        int(sample.shape[0]),
+        tuple(bool(v) for v in lhs_mask),
+        tuple(bool(v) for v in rhs_mask),
+        tuple(int(i) for i in np.flatnonzero(lhs_mask != rhs_mask)),
+        eta_monotone_ok,
+        (
+            Verdict(upper[0], easy_ok and eta_monotone_ok, upper[1]),
+            hypothesis_verdict(name, sharp(lhs_mask, rhs_mask), qc14, "qc14", what,
+                               f"agreement {agreement:.4f}{note}"),
+        ),
+    )
+
+
 # --- reference scoring of the theorem checks -------------------------------------
 #
 # The scoring route both theorem checks used before it was pruned: every eta
 # level rescores every near-optimal y0 (or graph cell) on the whole (x1*, y*)
 # lattice, and every split (e1, e2) is tested on the scores under the
-# largest e1 and e2.  The conjugate tables and the report fold are the
-# package's own, so a report that differs in any field convicts the pruned
-# scoring.
+# largest e1 and e2.  The conjugate tables are the package's own; the left
+# side is scanned on its own polyhedron, and the report is folded by
+# `theorem_report_oracle`, so a report that differs in any field convicts
+# the pruned scoring or the shared halfspace table.
 
 
 def split_hits(m1_base, cod_base, splits):
@@ -341,7 +441,7 @@ def reference_marginal_subdiff_check(phi, F, duals, yduals, x0, eps, qc14=False)
             found[split_hits(m1_base, cod_base, splits)] = True
             eta_mask &= found
         levels.append((eta, eta_mask, eta_mask))
-    return subdiff._theorem_report(
+    return theorem_report_oracle(
         mu, xi, eps, S, lhs_mask, levels,
         lambda lhs, rhs: bool(np.array_equal(lhs, rhs)),
         qc14,
@@ -363,7 +463,7 @@ def reference_conj_subdiff_check(phi, F, duals, yduals, x0star, eps, qc14=False)
     contains = lambda lhs, rhs: not bool((lhs & ~rhs).any())  # noqa: E731
     if not np.isfinite(mustar.values[si]):
         empty = np.zeros((0, m))
-        return subdiff._theorem_report(
+        return theorem_report_oracle(
             mustar, si, eps, empty, np.zeros(0, dtype=bool), [], contains, qc14, *named
         )
     s0 = duals.coords(si)
@@ -388,6 +488,6 @@ def reference_conj_subdiff_check(phi, F, duals, yduals, x0star, eps, qc14=False)
         raw = np.zeros(F.xgrid.size, dtype=bool)
         raw[gx[split_hits(m1_base, cod_base, splits)]] = True
         levels.append((eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1)))
-    return subdiff._theorem_report(
+    return theorem_report_oracle(
         mustar, si, eps, sample, lhs_mask, levels, contains, qc14, *named
     )

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from marginlab import (
     Axis,
+    DimensionMismatch,
     Grid,
     GriddedFunction,
     UnsupportedShape,
@@ -30,6 +32,7 @@ from marginlab import (
 )
 
 from helpers import (
+    broadcast_dots,
     dyadic_grid,
     dyadic_rows,
     lower_add,
@@ -117,6 +120,58 @@ class TestDots:
             zeros += bool((want == 0.0).any())
             assert_bitwise(conjugate_module.dots(A[:, None], B), want)
         assert zeros > 1000
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.sampled_from(["table", "row", "paired"]),
+        st.sampled_from([None, 1, 3, 50, "long"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_broadcast_route_bitwise(self, seed, width, form, cap):
+        """Against `broadcast_dots`, the route that broadcast both operands
+        to full views: `A[:, None]` against `B`, `A` against one row `b`,
+        and equal row counts, at widths 1-4, on entries that mix signed
+        zeros, infinities and non-dyadic values.  The first axis spans
+        several blocks, at a lowered `_BLOCK_CAP` or ("long") at the real
+        one."""
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 0.1, -3.5, 2.0**-10, 1e300, INF, -INF])
+
+        def rows(n):
+            A = rng.standard_normal((n, width)) * 10.0 ** int(rng.integers(-3, 4))
+            pick = rng.random((n, width)) < 0.5
+            A[pick] = rng.choice(pool, size=int(pick.sum()))
+            return A
+
+        nb = int(rng.integers(1, 12))
+        na = conjugate_module._BLOCK_CAP // nb + 3 if cap == "long" else int(rng.integers(0, 12))
+        A, B = {
+            "table": lambda: (rows(na)[:, None], rows(nb)),
+            "row": lambda: (rows(na * nb), rows(1)[0]),
+            "paired": lambda: (rows(na), rows(na)),
+        }[form]()
+        blocked = cap if isinstance(cap, int) else conjugate_module._BLOCK_CAP
+        with mock.patch.object(conjugate_module, "_BLOCK_CAP", blocked), np.errstate(all="ignore"):
+            assert_bitwise(conjugate_module.dots(A, B), broadcast_dots(A, B))
+
+    def test_rows_of_different_lengths_raise(self):
+        # A row of one coordinate is not stretched into a wider one.
+        for A, B in [
+            (np.ones((3, 1)), np.ones((3, 3))),
+            (np.ones((3, 3)), np.ones(1)),
+            (np.ones((2, 1))[:, None], np.ones((4, 2))),
+            (np.ones(2), np.ones(3)),
+            (2.0, np.ones(3)),
+        ]:
+            with pytest.raises(DimensionMismatch):
+                conjugate_module.dots(A, B)
+
+    def test_two_rows_give_one_value(self):
+        got = conjugate_module.dots(np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.25, -0.0]))
+        assert got.shape == () and got == 2.5
+        # the +0.0 start: one -0.0 product sums to 0.0
+        assert_bitwise(conjugate_module.dots([-1.0], [0.0]), np.zeros(()))
 
 
 def matrix_products(source):

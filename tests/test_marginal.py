@@ -1,9 +1,13 @@
 """Marginal functions: oracle equality, exact identities, probes."""
 
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginlab import (
     ATTAINED,
@@ -34,9 +38,19 @@ from marginlab import (
 from marginlab import duality
 from marginlab.marginal import masked_minima
 
-from helpers import load_fixture, oracle_marginal, random_problem
+from helpers import (
+    dyadic_grid,
+    load_fixture,
+    oracle_marginal,
+    per_node_convexity_check,
+    random_problem,
+)
 
 INF = math.inf
+
+# The package re-exports the function `marginal`, which hides the module;
+# `conjugate` likewise.
+conjugate_module = importlib.import_module("marginlab.conjugate")
 
 
 def phi_modulus(phi):
@@ -214,6 +228,24 @@ class TestConvexityCheck:
         f = GriddedFunction(g, [INF, 100.0, INF])
         ok, _ = convexity_check(f)
         assert ok
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.sampled_from([None, 1, 5, 40]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_node_route(self, seed, dim, cap):
+        """Against `per_node_convexity_check`, the loop over nodes it
+        replaced: the verdict and the witness, the first failing pair in
+        (i, j) order, in 1-D and 2-D, on a convex bowl with a few nodes
+        raised or lowered and some +inf and -inf nodes, with the node
+        pairs cut into blocks at a lowered `_BLOCK_CAP` or the real one."""
+        rng = np.random.default_rng(seed)
+        grid = dyadic_grid(rng, dim=dim, max_count=9 if dim == 1 else 5)
+        values = (grid.nodes**2).sum(axis=1)
+        values += (rng.random(grid.size) < 0.3) * rng.integers(-64, 65, grid.size) / 16.0
+        values[rng.random(grid.size) < 0.3 * rng.random()] = INF
+        values[rng.random(grid.size) < 0.1 * rng.random()] = -INF
+        f = GriddedFunction(grid, values)
+        with mock.patch.object(conjugate_module, "_BLOCK_CAP", cap or conjugate_module._BLOCK_CAP):
+            assert convexity_check(f) == per_node_convexity_check(f)
 
 
 class TestSemicontinuityProbe:

@@ -4,8 +4,9 @@ The golden reports pin the bytes of passing runs only, so they cannot show
 that a row still reports FAIL when the fact it checks is false.  Here each
 binding row of `verify-all` on the 1-D fixtures at --refine 1, and of the
 `conjugate`, `subdiff` and `nearconvex` commands, gets one plausible defect
-planted through a public name: a check, a `Tables` member or a kernel.
-The row must read FAIL on the named fixture with the defect and PASS
+planted through a name: a check, a `Tables` member, a kernel, or the
+membership scan `subdiff._eps_members` that the subdifferential checks
+share across their eps levels.  The row must read FAIL on the named fixture with the defect and PASS
 without it.  `duality.witness_sound` is planted on separable_quadratic as
 well, since a 2-D witness comes from the polygon route and a 1-D one from
 the interval.  Defects are planted in every marginlab module that binds the
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 import pytest
 
-from marginlab import HPolyhedron, RasterSet, Tables, is_int_nearly_convex
+from marginlab import RasterSet, Tables, is_int_nearly_convex
 from marginlab.cli import main
 
 from helpers import FIXTURES
@@ -77,14 +78,10 @@ def one_ulp_up(table):
     return dataclasses.replace(table, values=values)
 
 
-def sign_flipped_eps(original):
-    """eps subtracted from the offsets instead of added."""
-
-    def wrong(f, x0, eps):
-        P = original(f, x0, eps)
-        return HPolyhedron(P.normals, P.offsets - 2.0 * eps)
-
-    return wrong
+def sign_flipped_eps_members(original):
+    """eps subtracted from the offsets instead of added, in the membership
+    scan that the subdifferential checks share across their eps levels."""
+    return lambda f, xi, sample, epsilons: original(f, xi, sample, [-e for e in epsilons])
 
 
 def dropped_second_term(original):
@@ -223,7 +220,7 @@ CASES = [
     ("subdiff", "abs_full", "conjugate_route_agreement",
      ("Tables", "mustar", member_shifted(-1.0))),
     ("subdiff", "abs_full", "nesting_in_eps",
-     ("marginlab.subdiff", "eps_subdifferential", sign_flipped_eps)),
+     ("marginlab.subdiff", "_eps_members", sign_flipped_eps_members)),
     ("nearconvex", "nearconvex_suite", "refinement_stable",
      ("marginlab.nearconvex", "refine_raster", strided_refinement)),
     ("nearconvex", "nearconvex_suite", "intersection_preserved",

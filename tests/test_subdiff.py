@@ -46,22 +46,30 @@ from marginlab import (
     sum_rule_check,
 )
 from marginlab import subdiff
+from marginlab.cli import main
 from marginlab.conjugate import default_ydual_grid
 from marginlab.errors import InvalidArgument, MarginlabError
 from marginlab.setmap import split_lattice
 
+import helpers
 from helpers import (
+    FIXTURES,
     dyadic_grid,
+    dyadic_rows,
+    interval_sum_contains,
     load_fixture,
     lp_chebyshev_point,
     lp_farkas,
     non_dyadic_problem,
     oracle_subgradient_member,
+    per_eps_intervals,
+    per_eps_members,
     random_function,
     random_problem,
     random_values,
     reference_conj_subdiff_check,
     reference_marginal_subdiff_check,
+    theorem_report_oracle,
 )
 
 INF = math.inf
@@ -336,6 +344,127 @@ class TestEpsSubdifferential:
                 pairing = duals.nodes @ f.grid.coords(int(xi))
                 young = fstar + f.values[xi] <= pairing + eps + 1e-9
                 np.testing.assert_array_equal(halfspace, young)
+
+
+class TestSharedHalfspaceTable:
+    """`_eps_members`, `_intervals` and `_theorem_report` answer every eps
+    from one table of normals; `per_eps_members`, `per_eps_intervals`,
+    `interval_sum_contains` and `theorem_report_oracle` in helpers build one
+    polyhedron per eps instead, as the package did before.  Both give the
+    same bits: on random functions, on functions with a -inf node, at x0
+    off the domain, and on a domain of one node, with dyadic and
+    non-dyadic sample rows and eps levels."""
+
+    KINDS = ["random", "-inf node", "x0 off domain", "one-node domain"]
+
+    @staticmethod
+    def case(seed, dim, kind):
+        rng = np.random.default_rng(seed)
+        grid = dyadic_grid(rng, dim=dim, max_count=7 if dim == 1 else 4)
+        values = random_values(rng, grid.size, p_inf=0.3)
+        xi = int(rng.integers(0, grid.size))
+        if kind == "-inf node":
+            values[int(rng.integers(0, grid.size))] = -INF
+        elif kind == "x0 off domain":
+            values[xi] = INF
+        elif kind == "one-node domain":
+            values[:] = INF
+            values[xi] = 0.5
+        sample = np.vstack([
+            dyadic_rows(rng, int(rng.integers(0, 9)), dim),
+            rng.standard_normal((int(rng.integers(0, 5)), dim)) * 4.0,
+        ])
+        epsilons = [float(e) for e in rng.choice([0.0, 0.01, 0.1, 0.25, 0.5, 1.0, 1.5], 4)]
+        return GriddedFunction(grid, values), xi, sample, epsilons
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(KINDS))
+    @settings(max_examples=200, deadline=None)
+    def test_members_and_intervals_match_one_polyhedron_per_eps(self, seed, dim, kind):
+        f, xi, S, epsilons = self.case(seed, dim, kind)
+        got = subdiff._eps_members(f, xi, S, epsilons)
+        want = per_eps_members(f, xi, S, epsilons)
+        assert got.shape == want.shape == (len(epsilons), S.shape[0])
+        np.testing.assert_array_equal(got, want)
+        if dim == 1:
+            bits = lambda ivs: [(iv.lo.hex(), iv.hi.hex()) for iv in ivs]  # noqa: E731
+            assert bits(subdiff._intervals(f, xi, epsilons)) == bits(
+                per_eps_intervals(f, xi, epsilons)
+            )
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(KINDS))
+    @settings(max_examples=200, deadline=None)
+    def test_report_matches_the_fold_with_one_polyhedron_per_level(self, seed, dim, kind):
+        f, xi, S, epsilons = self.case(seed, dim, kind)
+        rng = np.random.default_rng(seed ^ 0x5EED)
+        eps, levels = epsilons[0], []
+        for eta in DEFAULT_ETAS[: int(rng.integers(0, 4))]:
+            found = rng.random(S.shape[0]) < 0.5
+            if rng.random() < 0.5:  # found inside the (eps+eta)-level, so easy_ok can hold
+                found &= per_eps_members(f, xi, S, [eps + eta])[0]
+            levels.append((eta, found, found | (rng.random(S.shape[0]) < 0.2)))
+        named = (("upper", "detail"), ("claim", "equality", ""))
+        sharp = lambda lhs, rhs: bool(np.array_equal(lhs, rhs))  # noqa: E731
+        lhs = per_eps_members(f, xi, S, [eps])[0]
+        assert subdiff._theorem_report(f, xi, eps, S, levels, sharp, dim == 2, *named) == (
+            theorem_report_oracle(f, xi, eps, S, lhs, levels, sharp, dim == 2, *named)
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
+    @settings(max_examples=100, deadline=None)
+    def test_one_dimensional_sum_rule_matches_one_polyhedron_per_split(self, seed, kind):
+        g1, xi, _, _ = self.case(seed, 1, kind)
+        rng = np.random.default_rng(seed ^ 0x5EED)
+        g2 = random_function(rng, g1.grid, p_inf=0.2)
+        eps = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
+        duals = dyadic_grid(rng, max_count=17)
+        S = duals.nodes
+        rep = sum_rule_check(g1, g2, xi, eps, duals=duals)
+        lhs = per_eps_members(ext_sum(g1, g2), xi, S, [eps])[0]
+        rhs = np.zeros(S.shape[0], dtype=bool)
+        for e1, e2 in subdiff._split_pairs(eps, subdiff.SUM_RULE_SPLITS):
+            P, Q = eps_subdifferential(g1, xi, e1), eps_subdifferential(g2, xi, e2)
+            rhs |= interval_sum_contains(P, Q, S)
+        TestSumRule.assert_report_matches(rep, S, lhs, rhs)
+
+    @pytest.mark.parametrize("check", ["marginal", "conjugate", "sum rule"])
+    def test_theorem_checks_refuse_a_negative_eps(self, check):
+        spec = load_fixture("abs_full")
+        tables = Tables(*spec.build(), spec.xduals, spec.yduals)
+        calls = {
+            "marginal": lambda: marginal_subdiff_check(tables, [0.0], -0.5),
+            "conjugate": lambda: conj_subdiff_check(tables, [0.5], -0.5),
+            "sum rule": lambda: sum_rule_check(tables.mu, tables.mu, [0.0], -0.5),
+        }
+        with pytest.raises(InvalidArgument, match="nonnegative"):
+            calls[check]()
+
+    def test_verify_all_builds_one_polyhedron_and_scans_none(self, monkeypatch, tmp_path):
+        """Polyhedron builds and membership scans in one `verify-all` on
+        abs_full at --refine 1, as upper bounds.
+
+        With one polyhedron per eps the run made 24 builds and 13 scans:
+        both theorem checks' left sides and eta levels, and every split of
+        the sum rule.  With the shared tables but the sum rule's left side
+        still on its own polyhedron it made 2 and 1.  Now it makes 1 and 0:
+        the one build is the 0-subdifferential behind the duality witness.
+        """
+        counts = {"built": 0, "scanned": 0}
+        build, scan = HPolyhedron.__post_init__, HPolyhedron.contains
+
+        def counted_build(P):
+            counts["built"] += 1
+            build(P)
+
+        def counted_scan(P, points):
+            counts["scanned"] += 1
+            return scan(P, points)
+
+        monkeypatch.setattr(HPolyhedron, "__post_init__", counted_build)
+        monkeypatch.setattr(HPolyhedron, "contains", counted_scan)
+        spec = str(FIXTURES / "abs_full.spec")
+        assert main(["verify-all", "--spec", spec, "--out", str(tmp_path), "--refine", "1"]) == 0
+        assert counts["built"] <= 1
+        assert counts["scanned"] <= 0
 
 
 class TestNormalConeAndCoderivative:
@@ -748,13 +877,16 @@ class TestPrunedScoring:
 
     @pytest.fixture
     def agree(self, monkeypatch):
-        fold, levels = subdiff._theorem_report, []
+        levels = []
 
-        def spy(*args):
-            levels.append([(eta, a.tolist(), b.tolist()) for eta, a, b in args[5]])
-            return fold(*args)
+        def spy(fold, at):  # `at`: the position of the levels argument
+            def call(*args):
+                levels.append([(eta, a.tolist(), b.tolist()) for eta, a, b in args[at]])
+                return fold(*args)
+            return call
 
-        monkeypatch.setattr(subdiff, "_theorem_report", spy)
+        monkeypatch.setattr(subdiff, "_theorem_report", spy(subdiff._theorem_report, 4))
+        monkeypatch.setattr(helpers, "theorem_report_oracle", spy(helpers.theorem_report_oracle, 5))
 
         def check(route, reference, phi, F, duals, yduals, *args):
             levels.clear()
@@ -827,12 +959,14 @@ class TestPrunedScoring:
             split += 0 < sum(got.rhs_mask) < got.n_samples
         assert split >= 10
 
-    @pytest.mark.parametrize("cap", [1, 3, 7, 50, None])
+    @pytest.mark.parametrize("cap", [1, 3, 7, 50, 2000, None])
     def test_marginal_check_at_any_block_size(self, cap, agree, monkeypatch):
-        # The marginal check gathers the lattice support one block of
-        # (x1*, y*) columns at a time; every block size, the default (None)
-        # among them, must give the reference's report bitwise, also on
-        # inexact dot products over two and three coordinates.
+        # The marginal check scores its y0 in blocks and gathers the lattice
+        # support one block of (y0, x1*, y*) columns at a time; every block
+        # size, the default (None) among them, must give the reference's
+        # report bitwise, also on inexact dot products over two and three
+        # coordinates.  At 2000 a block holds several y0 of the 1-D cases
+        # and column blocks cut across them.
         conjugate_module = importlib.import_module("marginlab.conjugate")
         if cap is not None:
             monkeypatch.setattr(conjugate_module, "_BLOCK_CAP", cap)
