@@ -79,7 +79,6 @@ _EXPORTS = {
         "NotANode",
         "NotFiniteAtPoint",
         "NotNodePreserving",
-        "NotOnGraph",
         "PointNotInSet",
         "RasterError",
         "SpecError",
@@ -120,9 +119,7 @@ _EXPORTS = {
         "image_preservation_check",
         "interior",
         "intersection_preservation_check",
-        "is_convex_raster",
         "is_int_nearly_convex",
-        "is_nearly_convex_with_witness",
         "load_raster",
         "projection_map",
         "raster_check",
@@ -133,7 +130,6 @@ _EXPORTS = {
         "full_map",
         "graph_support",
         "lipschitz_estimate_map",
-        "map_conjugate",
         "map_conjugate_at",
         "map_from_constraints",
         "map_from_inequalities",
@@ -148,7 +144,6 @@ _EXPORTS = {
         "SumRuleReport",
         "TheoremReport",
         "conj_subdiff_check",
-        "eps_coderivative",
         "eps_normal_cone",
         "eps_subdifferential",
         "eps_subdifferential_check",

@@ -337,9 +337,8 @@ def inf_convolution(
     """Exact infimal convolution onto `out` grid nodes.
 
     A split (x1, x2) is admissible for an out node x when x1 + x2 matches x
-    within NODE_TOL per coordinate; nodes with no admissible split fall back to
-    the nearest pairwise sum (reported in provenance) when one exists
-    within the out box, else stay +inf.
+    within NODE_TOL per coordinate; nodes with no admissible split stay +inf,
+    the infimum over the empty set.
     """
     if g1.grid != g2.grid:
         raise GridMismatch("inf_convolution inputs must share one grid")
@@ -362,29 +361,7 @@ def inf_convolution(
         flat = np.ravel_multi_index(idx[inside][ok].T, out.shape)
         vals = ext_add_arrays(g1.values[i], g2.values[inside][ok])
         np.minimum.at(acc, flat, vals)
-    missing = np.flatnonzero(acc == INF)
-    relaxed = 0
-    if missing.size:
-        lo1 = np.array([a.lo for a in g1.grid.axes])
-        step1 = np.array([a.step for a in g1.grid.axes])
-        counts1 = np.array(g1.grid.shape)
-        for m in missing:
-            t = out.coords(int(m))
-            best = (INF, None)
-            for i in range(n):
-                r = t - X[i]
-                j_multi = np.clip(np.rint((r - lo1) / step1).astype(np.int64), 0, counts1 - 1)
-                dist = float(np.abs(lo1 + j_multi * step1 - r).max())
-                if dist < best[0] - ROUNDING_TOL:
-                    best = (dist, (i, int(np.ravel_multi_index(j_multi, g1.grid.shape))))
-            if best[1] is not None:
-                i, j = best[1]
-                acc[m] = ext_add_arrays(g1.values[i], g2.values[j])
-                relaxed += 1
-    prov = "inf_convolution"
-    if relaxed:
-        prov += f" ({relaxed} out node(s) relaxed to nearest pairwise sum)"
-    return GriddedFunction(out, acc, provenance=prov)
+    return GriddedFunction(out, acc, provenance="inf_convolution")
 
 
 def default_dual_grid(f: GriddedFunction, count: int | None = None) -> Grid:

@@ -292,14 +292,6 @@ class Grid:
             tuple(Axis(a.lo, a.hi, (a.count - 1) * int(factor) + 1) for a in self.axes)
         )
 
-    def boundary_mask(self) -> np.ndarray:
-        """Flat mask of nodes with some coordinate on the bounding box."""
-        idx = np.stack(
-            np.meshgrid(*(np.arange(c) for c in self.shape), indexing="ij"), axis=-1
-        ).reshape(self.size, self.dim)
-        on_edge = (idx == 0) | (idx == np.array(self.shape) - 1)
-        return on_edge.any(axis=1)
-
 
 def product_grid(a: Grid, b: Grid) -> Grid:
     return Grid(a.axes + b.axes)
@@ -341,10 +333,6 @@ class GriddedFunction:
     @property
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
-
-    @property
-    def is_proper(self) -> bool:
-        return bool(self.dom_mask.any() and not (self.values == -INF).any())
 
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)

@@ -195,7 +195,7 @@ def strong_duality_check(tables: Tables) -> DualityReport:
     """
     zi = _zero_index(tables.F.xgrid)
     mu = tables.mu
-    vp = float(mu.values[zi])
+    vp = primal_value(tables)
     vd1 = dual_value_1(tables)
     vd2 = dual_value_2(tables)
 

@@ -73,10 +73,6 @@ class PointNotInSet(MarginlabError):
     """Base point of a normal cone is not a member of the point set."""
 
 
-class NotOnGraph(MarginlabError):
-    """Base pair of a coderivative is not in the map's graph."""
-
-
 class HypothesisNotMet(MarginlabError):
     """A theorem hypothesis fails, so the check is skipped rather than failed."""
 

@@ -55,10 +55,6 @@ class RasterSet:
         m.setflags(write=False)
         object.__setattr__(self, "mask", m)
 
-    @property
-    def true_count(self) -> int:
-        return int(self.mask.sum())
-
     def true_indices(self) -> np.ndarray:
         """Integer index vectors of true nodes, row-major order."""
         return np.argwhere(self.mask).astype(np.int64)
@@ -272,11 +268,6 @@ def hull_raster(S: RasterSet) -> RasterSet:
     return RasterSet(S.grid, inside.reshape(S.grid.shape))
 
 
-def is_convex_raster(S: RasterSet) -> bool:
-    """True iff every node inside the hull of true nodes is itself true."""
-    return hull_raster(S).same_mask(S)
-
-
 # --- near convexity ---------------------------------------------------------------
 
 
@@ -322,17 +313,6 @@ def is_int_nearly_convex(S: RasterSet) -> NearConvexityReport:
         witness,
         kind,
     )
-
-
-def is_nearly_convex_with_witness(S: RasterSet, C: RasterSet) -> bool:
-    """C convex-flagged with C inside S inside closure(C)."""
-    if S.grid != C.grid:
-        raise GridMismatch("witness set must share the grid of S")
-    if not is_convex_raster(C):
-        return False
-    if bool((C.mask & ~S.mask).any()):
-        return False
-    return not bool((S.mask & ~closure(C).mask).any())
 
 
 def intersection_preservation_check(S1: RasterSet, S2: RasterSet) -> NearConvexityReport:

@@ -6,17 +6,17 @@ stacked duals (x*, y*).  Constructors cover the Lagrange form g_i(y) <= x_i,
 explicit xy-constraint lists c_k(x, y) <= 0, explicit graph point lists,
 and the full graph.
 
-`map_conjugate_at` evaluates the graph support function by brute force,
-one dot product per query and graph point.  On product tables of queries
-(t, s), `graph_support` is `conjugate.partial_conjugate` of the graph
-indicator (0 on gph F, +inf off it),
+The checks read the conjugate of F through `graph_support`, on product
+tables of queries (t, s).  It is `conjugate.partial_conjugate` of the
+graph indicator (0 on gph F, +inf off it),
 
     sigma_gph(t, s) = max over x in dom F of <t, x> + sigma_F(x)(s),
 
 building the row supports sigma_F(x)(s) = max over y in F(x) of <s, y>
-once and evaluating each t row once.  Both routes take the same
-finite maximum, so they agree bitwise whenever the dot products are exact
-(dyadic data).
+once and evaluating each t row once.  `map_conjugate_at` takes the same
+finite maximum by brute force, one dot product per stacked query and
+graph cell, so the two agree bitwise whenever the dot products are exact
+(dyadic data); the tests keep it as the oracle of `graph_support`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .core import (
     INF,
     NODE_TOL,
     Grid,
-    GriddedFunction,
     as_rows,
     default_names,
     eval_columns,
@@ -41,18 +40,6 @@ from .core import (
 )
 from .conjugate import max_dots_minus, partial_conjugate
 from .errors import DimensionMismatch
-
-__all__ = [
-    "SetValuedMap",
-    "full_map",
-    "map_from_inequalities",
-    "map_from_constraints",
-    "map_from_points",
-    "map_conjugate",
-    "map_conjugate_at",
-    "graph_support",
-    "lipschitz_estimate_map",
-]
 
 
 @dataclass(frozen=True)
@@ -78,25 +65,6 @@ class SetValuedMap:
     @property
     def dom_mask(self) -> np.ndarray:
         return self.graph.any(axis=1)
-
-    @property
-    def is_proper(self) -> bool:
-        return bool(self.graph.any())
-
-    def values_at(self, xi: int) -> np.ndarray:
-        """Flat y-node indices of F at the x node `xi`."""
-        return np.flatnonzero(self.graph[xi])
-
-    def contains(self, xi: int, yi: int) -> bool:
-        return bool(self.graph[xi, yi])
-
-    @cached_property
-    def graph_points(self) -> np.ndarray:
-        """Stacked (x, y) coordinates of the true graph cells, shape (N, m+n)."""
-        xi, yi = np.nonzero(self.graph)
-        pts = np.hstack([self.xgrid.nodes[xi], self.ygrid.nodes[yi]])
-        pts.setflags(write=False)
-        return pts
 
     @cached_property
     def graph_cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -169,14 +137,9 @@ def map_from_points(
 
 def map_conjugate_at(F: SetValuedMap, points: np.ndarray) -> np.ndarray:
     """Support function of the graph at arbitrary stacked (x*, y*) points."""
-    return max_dots_minus(points, F.graph_points, np.zeros(F.graph_points.shape[0]))
-
-
-def map_conjugate(F: SetValuedMap, xduals: Grid, yduals: Grid) -> GriddedFunction:
-    """F*(x*, y*) = support of the graph, on the product dual grid."""
-    duals = product_grid(xduals, yduals)
-    vals = graph_support(F, xduals.nodes, yduals.nodes).reshape(-1)
-    return GriddedFunction(duals, vals, provenance="map_conjugate")
+    xi, yi = F.graph_cells
+    pts = np.hstack([F.xgrid.nodes[xi], F.ygrid.nodes[yi]])
+    return max_dots_minus(points, pts, np.zeros(pts.shape[0]))
 
 
 def graph_support(F: SetValuedMap, xstars: np.ndarray, ystars: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Epsilon-subdifferentials, normal cones, coderivatives, and their calculus.
+"""Epsilon-subdifferentials, normal cones, and their calculus.
 
 On a finite grid the eps-subdifferential of f at a node x0 is the
 H-polyhedron with one halfspace <x - x0, s> <= f(x) - f(x0) + eps per node
@@ -40,7 +40,10 @@ unpruned route and the identity holds bitwise on any data, dyadic or
 not.  The conjugate tables the checks read (mu*, phi*, the graph support
 on the dual lattice) come from the `tables.Tables` store that each check
 takes first, so the command line shares one store per run across all of
-them.
+them.  The eps-coderivative enters both checks only as the score cod:
+x* lies in D*_eps F(x, y)(y*) exactly when
+sigma_gph(x*, -y*) - <x*, x> + <y, y*> <= eps, read off the graph support
+table, and the tests keep its halfspace form as the oracle of that score.
 """
 
 from __future__ import annotations
@@ -70,12 +73,11 @@ from .errors import (
     InvalidArgument,
     MarginlabError,
     NotFiniteAtPoint,
-    NotOnGraph,
     PointNotInSet,
     UnsupportedDimension,
 )
 from .nearconvex import box_dilate
-from .setmap import SetValuedMap, graph_support, split_lattice
+from .setmap import graph_support, split_lattice
 from .tables import Tables
 
 SUM_RULE_SPLITS = 5  # eps1 + eps2 = eps splits sampled by sum_rule_check
@@ -107,9 +109,6 @@ class Interval(NamedTuple):
     def empty(self) -> bool:
         return self.lo > self.hi + TOL
 
-    def contains(self, s: float) -> bool:
-        return self.lo - TOL <= s <= self.hi + TOL
-
 
 @dataclass(frozen=True)
 class HPolyhedron:
@@ -134,10 +133,6 @@ class HPolyhedron:
     def empty(cls, dim: int) -> "HPolyhedron":
         """Canonical empty polyhedron: 0 . s <= -1."""
         return cls(np.zeros((1, dim)), np.array([-1.0]))
-
-    @classmethod
-    def whole_space(cls, dim: int) -> "HPolyhedron":
-        return cls(np.zeros((0, dim)), np.zeros(0))
 
     @property
     def dim(self) -> int:
@@ -405,8 +400,10 @@ def feasible_point(P: HPolyhedron) -> np.ndarray | None:
     interior; when rounding leaves that polygon empty it takes the polygon
     of the loosened system {A s <= b + TOL} instead, so the point lies
     within TOL of P, and it returns None exactly when `is_empty` says so.
-    Higher dimensions take the Chebyshev-like center of the box-clipped
-    polyhedron from one LP solve.
+    Higher dimensions take a Chebyshev-like center from one LP: the largest
+    radius r in [0, 1] with A s + |a_i| r <= b, s free (the bound on r
+    bounds the LP).  When that LP finds no point it is solved once more on
+    the loosened system {A s <= b + TOL}, as in 2-D.
     """
     if P.dim == 1:
         iv = P.interval()
@@ -429,16 +426,17 @@ def feasible_point(P: HPolyhedron) -> np.ndarray | None:
     A = np.hstack([P.normals, norms[:, None]])
     c = np.zeros(P.dim + 1)
     c[-1] = -1.0
-    res = linprog(
-        c=c,
-        A_ub=A,
-        b_ub=P.offsets,
-        bounds=[(-1e6, 1e6)] * P.dim + [(0, 1)],
-        method="highs-ds",
-    )
-    if res.status != 0:
-        return None
-    return res.x[: P.dim].copy()
+    for slack in (0.0, TOL):
+        res = linprog(
+            c=c,
+            A_ub=A,
+            b_ub=P.offsets + slack,
+            bounds=[(None, None)] * P.dim + [(0, 1)],
+            method="highs-ds",
+        )
+        if res.status == 0:
+            return res.x[: P.dim].copy()
+    return None
 
 
 # --- the eps-calculus objects --------------------------------------------------
@@ -502,29 +500,6 @@ def eps_normal_cone(points, x0, eps: float) -> HPolyhedron:
     if not (np.abs(P - x0).max(axis=1, initial=0.0) <= TOL).any():
         raise PointNotInSet(f"{x0.tolist()} is not a member of the point set")
     return HPolyhedron(P - x0, np.full(P.shape[0], float(eps)))
-
-
-def eps_coderivative(F: SetValuedMap, x0y0, ystar, eps: float) -> HPolyhedron:
-    """eps-coderivative D*_eps F(x0, y0)(y*) as a polyhedron in x*-space.
-
-    x* is a member iff (x*, -y*) lies in the eps-normal cone to the graph
-    at (x0, y0); the halfspaces are <x - x0, x*> <= eps + <y*, y - y0> over
-    all graph nodes (x, y).
-    """
-    _check_eps(eps)
-    try:
-        x0, y0 = x0y0
-    except (TypeError, ValueError):
-        raise InvalidArgument(f"x0y0 must be a pair (x0, y0), got {x0y0!r}") from None
-    xi = F.xgrid.resolve(x0)
-    yi = F.ygrid.resolve(y0)
-    if not F.contains(xi, yi):
-        raise NotOnGraph(f"(x node {xi}, y node {yi}) is not on the graph")
-    gx, gy = F.graph_cells
-    ystar = as_point(ystar, F.ygrid.dim, "y*")
-    A = F.xgrid.nodes[gx] - F.xgrid.coords(xi)
-    b = eps + dots(F.ygrid.nodes[gy] - F.ygrid.coords(yi), ystar)
-    return HPolyhedron(A, b)
 
 
 class EpsSubdifferentialReport(NamedTuple):

@@ -197,6 +197,24 @@ def oracle_subgradient_member(f, xi, s, eps, tol=1e-9):
     return True
 
 
+def eps_coderivative(F, x0y0, ystar, eps):
+    """eps-coderivative D*_eps F(x0, y0)(y*) as a polyhedron in x*-space.
+
+    x* is a member iff (x*, -y*) lies in the eps-normal cone to the graph
+    at the graph cell (x0, y0); the halfspaces are
+    <x - x0, x*> <= eps + <y*, y - y0> over all graph nodes (x, y).  The
+    oracle of the coderivative score the theorem checks read off the graph
+    support function.
+    """
+    x0, y0 = x0y0
+    xi, yi = F.xgrid.resolve(x0), F.ygrid.resolve(y0)
+    assert F.graph[xi, yi], "(x0, y0) must be a graph cell"
+    gx, gy = F.graph_cells
+    A = F.xgrid.nodes[gx] - F.xgrid.coords(xi)
+    b = eps + dots(F.ygrid.nodes[gy] - F.ygrid.coords(yi), np.asarray(ystar, dtype=np.float64))
+    return subdiff.HPolyhedron(A, b)
+
+
 def oracle_hull_member(points, q, tol=1e-9):
     """q in conv(points) via one feasibility LP (independent of the package)."""
     from scipy.optimize import linprog

@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,35 @@ from marginlab.cli import main
 from helpers import FIXTURES
 
 INF = math.inf
+
+
+def read_names(source, strings=False):
+    """The names a source reads: bare names and attributes in load context
+    (definitions and assignments do not count), and with `strings` also
+    each part of a string constant spelled as a dotted identifier, as the
+    benchmark's tracer names the functions it wraps."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            names.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                names.update(node.value.split("."))
+    return names - {None}
+
+
+def unreached_public_names(root, public):
+    """The public names that no library module but the namespace, no demo
+    and nothing under perfbench/ reads; what only the tests read is not
+    reached."""
+    library = [p for p in sorted((root / "src" / "marginlab").glob("*.py")) if p.stem != "__init__"]
+    reached = set()
+    for path in library + sorted((root / "demos").glob("*.py")):
+        reached |= read_names(path.read_text(encoding="utf-8"))
+    for path in sorted((root / "perfbench").glob("*.py")):
+        reached |= read_names(path.read_text(encoding="utf-8"), strings=True)
+    return [name for name in public if name not in reached]
+
 
 MINIMAL = """\
 name tiny
@@ -505,7 +535,8 @@ class TestLayering:
     """The library stands without its command line: spec parsing lives in
     marginlab.spec, and only `python -m marginlab.cli` loads the CLI.
     scipy loads only where a run solves an LP, which no 1-D or 2-D fixture
-    command does."""
+    command does.  Every public name is read by a library module, a demo
+    or the benchmark, and the benchmark's tracer installs over the CLI."""
 
     SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -533,32 +564,30 @@ class TestLayering:
         ATTAINED Axis ConjugateRepresentationReport DEFAULT_ETAS DimensionMismatch
         DualityReport EpigraphReport EpsSubdifferentialReport ExprSyntaxError
         ExpressionError FastConjugateReport Grid GridMismatch GridNotAdapted
-        GriddedFunction HPolyhedron HypothesisNotMet INF INFEASIBLE ImageReport
-        Interval LagrangianIdentityReport LagrangianTable LipschitzReport
-        MarginalResult MarginlabError MissingSection NearConvexityReport
-        NonFiniteExpression NotANode NotFiniteAtPoint NotNodePreserving NotOnGraph
-        PointNotInSet ProbeLevel ProblemSpec RasterCheckReport RasterError RasterSet
-        RestrictedConjugateReport SemicontinuityReport SetValuedMap SlaterReport
-        SpecError SpecSyntaxError StructureReport SumRuleReport Tables TheoremReport
-        UNBOUNDED UnknownKey UnknownVariable UnsupportedDimension UnsupportedShape
-        Verdict ZeroNotOnGrid biconjugate biconjugate_minorant_check closure
-        conj_subdiff_check conjugate conjugate_at conjugate_fast
-        conjugate_representation_check convexity_check default_dual_grid
-        domain_identity_check dual_value_1 dual_value_2 dump_raster
-        epigraph_projection_check eps_coderivative eps_normal_cone eps_subdifferential
+        GriddedFunction HPolyhedron HypothesisNotMet INF INFEASIBLE ImageReport Interval
+        LagrangianIdentityReport LagrangianTable LipschitzReport MarginalResult
+        MarginlabError MissingSection NearConvexityReport NonFiniteExpression NotANode
+        NotFiniteAtPoint NotNodePreserving PointNotInSet ProbeLevel ProblemSpec
+        RasterCheckReport RasterError RasterSet RestrictedConjugateReport
+        SemicontinuityReport SetValuedMap SlaterReport SpecError SpecSyntaxError
+        StructureReport SumRuleReport Tables TheoremReport UNBOUNDED UnknownKey
+        UnknownVariable UnsupportedDimension UnsupportedShape Verdict ZeroNotOnGrid
+        biconjugate biconjugate_minorant_check closure conj_subdiff_check conjugate
+        conjugate_at conjugate_fast conjugate_representation_check convexity_check
+        default_dual_grid domain_identity_check dual_value_1 dual_value_2 dump_raster
+        epigraph_projection_check eps_normal_cone eps_subdifferential
         eps_subdifferential_check eta_solutions eval_on_grid ext_add_arrays ext_sum
         fast_conjugate_check feasible_point fenchel_young_check full_map
         graph_adapted_xgrid graph_support hull_raster image_preservation_check
-        inf_convolution interior intersection_preservation_check is_convex_raster
-        is_empty is_int_nearly_convex is_nearly_convex_with_witness lagrangian_dual
-        lagrangian_identity_check lipschitz_estimate_map lipschitz_probe load_raster
-        map_conjugate map_conjugate_at map_from_constraints map_from_inequalities
-        map_from_points marginal marginal_structure_check marginal_subdiff_check
-        max_dots_minus parse_spec partial_conjugate primal_value product_grid
-        projection_map raster_check refine_raster render_value
-        restricted_conjugate_check sampled_inf_convolution semicontinuity_probe
-        slater_strong_duality_check strong_duality_check sum_rule_check
-        support_function
+        inf_convolution interior intersection_preservation_check is_empty
+        is_int_nearly_convex lagrangian_dual lagrangian_identity_check
+        lipschitz_estimate_map lipschitz_probe load_raster map_conjugate_at
+        map_from_constraints map_from_inequalities map_from_points marginal
+        marginal_structure_check marginal_subdiff_check max_dots_minus parse_spec
+        partial_conjugate primal_value product_grid projection_map raster_check
+        refine_raster render_value restricted_conjugate_check sampled_inf_convolution
+        semicontinuity_probe slater_strong_duality_check strong_duality_check
+        sum_rule_check support_function
     """.split()
 
     def test_public_names_resolve_to_their_submodules(self):
@@ -571,6 +600,36 @@ class TestLayering:
         for name in marginlab.__all__:
             module = importlib.import_module(f"marginlab.{marginlab._ORIGIN[name]}")
             assert getattr(marginlab, name) is getattr(module, name), name
+
+    def test_reach_guard_sees_every_form(self):
+        source = (
+            "from m import a\nb = 1\ndef c():\n    return d(e.f)\n"
+            "W = ('g', 'h.i', 'not j')\n"
+        )
+        assert read_names(source) == {"d", "e", "f"}
+        assert read_names(source, strings=True) == {"d", "e", "f", "g", "h", "i"}
+
+    def test_every_public_name_is_reached(self):
+        import marginlab
+
+        root = self.SRC.parent
+        assert (root / "perfbench" / "tracer.py").exists()  # the scan sees the benchmark
+        assert unreached_public_names(root, marginlab.__all__) == []
+
+    TRACER_INSTALLS = """\
+import sys
+import marginlab.cli
+sys.path.insert(0, {perfbench!r})
+from tracer import Tracer
+Tracer().install()
+assert marginlab.cli.main.__wrapped__
+assert sys.modules["marginlab.setmap"].map_conjugate_at.__wrapped__
+"""
+
+    def test_benchmark_tracer_installs(self):
+        perfbench = str(self.SRC.parent / "perfbench")
+        done = self.python("-c", self.TRACER_INSTALLS.format(perfbench=perfbench))
+        assert done.returncode == 0, done.stderr
 
     FUNCTIONS_AFTER_CLI = """\
 import types

@@ -549,11 +549,13 @@ class TestInfConvolution:
             want = oracle_inf_convolution(g1, g2, out.coords(flat))
             assert got.values[flat] == want
 
-    def test_unreachable_out_node_relaxes_to_nearest_sum(self):
+    def test_unreachable_out_node_stays_infinite(self):
+        # No split of g's nodes {0, 0.5, 1} sums to the out node 3: the
+        # infimum over no split is +inf.
         g = Grid.from_bounds([(0.0, 1.0, 3)])
         out = Grid.from_bounds([(0.0, 3.0, 4)])
         g1 = GriddedFunction(g, [0.0, 1.0, 2.0])
         h = inf_convolution(g1, g1, out)
-        assert "relaxed" in (h.provenance or "")
-        assert np.isfinite(h.values[3])
+        np.testing.assert_array_equal(h.values, [0.0, 2.0, 4.0, INF])
+        assert h.provenance == "inf_convolution"
 

@@ -203,6 +203,21 @@ class TestInputValidator:
         assert len(list(SRC.glob("*.py"))) > 10  # the scan sees the package
         assert stray == []
 
+    def test_every_leaf_errors_class_is_raised(self):
+        # A class no other class derives from exists to be raised; base
+        # classes exist to be caught.
+        classes = [
+            value for value in vars(marginlab.errors).values()
+            if isinstance(value, type) and issubclass(value, marginlab.MarginlabError)
+        ]
+        leaves = {c.__name__ for c in classes if not any(c in d.__bases__ for d in classes)}
+        raised = {
+            name for path in sorted(SRC.glob("*.py"))
+            for name in raised_names(path.read_text(encoding="utf-8"))
+        }
+        assert len(leaves) > 10  # the scan sees the errors module
+        assert sorted(leaves - raised) == []
+
     def test_reference_guard_sees_every_form(self):
         source = (
             "import numpy as np\nx = np.atleast_2d(1)\n"
@@ -329,12 +344,6 @@ class TestGrids:
         with pytest.raises(ValueError):
             g.refine(0)
 
-    def test_boundary_mask(self):
-        g = Grid.from_bounds([(0.0, 2.0, 3), (0.0, 2.0, 3)])
-        mask = g.boundary_mask().reshape(3, 3)
-        assert not mask[1, 1]
-        assert mask.sum() == 8
-
     def test_product_grid(self):
         a = Grid.from_bounds([(0.0, 1.0, 3)])
         b = Grid.from_bounds([(0.0, 1.0, 2), (0.0, 1.0, 2)])
@@ -359,9 +368,6 @@ class TestGriddedFunction:
         f = GriddedFunction(g, [1.0, INF, -INF, 0.0])
         np.testing.assert_array_equal(f.dom_mask, [True, False, True, True])
         np.testing.assert_array_equal(f.finite_mask, [True, False, False, True])
-        assert not f.is_proper
-        assert GriddedFunction(g, [1.0, INF, 2.0, 0.0]).is_proper
-        assert not GriddedFunction(g, [INF] * 4).is_proper
 
     def test_values_read_only(self):
         g = Grid.from_bounds([(0.0, 1.0, 2)])

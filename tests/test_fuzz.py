@@ -32,7 +32,6 @@ from marginlab import (
     HPolyhedron,
     MarginlabError,
     conjugate_at,
-    eps_coderivative,
     eps_normal_cone,
     eps_subdifferential,
     eval_on_grid,
@@ -243,8 +242,6 @@ ARGUMENTS = {
     "HPolyhedron.contains points": (2, lambda a: QUADRANT.contains(a)),
     "eps_normal_cone points": (2, lambda a: eps_normal_cone(a, [0.0, 0.0], 0.5)),
     "eps_normal_cone x0": (2, lambda a: eps_normal_cone(PLANE.nodes, a, 0.5)),
-    "eps_coderivative x0": (1, lambda a: eps_coderivative(FULL, (a, [0.0]), [1.0], 0.5)),
-    "eps_coderivative y*": (1, lambda a: eps_coderivative(FULL, ([0.0], [0.0]), a, 0.5)),
     "eps_subdifferential x0": (2, lambda a: eps_subdifferential(SQUARES, a, 0.5)),
     "sampled_inf_convolution at": (
         1, lambda a: sampled_inf_convolution(SQUARES, FULL, a, LINE, LINE)
@@ -315,17 +312,13 @@ def test_point_arguments_end_in_a_result_or_a_marginlab_error(name, data):
         (lambda: HPolyhedron([[[1.0, 0.0]]], [1.0]), InvalidArgument),
         # each of these once ended in a bare ValueError
         (lambda: conjugate_at(SQUARES, "abc"), InvalidArgument),
-        (lambda: eps_coderivative(FULL, ([0.0], [0.0]), [1.0, 2.0], 0.0), DimensionMismatch),
         (lambda: partial_conjugate(np.zeros((2, 3)), NODES, NODES, [[0.0]], [[0.0]]),
          DimensionMismatch),
-        (lambda: eps_coderivative(FULL, ([0.0], [0.0], [0.0]), [1.0], 0.0), InvalidArgument),
-        (lambda: eps_coderivative(FULL, "abc", [1.0], 0.0), InvalidArgument),
     ],
     ids=[
         "conjugate_at-nan", "map_conjugate_at-inf", "max_dots_minus-width",
         "partial_conjugate-width", "sampled_inf_convolution-width", "contains-nan",
-        "HPolyhedron-3d-normals", "conjugate_at-string", "eps_coderivative-ystar-width",
-        "partial_conjugate-values-shape", "eps_coderivative-triple", "eps_coderivative-string",
+        "HPolyhedron-3d-normals", "conjugate_at-string", "partial_conjugate-values-shape",
     ],
 )
 def test_malformed_arrays_once_answered_now_raise(call, error):

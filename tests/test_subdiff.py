@@ -20,7 +20,6 @@ from marginlab import (
     Interval,
     NotANode,
     NotFiniteAtPoint,
-    NotOnGraph,
     PointNotInSet,
     SetValuedMap,
     Tables,
@@ -28,7 +27,6 @@ from marginlab import (
     conj_subdiff_check,
     conjugate_at,
     default_dual_grid,
-    eps_coderivative,
     eps_normal_cone,
     eps_subdifferential,
     eta_solutions,
@@ -47,7 +45,7 @@ from marginlab import (
 )
 from marginlab import subdiff
 from marginlab.cli import main
-from marginlab.conjugate import default_ydual_grid
+from marginlab.conjugate import default_ydual_grid, dots
 from marginlab.errors import InvalidArgument, MarginlabError
 from marginlab.setmap import split_lattice
 
@@ -56,6 +54,7 @@ from helpers import (
     FIXTURES,
     dyadic_grid,
     dyadic_rows,
+    eps_coderivative,
     interval_sum_contains,
     load_fixture,
     lp_chebyshev_point,
@@ -90,7 +89,7 @@ def lp_is_feasible(A, b):
 
 class TestHPolyhedron:
     def test_whole_space_and_canonical_empty(self):
-        W = HPolyhedron.whole_space(2)
+        W = HPolyhedron(np.zeros((0, 2)), np.zeros(0))
         assert W.contains([100.0, -3.0])
         E = HPolyhedron.empty(2)
         assert not E.contains([0.0, 0.0])
@@ -106,7 +105,7 @@ class TestHPolyhedron:
         assert HPolyhedron([[2.0], [-1.0]], [4.0, 1.0]).interval() == Interval(-1.0, 2.0)
         iv = HPolyhedron([[1.0]], [3.0]).interval()
         assert iv.lo == -INF and iv.hi == 3.0
-        assert HPolyhedron.whole_space(1).interval() == Interval(-INF, INF)
+        assert HPolyhedron(np.zeros((0, 1)), np.zeros(0)).interval() == Interval(-INF, INF)
         assert HPolyhedron([[1.0], [-1.0]], [0.0, -1.0]).interval().empty
 
     def test_zero_rows_decide_emptiness(self):
@@ -115,7 +114,7 @@ class TestHPolyhedron:
 
     def test_interval_needs_one_dimension(self):
         with pytest.raises(UnsupportedDimension):
-            HPolyhedron.whole_space(2).interval()
+            HPolyhedron(np.zeros((0, 2)), np.zeros(0)).interval()
 
     @pytest.mark.parametrize(
         "normals, offsets, message",
@@ -158,14 +157,14 @@ class TestEmptinessAndFeasiblePoint:
 
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedDimension):
-            is_empty(HPolyhedron.whole_space(4))
+            is_empty(HPolyhedron(np.zeros((0, 4)), np.zeros(0)))
 
     def test_feasible_point_prefers_interior(self):
         P = HPolyhedron([[1.0], [-1.0]], [2.0, 0.0])  # [0, 2]
         assert feasible_point(P)[0] == pytest.approx(1.0)
         half = HPolyhedron([[-1.0]], [-3.0])  # [3, inf)
         assert feasible_point(half)[0] == pytest.approx(3.0)
-        assert feasible_point(HPolyhedron.whole_space(1))[0] == 0.0
+        assert feasible_point(HPolyhedron(np.zeros((0, 1)), np.zeros(0)))[0] == 0.0
 
 
 @st.composite
@@ -270,11 +269,13 @@ class TestPlanarRoute:
         assert np.abs(feasible_point(P) - 0.1).max() <= 1e-9
 
     def test_sets_beyond_the_lp_box_get_a_point(self):
-        # The LP route clipped P to [-1e6, 1e6]^2 and found no point of these
-        # nonempty sets; the polygon route has no box.
+        # The LP route clipped P to [-1e6, 1e6]^d and found no point of these
+        # nonempty sets; the polygon route has no box, and the 3-D LP leaves
+        # s free.
         far = HPolyhedron([[-1.0, 0.0]], [-2e6])  # s1 >= 2e6
         thin = HPolyhedron([[1.0, 0.0], [-1.0, 1e-10]], [0.0, -0.5])  # s2 <= -5e9
-        for P in (far, thin):
+        far3 = HPolyhedron([[-1.0, 0.0, 0.0]], [-2e6])
+        for P in (far, thin, far3):
             assert not is_empty(P)[0]
             assert lp_chebyshev_point(P) == (None, None)
             assert P.contains(feasible_point(P))
@@ -322,13 +323,10 @@ class TestEpsSubdifferential:
     @pytest.mark.parametrize("eps", [INF, math.nan])
     def test_non_finite_eps_rejected(self, eps):
         g = Grid.from_bounds([(0.0, 1.0, 2)])
-        F = full_map(g, g)
         with pytest.raises(InvalidArgument, match="finite"):
             eps_subdifferential(GriddedFunction(g, [0.0, 0.0]), 0, eps)
         with pytest.raises(InvalidArgument, match="finite"):
             eps_normal_cone(g.nodes, [0.0], eps)
-        with pytest.raises(InvalidArgument, match="finite"):
-            eps_coderivative(F, ([0.0], [0.0]), [0.0], eps)
 
     def test_fenchel_young_membership_equivalence(self):
         # s is an eps-subgradient at x0 exactly when
@@ -495,12 +493,25 @@ class TestNormalConeAndCoderivative:
             want = bool((A[:, 0] * s <= rhs + 1e-9).all())
             assert D.contains([s]) == want
 
-    def test_coderivative_needs_graph_point(self):
-        X = Grid.from_bounds([(-1.0, 1.0, 3)])
-        Y = Grid.from_bounds([(-1.0, 1.0, 3)])
-        F = SetValuedMap(X, Y, np.eye(3, dtype=bool))
-        with pytest.raises(NotOnGraph):
-            eps_coderivative(F, ([0.0], [1.0]), [0.0], 0.0)
+    @pytest.mark.parametrize("eps", [0.0, 0.25])
+    @pytest.mark.parametrize("xdim, ydim", [(1, 1), (1, 2), (2, 1)])
+    def test_coderivative_score_is_the_definition(self, xdim, ydim, eps):
+        # The coderivative score of both theorem checks, read off one graph
+        # support table: x* is in D*_eps F(x, y)(y*) exactly when
+        # sigma_gph(x*, -y*) - <x*, x> + <y, y*> <= eps.  Dyadic data make
+        # every term exact, so both sides make the same comparisons.
+        rng = np.random.default_rng(71 + 10 * xdim + ydim)
+        for _ in range(6):
+            _, F = random_problem(rng, max_count=4, xdim=xdim, ydim=ydim)
+            xs = dyadic_rows(rng, int(rng.integers(1, 9)), xdim)
+            ys = dyadic_rows(rng, int(rng.integers(1, 5)), ydim)
+            table = graph_support(F, xs, -ys)
+            gx, gy = F.graph_cells
+            for x, y in zip(F.xgrid.nodes[gx], F.ygrid.nodes[gy]):
+                for k, ystar in enumerate(ys):
+                    score = table[:, k] - dots(xs, x) + dots(y, ystar)
+                    member = eps_coderivative(F, (x, y), ystar, eps).contains(xs)
+                    np.testing.assert_array_equal(score <= eps + subdiff.TOL, member)
 
 
 class TestSumRule:
@@ -1124,7 +1135,6 @@ class TestNodeIndices:
         "check",
         [
             "eps_subdifferential",
-            "eps_coderivative",
             "sum_rule_check",
             "marginal_subdiff_check",
             "conj_subdiff_check",
@@ -1138,7 +1148,6 @@ class TestNodeIndices:
         F = full_map(g, g)
         calls = {
             "eps_subdifferential": lambda: eps_subdifferential(f, bad, 0.0),
-            "eps_coderivative": lambda: eps_coderivative(F, (bad, 0), [0.0], 0.0),
             "sum_rule_check": lambda: sum_rule_check(f, f, bad, 0.0),
             "marginal_subdiff_check": lambda: marginal_subdiff_check(Tables(phi, F), bad, 0.0),
             "conj_subdiff_check": lambda: conj_subdiff_check(Tables(phi, F, g), bad, 0.0),
