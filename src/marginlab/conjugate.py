@@ -142,6 +142,45 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first].view(np.float64), inverse
 
 
+def conjugate_blocks(rows, dom: np.ndarray, X, Y, xstars, ystars):
+    """f* on the product of x* rows and y* rows, as consecutive blocks
+    (slice of x* rows, their table rows) of `partial_conjugate`'s table.
+
+    `dom` marks the x nodes where f has a value below +inf, and `rows(at)`
+    returns f's values on the x nodes `at` indexes (a slice or an index
+    array into X), one column per y node, so no table of f need be built
+    whole.  The inner max over y runs once per domain x node, in
+    `score_slices` blocks, when this is called.  Each yielded block of x*
+    rows then takes its dot products with the domain x nodes, and the
+    outer max in sub-blocks, each table within the cap.  The rows of a
+    block are a view of one buffer that the next block overwrites, so a
+    caller reads each block before it asks for the next.  Every entry
+    depends only on its own rows, so the block sizes move no bit.
+    """
+    k, ky = xstars.shape[0], ystars.shape[0]
+    keep = np.flatnonzero(dom)
+    nd = keep.size
+    if nd == 0:
+        return ((sl, np.full((sl.stop - sl.start, ky), -INF)) for sl in score_slices(k, ky))
+    whole = nd == dom.shape[0]
+    ydots = dots(ystars[:, None], Y)
+    R = np.empty((nd, ky))
+    for sl in score_slices(nd, ydots.size):
+        (ydots[None, :, :] - rows(sl if whole else keep[sl])[:, None, :]).max(axis=2, out=R[sl])
+    Xd = X if whole else X[keep]
+
+    def blocks():
+        buf = np.empty((next(score_slices(k, nd + ky), slice(0)).stop, ky))
+        for sl in score_slices(k, nd + ky):
+            tx = dots(xstars[sl, None], Xd)
+            table = buf[: tx.shape[0]]
+            for sub in score_slices(tx.shape[0], nd * ky):
+                (tx[sub, :, None] + R).max(axis=1, out=table[sub])
+            yield sl, table
+
+    return blocks()
+
+
 def partial_conjugate(
     values: np.ndarray,
     X: np.ndarray,
@@ -157,7 +196,10 @@ def partial_conjugate(
     max over y runs once per x node with a finite value, the outer max over
     x once per x* row (callers pass distinct ones).  Both dot-product
     tables come from `dots`, and both maxima run in `score_slices` blocks,
-    so the block size changes no bit.
+    so the block size changes no bit: the table is the assembly of the
+    blocks of `conjugate_blocks`.  No entry is -0.0: `dots` starts from
+    +0.0, a difference ydots - f is -0.0 only if ydots is, and a sum
+    tx + R only if both terms are.
     """
     X, Y = as_rows(X, None, "x nodes"), as_rows(Y, None, "y nodes")
     values = as_rows(values, Y.shape[0], "values (one column per y node)", finite=False)
@@ -166,20 +208,9 @@ def partial_conjugate(
     xstars = as_rows(xstars, X.shape[1], "x* rows")
     ystars = as_rows(ystars, Y.shape[1], "y* rows")
     dom = (values < INF).any(axis=1)
-    if not dom.any():
-        return np.full((xstars.shape[0], ystars.shape[0]), -INF)
-    V, Xd = (values, X) if dom.all() else (values[dom], X[dom])
-    nd, ky = Xd.shape[0], ystars.shape[0]
-
-    ydots = dots(ystars[:, None], Y)
-    R = np.empty((nd, ky))
-    for sl in score_slices(nd, ydots.size):
-        (ydots[None, :, :] - V[sl, None, :]).max(axis=2, out=R[sl])
-
-    tx = dots(xstars[:, None], Xd)
-    table = np.empty((xstars.shape[0], ky))
-    for sl in score_slices(xstars.shape[0], nd * ky):
-        (tx[sl, :, None] + R).max(axis=1, out=table[sl])
+    table = np.empty((xstars.shape[0], ystars.shape[0]))
+    for sl, rows in conjugate_blocks(values.__getitem__, dom, X, Y, xstars, ystars):
+        table[sl] = rows
     return table
 
 

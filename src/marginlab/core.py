@@ -353,19 +353,41 @@ def axis_names(prefix: str, dim: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{k + 1}" for k in range(dim))
 
 
-def name_environment(
-    grid: Grid, names: Sequence[str], aliases: Mapping[str, str] | None = None
-) -> dict[str, np.ndarray]:
-    """Column arrays for each variable name (plus aliases) over all nodes."""
+def eval_blocks(
+    texts: Sequence[str],
+    grid: Grid,
+    names: Sequence[str],
+    aliases: Mapping[str, str] | None = None,
+):
+    """Each expression text over the grid nodes, in blocks of consecutive
+    flat nodes: yields (slice of flat nodes, one float array per text).
+
+    Every text is parsed once, in order, before the first block.  A block
+    holds at most `conjugate._BLOCK_CAP // dim` nodes; its coordinate table
+    is built from `np.unravel_index` and the axis coordinates and laid out
+    as rows of the grid's node table, so each variable is a column of it,
+    with the strides a column of `Grid.mesh()` has.  Expressions act entry
+    by entry, so no value depends on the block that holds its node.
+    """
+    from .conjugate import score_slices  # conjugate imports this module
+
     if len(names) != grid.dim:
         raise DimensionMismatch(
             f"{len(names)} variable names for a {grid.dim}-dimensional grid"
         )
-    cols = grid.mesh()  # the grid keeps no table of every node
-    env = {name: cols[:, k] for k, name in enumerate(names)}
-    for alias, target in (aliases or {}).items():
-        env[alias] = env[target]
-    return env
+    aliases = dict(aliases or {})
+    trees = [_expr.parse_and_check(text, [*names, *aliases]) for text in texts]
+    for sl in score_slices(grid.size, grid.dim):
+        cols = np.empty((sl.stop - sl.start, grid.dim))
+        at = np.unravel_index(np.arange(sl.start, sl.stop), grid.shape)
+        for k, (coords, i) in enumerate(zip(grid.axis_coords, at)):
+            cols[:, k] = coords[i]
+        env = {name: cols[:, k] for k, name in enumerate(names)}
+        env.update({alias: env[target] for alias, target in aliases.items()})
+        yield sl, [
+            np.broadcast_to(np.asarray(_expr.evaluate(tree, env), dtype=np.float64), cols.shape[:1])
+            for tree in trees
+        ]
 
 
 def default_names(grid: Grid, prefix: str = "x") -> tuple[tuple[str, ...], dict[str, str]]:
@@ -385,16 +407,6 @@ def product_names(m: int, n: int) -> tuple[tuple[str, ...], dict[str, str]]:
     return names, aliases
 
 
-def eval_columns(
-    text: str, env: Mapping[str, np.ndarray], size: int
-) -> np.ndarray:
-    """Expression text over the column arrays of `env`, as `size` floats."""
-    ast = _expr.parse_and_check(text, list(env))
-    return np.broadcast_to(
-        np.asarray(_expr.evaluate(ast, env), dtype=np.float64), (size,)
-    )
-
-
 def eval_on_grid(
     text: str,
     grid: Grid,
@@ -408,26 +420,31 @@ def eval_on_grid(
     (tolerance 1e-9); nodes violating any constraint are declared
     infeasible and map to +inf without the main expression being checked
     there.  A NaN/inf result on a feasible node raises NonFiniteExpression
-    with the node coordinates.
+    with the node coordinates, at the first such node in flat order.
+
+    The expressions run in `eval_blocks` blocks of nodes, so the only
+    table of the whole grid is the values.  An expression acts entry by
+    entry, on columns with the node table's layout, so the block size
+    moves no bit: each value, signed zeros included, is the one an
+    evaluation on every node at once gives.
     """
     if names is None:
         names, defaults = default_names(grid)
         aliases = {**defaults, **(aliases or {})}
-    env = name_environment(grid, names, aliases)
-
-    feasible = np.ones(grid.size, dtype=bool)
-    for ctext in domain:
-        cvals = eval_columns(ctext, env, grid.size)
-        with np.errstate(invalid="ignore"):
-            feasible &= cvals <= NODE_TOL
-
-    raw = eval_columns(text, env, grid.size).copy()
-    bad = feasible & ~np.isfinite(raw)
-    if bad.any():
-        node = int(np.flatnonzero(bad)[0])
-        raise NonFiniteExpression(
-            f"{text!r} is not finite at node {grid.coords(node).tolist()}"
-        )
-    raw[~feasible] = INF
+    raw = np.empty(grid.size)
+    for sl, (*cvals, vals) in eval_blocks([*domain, text], grid, names, aliases):
+        feasible = np.ones(sl.stop - sl.start, dtype=bool)
+        for c in cvals:
+            with np.errstate(invalid="ignore"):
+                feasible &= c <= NODE_TOL
+        block = raw[sl]
+        block[:] = vals
+        bad = feasible & ~np.isfinite(block)
+        if bad.any():
+            node = sl.start + int(np.flatnonzero(bad)[0])
+            raise NonFiniteExpression(
+                f"{text!r} is not finite at node {grid.coords(node).tolist()}"
+            )
+        block[~feasible] = INF
     prov = text if not domain else f"{text} where {' and '.join(d + ' <= 0' for d in domain)}"
     return GriddedFunction(grid, raw, provenance=prov)

@@ -4,8 +4,9 @@ The primal value is the marginal function at the unperturbed parameter
 x = 0.  The first dual value maximizes -mu* over dual nodes; the second
 evaluates the sampled infimal convolution of phi* and the graph support
 function at (x*, 0), so it is a lower bound whose split lattice can be
-refined.  Both tables come from `conjugate.partial_conjugate`, and the
-add-and-min over the lattice runs in blocks of evaluation points.  Strong
+refined.  Both tables come from `conjugate.partial_conjugate`'s kernel,
+and the add-and-min over the lattice folds the graph support one block of
+lattice steps at a time.  Strong
 duality is certified through the subdifferential of mu at 0: a subgradient
 there forces equality of the primal and first dual values, and the witness
 doubles as the optimal dual point.
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conjugate import conjugate_at, dots, score_slices
+from .conjugate import conjugate_at, dots, score_slices, unique_rows
 from .core import (
     INF,
     ROUNDING_TOL,
@@ -42,9 +43,9 @@ from .core import (
 )
 from .errors import GridNotAdapted, InvalidArgument, MarginlabError, NotANode, ZeroNotOnGrid
 from .marginal import masked_minima
-from .setmap import SetValuedMap, map_from_inequalities
+from .setmap import SetValuedMap, graph_support_blocks, map_from_inequalities, split_lattice
 from .subdiff import eps_subdifferential, feasible_point, linprog
-from .tables import Tables, inf_convolution_min, lattice_support, phi_conjugate
+from .tables import Tables, inf_convolution_min, phi_conjugate
 
 MAX_ADAPTED_COUNT = 100_000  # x-nodes per axis of a graph-adapted grid
 
@@ -79,13 +80,19 @@ def sampled_inf_convolution(
 
     Per evaluation point x*, minimizes phi*(x1*, y*) + F*(x* - x1*, -y*)
     over the x1duals and yduals nodes with lower addition; the result can
-    only decrease when the split lattice is refined (nodes are kept).  The
-    add-and-min runs in `tables.inf_convolution_min`, over blocks of points
-    of about `conjugate._BLOCK_CAP` entries.
+    only decrease when the split lattice is refined (nodes are kept).
+    F* is taken on the distinct steps x* - x1* only, and no table of it is
+    built: `tables.inf_convolution_min` folds each block of steps that
+    `setmap.graph_support_blocks` yields, within `conjugate._BLOCK_CAP`
+    entries, into the per-(x*, x1*) minima.  Every sum is the one a whole
+    F* table gives, and a minimum is exact with no -0.0 in either table,
+    so the blocks move no bit.
     """
     at = as_rows(at, F.xgrid.dim, "evaluation points")
+    phistar = phi_conjugate(phi, F, x1duals, yduals)
+    steps, inverse = unique_rows(split_lattice(at, x1duals))
     return inf_convolution_min(
-        phi_conjugate(phi, F, x1duals, yduals), *lattice_support(F, at, x1duals, yduals)
+        phistar, F, inverse, graph_support_blocks(F, steps, -yduals.nodes)
     )
 
 
@@ -115,8 +122,8 @@ def conjugate_representation_check(
     equality (max residual <= TOL), which binds only when the instance
     asserts the interiority hypothesis (qc1).  The dual grids, mu* and the
     sampled value on their lattice come from the store; the refined lattice
-    is read here alone, so `sampled_inf_convolution` builds it and lets it
-    go.
+    is read here alone, so `sampled_inf_convolution` folds it block by
+    block and keeps none of it.
     """
     xduals, yduals = tables.xduals, tables.yduals
     mustar = tables.mustar.values

@@ -17,12 +17,15 @@ once and evaluating each t row once.  `map_conjugate_at` takes the same
 finite maximum by brute force, one dot product per stacked query and
 graph cell, so the two agree bitwise whenever the dot products are exact
 (dyadic data); the tests keep it as the oracle of `graph_support`.
+
+Besides the graph mask, nothing here builds a table of every (x, y) node
+or graph cell: expressions, the indicator and the walks over the cells
+all run in blocks within `conjugate._BLOCK_CAP`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,12 +36,11 @@ from .core import (
     Grid,
     as_rows,
     default_names,
-    eval_columns,
-    name_environment,
+    eval_blocks,
     product_grid,
     product_names,
 )
-from .conjugate import max_dots_minus, partial_conjugate
+from .conjugate import conjugate_blocks, count_slices, max_dots_minus, score_slices
 from .errors import DimensionMismatch
 
 
@@ -66,11 +68,25 @@ class SetValuedMap:
     def dom_mask(self) -> np.ndarray:
         return self.graph.any(axis=1)
 
-    @cached_property
+    @property
     def graph_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x indices, y indices) of the true graph cells."""
+        """(x indices, y indices) of every true graph cell, built on each
+        read; the checks walk `graph_cell_blocks` instead."""
         xi, yi = np.nonzero(self.graph)
         return xi, yi
+
+
+def graph_cell_blocks(F: SetValuedMap, width: int):
+    """(x indices, y indices) of the graph cells in row-major order, in
+    blocks of at most `_BLOCK_CAP // width` cells (at least one), so that
+    `width` entries per cell stay within the cap.  The blocks are cut from
+    runs of whole x rows of at most `_BLOCK_CAP` cells (`count_slices` on
+    the row counts), or from one row over the cap."""
+    for rows in count_slices(np.count_nonzero(F.graph, axis=1)):
+        xi, yi = np.nonzero(F.graph[rows])
+        xi += rows.start
+        for sl in score_slices(xi.size, width):
+            yield xi[sl], yi[sl]
 
 
 def full_map(xgrid: Grid, ygrid: Grid) -> SetValuedMap:
@@ -94,12 +110,13 @@ def map_from_inequalities(
         raise DimensionMismatch(
             f"{len(g_exprs)} inequalities for a {xgrid.dim}-dimensional x-grid"
         )
-    env = name_environment(ygrid, *default_names(ygrid, "y"))
-    gvals = np.empty((xgrid.dim, ygrid.size))
-    for i, text in enumerate(g_exprs):
-        gvals[i] = eval_columns(text, env, ygrid.size)
+    gvals = np.empty((ygrid.size, xgrid.dim))
+    for sl, cols in eval_blocks(g_exprs, ygrid, *default_names(ygrid, "y")):
+        gvals[sl] = np.stack(cols, axis=1)
     X = xgrid.nodes
-    graph = (gvals.T[None, :, :] <= X[:, None, :] + NODE_TOL).all(axis=2)
+    graph = np.empty((xgrid.size, ygrid.size), dtype=bool)
+    for sl in score_slices(xgrid.size, gvals.size):
+        (gvals[None, :, :] <= X[sl, None, :] + NODE_TOL).all(axis=2, out=graph[sl])
     prov = tuple(f"{g} - x{i + 1} <= 0" for i, g in enumerate(g_exprs))
     return SetValuedMap(xgrid, ygrid, graph, provenance=prov)
 
@@ -107,15 +124,14 @@ def map_from_inequalities(
 def map_from_constraints(
     c_exprs: Sequence[str], xgrid: Grid, ygrid: Grid
 ) -> SetValuedMap:
-    """Graph {(x, y) : c_k(x, y) <= 0 for all k}, tolerance 1e-9."""
+    """Graph {(x, y) : c_k(x, y) <= 0 for all k}, tolerance 1e-9; the
+    constraints are evaluated in `eval_blocks` blocks of (x, y) nodes."""
     pg = product_grid(xgrid, ygrid)
-    names, aliases = product_names(xgrid.dim, ygrid.dim)
-    env = name_environment(pg, names, aliases)
     mask = np.ones(pg.size, dtype=bool)
-    for text in c_exprs:
-        vals = eval_columns(text, env, pg.size)
+    for sl, vals in eval_blocks(c_exprs, pg, *product_names(xgrid.dim, ygrid.dim)):
         with np.errstate(invalid="ignore"):
-            mask &= vals <= NODE_TOL
+            for v in vals:
+                mask[sl] &= v <= NODE_TOL
     graph = mask.reshape(xgrid.size, ygrid.size)
     return SetValuedMap(
         xgrid, ygrid, graph, provenance=tuple(f"{c} <= 0" for c in c_exprs)
@@ -142,15 +158,32 @@ def map_conjugate_at(F: SetValuedMap, points: np.ndarray) -> np.ndarray:
     return max_dots_minus(points, pts, np.zeros(pts.shape[0]))
 
 
+def graph_support_blocks(F: SetValuedMap, xstars, ystars):
+    """`graph_support` as the blocks (slice of x* rows, their table rows)
+    of `conjugate.conjugate_blocks` on the graph indicator (0 on gph F,
+    +inf off it), whose rows are built one block of x rows at a time."""
+    X, Y = F.xgrid.nodes, F.ygrid.nodes
+    xstars = as_rows(xstars, X.shape[1], "x* rows")
+    ystars = as_rows(ystars, Y.shape[1], "y* rows")
+    return conjugate_blocks(
+        lambda at: np.where(F.graph[at], 0.0, INF), F.dom_mask, X, Y, xstars, ystars
+    )
+
+
 def graph_support(F: SetValuedMap, xstars: np.ndarray, ystars: np.ndarray) -> np.ndarray:
     """Graph support function on the product of x* rows and y* rows.
 
     Entry [i, j] is sigma_gph(xstars[i], ystars[j]), the same finite
     maximum `map_conjugate_at` takes at the stacked point; an empty graph
-    gives -inf everywhere.
+    gives -inf everywhere.  The table is the assembly of the blocks of
+    `graph_support_blocks`.
     """
-    indicator = np.where(F.graph, 0.0, INF)
-    return partial_conjugate(indicator, F.xgrid.nodes, F.ygrid.nodes, xstars, ystars)
+    xstars = as_rows(xstars, F.xgrid.dim, "x* rows")
+    ystars = as_rows(ystars, F.ygrid.dim, "y* rows")
+    table = np.empty((xstars.shape[0], ystars.shape[0]))
+    for sl, rows in graph_support_blocks(F, xstars, ystars):
+        table[sl] = rows
+    return table
 
 
 def split_lattice(at: np.ndarray, x1duals: Grid) -> np.ndarray:

@@ -77,7 +77,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .nearconvex import box_dilate
-from .setmap import graph_support, split_lattice
+from .setmap import graph_cell_blocks, graph_support, split_lattice
 from .tables import Tables
 
 SUM_RULE_SPLITS = 5  # eps1 + eps2 = eps splits sampled by sum_rule_check
@@ -848,8 +848,9 @@ def restricted_conjugate_check(tables: Tables) -> RestrictedConjugateReport:
     """mu*(x*) equals the conjugate of phi + indicator(gph F) at (x*, 0).
 
     The right side is the maximum over graph cells (x, y) of
-    D[x*, x] - phi(x, y), with D the table of <x*, x>, taken in
-    `score_slices` blocks of cells.  It keeps `conjugate_at`'s conventions
+    D[x*, x] - phi(x, y), with D the table of <x*, x>, taken over the
+    `graph_cell_blocks` of at most `_BLOCK_CAP // duals` cells, so no table
+    of every cell is built.  It keeps `conjugate_at`'s conventions
     by extended arithmetic: a -inf cell scores +inf, a +inf cell -inf, and
     no cell leaves -inf.  The entries of D are bitwise the dot products
     inside mu*, and rounding a difference is monotone, so the max over y
@@ -858,12 +859,11 @@ def restricted_conjugate_check(tables: Tables) -> RestrictedConjugateReport:
     """
     phi, F, duals = tables.phi, tables.F, tables.xduals
     lhs = tables.mustar.values
-    gx, gy = F.graph_cells
-    phig = phi.values.reshape(F.xgrid.size, F.ygrid.size)[gx, gy]
+    V = phi.values.reshape(F.xgrid.size, F.ygrid.size)
     D = dots(duals.nodes[:, None], F.xgrid.nodes)
     rhs = np.full(duals.size, -INF)
-    for sl in score_slices(gx.size, duals.size):
-        np.maximum(rhs, (D[:, gx[sl]] - phig[sl]).max(axis=1), out=rhs)
+    for gx, gy in graph_cell_blocks(F, duals.size):
+        np.maximum(rhs, (D[:, gx] - V[gx, gy]).max(axis=1), out=rhs)
     ok = bool(np.array_equal(lhs, rhs))
     return RestrictedConjugateReport(
         ok,
@@ -943,9 +943,8 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     phistar = tables.phistar
     fsupport = graph_support(F, T, -Y1)
 
-    gx, gy = F.graph_cells
     X, Y = F.xgrid.nodes, F.ygrid.nodes
-    phig = phi.values.reshape(F.xgrid.size, F.ygrid.size)[gx, gy]
+    V = phi.values.reshape(F.xgrid.size, F.ygrid.size)
 
     bounds = [_split_bound(_split_pairs(eps + eta, THEOREM_SPLITS)) for eta in DEFAULT_ETAS]
     cutoff = max(eps + eta for eta in DEFAULT_ETAS) + 2 * TOL
@@ -958,39 +957,50 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     # values stay out of M: +inf phi only removes a cell (h = +inf) and
     # +inf phi* only a pair.  A looser margin admits more candidates and
     # changes no verdict.  The norms run over the x and y nodes of graph
-    # cells.
+    # cells.  The largest phi value on the graph is taken over blocks of
+    # x rows, and the candidates over `graph_cell_blocks`, so no table of
+    # every cell is built; a maximum is exact, and every other entry is
+    # per cell, so the blocks move no bit.
     xnorm = _finite_max(np.abs(X[F.dom_mask]).sum(axis=1))
+    phinorm = max(
+        (_finite_max(V[sl][F.graph[sl]]) for sl in score_slices(F.xgrid.size, F.ygrid.size)),
+        default=0.0,
+    )
     scale = (
-        _finite_max(phistar) + _finite_max(fsupport) + _finite_max(phig) + cutoff
+        _finite_max(phistar) + _finite_max(fsupport) + phinorm + cutoff
         + xnorm * (_finite_max(X1) + _finite_max(T) + _finite_max(s0))
         + 2.0 * _finite_max(np.abs(Y[F.graph.any(axis=0)]).sum(axis=1)) * _finite_max(Y1)
     )
-    key = cutoff + (m + 16) * np.finfo(np.float64).eps * scale - (phig - dots(X, s0)[gx])
+    margin = cutoff + (m + 16) * np.finfo(np.float64).eps * scale
+    xdots = dots(X, s0)
     G = (phistar + fsupport).reshape(-1)
     order = np.argsort(G)
     G = G[order]
     pair_j, pair_k = np.divmod(order, Ky)
 
     # Candidate (cell, pair) triples: a cell takes the first counts[cell]
-    # pairs in G order.  Only cells with a candidate are scored, in slices
-    # whose temporaries stay within `count_slices`' cap: about ten arrays of
-    # one entry per triple, plus the x and y rows of its dot products.
-    counts = np.searchsorted(G, key, side="right")
-    del key
-    cells = np.flatnonzero(counts)
-    counts = counts[cells]
+    # pairs in G order.  The cells come in blocks of about ten arrays of one
+    # entry per cell within the cap.  Only cells with a candidate are
+    # scored, in slices whose temporaries stay within `count_slices`' cap:
+    # about ten arrays of one entry per triple, plus the x and y rows of
+    # its dot products.
     found = np.zeros((len(DEFAULT_ETAS), F.xgrid.size), dtype=bool)
-    for sl in count_slices((10 + 3 * m + 2 * Y.shape[1]) * counts):
-        n = counts[sl]
-        c = np.repeat(cells[sl], n)  # graph cell of each triple
-        at = np.arange(c.size) - np.repeat(np.cumsum(n) - n, n)
-        j, k = pair_j[at], pair_k[at]
-        Xs, Ys = X[gx[c]], Y[gy[c]]
-        ydots = dots(Ys, Y1[k])
-        m1 = (phistar[j, k] + phig[c]) - (dots(Xs, X1[j]) + ydots)
-        cod = fsupport[j, k] - (dots(Xs, T[j]) - ydots)
-        for level_found, bound in zip(found, bounds):
-            level_found[gx[c[cod <= bound(m1)]]] = True
+    for gx, gy in graph_cell_blocks(F, 10):
+        phig = V[gx, gy]
+        counts = np.searchsorted(G, margin - (phig - xdots[gx]), side="right")
+        cells = np.flatnonzero(counts)
+        counts = counts[cells]
+        for sl in count_slices((10 + 3 * m + 2 * Y.shape[1]) * counts):
+            n = counts[sl]
+            c = np.repeat(cells[sl], n)  # graph cell of each triple
+            at = np.arange(c.size) - np.repeat(np.cumsum(n) - n, n)
+            j, k = pair_j[at], pair_k[at]
+            Xs, Ys = X[gx[c]], Y[gy[c]]
+            ydots = dots(Ys, Y1[k])
+            m1 = (phistar[j, k] + phig[c]) - (dots(Xs, X1[j]) + ydots)
+            cod = fsupport[j, k] - (dots(Xs, T[j]) - ydots)
+            for level_found, bound in zip(found, bounds):
+                level_found[gx[c[cod <= bound(m1)]]] = True
 
     levels = [
         (eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1))

@@ -19,10 +19,11 @@ and `default_ydual_grid(phi, m)` for y*, both at the primal counts.
 The graph support on all lattice rows equals the support on the distinct
 rows taken at the inverse index, because each row's maximum in
 `partial_conjugate` depends on that row alone.
-A table that one check alone reads, such as the twice-refined lattice of
-`conjugate_representation_check` or the lattice at one dual node in
-`conj_subdiff_check`, is built where it is read and freed with it, so a
-store never holds more than the small shared tables.
+A table that one check alone reads is not kept.  The lattice at one dual
+node in `conj_subdiff_check` is built where it is read and freed with it;
+the twice-refined lattice of `conjugate_representation_check` is never
+built whole, because `sampled_inf_convolution` folds its graph support
+into `inf_convolution_min` one block of steps at a time.
 
 Every check that reads these tables takes the store as its first argument
 and reads its grids there.  The command line builds one per run and
@@ -62,45 +63,43 @@ def phi_conjugate(
     )
 
 
-def lattice_support(
-    F: SetValuedMap, at: np.ndarray, x1duals: Grid, yduals: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Graph support at (x* - x1*, -y*) on the distinct split-lattice steps.
-
-    Returns the table over the distinct steps of `split_lattice(at,
-    x1duals)` and yduals nodes, plus the inverse index from every step to
-    its row, so `table[inverse]` is the support on all the steps.
-    """
-    steps, inverse = unique_rows(split_lattice(at, x1duals))
-    return graph_support(F, steps, -yduals.nodes), inverse
-
-
 def inf_convolution_min(
-    phistar: np.ndarray, fstar: np.ndarray, inverse: np.ndarray
+    phistar: np.ndarray, F: SetValuedMap, inverse: np.ndarray, blocks
 ) -> np.ndarray:
     """Per evaluation point, min over the (x1*, y*) lattice of phi* + F*.
 
-    `fstar` and `inverse` come from `lattice_support`, one point per
-    phistar.shape[0] consecutive inverse entries.  Lower addition: phi* is
-    all +inf, all -inf or finite, F* all -inf or finite, and +inf wins.
-    The add-and-min runs over `score_slices` blocks of points, about
-    `conjugate._BLOCK_CAP` entries each; it only gathers, adds and takes
-    minima, so the block size moves no bit.
+    Each point has phistar.shape[0] consecutive pairs (point, x1*), and
+    `inverse` gives each pair's split-lattice step.  `blocks` yields
+    (slice of steps, F* rows of those steps) in step order; each is folded
+    into the per-pair minima over y* of the pairs whose step it holds,
+    which form one run of the pairs sorted by step, gathered in
+    `score_slices` blocks within `conjugate._BLOCK_CAP`.  Lower addition:
+    phi* is all +inf, all -inf or finite, F* all -inf exactly when the
+    graph is empty and finite otherwise, and +inf wins; then no block is
+    read.  A minimum is exact and neither table holds -0.0 (see
+    `partial_conjugate`), nor does a sum of their entries, so neither the
+    blocks nor the order of the fold move a bit.
     """
     k1, ky = phistar.shape
     out = np.empty(inverse.shape[0] // k1)
-    if np.isinf(phistar).any() or np.isinf(fstar).any():
+    if np.isinf(phistar).any() or not F.graph.any():
         out.fill(INF if (phistar == INF).any() else -INF)
         return out
-    inverse = inverse.reshape(out.shape[0], k1)
-    chunks = list(score_slices(out.shape[0], k1 * ky))
-    buf = np.empty((chunks[0].stop if chunks else 0, k1, ky))
-    for sl in chunks:
-        block = buf[: sl.stop - sl.start]
-        np.take(fstar, inverse[sl], axis=0, out=block, mode="clip")
-        block += phistar
-        block.min(axis=(1, 2), out=out[sl])
-    return out
+    order = np.argsort(inverse, kind="stable")
+    steps = inverse[order]
+    pair_min = np.empty(inverse.shape[0])
+    size = next(score_slices(order.size, 2 * ky), slice(0)).stop
+    fbuf, pbuf = np.empty((size, ky)), np.empty((size, ky))
+    for rows, fstar in blocks:
+        lo, hi = np.searchsorted(steps, (rows.start, rows.stop))
+        for sl in score_slices(hi - lo, 2 * ky):
+            run = slice(lo + sl.start, lo + sl.stop)
+            f, p = fbuf[: sl.stop - sl.start], pbuf[: sl.stop - sl.start]
+            np.take(fstar, steps[run] - rows.start, axis=0, out=f, mode="clip")
+            np.take(phistar, order[run] % k1, axis=0, out=p, mode="clip")
+            f += p
+            pair_min[order[run]] = f.min(axis=1)
+    return pair_min.reshape(out.shape[0], k1).min(axis=1, out=out)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -171,15 +170,21 @@ class Tables:
 
     @cached_property
     def lattice_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """`lattice_support` on the split lattice of the x* grid at its nodes."""
+        """Graph support at (x* - x1*, -y*) on the distinct steps of the
+        split lattice of the x* grid at its nodes, and the inverse index
+        from every step to its row, so `table[inverse]` is the support on
+        all the steps."""
         duals = self.xduals
-        table = lattice_support(self.F, duals.nodes, duals, self.yduals)
+        steps, inverse = unique_rows(split_lattice(duals.nodes, duals))
+        table = (graph_support(self.F, steps, -self.yduals.nodes), inverse)
         _read_only(*table)
         return table
 
     @cached_property
     def inf_convolution(self) -> np.ndarray:
         """(phi* box F*)(x*, 0) at every x* node, splits x1* on the x* grid."""
-        table = inf_convolution_min(self.phistar, *self.lattice_support)
+        support, inverse = self.lattice_support
+        blocks = [(slice(0, support.shape[0]), support)]
+        table = inf_convolution_min(self.phistar, self.F, inverse, blocks)
         _read_only(table)
         return table

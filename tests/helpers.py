@@ -25,8 +25,17 @@ from marginlab import (
     product_grid,
     subdiff,
 )
-from marginlab.conjugate import dots, score_slices
-from marginlab.core import TOL, Verdict, ext_add_arrays, hypothesis_verdict
+from marginlab import expr
+from marginlab.conjugate import dots, score_slices, unique_rows
+from marginlab.core import (
+    NODE_TOL,
+    TOL,
+    Verdict,
+    default_names,
+    ext_add_arrays,
+    hypothesis_verdict,
+)
+from marginlab.errors import NonFiniteExpression
 from marginlab.nearconvex import box_dilate
 from marginlab.setmap import split_lattice
 
@@ -321,6 +330,79 @@ def broadcast_dots(A, B):
         for k in range(A.shape[-1]):
             block += A[sl, ..., k] * B[sl, ..., k]
     return out
+
+
+def mesh_columns(texts, grid, names, aliases=None):
+    """`core.eval_blocks` as it was, in one block: each expression over
+    one table of every node's coordinates (`Grid.mesh()`), whose columns
+    are the variables."""
+    cols = grid.mesh()
+    env = {name: cols[:, k] for k, name in enumerate(names)}
+    for alias, target in (aliases or {}).items():
+        env[alias] = env[target]
+    return [
+        np.broadcast_to(
+            np.asarray(expr.evaluate(expr.parse_and_check(text, list(env)), env), dtype=np.float64),
+            (grid.size,),
+        )
+        for text in texts
+    ]
+
+
+def mesh_eval_on_grid(text, grid, names=None, aliases=None, domain=()):
+    """`core.eval_on_grid` as it was: the constraints, then the expression,
+    each evaluated on the whole node table at once."""
+    if names is None:
+        names, defaults = default_names(grid)
+        aliases = {**defaults, **(aliases or {})}
+    feasible = np.ones(grid.size, dtype=bool)
+    for ctext in domain:
+        [cvals] = mesh_columns([ctext], grid, names, aliases)
+        with np.errstate(invalid="ignore"):
+            feasible &= cvals <= NODE_TOL
+    raw = mesh_columns([text], grid, names, aliases)[0].copy()
+    bad = feasible & ~np.isfinite(raw)
+    if bad.any():
+        node = int(np.flatnonzero(bad)[0])
+        raise NonFiniteExpression(f"{text!r} is not finite at node {grid.coords(node).tolist()}")
+    raw[~feasible] = INF
+    prov = text if not domain else f"{text} where {' and '.join(d + ' <= 0' for d in domain)}"
+    return GriddedFunction(grid, raw, provenance=prov)
+
+
+def lattice_support(F, at, x1duals, yduals):
+    """The graph support at (x* - x1*, -y*) as one table over the distinct
+    split-lattice steps, and the inverse index from every step to its row."""
+    steps, inverse = unique_rows(split_lattice(at, x1duals))
+    return graph_support(F, steps, -yduals.nodes), inverse
+
+
+def one_table_inf_convolution_min(phistar, fstar, inverse):
+    """`tables.inf_convolution_min` as it was: per evaluation point, the
+    min over (x1*, y*) of phi* + F* gathered from the whole F* table, in
+    `score_slices` blocks of points; +inf phi* wins, and any other
+    infinity in either table gives -inf."""
+    k1, ky = phistar.shape
+    out = np.empty(inverse.shape[0] // k1)
+    if np.isinf(phistar).any() or np.isinf(fstar).any():
+        out.fill(INF if (phistar == INF).any() else -INF)
+        return out
+    inverse = inverse.reshape(out.shape[0], k1)
+    for sl in score_slices(out.shape[0], k1 * ky):
+        block = np.take(fstar, inverse[sl], axis=0)
+        block += phistar
+        block.min(axis=(1, 2), out=out[sl])
+    return out
+
+
+def full_table_inf_convolution(phi, F, at, x1duals, yduals):
+    """`duality.sampled_inf_convolution` as it was: phi* and the whole F*
+    table on the distinct lattice steps, then one add-and-min."""
+    phistar = partial_conjugate(
+        phi.values.reshape(F.xgrid.size, -1), F.xgrid.nodes, F.ygrid.nodes,
+        x1duals.nodes, yduals.nodes,
+    )
+    return one_table_inf_convolution_min(phistar, *lattice_support(F, at, x1duals, yduals))
 
 
 def per_node_convexity_check(f):

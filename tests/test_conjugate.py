@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import inspect
 import math
 from pathlib import Path
 from unittest import mock
@@ -27,7 +26,6 @@ from marginlab import (
     inf_convolution,
     partial_conjugate,
     product_grid,
-    subdiff,
     support_function,
 )
 
@@ -176,7 +174,8 @@ class TestDots:
 
 def matrix_products(source):
     """(enclosing function, line) of each `@` and each matmul/dot/einsum/
-    inner/vdot/tensordot call in source; the function is None at module level."""
+    inner/vdot/tensordot call in source, a text or a parsed tree; the
+    function is None at module level."""
     found = []
 
     def visit(node, func):
@@ -193,7 +192,7 @@ def matrix_products(source):
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
-    visit(ast.parse(source), None)
+    visit(ast.parse(source) if isinstance(source, str) else source, None)
     return sorted(found, key=lambda hit: hit[1])
 
 
@@ -207,7 +206,13 @@ INTEGER_PRODUCTS = {"marginlab.nearconvex": {"try_facet", "_hull3"}}
 
 # The checks that claim bitwise agreement with the conjugate kernels are
 # also scanned on their own, so no module exemption can ever reach them.
+# subdiff.py is parsed once, and each check is picked from it by name.
 BITWISE_CHECKS = ["conj_subdiff_check", "marginal_subdiff_check", "restricted_conjugate_check"]
+SUBDIFF_FUNCTIONS = {
+    node.name: node
+    for node in ast.parse(PACKAGE["marginlab.subdiff"].read_text(encoding="utf-8")).body
+    if isinstance(node, ast.FunctionDef)
+}
 
 
 class TestOneBlockRule:
@@ -234,7 +239,7 @@ class TestOneBlockRule:
             source = PACKAGE[target].read_text(encoding="utf-8")
         else:
             allowed = set()
-            source = inspect.getsource(getattr(subdiff, target))
+            source = SUBDIFF_FUNCTIONS[target]
         assert [hit for hit in matrix_products(source) if hit[0] not in allowed] == []
 
     def test_only_the_integer_hull_products_are_exempt(self):

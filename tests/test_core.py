@@ -1,6 +1,7 @@
 """Lower addition, grids, gridded functions, expression evaluation."""
 
 import ast
+import importlib
 import math
 from pathlib import Path
 
@@ -27,12 +28,13 @@ from marginlab import (
 )
 import marginlab
 import marginlab.errors
-from marginlab.core import as_point, as_rows, sorted_distinct
+from marginlab.core import NODE_TOL, as_point, as_rows, default_names, product_names, sorted_distinct
 from marginlab.errors import InvalidArgument
 
-from helpers import lower_add
+from helpers import fixture_names, load_fixture, lower_add, mesh_columns, mesh_eval_on_grid
 
 INF = math.inf
+conjugate_module = importlib.import_module("marginlab.conjugate")
 SRC = Path(__file__).resolve().parent.parent / "src" / "marginlab"
 
 ext_floats = st.one_of(
@@ -434,3 +436,33 @@ class TestExpressions:
         g = Grid.from_bounds([(0.0, 1.0, 2), (0.0, 1.0, 2)])
         f = eval_on_grid("x1 + 2 * x2", g)
         np.testing.assert_allclose(f.values, [0.0, 2.0, 1.0, 3.0])
+
+
+class TestBlockedEvaluation:
+    """Every fixture builds as it did on the table of all its nodes: phi by
+    `eval_on_grid`, and the constraint maps, in blocks of nodes at the
+    real `_BLOCK_CAP` and at one of 64 entries."""
+
+    @pytest.mark.parametrize("cap", [None, 64])
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixture_equals_the_mesh_route(self, name, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(conjugate_module, "_BLOCK_CAP", cap)
+        spec = load_fixture(name)
+        for refine in (1, 3) if spec.phi_kind == "expr" else (1,):
+            phi, F = spec.build(refine)
+            xg, yg = F.xgrid, F.ygrid
+            if spec.phi_kind == "expr":
+                names = product_names(xg.dim, yg.dim)
+                want = mesh_eval_on_grid(spec.phi_expr, phi.grid, *names, spec.phi_where)
+                assert phi.provenance == want.provenance
+                np.testing.assert_array_equal(phi.values.view(np.uint64), want.values.view(np.uint64))
+            if spec.f_kind == "constraints":
+                cols = mesh_columns(spec.f_exprs, product_grid(xg, yg), *product_names(xg.dim, yg.dim))
+                with np.errstate(invalid="ignore"):
+                    mask = np.logical_and.reduce([c <= NODE_TOL for c in cols])
+                np.testing.assert_array_equal(F.graph, mask.reshape(F.graph.shape))
+            if spec.f_kind == "ineq":
+                gvals = np.stack(mesh_columns(spec.f_exprs, yg, *default_names(yg, "y")))
+                want = (gvals.T[None, :, :] <= xg.nodes[:, None, :] + NODE_TOL).all(axis=2)
+                np.testing.assert_array_equal(F.graph, want)

@@ -18,8 +18,10 @@ a result or raise a `MarginlabError`; any other exception, or a numpy
 RuntimeWarning, which the suite turns into an error, is a bug.
 """
 
+import importlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,8 +48,13 @@ from marginlab import (
     sampled_inf_convolution,
     support_function,
 )
+from marginlab.core import product_names
 from marginlab.errors import ExpressionError, ExprSyntaxError, InvalidArgument
 from marginlab.expr import parse
+
+from helpers import mesh_eval_on_grid
+
+conjugate_module = importlib.import_module("marginlab.conjugate")
 
 FUZZ = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -174,6 +181,42 @@ def test_spec_parser_ends_in_a_problem_or_a_located_error(text):
         assert_located(e, text)
         if isinstance(e, ExpressionError):
             assert _LOCATION.match(str(e)), (e, text)
+
+
+# --- blocked evaluation -----------------------------------------------------------
+
+EVAL_GRIDS = (
+    (Grid.from_bounds([(-1.0, 1.0, 7), (0.0, 2.0, 5)]), *product_names(1, 1)),
+    (Grid.from_bounds([(-1.0, 1.0, 3), (-0.5, 1.0, 4), (0.0, 1.0, 3)]), *product_names(2, 1)),
+    (Grid.from_bounds([(-2.0, 2.0, 9)]), None, None),  # the default names x1 and x
+)
+
+
+def _evaluated(call):
+    """The values' bits and provenance, or the error the call raised."""
+    try:
+        f = call()
+    except MarginlabError as e:
+        return type(e).__name__, str(e)
+    return f.values.tobytes(), f.provenance
+
+
+@FUZZ
+@given(
+    SPEC_EXPRESSIONS,
+    st.lists(SPEC_EXPRESSIONS, max_size=2),
+    st.integers(0, len(EVAL_GRIDS) - 1),
+    st.sampled_from([None, 1, 2, 7, 64]),
+)
+def test_blocked_evaluation_equals_the_mesh_route(text, domain, which, cap):
+    """`eval_on_grid` evaluates in blocks of nodes, at a lowered
+    `_BLOCK_CAP` down to one node per block or at the real one.  Its values
+    and provenance, or the error it raises, are those of
+    `mesh_eval_on_grid`, which evaluated on the whole node table."""
+    grid, names, aliases = EVAL_GRIDS[which]
+    want = _evaluated(lambda: mesh_eval_on_grid(text, grid, names, aliases, domain))
+    with mock.patch.object(conjugate_module, "_BLOCK_CAP", cap or conjugate_module._BLOCK_CAP):
+        assert _evaluated(lambda: eval_on_grid(text, grid, names, aliases, domain)) == want
 
 
 # --- rasters ----------------------------------------------------------------------

@@ -57,16 +57,27 @@ def test_marginal_check_holds_no_table_of_every_step(filled):
 
 
 def test_representation_check_blocks_its_refined_lattice(filled):
+    # The graph support on the 1,089 distinct steps of the refined lattice
+    # at 289 y* is 2.4 MB as one table; the fold reads it in blocks.
     peak = traced_peak(lambda: conjugate_representation_check(filled))
-    assert peak <= 7 * MB
+    assert peak <= 3.5 * MB
+
+
+def test_build_evaluates_phi_in_blocks():
+    # 83,521 (x, y) nodes at --refine 4: phi's values are 0.64 MB, and the
+    # table of their coordinates was 2.5 MB more.
+    spec = load_fixture("separable_quadratic")
+    peak = traced_peak(lambda: spec.build(4))
+    assert peak <= 4 * MB
 
 
 def test_restricted_check_scores_graph_cells_in_blocks():
     # 83,521 (x, y) nodes at --refine 4: a copy of their coordinates is
-    # 2.5 MB, the graph cells and their phi values 2 MB.
+    # 2.5 MB, the graph cells and their phi values 2 MB; a run of 65,536
+    # cells holds 1 MB of cell indices.
     tables = filled_store(4)
     peak = traced_peak(lambda: restricted_conjugate_check(tables))
-    assert peak <= 5 * MB
+    assert peak <= 2.5 * MB
 
 
 def test_partial_conjugate_copies_no_full_domain():

@@ -1,5 +1,6 @@
 """Set-valued maps on grids: constructors, graph support function, moduli."""
 
+import importlib
 import math
 
 import numpy as np
@@ -21,9 +22,12 @@ from marginlab import (
     support_function,
 )
 
+from marginlab.setmap import graph_cell_blocks
+
 from helpers import dyadic_rows, random_problem
 
 INF = math.inf
+conjugate_module = importlib.import_module("marginlab.conjugate")
 
 X = Grid.from_bounds([(-1.0, 1.0, 5)])
 Y = Grid.from_bounds([(0.0, 2.0, 5)])
@@ -143,6 +147,28 @@ class TestFactoredGraphSupport:
             graph_support(F, np.array([[0.0, 1.0]]), np.array([[0.0]]))
         with pytest.raises(DimensionMismatch):
             graph_support(F, np.array([[0.0]]), np.array([[0.0, 1.0]]))
+
+
+class TestGraphCellBlocks:
+    @pytest.mark.parametrize("cap", [1, 3, 10, 64, None])
+    def test_blocks_cover_the_cells_in_order_within_the_cap(self, cap, monkeypatch):
+        # Rows of up to 7 cells at widths 1-9: whole runs of rows, and rows
+        # split into blocks of their own when they are over the cap.
+        if cap is not None:
+            monkeypatch.setattr(conjugate_module, "_BLOCK_CAP", cap)
+        rng = np.random.default_rng(cap or 0)
+        for trial in range(30):
+            _, F = random_problem(rng, max_count=7, p_drop=(0.0, 0.5, 0.9)[trial % 3])
+            if trial % 5 == 0:
+                F = SetValuedMap(F.xgrid, F.ygrid, np.zeros_like(F.graph))
+            width = int(rng.integers(1, 10))
+            blocks = list(graph_cell_blocks(F, width))
+            gx, gy = F.graph_cells
+            assert all(b[0].size for b in blocks)
+            np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks] + [gx[:0]]), gx)
+            np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks] + [gy[:0]]), gy)
+            limit = max(1, conjugate_module._BLOCK_CAP // width)
+            assert all(b[0].size <= limit for b in blocks)
 
 
 class TestLipschitzEstimate:

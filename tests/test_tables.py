@@ -12,11 +12,15 @@ slices change no report.
 import contextlib
 import importlib
 import io
+import math
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginlab import (
     GriddedFunction,
@@ -46,16 +50,25 @@ from marginlab.setmap import split_lattice
 from helpers import (
     FIXTURES,
     dyadic_grid,
+    dyadic_rows,
+    full_table_inf_convolution,
+    lattice_support,
     non_dyadic_problem,
     random_problem,
     reference_conj_subdiff_check,
 )
 
+conjugate_module = importlib.import_module("marginlab.conjugate")
+
 
 def _key(value):
-    """A hashable stand-in for an argument, by content."""
+    """A hashable stand-in for an argument, by content; a row getter stands
+    for the array it reads, or else for its function."""
     if isinstance(value, np.ndarray):
         return (value.dtype.str, value.shape, value.tobytes())
+    if callable(value):
+        owner = getattr(value, "__self__", None)
+        return _key(owner) if isinstance(owner, np.ndarray) else value.__qualname__
     if isinstance(value, GriddedFunction):
         return (value.grid, _key(value.values))
     if isinstance(value, SetValuedMap):
@@ -91,7 +104,7 @@ class TestBuildOnce:
             for module, name in (
                 ("marginal", "marginal"),
                 ("marginal", "masked_minima"),
-                ("conjugate", "partial_conjugate"),
+                ("conjugate", "conjugate_blocks"),
                 ("conjugate", "conjugate_at"),
             )
         }
@@ -104,8 +117,10 @@ class TestBuildOnce:
         for name, calls in counted.items():
             assert calls and max(calls.values()) == 1, name
         # phi* and the graph support on the dual lattice, phi* and the
-        # graph support on the refined lattice, the support at one node.
-        assert len(counted["partial_conjugate"]) == 5
+        # graph support on the refined lattice, the support at one node:
+        # the one conjugate kernel behind `partial_conjugate` and
+        # `graph_support`.
+        assert len(counted["conjugate_blocks"]) == 5
 
 
 def _bits(value):
@@ -214,6 +229,80 @@ class TestSupportIdentity:
             table, inverse = Tables(phi, F, duals, yduals).lattice_support
             assert table.shape[0] < full.shape[0]
             np.testing.assert_array_equal(full.view(np.uint64), table[inverse].view(np.uint64))
+
+
+class TestFold:
+    """`inf_convolution_min` folds F* one block of lattice steps at a time.
+    The sampled value, and the value the store keeps, equal the route that
+    gathered every point's pairs from one whole F* table, bit for bit."""
+
+    CASES = ["plain", "empty graph", "empty graph rows", "+inf phi rows", "one point"]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+        st.sampled_from(CASES),
+        st.sampled_from([None, 1, 7, 60, 500]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_full_table_route(self, seed, dims, case, cap):
+        """On `random_problem` maps with an empty graph, with empty graph
+        rows, with x rows where phi is +inf or at one evaluation point,
+        with the kernel's blocks and the fold's runs cut at a lowered
+        `_BLOCK_CAP` (several blocks of steps) or at the real one."""
+        rng = np.random.default_rng(seed)
+        xdim, ydim = dims
+        phi, F = random_problem(rng, max_count=6 if dims == (1, 1) else 4, xdim=xdim, ydim=ydim)
+        rows = rng.random(F.xgrid.size) < 0.5
+        if case == "empty graph":
+            F = SetValuedMap(F.xgrid, F.ygrid, np.zeros_like(F.graph))
+        elif case == "empty graph rows":
+            F = SetValuedMap(F.xgrid, F.ygrid, F.graph & ~rows[:, None])
+        elif case == "+inf phi rows":
+            values = phi.values.reshape(F.xgrid.size, -1).copy()
+            values[rows] = math.inf
+            phi = GriddedFunction(phi.grid, values.reshape(-1))
+        x1duals = dyadic_grid(rng, xdim, max_count=4)
+        yduals = dyadic_grid(rng, ydim, max_count=4)
+        if case == "one point":
+            at = dyadic_rows(rng, 1, xdim)
+        else:
+            at = np.vstack([x1duals.nodes, dyadic_rows(rng, 3, xdim)])
+        want = full_table_inf_convolution(phi, F, at, x1duals, yduals)
+        kept = full_table_inf_convolution(phi, F, x1duals.nodes, x1duals, yduals)
+        with mock.patch.object(conjugate_module, "_BLOCK_CAP", cap or conjugate_module._BLOCK_CAP):
+            got = sampled_inf_convolution(phi, F, at, x1duals, yduals)
+            store = Tables(phi, F, x1duals, yduals).inf_convolution
+        for table, oracle in ((got, want), (store, kept)):
+            assert table.shape == oracle.shape
+            np.testing.assert_array_equal(table.view(np.uint64), oracle.view(np.uint64))
+
+    @pytest.mark.parametrize("cap", [7, 60])
+    def test_a_lowered_cap_folds_several_blocks(self, cap, monkeypatch):
+        """The lowered caps of the property cut the distinct steps into
+        several consecutive blocks, which cover each step once."""
+        monkeypatch.setattr(conjugate_module, "_BLOCK_CAP", cap)
+        duality = importlib.import_module("marginlab.duality")
+        fold, seen = duality.inf_convolution_min, []
+
+        def spy(phistar, F, inverse, blocks):
+            def recorded():
+                for rows, fstar in blocks:
+                    seen.append(rows)
+                    yield rows, fstar
+
+            return fold(phistar, F, inverse, recorded())
+
+        monkeypatch.setattr(duality, "inf_convolution_min", spy)
+        rng = np.random.default_rng(cap)
+        phi, F = random_problem(rng, max_count=4, xdim=2, ydim=1)
+        x1duals = dyadic_grid(rng, 2, max_count=4)
+        yduals = dyadic_grid(rng, 1, max_count=4)
+        sampled_inf_convolution(phi, F, x1duals.nodes, x1duals, yduals)
+        steps = lattice_support(F, x1duals.nodes, x1duals, yduals)[0]
+        assert len(seen) > 1
+        assert [sl.start for sl in seen] == [0] + [sl.stop for sl in seen[:-1]]
+        assert seen[-1].stop == steps.shape[0]
 
 
 class TestCountSlices:
