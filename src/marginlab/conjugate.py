@@ -3,17 +3,19 @@
 The conjugate of a gridded f at a dual node s is the exact finite maximum
 of <s, x> - f(x) over nodes with f(x) < +inf; sup over an empty domain is
 -inf, and any node with f(x) = -inf makes the conjugate identically +inf.
-`conjugate_at` takes that maximum by brute force in `max_dots_minus`, one
-score per dual point and node.  On product tables of dual rows (x*, y*), `partial_conjugate`
-factors it one axis block at a time,
+Every conjugate here comes from one kernel, `conjugate_blocks`, behind
+`partial_conjugate`; on product tables of dual rows (x*, y*) it factors
+the maximum one axis block at a time,
 
     f*(x*, y*) = max over x of <x*, x> + max over y of (<y*, y> - f(x, y)),
 
-conjugating every y row once and every x* row once; both routes take the
-same finite maximum, so they agree bitwise whenever the dot products are
-exact (dyadic data).  A linear-time transform (lower convex hull +
-monotone merge) reproduces the brute-force values on sorted 1-D data and
-separable multi-D data.
+conjugating every y row once and every x* row once.  `conjugate_at` and
+`support_function` run it on a y axis with no coordinates (`_NO_Y`),
+where `dots` gives +0.0: the inner max is -f(x) exactly, so a score
+fl(<s, x> + (-f(x))) is the score fl(<s, x> - f(x)) of the brute-force
+`max_dots_minus`, which `setmap.map_conjugate_at` keeps.  A linear-time
+transform (lower convex hull + monotone merge) reproduces the brute-force
+values on sorted 1-D data and separable multi-D data.
 
 Every float dot product here, and everywhere else in the package, comes
 from `dots`: a sum from +0.0 over the per-coordinate products in
@@ -52,6 +54,7 @@ from .core import (
 from .errors import DimensionMismatch, GridMismatch, UnsupportedShape
 
 _BLOCK_CAP = 65_536  # entries per blocked temporary (512 KB)
+_NO_Y = np.zeros((1, 0))  # one y node with no coordinates: f(x, y) = f(x)
 
 
 def score_slices(total: int, width: int):
@@ -106,13 +109,14 @@ def count_slices(entries: np.ndarray):
 
 
 def max_dots_minus(queries: np.ndarray, points: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """max over rows p of <q, p> - v(p), per query row q.
+    """max over rows p of <q, p> - v(p), per query row q, by brute force.
 
     Every entry must be finite; empty `points` yields -inf per query.  The scores
     are taken in blocks of at most `_BLOCK_CAP` entries, over points as
     well when one query row exceeds the cap; each score is `dots` of its
     two rows, so the blocked maximum equals that of one score matrix
-    bitwise.
+    bitwise.  `conjugate_at` takes these scores in the kernel, on a y axis
+    with no coordinates; only `setmap.map_conjugate_at` calls this.
     """
     points = as_rows(points, None, "points")
     queries = as_rows(queries, points.shape[1], "queries")
@@ -199,7 +203,8 @@ def partial_conjugate(
     so the block size changes no bit: the table is the assembly of the
     blocks of `conjugate_blocks`.  No entry is -0.0: `dots` starts from
     +0.0, a difference ydots - f is -0.0 only if ydots is, and a sum
-    tx + R only if both terms are.
+    tx + R only if both terms are.  On a y axis with no coordinates ydots
+    is +0.0, so the inner max is -f exactly: that is `conjugate_at`.
     """
     X, Y = as_rows(X, None, "x nodes"), as_rows(Y, None, "y nodes")
     values = as_rows(values, Y.shape[0], "values (one column per y node)", finite=False)
@@ -215,18 +220,14 @@ def partial_conjugate(
 
 
 def conjugate_at(f: GriddedFunction, points: np.ndarray) -> np.ndarray:
-    """Exact conjugate values of f at arbitrary dual points."""
+    """Exact conjugate values of f at arbitrary dual points, bitwise the
+    brute-force max of <s, x> - f(x): `partial_conjugate` with no y axis."""
     points = as_rows(points, f.grid.dim, "dual points")
-    if (f.values == -INF).any():
-        return np.full(points.shape[0], INF)
-    dom = f.dom_mask
-    if not dom.any():
-        return np.full(points.shape[0], -INF)
-    return max_dots_minus(points, f.grid.nodes[dom], f.values[dom])
+    return partial_conjugate(f.values[:, None], f.grid.nodes, _NO_Y, points, _NO_Y)[:, 0]
 
 
 def conjugate(f: GriddedFunction, duals: Grid) -> GriddedFunction:
-    """Brute-force Fenchel conjugate sampled at every dual node."""
+    """Exact Fenchel conjugate sampled at every dual node (`conjugate_at`)."""
     vals = conjugate_at(f, duals.nodes)
     return GriddedFunction(duals, vals, provenance="conjugate")
 
@@ -356,9 +357,11 @@ def biconjugate_minorant_check(f: GriddedFunction, fstarstar: GriddedFunction) -
 
 
 def support_function(points: np.ndarray, duals: Grid) -> GriddedFunction:
-    """Support function of a finite point set at every dual node."""
+    """Support function of a finite point set at every dual node: the
+    conjugate of its indicator, by the kernel of `conjugate_at`."""
     points = as_rows(points, duals.dim, "points")
-    vals = max_dots_minus(duals.nodes, points, np.zeros(points.shape[0]))
+    zeros = np.zeros((points.shape[0], 1))
+    vals = partial_conjugate(zeros, points, _NO_Y, duals.nodes, _NO_Y)[:, 0]
     return GriddedFunction(duals, vals, provenance="support")
 
 

@@ -37,12 +37,10 @@ from .core import (
     default_names,
     eval_on_grid,
     hypothesis_verdict,
-    product_grid,
     render_value,
     sorted_distinct,
 )
 from .errors import GridNotAdapted, InvalidArgument, MarginlabError, NotANode, ZeroNotOnGrid
-from .marginal import masked_minima
 from .setmap import SetValuedMap, graph_support_blocks, map_from_inequalities, split_lattice
 from .subdiff import eps_subdifferential, feasible_point, linprog
 from .tables import Tables, inf_convolution_min, phi_conjugate
@@ -333,15 +331,11 @@ def graph_adapted_xgrid(g_exprs: tuple[str, ...] | list[str], ygrid: Grid) -> Gr
 def _conjugate_at_neg(
     f_expr: str, g_exprs: tuple[str, ...], ygrid: Grid, xgrid: Grid, lam: np.ndarray
 ) -> np.ndarray:
-    """mu*(-lambda) per lambda row, for the perturbation problem on xgrid."""
+    """mu*(-lambda) per lambda row, for the perturbation problem on xgrid:
+    the objective does not depend on x, so mu(x) is the least f over F(x)."""
     fv, _ = _eval_objective(f_expr, g_exprs, ygrid)
     F = map_from_inequalities(list(g_exprs), xgrid, ygrid)
-    phi = GriddedFunction(
-        product_grid(xgrid, ygrid),
-        np.tile(fv, xgrid.size),
-        provenance="objective independent of the perturbation",
-    )
-    _, mu = masked_minima(phi, F)
+    mu = np.where(F.graph, fv, INF).min(axis=1)
     return conjugate_at(GriddedFunction(xgrid, mu, provenance="marginal"), -lam)
 
 

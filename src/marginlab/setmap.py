@@ -14,9 +14,10 @@ graph indicator (0 on gph F, +inf off it),
 
 building the row supports sigma_F(x)(s) = max over y in F(x) of <s, y>
 once and evaluating each t row once.  `map_conjugate_at` takes the same
-finite maximum by brute force, one dot product per stacked query and
-graph cell, so the two agree bitwise whenever the dot products are exact
-(dyadic data); the tests keep it as the oracle of `graph_support`.
+finite maximum by brute force in `conjugate.max_dots_minus`, so the two
+agree bitwise whenever the dot products are exact (dyadic data).  The
+pair are the oracles of `graph_support` in the tests, and the benchmark's
+tracer wraps both; no check calls them.
 
 Besides the graph mask, nothing here builds a table of every (x, y) node
 or graph cell: expressions, the indicator and the walks over the cells

@@ -77,7 +77,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .nearconvex import box_dilate
-from .setmap import graph_cell_blocks, graph_support, split_lattice
+from .setmap import graph_cell_blocks
 from .tables import Tables
 
 SUM_RULE_SPLITS = 5  # eps1 + eps2 = eps splits sampled by sum_rule_check
@@ -753,12 +753,13 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     the nominal eps is asserted only when the instance claims the
     qualification (qc14).
 
-    The dual grids, mu and phi* come from the store, and so does the graph
-    support on the split lattice of the x* grid, kept on its distinct steps.
-    The coderivative scores gather it through the inverse index one
-    `score_slices` block of (y0, x1*, y*) columns at a time, so no table of
-    all the steps is built; a block only gathers, adds and compares, so its
-    size moves no bit.
+    The dual grids, mu and phi* come from the store, and so does the split
+    lattice of the x* grid, kept on its distinct steps with their graph
+    support; <step, x0> is taken once per distinct step, and its bits
+    depend on the step alone.  The coderivative scores gather the support
+    through the inverse index one `score_slices` block of (y0, x1*, y*)
+    columns at a time, so no table of all the steps is built; a block only
+    gathers, adds and compares, so its size moves no bit.
     """
     phi, F, mu = tables.phi, tables.F, tables.mu
     xi = F.xgrid.resolve(x0)
@@ -773,12 +774,11 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
 
     Y1 = tables.yduals.nodes
     Kx, Ky = Ks, Y1.shape[0]
-    T = split_lattice(S, duals)
     phistar = tables.phistar
-    support, inverse = tables.lattice_support
+    steps, support, inverse = tables.lattice_support
     flat = support.reshape(-1)
     starts = inverse.reshape(Ks, Kx) * Ky  # where the row of step x* - x1* starts in flat
-    TX0 = dots(T, x0c).reshape(Ks, Kx)
+    TX0 = dots(steps, x0c)[inverse].reshape(Ks, Kx)
 
     phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
     feas_row = F.graph[xi]
@@ -915,9 +915,9 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     (eps+eta)-subdifferential of mu*; two-sided agreement at the nominal
     eps is asserted only under the declared qualification.
 
-    The dual grids, mu* and phi* come from the store.  The graph support on
-    the split lattice at the one node x0star is read here alone, so it is
-    built here and not kept.
+    The dual grids, mu*, phi* and the split lattice come from the store;
+    the steps s0 - x1* and their graph support are the node's lattice rows
+    (`coords` gives the node's own bits, and a row depends on its step alone).
     """
     phi, F, duals = tables.phi, tables.F, tables.xduals
     mustar = tables.mustar
@@ -939,9 +939,10 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     Y1 = tables.yduals.nodes
     Ky = Y1.shape[0]
     X1 = duals.nodes
-    T = split_lattice(s0[None, :], duals)
+    steps, support, inverse = tables.lattice_support
+    at = inverse[si * X1.shape[0] : (si + 1) * X1.shape[0]]  # the rows s0 - x1*
+    T, fsupport = steps[at], support[at]
     phistar = tables.phistar
-    fsupport = graph_support(F, T, -Y1)
 
     X, Y = F.xgrid.nodes, F.ygrid.nodes
     V = phi.values.reshape(F.xgrid.size, F.ygrid.size)

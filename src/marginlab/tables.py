@@ -5,25 +5,25 @@ x* grid `xduals` and the y* grid `yduals`, and builds each of these on
 first use, then keeps it:
 
 - the marginal: mu with its minimizer lists and status labels;
-- mu* on the x* grid, by brute force (`conjugate`);
+- mu* on the x* grid (`conjugate`);
 - phi* on the product of the x* grid and the y* grid (`partial_conjugate`);
-- the graph support on the split lattice of the x* grid, at -y*: the
-  steps x* - x1* over every pair of its nodes, kept on the distinct steps
-  only, with the inverse index back to every pair;
+- the split lattice of the x* grid: the steps x* - x1* over every pair of
+  its nodes, kept as the distinct steps with the graph support at
+  (step, -y*) on them and the inverse index back to every pair;
 - the sampled infimal convolution (phi* box F*)(x*, 0) at the x* nodes,
   split on that same grid.
 
 A grid left out takes the default box: `default_dual_grid(mu)` for x*
 and `default_ydual_grid(phi, m)` for y*, both at the primal counts.
 
-The graph support on all lattice rows equals the support on the distinct
-rows taken at the inverse index, because each row's maximum in
-`partial_conjugate` depends on that row alone.
-A table that one check alone reads is not kept.  The lattice at one dual
-node in `conj_subdiff_check` is built where it is read and freed with it;
-the twice-refined lattice of `conjugate_representation_check` is never
-built whole, because `sampled_inf_convolution` folds its graph support
-into `inf_convolution_min` one block of steps at a time.
+The graph support on all lattice rows is the support on the distinct
+steps at the inverse index, since each row's maximum depends on that row
+alone.  The store is the lattice's one owner: the inf-convolution and both
+theorem checks read it here, the conjugate check one node's slice of the
+inverse index.  A table that one check alone reads is not kept: the
+twice-refined lattice of `conjugate_representation_check` is never built
+whole, because `sampled_inf_convolution` folds its graph support into
+`inf_convolution_min` one block of steps at a time.
 
 Every check that reads these tables takes the store as its first argument
 and reads its grids there.  The command line builds one per run and
@@ -158,7 +158,7 @@ class Tables:
 
     @cached_property
     def mustar(self) -> GriddedFunction:
-        """mu* on the x* nodes, by brute force."""
+        """mu* on the x* nodes (`conjugate`)."""
         return conjugate(self.mu, self.xduals)
 
     @cached_property
@@ -169,21 +169,21 @@ class Tables:
         return table
 
     @cached_property
-    def lattice_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """Graph support at (x* - x1*, -y*) on the distinct steps of the
-        split lattice of the x* grid at its nodes, and the inverse index
-        from every step to its row, so `table[inverse]` is the support on
-        all the steps."""
+    def lattice_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(steps, support, inverse): the distinct steps x* - x1* of the
+        split lattice of the x* grid at its nodes, points outermost, the
+        graph support at (step, -y*) on them, and the inverse index from
+        every lattice row to its step."""
         duals = self.xduals
         steps, inverse = unique_rows(split_lattice(duals.nodes, duals))
-        table = (graph_support(self.F, steps, -self.yduals.nodes), inverse)
+        table = (steps, graph_support(self.F, steps, -self.yduals.nodes), inverse)
         _read_only(*table)
         return table
 
     @cached_property
     def inf_convolution(self) -> np.ndarray:
         """(phi* box F*)(x*, 0) at every x* node, splits x1* on the x* grid."""
-        support, inverse = self.lattice_support
+        _, support, inverse = self.lattice_support
         blocks = [(slice(0, support.shape[0]), support)]
         table = inf_convolution_min(self.phistar, self.F, inverse, blocks)
         _read_only(table)

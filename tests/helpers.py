@@ -26,7 +26,7 @@ from marginlab import (
     subdiff,
 )
 from marginlab import expr
-from marginlab.conjugate import dots, score_slices, unique_rows
+from marginlab.conjugate import dots, max_dots_minus, score_slices, unique_rows
 from marginlab.core import (
     NODE_TOL,
     TOL,
@@ -161,6 +161,19 @@ def oracle_conjugate(f, s):
         if cand > best:
             best = cand
     return best
+
+
+def brute_conjugate_at(f, points):
+    """The conjugate of f at each dual point by brute force, the oracle of
+    `conjugate_at`'s kernel route: the -inf and empty-domain conventions by
+    hand, then one `max_dots_minus` score per dual point and domain node."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if (f.values == -INF).any():
+        return np.full(points.shape[0], INF)
+    dom = f.dom_mask
+    if not dom.any():
+        return np.full(points.shape[0], -INF)
+    return max_dots_minus(points, f.grid.nodes[dom], f.values[dom])
 
 
 def oracle_marginal(phi, F):

@@ -31,6 +31,7 @@ from marginlab import (
 
 from helpers import (
     broadcast_dots,
+    brute_conjugate_at,
     dyadic_grid,
     dyadic_rows,
     lower_add,
@@ -299,11 +300,105 @@ class TestMaxDotsMinus:
         assert got.tolist() == [-INF] * 3
 
 
+def kernel_route_case(rng, dim, case):
+    """(f, dual rows, point set) for the kernel-route property: dyadic data
+    with +inf nodes, or non-dyadic data, a -inf node, an empty domain, or
+    signed zeros in the values, dual rows and points."""
+    if case == "non-dyadic":
+        axes = []
+        for _ in range(dim):
+            lo = float(rng.uniform(-2.0, 1.0))
+            axes.append(Axis(lo, lo + float(rng.uniform(0.3, 3.0)), int(rng.integers(2, 5))))
+        grid = Grid(tuple(axes))
+        vals = 7.3 * rng.standard_normal(grid.size)
+        vals[rng.random(grid.size) < 0.2] = INF
+        duals = 3.1 * rng.standard_normal((int(rng.integers(0, 12)), dim))
+    else:
+        grid = dyadic_grid(rng, dim, max_count=5 if dim < 3 else 3)
+        vals = random_values(rng, grid.size)
+        duals = dyadic_rows(rng, int(rng.integers(0, 12)), dim)
+    if case == "-inf":
+        vals[int(rng.integers(0, grid.size))] = -INF
+    elif case == "empty":
+        vals[:] = INF
+    elif case == "-0.0":
+        vals[rng.random(grid.size) < 0.5] = -0.0
+        duals = np.vstack([duals, np.full((1, dim), -0.0), np.zeros((1, dim))])
+        duals[rng.random(duals.shape) < 0.3] = -0.0
+    points = grid.nodes[vals < INF] * (1.0 if case != "-0.0" else -0.0)
+    return GriddedFunction(grid, vals), duals, points
+
+
+class TestKernelRoutes:
+    """`conjugate_at` and `support_function` run `conjugate_blocks` on a y
+    axis with no coordinates.  They equal the brute-force routes over
+    `max_dots_minus` bit for bit on any data, with the -inf and
+    empty-domain conventions, at any block size."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.sampled_from(["dyadic", "non-dyadic", "-inf", "empty", "-0.0"]),
+        st.sampled_from([1, 3, 50, None]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_brute_routes_bitwise(self, seed, dim, case, cap):
+        rng = np.random.default_rng(seed)
+        f, duals, points = kernel_route_case(rng, dim, case)
+        dual_grid = dyadic_grid(rng, dim, max_count=4)
+        want = brute_conjugate_at(f, duals)
+        support = conjugate_module.max_dots_minus(
+            dual_grid.nodes, points, np.zeros(points.shape[0])
+        )
+        blocked = conjugate_module._BLOCK_CAP if cap is None else cap
+        with mock.patch.object(conjugate_module, "_BLOCK_CAP", blocked):
+            assert_bitwise(conjugate_at(f, duals), want)
+            assert_bitwise(support_function(points, dual_grid).values, support)
+
+
+def callers(source, name):
+    """Enclosing function of each call of `name` in source, by bare name
+    or as an attribute; None at module level."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+class TestOneConjugateKernel:
+    """Every conjugate the package computes runs `conjugate_blocks`; the
+    brute-force `max_dots_minus` is reached only by `map_conjugate_at`,
+    the graph support's brute-force route."""
+
+    def test_guard_sees_every_call(self):
+        source = "max_dots_minus(a)\ndef f():\n    return m.max_dots_minus(a)\n"
+        assert callers(source, "max_dots_minus") == [None, "f"]
+
+    def test_only_map_conjugate_at_calls_max_dots_minus(self):
+        found = [
+            (module, func)
+            for module, path in PACKAGE.items()
+            for func in callers(path.read_text(encoding="utf-8"), "max_dots_minus")
+        ]
+        assert found == [("marginlab.setmap", "map_conjugate_at")]
+
+
 def lattice_brute(phi, xstars, ystars):
-    """partial_conjugate's table from conjugate_at on the stacked lattice rows."""
+    """partial_conjugate's table from the brute-force conjugate on the
+    stacked lattice rows."""
     k, ky = xstars.shape[0], ystars.shape[0]
     lattice = np.hstack([np.repeat(xstars, ky, axis=0), np.tile(ystars, (k, 1))])
-    return conjugate_at(phi, lattice).reshape(k, ky)
+    return brute_conjugate_at(phi, lattice).reshape(k, ky)
 
 
 def split(phi, xgrid, ygrid):

@@ -15,7 +15,6 @@ from marginlab import (
     SetValuedMap,
     Tables,
     ZeroNotOnGrid,
-    conjugate_at,
     conjugate_representation_check,
     dual_value_1,
     dual_value_2,
@@ -37,6 +36,7 @@ from marginlab import duality
 
 from helpers import (
     QUANTUM,
+    brute_conjugate_at,
     dyadic_grid,
     dyadic_rows,
     load_fixture,
@@ -91,7 +91,7 @@ def brute_inf_convolution(phi, F, at, x1duals, yduals):
         best = INF
         for x1 in x1duals.nodes:
             for y in yduals.nodes:
-                a = conjugate_at(phi, np.concatenate([x1, y]))[0]
+                a = brute_conjugate_at(phi, np.concatenate([x1, y]))[0]
                 b = map_conjugate_at(F, np.concatenate([t - x1, -y]))[0]
                 best = min(best, lower_add(a, b))
         out.append(best)

@@ -116,11 +116,31 @@ class TestBuildOnce:
         assert sum(counted["masked_minima"].values()) == 1  # the epigraph check reads mu
         for name, calls in counted.items():
             assert calls and max(calls.values()) == 1, name
-        # phi* and the graph support on the dual lattice, phi* and the
-        # graph support on the refined lattice, the support at one node:
-        # the one conjugate kernel behind `partial_conjugate` and
-        # `graph_support`.
-        assert len(counted["conjugate_blocks"]) == 5
+        # mu* and the witness conjugate, phi* and the graph support on the
+        # dual lattice, phi* and the graph support on the refined lattice:
+        # the one conjugate kernel behind `conjugate_at`,
+        # `partial_conjugate` and `graph_support`.
+        assert len(counted["conjugate_blocks"]) == 6
+
+    def test_the_dual_lattice_support_is_built_once(self, monkeypatch, tmp_path):
+        """verify-all builds the graph support on the x* split lattice once,
+        in the store; the conjugate check reads its rows there and runs no
+        conjugate kernel of its own."""
+        support = _count_calls(monkeypatch, "setmap", "graph_support")
+        argv = ["verify-all", "--spec", str(FIXTURES / "separable_quadratic.spec"),
+                "--out", str(tmp_path), "--refine", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert sum(support.values()) == 1
+        rng = np.random.default_rng(3)
+        for dims in ((1, 1), (2, 1)):
+            phi, F = random_problem(rng, max_count=5, p_inf=0.0, xdim=dims[0], ydim=dims[1])
+            tables = Tables(phi, F)
+            tables.mustar, tables.phistar, tables.lattice_support
+            kernel = _count_calls(monkeypatch, "conjugate", "conjugate_blocks")
+            for si in range(tables.xduals.size):
+                conj_subdiff_check(tables, tables.xduals.coords(si), 0.0)
+            assert not kernel
 
 
 def _bits(value):
@@ -199,7 +219,8 @@ class TestWrappers:
         tables = Tables(phi, F, duals, yduals)
         conjugate_representation_check(tables, False)
         conj_subdiff_check(tables, duals.coords(4), 0.0, False)
-        # Neither the refined lattice nor the lattice at one node is kept.
+        # The refined lattice is not kept; the lattice at one node is read
+        # from the kept one.
         assert set(vars(tables)) == {
             "phi", "F", "xduals", "yduals", "marginal",
             "mustar", "phistar", "lattice_support", "inf_convolution",
@@ -225,10 +246,12 @@ class TestSupportIdentity:
                 phi, F = random_problem(rng, max_count=5, xdim=xdim, ydim=ydim)
                 duals = dyadic_grid(rng, xdim, max_count=5)
             yduals = default_ydual_grid(phi, xdim, 5)
-            full = graph_support(F, split_lattice(duals.nodes, duals), -yduals.nodes)
-            table, inverse = Tables(phi, F, duals, yduals).lattice_support
+            lattice = split_lattice(duals.nodes, duals)
+            full = graph_support(F, lattice, -yduals.nodes)
+            steps, table, inverse = Tables(phi, F, duals, yduals).lattice_support
             assert table.shape[0] < full.shape[0]
             np.testing.assert_array_equal(full.view(np.uint64), table[inverse].view(np.uint64))
+            np.testing.assert_array_equal(lattice.view(np.uint64), steps[inverse].view(np.uint64))
 
 
 class TestFold:
