@@ -9,11 +9,12 @@ the maximum one axis block at a time,
 
     f*(x*, y*) = max over x of <x*, x> + max over y of (<y*, y> - f(x, y)),
 
-conjugating every y row once and every x* row once.  `conjugate_at` and
-`support_function` run it on a y axis with no coordinates (`_NO_Y`),
-where `dots` gives +0.0: the inner max is -f(x) exactly, so a score
-fl(<s, x> + (-f(x))) is the score fl(<s, x> - f(x)) of the brute-force
-`max_dots_minus`, which `setmap.map_conjugate_at` keeps.  A linear-time
+conjugating each fiber of bit-identical x rows once and every x* row
+once.  `conjugate_at` and `support_function` run it on a y axis with no
+coordinates (`_NO_Y`), where `dots` gives +0.0: the inner max is -f(x)
+exactly, so a score fl(<s, x> + (-f(x))) is the score fl(<s, x> - f(x))
+of the brute-force `max_dots_minus`, which `setmap.map_conjugate_at`
+keeps.  A linear-time
 transform (lower convex hull + monotone merge) reproduces the brute-force
 values on sorted 1-D data and separable multi-D data.
 
@@ -23,10 +24,10 @@ coordinate order, so an entry's bits depend on its two rows alone and not
 on the table or block it is computed in.  It pads its operands with
 leading axes of length 1 instead of broadcasting copies of them, and
 refuses rows of different lengths.  The kernels and their callers
-cut their temporaries into blocks of at most `_BLOCK_CAP` entries, about
-a cache's worth (`score_slices`, `count_slices`); a block only takes dot
-products, adds, subtracts, takes max or min and gathers, so its size
-moves no bit.
+cut their temporaries into blocks so that the temporaries one loop holds
+at once stay within `_BLOCK_CAP` entries together, about a cache's worth
+(`score_slices`, `count_slices`); a block only takes dot products, adds,
+subtracts, takes max or min and gathers, so its size moves no bit.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .errors import DimensionMismatch, GridMismatch, UnsupportedShape
 
 _BLOCK_CAP = 65_536  # entries per blocked temporary (512 KB)
 _NO_Y = np.zeros((1, 0))  # one y node with no coordinates: f(x, y) = f(x)
+_MIX = 0x1E3779B97F4A7C15  # odd, so every hash multiplier is odd
 
 
 def score_slices(total: int, width: int):
@@ -146,40 +148,80 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first].view(np.float64), inverse
 
 
+def _fibers(rows, keep: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(at, starts): the rows `keep` ordered so that rows with bit-identical
+    `rows(at)` rows (`width` entries) are consecutive, and where each run
+    starts.  Rows are hashed (a wrapped sum of their bits times odd
+    multipliers) in `score_slices` blocks; a row whose hash only collides
+    with its run's first row is split off into a run of its own.  No table
+    of the rows is built.
+    """
+    n = keep.size
+
+    def bits(at):
+        return rows(keep[at]).view(np.int64)
+
+    mult = (2 * np.arange(width) + 1) * _MIX
+    h = np.empty(n, dtype=np.int64)
+    for sl in score_slices(n, 2 * width):
+        (bits(sl) * mult).sum(axis=1, out=h[sl])
+    order = np.argsort(h, kind="stable")
+    h = h[order]
+    start = np.ones(n, dtype=bool)
+    start[1:] = h[1:] != h[:-1]
+    joins = np.flatnonzero(~start)
+    head = np.flatnonzero(start)[np.cumsum(start)[joins] - 1]  # each joining row's run head
+    split = np.zeros(n, dtype=bool)
+    for sl in score_slices(joins.size, 3 * width):
+        split[joins[sl]] = (bits(order[joins[sl]]) != bits(order[head[sl]])).any(axis=1)
+    order = np.concatenate([order[~split], order[split]])
+    start = np.concatenate([start[~split], np.ones(np.count_nonzero(split), dtype=bool)])
+    return keep[order], np.flatnonzero(start)
+
+
 def conjugate_blocks(rows, dom: np.ndarray, X, Y, xstars, ystars):
     """f* on the product of x* rows and y* rows, as consecutive blocks
     (slice of x* rows, their table rows) of `partial_conjugate`'s table.
 
     `dom` marks the x nodes where f has a value below +inf, and `rows(at)`
-    returns f's values on the x nodes `at` indexes (a slice or an index
-    array into X), one column per y node, so no table of f need be built
-    whole.  The inner max over y runs once per domain x node, in
-    `score_slices` blocks, when this is called.  Each yielded block of x*
-    rows then takes its dot products with the domain x nodes, and the
-    outer max in sub-blocks, each table within the cap.  The rows of a
-    block are a view of one buffer that the next block overwrites, so a
-    caller reads each block before it asks for the next.  Every entry
-    depends only on its own rows, so the block sizes move no bit.
+    returns f's values on the x nodes of the index array `at`, one column
+    per y node, so no table of f is built.  The inner max over y runs once
+    per fiber of bit-identical rows (`_fibers`), when this is called; each
+    block of x* rows then takes the max of its dot products over each
+    fiber's nodes, and the outer max over fibers of that max plus the
+    fiber's inner max.  fl(t + r) is non-decreasing in t, and neither term
+    is -0.0, so max over a fiber of fl(t + r) = fl(max t + r) bit for bit.
+    The fibers are cut into blocks (`count_slices`) and the x* rows into
+    blocks, so that one step's dot products (with `dots`' product
+    temporary), fiber maxima, 3-D sum, its max and the table rows fit in
+    the cap together; a fiber over the cap is a block of its own.  Each
+    step folds its max into the table rows with `np.maximum`, which is
+    exact, so no block size moves a bit.  The table rows are a view of
+    one buffer that the next block overwrites.
     """
     k, ky = xstars.shape[0], ystars.shape[0]
-    keep = np.flatnonzero(dom)
-    nd = keep.size
-    if nd == 0:
+    if not dom.any():
         return ((sl, np.full((sl.stop - sl.start, ky), -INF)) for sl in score_slices(k, ky))
-    whole = nd == dom.shape[0]
+    at, starts = _fibers(rows, np.flatnonzero(dom), Y.shape[0])
     ydots = dots(ystars[:, None], Y)
-    R = np.empty((nd, ky))
-    for sl in score_slices(nd, ydots.size):
-        (ydots[None, :, :] - rows(sl if whole else keep[sl])[:, None, :]).max(axis=2, out=R[sl])
-    Xd = X if whole else X[keep]
+    R = np.empty((starts.size, ky))
+    for sl in score_slices(starts.size, ydots.size + Y.shape[0]):
+        (ydots[None, :, :] - rows(at[starts[sl]])[:, None, :]).max(axis=2, out=R[sl])
+    Xg, bounds = X[at], np.append(starts, at.size)
+    entries = 2 * np.diff(bounds) + 1 + ky  # per fiber and x* row
+    fibers = list(count_slices(entries))
+    width = max(int(entries[fs].sum()) for fs in fibers) + 2 * ky
+    parts = [(Xg[bounds[fs.start] : bounds[fs.stop]], starts[fs] - bounds[fs.start], R[fs])
+             for fs in fibers]
 
     def blocks():
-        buf = np.empty((next(score_slices(k, nd + ky), slice(0)).stop, ky))
-        for sl in score_slices(k, nd + ky):
-            tx = dots(xstars[sl, None], Xd)
-            table = buf[: tx.shape[0]]
-            for sub in score_slices(tx.shape[0], nd * ky):
-                (tx[sub, :, None] + R).max(axis=1, out=table[sub])
+        buf = np.empty((next(score_slices(k, width), slice(0)).stop, ky))
+        for sl in score_slices(k, width):
+            table = buf[: sl.stop - sl.start]
+            table.fill(-INF)
+            for Xf, sf, Rf in parts:
+                tx = np.maximum.reduceat(dots(xstars[sl, None], Xf), sf, axis=1)
+                np.maximum(table, (tx[:, :, None] + Rf).max(axis=1), out=table)
             yield sl, table
 
     return blocks()
@@ -197,10 +239,11 @@ def partial_conjugate(
     Entry [a, b] is the finite maximum `conjugate_at` takes at the stacked
     point (xstars[a], ystars[b]), with its conventions: -inf anywhere gives
     +inf (its inner max is +inf), no finite value gives -inf.  The inner
-    max over y runs once per x node with a finite value, the outer max over
-    x once per x* row (callers pass distinct ones).  Both dot-product
-    tables come from `dots`, and both maxima run in `score_slices` blocks,
-    so the block size changes no bit: the table is the assembly of the
+    max over y runs once per fiber of bit-identical domain rows, the outer
+    max over x once per x* row (callers pass distinct ones), and `values`
+    is not copied.  Both dot-product
+    tables come from `dots`, and both maxima run in blocks, so the block
+    size changes no bit: the table is the assembly of the
     blocks of `conjugate_blocks`.  No entry is -0.0: `dots` starts from
     +0.0, a difference ydots - f is -0.0 only if ydots is, and a sum
     tx + R only if both terms are.  On a y axis with no coordinates ydots

@@ -162,7 +162,8 @@ def map_conjugate_at(F: SetValuedMap, points: np.ndarray) -> np.ndarray:
 def graph_support_blocks(F: SetValuedMap, xstars, ystars):
     """`graph_support` as the blocks (slice of x* rows, their table rows)
     of `conjugate.conjugate_blocks` on the graph indicator (0 on gph F,
-    +inf off it), whose rows are built one block of x rows at a time."""
+    +inf off it), built one block of x rows at a time: a `full` map has
+    one fiber."""
     X, Y = F.xgrid.nodes, F.ygrid.nodes
     xstars = as_rows(xstars, X.shape[1], "x* rows")
     ystars = as_rows(ystars, Y.shape[1], "y* rows")

@@ -789,15 +789,18 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     # scores only on the (y0, x1*, y*) columns whose phi score passes the
     # loosest split of any level.  A y0's hits at a level are the OR over
     # its columns; a level intersects the hits of the y0 it admits.  Blocks
-    # of y0 take an eighth of the cap: that holds the traced peak of a 1-D
-    # verify-all at 2.0 MB (2.6 MB at the full cap, 1.0 MB one y0 at a time)
-    # and runs as fast as the full cap.
+    # of y0 take an eighth of the cap.  A slice of columns gathers its
+    # support and x0 rows into two buffers that the call reuses, sized to
+    # its largest slice; the spent index buffer takes the x0 gather and then
+    # the comparison.  That puts the check's traced peak at 0.89 MB on
+    # abs_full at --refine 2.
     splits = [_split_pairs(eps + eta, THEOREM_SPLITS) for eta in DEFAULT_ETAS]
     bounds = [_split_bound(level) for level in splits]
     e1_top = max(e1 for level in splits for e1, _ in level) + TOL
     near = np.array([feas_row & (phi_row < mu0 + eta) for eta in DEFAULT_ETAS])
     masks = np.ones((len(DEFAULT_ETAS), Ks), dtype=bool)
     ys = np.flatnonzero(near.any(axis=0))
+    ibuf, cbuf = np.empty(0, dtype=np.int64), np.empty(0)
     for block in score_slices(ys.size, 8 * Kx * Ky):
         yb = ys[block]
         dots2 = dots(F.ygrid.nodes[yb][:, None], Y1)
@@ -807,16 +810,24 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
         hits = np.zeros((len(DEFAULT_ETAS), Ks, yb.size), dtype=bool)
         col_bounds = [(hit, bound(m1_base.take(cols)))
                       for hit, bound, admits in zip(hits, bounds, near[:, yb]) if admits.any()]
-        for sl in score_slices(cols.size, Ks):
+        for sl in score_slices(cols.size, 2 * Ks):
             ys_sl, jb, kb = y[sl], j[sl], k[sl]
             first = np.flatnonzero(np.diff(ys_sl, prepend=-1))  # where each y0's columns start
-            at = starts[:, jb]
+            n = Ks * jb.size
+            if cbuf.size < n:  # free the old buffers and the last slice's views first
+                at = tx0 = below = cod = ibuf = cbuf = None
+                ibuf, cbuf = np.empty(n, dtype=np.int64), np.empty(n)
+            at, tx0, below = (
+                ibuf.view(t)[:n].reshape(Ks, -1) for t in (np.int64, np.float64, bool)
+            )
+            np.take(starts, jb, axis=1, out=at, mode="clip")
             at += kb
-            cod = flat.take(at)
-            cod -= TX0[:, jb]
+            cod = np.take(flat, at, out=cbuf[:n].reshape(Ks, -1), mode="clip")
+            cod -= np.take(TX0, jb, axis=1, out=tx0, mode="clip")
             cod += dots2[ys_sl, kb]
             for hit, bound in col_bounds:
-                hit[:, ys_sl[first]] |= np.logical_or.reduceat(cod <= bound[sl], first, axis=1)
+                np.less_equal(cod, bound[sl], out=below)
+                hit[:, ys_sl[first]] |= np.logical_or.reduceat(below, first, axis=1)
         masks &= (hits | ~near[:, None, yb]).all(axis=2)
     levels = [(eta, mask, mask) for eta, mask in zip(DEFAULT_ETAS, masks)]
     return _theorem_report(

@@ -72,8 +72,9 @@ def inf_convolution_min(
     `inverse` gives each pair's split-lattice step.  `blocks` yields
     (slice of steps, F* rows of those steps) in step order; each is folded
     into the per-pair minima over y* of the pairs whose step it holds,
-    which form one run of the pairs sorted by step, gathered in
-    `score_slices` blocks within `conjugate._BLOCK_CAP`.  Lower addition:
+    which form one run of the pairs sorted by step.  Their F* and phi*
+    rows are gathered into two buffers of a quarter of the cap, made per
+    block, so the fold and a block's rows share one cap.  Lower addition:
     phi* is all +inf, all -inf or finite, F* all -inf exactly when the
     graph is empty and finite otherwise, and +inf wins; then no block is
     read.  A minimum is exact and neither table holds -0.0 (see
@@ -88,17 +89,21 @@ def inf_convolution_min(
     order = np.argsort(inverse, kind="stable")
     steps = inverse[order]
     pair_min = np.empty(inverse.shape[0])
-    size = next(score_slices(order.size, 2 * ky), slice(0)).stop
-    fbuf, pbuf = np.empty((size, ky)), np.empty((size, ky))
-    for rows, fstar in blocks:
+
+    def fold(rows, fstar):
         lo, hi = np.searchsorted(steps, (rows.start, rows.stop))
-        for sl in score_slices(hi - lo, 2 * ky):
+        size = next(score_slices(hi - lo, 4 * ky), slice(0)).stop
+        fbuf, pbuf = np.empty((size, ky)), np.empty((size, ky))
+        for sl in score_slices(hi - lo, 4 * ky):
             run = slice(lo + sl.start, lo + sl.stop)
             f, p = fbuf[: sl.stop - sl.start], pbuf[: sl.stop - sl.start]
             np.take(fstar, steps[run] - rows.start, axis=0, out=f, mode="clip")
             np.take(phistar, order[run] % k1, axis=0, out=p, mode="clip")
             f += p
             pair_min[order[run]] = f.min(axis=1)
+
+    for rows, fstar in blocks:
+        fold(rows, fstar)
     return pair_min.reshape(out.shape[0], k1).min(axis=1, out=out)
 
 

@@ -176,6 +176,27 @@ def brute_conjugate_at(f, points):
     return max_dots_minus(points, f.grid.nodes[dom], f.values[dom])
 
 
+def per_row_partial_conjugate(values, X, Y, xstars, ystars):
+    """`partial_conjugate` as it was before fibers, the oracle of its kernel:
+    the inner max over y once per domain x row, then the outer max over
+    every domain x row, in `score_slices` blocks."""
+    values, X, Y, xstars, ystars = (
+        np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (values, X, Y, xstars, ystars)
+    )
+    table = np.full((xstars.shape[0], ystars.shape[0]), -INF)
+    keep = np.flatnonzero((values < INF).any(axis=1))
+    if keep.size == 0:
+        return table
+    ydots = dots(ystars[:, None], Y)
+    R = np.empty((keep.size, ystars.shape[0]))
+    for sl in score_slices(keep.size, ydots.size):
+        (ydots[None, :, :] - values[keep[sl]][:, None, :]).max(axis=2, out=R[sl])
+    tx = dots(xstars[:, None], X[keep])
+    for sl in score_slices(xstars.shape[0], R.size):
+        (tx[sl, :, None] + R).max(axis=1, out=table[sl])
+    return table
+
+
 def oracle_marginal(phi, F):
     """Per-x minimum, minimizer set, and status, by plain loops."""
     values, argmins, statuses = [], [], []

@@ -37,6 +37,7 @@ from helpers import (
     lower_add,
     oracle_conjugate,
     oracle_inf_convolution,
+    per_row_partial_conjugate,
     random_function,
     random_problem,
     random_values,
@@ -520,6 +521,118 @@ class TestPartialConjugate:
         got = partial_conjugate(*split(phi, F.xgrid, F.ygrid), xstars, ystars)
         assert_bitwise(got, want)
         assert_bitwise(got, lattice_brute(phi, xstars, ystars))
+
+
+def fiber_case(rng, case, xdim, ydim):
+    """A values table and its x and y rows for the fiber property: rows
+    drawn from a few distinct ones, all distinct rows in no sorted order,
+    one row, all-+inf rows and +inf entries, rows that differ only in the
+    sign of a zero, or permutations of one row (which a plain sum of
+    their bits cannot tell apart)."""
+    nx, ny = int(rng.integers(1, 14)), int(rng.integers(1, 6))
+    pool = np.array([0.0, -0.0, 1.0, -1.5, 0.1, 2.0**-10, 3.0, INF])
+
+    def rows(n):
+        out = rng.standard_normal((n, ny)) * 10.0 ** int(rng.integers(-3, 4))
+        pick = rng.random((n, ny)) < 0.4
+        out[pick] = rng.choice(pool, size=int(pick.sum()))
+        return out
+
+    if case == "one row":
+        nx = 1
+    if case == "repeated":
+        values = rows(3)[rng.integers(0, 3, size=nx)]
+    elif case == "signed zeros":
+        values = np.where(rng.random((nx, ny)) < 0.5, 0.0, -0.0)
+        values[:, 0] = rng.choice([0.0, -0.0, 1.0], size=nx)
+    elif case == "permuted":
+        base = rows(1)[0]
+        values = np.array([rng.permutation(base) for _ in range(nx)])
+    else:
+        values = rows(nx)
+    if case == "+inf rows":
+        values[rng.random(nx) < 0.4] = INF
+    X = dyadic_rows(rng, nx, xdim)
+    if rng.random() < 0.5:
+        X = X + 0.1 * rng.standard_normal((nx, xdim))
+    Y = dyadic_rows(rng, ny, ydim)
+    xstars = rng.standard_normal((int(rng.integers(1, 9)), xdim)) * 3.0
+    ystars = rng.standard_normal((int(rng.integers(1, 9)), ydim)) * 3.0
+    return values, X, Y, xstars, ystars
+
+
+class TestFibers:
+    """The kernel conjugates each fiber of bit-identical x rows once; it
+    equals the per-row kernel it replaced, `per_row_partial_conjugate`,
+    bit for bit."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["repeated", "distinct", "one row", "+inf rows", "signed zeros", "permuted"]),
+        st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
+        st.sampled_from([1, 3, 7, 50, None]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_row_kernel_bitwise(self, seed, case, dims, cap, collide):
+        """Also at a lowered `_BLOCK_CAP`, and with `_MIX` = 0 (`collide`),
+        so that every row hashes to 0 and the row check alone splits the
+        rows apart."""
+        rng = np.random.default_rng(seed)
+        values, X, Y, xstars, ystars = fiber_case(rng, case, *dims)
+        want = per_row_partial_conjugate(values, X, Y, xstars, ystars)
+        blocked = conjugate_module._BLOCK_CAP if cap is None else cap
+        mix = 0 if collide else conjugate_module._MIX
+        with mock.patch.object(conjugate_module, "_BLOCK_CAP", blocked), \
+                mock.patch.object(conjugate_module, "_MIX", mix), np.errstate(all="ignore"):
+            assert_bitwise(partial_conjugate(values, X, Y, xstars, ystars), want)
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_runs_hold_bit_identical_rows(self, collide, monkeypatch):
+        if collide:
+            monkeypatch.setattr(conjugate_module, "_MIX", 0)
+        rows = np.array([[1.0, 2.0], [2.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [1.0, 2.0], [0.0, 1.0]])
+        at, starts = conjugate_module._fibers(rows.__getitem__, np.arange(6), 2)
+        runs = [sorted(at[a:b].tolist()) for a, b in zip(starts, [*starts[1:], 6])]
+        # With one hash for all, only the first row's copies stay in its run.
+        want = [[0, 4], [1], [2], [3], [5]] if collide else [[0, 4], [1], [2, 5], [3]]
+        assert sorted(runs) == want
+        at, starts = conjugate_module._fibers(rows.__getitem__, np.array([0, 1, 2]), 2)
+        assert sorted(at.tolist()) == [0, 1, 2] and starts.tolist() == [0, 1, 2]
+
+    def test_a_full_map_takes_one_inner_max(self, monkeypatch):
+        """The graph support of a `full` map reads one row of the graph
+        indicator for its inner max: every x row has the same fiber.  The
+        rows that grouping the x rows (`_fibers`) reads are not counted."""
+        setmap = importlib.import_module("marginlab.setmap")
+        read, grouping = [], []
+        fibers = conjugate_module._fibers
+
+        def counted_fibers(*args):
+            grouping.append(True)
+            try:
+                return fibers(*args)
+            finally:
+                grouping.pop()
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def where(self, cond, *args):
+                if not grouping:
+                    read.append(cond.shape[0])
+                return np.where(cond, *args)
+
+        X = Grid.from_bounds([(-1.0, 1.0, 9), (-1.0, 1.0, 5)])
+        Y = Grid.from_bounds([(0.0, 2.0, 7)])
+        F = setmap.full_map(X, Y)
+        xstars, ystars = dyadic_rows(np.random.default_rng(5), 11, 2), np.array([[1.0], [-0.5]])
+        want = setmap.graph_support(F, xstars, ystars)
+        monkeypatch.setattr(setmap, "np", Numpy())
+        monkeypatch.setattr(conjugate_module, "_fibers", counted_fibers)
+        assert_bitwise(setmap.graph_support(F, xstars, ystars), want)
+        assert sum(read) == 1
 
 
 class TestFastAgainstBrute:
