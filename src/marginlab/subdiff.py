@@ -20,23 +20,22 @@ The theorem verifiers at the bottom check the upper subdifferential
 formula for marginal functions and the formula for subgradients of the
 conjugate.  Both keep two independent routes: the left side is a halfspace
 polyhedron of the gridded mu (or mu*), the right side is scanned through
-exact conjugate tables via the finite-grid Fenchel-Young identity.  The
-marginal check scores each near-optimal y0 once for all eta levels and
-builds a coderivative score only where the phi score passes the loosest
-split.  The conjugate check enumerates candidates from the summed score:
-at a graph cell (x, y) and lattice pair (x1*, y*) the phi score m1 and the
-coderivative score cod add up to (phi* + sigma_gph)(x1*, y*) +
-phi(x, y) - <x, x0*>, a table entry plus a per-cell offset, and both are
-nonnegative.  Every split has e1 + e2 = eps + eta, so only the pairs whose
-table entry lies under the largest eps + eta + 2 TOL (plus a rounding
-margin) minus the cell's offset can pass; one sorted table and one binary
-search over all cells list them, and only cells with a candidate are
+exact conjugate tables via the finite-grid Fenchel-Young identity.  Both
+score triples of a cell and a lattice pair (x1*, y*) the same way: the phi
+score m1 and the coderivative score cod are nonnegative and add up to a
+key plus a per-cell offset.  The marginal check's cells are the
+near-optimal y0, its keys one per (x*, x1*, y*); the conjugate check's
+cells are the graph cells, its keys the table (phi* + sigma_gph)(x1*, y*).
+Every split has e1 + e2 = eps + eta, so only the keys under the largest
+eps + eta + 2 TOL (plus the rounding margin `_margin`) minus the cell's
+offset can pass; `_candidates` sorts the keys under the largest such
+threshold and lists each cell's prefix, and only those triples are
 scored, in slices sized by their candidate counts.  `_split_bound` then
-tests all of a level's splits with one comparison per score.  The unpruned
-route stays in the tests as the oracle.  Every dot product these checks
-and the restricted conjugate identity take is `conjugate.dots` of its two
-rows, the same bits in any slice, so the pruned checks agree with the
-unpruned route and the identity holds bitwise on any data, dyadic or
+tests all of a level's splits with one comparison per score.  The
+unpruned route stays in the tests as the oracle.  Every dot product these
+checks and the restricted conjugate identity take is `conjugate.dots` of
+its two rows, the same bits in any slice, so the pruned checks agree with
+the unpruned route and the identity holds bitwise on any data, dyadic or
 not.  The conjugate tables the checks read (mu*, phi*, the graph support
 on the dual lattice) come from the `tables.Tables` store that each check
 takes first, so the command line shares one store per run across all of
@@ -737,6 +736,52 @@ def _theorem_report(
     )
 
 
+def _margin(eps: float, terms, X, xstars, Y, ystars) -> float:
+    """The cutoff, the largest eps + eta + 2 TOL, plus room for rounding.
+
+    m1 + cod is exactly a key plus an offset, and both scores are
+    nonnegative, so a triple whose key lies over the cutoff minus its
+    offset passes no split.  The floats meet that identity only up to a
+    few roundings: the dot products, the conjugate check's step
+    fl(x0* - x1*), and the sums building m1, cod, the key, the offset, the
+    bounds e + TOL and the threshold.  `terms` are the added tables; `X`
+    and `Y` are the x and y rows dotted with the rows of `xstars` and
+    `ystars`, and each y dot product enters both scores.  With u the unit
+    roundoff, m the x dimension and M the sum of the largest finite
+    magnitudes, a passing triple has fl(key) <= cutoff - fl(offset) +
+    (13 + m) u M, and the margin is more than twice that.  Infinite values
+    stay out of M, since they only remove a cell or a key; a looser margin
+    only admits more candidates and changes no verdict.
+    """
+    cutoff = max(eps + eta for eta in DEFAULT_ETAS) + 2 * TOL
+    xnorm = _finite_max(np.abs(X).sum(axis=1))
+    ynorm = _finite_max(np.abs(Y).sum(axis=1))
+    scale = (
+        sum(_finite_max(t) for t in terms) + cutoff
+        + xnorm * sum(_finite_max(t) for t in xstars) + 2.0 * ynorm * _finite_max(ystars)
+    )
+    return cutoff + (X.shape[1] + 16) * np.finfo(np.float64).eps * scale
+
+
+def _candidates(keys: np.ndarray, thresholds: np.ndarray, width: int):
+    """(cell, key) index pairs with keys[key] <= thresholds[cell], in
+    `count_slices` blocks of `width` entries per pair.
+
+    Only the keys under the largest threshold are sorted, and each cell
+    takes their prefix up to its threshold, found by one binary search;
+    NaN keys admit no cell.  A cell's keys come in sorted order.
+    """
+    under = np.flatnonzero(keys <= thresholds.max(initial=-INF))
+    order = under[np.argsort(keys[under])]
+    counts = np.searchsorted(keys[order], thresholds, side="right")
+    cells = np.flatnonzero(counts)
+    counts = counts[cells]
+    for sl in count_slices(width * counts):
+        n = counts[sl]
+        c = np.repeat(cells[sl], n)
+        yield c, order[np.arange(c.size) - np.repeat(np.cumsum(n) - n, n)]
+
+
 def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -> TheoremReport:
     """Upper estimate of the eps-subdifferential of a marginal function.
 
@@ -748,6 +793,13 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     through exact conjugate tables (finite-grid Fenchel-Young), one pass
     over the y0 near-optimal at the largest eta.
 
+    The scores of a triple (x*, x1*, y*) at y0, with t = x* - x1*, are
+    m1 = phi*(x1*, y*) + phi(x0, y0) - <x0, x1*> - <y0, y*> and
+    cod = sigma_gph(t, -y*) - <x0, t> + <y0, y*>: the conjugate check's
+    split, a key per triple plus the offset phi(x0, y0), with the
+    near-optimal y0 as the cells.  A y0's hits at a level are kept per x*,
+    and a level intersects the hits of the y0 it admits.
+
     Unconditional direction: every sampled dual in the eta-level right set
     lies in the (eps+eta)-subdifferential of mu.  Two-sided agreement at
     the nominal eps is asserted only when the instance claims the
@@ -756,10 +808,10 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     The dual grids, mu and phi* come from the store, and so does the split
     lattice of the x* grid, kept on its distinct steps with their graph
     support; <step, x0> is taken once per distinct step, and its bits
-    depend on the step alone.  The coderivative scores gather the support
-    through the inverse index one `score_slices` block of (y0, x1*, y*)
-    columns at a time, so no table of all the steps is built; a block only
-    gathers, adds and compares, so its size moves no bit.
+    depend on the step alone.  The keys are built in blocks of x* rows,
+    each gathering its support rows through the inverse index, so no table
+    of all the steps is built; a block only gathers, adds and compares, so
+    its size moves no bit.
     """
     phi, F, mu = tables.phi, tables.F, tables.mu
     xi = F.xgrid.resolve(x0)
@@ -767,68 +819,44 @@ def marginal_subdiff_check(tables: Tables, x0, eps: float, qc14: bool = False) -
     if not np.isfinite(mu0):
         raise NotFiniteAtPoint(f"mu is not finite at x node {xi}")
     x0c = F.xgrid.coords(xi)
-    duals = tables.xduals
-    S = duals.nodes
+    S = tables.xduals.nodes
     Ks = S.shape[0]
     _check_eps(eps)
 
-    Y1 = tables.yduals.nodes
-    Kx, Ky = Ks, Y1.shape[0]
+    Y, Y1 = F.ygrid.nodes, tables.yduals.nodes
     phistar = tables.phistar
     steps, support, inverse = tables.lattice_support
-    flat = support.reshape(-1)
-    starts = inverse.reshape(Ks, Kx) * Ky  # where the row of step x* - x1* starts in flat
-    TX0 = dots(steps, x0c)[inverse].reshape(Ks, Kx)
-
-    phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
-    feas_row = F.graph[xi]
+    inverse = inverse.reshape(Ks, Ks)
+    TX0 = dots(steps, x0c)[inverse]
     dots1 = dots(S, x0c)
 
-    # Each near-optimal y0 is scored once for every eta level, in
-    # `score_slices` blocks of whole (x1*, y*) tables, and the coderivative
-    # scores only on the (y0, x1*, y*) columns whose phi score passes the
-    # loosest split of any level.  A y0's hits at a level are the OR over
-    # its columns; a level intersects the hits of the y0 it admits.  Blocks
-    # of y0 take an eighth of the cap.  A slice of columns gathers its
-    # support and x0 rows into two buffers that the call reuses, sized to
-    # its largest slice; the spent index buffer takes the x0 gather and then
-    # the comparison.  That puts the check's traced peak at 0.89 MB on
-    # abs_full at --refine 2.
-    splits = [_split_pairs(eps + eta, THEOREM_SPLITS) for eta in DEFAULT_ETAS]
-    bounds = [_split_bound(level) for level in splits]
-    e1_top = max(e1 for level in splits for e1, _ in level) + TOL
-    near = np.array([feas_row & (phi_row < mu0 + eta) for eta in DEFAULT_ETAS])
-    masks = np.ones((len(DEFAULT_ETAS), Ks), dtype=bool)
+    phi_row = phi.values.reshape(F.xgrid.size, F.ygrid.size)[xi]
+    near = np.array([F.graph[xi] & (phi_row < mu0 + eta) for eta in DEFAULT_ETAS])
     ys = np.flatnonzero(near.any(axis=0))
-    ibuf, cbuf = np.empty(0, dtype=np.int64), np.empty(0)
-    for block in score_slices(ys.size, 8 * Kx * Ky):
-        yb = ys[block]
-        dots2 = dots(F.ygrid.nodes[yb][:, None], Y1)
-        m1_base = phistar + phi_row[yb, None, None] - dots1[:, None] - dots2[:, None, :]
-        cols = np.flatnonzero(m1_base <= e1_top)
-        y, j, k = np.unravel_index(cols, m1_base.shape)
-        hits = np.zeros((len(DEFAULT_ETAS), Ks, yb.size), dtype=bool)
-        col_bounds = [(hit, bound(m1_base.take(cols)))
-                      for hit, bound, admits in zip(hits, bounds, near[:, yb]) if admits.any()]
-        for sl in score_slices(cols.size, 2 * Ks):
-            ys_sl, jb, kb = y[sl], j[sl], k[sl]
-            first = np.flatnonzero(np.diff(ys_sl, prepend=-1))  # where each y0's columns start
-            n = Ks * jb.size
-            if cbuf.size < n:  # free the old buffers and the last slice's views first
-                at = tx0 = below = cod = ibuf = cbuf = None
-                ibuf, cbuf = np.empty(n, dtype=np.int64), np.empty(n)
-            at, tx0, below = (
-                ibuf.view(t)[:n].reshape(Ks, -1) for t in (np.int64, np.float64, bool)
-            )
-            np.take(starts, jb, axis=1, out=at, mode="clip")
-            at += kb
-            cod = np.take(flat, at, out=cbuf[:n].reshape(Ks, -1), mode="clip")
-            cod -= np.take(TX0, jb, axis=1, out=tx0, mode="clip")
-            cod += dots2[ys_sl, kb]
-            for hit, bound in col_bounds:
-                np.less_equal(cod, bound[sl], out=below)
-                hit[:, ys_sl[first]] |= np.logical_or.reduceat(below, first, axis=1)
-        masks &= (hits | ~near[:, None, yb]).all(axis=2)
+    offsets = phi_row[ys]
+    bounds = [_split_bound(_split_pairs(eps + eta, THEOREM_SPLITS)) for eta in DEFAULT_ETAS]
+    margin = _margin(eps, (phistar, support, offsets), x0c[None], (S, steps), Y[ys], Y1)
+
+    # A block of x* rows holds its keys and their sort temporaries within
+    # one cap together (8 entries per key); its candidates are scored in
+    # slices of about ten arrays of one entry per triple, plus the y rows
+    # of their dot products.
+    masks = np.ones((len(DEFAULT_ETAS), Ks), dtype=bool)
+    for rows in score_slices(Ks, 8 * Ks * Y1.shape[0]):
+        at_step, tx0 = inverse[rows], TX0[rows]
+        keys = support[at_step]
+        keys += phistar
+        keys -= (tx0 + dots1)[:, :, None]
+        hits = np.zeros((len(DEFAULT_ETAS), keys.shape[0], ys.size), dtype=bool)
+        for y, at in _candidates(keys.reshape(-1), margin - offsets, 10 + 3 * Y.shape[1]):
+            i, j, k = np.unravel_index(at, keys.shape)
+            ydots = dots(Y[ys[y]], Y1[k])
+            m1 = ((phistar[j, k] + offsets[y]) - dots1[j]) - ydots
+            cod = (support[at_step[i, j], k] - tx0[i, j]) + ydots
+            for hit, bound in zip(hits, bounds):
+                passed = cod <= bound(m1)
+                hit[i[passed], y[passed]] = True
+        masks[:, rows] = (hits | ~near[:, None, ys]).all(axis=2)
     levels = [(eta, mask, mask) for eta, mask in zip(DEFAULT_ETAS, masks)]
     return _theorem_report(
         mu,
@@ -910,17 +938,12 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     lattice and h = phi(x, y) - <x, x0star>, no longer couples cell and
     pair.  m1 >= 0 because phi* takes its max over every grid node, (x, y)
     among them; cod >= 0 because a support function is at least its value
-    at the graph point (x, y).  A split passes only if m1 <= e1 + TOL and
-    cod <= e2 + TOL with e1 + e2 = eps + eta, so a cell's candidates are
-    the pairs with G under the largest eps + eta + 2 TOL minus h: a prefix
-    of G sorted once.  The floats meet the identity only up to a few
-    roundings, so the cutoff carries a margin of a few ulps of the largest
-    finite terms; a looser margin only admits more candidates.  Both scores
+    at the graph point (x, y).  So `_candidates` lists a cell's pairs as
+    the prefix of G sorted once under `_margin` minus h, and both scores
     are then built at the candidates alone, with the same expressions as on
-    the whole lattice, in slices sized by the candidate counts.  Every dot
-    product is `dots` of its two rows, taken per candidate, with the bits of
-    the unpruned route's table entry, so each comparison sees the floats of
-    the unpruned route on any data.
+    the whole lattice.  Every dot product is `dots` of its two rows, taken
+    per candidate, with the bits of the unpruned route's table entry, so
+    each comparison sees the floats of the unpruned route on any data.
 
     Unconditionally, every pre-dilation eta-level member must lie in the
     (eps+eta)-subdifferential of mu*; two-sided agreement at the nominal
@@ -944,7 +967,6 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
         empty = np.zeros((0, m))
         return _theorem_report(mustar, si, eps, empty, [], _contains, qc14, *named)
     s0 = duals.coords(si)
-    sample = F.xgrid.nodes
     _check_eps(eps)
 
     Y1 = tables.yduals.nodes
@@ -959,53 +981,27 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     V = phi.values.reshape(F.xgrid.size, F.ygrid.size)
 
     bounds = [_split_bound(_split_pairs(eps + eta, THEOREM_SPLITS)) for eta in DEFAULT_ETAS]
-    cutoff = max(eps + eta for eta in DEFAULT_ETAS) + 2 * TOL
-    # The floats fall short of the identity by a few roundings: T = fl(s0 -
-    # x1*) is inexact, the dot products round, and so do the sums building
-    # m1, cod, G, h, the split bounds e + TOL and the search key.  With u
-    # the unit roundoff and M the sum of the largest finite magnitudes of
-    # the terms, a passing triple has fl(G) <= cutoff - fl(h) +
-    # (13 + m) u M, and the margin below is more than twice that.  Infinite
-    # values stay out of M: +inf phi only removes a cell (h = +inf) and
-    # +inf phi* only a pair.  A looser margin admits more candidates and
-    # changes no verdict.  The norms run over the x and y nodes of graph
-    # cells.  The largest phi value on the graph is taken over blocks of
-    # x rows, and the candidates over `graph_cell_blocks`, so no table of
-    # every cell is built; a maximum is exact, and every other entry is
-    # per cell, so the blocks move no bit.
-    xnorm = _finite_max(np.abs(X[F.dom_mask]).sum(axis=1))
+    # The largest phi value on the graph is taken over blocks of x rows, so
+    # no table of every cell is built, and a maximum is exact.
     phinorm = max(
         (_finite_max(V[sl][F.graph[sl]]) for sl in score_slices(F.xgrid.size, F.ygrid.size)),
         default=0.0,
     )
-    scale = (
-        _finite_max(phistar) + _finite_max(fsupport) + phinorm + cutoff
-        + xnorm * (_finite_max(X1) + _finite_max(T) + _finite_max(s0))
-        + 2.0 * _finite_max(np.abs(Y[F.graph.any(axis=0)]).sum(axis=1)) * _finite_max(Y1)
-    )
-    margin = cutoff + (m + 16) * np.finfo(np.float64).eps * scale
+    margin = _margin(eps, (phistar, fsupport, phinorm), X[F.dom_mask], (X1, T, s0),
+                     Y[F.graph.any(axis=0)], Y1)
     xdots = dots(X, s0)
     G = (phistar + fsupport).reshape(-1)
-    order = np.argsort(G)
+    order = np.argsort(G)  # sorted once, so each block's sort in `_candidates` is cheap
     G = G[order]
     pair_j, pair_k = np.divmod(order, Ky)
 
-    # Candidate (cell, pair) triples: a cell takes the first counts[cell]
-    # pairs in G order.  The cells come in blocks of about ten arrays of one
-    # entry per cell within the cap.  Only cells with a candidate are
-    # scored, in slices whose temporaries stay within `count_slices`' cap:
-    # about ten arrays of one entry per triple, plus the x and y rows of
-    # its dot products.
+    # The cells come in blocks of about ten arrays of one entry per cell
+    # within the cap, and their candidates in slices of about ten arrays
+    # of one entry per triple, plus the x and y rows of its dot products.
     found = np.zeros((len(DEFAULT_ETAS), F.xgrid.size), dtype=bool)
     for gx, gy in graph_cell_blocks(F, 10):
         phig = V[gx, gy]
-        counts = np.searchsorted(G, margin - (phig - xdots[gx]), side="right")
-        cells = np.flatnonzero(counts)
-        counts = counts[cells]
-        for sl in count_slices((10 + 3 * m + 2 * Y.shape[1]) * counts):
-            n = counts[sl]
-            c = np.repeat(cells[sl], n)  # graph cell of each triple
-            at = np.arange(c.size) - np.repeat(np.cumsum(n) - n, n)
+        for c, at in _candidates(G, margin - (phig - xdots[gx]), 10 + 3 * m + 2 * Y.shape[1]):
             j, k = pair_j[at], pair_k[at]
             Xs, Ys = X[gx[c]], Y[gy[c]]
             ydots = dots(Ys, Y1[k])
@@ -1018,7 +1014,7 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
         (eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1))
         for eta, raw in zip(DEFAULT_ETAS, found)
     ]
-    return _theorem_report(mustar, si, eps, sample, levels, _contains, qc14, *named)
+    return _theorem_report(mustar, si, eps, X, levels, _contains, qc14, *named)
 
 
 def _contains(lhs: np.ndarray, rhs: np.ndarray) -> bool:

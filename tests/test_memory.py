@@ -16,6 +16,7 @@ import pytest
 from marginlab import (
     ProblemSpec,
     Tables,
+    conj_subdiff_check,
     conjugate_representation_check,
     default_dual_grid,
     marginal,
@@ -66,7 +67,8 @@ def traced_peak(call) -> int:
 # The traced peaks below were 1.01, 2.10, 0.89 and 0.74 MB when the bounds
 # were set; each bound leaves room for noise only.  Before every loop kept
 # its temporaries within one cap together they were 2.36, 2.99, 1.87 and
-# 1.43 MB.
+# 1.43 MB.  Since the marginal check scores only the candidates under its
+# cutoff, its two peaks read 0.44 MB.
 
 
 def test_marginal_check_holds_no_table_of_every_step(filled):
@@ -82,13 +84,32 @@ def test_representation_check_blocks_its_refined_lattice(filled):
     assert peak <= 2.35 * MB
 
 
-def test_marginal_check_reuses_its_coderivative_buffers():
-    # abs_full at --refine 2, where the 1-D ladder reached its peak: each
-    # coderivative slice once took its index, support and x0 gathers as
-    # three fresh arrays of the cap.
+def test_marginal_check_where_the_1d_ladder_peaks():
+    # abs_full at --refine 2, where the 1-D ladder reached its peak: the
+    # dense coderivative slices took 0.89 MB here, and each once took its
+    # index, support and x0 gathers as three fresh arrays of the cap.
     tables = filled_store(2, "abs_full")
     peak = traced_peak(lambda: marginal_subdiff_check(tables, np.zeros(1), 0.5))
     assert peak <= 1.0 * MB
+
+
+def test_marginal_check_blocks_its_keys_by_x_star_rows():
+    # lagrangian_quadratic at --refine 1: 41 x* rows of 41 x 49 keys.  The
+    # dense scoring of every near-optimal y0 took 0.36 MB here; blocks of
+    # 8 entries per key leave about 0.16 MB.
+    tables = filled_store(1, "lagrangian_quadratic")
+    peak = traced_peak(lambda: marginal_subdiff_check(tables, np.zeros(1), 0.5))
+    assert peak <= 0.2 * MB
+
+
+def test_conjugate_check_scores_graph_cells_in_blocks():
+    # 83,521 graph cells at --refine 4 against 81 x 81 lattice pairs: the
+    # sorted pair table and its index take 0.2 MB, and the cells and their
+    # candidates come in blocks within the cap.  The peak read 1.86 MB.
+    tables = filled_store(4)
+    x0star = tables.xduals.coords(int(np.argmin(tables.mustar.values)))
+    peak = traced_peak(lambda: conj_subdiff_check(tables, x0star, 0.0))
+    assert peak <= 2.0 * MB
 
 
 def test_representation_check_folds_within_one_cap():
@@ -101,11 +122,12 @@ def test_representation_check_folds_within_one_cap():
 
 @pytest.mark.parametrize("cap", [1, 3, 7, 50])
 def test_reused_buffers_hold_no_stale_entries(cap, monkeypatch):
-    """The coderivative slices of `marginal_subdiff_check`, the kernel's
-    blocks and the fold's gathers reuse buffers sized to the largest slice
-    of a call, so most slices fill only part of theirs.  Calls of falling
-    sizes in one process then also find memory a larger call left behind.
-    Each must equal its whole-table reference bitwise."""
+    """The kernel's blocks and the fold's gathers reuse buffers sized to
+    the largest block of a call, so most blocks fill only part of theirs,
+    and the key blocks of `marginal_subdiff_check` are fresh arrays that
+    can reuse memory a larger call left behind.  Calls of falling sizes in
+    one process then also find such memory.  Each must equal its
+    whole-table reference bitwise."""
     monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_BLOCK_CAP", cap)
     rng = np.random.default_rng(cap)
     for max_count, dim in [(7, 1), (4, 2), (5, 1), (3, 2)]:

@@ -878,13 +878,21 @@ class TestConjugateFormula:
         assert [ok for _, ok, _ in rep.verdicts] == [True, True]
 
 
+def cutoff_map(d, p):
+    """x nodes {d, d + 1} and y nodes {0, 1}; y = 0 is the only graph row,
+    and phi is p on it and +inf off it."""
+    xgrid, ygrid = Grid((Axis(d, d + 1.0, 2),)), Grid((Axis(0.0, 1.0, 2),))
+    phi = GriddedFunction(product_grid(xgrid, ygrid), [p, INF, p, INF])
+    return phi, SetValuedMap(xgrid, ygrid, np.array([[True, False], [True, False]]))
+
+
 class TestPrunedScoring:
     """Both theorem checks against the unpruned scoring in helpers: every
     report field and every eta level's found and closed sets equal, on 1-D
     and 2-D problems with partial and empty graph rows, at eps 0 and 0.5 and
-    with qc14 on and off.  The conjugate check also on non-dyadic values
-    from 1e-6 to 1e12, on graph cells where phi is +inf, and on summed
-    scores at its candidate cutoff."""
+    with qc14 on and off.  Both also on non-dyadic values from 1e-6 to 1e12
+    and on summed and rounded scores at their candidate cutoff, and the
+    conjugate check on graph cells where phi is +inf."""
 
     @pytest.fixture
     def agree(self, monkeypatch):
@@ -949,10 +957,10 @@ class TestPrunedScoring:
 
     @pytest.mark.parametrize("k", [-6, 0, 6, 12])
     def test_non_dyadic_values_at_every_scale(self, k, agree):
-        # Inexact dot products and sums: the conjugate check's candidate
-        # cutoff must keep every triple the unpruned scoring passes.
+        # Inexact dot products and sums: the candidate cutoff of both checks
+        # must keep every triple the unpruned scoring passes.
         rng = np.random.default_rng(503 + k)
-        split = 0
+        split = {"marginal": 0, "conjugate": 0}
         for trial in range(40):
             dim = 1 if trial % 4 else 2
             phi, F = non_dyadic_problem(rng, dim, 10.0**k)
@@ -967,25 +975,29 @@ class TestPrunedScoring:
                 conj_subdiff_check, reference_conj_subdiff_check,
                 phi, F, duals, yduals, duals.coords(si), eps, trial % 4 >= 2,
             )
-            split += 0 < sum(got.rhs_mask) < got.n_samples
-        assert split >= 10
+            split["conjugate"] += 0 < sum(got.rhs_mask) < got.n_samples
+            x0 = int(rng.choice(np.flatnonzero(np.isfinite(mu.values))))
+            got = agree(
+                marginal_subdiff_check, reference_marginal_subdiff_check,
+                phi, F, duals, yduals, x0, eps, trial % 4 >= 2,
+            )
+            split["marginal"] += 0 < sum(got.rhs_mask) < got.n_samples
+        assert min(split.values()) >= 10
 
     @pytest.mark.parametrize("cap", [1, 3, 7, 50, 2000, None])
     def test_marginal_check_at_any_block_size(self, cap, agree, monkeypatch):
-        # The marginal check scores its y0 in blocks and gathers the lattice
-        # support one block of (y0, x1*, y*) columns at a time; every block
-        # size, the default (None) among them, must give the reference's
-        # report bitwise, also on inexact dot products over two and three
-        # coordinates.  At 2000 a block holds several y0 of the 1-D cases
-        # and column blocks cut across them.
+        # The marginal check builds its keys in blocks of x* rows and scores
+        # their candidates in slices; every block size, the default (None)
+        # among them, must give the reference's report bitwise, also on
+        # inexact dot products over two and three coordinates.
         conjugate_module = importlib.import_module("marginlab.conjugate")
         if cap is not None:
             monkeypatch.setattr(conjugate_module, "_BLOCK_CAP", cap)
-        blocks = []
+        blocks = []  # (row blocks, x* rows) per call
 
         def spy(total, width):
             slices = list(conjugate_module.score_slices(total, width))
-            blocks.append(len(slices))
+            blocks.append((len(slices), total))
             return slices
 
         monkeypatch.setattr(subdiff, "score_slices", spy)
@@ -1007,8 +1019,10 @@ class TestPrunedScoring:
                 marginal_subdiff_check, reference_marginal_subdiff_check, phi, F, duals,
                 yduals, int(rng.choice(finite)), (0.0, 0.5)[trial % 2], trial % 4 == 1,
             )
-        # A small cap splits some y0's columns over several blocks.
-        assert (max(blocks) > 1) == (cap is not None)
+        if cap is None:  # only a 3-D x* row (27 x 27 keys) leaves fewer rows than 9 per block
+            assert sorted({n for n, _ in blocks}) == [1, 3]
+        else:  # a lowered cap splits the x* rows of every call over several blocks
+            assert all(1 < n <= rows for n, rows in blocks)
 
     def test_infinite_phi_on_graph_cells(self, agree):
         rng = np.random.default_rng(409)
@@ -1043,9 +1057,7 @@ class TestPrunedScoring:
         cutoff = max(DEFAULT_ETAS) + 2 * subdiff.TOL
         top = np.nextafter(cutoff, INF) if past else cutoff
         assert top / 2 + top / 2 == top and (top / 2 == 0.5 + subdiff.TOL) != past
-        xgrid, ygrid = Grid((Axis(0.0, 1.0, 2),)), Grid((Axis(0.0, 1.0, 2),))
-        phi = GriddedFunction(product_grid(xgrid, ygrid), [0.0, INF, 0.0, INF])
-        F = SetValuedMap(xgrid, ygrid, np.array([[True, False], [True, False]]))
+        phi, F = cutoff_map(0.0, 0.0)
         duals = Grid((Axis(0.0, top, 3),))
         yduals = Grid((Axis(-1.0, 1.0, 3),))
         agree(conj_subdiff_check, reference_conj_subdiff_check, phi, F, duals, yduals, top, 0.0)
@@ -1065,15 +1077,59 @@ class TestPrunedScoring:
         over = 0
         for _ in range(300):
             d, p = (float(v) for v in rng.uniform(-3.0, 3.0, size=2))
-            xgrid, ygrid = Grid((Axis(d, d + 1.0, 2),)), Grid((Axis(0.0, 1.0, 2),))
-            phi = GriddedFunction(product_grid(xgrid, ygrid), [p, INF, p, INF])
-            F = SetValuedMap(xgrid, ygrid, np.array([[True, False], [True, False]]))
+            phi, F = cutoff_map(d, p)
             agree(conj_subdiff_check, reference_conj_subdiff_check,
                   phi, F, duals, yduals, cutoff, 0.0)
             G = partial_conjugate(
-                phi.values.reshape(2, 2), xgrid.nodes, ygrid.nodes, duals.nodes, yduals.nodes
+                phi.values.reshape(2, 2), F.xgrid.nodes, F.ygrid.nodes, duals.nodes, yduals.nodes
             ) + graph_support(F, steps, -yduals.nodes)
             over += agree.levels[0][0][1][0] and G[1, 1] > cutoff - (p - d * cutoff)
+        assert over >= 1  # some triple needed the margin
+
+    @pytest.mark.parametrize("past", [False, True])
+    def test_marginal_summed_score_at_the_cutoff(self, past, agree):
+        # The map of `test_summed_score_at_the_cutoff` at x0 = 0 and its one
+        # near-optimal y0 = 0: a triple (x*, x1*, y*) with x1* in [0, x*]
+        # has m1 = x1* and cod = x* - x1*.  At x* the largest
+        # eps + eta + 2 TOL and x1* half of it both scores sit exactly on
+        # the bound of the split (0.5, 0.5) at eta = 1, so the summed score
+        # is exactly the cutoff and x* is found; one step up it is not.
+        cutoff = max(DEFAULT_ETAS) + 2 * subdiff.TOL
+        top = np.nextafter(cutoff, INF) if past else cutoff
+        assert top / 2 + top / 2 == top and (top / 2 == 0.5 + subdiff.TOL) != past
+        phi, F = cutoff_map(0.0, 0.0)
+        duals = Grid((Axis(0.0, top, 3),))
+        yduals = Grid((Axis(-1.0, 1.0, 3),))
+        agree(marginal_subdiff_check, reference_marginal_subdiff_check,
+              phi, F, duals, yduals, 0, 0.0)
+        eta, found, _ = agree.levels[0][0]
+        assert eta == max(DEFAULT_ETAS) and found[2] == (not past)
+
+    def test_marginal_rounded_scores_at_the_cutoff(self, agree):
+        # The map of `test_rounded_scores_at_the_cutoff` at x0 = d and
+        # y0 = 0: at x* = cutoff and x1* = x*/2 both scores equal x*/2 up to
+        # rounding, so they sit on the split bound while the rounded key
+        # (phi* + sigma_gph) - (<x0, x* - x1*> + <x0, x1*>) and the offset p
+        # can add up to a few ulps over the cutoff.  Only the rounding margin
+        # keeps those triples.
+        rng = np.random.default_rng(7)
+        cutoff = max(DEFAULT_ETAS) + 2 * subdiff.TOL
+        duals, yduals = Grid((Axis(0.0, cutoff, 3),)), Grid((Axis(-1.0, 1.0, 3),))
+        half = duals.coords(1)
+        assert cutoff - half == half
+        over = 0
+        for _ in range(300):
+            d, p = (float(v) for v in rng.uniform(-3.0, 3.0, size=2))
+            phi, F = cutoff_map(d, p)
+            agree(marginal_subdiff_check, reference_marginal_subdiff_check,
+                  phi, F, duals, yduals, 0, 0.0)
+            phistar = partial_conjugate(
+                phi.values.reshape(2, 2), F.xgrid.nodes, F.ygrid.nodes, duals.nodes, yduals.nodes
+            )
+            support = graph_support(F, half[None], -yduals.nodes)
+            x0 = F.xgrid.coords(0)
+            key = (support[0, 1] + phistar[1, 1]) - (dots(half, x0) + dots(half, x0))
+            over += agree.levels[0][0][1][2] and key > cutoff - p
         assert over >= 1  # some triple needed the margin
 
 
