@@ -52,7 +52,7 @@ from .core import (
     lower_chain,
     max_deviation,
 )
-from .errors import DimensionMismatch, GridMismatch, UnsupportedShape
+from .errors import DimensionMismatch, GridMismatch, InvalidArgument, UnsupportedShape
 
 _BLOCK_CAP = 65_536  # entries per blocked temporary (512 KB)
 _NO_Y = np.zeros((1, 0))  # one y node with no coordinates: f(x, y) = f(x)
@@ -151,20 +151,27 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _fibers(rows, keep: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(at, starts): the rows `keep` ordered so that rows with bit-identical
     `rows(at)` rows (`width` entries) are consecutive, and where each run
-    starts.  Rows are hashed (a wrapped sum of their bits times odd
-    multipliers) in `score_slices` blocks; a row whose hash only collides
-    with its run's first row is split off into a run of its own.  No table
-    of the rows is built.
+    starts.  Rows are hashed in `score_slices` blocks: the wrapped sum of
+    each word w ^ (w >> 32), a bijection that keeps a float's sign and
+    exponent from being shifted out of the product, times an odd,
+    pseudo-random multiplier per column (`_MIX` = 0: every row collides).
+    A row whose hash only collides with its run's first row is split off
+    into a run of its own.  No table of the rows is built.
     """
     n = keep.size
 
     def bits(at):
-        return rows(keep[at]).view(np.int64)
+        return rows(keep[at]).view(np.uint64)
 
-    mult = (2 * np.arange(width) + 1) * _MIX
-    h = np.empty(n, dtype=np.int64)
+    mult = np.arange(1, width + 1, dtype=np.uint64) * _MIX
+    mult ^= mult >> 32
+    mult = (mult | 1) * _MIX
+    h = np.empty(n, dtype=np.uint64)
     for sl in score_slices(n, 2 * width):
-        (bits(sl) * mult).sum(axis=1, out=h[sl])
+        words = bits(sl)  # rows(at) copies, as indexing by an array does
+        words ^= words >> 32
+        words *= mult
+        words.sum(axis=1, out=h[sl])
     order = np.argsort(h, kind="stable")
     h = h[order]
     start = np.ones(n, dtype=bool)
@@ -441,16 +448,14 @@ def inf_convolution(
     return GriddedFunction(out, acc, provenance="inf_convolution")
 
 
-def default_dual_grid(f: GriddedFunction, count: int | None = None) -> Grid:
-    """Symmetric dual box covering the max finite secant slope per axis.
-
-    The bound is rounded up to the next power of two (at least 1) so that
-    dyadic data keeps exact dual nodes; counts default to the primal count,
-    bumped to odd so the origin is a node.
-    """
+def _dual_axes(f: GriddedFunction, ks, count: int | None, name: str) -> tuple[Axis, ...]:
+    """The axes of `default_dual_grid` for the axes ks of f's grid, the
+    j-th of them named `name` j in the refusal of a slope whose box is
+    not finite."""
     V = f.reshaped()
     axes = []
-    for k, ax in enumerate(f.grid.axes):
+    for j, k in enumerate(ks, 1):
+        ax = f.grid.axes[k]
         with np.errstate(invalid="ignore"):
             d = np.diff(V, axis=k)
         lead = np.isfinite(np.moveaxis(V, k, 0)[:-1])
@@ -458,18 +463,38 @@ def default_dual_grid(f: GriddedFunction, count: int | None = None) -> Grid:
         both = np.moveaxis(lead & trail, 0, k)
         slopes = np.abs(d[both]) / ax.step if both.any() else np.array([1.0])
         m = max(float(slopes.max()), 1.0)
-        bound = 2.0 ** math.ceil(math.log2(m)) if m > 1.0 else 1.0
-        if bound < m:
-            bound *= 2.0
+        bound = INF  # past the largest float, as 2.0 ** 1024 would be
+        if m <= 2.0**1023:
+            bound = 2.0 ** math.ceil(math.log2(m)) if m > 1.0 else 1.0
+            if bound < m:
+                bound *= 2.0
         c = count if count is not None else ax.count
         if c % 2 == 0:
             c += 1
-        axes.append(Axis(-bound, bound, max(3, c)))
-    return Grid(tuple(axes))
+        c = max(3, c)
+        if not math.isfinite(2.0 * bound * (c - 1)):  # the node offsets of Axis(-bound, bound, c)
+            raise InvalidArgument(
+                f"{name} {j}: a secant slope of {m:.3g} leaves no finite default dual box"
+                f" of {c} nodes; give the dual grid"
+            )
+        axes.append(Axis(-bound, bound, c))
+    return tuple(axes)
+
+
+def default_dual_grid(f: GriddedFunction, count: int | None = None) -> Grid:
+    """Symmetric dual box covering the max finite secant slope per axis.
+
+    The bound is rounded up to the next power of two (at least 1) so that
+    dyadic data keeps exact dual nodes; counts default to the primal count,
+    bumped to odd so the origin is a node.  A slope whose box overflows
+    raises InvalidArgument naming its axis.
+    """
+    return Grid(_dual_axes(f, range(f.grid.dim), count, "x axis"))
 
 
 def default_ydual_grid(
     phi: GriddedFunction, m: int, count: int | None = None
 ) -> Grid:
-    """The y-dual part of phi's default box: its axes after the first m."""
-    return Grid(default_dual_grid(phi, count).axes[m:])
+    """The y-dual part of phi's default box: its axes after the first m,
+    the only ones whose slopes are taken."""
+    return Grid(_dual_axes(phi, range(m, phi.grid.dim), count, "y axis"))

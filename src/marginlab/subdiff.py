@@ -14,7 +14,9 @@ moved along its rays, a certificate is found with `_polygon` as the
 emptiness oracle, and a Minkowski sum is read off support functions.
 Dimension 3 solves LPs (the Farkas dual for emptiness and its
 certificates), and scipy is imported on the first LP a run solves
-(`linprog` below).
+(`linprog` below).  The sum rule builds none of these polyhedra: it takes
+each function's halfspace table once (`_halfspaces`) and shifts its
+offsets by each split's eps, in every dimension.
 
 The theorem verifiers at the bottom check the upper subdifferential
 formula for marginal functions and the formula for subgradients of the
@@ -482,15 +484,6 @@ def _eps_members(f: GriddedFunction, xi: int, sample: np.ndarray, epsilons) -> n
     return np.array([(D <= (h[1] + eps) + TOL).all(axis=1) for eps in epsilons])
 
 
-def _intervals(f: GriddedFunction, xi: int, epsilons) -> list[Interval]:
-    """`eps_subdifferential(f, xi, eps).interval()` for each eps, from one
-    table of normals; dimension 1 only."""
-    h = _halfspaces(f, xi)
-    if h is None:
-        return [Interval(INF, -INF)] * len(epsilons)
-    return [_interval(h[0][:, 0], h[1] + eps) for eps in epsilons]
-
-
 def eps_normal_cone(points, x0, eps: float) -> HPolyhedron:
     """eps-normal cone to a finite point set at a member point x0."""
     _check_eps(eps)
@@ -569,29 +562,29 @@ def _finite_max(a) -> float:
     return float(a[np.isfinite(a)].max(initial=0.0))
 
 
-def _minkowski_contains(P: HPolyhedron, Q: HPolyhedron, points: np.ndarray) -> np.ndarray:
+def _minkowski_contains(A1, b1, A2, b2, points: np.ndarray) -> np.ndarray:
     """Membership of each point in P_TOL + Q_TOL, the sum of the loosened
-    sets, for P and Q of dimension 2 or more.
+    sets P = {A1 s <= b1} and Q = {A2 s <= b2}, of dimension 2 or more.
 
-    P_TOL = {A s <= b + TOL} is the system the Farkas LP sees.  2-D builds
+    P_TOL = {A1 s <= b1 + TOL} is the system the Farkas LP sees.  2-D builds
     both polygons once and, since the edge normals of a sum of polygons lie
     among those of its terms, tests every point at once against
     <a, s> <= h_P(a) + h_Q(a) over the normals a of P and Q.  Above
     dimension 2 it solves one LP per point.  In dimension 1
     `sum_rule_check` adds the two exact intervals itself.
     """
-    if P.dim == 2:
-        gp = _polygon(P.normals, P.offsets + TOL)
-        gq = _polygon(Q.normals, Q.offsets + TOL)
+    if A1.shape[1] == 2:
+        gp = _polygon(A1, b1 + TOL)
+        gq = _polygon(A2, b2 + TOL)
         if gp is None or gq is None:
             return np.zeros(points.shape[0], dtype=bool)
-        A = np.vstack([P.normals, Q.normals])
+        A = np.vstack([A1, A2])
         h = _support(*gp, A) + _support(*gq, A)
         return (dots(points[:, None], A) <= h).all(axis=1)
     out = np.zeros(points.shape[0], dtype=bool)
-    A = np.vstack([P.normals, -Q.normals])
+    A = np.vstack([A1, -A2])
     for k, s in enumerate(points):
-        b = np.concatenate([P.offsets, Q.offsets - dots(Q.normals, s)])
+        b = np.concatenate([b1, b2 - dots(A2, s)])
         out[k] = _farkas(A, b + TOL)[0]
     return out
 
@@ -618,7 +611,8 @@ def sum_rule_check(
     the subdifferential of the sum (checked unconditionally); the reverse
     inclusion is reported as an agreement rate, exact for convex data when
     the relevant split is on the lattice.  The row is the unconditional
-    inclusion.
+    inclusion.  Each function's halfspace table is taken once, and a split
+    adds its eps to the offsets instead of building two polyhedra.
     """
     if g1.grid != g2.grid:
         raise GridMismatch("sum rule needs both functions on one grid")
@@ -631,18 +625,17 @@ def sum_rule_check(
     (lhs_mask,) = _eps_members(total, xi, S, [eps])
     splits = _split_pairs(eps, SUM_RULE_SPLITS)
     rhs_mask = np.zeros(S.shape[0], dtype=bool)
-    if total.grid.dim == 1:  # sums of exact intervals, one table per function
-        left = _intervals(g1, xi, [e1 for e1, _ in splits])
-        right = _intervals(g2, xi, [e2 for _, e2 in splits])
-        for ip, iq in zip(left, right):
+    h1, h2 = _halfspaces(g1, xi), _halfspaces(g2, xi)
+    empty = h1 is None or h2 is None  # then every split's sum is empty
+    for e1, e2 in () if empty else splits:
+        b1, b2 = h1[1] + e1, h2[1] + e2
+        if total.grid.dim == 1:  # the sum of two exact intervals
+            ip, iq = _interval(h1[0][:, 0], b1), _interval(h2[0][:, 0], b2)
             if not (ip.empty or iq.empty):
                 rhs_mask |= (S[:, 0] >= ip.lo + iq.lo - TOL) & (S[:, 0] <= ip.hi + iq.hi + TOL)
-    else:
-        for e1, e2 in splits:
-            P = eps_subdifferential(g1, xi, e1)
-            Q = eps_subdifferential(g2, xi, e2)
+        else:
             todo = ~rhs_mask
-            rhs_mask[todo] = _minkowski_contains(P, Q, S[todo])
+            rhs_mask[todo] = _minkowski_contains(h1[0], b1, h2[0], b2, S[todo])
     easy_ok = not bool((rhs_mask & ~lhs_mask).any())
     agreement = float((lhs_mask == rhs_mask).mean())
     bad = S[lhs_mask != rhs_mask]

@@ -23,7 +23,8 @@ theorem checks read it here, the conjugate check one node's slice of the
 inverse index.  A table that one check alone reads is not kept: the
 twice-refined lattice of `conjugate_representation_check` is never built
 whole, because `sampled_inf_convolution` folds its graph support into
-`inf_convolution_min` one block of steps at a time.
+`inf_convolution_min` one block of steps at a time; the fold gathers each
+slice's F* and phi* rows by indexing and keeps no buffer between slices.
 
 Every check that reads these tables takes the store as its first argument
 and reads its grids there.  The command line builds one per run and
@@ -73,8 +74,9 @@ def inf_convolution_min(
     (slice of steps, F* rows of those steps) in step order; each is folded
     into the per-pair minima over y* of the pairs whose step it holds,
     which form one run of the pairs sorted by step.  Their F* and phi*
-    rows are gathered into two buffers of a quarter of the cap, made per
-    block, so the fold and a block's rows share one cap.  Lower addition:
+    rows are gathered by indexing, a slice of pairs at a time, at most a
+    quarter of the cap each, and dropped before the next slice, so the
+    fold and a block's rows share one cap.  Lower addition:
     phi* is all +inf, all -inf or finite, F* all -inf exactly when the
     graph is empty and finite otherwise, and +inf wins; then no block is
     read.  A minimum is exact and neither table holds -0.0 (see
@@ -89,21 +91,14 @@ def inf_convolution_min(
     order = np.argsort(inverse, kind="stable")
     steps = inverse[order]
     pair_min = np.empty(inverse.shape[0])
-
-    def fold(rows, fstar):
-        lo, hi = np.searchsorted(steps, (rows.start, rows.stop))
-        size = next(score_slices(hi - lo, 4 * ky), slice(0)).stop
-        fbuf, pbuf = np.empty((size, ky)), np.empty((size, ky))
-        for sl in score_slices(hi - lo, 4 * ky):
-            run = slice(lo + sl.start, lo + sl.stop)
-            f, p = fbuf[: sl.stop - sl.start], pbuf[: sl.stop - sl.start]
-            np.take(fstar, steps[run] - rows.start, axis=0, out=f, mode="clip")
-            np.take(phistar, order[run] % k1, axis=0, out=p, mode="clip")
-            f += p
-            pair_min[order[run]] = f.min(axis=1)
-
     for rows, fstar in blocks:
-        fold(rows, fstar)
+        lo, hi = np.searchsorted(steps, (rows.start, rows.stop))
+        for sl in score_slices(hi - lo, 4 * (ky + 1)):
+            run = slice(lo + sl.start, lo + sl.stop)
+            pairs = fstar[steps[run] - rows.start]
+            pairs += phistar[order[run] % k1]
+            pair_min[order[run]] = pairs.min(axis=1)
+            del pairs  # before the next slice gathers, or the next block is made
     return pair_min.reshape(out.shape[0], k1).min(axis=1, out=out)
 
 

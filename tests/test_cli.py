@@ -17,14 +17,17 @@ from marginlab import (
     ExprSyntaxError,
     MissingSection,
     NonFiniteExpression,
+    RasterError,
     SpecSyntaxError,
     UnknownKey,
     UnknownVariable,
     UnsupportedShape,
+    load_raster,
     parse_spec,
 )
 from marginlab import cli
 from marginlab.cli import main
+from marginlab.errors import InvalidArgument
 
 from helpers import FIXTURES
 
@@ -312,6 +315,22 @@ class TestExitCodes:
         assert err.startswith("error: out of memory: Unable to allocate") and "TiB" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "phi, axis", [("1e308 * x + y", "x axis 1"), ("x^2 + 1e308 * y", "y axis 1")],
+        ids=["x-slope", "y-slope"],
+    )
+    def test_default_dual_box_past_the_largest_float_exits_one(
+        self, tmp_path, capsys, phi, axis
+    ):
+        # A secant slope of 1e308 needs a dual bound of 2^1024, past the
+        # largest float: mu's along x, or phi's along y.
+        spec = write_spec(tmp_path, MINIMAL.replace("expr x^2 + y", f"expr {phi}"))
+        assert main(["verify-all", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InvalidArgument: {axis}: a secant slope of 1e+308")
+        assert "give the dual grid" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_raster_exits_one(self, tmp_path, capsys):
         (tmp_path / "bad.raster").write_text("raster 1 3 0.0 1.0\n")
         spec = write_spec(tmp_path, MINIMAL + "\n[raster]\nfile bad.raster\n")
@@ -397,6 +416,106 @@ class TestExitCodes:
             ]
         )
         assert rc == 0
+
+
+def _spec_case(find, replace, tail=""):
+    return MINIMAL.replace(find, replace) + tail
+
+
+LAGRANGIAN = "\n[lagrangian]\nf y\ng y\n"
+
+
+class TestRejections:
+    """Every rejection path of the spec parser, `ProblemSpec.build` and the
+    raster reader that no other test reaches: each input raises its
+    `MarginlabError` subclass, and through `main` exits 1 with that class
+    named and no traceback."""
+
+    SPECS = {
+        "duplicate name": (_spec_case("name tiny\n", "name tiny\nname again\n"),
+                           SpecSyntaxError, "duplicate 'name'"),
+        "duplicate expr": (_spec_case("expr x^2 + y", "expr x^2 + y\nexpr x"),
+                           MissingSection, "duplicate 'expr'"),
+        "duplicate full": (_spec_case("full\n", "full\nfull\n"),
+                           MissingSection, "duplicate 'full'"),
+        "duplicate f": (_spec_case("", "", "\n[lagrangian]\nf y\nf y\ng y\n"),
+                        SpecSyntaxError, "duplicate 'f'"),
+        "duplicate file": (_spec_case("", "", "\n[raster]\nfile a.raster\nfile b.raster\n"),
+                           SpecSyntaxError, "duplicate 'file'"),
+        "duplicate metadata key": (_spec_case("", "", "\n[metadata]\nqc1 true\nqc1 false\n"),
+                                   SpecSyntaxError, "duplicate metadata key 'qc1'"),
+        "conflicting F sources": (_spec_case("full\n", "full\nineq y\n"),
+                                  MissingSection, "F already has a 'full' source"),
+        "full with arguments": (_spec_case("full\n", "full now\n"),
+                                SpecSyntaxError, "'full' takes no arguments"),
+        "unknown metadata key": (_spec_case("", "", "\n[metadata]\nconcave true\n"),
+                                 UnknownKey, "unknown metadata key 'concave'"),
+        "task with extra tokens": (_spec_case("", "", "\n[tasks]\nmarginal conjugate\n"),
+                                   SpecSyntaxError, "one task name per line"),
+        "where with a table": (_spec_case("expr x^2 + y", "table" + " 0" * 15 + "\nwhere x"),
+                               MissingSection, "'where' requires an 'expr' phi"),
+        "table of the wrong size": (_spec_case("expr x^2 + y", "table 0 0 0"),
+                                    SpecSyntaxError, "phi table has 3 values for 15"),
+        "no F source": (_spec_case("full\n", ""), MissingSection, "section [F] with"),
+        "wrong ineq count": (_spec_case("full\n", "ineq y\nineq y\n"),
+                             SpecSyntaxError, "exactly 1 'ineq' lines"),
+        "lagrangian without g": (_spec_case("", "", "\n[lagrangian]\nf y\n"),
+                                 MissingSection, "needs one 'f' and at least one 'g'"),
+        "lagrangian without f": (_spec_case("", "", "\n[lagrangian]\ng y\n"),
+                                 MissingSection, "needs one 'f' and at least one 'g'"),
+        "lambdas of the wrong dimension": (
+            _spec_case("", "", LAGRANGIAN + "\n[lambdas]\naxis 0 1 3\naxis 0 1 3\n"),
+            MissingSection, "[lambdas] is 2-dimensional"),
+        "raster2 without raster": (_spec_case("", "", "\n[raster2]\nfile a.raster\n"),
+                                   MissingSection, "[raster2] requires a [raster]"),
+        "lagrangian task without sections": (_spec_case("", "", "\n[tasks]\nlagrangian\n"),
+                                             MissingSection, "task 'lagrangian' needs"),
+        "nearconvex task without raster": (_spec_case("", "", "\n[tasks]\nnearconvex\n"),
+                                           MissingSection, "task 'nearconvex' needs"),
+        "malformed section header": (_spec_case("[xgrid]", "[xgrid"),
+                                     SpecSyntaxError, "malformed section header"),
+    }
+
+    RASTERS = {
+        "non-numeric header bound": ("raster 1 3 0.0 one\n010\n", "bad raster header"),
+        "wrong slab count": ("raster 3 2 2 2 0 1 0 1 0 1\n11\n11\n\n11\n11\n\n11\n11\n",
+                             "raster body has 3 slab(s), expected 2"),
+    }
+
+    @staticmethod
+    def assert_exits_one(argv, cls, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cls.__name__}: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", SPECS)
+    def test_spec_rejection(self, case, tmp_path, capsys):
+        text, cls, message = self.SPECS[case]
+        with pytest.raises(cls) as exc:
+            parse_spec(text)
+        assert message in str(exc.value)
+        spec = write_spec(tmp_path, text)
+        argv = ["marginal", "--spec", str(spec), "--out", str(tmp_path / "out")]
+        self.assert_exits_one(argv, cls, message, capsys)
+
+    def test_refine_zero_reaches_the_build(self, tmp_path, capsys):
+        with pytest.raises(InvalidArgument, match="refinement factor must be >= 1"):
+            parse_spec(MINIMAL).build(0)
+        spec = write_spec(tmp_path, MINIMAL)
+        argv = ["marginal", "--spec", str(spec), "--out", str(tmp_path / "out"), "--refine", "0"]
+        self.assert_exits_one(argv, InvalidArgument, "refinement factor must be >= 1", capsys)
+
+    @pytest.mark.parametrize("case", RASTERS)
+    def test_raster_rejection(self, case, tmp_path, capsys):
+        text, message = self.RASTERS[case]
+        with pytest.raises(RasterError) as exc:
+            load_raster(text)
+        assert message in str(exc.value)
+        (tmp_path / "bad.raster").write_text(text)
+        spec = write_spec(tmp_path, MINIMAL + "\n[raster]\nfile bad.raster\n")
+        argv = ["nearconvex", "--spec", str(spec), "--out", str(tmp_path / "out")]
+        self.assert_exits_one(argv, RasterError, message, capsys)
 
 
 class TestReports:

@@ -122,12 +122,12 @@ def test_representation_check_folds_within_one_cap():
 
 @pytest.mark.parametrize("cap", [1, 3, 7, 50])
 def test_reused_buffers_hold_no_stale_entries(cap, monkeypatch):
-    """The kernel's blocks and the fold's gathers reuse buffers sized to
-    the largest block of a call, so most blocks fill only part of theirs,
-    and the key blocks of `marginal_subdiff_check` are fresh arrays that
-    can reuse memory a larger call left behind.  Calls of falling sizes in
-    one process then also find such memory.  Each must equal its
-    whole-table reference bitwise."""
+    """The kernel's table rows are the one buffer left: it is sized to the
+    largest block of a call, so most blocks fill only part of it.  The
+    fold's gathers and the key blocks of `marginal_subdiff_check` are
+    fresh arrays, which can still reuse memory a larger call left behind.
+    Calls of falling sizes in one process then also find such memory.
+    Each must equal its whole-table reference bitwise."""
     monkeypatch.setattr(importlib.import_module("marginlab.conjugate"), "_BLOCK_CAP", cap)
     rng = np.random.default_rng(cap)
     for max_count, dim in [(7, 1), (4, 2), (5, 1), (3, 2)]:

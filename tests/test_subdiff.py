@@ -1,7 +1,9 @@
 """Epsilon-subdifferential calculus: polyhedra, LP queries, set formulas."""
 
 import importlib
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -345,8 +347,9 @@ class TestEpsSubdifferential:
 
 
 class TestSharedHalfspaceTable:
-    """`_eps_members`, `_intervals` and `_theorem_report` answer every eps
-    from one table of normals; `per_eps_members`, `per_eps_intervals`,
+    """`_eps_members`, `_theorem_report` and the sum rule's exact intervals
+    (`_interval` on `_halfspaces`) answer every eps from one table of
+    normals; `per_eps_members`, `per_eps_intervals`,
     `interval_sum_contains` and `theorem_report_oracle` in helpers build one
     polyhedron per eps instead, as the package did before.  Both give the
     same bits: on random functions, on functions with a -inf node, at x0
@@ -384,10 +387,13 @@ class TestSharedHalfspaceTable:
         assert got.shape == want.shape == (len(epsilons), S.shape[0])
         np.testing.assert_array_equal(got, want)
         if dim == 1:
+            h = subdiff._halfspaces(f, xi)
+            got = [
+                Interval(INF, -INF) if h is None else subdiff._interval(h[0][:, 0], h[1] + e)
+                for e in epsilons
+            ]
             bits = lambda ivs: [(iv.lo.hex(), iv.hi.hex()) for iv in ivs]  # noqa: E731
-            assert bits(subdiff._intervals(f, xi, epsilons)) == bits(
-                per_eps_intervals(f, xi, epsilons)
-            )
+            assert bits(got) == bits(per_eps_intervals(f, xi, epsilons))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(KINDS))
     @settings(max_examples=200, deadline=None)
@@ -437,15 +443,24 @@ class TestSharedHalfspaceTable:
             calls[check]()
 
     def test_verify_all_builds_one_polyhedron_and_scans_none(self, monkeypatch, tmp_path):
-        """Polyhedron builds and membership scans in one `verify-all` on
-        abs_full at --refine 1, as upper bounds.
+        """Polyhedron builds and membership scans in one `verify-all` at
+        --refine 1 on every fixture and on verify-2d's coupled 2-D problem
+        at two benchmark seeds, as upper bounds.
 
-        With one polyhedron per eps the run made 24 builds and 13 scans:
+        With one polyhedron per eps abs_full made 24 builds and 13 scans:
         both theorem checks' left sides and eta levels, and every split of
         the sum rule.  With the shared tables but the sum rule's left side
-        still on its own polyhedron it made 2 and 1.  Now it makes 1 and 0:
-        the one build is the 0-subdifferential behind the duality witness.
+        still on its own polyhedron it made 2 and 1.  The 2-D sum rule then
+        still built two polyhedra per split, 11 builds in all on
+        separable_quadratic and the coupled problem.  Now every run makes
+        1 and 0: the one build is the 0-subdifferential behind the duality
+        witness.
         """
+        specs = sorted(FIXTURES.glob("*.spec"))
+        for seed in (4242, 7):
+            generated = benchmark_specs().coupled_2d(seed, "p0")
+            specs.append(tmp_path / f"{generated.name}_{seed}.spec")
+            specs[-1].write_text(generated.text)
         counts = {"built": 0, "scanned": 0}
         build, scan = HPolyhedron.__post_init__, HPolyhedron.contains
 
@@ -459,10 +474,26 @@ class TestSharedHalfspaceTable:
 
         monkeypatch.setattr(HPolyhedron, "__post_init__", counted_build)
         monkeypatch.setattr(HPolyhedron, "contains", counted_scan)
-        spec = str(FIXTURES / "abs_full.spec")
-        assert main(["verify-all", "--spec", spec, "--out", str(tmp_path), "--refine", "1"]) == 0
-        assert counts["built"] <= 1
-        assert counts["scanned"] <= 0
+        runs = {}
+        for spec in specs:
+            counts.update(built=0, scanned=0)
+            out = str(tmp_path / spec.stem)
+            assert main(["verify-all", "--spec", str(spec), "--out", out, "--refine", "1"]) == 0
+            runs[spec.stem] = dict(counts)
+        assert len(runs) == 10
+        assert all(c["built"] <= 1 and c["scanned"] <= 0 for c in runs.values()), runs
+
+
+def benchmark_specs():
+    """The benchmark's seeded spec generators (perfbench/specs.py)."""
+    name = "perfbench_specs"
+    if name not in sys.modules:
+        found = importlib.util.spec_from_file_location(
+            name, FIXTURES.parent / "perfbench" / "specs.py"
+        )
+        sys.modules[name] = importlib.util.module_from_spec(found)
+        found.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 class TestNormalConeAndCoderivative:
@@ -537,16 +568,20 @@ class TestSumRule:
     @staticmethod
     def split_masks(g1, g2, xi, duals):
         """Both sides of the sum rule at eps 0.5 split by split, and how many
-        duals each split left uncovered: the LPs a per-dual route solves."""
+        duals each split left uncovered: the LPs a per-dual route solves.
+        A split with an empty term (the canonical empty polyhedron) covers
+        no dual and solves none."""
         S = duals.nodes
         lhs_mask = eps_subdifferential(ext_sum(g1, g2), xi, 0.5).contains(S)
         rhs_mask = np.zeros(S.shape[0], dtype=bool)
         uncovered = 0
+        if subdiff._halfspaces(g1, xi) is None or subdiff._halfspaces(g2, xi) is None:
+            return lhs_mask, rhs_mask, uncovered
         for e1, e2 in subdiff._split_pairs(0.5, subdiff.SUM_RULE_SPLITS):
             P = eps_subdifferential(g1, xi, e1)
             Q = eps_subdifferential(g2, xi, e2)
             uncovered += int((~rhs_mask).sum())
-            rhs_mask |= subdiff._minkowski_contains(P, Q, S)
+            rhs_mask |= minkowski_contains(P, Q, S)
         return lhs_mask, rhs_mask, uncovered
 
     @staticmethod
@@ -613,6 +648,11 @@ class TestSumRule:
             sum_rule_check(
                 GriddedFunction(a, [0.0] * 3), GriddedFunction(b, [0.0] * 3), 0, 0.0
             )
+
+
+def minkowski_contains(P, Q, S):
+    """`subdiff._minkowski_contains` on the tables of two polyhedra."""
+    return subdiff._minkowski_contains(P.normals, P.offsets, Q.normals, Q.offsets, S)
 
 
 def farkas_minkowski(P, Q, S):
@@ -785,7 +825,7 @@ class TestExactMinkowski2D:
         origin = HPolyhedron(axes, np.zeros(4))
         # P_TOL + Q_TOL reaches 1 + 2 TOL and -2 TOL along each axis
         S = np.array([[1 + 1.5e-9, 0.5], [0.5, 1 + 1.5e-9], [1 + 3e-9, 0.5], [-3e-9, 0.5]])
-        exact = subdiff._minkowski_contains(box, origin, S)
+        exact = minkowski_contains(box, origin, S)
         assert exact.tolist() == [True, True, False, False]
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
@@ -800,7 +840,7 @@ class TestExactMinkowski2D:
             for e1, e2 in subdiff._split_pairs(eps * scale, 2):
                 P = eps_subdifferential(h1, xi, e1)
                 Q = eps_subdifferential(h2, xi, e2)
-                exact = subdiff._minkowski_contains(P, Q, S)
+                exact = minkowski_contains(P, Q, S)
                 ref = farkas_minkowski(P, Q, S)
                 kinds.add((bool(exact.all()), bool(exact.any())))
                 moved += [
