@@ -200,17 +200,16 @@ class _Run:
     """
 
     def __init__(self, spec: ProblemSpec, args: argparse.Namespace):
-        self.spec = spec
-        self.args = args
         dim = spec.xgrid.dim
         self.x0 = _parse_x0(args.x0, dim)
-        self.xduals = spec.xduals
         if args.dual_range is not None:
-            self.xduals = _parse_dual_range(args.dual_range, dim)
+            spec = spec._replace(xduals=_parse_dual_range(args.dual_range, dim))
+        self.spec = spec
+        self.args = args
 
     @cached_property
     def tables(self) -> Tables:
-        return Tables(*self.spec.build(self.args.refine), self.xduals, self.spec.yduals)
+        return Tables(*self.spec.build(self.args.refine), self.spec.xduals, self.spec.yduals)
 
     @cached_property
     def lagrangian(self) -> tuple[LagrangianIdentityReport, SlaterReport]:

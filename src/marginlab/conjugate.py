@@ -279,7 +279,7 @@ def conjugate_at(f: GriddedFunction, points: np.ndarray) -> np.ndarray:
 def conjugate(f: GriddedFunction, duals: Grid) -> GriddedFunction:
     """Exact Fenchel conjugate sampled at every dual node (`conjugate_at`)."""
     vals = conjugate_at(f, duals.nodes)
-    return GriddedFunction(duals, vals, provenance="conjugate")
+    return GriddedFunction(duals, vals)
 
 
 def _fast_1d(x: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -335,12 +335,12 @@ def conjugate_fast(f: GriddedFunction, duals: Grid) -> GriddedFunction:
     if duals.dim != f.grid.dim:
         raise DimensionMismatch(f"dual nodes: {duals.dim} coordinates, expected {f.grid.dim}")
     if (f.values == -INF).any():
-        return GriddedFunction(duals, np.full(duals.size, INF), provenance="conjugate_fast")
+        return GriddedFunction(duals, np.full(duals.size, INF))
     if not f.dom_mask.any():
-        return GriddedFunction(duals, np.full(duals.size, -INF), provenance="conjugate_fast")
+        return GriddedFunction(duals, np.full(duals.size, -INF))
     if f.grid.dim == 1:
         vals = _fast_1d(f.grid.axis_coords[0], f.values, duals.axis_coords[0])
-        return GriddedFunction(duals, vals, provenance="conjugate_fast")
+        return GriddedFunction(duals, vals)
     parts = _separable_parts(f)
     if parts is None:
         raise UnsupportedShape(
@@ -355,14 +355,14 @@ def conjugate_fast(f: GriddedFunction, duals: Grid) -> GriddedFunction:
         sh[k] = duals.shape[k]
         total = ext_add_arrays(total, part.reshape(sh))
     total = ext_add_arrays(total, np.full(duals.shape, (f.grid.dim - 1) * float(fbase)))
-    return GriddedFunction(duals, total.reshape(-1), provenance="conjugate_fast")
+    return GriddedFunction(duals, total.reshape(-1))
 
 
 def biconjugate(f: GriddedFunction, duals: Grid) -> GriddedFunction:
     """Conjugate of the conjugate, sampled back on the primal grid."""
     fstar = conjugate(f, duals)
     back = conjugate(fstar, f.grid)
-    return GriddedFunction(f.grid, back.values, provenance="biconjugate")
+    return GriddedFunction(f.grid, back.values)
 
 
 # --- checks of a conjugate table ----------------------------------------------
@@ -412,7 +412,7 @@ def support_function(points: np.ndarray, duals: Grid) -> GriddedFunction:
     points = as_rows(points, duals.dim, "points")
     zeros = np.zeros((points.shape[0], 1))
     vals = partial_conjugate(zeros, points, _NO_Y, duals.nodes, _NO_Y)[:, 0]
-    return GriddedFunction(duals, vals, provenance="support")
+    return GriddedFunction(duals, vals)
 
 
 def inf_convolution(
@@ -445,7 +445,7 @@ def inf_convolution(
         flat = np.ravel_multi_index(idx[inside][ok].T, out.shape)
         vals = ext_add_arrays(g1.values[i], g2.values[inside][ok])
         np.minimum.at(acc, flat, vals)
-    return GriddedFunction(out, acc, provenance="inf_convolution")
+    return GriddedFunction(out, acc)
 
 
 def _dual_axes(f: GriddedFunction, ks, count: int | None, name: str) -> tuple[Axis, ...]:

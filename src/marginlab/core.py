@@ -90,6 +90,12 @@ def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(diff.max()) if diff.size else 0.0
 
 
+def finite_max(a) -> float:
+    """Largest finite |a|, 0.0 when there is none."""
+    a = np.abs(np.asarray(a, dtype=np.float64))
+    return float(a[np.isfinite(a)].max(initial=0.0))
+
+
 def render_value(v: float) -> "float | str":
     """JSON-friendly rendering: infinities become '+inf' / '-inf' strings."""
     if v == INF:
@@ -305,13 +311,11 @@ class GriddedFunction:
     """Extended-real values attached to the nodes of a grid.
 
     `values` is a flat float64 array (row-major node order); +-inf encode
-    the extended values and NaN is rejected.  `provenance` optionally keeps
-    the expression or construction the data came from.
+    the extended values and NaN is rejected.
     """
 
     grid: Grid
     values: np.ndarray
-    provenance: str | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64).reshape(-1)
@@ -342,7 +346,7 @@ def ext_sum(f: GriddedFunction, g: GriddedFunction) -> GriddedFunction:
     """Pointwise lower-addition sum of two functions on one grid."""
     if f.grid != g.grid:
         raise GridMismatch("functions live on different grids")
-    return GriddedFunction(f.grid, ext_add_arrays(f.values, g.values), provenance="sum")
+    return GriddedFunction(f.grid, ext_add_arrays(f.values, g.values))
 
 
 # --- expressions on grids -----------------------------------------------------
@@ -446,5 +450,4 @@ def eval_on_grid(
                 f"{text!r} is not finite at node {grid.coords(node).tolist()}"
             )
         block[~feasible] = INF
-    prov = text if not domain else f"{text} where {' and '.join(d + ' <= 0' for d in domain)}"
-    return GriddedFunction(grid, raw, provenance=prov)
+    return GriddedFunction(grid, raw)

@@ -336,7 +336,7 @@ def _conjugate_at_neg(
     fv, _ = _eval_objective(f_expr, g_exprs, ygrid)
     F = map_from_inequalities(list(g_exprs), xgrid, ygrid)
     mu = np.where(F.graph, fv, INF).min(axis=1)
-    return conjugate_at(GriddedFunction(xgrid, mu, provenance="marginal"), -lam)
+    return conjugate_at(GriddedFunction(xgrid, mu), -lam)
 
 
 class LagrangianIdentityReport(NamedTuple):

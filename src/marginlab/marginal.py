@@ -66,7 +66,7 @@ def marginal(phi: GriddedFunction, F: SetValuedMap) -> MarginalResult:
     argmin = tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
     status = np.where(mu == INF, INFEASIBLE, np.where(mu == -INF, UNBOUNDED, ATTAINED))
     return MarginalResult(
-        GriddedFunction(F.xgrid, mu, provenance="marginal"),
+        GriddedFunction(F.xgrid, mu),
         argmin,
         tuple(status.tolist()),
     )
@@ -93,12 +93,12 @@ def eta_solutions(
 def domain_identity_check(tables: Tables) -> tuple[bool, int | None]:
     """dom mu == projection of (dom phi intersect gph F) onto x, exactly.
 
-    Returns (ok, witness flat x index of the first discrepancy).
+    An x row meets dom phi on the graph exactly when its graph-row minimum
+    (the store's `graph_minima`) is below +inf.  Returns (ok, witness flat
+    x index of the first discrepancy).
     """
-    phi, F = tables.phi, tables.F
     lhs = tables.mu.dom_mask
-    finite_phi = (phi.values < INF).reshape(F.xgrid.size, F.ygrid.size)
-    rhs = (finite_phi & F.graph).any(axis=1)
+    rhs = tables.graph_minima < INF
     if bool((lhs == rhs).all()):
         return True, None
     return False, int(np.flatnonzero(lhs != rhs)[0])
@@ -116,15 +116,20 @@ def epigraph_projection_check(tables: Tables, lambdas: Sequence[float]) -> Epigr
     For each level lam and x node: mu(x) < lam iff some y in F(x) has
     phi(x,y) < lam (exact); and the non-strict chain
     (exists y in F(x): phi <= lam)  implies  mu(x) <= lam, while
-    mu(x) < lam implies the former.  mu comes from the store.
+    mu(x) < lam implies the former.  mu comes from the store, and so does
+    the graph-row minimum m(x): some y in F(x) has phi(x,y) < lam exactly
+    when m(x) < lam, and phi(x,y) <= lam exactly when m(x) <= lam, except
+    at lam = +inf on a row with no cells, whose m(x) is +inf too; there the
+    projection is dom F.
     """
-    phi, F, mu = tables.phi, tables.F, tables.mu.values
-    V = phi.values.reshape(F.xgrid.size, F.ygrid.size)
+    mu, m = tables.mu.values, tables.graph_minima
     violations: list[tuple[float, int, str]] = []
     checked = 0
     for lam in lambdas:
-        strict_proj = (F.graph & (V < lam)).any(axis=1)
-        loose_proj = (F.graph & (V <= lam)).any(axis=1)
+        strict_proj = m < lam
+        loose_proj = m <= lam
+        if lam == INF:
+            loose_proj &= tables.F.dom_mask
         strict_epi = mu < lam
         loose_epi = mu <= lam
         checked += strict_epi.shape[0]

@@ -52,7 +52,6 @@ class SetValuedMap:
     xgrid: Grid
     ygrid: Grid
     graph: np.ndarray
-    provenance: tuple[str, ...] | None = None
 
     def __post_init__(self):
         g = np.asarray(self.graph, dtype=bool)
@@ -80,10 +79,11 @@ class SetValuedMap:
 def graph_cell_blocks(F: SetValuedMap, width: int):
     """(x indices, y indices) of the graph cells in row-major order, in
     blocks of at most `_BLOCK_CAP // width` cells (at least one), so that
-    `width` entries per cell stay within the cap.  The blocks are cut from
-    runs of whole x rows of at most `_BLOCK_CAP` cells (`count_slices` on
-    the row counts), or from one row over the cap."""
-    for rows in count_slices(np.count_nonzero(F.graph, axis=1)):
+    `width` entries per cell, the two indices among them, stay within the
+    cap.  The blocks are cut from runs of whole x rows of at most that many
+    cells (`count_slices` on `width` times the row counts), or from one row
+    over the cap."""
+    for rows in count_slices(width * np.count_nonzero(F.graph, axis=1)):
         xi, yi = np.nonzero(F.graph[rows])
         xi += rows.start
         for sl in score_slices(xi.size, width):
@@ -92,12 +92,7 @@ def graph_cell_blocks(F: SetValuedMap, width: int):
 
 def full_map(xgrid: Grid, ygrid: Grid) -> SetValuedMap:
     """F(x) = Y for every x."""
-    return SetValuedMap(
-        xgrid,
-        ygrid,
-        np.ones((xgrid.size, ygrid.size), dtype=bool),
-        provenance=("full",),
-    )
+    return SetValuedMap(xgrid, ygrid, np.ones((xgrid.size, ygrid.size), dtype=bool))
 
 
 def map_from_inequalities(
@@ -118,8 +113,7 @@ def map_from_inequalities(
     graph = np.empty((xgrid.size, ygrid.size), dtype=bool)
     for sl in score_slices(xgrid.size, gvals.size):
         (gvals[None, :, :] <= X[sl, None, :] + NODE_TOL).all(axis=2, out=graph[sl])
-    prov = tuple(f"{g} - x{i + 1} <= 0" for i, g in enumerate(g_exprs))
-    return SetValuedMap(xgrid, ygrid, graph, provenance=prov)
+    return SetValuedMap(xgrid, ygrid, graph)
 
 
 def map_from_constraints(
@@ -133,10 +127,7 @@ def map_from_constraints(
         with np.errstate(invalid="ignore"):
             for v in vals:
                 mask[sl] &= v <= NODE_TOL
-    graph = mask.reshape(xgrid.size, ygrid.size)
-    return SetValuedMap(
-        xgrid, ygrid, graph, provenance=tuple(f"{c} <= 0" for c in c_exprs)
-    )
+    return SetValuedMap(xgrid, ygrid, mask.reshape(xgrid.size, ygrid.size))
 
 
 def map_from_points(
@@ -149,7 +140,7 @@ def map_from_points(
         xi = xgrid.index_of(row[:m])
         yi = ygrid.index_of(row[m:])
         graph[xi, yi] = True
-    return SetValuedMap(xgrid, ygrid, graph, provenance=("points",))
+    return SetValuedMap(xgrid, ygrid, graph)
 
 
 def map_conjugate_at(F: SetValuedMap, points: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ into a frozen `ProblemSpec`; `ProblemSpec.build` instantiates (phi, F),
 optionally on factor-refined grids.  Unknown keys and sections are hard
 errors; every rejection is a `SpecError`, and syntax errors carry their
 line and column on the raw line.  An `ExpressionError`, from parsing or
-from a non-finite phi in `build`, names the line of its expression.
+from a non-finite phi in `build`, names the line of its expression, as
+does the `InvalidArgument` for a phi too large for the checks' sums.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .conjugate import score_slices
 from .core import (
     Axis,
     Grid,
     GriddedFunction,
     default_names,
     eval_on_grid,
+    finite_max,
     product_grid,
     product_names,
 )
@@ -69,6 +72,11 @@ _SECTIONS = _GRID_SECTIONS + (
     "tasks",
 )
 _META_KEYS = ("convex", "qc1", "qc14", "slater")
+# The checks add up to two of phi's magnitudes in one sum (the range of
+# mu's levels in `_level_probe`, mu + mu* in the Fenchel-Young check, the
+# phi* and phi terms of `subdiff._margin`); twice that leaves room for
+# the dot products those sums add.
+_PHI_SUMS = 4
 
 
 class ProblemSpec(NamedTuple):
@@ -111,6 +119,15 @@ class ProblemSpec(NamedTuple):
             if factor > 1:
                 raise UnsupportedShape("a phi value table cannot be grid-refined")
             phi = GriddedFunction(pg, np.asarray(self.phi_table))
+        if self.xduals is not None or self.yduals is not None:
+            # Both default boxes left out refuse a slope past the largest
+            # float by axis name when they are built, so that speaks first.
+            top = max((finite_max(phi.values[sl]) for sl in score_slices(pg.size, 2)), default=0.0)
+            if not math.isfinite(_PHI_SUMS * top):
+                raise InvalidArgument(
+                    f"line {self.phi_line}: phi reaches {top:.3g} in magnitude; the checks"
+                    f" add up to {_PHI_SUMS} such terms, and that sum overflows"
+                )
         if self.f_kind == "full":
             F = full_map(xg, yg)
         elif self.f_kind == "ineq":

@@ -64,6 +64,7 @@ from .core import (
     as_point,
     as_rows,
     ext_sum,
+    finite_max,
     hypothesis_verdict,
     lower_chain,
     max_deviation,
@@ -556,12 +557,6 @@ def _split_bound(splits) -> Callable[[np.ndarray], np.ndarray]:
     return lambda m1: best[np.searchsorted(keys, m1, side="left")]
 
 
-def _finite_max(a) -> float:
-    """Largest finite |a|, 0.0 when there is none."""
-    a = np.abs(np.asarray(a, dtype=np.float64))
-    return float(a[np.isfinite(a)].max(initial=0.0))
-
-
 def _minkowski_contains(A1, b1, A2, b2, points: np.ndarray) -> np.ndarray:
     """Membership of each point in P_TOL + Q_TOL, the sum of the loosened
     sets P = {A1 s <= b1} and Q = {A2 s <= b2}, of dimension 2 or more.
@@ -747,11 +742,11 @@ def _margin(eps: float, terms, X, xstars, Y, ystars) -> float:
     only admits more candidates and changes no verdict.
     """
     cutoff = max(eps + eta for eta in DEFAULT_ETAS) + 2 * TOL
-    xnorm = _finite_max(np.abs(X).sum(axis=1))
-    ynorm = _finite_max(np.abs(Y).sum(axis=1))
+    xnorm = finite_max(np.abs(X).sum(axis=1))
+    ynorm = finite_max(np.abs(Y).sum(axis=1))
     scale = (
-        sum(_finite_max(t) for t in terms) + cutoff
-        + xnorm * sum(_finite_max(t) for t in xstars) + 2.0 * ynorm * _finite_max(ystars)
+        sum(finite_max(t) for t in terms) + cutoff
+        + xnorm * sum(finite_max(t) for t in xstars) + 2.0 * ynorm * finite_max(ystars)
     )
     return cutoff + (X.shape[1] + 16) * np.finfo(np.float64).eps * scale
 
@@ -880,22 +875,25 @@ def restricted_conjugate_check(tables: Tables) -> RestrictedConjugateReport:
     """mu*(x*) equals the conjugate of phi + indicator(gph F) at (x*, 0).
 
     The right side is the maximum over graph cells (x, y) of
-    D[x*, x] - phi(x, y), with D the table of <x*, x>, taken over the
-    `graph_cell_blocks` of at most `_BLOCK_CAP // duals` cells, so no table
-    of every cell is built.  It keeps `conjugate_at`'s conventions
-    by extended arithmetic: a -inf cell scores +inf, a +inf cell -inf, and
-    no cell leaves -inf.  The entries of D are bitwise the dot products
-    inside mu*, and rounding a difference is monotone, so the max over y
-    of fl(D - phi(x, y)) is fl(D - mu(x)): equality is exact (bitwise) on
-    any data.  The x* grid and mu* on it come from the store.
+    D[x*, x] - phi(x, y), with D the table of <x*, x>.  Rounding a
+    difference is monotone, so the max over y of fl(D - phi(x, y)) is
+    fl(D - m(x)), with m(x) the store's graph-row minimum, and the right
+    side is the max over x of fl(D - m(x)), taken in `score_slices` blocks
+    of x* rows, so neither D nor a table of every cell is built whole.  It
+    keeps `conjugate_at`'s conventions by extended arithmetic: a -inf cell
+    scores +inf, a +inf cell -inf, and a row with no cells (m = +inf)
+    leaves -inf.  D never holds -0.0 (`dots` starts from +0.0), so the
+    sign of a zero minimum moves no bit either.  The entries of D are
+    bitwise the dot products inside mu*, and mu(x) is m(x), so equality
+    is exact (bitwise) on any data.  The x* grid, mu* on it and the
+    minima come from the store.
     """
-    phi, F, duals = tables.phi, tables.F, tables.xduals
+    duals, X = tables.xduals, tables.F.xgrid.nodes
     lhs = tables.mustar.values
-    V = phi.values.reshape(F.xgrid.size, F.ygrid.size)
-    D = dots(duals.nodes[:, None], F.xgrid.nodes)
-    rhs = np.full(duals.size, -INF)
-    for gx, gy in graph_cell_blocks(F, duals.size):
-        np.maximum(rhs, (D[:, gx] - V[gx, gy]).max(axis=1), out=rhs)
+    m = tables.graph_minima
+    rhs = np.empty(duals.size)
+    for sl in score_slices(duals.size, 2 * X.shape[0]):  # D and dots' products, or D - m
+        (dots(duals.nodes[sl, None], X) - m).max(axis=1, out=rhs[sl])
     ok = bool(np.array_equal(lhs, rhs))
     return RestrictedConjugateReport(
         ok,
@@ -977,7 +975,7 @@ def conj_subdiff_check(tables: Tables, x0star, eps: float, qc14: bool = False) -
     # The largest phi value on the graph is taken over blocks of x rows, so
     # no table of every cell is built, and a maximum is exact.
     phinorm = max(
-        (_finite_max(V[sl][F.graph[sl]]) for sl in score_slices(F.xgrid.size, F.ygrid.size)),
+        (finite_max(V[sl][F.graph[sl]]) for sl in score_slices(F.xgrid.size, F.ygrid.size)),
         default=0.0,
     )
     margin = _margin(eps, (phistar, fsupport, phinorm), X[F.dom_mask], (X1, T, s0),

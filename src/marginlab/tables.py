@@ -5,6 +5,10 @@ x* grid `xduals` and the y* grid `yduals`, and builds each of these on
 first use, then keeps it:
 
 - the marginal: mu with its minimizer lists and status labels;
+- the graph-row minima: the minimum of phi over the graph cells of each
+  x row, +inf on a row with none, walked over `graph_cell_blocks` apart
+  from the marginal's masked table, so that the domain, epigraph and
+  restricted conjugate checks that read it keep a route of their own;
 - mu* on the x* grid (`conjugate`);
 - phi* on the product of the x* grid and the y* grid (`partial_conjugate`);
 - the split lattice of the x* grid: the steps x* - x1* over every pair of
@@ -48,7 +52,7 @@ from .conjugate import (
 )
 from .core import INF, Grid, GriddedFunction
 from .marginal import MarginalResult, marginal
-from .setmap import SetValuedMap, graph_support, split_lattice
+from .setmap import SetValuedMap, graph_cell_blocks, graph_support, split_lattice
 
 
 def phi_conjugate(
@@ -119,8 +123,9 @@ class Tables:
     `primal_value`, `dual_value_1` and `dual_value_2`.  Whichever check asks
     first builds a table, and the later ones read the same read-only array,
     so a check returns the same bits on a fresh store and on one that other
-    checks have filled.  `marginal` is the `MarginalResult` of (phi, F) and
-    `mu` its gridded mu; nothing is computed before it is read.
+    checks have filled.  `marginal` is the `MarginalResult` of (phi, F),
+    `mu` its gridded mu and `graph_minima` the minimum of phi over each x
+    row's graph cells; nothing is computed before it is read.
     """
 
     def __init__(
@@ -145,6 +150,21 @@ class Tables:
     @property
     def mu(self) -> GriddedFunction:
         return self.marginal.mu
+
+    @cached_property
+    def graph_minima(self) -> np.ndarray:
+        """min of phi over the graph cells of each x row, +inf on a row with
+        none.  The cells come in `graph_cell_blocks` of four entries per
+        cell, so the walk holds one cap: a block's two indices and its phi
+        values, and those indices again while the walk takes the next
+        block's two.  A minimum is exact, so no block moves a bit."""
+        F = self.F
+        V = self.phi.values.reshape(F.xgrid.size, F.ygrid.size)
+        table = np.full(F.xgrid.size, INF)
+        for gx, gy in graph_cell_blocks(F, 4):
+            np.minimum.at(table, gx, V[gx, gy])
+        _read_only(table)
+        return table
 
     @cached_property
     def xduals(self) -> Grid:

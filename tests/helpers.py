@@ -34,10 +34,13 @@ from marginlab.core import (
     default_names,
     ext_add_arrays,
     hypothesis_verdict,
+    max_deviation,
 )
 from marginlab.errors import NonFiniteExpression
+from marginlab.marginal import EpigraphReport
 from marginlab.nearconvex import box_dilate
-from marginlab.setmap import split_lattice
+from marginlab.setmap import graph_cell_blocks, split_lattice
+from marginlab.subdiff import RestrictedConjugateReport
 
 INF = math.inf
 
@@ -400,8 +403,7 @@ def mesh_eval_on_grid(text, grid, names=None, aliases=None, domain=()):
         node = int(np.flatnonzero(bad)[0])
         raise NonFiniteExpression(f"{text!r} is not finite at node {grid.coords(node).tolist()}")
     raw[~feasible] = INF
-    prov = text if not domain else f"{text} where {' and '.join(d + ' <= 0' for d in domain)}"
-    return GriddedFunction(grid, raw, provenance=prov)
+    return GriddedFunction(grid, raw)
 
 
 def lattice_support(F, at, x1duals, yduals):
@@ -624,4 +626,62 @@ def reference_conj_subdiff_check(phi, F, duals, yduals, x0star, eps, qc14=False)
         levels.append((eta, raw, box_dilate(raw.reshape(F.xgrid.shape)).reshape(-1)))
     return theorem_report_oracle(
         mustar, si, eps, sample, lhs_mask, levels, contains, qc14, *named
+    )
+
+
+# --- the checks that read the graph-row minima, on phi's (x, y) table -----------
+#
+# The routes the domain, epigraph and restricted conjugate checks took
+# before they read the store's `graph_minima`: each walks phi and the graph
+# mask itself, and reads only mu and mu* from the store.
+
+
+def graph_walk_domain_identity_check(tables):
+    phi, F = tables.phi, tables.F
+    lhs = tables.mu.dom_mask
+    finite_phi = (phi.values < INF).reshape(F.xgrid.size, F.ygrid.size)
+    rhs = (finite_phi & F.graph).any(axis=1)
+    if bool((lhs == rhs).all()):
+        return True, None
+    return False, int(np.flatnonzero(lhs != rhs)[0])
+
+
+def graph_walk_epigraph_projection_check(tables, lambdas):
+    phi, F, mu = tables.phi, tables.F, tables.mu.values
+    V = phi.values.reshape(F.xgrid.size, F.ygrid.size)
+    violations = []
+    checked = 0
+    for lam in lambdas:
+        strict_proj = (F.graph & (V < lam)).any(axis=1)
+        loose_proj = (F.graph & (V <= lam)).any(axis=1)
+        strict_epi = mu < lam
+        loose_epi = mu <= lam
+        checked += strict_epi.shape[0]
+        for i in np.flatnonzero(strict_epi != strict_proj):
+            violations.append((float(lam), int(i), "strict-identity"))
+        for i in np.flatnonzero(strict_epi & ~loose_proj):
+            violations.append((float(lam), int(i), "chain-lower"))
+        for i in np.flatnonzero(loose_proj & ~loose_epi):
+            violations.append((float(lam), int(i), "chain-upper"))
+    return EpigraphReport(not violations, checked, tuple(violations))
+
+
+def graph_walk_restricted_conjugate_check(tables):
+    """The max over graph cells of <x*, x> - phi(x, y), on the whole table
+    of <x*, x> and `graph_cell_blocks` of the cells."""
+    phi, F, duals = tables.phi, tables.F, tables.xduals
+    lhs = tables.mustar.values
+    V = phi.values.reshape(F.xgrid.size, F.ygrid.size)
+    D = dots(duals.nodes[:, None], F.xgrid.nodes)
+    rhs = np.full(duals.size, -INF)
+    for gx, gy in graph_cell_blocks(F, duals.size):
+        np.maximum(rhs, (D[:, gx] - V[gx, gy]).max(axis=1), out=rhs)
+    ok = bool(np.array_equal(lhs, rhs))
+    return RestrictedConjugateReport(
+        ok,
+        max_deviation(lhs, rhs),
+        duals.size,
+        tuple(float(v) for v in lhs),
+        tuple(float(v) for v in rhs),
+        (Verdict("restricted_conjugate_exact", ok, f"{duals.size} dual nodes"),),
     )

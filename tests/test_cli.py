@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: InvalidArgument: {axis}: a secant slope of 1e+308")
         assert "give the dual grid" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("given", ["section", "flag"])
+    def test_phi_past_the_checks_sums_exits_one(self, tmp_path, capsys, given):
+        # With the x* grid given, in [xduals] or by --dual-range, no default
+        # box refuses the slope of 1e308; phi's 1e308 would overflow the
+        # checks' sums of phi values (the level range, mu + mu*, the
+        # margin), so the build refuses it.
+        text = MINIMAL.replace("expr x^2 + y", "expr 1e308 * x + y^2")
+        argv = ["verify-all", "--out", str(tmp_path / "out")]
+        if given == "section":
+            text, line = text.replace("[phi]", "[xduals]\naxis -2 2 5\n\n[phi]"), 13
+        else:
+            argv, line = argv + ["--dual-range", "-2:2:5"], 10
+        spec = write_spec(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--spec", str(spec)]) == 1
+        assert not caught
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: InvalidArgument: line {line}: phi reaches 1e+308 in magnitude;"
+            " the checks add up to 4 such terms, and that sum overflows\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_malformed_raster_exits_one(self, tmp_path, capsys):
@@ -737,6 +762,7 @@ class TestLayering:
 
     TRACER_INSTALLS = """\
 import sys
+import warnings
 import marginlab.cli
 sys.path.insert(0, {perfbench!r})
 from tracer import Tracer
@@ -891,6 +917,7 @@ print({module!r} in sys.modules)
 
     POLYHEDRON_SCIPY = """\
 import sys
+import warnings
 import numpy as np
 from marginlab import HPolyhedron, feasible_point, is_empty
 P = HPolyhedron(np.vstack([np.eye({dim}), -np.eye({dim})]), np.ones(2 * {dim}))
@@ -906,6 +933,7 @@ print("scipy" in sys.modules)
 
     SUM_RULE_SCIPY = """\
 import sys
+import warnings
 from pathlib import Path
 from marginlab import marginal, parse_spec, sum_rule_check
 path = Path({path!r})

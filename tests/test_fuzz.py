@@ -193,12 +193,12 @@ EVAL_GRIDS = (
 
 
 def _evaluated(call):
-    """The values' bits and provenance, or the error the call raised."""
+    """The values' bits, or the error the call raised."""
     try:
         f = call()
     except MarginlabError as e:
         return type(e).__name__, str(e)
-    return f.values.tobytes(), f.provenance
+    return f.values.tobytes()
 
 
 @FUZZ
@@ -210,8 +210,8 @@ def _evaluated(call):
 )
 def test_blocked_evaluation_equals_the_mesh_route(text, domain, which, cap):
     """`eval_on_grid` evaluates in blocks of nodes, at a lowered
-    `_BLOCK_CAP` down to one node per block or at the real one.  Its values
-    and provenance, or the error it raises, are those of
+    `_BLOCK_CAP` down to one node per block or at the real one.  Its
+    values, or the error it raises, are those of
     `mesh_eval_on_grid`, which evaluated on the whole node table."""
     grid, names, aliases = EVAL_GRIDS[which]
     want = _evaluated(lambda: mesh_eval_on_grid(text, grid, names, aliases, domain))

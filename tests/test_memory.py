@@ -20,6 +20,7 @@ from marginlab import (
     conjugate_representation_check,
     default_dual_grid,
     marginal,
+    marginal_structure_check,
     marginal_subdiff_check,
     partial_conjugate,
     restricted_conjugate_check,
@@ -41,10 +42,12 @@ from helpers import (
 MB = 2**20
 
 
-def filled_store(refine, fixture="separable_quadratic"):
+def filled_store(refine, fixture="separable_quadratic", minima=True):
     spec = load_fixture(fixture)
     tables = Tables(*spec.build(refine), spec.xduals, spec.yduals)
     tables.mustar, tables.phistar, tables.lattice_support, tables.inf_convolution
+    if minima:
+        tables.graph_minima
     return tables
 
 
@@ -158,10 +161,32 @@ def test_build_evaluates_phi_in_blocks():
 def test_restricted_check_scores_graph_cells_in_blocks():
     # 83,521 (x, y) nodes at --refine 4: a copy of their coordinates is
     # 2.5 MB, the graph cells and their phi values 2 MB; a run of 65,536
-    # cells holds 1 MB of cell indices.
+    # cells holds 1 MB of cell indices.  The check now reads the graph-row
+    # minima and scores blocks of x* rows against the 289 x nodes: 0.48 MB.
     tables = filled_store(4)
     peak = traced_peak(lambda: restricted_conjugate_check(tables))
     assert peak <= 2.5 * MB
+
+
+# At --refine 8 (1,089 x nodes, 1,185,921 graph cells) the traced peaks
+# below read 0.53 and 1.02 MB when the bounds were set.  Before the three
+# checks read the minima, the structure check took 2.27 MB on this store:
+# the domain check's and each level's boolean tables of every (x, y) node.
+
+
+def test_graph_minima_walk_the_cells_within_one_cap():
+    # A block's indices, still held while the walk takes the next block's,
+    # and its phi values: four entries per cell, 512 KB.
+    tables = filled_store(8, minima=False)
+    peak = traced_peak(lambda: tables.graph_minima)
+    assert peak <= 0.56 * MB
+
+
+def test_structure_check_holds_no_table_of_every_cell():
+    # mu's midpoint-convexity blocks are now the largest part.
+    tables = filled_store(8)
+    peak = traced_peak(lambda: marginal_structure_check(tables))
+    assert peak <= 1.1 * MB
 
 
 def test_partial_conjugate_copies_no_full_domain():

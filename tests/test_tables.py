@@ -5,10 +5,12 @@ several of its checks read.  These tests show that one verify-all builds
 each of them once, that every check returns the same on a fresh store as
 on one store shared with the other checks in either order, with given or
 default grids, that the graph support kept on the distinct lattice steps
-is the support on all of them, and that the conjugate check's count-sized
-slices change no report.
+is the support on all of them, that the checks reading the graph-row
+minima equal the routes that walked phi's table, and that the conjugate
+check's count-sized slices change no report.
 """
 
+import ast
 import contextlib
 import importlib
 import io
@@ -51,7 +53,11 @@ from helpers import (
     FIXTURES,
     dyadic_grid,
     dyadic_rows,
+    fixture_names,
     full_table_inf_convolution,
+    graph_walk_domain_identity_check,
+    graph_walk_epigraph_projection_check,
+    graph_walk_restricted_conjugate_check,
     lattice_support,
     non_dyadic_problem,
     random_problem,
@@ -167,6 +173,7 @@ def _store_checks(x0, s0, eps, flag):
         "dual_value_1": lambda t: dual_value_1(t),
         "dual_value_2": lambda t: dual_value_2(t),
         "inf_convolution": lambda t: t.inf_convolution,
+        "graph_minima": lambda t: t.graph_minima,
         "marginal_subdiff": lambda t: marginal_subdiff_check(t, x0, eps, flag),
         "conj_subdiff": lambda t: conj_subdiff_check(t, s0, eps, flag),
     }
@@ -228,6 +235,112 @@ class TestWrappers:
         assert (tables.xduals, tables.yduals) == (duals, yduals)
         kept = (tables.phistar, *tables.lattice_support, tables.inf_convolution)
         assert not any(a.flags.writeable for a in kept)
+
+
+class TestGraphMinima:
+    """The domain, epigraph and restricted conjugate checks read phi only
+    through the store's graph-row minima, built once per run.  Each returns
+    what its graph-walking route in tests/helpers.py returns, bit for bit:
+    the status, the witness, every violation and every rhs value."""
+
+    CASES = ["plain", "signed zeros and infinities", "empty rows", "empty graph",
+             "planted mu", "inexact"]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+        st.sampled_from(CASES),
+        st.sampled_from([None, 1, 3, 7, 50]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_checks_equal_their_graph_walks(self, seed, dims, case, cap):
+        """On `random_problem` instances with -inf, +inf, 0.0 and -0.0 cells,
+        with empty graph rows or no graph cell at all, with a mu planted
+        beside the store's minima (finite on empty rows too), and on
+        inexact data, at levels that include +-inf, +-0.0 and NaN, with the
+        cells walked at a lowered `_BLOCK_CAP` or at the real one."""
+        rng = np.random.default_rng(seed)
+        xdim, ydim = dims
+        if case == "inexact":
+            phi, F = non_dyadic_problem(rng, xdim, 10.0 ** int(rng.integers(-3, 4)))
+        else:
+            phi, F = random_problem(rng, max_count=6 if dims == (1, 1) else 4,
+                                    p_inf=0.2, xdim=xdim, ydim=ydim)
+        values = phi.values.copy()
+        if case == "signed zeros and infinities":
+            pick = rng.integers(0, 6, size=values.size)
+            for k, special in enumerate((-math.inf, math.inf, 0.0, -0.0)):
+                values[pick == k] = special
+        phi = GriddedFunction(phi.grid, values)
+        if case == "empty rows":
+            rows = rng.random(F.xgrid.size) < 0.5
+            F = SetValuedMap(F.xgrid, F.ygrid, F.graph & ~rows[:, None])
+        elif case == "empty graph":
+            F = SetValuedMap(F.xgrid, F.ygrid, np.zeros_like(F.graph))
+        duals = dyadic_grid(rng, F.xgrid.dim, max_count=5)
+        tables = Tables(phi, F, duals, dyadic_grid(rng, F.ygrid.dim, max_count=3))
+        if case == "planted mu":
+            planted = rng.choice([-math.inf, math.inf, 0.0, -0.0, -1.0, 2.5], F.xgrid.size)
+            mu = GriddedFunction(F.xgrid, np.where(rng.random(F.xgrid.size) < 0.5,
+                                                   tables.mu.values, planted))
+            tables.marginal = tables.marginal._replace(mu=mu)
+        levels = [-math.inf, math.inf, math.nan, 0.0, -0.0,
+                  *rng.choice(np.append(values, [-1.0, 0.5, 3.0]), 4)]
+        lambdas = [levels[i] for i in rng.permutation(len(levels))[: int(rng.integers(1, 10))]]
+        oracles = (
+            graph_walk_domain_identity_check(tables),
+            graph_walk_epigraph_projection_check(tables, lambdas),
+            graph_walk_restricted_conjugate_check(tables),
+        )
+        with mock.patch.object(conjugate_module, "_BLOCK_CAP", cap or conjugate_module._BLOCK_CAP):
+            fresh = Tables(phi, F, tables.xduals, tables.yduals)
+            fresh.marginal = tables.marginal
+            got = (
+                domain_identity_check(fresh),
+                epigraph_projection_check(fresh, lambdas),
+                restricted_conjugate_check(fresh),
+            )
+        # repr tells -0.0 from 0.0 and spells every other float exactly.
+        assert [repr(r) for r in got] == [repr(r) for r in oracles]
+        masked = np.where(F.graph, values.reshape(F.graph.shape), math.inf)
+        np.testing.assert_array_equal(fresh.graph_minima, masked.min(axis=1))
+        assert not fresh.graph_minima.flags.writeable
+
+    @pytest.mark.parametrize("fixture", fixture_names())
+    def test_verify_all_walks_the_graph_for_its_minima_once(self, fixture, monkeypatch, tmp_path):
+        """One verify-all builds the minima once, and only the minima and
+        the conjugate check walk the graph cells."""
+        walk, callers = importlib.import_module("marginlab.setmap").graph_cell_blocks, Counter()
+
+        def spy(F, width):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return walk(F, width)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "marginlab" or mod_name.startswith("marginlab."):
+                for attr, value in list(vars(mod).items()):
+                    if value is walk:
+                        monkeypatch.setattr(mod, attr, spy)
+        argv = ["verify-all", "--spec", str(FIXTURES / f"{fixture}.spec"),
+                "--out", str(tmp_path), "--refine", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) in (0, 2)
+        assert callers["graph_minima"] == 1
+        assert set(callers) <= {"graph_minima", "conj_subdiff_check"}
+
+    CHECKS = {"marginal": ("domain_identity_check", "epigraph_projection_check"),
+              "subdiff": ("restricted_conjugate_check",)}
+
+    @pytest.mark.parametrize("module,name", [(m, n) for m, ns in CHECKS.items() for n in ns])
+    def test_checks_read_neither_phi_nor_the_graph_mask(self, module, name):
+        """The three checks name neither phi (`phi` or `tables.phi`) nor
+        `F.graph`; each reads phi's values through the store's minima."""
+        path = importlib.import_module(f"marginlab.{module}").__file__
+        tree = ast.parse(open(path, encoding="utf-8").read())
+        [func] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
+        for node in ast.walk(func):
+            assert not (isinstance(node, ast.Name) and node.id == "phi"), node.lineno
+            assert not (isinstance(node, ast.Attribute) and node.attr in ("phi", "graph")), node.lineno
 
 
 class TestSupportIdentity:
