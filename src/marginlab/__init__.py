@@ -125,6 +125,7 @@ _EXPORTS = {
         "raster_check",
         "refine_raster",
     ),
+    "polyhedra": ("HPolyhedron", "Interval", "feasible_point", "is_empty"),
     "setmap": (
         "SetValuedMap",
         "full_map",
@@ -138,17 +139,13 @@ _EXPORTS = {
     "subdiff": (
         "DEFAULT_ETAS",
         "EpsSubdifferentialReport",
-        "HPolyhedron",
         "RestrictedConjugateReport",
-        "Interval",
         "SumRuleReport",
         "TheoremReport",
         "conj_subdiff_check",
         "eps_normal_cone",
         "eps_subdifferential",
         "eps_subdifferential_check",
-        "feasible_point",
-        "is_empty",
         "marginal_subdiff_check",
         "restricted_conjugate_check",
         "sum_rule_check",

@@ -60,12 +60,11 @@ from .duality import (
 from .errors import MarginlabError, MissingSection, NotANode, NotFiniteAtPoint, ZeroNotOnGrid
 from .marginal import marginal_structure_check
 from .nearconvex import closure, hull_raster, interior, load_raster, raster_check
+from .polyhedra import feasible_point, is_empty
 from .spec import COMMANDS, ProblemSpec, parse_spec
 from .subdiff import (
     conj_subdiff_check,
     eps_subdifferential_check,
-    feasible_point,
-    is_empty,
     marginal_subdiff_check,
     restricted_conjugate_check,
     sum_rule_check,
@@ -209,7 +208,15 @@ class _Run:
 
     @cached_property
     def tables(self) -> Tables:
-        return Tables(*self.spec.build(self.args.refine), self.spec.xduals, self.spec.yduals)
+        spec = self.spec
+        tables = Tables(*spec.build(self.args.refine), spec.xduals, spec.yduals)
+        if spec.xduals is spec.yduals is None and self.args.command != "marginal":
+            try:  # every command but marginal builds the default boxes
+                spec.refuse_overflow(tables.phi)
+            except MarginlabError:
+                tables.xduals, tables.yduals  # a box past the largest float speaks first
+                raise
+        return tables
 
     @cached_property
     def lagrangian(self) -> tuple[LagrangianIdentityReport, SlaterReport]:

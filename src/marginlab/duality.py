@@ -41,8 +41,9 @@ from .core import (
     sorted_distinct,
 )
 from .errors import GridNotAdapted, InvalidArgument, MarginlabError, NotANode, ZeroNotOnGrid
+from .polyhedra import feasible_point
 from .setmap import SetValuedMap, graph_support_blocks, map_from_inequalities, split_lattice
-from .subdiff import eps_subdifferential, feasible_point, linprog
+from .subdiff import eps_subdifferential, linprog
 from .tables import Tables, inf_convolution_min, phi_conjugate
 
 MAX_ADAPTED_COUNT = 100_000  # x-nodes per axis of a graph-adapted grid
@@ -108,6 +109,16 @@ class ConjugateRepresentationReport(NamedTuple):
     verdicts: tuple[Verdict, ...]
 
 
+def _refined(grid: Grid, name: str) -> Grid:
+    """The dual grid refined by 2, or a refusal naming its box and section."""
+    try:
+        return grid.refine(2)
+    except InvalidArgument:
+        box = " x ".join(f"[{a.lo:.6g}, {a.hi:.6g}]" for a in grid.axes)
+        raise InvalidArgument(f"the {name}* box {box} refined by 2 for the representation"
+                              f" check overflows; give [{name}duals]") from None
+
+
 def conjugate_representation_check(
     tables: Tables, hypothesis: bool = False
 ) -> ConjugateRepresentationReport:
@@ -127,7 +138,7 @@ def conjugate_representation_check(
     mustar = tables.mustar.values
     sic0 = tables.inf_convolution
     sic1 = sampled_inf_convolution(
-        tables.phi, tables.F, xduals.nodes, xduals.refine(2), yduals.refine(2)
+        tables.phi, tables.F, xduals.nodes, _refined(xduals, "x"), _refined(yduals, "y")
     )
     lower_ok = bool(np.all(mustar <= sic0 + TOL)) and bool(np.all(mustar <= sic1 + TOL))
 

@@ -151,13 +151,14 @@ def convexity_check(f: GriddedFunction) -> tuple[bool, tuple[int, int, int] | No
     j is a node exactly when their multi-indices agree in parity on every
     axis, and then its flat index is (i + j) / 2, since the flat index is
     linear in the multi-index.  The pairs are scored in `score_slices`
-    blocks of i rows.
+    blocks of i rows, at 3 entries per (i, j): the parity and order masks
+    and their conjunction, and at most two indices of a nonzero pair.
     """
     n = f.grid.size
     flat = np.arange(n)
     parity = sum((k % 2) << a for a, k in enumerate(np.unravel_index(flat, f.grid.shape)))
     v = f.values
-    for sl in score_slices(n, n):
+    for sl in score_slices(n, 3 * n):
         i, j = np.nonzero((parity[sl, None] == parity) & (flat[sl, None] < flat))
         i += sl.start
         mid = (i + j) // 2

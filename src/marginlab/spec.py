@@ -120,14 +120,8 @@ class ProblemSpec(NamedTuple):
                 raise UnsupportedShape("a phi value table cannot be grid-refined")
             phi = GriddedFunction(pg, np.asarray(self.phi_table))
         if self.xduals is not None or self.yduals is not None:
-            # Both default boxes left out refuse a slope past the largest
-            # float by axis name when they are built, so that speaks first.
-            top = max((finite_max(phi.values[sl]) for sl in score_slices(pg.size, 2)), default=0.0)
-            if not math.isfinite(_PHI_SUMS * top):
-                raise InvalidArgument(
-                    f"line {self.phi_line}: phi reaches {top:.3g} in magnitude; the checks"
-                    f" add up to {_PHI_SUMS} such terms, and that sum overflows"
-                )
+            # With both boxes left out, the run refuses it once they exist.
+            self.refuse_overflow(phi)
         if self.f_kind == "full":
             F = full_map(xg, yg)
         elif self.f_kind == "ineq":
@@ -137,6 +131,16 @@ class ProblemSpec(NamedTuple):
         else:
             F = map_from_points(self.f_points, xg, yg)
         return phi, F
+
+    def refuse_overflow(self, phi: GriddedFunction) -> None:
+        """Refuse a phi whose largest finite magnitude overflows the checks' sums."""
+        top = max((finite_max(phi.values[sl]) for sl in score_slices(phi.grid.size, 2)),
+                  default=0.0)
+        if not math.isfinite(_PHI_SUMS * top):
+            raise InvalidArgument(
+                f"line {self.phi_line}: phi reaches {top:.3g} in magnitude; the checks"
+                f" add up to {_PHI_SUMS} such terms, and that sum overflows"
+            )
 
 
 class _SpecBuilder:

@@ -22,6 +22,7 @@ from marginlab import (
     marginal,
     parse_spec,
     partial_conjugate,
+    polyhedra,
     product_grid,
     subdiff,
 )
@@ -258,7 +259,7 @@ def eps_coderivative(F, x0y0, ystar, eps):
     gx, gy = F.graph_cells
     A = F.xgrid.nodes[gx] - F.xgrid.coords(xi)
     b = eps + dots(F.ygrid.nodes[gy] - F.ygrid.coords(yi), np.asarray(ystar, dtype=np.float64))
-    return subdiff.HPolyhedron(A, b)
+    return polyhedra.HPolyhedron(A, b)
 
 
 def oracle_hull_member(points, q, tol=1e-9):

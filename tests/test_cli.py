@@ -356,6 +356,35 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_phi_past_the_checks_sums_on_the_default_boxes_exits_one(self, tmp_path, capsys):
+        # The slopes of 1e308 + x are small, so both default boxes exist;
+        # mu + mu in the sum rule would overflow, so the run refuses phi then.
+        spec = write_spec(tmp_path, MINIMAL.replace("expr x^2 + y", "expr 1e308 + x + y^2"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify-all", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert not caught
+        assert capsys.readouterr().err == (
+            "error: InvalidArgument: line 10: phi reaches 1e+308 in magnitude;"
+            " the checks add up to 4 such terms, and that sum overflows\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_refined_dual_box_past_the_largest_float_exits_one(self, tmp_path, capsys):
+        # The default x* box of 1e307 * x fits at 5 nodes, but the
+        # representation check refines it to 9, whose node offsets overflow;
+        # the commands that never refine it still run.
+        spec = write_spec(tmp_path, MINIMAL.replace("expr x^2 + y", "expr 1e307 * x + y^2"))
+        for command in ("marginal", "conjugate", "subdiff", "duality"):
+            assert main([command, "--spec", str(spec), "--out", str(tmp_path / command)]) == 0
+        capsys.readouterr()
+        assert main(["verify-all", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: InvalidArgument: the x* box [-1.12356e+307, 1.12356e+307] refined by 2"
+            " for the representation check overflows; give [xduals]\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_raster_exits_one(self, tmp_path, capsys):
         (tmp_path / "bad.raster").write_text("raster 1 3 0.0 1.0\n")
         spec = write_spec(tmp_path, MINIMAL + "\n[raster]\nfile bad.raster\n")
@@ -854,11 +883,11 @@ print(os.environ["OPENBLAS_NUM_THREADS"], threads)
     def test_checks_name_their_tolerances(self):
         # The slacks live in core: TOL for verdicts, NODE_TOL for coordinates,
         # ROUNDING_TOL where two float routes meet.  A check module may name a
-        # distinct slack as a module constant (subdiff's _PARALLEL angle);
+        # distinct slack as a module constant (polyhedra's _PARALLEL angle);
         # only conjugate's separability test, relative to |f|, keeps a literal.
         small = []
-        for module in ("conjugate", "duality", "marginal", "nearconvex", "setmap", "subdiff",
-                       "tables"):
+        for module in ("conjugate", "duality", "marginal", "nearconvex", "polyhedra", "setmap",
+                       "subdiff", "tables"):
             tree = ast.parse((self.SRC / "marginlab" / f"{module}.py").read_text(encoding="utf-8"))
             for top in tree.body:
                 if isinstance(top, ast.Assign) and isinstance(top.value, ast.Constant):

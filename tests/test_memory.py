@@ -9,6 +9,7 @@ fill, as in `verify-all`, so the peak is the check's own.
 
 import importlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from marginlab import (
     Tables,
     conj_subdiff_check,
     conjugate_representation_check,
+    convexity_check,
     default_dual_grid,
     marginal,
     marginal_structure_check,
@@ -189,6 +191,14 @@ def test_structure_check_holds_no_table_of_every_cell():
     assert peak <= 1.1 * MB
 
 
+def test_convexity_check_holds_one_cap_of_pair_temporaries():
+    # mu on 1,089 x nodes: the masks and nonzero pairs of one block read
+    # 0.37 MB; 1.02 MB when a block took one entry per (i, j).
+    spec = load_fixture("separable_quadratic")
+    mu = marginal(*spec.build(8)).mu
+    assert traced_peak(lambda: convexity_check(mu)) <= 0.42 * MB
+
+
 def test_partial_conjugate_copies_no_full_domain():
     # 20,000 x 50 finite values are 7.6 MB; with every row in the domain the
     # kernel reads them in place.  An all-+inf row leaves the domain without
@@ -222,3 +232,15 @@ def test_verify_all_keeps_no_table_of_phi_nodes(monkeypatch, tmp_path):
     [(phi, F)] = built
     assert phi.grid.size == 1_185_921
     assert "nodes" not in phi.grid.__dict__
+
+
+def test_no_module_compile_sets_the_process_peak():
+    # Importing from source holds each module's whole AST while it
+    # compiles, and the heap keeps the largest such peak; subdiff.py read
+    # 1.87 times conjugate.py's before its polyhedral geometry moved out.
+    peaks = {}
+    for path in sorted(Path(importlib.import_module("marginlab").__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        peaks[path.stem] = traced_peak(lambda: compile(text, str(path), "exec", dont_inherit=True))
+    assert len(peaks) > 10  # the scan sees the package
+    assert max(peaks.values()) <= 1.4 * peaks["conjugate"], peaks

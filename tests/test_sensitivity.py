@@ -202,9 +202,9 @@ CASES = [
     ("verify-all", "abs_full", "duality.strong_duality_certified",
      ("marginlab.conjugate", "conjugate_at", shifted(1.0))),
     ("verify-all", "abs_full", "duality.witness_sound",
-     ("marginlab.subdiff", "feasible_point", moved_witness)),
+     ("marginlab.polyhedra", "feasible_point", moved_witness)),
     ("verify-all", "separable_quadratic", "duality.witness_sound",
-     ("marginlab.subdiff", "feasible_point", moved_witness)),
+     ("marginlab.polyhedra", "feasible_point", moved_witness)),
     ("verify-all", "lagrangian_quadratic", "duality.lagrange_dual_identity",
      ("marginlab.duality", "lagrangian_dual", dual_values_shifted)),
     ("verify-all", "lagrangian_quadratic", "duality.lagrange_negative_probe",

@@ -5,6 +5,7 @@ import importlib.util
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from marginlab import (
     restricted_conjugate_check,
     sum_rule_check,
 )
-from marginlab import subdiff
+from marginlab import polyhedra, subdiff
 from marginlab.cli import main
 from marginlab.conjugate import default_ydual_grid, dots
 from marginlab.errors import InvalidArgument, MarginlabError
@@ -228,7 +229,7 @@ class TestPlanarRoute:
     def test_random_systems_agree_with_the_lp_route(self, system):
         assert_planar_route_agrees(HPolyhedron(*system))
 
-    TILT = 1e-13  # an angle within subdiff._PARALLEL
+    TILT = 1e-13  # an angle within polyhedra._PARALLEL
 
     @pytest.mark.parametrize(
         "A, b, witness",
@@ -266,7 +267,7 @@ class TestPlanarRoute:
         # polygon of P itself is empty, that of {A s <= b + TOL} is not.
         A = np.array([[3.0, 1.0], [-1.0, -2.0], [-2.0, 1.0]])
         P = HPolyhedron(A, A @ [0.1, 0.1])
-        assert subdiff._polygon(P.normals, P.offsets) is None
+        assert polyhedra._polygon(P.normals, P.offsets) is None
         assert_planar_route_agrees(P)
         assert np.abs(feasible_point(P) - 0.1).max() <= 1e-9
 
@@ -389,7 +390,7 @@ class TestSharedHalfspaceTable:
         if dim == 1:
             h = subdiff._halfspaces(f, xi)
             got = [
-                Interval(INF, -INF) if h is None else subdiff._interval(h[0][:, 0], h[1] + e)
+                Interval(INF, -INF) if h is None else polyhedra._interval(h[0][:, 0], h[1] + e)
                 for e in epsilons
             ]
             bits = lambda ivs: [(iv.lo.hex(), iv.hi.hex()) for iv in ivs]  # noqa: E731
@@ -588,12 +589,12 @@ class TestSumRule:
     def counted_sum_rule(monkeypatch, g1, g2, xi, duals):
         """sum_rule_check at eps 0.5 with its `_farkas` and `linprog` calls counted."""
         farkas_calls, lp_calls = [], []
-        farkas, lp = subdiff._farkas, subdiff.linprog
+        farkas, lp = subdiff._farkas, polyhedra.linprog
         monkeypatch.setattr(
             subdiff, "_farkas", lambda A, b: farkas_calls.append(1) or farkas(A, b)
         )
         monkeypatch.setattr(
-            subdiff, "linprog", lambda *a, **k: lp_calls.append(1) or lp(*a, **k)
+            polyhedra, "linprog", lambda *a, **k: lp_calls.append(1) or lp(*a, **k)
         )
         rep = sum_rule_check(g1, g2, xi, 0.5, duals=duals)
         monkeypatch.undo()
@@ -660,7 +661,7 @@ def farkas_minkowski(P, Q, S):
     p in P_TOL, s - p in Q_TOL for each point s."""
     A = np.vstack([P.normals, -Q.normals])
     b = [np.concatenate([P.offsets, Q.offsets - Q.normals @ s]) + subdiff.TOL for s in S]
-    return np.array([subdiff._farkas(A, bs)[0] for bs in b], dtype=bool)
+    return np.array([polyhedra._farkas(A, bs)[0] for bs in b], dtype=bool)
 
 
 def lp_support(A, b, a):
@@ -703,10 +704,10 @@ class TestMinEnvelope:
     @given(line_sets(dyadic=True))
     def test_dyadic_lines_agree_exactly(self, lines):
         p, q = lines
-        P, Q, bx = subdiff._min_envelope(p, q)
+        P, Q, bx = polyhedra._min_envelope(p, q)
         assert (np.diff(P) < 0.0).all()
         x = np.arange(-33 * 512, 33 * 512 + 1) / 512.0  # breakpoints are 1/256 apart at least
-        np.testing.assert_array_equal(subdiff._evaluate(P, Q, bx, x), brute_envelope(p, q, x))
+        np.testing.assert_array_equal(polyhedra._evaluate(P, Q, bx, x), brute_envelope(p, q, x))
         exact = [(Fraction(a), Fraction(b)) for a, b in zip(p, q)]
         for j, b in enumerate(bx):
             t = (Fraction(Q[j + 1]) - Fraction(Q[j])) / (Fraction(P[j]) - Fraction(P[j + 1]))
@@ -719,11 +720,11 @@ class TestMinEnvelope:
     @given(line_sets(dyadic=False))
     def test_lines_agree_at_and_between_breakpoints(self, lines):
         p, q = lines
-        P, Q, bx = subdiff._min_envelope(p, q)
+        P, Q, bx = polyhedra._min_envelope(p, q)
         ends = np.concatenate([bx[:1] - 1.0, bx, bx[-1:] + 1.0]) if bx.size else np.zeros(1)
         x = np.concatenate([ends, (ends[:-1] + ends[1:]) / 2.0, np.linspace(-50.0, 50.0, 1001)])
         scale = 1.0 + np.abs(x) * np.abs(p).max() + np.abs(q).max()
-        got = subdiff._evaluate(P, Q, bx, x)
+        got = polyhedra._evaluate(P, Q, bx, x)
         assert (np.abs(got - brute_envelope(p, q, x)) <= 1e-12 * scale).all()
 
 
@@ -731,10 +732,10 @@ class TestPolygon:
     """The 2-D half-plane intersection behind the exact Minkowski route."""
 
     def support(self, A, b, normals):
-        poly = subdiff._polygon(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
+        poly = polyhedra._polygon(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
         if poly is None:
             return None
-        return subdiff._support(*poly, np.asarray(normals, dtype=float))
+        return polyhedra._support(*poly, np.asarray(normals, dtype=float))
 
     AXES = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0], [1.0, -2.0]]
 
@@ -1063,6 +1064,73 @@ class TestPrunedScoring:
             assert sorted({n for n, _ in blocks}) == [1, 3]
         else:  # a lowered cap splits the x* rows of every call over several blocks
             assert all(1 < n <= rows for n, rows in blocks)
+
+    SKIP_CASES = ["plain", "+inf phi* rows", "-inf phi* rows", "empty graph rows", "empty graph",
+                  "near-optimal y0 at several offsets"]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2]),
+        st.sampled_from(SKIP_CASES),
+        st.sampled_from([None, 1, 3, 7, 50]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_marginal_check_skips_only_pairs_without_candidates(self, seed, dim, case, cap):
+        """The marginal check builds keys only for the (x*, x1*) pairs whose
+        floor is not over the largest threshold.  Its report is the
+        reference's on phi* rows planted at +inf or -inf (the reference
+        reads the same planted table), on empty graph rows and with the
+        blocks cut at a lowered `_BLOCK_CAP` or at the real one; with no
+        graph cell at all, mu is finite nowhere and the check raises."""
+        rng = np.random.default_rng(seed)
+        phi, F = random_problem(rng, max_count=7 if dim == 1 else 4, xdim=dim, ydim=dim)
+        if case.startswith("near-optimal"):  # phi within 1 of its row minimum, in eighths
+            values = phi.values.reshape(F.graph.shape)
+            values = np.where(values < INF, values.min(axis=1, keepdims=True), INF)
+            values += rng.integers(0, 8, size=values.shape) / 8.0
+            phi = GriddedFunction(phi.grid, values.reshape(-1))
+        rows = rng.random(F.xgrid.size) < 0.5
+        if case == "empty graph rows":
+            F = SetValuedMap(F.xgrid, F.ygrid, F.graph & ~rows[:, None])
+        elif case == "empty graph":
+            F = SetValuedMap(F.xgrid, F.ygrid, np.zeros_like(F.graph))
+        mu = marginal(phi, F).mu
+        if np.isfinite(mu.values).any():  # boxes around the slopes, so that points are found
+            duals = default_dual_grid(mu, 41 if dim == 1 else 5)
+            yduals = default_ydual_grid(phi, dim, 41 if dim == 1 else 5)
+        else:
+            duals, yduals = dyadic_grid(rng, dim, max_count=5), dyadic_grid(rng, dim, max_count=5)
+        tables = Tables(phi, F, duals, yduals)
+        planted = tables.phistar.copy()
+        if case.endswith("phi* rows"):
+            planted[rng.random(duals.size) < 0.5] = INF if case.startswith("+") else -INF
+        tables.phistar = planted
+        finite = np.flatnonzero(np.isfinite(tables.mu.values))
+        if not finite.size:
+            with pytest.raises(NotFiniteAtPoint):
+                marginal_subdiff_check(tables, 0, 0.0)
+            return
+        x0, eps, qc14 = int(rng.choice(finite)), (0.0, 0.5)[seed % 2], seed % 4 >= 2
+        conjugate_module = importlib.import_module("marginlab.conjugate")
+        with mock.patch.object(conjugate_module, "_BLOCK_CAP", cap or conjugate_module._BLOCK_CAP):
+            got = marginal_subdiff_check(tables, x0, eps, qc14)
+        with mock.patch.object(helpers, "partial_conjugate", lambda *args: planted):
+            want = reference_marginal_subdiff_check(phi, F, duals, yduals, x0, eps, qc14)
+        assert got == want
+
+    def test_marginal_check_builds_keys_of_live_pairs_only(self, monkeypatch):
+        # separable_quadratic at --refine 1: two calls, 81 x 81 pairs of
+        # 81 keys each, and few pairs have a key under the cutoff.
+        candidates, keys = subdiff._candidates, []
+        monkeypatch.setattr(
+            subdiff, "_candidates", lambda k, *a: keys.append(k.size) or candidates(k, *a)
+        )
+        spec = load_fixture("separable_quadratic")
+        tables = Tables(*spec.build(1), spec.xduals, spec.yduals)
+        for eps in (0.0, 0.5):
+            marginal_subdiff_check(tables, np.zeros(2), eps)
+        assert tables.xduals.size ** 2 * tables.yduals.size * 2 == 1_062_882
+        assert 0 < sum(keys) <= 100_000
 
     def test_infinite_phi_on_graph_cells(self, agree):
         rng = np.random.default_rng(409)
