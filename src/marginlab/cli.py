@@ -195,7 +195,7 @@ class _Run:
     reads the tables there, directly or through the checks it passes the
     store to, so no run builds one of them twice.  Commands that never read
     (phi, F) (lagrangian, nearconvex) never build it, so a table phi stays
-    usable under --refine.
+    usable under --refine and a phi too large for the checks is not refused.
     """
 
     def __init__(self, spec: ProblemSpec, args: argparse.Namespace):
@@ -208,15 +208,7 @@ class _Run:
 
     @cached_property
     def tables(self) -> Tables:
-        spec = self.spec
-        tables = Tables(*spec.build(self.args.refine), spec.xduals, spec.yduals)
-        if spec.xduals is spec.yduals is None and self.args.command != "marginal":
-            try:  # every command but marginal builds the default boxes
-                spec.refuse_overflow(tables.phi)
-            except MarginlabError:
-                tables.xduals, tables.yduals  # a box past the largest float speaks first
-                raise
-        return tables
+        return Tables(*self.spec.build(self.args.refine), self.spec.xduals, self.spec.yduals)
 
     @cached_property
     def lagrangian(self) -> tuple[LagrangianIdentityReport, SlaterReport]:

@@ -110,13 +110,13 @@ class ConjugateRepresentationReport(NamedTuple):
 
 
 def _refined(grid: Grid, name: str) -> Grid:
-    """The dual grid refined by 2, or a refusal naming its box and section."""
+    """The dual grid refined by 2, or a refusal naming its box."""
     try:
         return grid.refine(2)
     except InvalidArgument:
         box = " x ".join(f"[{a.lo:.6g}, {a.hi:.6g}]" for a in grid.axes)
         raise InvalidArgument(f"the {name}* box {box} refined by 2 for the representation"
-                              f" check overflows; give [{name}duals]") from None
+                              f" check overflows; give a narrower {name}* box") from None
 
 
 def conjugate_representation_check(
@@ -143,7 +143,8 @@ def conjugate_representation_check(
     lower_ok = bool(np.all(mustar <= sic0 + TOL)) and bool(np.all(mustar <= sic1 + TOL))
 
     def residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        out = np.where(lhs == rhs, 0.0, rhs - lhs)
+        with np.errstate(invalid="ignore"):  # inf - inf where lhs == rhs
+            out = np.where(lhs == rhs, 0.0, rhs - lhs)
         return np.where(np.isnan(out), INF, out)
 
     r0 = residual(mustar, sic0)

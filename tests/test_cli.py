@@ -197,6 +197,16 @@ class TestParseSpec:
         with pytest.raises(SpecSyntaxError):
             parse_spec(MINIMAL + "\n[metadata]\nconvex maybe\n")
 
+    def test_build_refuses_a_phi_past_the_checks_sums(self):
+        spec = parse_spec(MINIMAL.replace("expr x^2 + y", "expr 1e308 * x + y^2"))
+        assert spec.xduals is spec.yduals is None
+        with pytest.raises(InvalidArgument) as exc:
+            spec.build()
+        assert str(exc.value) == (
+            "line 10: phi reaches 1e+308 in magnitude;"
+            " the checks add up to 4 such terms, and that sum overflows"
+        )
+
     def test_table_phi_refuses_refinement(self):
         text = MINIMAL.replace("expr x^2 + y", "table " + " ".join(["1"] * 15))
         spec = parse_spec(text)
@@ -317,15 +327,21 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "phi, axis", [("1e308 * x + y", "x axis 1"), ("x^2 + 1e308 * y", "y axis 1")],
+        "phi, grid, axis",
+        [
+            ("1e308 * x + y", ("axis -1 1 5", "axis -1e-9 1e-9 5"), "x axis 1"),
+            ("x^2 + 1e308 * y", ("axis 0 1 3", "axis 0 1e-9 3"), "y axis 1"),
+        ],
         ids=["x-slope", "y-slope"],
     )
     def test_default_dual_box_past_the_largest_float_exits_one(
-        self, tmp_path, capsys, phi, axis
+        self, tmp_path, capsys, phi, grid, axis
     ):
-        # A secant slope of 1e308 needs a dual bound of 2^1024, past the
-        # largest float: mu's along x, or phi's along y.
-        spec = write_spec(tmp_path, MINIMAL.replace("expr x^2 + y", f"expr {phi}"))
+        # On a step of 1e-9, |phi| stays at or below 1e299, which the build
+        # accepts; a secant slope of 1e308 still needs a dual bound of
+        # 2^1024, past the largest float: mu's along x, or phi's along y.
+        text = MINIMAL.replace("expr x^2 + y", f"expr {phi}").replace(*grid)
+        spec = write_spec(tmp_path, text)
         assert main(["verify-all", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: InvalidArgument: {axis}: a secant slope of 1e+308")
@@ -358,7 +374,7 @@ class TestExitCodes:
 
     def test_phi_past_the_checks_sums_on_the_default_boxes_exits_one(self, tmp_path, capsys):
         # The slopes of 1e308 + x are small, so both default boxes exist;
-        # mu + mu in the sum rule would overflow, so the run refuses phi then.
+        # mu + mu in the sum rule would overflow, so the build refuses phi.
         spec = write_spec(tmp_path, MINIMAL.replace("expr x^2 + y", "expr 1e308 + x + y^2"))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -369,6 +385,39 @@ class TestExitCodes:
             " the checks add up to 4 such terms, and that sum overflows\n"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("phi", ["1e308 * x + y^2", "1e308 * x + y", "x^2 + 1e308 * y"])
+    @pytest.mark.parametrize("command", ["marginal", "conjugate", "subdiff", "duality", "verify-all"])
+    def test_phi_past_the_checks_sums_exits_one_for_every_command_that_builds_it(
+        self, tmp_path, capsys, command, phi
+    ):
+        # No dual grid is given: the build refuses phi's 1e308 before any
+        # command reads a level range, a default box or a slope.
+        spec = write_spec(tmp_path, MINIMAL.replace("expr x^2 + y", f"expr {phi}"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert not caught
+        assert capsys.readouterr().err == (
+            "error: InvalidArgument: line 10: phi reaches 1e+308 in magnitude;"
+            " the checks add up to 4 such terms, and that sum overflows\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_commands_that_never_build_phi_run_on_a_huge_phi(self, tmp_path, capsys):
+        raster = FIXTURES / "box_left.raster"
+        text = MINIMAL.replace("expr x^2 + y", "expr 1e308 * x + y^2") + (
+            f"{LAGRANGIAN}\n[lambdas]\naxis 0 1 3\n\n[raster]\nfile {raster}\n"
+        )
+        spec = write_spec(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for command in ("lagrangian", "nearconvex"):
+                assert main([command, "--spec", str(spec), "--out", str(tmp_path / command)]) == 0
+        assert not caught
+        assert "error" not in capsys.readouterr().err
+        assert main(["marginal", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert "phi reaches 1e+308 in magnitude" in capsys.readouterr().err
 
     def test_refined_dual_box_past_the_largest_float_exits_one(self, tmp_path, capsys):
         # The default x* box of 1e307 * x fits at 5 nodes, but the
@@ -381,9 +430,55 @@ class TestExitCodes:
         assert main(["verify-all", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             "error: InvalidArgument: the x* box [-1.12356e+307, 1.12356e+307] refined by 2"
-            " for the representation check overflows; give [xduals]\n"
+            " for the representation check overflows; give a narrower x* box\n"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("given", ["section", "flag"])
+    def test_given_dual_box_refined_past_the_largest_float_exits_one(
+        self, tmp_path, capsys, given
+    ):
+        # A given x* box fits at 5 nodes and overflows refined to 9; the
+        # refusal reads the same whichever way the box came.
+        text = (FIXTURES / "abs_full.spec").read_text()
+        argv = ["verify-all", "--out", str(tmp_path / "out")]
+        if given == "section":
+            text = text.replace("axis -2 2 17", "axis -2e307 2e307 5")
+        else:
+            argv += ["--dual-range", "-2e307:2e307:5"]
+        spec = write_spec(tmp_path, text)
+        assert main(argv + ["--spec", str(spec)]) == 1
+        assert capsys.readouterr().err == (
+            "error: InvalidArgument: the x* box [-2e+307, 2e+307] refined by 2"
+            " for the representation check overflows; give a narrower x* box\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    # (phi source, F source) of three problems with no finite mu value.
+    DEGENERATE = {
+        "empty-graph": ("expr y", "constraints 5 - y"),
+        "phi-inf": ("expr y\nwhere 1", "full"),
+        "one-neginf-phi": ("table -inf{ones}", "full"),
+    }
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", DEGENERATE)
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_degenerate_problems_run_clean(self, tmp_path, capsys, command, case, dim):
+        # Every command either runs or exits 1 with an error line; none
+        # warns, as inf - inf or inf * 0 in a check would.
+        phi, F = self.DEGENERATE[case]
+        text, nodes = MINIMAL, 15
+        if dim == 2:
+            text, nodes = MINIMAL.replace("axis -1 1 5", "axis -1 1 3\naxis -1 1 3"), 27
+        phi = phi.format(ones=" 1" * (nodes - 1))
+        spec = write_spec(tmp_path, text.replace("expr x^2 + y", phi).replace("full", F))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert not caught
+        err = capsys.readouterr().err
+        assert (rc, err) == (0, "") or rc == 1 and err.startswith("error: ")
 
     def test_malformed_raster_exits_one(self, tmp_path, capsys):
         (tmp_path / "bad.raster").write_text("raster 1 3 0.0 1.0\n")
