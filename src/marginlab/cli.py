@@ -50,6 +50,7 @@ from .conjugate import (
 )
 from .core import INF, Axis, Grid, Verdict, as_point, axis_names, render_value
 from .duality import (
+    DualityReport,
     LagrangianIdentityReport,
     SlaterReport,
     conjugate_representation_check,
@@ -111,6 +112,22 @@ def _grid_json(grid: Grid) -> list[dict]:
     return [
         {"lo": ax.lo, "hi": ax.hi, "count": ax.count} for ax in grid.axes
     ]
+
+
+def _duality_json(rep: DualityReport) -> dict:
+    """The values and one pass flag per row; the INFO row
+    subdifferential_nonempty passes when there is a witness."""
+    return {
+        "vp": render_value(rep.vp),
+        "vd1": render_value(rep.vd1),
+        "vd2": render_value(rep.vd2),
+        "gap": render_value(rep.gap),
+        "witness": _listed(rep.witness),
+        "verdicts": [
+            {"name": n, "pass": rep.witness is not None if ok is None else ok}
+            for n, ok, _ in rep.verdicts
+        ],
+    }
 
 
 def _node_table(
@@ -306,7 +323,7 @@ def _cmd_duality(run: _Run) -> Outcome:
     for key in ("vp", "vd1", "vd2", "gap"):
         columns[key] = [_cell(getattr(rep, key))] * tables.xduals.size
     table = _node_table(tables.xduals, "s", columns)
-    return {"duality": rep.json_dict()}, rep.verdicts, table
+    return {"duality": _duality_json(rep)}, rep.verdicts, table
 
 
 # The lagrangian command's names for the rows verify-all prefixes "duality.".
@@ -424,7 +441,7 @@ def _cmd_verify_all(run: _Run) -> Outcome:
     try:
         rep = strong_duality_check(tables)
         verdicts += _prefixed("duality.", rep.verdicts)
-        duality = rep.json_dict()
+        duality = _duality_json(rep)
     except ZeroNotOnGrid:
         verdicts.append(Verdict.skipped("duality.weak_duality_chain", "0 is not an x node"))
         duality = None

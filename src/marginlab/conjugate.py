@@ -10,13 +10,12 @@ the maximum one axis block at a time,
     f*(x*, y*) = max over x of <x*, x> + max over y of (<y*, y> - f(x, y)),
 
 conjugating each fiber of bit-identical x rows once and every x* row
-once.  `conjugate_at` and `support_function` run it on a y axis with no
-coordinates (`_NO_Y`), where `dots` gives +0.0: the inner max is -f(x)
-exactly, so a score fl(<s, x> + (-f(x))) is the score fl(<s, x> - f(x))
-of the brute-force `max_dots_minus`, which `setmap.map_conjugate_at`
-keeps.  A linear-time
-transform (lower convex hull + monotone merge) reproduces the brute-force
-values on sorted 1-D data and separable multi-D data.
+once.  `conjugate_at`, `support_function` and `max_dots_minus` run it on a y
+axis with no coordinates (`_NO_Y`), where `dots` gives +0.0: the inner
+max is -f(x) exactly, so a score fl(<s, x> + (-f(x))) is the
+brute-force score fl(<s, x> - f(x)) that the tests' oracle takes.  A
+linear-time transform (lower convex hull + monotone merge) reproduces
+the brute-force values on sorted 1-D data and separable multi-D data.
 
 Every float dot product here, and everywhere else in the package, comes
 from `dots`: a sum from +0.0 over the per-coordinate products in
@@ -111,25 +110,17 @@ def count_slices(entries: np.ndarray):
 
 
 def max_dots_minus(queries: np.ndarray, points: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """max over rows p of <q, p> - v(p), per query row q, by brute force.
+    """max over rows p of <q, p> - v(p), per query row q.
 
-    Every entry must be finite; empty `points` yields -inf per query.  The scores
-    are taken in blocks of at most `_BLOCK_CAP` entries, over points as
-    well when one query row exceeds the cap; each score is `dots` of its
-    two rows, so the blocked maximum equals that of one score matrix
-    bitwise.  `conjugate_at` takes these scores in the kernel, on a y axis
-    with no coordinates; only `setmap.map_conjugate_at` calls this.
+    Every entry must be finite; empty `points` yields -inf per query.  It
+    is `conjugate_at`'s kernel call on the point rows, kept with
+    `setmap.map_conjugate_at`, its only caller, because the benchmark's
+    tracer wraps both by name; the brute-force loop is the tests' oracle.
     """
     points = as_rows(points, None, "points")
     queries = as_rows(queries, points.shape[1], "queries")
     vals = as_point(vals, points.shape[0], "point values")
-    n = points.shape[0]
-    out = np.full(queries.shape[0], -INF)
-    for lo in range(0, n, _BLOCK_CAP):
-        P, v = points[lo : lo + _BLOCK_CAP], vals[lo : lo + _BLOCK_CAP]
-        for sl in score_slices(queries.shape[0], P.shape[0]):
-            np.maximum(out[sl], (dots(queries[sl, None], P) - v).max(axis=1), out=out[sl])
-    return out
+    return partial_conjugate(vals[:, None], points, _NO_Y, queries, _NO_Y)[:, 0]
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,34 +183,39 @@ def conjugate_blocks(rows, dom: np.ndarray, X, Y, xstars, ystars):
 
     `dom` marks the x nodes where f has a value below +inf, and `rows(at)`
     returns f's values on the x nodes of the index array `at`, one column
-    per y node, so no table of f is built.  The inner max over y runs once
-    per fiber of bit-identical rows (`_fibers`), when this is called; each
-    block of x* rows then takes the max of its dot products over each
-    fiber's nodes, and the outer max over fibers of that max plus the
-    fiber's inner max.  fl(t + r) is non-decreasing in t, and neither term
-    is -0.0, so max over a fiber of fl(t + r) = fl(max t + r) bit for bit.
-    The fibers are cut into blocks (`count_slices`) and the x* rows into
-    blocks, so that one step's dot products (with `dots`' product
-    temporary), fiber maxima, 3-D sum, its max and the table rows fit in
-    the cap together; a fiber over the cap is a block of its own.  Each
-    step folds its max into the table rows with `np.maximum`, which is
-    exact, so no block size moves a bit.  The table rows are a view of
-    one buffer that the next block overwrites.
+    per y node, so no table of f is built.  The rows fall into fibers of
+    bit-identical rows (`_fibers`), cut into pieces of at most
+    (cap - 1 - 3 ky) // 2 nodes; the inner max over y runs once per piece,
+    when this is called.  Each block of x* rows then takes the max of its
+    dot products over each piece's nodes, and the outer max over pieces of
+    that max plus the piece's inner max.  fl(t + r) is non-decreasing in
+    t, and neither term is -0.0, so max over a piece of fl(t + r) =
+    fl(max t + r) bit for bit.  The pieces are cut into blocks
+    (`count_slices`) and the x* rows into blocks, so that one step's dot
+    products (with `dots`' product temporary), piece maxima, 3-D sum, its
+    max and the table rows fit in the cap together: 2 m + 1 + ky entries
+    per x* row and piece of m nodes, and 2 ky per x* row.  Each step folds
+    its max into the table rows with `np.maximum`, which is exact, so no
+    block size moves a bit.  The table rows are a view of one buffer that
+    the next block overwrites.
     """
     k, ky = xstars.shape[0], ystars.shape[0]
     if not dom.any():
         return ((sl, np.full((sl.stop - sl.start, ky), -INF)) for sl in score_slices(k, ky))
     at, starts = _fibers(rows, np.flatnonzero(dom), Y.shape[0])
+    piece = max(1, (_BLOCK_CAP - 1 - 3 * ky) // 2)
+    fiber = np.repeat(np.arange(starts.size), -(-np.diff(np.append(starts, at.size)) // piece))
+    starts = starts[fiber] + piece * (np.arange(fiber.size) - np.searchsorted(fiber, fiber))
     ydots = dots(ystars[:, None], Y)
     R = np.empty((starts.size, ky))
     for sl in score_slices(starts.size, ydots.size + Y.shape[0]):
         (ydots[None, :, :] - rows(at[starts[sl]])[:, None, :]).max(axis=2, out=R[sl])
     Xg, bounds = X[at], np.append(starts, at.size)
-    entries = 2 * np.diff(bounds) + 1 + ky  # per fiber and x* row
-    fibers = list(count_slices(entries))
-    width = max(int(entries[fs].sum()) for fs in fibers) + 2 * ky
-    parts = [(Xg[bounds[fs.start] : bounds[fs.stop]], starts[fs] - bounds[fs.start], R[fs])
-             for fs in fibers]
+    entries = 2 * np.diff(bounds) + 1 + ky  # per piece and x* row
+    spans = list(count_slices(entries))
+    width = max(int(entries[ps].sum()) for ps in spans) + 2 * ky
+    parts = [(Xg[bounds[ps.start] : bounds[ps.stop]], starts[ps] - bounds[ps.start], R[ps])
+             for ps in spans]
 
     def blocks():
         buf = np.empty((next(score_slices(k, width), slice(0)).stop, ky))
@@ -319,7 +315,8 @@ def _separable_parts(f: GriddedFunction) -> list[np.ndarray] | None:
     total = ext_add_arrays(total, np.full(shape, -(f.grid.dim - 1) * fbase))
     both_inf = (total == INF) & (V == INF)
     scale = np.maximum(1.0, np.abs(V, where=np.isfinite(V), out=np.ones(shape)))
-    close = np.isfinite(total) & np.isfinite(V) & (np.abs(total - V) <= 1e-12 * scale)
+    with np.errstate(invalid="ignore"):  # inf - inf, masked by isfinite
+        close = np.isfinite(total) & np.isfinite(V) & (np.abs(total - V) <= 1e-12 * scale)
     if not (both_inf | close).all():
         return None
     return parts + [np.float64(fbase)]

@@ -41,9 +41,9 @@ from .core import (
     sorted_distinct,
 )
 from .errors import GridNotAdapted, InvalidArgument, MarginlabError, NotANode, ZeroNotOnGrid
-from .polyhedra import feasible_point
+from .polyhedra import feasible_point, linprog
 from .setmap import SetValuedMap, graph_support_blocks, map_from_inequalities, split_lattice
-from .subdiff import eps_subdifferential, linprog
+from .subdiff import eps_subdifferential
 from .tables import Tables, inf_convolution_min, phi_conjugate
 
 MAX_ADAPTED_COUNT = 100_000  # x-nodes per axis of a graph-adapted grid
@@ -176,21 +176,6 @@ class DualityReport(NamedTuple):
     gap: float
     witness: tuple[float, ...] | None
     verdicts: tuple[Verdict, ...]
-
-    def json_dict(self) -> dict:
-        """The values and one pass flag per row; the INFO row
-        subdifferential_nonempty passes when there is a witness."""
-        return {
-            "vp": render_value(self.vp),
-            "vd1": render_value(self.vd1),
-            "vd2": render_value(self.vd2),
-            "gap": render_value(self.gap),
-            "witness": list(self.witness) if self.witness is not None else None,
-            "verdicts": [
-                {"name": n, "pass": self.witness is not None if ok is None else ok}
-                for n, ok, _ in self.verdicts
-            ],
-        }
 
 
 def _gap(vp: float, vd1: float) -> float:

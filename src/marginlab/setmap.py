@@ -14,10 +14,9 @@ graph indicator (0 on gph F, +inf off it),
 
 building the row supports sigma_F(x)(s) = max over y in F(x) of <s, y>
 once and evaluating each t row once.  `map_conjugate_at` takes the same
-finite maximum by brute force in `conjugate.max_dots_minus`, so the two
-agree bitwise whenever the dot products are exact (dyadic data).  The
-pair are the oracles of `graph_support` in the tests, and the benchmark's
-tracer wraps both; no check calls them.
+maximum at stacked points through `conjugate.max_dots_minus`, the kernel
+on the graph's points; the benchmark's tracer wraps both by name, and no
+check calls them.  The brute-force graph support is a test oracle.
 
 Besides the graph mask, nothing here builds a table of every (x, y) node
 or graph cell: expressions, the indicator and the walks over the cells
@@ -166,10 +165,10 @@ def graph_support_blocks(F: SetValuedMap, xstars, ystars):
 def graph_support(F: SetValuedMap, xstars: np.ndarray, ystars: np.ndarray) -> np.ndarray:
     """Graph support function on the product of x* rows and y* rows.
 
-    Entry [i, j] is sigma_gph(xstars[i], ystars[j]), the same finite
-    maximum `map_conjugate_at` takes at the stacked point; an empty graph
-    gives -inf everywhere.  The table is the assembly of the blocks of
-    `graph_support_blocks`.
+    Entry [i, j] is sigma_gph(xstars[i], ystars[j]), the finite maximum
+    of <xstars[i], x> + <ystars[j], y> over the graph cells (x, y); an
+    empty graph gives -inf everywhere.  The table is the assembly of the
+    blocks of `graph_support_blocks`.
     """
     xstars = as_rows(xstars, F.xgrid.dim, "x* rows")
     ystars = as_rows(ystars, F.ygrid.dim, "y* rows")

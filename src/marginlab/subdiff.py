@@ -52,7 +52,7 @@ from .core import (
 from .errors import GridMismatch, InvalidArgument, NotFiniteAtPoint, PointNotInSet
 from .nearconvex import box_dilate
 from .polyhedra import HPolyhedron, _farkas, _interval, _polygon, _support
-from .polyhedra import linprog  # noqa: F401  duality and the benchmark's tracer read it here
+from .polyhedra import linprog  # noqa: F401  the benchmark's tracer reads it here
 from .setmap import graph_cell_blocks
 from .tables import Tables
 

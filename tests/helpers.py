@@ -7,6 +7,7 @@ so that equality between the two is evidence and not tautology.
 
 from __future__ import annotations
 
+import importlib
 import math
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from marginlab import (
     subdiff,
 )
 from marginlab import expr
-from marginlab.conjugate import dots, max_dots_minus, score_slices, unique_rows
+from marginlab.conjugate import dots, score_slices, unique_rows
 from marginlab.core import (
     NODE_TOL,
     TOL,
@@ -44,6 +45,9 @@ from marginlab.setmap import graph_cell_blocks, split_lattice
 from marginlab.subdiff import RestrictedConjugateReport
 
 INF = math.inf
+
+# The package re-exports the function `conjugate`, which hides the module.
+CONJUGATE = importlib.import_module("marginlab.conjugate")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -167,17 +171,61 @@ def oracle_conjugate(f, s):
     return best
 
 
+def brute_max_dots_minus(queries, points, vals):
+    """max over rows p of <q, p> - v(p), per query row q, by brute force:
+    empty `points` yields -inf per query.  The scores are taken in blocks
+    of at most `_BLOCK_CAP` entries, over points as well when one query
+    row exceeds the cap; each score is `dots` of its two rows, so the
+    blocked maximum equals that of one score matrix bitwise.  This is the
+    oracle of the conjugate kernel on a y axis with no coordinates."""
+    queries, points = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (queries, points))
+    vals = np.asarray(vals, dtype=np.float64)
+    cap = CONJUGATE._BLOCK_CAP
+    out = np.full(queries.shape[0], -INF)
+    for lo in range(0, points.shape[0], cap):
+        P, v = points[lo : lo + cap], vals[lo : lo + cap]
+        for sl in score_slices(queries.shape[0], P.shape[0]):
+            np.maximum(out[sl], (dots(queries[sl, None], P) - v).max(axis=1), out=out[sl])
+    return out
+
+
 def brute_conjugate_at(f, points):
     """The conjugate of f at each dual point by brute force, the oracle of
     `conjugate_at`'s kernel route: the -inf and empty-domain conventions by
-    hand, then one `max_dots_minus` score per dual point and domain node."""
+    hand, then one `brute_max_dots_minus` score per dual point and domain
+    node."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if (f.values == -INF).any():
         return np.full(points.shape[0], INF)
     dom = f.dom_mask
     if not dom.any():
         return np.full(points.shape[0], -INF)
-    return max_dots_minus(points, f.grid.nodes[dom], f.values[dom])
+    return brute_max_dots_minus(points, f.grid.nodes[dom], f.values[dom])
+
+
+def brute_graph_support(F, xstars, ystars):
+    """`graph_support`'s table by brute force: one `brute_max_dots_minus`
+    score per stacked (x*, y*) row and graph cell."""
+    xstars, ystars = np.atleast_2d(xstars), np.atleast_2d(ystars)
+    k, ky = xstars.shape[0], ystars.shape[0]
+    queries = np.hstack([np.repeat(xstars, ky, axis=0), np.tile(ystars, (k, 1))])
+    gx, gy = F.graph_cells
+    cells = np.hstack([F.xgrid.nodes[gx], F.ygrid.nodes[gy]])
+    return brute_max_dots_minus(queries, cells, np.zeros(cells.shape[0])).reshape(k, ky)
+
+
+def brute_inf_convolution(phi, F, at, x1duals, yduals):
+    """(phi* box F*)(x*, 0) over the split lattice, one brute query at a time."""
+    out = []
+    for t in at:
+        best = INF
+        for x1 in x1duals.nodes:
+            for y in yduals.nodes:
+                a = brute_conjugate_at(phi, np.concatenate([x1, y]))[0]
+                b = brute_graph_support(F, t - x1, -y)[0, 0]
+                best = min(best, lower_add(a, b))
+        out.append(best)
+    return np.array(out)
 
 
 def per_row_partial_conjugate(values, X, Y, xstars, ystars):

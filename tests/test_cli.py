@@ -454,11 +454,13 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
-    # (phi source, F source) of three problems with no finite mu value.
+    # (phi source, F source) of three problems with no finite mu value, and
+    # of one whose mu is +inf on part of the x1 axis.
     DEGENERATE = {
         "empty-graph": ("expr y", "constraints 5 - y"),
         "phi-inf": ("expr y\nwhere 1", "full"),
         "one-neginf-phi": ("table -inf{ones}", "full"),
+        "partly-infeasible": ("expr y\nwhere x1 - 0.5", "full"),
     }
 
     @pytest.mark.parametrize("dim", [1, 2])

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import math
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +24,9 @@ from marginlab import (
     conjugate_fast,
     default_dual_grid,
     fast_conjugate_check,
+    graph_support,
     inf_convolution,
+    map_conjugate_at,
     partial_conjugate,
     product_grid,
     support_function,
@@ -36,6 +39,9 @@ from helpers import (
     FIXTURES,
     broadcast_dots,
     brute_conjugate_at,
+    brute_graph_support,
+    brute_inf_convolution,
+    brute_max_dots_minus,
     dyadic_grid,
     dyadic_rows,
     load_fixture,
@@ -264,9 +270,9 @@ def definition_max_dots_minus(Q, P, v):
 class TestMaxDotsMinus:
     @pytest.mark.parametrize("cap", [1, 3, 50, None])
     def test_chunks_match_one_score_matrix_bitwise(self, monkeypatch, cap):
-        # cap 1 scores one entry per block; cap 3 and 50 cut short row
-        # blocks, or column blocks when one row exceeds the cap, with
-        # ragged last ones; None keeps the default.
+        # cap 1 scores one entry per step; cap 3 and 50 cut the points into
+        # short pieces and blocks of them, with ragged last ones, and the
+        # oracle into row or column blocks; None keeps the default.
         if cap is not None:
             monkeypatch.setattr(conjugate_module, "_BLOCK_CAP", cap)
         rng = np.random.default_rng(131)
@@ -275,11 +281,15 @@ class TestMaxDotsMinus:
             Q = rng.standard_normal((int(rng.integers(1, 60)), d)) * 3.0
             P = rng.standard_normal((int(rng.integers(1, 40)), d))
             v = rng.standard_normal(P.shape[0])
-            got = conjugate_module.max_dots_minus(Q, P, v)
-            assert_bitwise(got, definition_max_dots_minus(Q, P, v))
+            want = definition_max_dots_minus(Q, P, v)
+            assert_bitwise(conjugate_module.max_dots_minus(Q, P, v), want)
+            assert_bitwise(brute_max_dots_minus(Q, P, v), want)
 
     @pytest.mark.parametrize("cap", [1, 5, 64, 301])
     def test_score_buffer_honours_the_cap(self, monkeypatch, cap):
+        """No `dots` call of the kernel exceeds the cap where one fiber
+        holds more nodes than the cap: points with equal values, the
+        points of a support function, and the nodes of a constant f."""
         monkeypatch.setattr(conjugate_module, "_BLOCK_CAP", cap)
         dots, sizes = conjugate_module.dots, []
 
@@ -289,16 +299,22 @@ class TestMaxDotsMinus:
 
         monkeypatch.setattr(conjugate_module, "dots", spy)
         rng = np.random.default_rng(137)
-        for _ in range(30):
+        for _ in range(6):
             d = int(rng.integers(1, 4))
-            Q = rng.standard_normal((int(rng.integers(1, 80)), d))
-            P = rng.standard_normal((int(rng.integers(1, 80)), d))
-            v = rng.standard_normal(P.shape[0])
+            n = int(rng.integers(cap + 1, cap + 300))
+            Q = rng.standard_normal((int(rng.integers(1, 8)), d))
+            P = rng.standard_normal((n, d))
+            v = np.full(n, float(rng.standard_normal()))
+            grid = Grid((Axis(-1.0, 1.0, n),) + (Axis(-0.5, 0.5, 2),) * (d - 1))
+            f = GriddedFunction(grid, np.full(grid.size, v[0]))
+            duals = dyadic_grid(rng, d, max_count=3)
             sizes.clear()
             got = conjugate_module.max_dots_minus(Q, P, v)
-            assert_bitwise(got, definition_max_dots_minus(Q, P, v))
+            assert_bitwise(got, brute_max_dots_minus(Q, P, v))
+            got = support_function(P, duals).values
+            assert_bitwise(got, brute_max_dots_minus(duals.nodes, P, np.zeros(n)))
+            assert_bitwise(conjugate_at(f, Q), brute_conjugate_at(f, Q))
             assert max(sizes) <= cap
-            assert sum(sizes) == Q.shape[0] * P.shape[0]
 
     def test_no_points_gives_minus_inf(self):
         kernel = conjugate_module.max_dots_minus
@@ -338,7 +354,7 @@ def kernel_route_case(rng, dim, case):
 class TestKernelRoutes:
     """`conjugate_at` and `support_function` run `conjugate_blocks` on a y
     axis with no coordinates.  They equal the brute-force routes over
-    `max_dots_minus` bit for bit on any data, with the -inf and
+    `brute_max_dots_minus` bit for bit on any data, with the -inf and
     empty-domain conventions, at any block size."""
 
     @given(
@@ -353,9 +369,7 @@ class TestKernelRoutes:
         f, duals, points = kernel_route_case(rng, dim, case)
         dual_grid = dyadic_grid(rng, dim, max_count=4)
         want = brute_conjugate_at(f, duals)
-        support = conjugate_module.max_dots_minus(
-            dual_grid.nodes, points, np.zeros(points.shape[0])
-        )
+        support = brute_max_dots_minus(dual_grid.nodes, points, np.zeros(points.shape[0]))
         blocked = conjugate_module._BLOCK_CAP if cap is None else cap
         with mock.patch.object(conjugate_module, "_BLOCK_CAP", blocked):
             assert_bitwise(conjugate_at(f, duals), want)
@@ -382,9 +396,10 @@ def callers(source, name):
 
 
 class TestOneConjugateKernel:
-    """Every conjugate the package computes runs `conjugate_blocks`; the
-    brute-force `max_dots_minus` is reached only by `map_conjugate_at`,
-    the graph support's brute-force route."""
+    """Every conjugate the package computes runs `conjugate_blocks`, and
+    no conjugate-value oracle of the tests does.  `max_dots_minus`, a call
+    of the kernel kept for the benchmark's tracer, is reached only by
+    `map_conjugate_at`, kept for the same reason."""
 
     def test_guard_sees_every_call(self):
         source = "max_dots_minus(a)\ndef f():\n    return m.max_dots_minus(a)\n"
@@ -397,6 +412,38 @@ class TestOneConjugateKernel:
             for func in callers(path.read_text(encoding="utf-8"), "max_dots_minus")
         ]
         assert found == [("marginlab.setmap", "map_conjugate_at")]
+
+    def test_no_oracle_runs_the_kernel(self, monkeypatch):
+        """With the kernel and `partial_conjugate` refusing to run, in every
+        module that binds them, the package's conjugates raise and every
+        conjugate-value oracle still answers."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the conjugate kernel ran")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("marginlab."):
+                for attr in ("conjugate_blocks", "partial_conjugate"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        rng = np.random.default_rng(139)
+        phi, F = random_problem(rng, max_count=4)
+        x1duals, yduals = dyadic_grid(rng, 1, max_count=3), dyadic_grid(rng, 1, max_count=3)
+        stacked, nodes, zeros = dyadic_rows(rng, 4, 2), phi.grid.nodes, np.zeros(phi.grid.size)
+        for package_route in (
+            lambda: conjugate_at(phi, stacked),
+            lambda: support_function(nodes, phi.grid),
+            lambda: conjugate_module.max_dots_minus(stacked, nodes, zeros),
+            lambda: map_conjugate_at(F, stacked),
+            lambda: graph_support(F, x1duals.nodes, yduals.nodes),
+        ):
+            with pytest.raises(AssertionError, match="kernel ran"):
+                package_route()
+        brute_max_dots_minus(stacked, nodes, zeros)
+        brute_conjugate_at(phi, stacked)
+        oracle_conjugate(phi, stacked[0])
+        brute_graph_support(F, x1duals.nodes, yduals.nodes)
+        brute_inf_convolution(phi, F, x1duals.nodes, x1duals, yduals)
 
 
 def lattice_brute(phi, xstars, ystars):

@@ -26,21 +26,20 @@ from marginlab import (
     lagrangian_dual,
     lagrangian_identity_check,
     primal_value,
-    map_conjugate_at,
     product_grid,
     sampled_inf_convolution,
     slater_strong_duality_check,
     strong_duality_check,
 )
 from marginlab import duality
+from marginlab.cli import _duality_json
 
 from helpers import (
     QUANTUM,
-    brute_conjugate_at,
+    brute_inf_convolution,
     dyadic_grid,
     dyadic_rows,
     load_fixture,
-    lower_add,
     random_function,
     random_problem,
 )
@@ -82,20 +81,6 @@ class TestWeakDualityChain:
         phi = GriddedFunction(product_grid(X, Y), np.zeros(6))
         with pytest.raises(ZeroNotOnGrid):
             primal_value(Tables(phi, full_map(X, Y)))
-
-
-def brute_inf_convolution(phi, F, at, x1duals, yduals):
-    """(phi* box F*)(x*, 0) over the split lattice, one brute query at a time."""
-    out = []
-    for t in at:
-        best = INF
-        for x1 in x1duals.nodes:
-            for y in yduals.nodes:
-                a = brute_conjugate_at(phi, np.concatenate([x1, y]))[0]
-                b = map_conjugate_at(F, np.concatenate([t - x1, -y]))[0]
-                best = min(best, lower_add(a, b))
-        out.append(best)
-    return np.array(out)
 
 
 class TestSampledInfConvolution:
@@ -189,7 +174,7 @@ class TestStrongDuality:
         rows = {name: (ok, detail) for name, ok, detail in rep.verdicts}
         # emptiness is a finding, not a failure: an INFO row, and no pass
         assert rows["subdifferential_nonempty"] == (None, "no certificate")
-        passes = {v["name"]: v["pass"] for v in rep.json_dict()["verdicts"]}
+        passes = {v["name"]: v["pass"] for v in _duality_json(rep)["verdicts"]}
         assert passes["subdifferential_nonempty"] is False
         assert rows["weak_duality_chain"] == (True, "")
         assert rows["gap_nonnegative"] == (True, "")
@@ -197,7 +182,7 @@ class TestStrongDuality:
     def test_json_and_csv_render_infinities(self):
         spec = load_fixture("diagonal_nonconvex")
         rep = strong_duality_check(Tables(*spec.build(), spec.xduals))
-        d = rep.json_dict()
+        d = _duality_json(rep)
         assert set(d) == {"vp", "vd1", "vd2", "gap", "witness", "verdicts"}
 
 

@@ -19,12 +19,11 @@ from marginlab import (
     map_from_inequalities,
     map_from_points,
     product_grid,
-    support_function,
 )
 
 from marginlab.setmap import graph_cell_blocks
 
-from helpers import dyadic_rows, random_problem
+from helpers import brute_graph_support, brute_max_dots_minus, dyadic_rows, random_problem
 
 INF = math.inf
 conjugate_module = importlib.import_module("marginlab.conjugate")
@@ -87,8 +86,8 @@ class TestGraphSupport:
         gx, gy = F.graph_cells
         points = np.hstack([X.nodes[gx], Y.nodes[gy]])
         got = graph_support(F, xd.nodes, yd.nodes).reshape(-1)
-        want = support_function(points, product_grid(xd, yd))
-        np.testing.assert_array_equal(got, want.values)
+        want = brute_max_dots_minus(product_grid(xd, yd).nodes, points, np.zeros(points.shape[0]))
+        np.testing.assert_array_equal(got, want)
 
     def test_empty_graph_gives_minus_inf(self):
         F = SetValuedMap(X, Y, np.zeros((X.size, Y.size), dtype=bool))
@@ -99,13 +98,6 @@ class TestGraphSupport:
         F = full_map(X, Y)
         with pytest.raises(DimensionMismatch):
             map_conjugate_at(F, np.array([[0.0]]))
-
-
-def brute_table(F, xstars, ystars):
-    """graph_support's table from map_conjugate_at on the flattened product."""
-    k, ky = xstars.shape[0], ystars.shape[0]
-    pts = np.hstack([np.repeat(xstars, ky, axis=0), np.tile(ystars, (k, 1))])
-    return map_conjugate_at(F, pts).reshape(k, ky)
 
 
 class TestFactoredGraphSupport:
@@ -126,7 +118,7 @@ class TestFactoredGraphSupport:
             ystars = dyadic_rows(rng, int(rng.integers(1, 8)), ydim)
             partial += F.dom_mask.any() and not F.dom_mask.all()
             got = graph_support(F, xstars, ystars)
-            want = brute_table(F, xstars, ystars)
+            want = brute_graph_support(F, xstars, ystars)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
         assert partial  # some maps had empty F(x) rows next to non-empty ones
 
